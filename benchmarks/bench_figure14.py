@@ -5,7 +5,7 @@ same scenarios, the round-40 adaptive duplicates are controlled (median
 repairs near one, means well below the fixed case).
 """
 
-from repro.core.stats import mean, quantiles
+from repro.metrics.events import mean, quantiles
 from repro.experiments.figure4 import run_figure4
 from repro.experiments.figure14 import run_figure14
 

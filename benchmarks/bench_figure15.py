@@ -7,7 +7,7 @@ while one-step repairs over-reach by a large factor, "fairly inefficient
 in their use of bandwidth".
 """
 
-from repro.core.stats import mean, quantiles
+from repro.metrics.events import mean, quantiles
 from repro.experiments.figure15 import run_figure15
 
 from conftest import scale

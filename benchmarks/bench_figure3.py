@@ -4,7 +4,7 @@ Expected shape: median of exactly one request and one repair per loss,
 and a last-member recovery delay below ~2 RTT — competitive with TCP.
 """
 
-from repro.core.stats import quantiles
+from repro.metrics.events import quantiles
 from repro.experiments.figure3 import run_figure3
 
 from conftest import scale

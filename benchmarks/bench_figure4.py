@@ -5,7 +5,7 @@ Expected shape: requests stay near one, but duplicate *repairs* are
 adaptive algorithm benchmarked in bench_figure13/14.
 """
 
-from repro.core.stats import mean, quantiles
+from repro.metrics.events import mean, quantiles
 from repro.experiments.figure4 import run_figure4
 
 from conftest import scale

@@ -2,7 +2,7 @@
 
 Unlike the ``bench_figure*.py`` suite (which reproduces the paper's
 figures under pytest-benchmark), this is a standalone script that times
-the *kernel* hot paths — event heap churn, cancellation-heavy timer
+the *kernel* hot paths — event queue churn, cancellation-heavy timer
 workloads, multicast fan-out through the direct delivery engine, and a
 full session-heavy SRM scenario on a random tree — and writes the
 numbers to ``BENCH_kernel.json`` so successive PRs can be compared.
@@ -25,7 +25,6 @@ The JSON schema (``bench-kernel/v3``)::
       "schema": "bench-kernel/v3",
       "python": "3.11.7",
       "created": "2026-08-05T12:00:00",
-      "backend": "calendar",              # scheduler backend benched
       "benches": {
         "<name>": {"wall_s": float,      # best-of-N wall clock
                     "events": int,        # scheduler events executed
@@ -41,14 +40,14 @@ The JSON schema (``bench-kernel/v3``)::
 
 v2 added the per-bench ``kernel`` section (``docs/metrics.md``): the
 deterministic counter deltas that explain a wall-clock movement —
-events scheduled vs executed, heap peaks, plan-cache hits, arrival
-copies. v3 resets the perf counters before every attempt (so high-water
-marks like ``heap_peak`` are per-bench, not cumulative), records the
-scheduler backend, and re-expresses ``cancel_heavy`` through the
+events scheduled vs executed, bucket scans, plan-cache hits, arrival
+copies. v3 re-expresses ``cancel_heavy`` through the
 :class:`repro.sim.timers.TimerWave` bulk API — the same logical
 workload (N suppression timers armed, ~90% never fire), driven the way
-SRM suppression drives the new kernel. v1/v2 files are still accepted
-by ``--compare``.
+SRM suppression drives the kernel. v1/v2 files are still accepted by
+``--compare``, as are v3 files that carry the ``"backend"`` field the
+heap-era script recorded (the committed ``BENCH_kernel.json`` is one;
+its heap rows are historical).
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import platform
 import sys
 import time
@@ -71,10 +69,8 @@ if __name__ == "__main__":  # allow running without PYTHONPATH=src
 from repro.core.config import SrmConfig
 from repro.experiments.common import LossRecoverySimulation, Scenario
 from repro.net.node import Agent
-from repro.sim import perf
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import (SCHED_BACKEND_ENV, create_scheduler,
-                                 scheduler_backend)
+from repro.sim.scheduler import EventScheduler
 from repro.sim.timers import TimerWave
 from repro.topology.random_tree import random_labeled_tree
 
@@ -88,7 +84,7 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_kernel.json"
 
 def scheduler_churn(n: int) -> tuple[int, dict]:
     """Push n trivial events through the scheduler in shuffled time order."""
-    sched = create_scheduler()
+    sched = EventScheduler()
     rng = RandomSource(1)
     times = [rng.uniform(0.0, 1000.0) for _ in range(n)]
     noop = lambda: None
@@ -109,10 +105,10 @@ def cancel_heavy(n: int, cancel_fraction: float = 0.9) -> tuple[int, dict]:
     suppression horizon, then ``cancel_all`` for the survivors. The
     logical workload — ``n`` timers armed, ``cancel_fraction`` of them
     never firing — matches the per-``Timer`` formulation this bench used
-    on the heap-only kernel, so wall-clock ratios against a pre-calendar
+    before ``TimerWave`` existed, so wall-clock ratios against an older
     baseline compare the same protocol work.
     """
-    sched = create_scheduler()
+    sched = EventScheduler()
     rng = RandomSource(2)
     fired = 0
 
@@ -257,17 +253,12 @@ def run_bench(fn: BenchFn, repeat: int) -> dict:
 
     Each attempt also captures the :mod:`repro.sim.perf` counter deltas
     (via the same snapshot helpers the metrics collector uses), so the
-    committed JSON explains *why* a wall-clock number moved. The global
-    counters are reset before every attempt: high-water marks such as
-    ``heap_peak`` are *not* deltas, so without the reset every bench
-    would report the largest peak seen by any earlier bench in the
-    process.
+    committed JSON explains *why* a wall-clock number moved.
     """
     from repro.metrics.collector import _perf_delta, _perf_snapshot
 
     best: Optional[dict] = None
     for _ in range(repeat):
-        perf.GLOBAL.reset()
         before = _perf_snapshot()
         start = time.perf_counter()
         events, meta = fn()
@@ -296,15 +287,7 @@ def main(argv: Optional[list] = None) -> int:
                         help="best-of-N timing (default: %(default)s)")
     parser.add_argument("--quick", action="store_true",
                         help="tiny workloads (smoke test / CI)")
-    parser.add_argument("--sched-backend", choices=("heap", "calendar"),
-                        default=None,
-                        help="scheduler backend to bench (default: the "
-                             f"{SCHED_BACKEND_ENV} env var, or the "
-                             "kernel default)")
     args = parser.parse_args(argv)
-
-    if args.sched_backend:
-        os.environ[SCHED_BACKEND_ENV] = args.sched_backend
 
     benches: Dict[str, dict] = {}
     for name, fn in _bench_set(args.quick).items():
@@ -318,7 +301,6 @@ def main(argv: Optional[list] = None) -> int:
         "schema": "bench-kernel/v3",
         "python": platform.python_version(),
         "created": datetime.datetime.now().isoformat(timespec="seconds"),
-        "backend": scheduler_backend(),
         "quick": args.quick,
         "repeat": args.repeat,
         "benches": benches,

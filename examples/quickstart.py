@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 
 from repro import AduName, RandomSource, SrmAgent, SrmConfig
 from repro.core.names import DEFAULT_PAGE
-from repro.core.stats import analyze_loss_event
+from repro.metrics.events import analyze_loss_event
 from repro.net.link import NthPacketDropFilter
 from repro.topology import chain
 

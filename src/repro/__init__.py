@@ -49,7 +49,7 @@ from repro.sim.rng import RandomSource
 from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import Trace
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "SrmAgent",

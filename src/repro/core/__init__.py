@@ -12,7 +12,8 @@ Public surface:
 * :class:`SrmConfig` — every timer / adaptation / session knob.
 * :class:`AduName`, :class:`PageId` — persistent application-data-unit names.
 * :class:`AdaptiveTimers` — the Section VII-A adaptive parameter controller.
-* :mod:`repro.core.stats` — turn traces into the paper's metrics.
+* :func:`analyze_loss_event` (from :mod:`repro.metrics.events`) — turn
+  traces into the paper's metrics.
 """
 
 from repro.core.names import AduName, PageId
@@ -31,7 +32,7 @@ from repro.core.session import (
     SessionDistance,
 )
 from repro.core.agent import SrmAgent
-from repro.core.stats import LossEventReport, analyze_loss_event
+from repro.metrics.events import LossEventReport, analyze_loss_event
 from repro.core.transmit import TokenBucket, TransmitQueue
 from repro.core.fec import FecCodec
 from repro.core.recovery_groups import RecoveryGroup

@@ -1,10 +1,10 @@
 """Typed accessors for every ``SRM_*`` environment knob.
 
 The repo grew one environment variable per subsystem — ``SRM_CHECK``
-(oracles), ``SRM_SCHED_BACKEND`` (event core), ``SRM_CACHE_DIR`` /
-``SRM_CACHE_SALT`` (result cache), ``SRM_HYPOTHESIS_PROFILE`` (test
-scale) and the ``SRM_BENCH_*`` family (benchmark harness) — each read
-with its own ad-hoc ``os.environ.get`` and its own parsing convention.
+(oracles), ``SRM_CACHE_DIR`` / ``SRM_CACHE_SALT`` (result cache),
+``SRM_HYPOTHESIS_PROFILE`` (test scale) and the ``SRM_BENCH_*`` family
+(benchmark harness) — each read with its own ad-hoc
+``os.environ.get`` and its own parsing convention.
 This module is now the single registry: every knob is declared once in
 :data:`KNOBS` with its type, default and documentation (the table in
 ``docs/configuration.md`` mirrors it), and every call site goes through
@@ -36,8 +36,6 @@ __all__ = [
     "knob",
     "check_enabled",
     "set_check",
-    "sched_backend",
-    "set_sched_backend",
     "cache_dir",
     "cache_salt",
     "hypothesis_profile",
@@ -69,9 +67,6 @@ KNOBS: Tuple[Knob, ...] = (
          "Attach the protocol oracles of repro.oracle to every "
          "simulation (the --check flag exports this so runner and fleet "
          "workers inherit it)."),
-    Knob("SRM_SCHED_BACKEND", "str", "calendar",
-         "Event-scheduler implementation: 'heap' or 'calendar'. Both "
-         "execute the identical (time, seq) order."),
     Knob("SRM_CACHE_DIR", "path", "results/.cache",
          "Root of the content-addressed result cache."),
     Knob("SRM_CACHE_SALT", "str", "repro-<version>",
@@ -96,12 +91,9 @@ _BY_NAME: Dict[str, Knob] = {entry.name: entry for entry in KNOBS}
 
 #: The determinism-relevant subset a fleet controller serializes to its
 #: workers: anything that changes *what a task computes* (oracles on or
-#: off, scheduler backend, cache keying). Worker-local knobs (cache
-#: location, bench scale) deliberately stay out — each worker keeps its
-#: own storage.
-WIRE_KNOBS: Tuple[str, ...] = (
-    "SRM_CHECK", "SRM_SCHED_BACKEND", "SRM_CACHE_SALT",
-)
+#: off, cache keying). Worker-local knobs (cache location, bench scale)
+#: deliberately stay out — each worker keeps its own storage.
+WIRE_KNOBS: Tuple[str, ...] = ("SRM_CHECK", "SRM_CACHE_SALT")
 
 
 class UnknownKnobError(KeyError):
@@ -142,20 +134,6 @@ def set_check(enabled: bool) -> None:
         os.environ["SRM_CHECK"] = "1"
     else:
         os.environ.pop("SRM_CHECK", None)
-
-
-def sched_backend() -> str:
-    """``SRM_SCHED_BACKEND``, normalized; empty means the default.
-
-    Validation against the known backend names stays with
-    :func:`repro.sim.scheduler.scheduler_backend`, which owns the list.
-    """
-    return _raw("SRM_SCHED_BACKEND").strip().lower()
-
-
-def set_sched_backend(name: str) -> None:
-    """Export ``SRM_SCHED_BACKEND`` for this process and its children."""
-    os.environ["SRM_SCHED_BACKEND"] = name
 
 
 def cache_dir() -> str:

@@ -19,17 +19,21 @@ from repro.core.config import SrmConfig
 from repro.core.names import AduName
 from repro.metrics.bundle import RunMetrics
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.events import LossEventReport, analyze_loss_event
+from repro.metrics.events import (
+    LossEventReport,
+    analyze_loss_event,
+    quantiles,
+)
 from repro.net.link import NthPacketDropFilter
 from repro.net.network import Network
 from repro.net.packet import NodeId
 from repro.oracle.base import check_mode_enabled
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import SimScheduler
+from repro.sim.scheduler import EventScheduler
 from repro.topology.spec import TopologySpec
 
 #: Safety horizon per round; recovery in these experiments completes in a
-#: few hundred units at most, and the event heap drains naturally.
+#: few hundred units at most, and the event queue drains naturally.
 ROUND_EVENT_LIMIT = 5_000_000
 
 DropEdge = Tuple[NodeId, NodeId]
@@ -120,7 +124,7 @@ class LossRecoverySimulation:
 
     def __init__(self, scenario: Scenario, config: Optional[SrmConfig] = None,
                  seed: int = 0, delivery: str = "direct",
-                 scheduler: Optional["SimScheduler"] = None) -> None:
+                 scheduler: Optional[EventScheduler] = None) -> None:
         self.scenario = scenario
         self.config = config if config is not None else SrmConfig()
         self.master_rng = RandomSource(seed)
@@ -262,7 +266,7 @@ class ExperimentSpec:
     scoped_mode: Optional[str] = None
     trigger_gap: float = 1.0
 
-    # -- spec/v1 wire contract (see repro.fleet.wire) ------------------
+    # -- spec/v2 wire contract (see repro.fleet.wire) ------------------
     # The frozen, versioned JSON encoding used by every fleet HTTP
     # payload and by the runner's cache-key fingerprint (Task.canonical
     # prefers to_wire() over generic dataclass walking).
@@ -310,7 +314,7 @@ class RunResult:
         """The final round (the only round, for the one-shot figures)."""
         return self.outcomes[-1]
 
-    # -- spec/v1 wire contract (see repro.fleet.wire) ------------------
+    # -- spec/v2 wire contract (see repro.fleet.wire) ------------------
 
     def to_wire(self) -> Dict[str, Any]:
         from repro.fleet.wire import result_to_wire
@@ -419,8 +423,6 @@ class SeriesPoint:
 def format_quartile_table(points: List[SeriesPoint], metric: str,
                           x_label: str, title: str) -> str:
     """Render one median/quartile series the way the paper plots it."""
-    from repro.core.stats import quantiles
-
     lines = [title, f"{x_label:>10}  {'q1':>8} {'median':>8} {'q3':>8} "
                     f"{'mean':>8}  n"]
     for point in points:

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.config import SrmConfig
-from repro.core.stats import mean, quantiles
 from repro.experiments.common import (
     RoundOutcome,
     Scenario,
     choose_scenario,
 )
+from repro.metrics.events import mean, quantiles
 from repro.sim.rng import RandomSource
 from repro.topology.btree import balanced_tree
 from repro.topology.graphs import tree_plus_edges

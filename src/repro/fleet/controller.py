@@ -1,8 +1,8 @@
-"""The fleet controller: spec/v1 sweeps in, cached results out.
+"""The fleet controller: spec/v2 sweeps in, cached results out.
 
 One controller owns the full state of every submitted sweep:
 
-* **Jobs** — a submitted sweep of ``spec/v1`` payloads. At submit time
+* **Jobs** — a submitted sweep of ``spec/v2`` payloads. At submit time
   every spec is decoded (so malformed payloads are rejected before any
   worker sees them) and fingerprinted exactly the way the serial
   :class:`~repro.runner.executor.ExperimentRunner` fingerprints its
@@ -66,7 +66,7 @@ class TaskState:
     """One sweep point inside a job."""
 
     index: int
-    payload: Dict[str, Any]          # the spec/v1 wire dict, as submitted
+    payload: Dict[str, Any]          # the spec/v2 wire dict, as submitted
     fingerprint: str
     status: str = "pending"          # pending | leased | done | failed
     worker: Optional[str] = None
@@ -353,7 +353,7 @@ class FleetController:
 
             if not isinstance(result_payload, dict):
                 raise FleetAPIError(400, "report requires 'result' "
-                                         "(spec/v1 RunResult) or 'error'")
+                                         "(spec/v2 RunResult) or 'error'")
             try:
                 decoded = result_from_wire(result_payload)
             except WireFormatError as exc:

@@ -7,7 +7,7 @@ array freely and call :meth:`resync`; when the head fires, every member
 whose expiry equals the fire time (an exact float comparison — herd
 expiries are built ``now + delay`` with the same one addition the agent
 uses, so equal instants are bit-equal) is handed to the callback as one
-tie batch, mirroring the calendar backend's same-instant draining.
+tie batch, mirroring the event scheduler's same-instant draining.
 
 Re-arming uses ``cancel()`` + ``schedule_at(absolute)`` rather than the
 relative ``reschedule_event``: a relative re-arm recomputes ``now +

@@ -67,14 +67,11 @@ def install_options(sub: argparse.ArgumentParser,
                           "drain orders and diff the traces")
     sub.add_argument("--race-permutations", type=int, default=None,
                      metavar="N",
-                     help="drain-order permutations per scenario/backend "
+                     help="drain-order permutations per scenario "
                           "(default: 8; includes the contract order)")
     sub.add_argument("--race-scenarios", default=None, metavar="NAMES",
                      help="comma-separated scenario names "
                           "(default: all; see repro.lint.races)")
-    sub.add_argument("--race-backends", default=None, metavar="NAMES",
-                     help="comma-separated scheduler backends "
-                          "(default: calendar,heap)")
     sub.add_argument("--inject", default=None, metavar="BUG",
                      help="race-detector canary: replay with this bug "
                           "injected (must be caught); implies --races")
@@ -92,21 +89,15 @@ def install_options(sub: argparse.ArgumentParser,
 
 
 def _run_races(args: argparse.Namespace) -> int:
-    from repro.lint.races import (DEFAULT_BACKENDS, DEFAULT_PERMUTATIONS,
-                                  check_races)
+    from repro.lint.races import DEFAULT_PERMUTATIONS, check_races
 
     scenarios = None
     if args.race_scenarios:
         scenarios = [name.strip() for name in args.race_scenarios.split(",")
                      if name.strip()]
-    backends = DEFAULT_BACKENDS
-    if args.race_backends:
-        backends = tuple(name.strip()
-                         for name in args.race_backends.split(",")
-                         if name.strip())
     permutations = args.race_permutations or DEFAULT_PERMUTATIONS
     try:
-        report = check_races(scenarios=scenarios, backends=backends,
+        report = check_races(scenarios=scenarios,
                              permutations=permutations,
                              inject=args.inject)
     except ValueError as exc:

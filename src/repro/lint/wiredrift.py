@@ -1,6 +1,6 @@
 """SRM009 — wire-schema drift between codecs, dataclasses and knobs.
 
-:mod:`repro.fleet.wire` freezes ``spec/v1``: every fleet payload and
+:mod:`repro.fleet.wire` freezes ``spec/v2``: every fleet payload and
 every runner cache key flows through hand-written encoder/decoder
 pairs with *closed* field sets. That design stops silent drift at
 runtime — but only for fields the codec knows about. The failure mode
@@ -315,7 +315,7 @@ def _codec_violations(root: Path,
         if encoder is None or decoder is None:
             missing = spec.encoder if encoder is None else spec.decoder
             hit(1, f"codec function {missing}() for {spec.type_name} "
-                   f"not found; the spec/v1 surface must keep explicit "
+                   f"not found; the spec/v2 surface must keep explicit "
                    f"encoder/decoder pairs")
             continue
         expected = {spec.aliases.get(name, name)

@@ -1,10 +1,10 @@
 """repro.metrics — the observability layer.
 
 Everything a run measures flows through here: the offline per-loss-event
-analysis (:mod:`repro.metrics.events`, formerly ``repro.core.stats``),
-the streaming :class:`MetricsCollector` driven by the trace stream, the
-persisted :class:`RunMetrics` JSON bundle, and the report/compare
-renderers behind ``repro report`` / ``repro compare``.
+analysis (:mod:`repro.metrics.events`), the streaming
+:class:`MetricsCollector` driven by the trace stream, the persisted
+:class:`RunMetrics` JSON bundle, and the report/compare renderers behind
+``repro report`` / ``repro compare``.
 """
 
 from repro.metrics.bundle import (

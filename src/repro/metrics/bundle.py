@@ -29,14 +29,6 @@ from repro.metrics.events import percentile_sorted
 #: Format tag written into every persisted bundle.
 BUNDLE_SCHEMA = "run-metrics/v1"
 
-#: Kernel counters summed across merged bundles (the rest is max/union).
-_KERNEL_SUMMED = (
-    "events_scheduled", "events_executed", "events_cancelled",
-    "heap_rebuilds", "plan_cache_hits", "plan_cache_misses",
-    "arrival_copies", "arrival_copies_shared",
-)
-
-
 def _summary(values: List[float]) -> Dict[str, Optional[float]]:
     if not values:
         return {"count": 0, "mean": None, "p50": None, "p90": None,
@@ -159,13 +151,12 @@ class RunMetrics:
         self.events.extend(other.events)
 
     def _merge_kernel(self, other: Dict[str, Any]) -> None:
+        """Sum every integer counter; ``PerfCounters.as_dict()`` is the
+        one place that says which counters exist."""
         kernel = self.kernel
-        for key in _KERNEL_SUMMED:
-            if key in other:
-                kernel[key] = kernel.get(key, 0) + other[key]
-        if "heap_peak" in other:
-            kernel["heap_peak"] = max(kernel.get("heap_peak", 0),
-                                      other["heap_peak"])
+        for key, value in other.items():
+            if isinstance(value, int):
+                kernel[key] = kernel.get(key, 0) + value
         by_kind = kernel.setdefault("packets_by_kind", {})
         for kind, count in other.get("packets_by_kind", {}).items():
             by_kind[kind] = by_kind.get(kind, 0) + count

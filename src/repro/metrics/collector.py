@@ -269,19 +269,12 @@ def _perf_snapshot() -> Dict[str, Any]:
 
 def _perf_delta(before: Dict[str, Any],
                 after: Dict[str, Any]) -> Dict[str, Any]:
-    """Counter movement between two snapshots of the process-wide set.
-
-    ``heap_peak`` is reported absolutely (a high-water mark has no
-    meaningful delta); everything else is after-minus-before.
-    """
+    """Counter movement between two snapshots of the process-wide set."""
     delta: Dict[str, Any] = {}
     for key, value in after.items():
         if key == "packets_by_kind":
             continue
-        if key == "heap_peak":
-            delta[key] = value
-        else:
-            delta[key] = value - before.get(key, 0)
+        delta[key] = value - before.get(key, 0)
     by_kind_before = before.get("packets_by_kind", {})
     delta["packets_by_kind"] = {
         kind: count - by_kind_before.get(kind, 0)

@@ -8,12 +8,10 @@ expressed as a multiple of that member's RTT to the original source — and
 the request delay — "the delay from when the request timer is set until a
 request was either sent by that member or received from another member".
 
-This module is the implementation home of what used to live in
-:mod:`repro.core.stats`; that module remains as a thin consumer so every
-historical import keeps working. The streaming counterpart (no full-trace
-rescan) is :class:`repro.metrics.collector.MetricsCollector`, which must
-agree with these offline passes record-for-record — the consistency check
-run under ``SRM_CHECK=1`` enforces exactly that.
+The streaming counterpart (no full-trace rescan) is
+:class:`repro.metrics.collector.MetricsCollector`, which must agree with
+these offline passes record-for-record — the consistency check run under
+``SRM_CHECK=1`` enforces exactly that.
 """
 
 from __future__ import annotations

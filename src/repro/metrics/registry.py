@@ -10,7 +10,7 @@ All three primitives share the registry's get-or-create access pattern::
 
     registry = MetricsRegistry()
     registry.counter("send_request").inc()
-    registry.gauge("heap_peak").set(1042)
+    registry.gauge("members").set(1042)
     registry.histogram("recovery_ratio").observe(1.25)
     registry.as_dict()   # {"counters": ..., "gauges": ..., "histograms": ...}
 """

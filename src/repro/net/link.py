@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple, TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.packet import NodeId, Packet
     from repro.sim.rng import RandomSource
-    from repro.sim.scheduler import SimScheduler
+    from repro.sim.scheduler import EventScheduler
 
 Direction = Tuple[int, int]
 
@@ -214,7 +214,7 @@ class Link:
         """Packets currently buffered (incl. in service) one direction."""
         return self._occupancy.get((from_node, self.other(from_node)), 0)
 
-    def arrival_time(self, scheduler: "SimScheduler", packet: "Packet",
+    def arrival_time(self, scheduler: "EventScheduler", packet: "Packet",
                      from_node: "NodeId") -> Optional[float]:
         """When a packet sent now would arrive at the far end.
 

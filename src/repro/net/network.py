@@ -35,7 +35,7 @@ from repro.net.node import Agent, Node
 from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
 from repro.net.routing import SourceTree, build_source_tree
 from repro.sim import perf
-from repro.sim.scheduler import SimScheduler, create_scheduler
+from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import Trace
 
 #: One delivery-plan entry: (one-way delay, hop count, target), where
@@ -48,15 +48,13 @@ PlanEntry = Tuple[float, int, PlanTarget]
 class Network:
     """A simulated internetwork."""
 
-    def __init__(self, scheduler: Optional[SimScheduler] = None,
+    def __init__(self, scheduler: Optional[EventScheduler] = None,
                  trace: Optional[Trace] = None,
                  delivery: str = "direct") -> None:
         if delivery not in ("direct", "hop"):
             raise ValueError(f"unknown delivery mode {delivery!r}")
-        # Backend chosen by SRM_SCHED_BACKEND (the CLI's --sched-backend
-        # exports it); both produce identical (time, seq) event order.
         self.scheduler = (scheduler if scheduler is not None
-                          else create_scheduler())
+                          else EventScheduler())
         self.trace = trace if trace is not None else Trace(enabled=False)
         self.delivery = delivery
         self.nodes: Dict[NodeId, Node] = {}

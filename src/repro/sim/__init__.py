@@ -1,11 +1,12 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small: an event heap (:class:`EventScheduler`),
-cancellable/reschedulable timers (:class:`Timer`), a seeded random source
-(:class:`RandomSource`), a structured trace recorder (:class:`Trace`), and
-process-wide performance counters (:mod:`repro.sim.perf`). Everything else
-in the reproduction (links, protocol agents, applications) is built as
-callbacks scheduled on this kernel.
+The kernel is deliberately small: one event scheduler
+(:class:`EventScheduler`, a calendar queue), cancellable/reschedulable
+timers (:class:`Timer`), a seeded random source (:class:`RandomSource`),
+a structured trace recorder (:class:`Trace`), and process-wide
+performance counters (:mod:`repro.sim.perf`). Everything else in the
+reproduction (links, protocol agents, applications) is built as callbacks
+scheduled on this kernel.
 
 Time is a float in abstract "units"; the paper normalizes one unit to the
 propagation delay of one link, and so do all experiment drivers.

@@ -38,8 +38,6 @@ class PerfCounters:
         "events_scheduled",
         "events_executed",
         "events_cancelled",
-        "heap_rebuilds",
-        "heap_peak",
         "bucket_resizes",
         "bucket_scan_len",
         "batched_deliveries",
@@ -54,11 +52,9 @@ class PerfCounters:
         self.reset()
 
     def reset(self) -> None:
-        self.events_scheduled = 0     # Event objects pushed onto heaps
+        self.events_scheduled = 0     # events entered into the scheduler
         self.events_executed = 0      # callbacks actually fired
         self.events_cancelled = 0     # cancels of still-pending events
-        self.heap_rebuilds = 0        # compactions of cancel-heavy heaps
-        self.heap_peak = 0            # largest heap observed (entries)
         self.bucket_resizes = 0       # calendar-queue bucket rebuilds
         self.bucket_scan_len = 0      # calendar entries scanned on drain
         self.batched_deliveries = 0   # delivery events saved by batching
@@ -78,8 +74,6 @@ class PerfCounters:
             "events_scheduled": self.events_scheduled,
             "events_executed": self.events_executed,
             "events_cancelled": self.events_cancelled,
-            "heap_rebuilds": self.heap_rebuilds,
-            "heap_peak": self.heap_peak,
             "bucket_resizes": self.bucket_resizes,
             "bucket_scan_len": self.bucket_scan_len,
             "batched_deliveries": self.batched_deliveries,
@@ -95,8 +89,6 @@ class PerfCounters:
         self.events_scheduled += other.events_scheduled
         self.events_executed += other.events_executed
         self.events_cancelled += other.events_cancelled
-        self.heap_rebuilds += other.heap_rebuilds
-        self.heap_peak = max(self.heap_peak, other.heap_peak)
         self.bucket_resizes += other.bucket_resizes
         self.bucket_scan_len += other.bucket_scan_len
         self.batched_deliveries += other.batched_deliveries
@@ -118,8 +110,6 @@ class PerfCounters:
         lines.append(f"events scheduled    {self.events_scheduled:12d}")
         lines.append(f"events executed     {self.events_executed:12d}")
         lines.append(f"events cancelled    {self.events_cancelled:12d}")
-        lines.append(f"heap rebuilds       {self.heap_rebuilds:12d}")
-        lines.append(f"heap peak           {self.heap_peak:12d}")
         if self.bucket_resizes or self.bucket_scan_len:
             lines.append(f"bucket resizes      {self.bucket_resizes:12d}")
             scan = self.bucket_scan_len

@@ -5,43 +5,33 @@ A simulation is a single scheduler plus callbacks. Events are ordered by
 they were scheduled, which keeps runs exactly reproducible for a given
 random seed.
 
-Two interchangeable backends implement that contract
-(:func:`create_scheduler` picks one from ``SRM_SCHED_BACKEND``; both
-execute any sequence of schedule/cancel/run calls in the identical
-(time, seq) order, so seeded traces are byte-identical across backends):
+:class:`EventScheduler` is a calendar queue (hierarchical time buckets)
+purpose-built for SRM's timer-dominated workload: O(1) schedule,
+**O(1) physical cancellation** (the entry is removed from its bucket
+immediately via swap-remove, so the 90%+ of suppression timers that
+never fire are never scanned, never compacted, never comparison-sorted),
+and bucket width/count auto-resized from the live timer population.
+Each entry is tagged with its integer bucket *day* at insert, so drain
+eligibility is an exact integer compare — no float boundary arithmetic
+that could reorder events.
 
-* :class:`EventScheduler` — a binary heap of ``(time, seq, event)``
-  tuples with lazy deletion: a cancelled event stays in the heap and is
-  skipped when popped, and the heap is *compacted* when dead entries
-  become the majority. Tuple entries keep heap comparisons at C speed;
-  compaction keeps long cancel-heavy sessions from paying a log-factor
-  on dead weight.
-* :class:`CalendarScheduler` — a calendar queue (hierarchical time
-  buckets) purpose-built for SRM's timer-dominated workload: O(1)
-  schedule, **O(1) physical cancellation** (the entry is removed from
-  its bucket immediately via swap-remove, so the 90%+ of suppression
-  timers that never fire are never scanned, never compacted, never
-  comparison-sorted), and bucket width/count auto-resized from the live
-  timer population. Each entry is tagged with its integer bucket *day*
-  at insert, so drain eligibility is an exact integer compare — no
-  float boundary arithmetic that could reorder events across backends.
+It is the only scheduler in ``src/``. The (time, seq) contract is
+checked against a deliberately naive list-and-``min`` implementation,
+``tests/reference_scheduler.py``, injected through the ``scheduler=``
+arguments of ``Network`` / ``TopologySpec.build`` /
+``LossRecoverySimulation`` (``docs/performance.md`` records why the
+binary-heap backend that used to live beside it was deleted).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, ClassVar, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim import perf
 
-#: Compact only when the heap holds more cancelled entries than this
-#: *and* they are the majority — small heaps never pay a rebuild.
-COMPACT_MIN_CANCELLED = 256
-
 #: A same-instant tie batch as handed to a :data:`TiePermuter`: the
 #: ``(seq, event)`` pairs of every pending event at one simulated
-#: instant, in contract (seq-ascending) order. The event element is
-#: backend-specific (:class:`Event` or :class:`CalendarEvent`).
+#: instant, in contract (seq-ascending) order.
 TieBatch = List[Tuple[int, Any]]
 
 #: Drain-order hook for the tie-order race detector
@@ -57,423 +47,7 @@ class SimulationError(RuntimeError):
     """Raised on kernel misuse (scheduling in the past, running twice, ...)."""
 
 
-class Event:
-    """A handle for a scheduled callback.
-
-    Events are created by :meth:`EventScheduler.schedule` and may be
-    cancelled. A cancelled event stays in the heap but is skipped when
-    popped (lazy deletion), which makes cancellation O(1); the owning
-    scheduler compacts the heap when cancelled entries dominate.
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sched")
-
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., Any], args: Tuple[Any, ...],
-                 sched: Optional["EventScheduler"] = None) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._sched = sched
-
-    def cancel(self) -> None:
-        """Prevent the event from firing. Safe to call more than once."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._sched is not None:
-            self._sched._note_cancelled(self)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"<Event t={self.time:.4f} {name} {state}>"
-
-
-class EventScheduler:
-    """A discrete-event scheduler with a monotonic simulated clock.
-
-    Typical use::
-
-        sched = EventScheduler()
-        sched.schedule(1.5, node.receive, packet)
-        sched.run(until=100.0)
-    """
-
-    backend: ClassVar[str] = "heap"
-
-    __slots__ = ("_heap", "_next_seq", "_now", "_running",
-                 "_events_processed", "_cancelled_in_heap",
-                 "_heap_rebuilds", "_tie_permuter", "perf")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Event]] = []
-        self._next_seq = 0
-        self._now = 0.0
-        self._running = False
-        self._events_processed = 0
-        #: Cancelled events still sitting in the heap (lazy deletion).
-        self._cancelled_in_heap = 0
-        self._heap_rebuilds = 0
-        self._tie_permuter: Optional[TiePermuter] = None
-        self.perf = perf.GLOBAL
-
-    def set_tie_permuter(self, permuter: Optional[TiePermuter]) -> None:
-        """Install (or clear) a same-instant drain-order hook.
-
-        With a permuter installed, :meth:`run` switches to a drain loop
-        that gathers each same-time tie group off the heap before firing
-        any member and lets the hook choose the firing order. Only the
-        race detector does this; ``None`` restores the contract order.
-        """
-        self._tie_permuter = permuter
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events executed so far (for instrumentation)."""
-        return self._events_processed
-
-    @property
-    def heap_rebuilds(self) -> int:
-        """Number of compactions performed (for instrumentation)."""
-        return self._heap_rebuilds
-
-    def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events. O(1)."""
-        return len(self._heap) - self._cancelled_in_heap
-
-    def heap_size(self) -> int:
-        """Total heap entries, including cancelled ones awaiting removal."""
-        return len(self._heap)
-
-    def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` units from now."""
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule {delay} units in the past (now={self._now})")
-        time = self._now + delay
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        event = Event(time, seq, callback, args, self)
-        heapq.heappush(self._heap, (time, seq, event))
-        self.perf.events_scheduled += 1
-        return event
-
-    def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> Event:
-        """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time}, clock already at {self._now}")
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        event = Event(time, seq, callback, args, self)
-        heapq.heappush(self._heap, (time, seq, event))
-        self.perf.events_scheduled += 1
-        return event
-
-    def schedule_many(self, delays: List[float],
-                      callback: Callable[[], Any]) -> List[Event]:
-        """Arm one event per delay in a single call, in list order.
-
-        Equivalent to calling :meth:`schedule` once per delay — same
-        sequence numbers, same (time, seq) execution order, same
-        counters — but in one Python frame with the heap in locals.
-        """
-        now = self._now
-        seq = self._next_seq
-        heap = self._heap
-        push = heapq.heappush
-        out: List[Event] = []
-        append_out = out.append
-        for delay in delays:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay} units in the past (now={now})")
-            time = now + delay
-            event = Event(time, seq, callback, (), self)
-            push(heap, (time, seq, event))
-            seq += 1
-            append_out(event)
-        self._next_seq = seq
-        self.perf.events_scheduled += len(out)
-        return out
-
-    def run_plan(self, base: float, entries: Tuple[Any, ...],
-                 deliver_one: Callable[..., Any],
-                 deliver_run: Callable[..., Any],
-                 arrivals: List[Any]) -> None:
-        """Schedule one delivery event per plan entry, in one frame.
-
-        ``entries`` are (delay, hops, target) delivery-plan rows; each
-        becomes an event at ``base + delay`` calling ``deliver_one`` for
-        scalar targets or ``deliver_run`` for tuple runs, with the
-        positionally matching packet from ``arrivals``. Equivalent to a
-        :meth:`schedule_at` per row — same seq order, same counters.
-        """
-        seq = self._next_seq
-        heap = self._heap
-        push = heapq.heappush
-        count = 0
-        for (delay, _, target), arrival in zip(entries, arrivals):
-            time = base + delay
-            event = Event(
-                time, seq,
-                deliver_run if type(target) is tuple else deliver_one,
-                (target, arrival), self)
-            push(heap, (time, seq, event))
-            seq += 1
-            count += 1
-        self._next_seq = seq
-        self.perf.events_scheduled += count
-
-    def rearm_many(self, events: List[Event], delays: List[float]) -> None:
-        """Re-arm a batch of this scheduler's handles, one per delay.
-
-        Pending handles are cancelled (lazily) and replaced; the list is
-        updated *in place* with the fresh handles, so callers hold valid
-        pending events afterwards on either backend (the calendar moves
-        the same objects; the heap must reallocate because its entries
-        are immutable tuples).
-        """
-        now = self._now
-        seq = self._next_seq
-        heap = self._heap
-        push = heapq.heappush
-        counters = self.perf
-        dead = 0
-        for i, delay in enumerate(delays):
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay} units in the past (now={now})")
-            old = events[i]
-            if not old.cancelled:
-                old.cancelled = True
-                if old._sched is not None:
-                    dead += 1
-            time = now + delay
-            event = Event(time, seq, old.callback, old.args, self)
-            push(heap, (time, seq, event))
-            seq += 1
-            events[i] = event
-        self._next_seq = seq
-        self._cancelled_in_heap += dead
-        counters.events_cancelled += dead
-        counters.events_scheduled += len(delays)
-        cancelled = self._cancelled_in_heap
-        if (cancelled >= COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(heap)):
-            self._compact()
-
-    def cancel_many(self, events: List[Event]) -> None:
-        """Cancel a batch of this scheduler's handles in one frame.
-
-        Same lazy-deletion semantics and counters as individual
-        :meth:`Event.cancel` calls; the compaction check runs once at
-        the end of the batch instead of per cancel.
-        """
-        dead = 0
-        for event in events:
-            if event.cancelled:
-                continue
-            event.cancelled = True
-            if event._sched is not None:
-                dead += 1  # fired handles don't count, as with cancel()
-        self._cancelled_in_heap += dead
-        self.perf.events_cancelled += dead
-        cancelled = self._cancelled_in_heap
-        if (cancelled >= COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(self._heap)):
-            self._compact()
-
-    def _note_cancelled(self, event: Event) -> None:
-        """Bookkeeping for a cancel; compacts when dead entries dominate."""
-        self._cancelled_in_heap += 1
-        self.perf.events_cancelled += 1
-        cancelled = self._cancelled_in_heap
-        if (cancelled >= COMPACT_MIN_CANCELLED
-                and cancelled * 2 > len(self._heap)):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, preserving order.
-
-        Mutates the heap list in place so a concurrently-executing
-        :meth:`run` loop (which holds a reference to it) sees the
-        compacted heap.
-        """
-        heap = self._heap
-        if len(heap) > self.perf.heap_peak:
-            self.perf.heap_peak = len(heap)
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
-        self._cancelled_in_heap = 0
-        self._heap_rebuilds += 1
-        self.perf.heap_rebuilds += 1
-
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> int:
-        """Run events in time order.
-
-        Stops when the heap empties, when the clock would pass ``until``
-        (the clock is then advanced to exactly ``until``), or after
-        ``max_events`` events. Returns the number of events executed by
-        this call.
-        """
-        if self._tie_permuter is not None:
-            return self._run_permuted(until, max_events)
-        if self._running:
-            raise SimulationError("scheduler is already running")
-        self._running = True
-        executed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        counters = self.perf
-        if len(heap) > counters.heap_peak:
-            counters.heap_peak = len(heap)
-        try:
-            while heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                time, _, event = heap[0]
-                if event.cancelled:
-                    pop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                if until is not None and time > until:
-                    break
-                pop(heap)
-                # A fired event is out of the heap: a late cancel() on its
-                # handle must not touch the in-heap cancellation counter.
-                event._sched = None
-                self._now = time
-                event.callback(*event.args)
-                executed += 1
-            if until is not None and self._now < until:
-                self._now = until
-        finally:
-            self._running = False
-            self._events_processed += executed
-            counters.events_executed += executed
-        return executed
-
-    def _run_permuted(self, until: Optional[float],
-                      max_events: Optional[int]) -> int:
-        """The :meth:`run` drain with a tie permuter installed.
-
-        Pops every entry sharing the next pending time off the heap
-        before firing any of them (the lazy-deletion pop only exposes
-        ties one at a time), hands the seq-sorted batch to the permuter,
-        and fires in the order it returns. A batch member cancelled by
-        an earlier member is skipped, exactly as in the contract drain;
-        events a callback schedules at the same instant get fresh seqs
-        and form the *next* batch, matching the calendar backend's
-        tie-group semantics. Cold path: only the race detector runs it.
-        """
-        permuter = self._tie_permuter
-        assert permuter is not None
-        if self._running:
-            raise SimulationError("scheduler is already running")
-        self._running = True
-        executed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        counters = self.perf
-        try:
-            while heap:
-                if max_events is not None and executed >= max_events:
-                    break
-                time, _, head = heap[0]
-                if head.cancelled:
-                    pop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                if until is not None and time > until:
-                    break
-                batch: TieBatch = []
-                while heap and heap[0][0] == time:
-                    _, _, event = pop(heap)
-                    if event.cancelled:
-                        self._cancelled_in_heap -= 1
-                        continue
-                    # Out of the heap: late cancels must not touch the
-                    # in-heap cancellation counter.
-                    event._sched = None
-                    batch.append((event.seq, event))
-                order = permuter(batch) if len(batch) > 1 else batch
-                for position, (_, event) in enumerate(order):
-                    if max_events is not None and executed >= max_events:
-                        # Unfired members go back on the heap so a later
-                        # run() call resumes without losing them.
-                        for _, rest in order[position:]:
-                            if not rest.cancelled:
-                                rest._sched = self
-                                heapq.heappush(
-                                    heap, (rest.time, rest.seq, rest))
-                        break
-                    if event.cancelled:
-                        continue
-                    self._now = time
-                    event.callback(*event.args)
-                    executed += 1
-            if until is not None and self._now < until:
-                self._now = until
-        finally:
-            self._running = False
-            self._events_processed += executed
-            counters.events_executed += executed
-        return executed
-
-    def step(self) -> bool:
-        """Execute the single next pending event. Returns False if none."""
-        heap = self._heap
-        while heap:
-            time, _, event = heapq.heappop(heap)
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            event._sched = None
-            self._now = time
-            event.callback(*event.args)
-            self._events_processed += 1
-            self.perf.events_executed += 1
-            return True
-        return False
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if the heap is empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._cancelled_in_heap -= 1
-        if heap:
-            return heap[0][0]
-        return None
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero."""
-        if self._running:
-            raise SimulationError("cannot reset a running scheduler")
-        for _, _, event in self._heap:
-            event._sched = None  # late cancels must not corrupt counters
-        self._heap.clear()
-        self._cancelled_in_heap = 0
-        self._now = 0.0
-        self._events_processed = 0
-
-
-#: Smallest bucket count the calendar backend will use; resizing never
+#: Smallest bucket count the scheduler will use; resizing never
 #: shrinks below this, so tiny simulations skip resize churn entirely.
 MIN_BUCKETS = 32
 
@@ -491,13 +65,14 @@ MIN_BUCKET_WIDTH = 1e-9
 MAX_BUCKETS = 1 << 16
 
 
-class CalendarEvent:
-    """A handle for a callback scheduled on the calendar backend.
+class Event:
+    """A handle for a scheduled callback.
 
-    Unlike the heap backend's lazy deletion, :meth:`cancel` *physically*
-    removes the entry from its bucket in O(1) (swap with the bucket's
-    last entry), so a cancelled timer costs nothing afterwards: it is
-    never scanned on drain and never triggers a compaction pass.
+    Events are created by :meth:`EventScheduler.schedule` and may be
+    cancelled. :meth:`cancel` *physically* removes the entry from its
+    bucket in O(1) (swap with the bucket's last entry), so a cancelled
+    timer costs nothing afterwards: it is never scanned on drain and
+    there is no lazy-deletion debt to compact.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled",
@@ -505,7 +80,7 @@ class CalendarEvent:
 
     def __init__(self, time: float, seq: int,
                  callback: Callable[..., Any], args: Tuple[Any, ...],
-                 day: int, sched: "CalendarScheduler") -> None:
+                 day: int, sched: "EventScheduler") -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -515,7 +90,7 @@ class CalendarEvent:
         #: width; drain eligibility is the exact compare ``_day == day``.
         self._day = day
         self._index = 0
-        self._bucket: Optional[List["CalendarEvent"]] = None
+        self._bucket: Optional[List["Event"]] = None
         self._sched = sched
 
     def cancel(self) -> None:
@@ -539,49 +114,49 @@ class CalendarEvent:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"<CalendarEvent t={self.time:.4f} {name} {state}>"
+        return f"<Event t={self.time:.4f} {name} {state}>"
 
 
-class CalendarScheduler:
-    """A calendar-queue scheduler for timer-dominated workloads.
+class EventScheduler:
+    """A discrete-event scheduler with a monotonic simulated clock.
 
-    Pending events live in ``nbuckets`` bucket lists indexed by
-    ``day & (nbuckets - 1)`` where ``day = int(time / width)``. Buckets
-    are unordered bags: schedule appends (O(1)), cancel swap-removes
-    (O(1), physical), and draining min-scans the current day's bucket —
-    with width sized so a day holds ~2 live entries, the scan is O(1)
-    amortized. Bucket count doubles/halves with the live population and
-    width is recomputed from the observed interval span at each resize
+    Typical use::
+
+        sched = EventScheduler()
+        sched.schedule(1.5, node.receive, packet)
+        sched.run(until=100.0)
+
+    A calendar queue: pending events live in ``nbuckets`` bucket lists
+    indexed by ``day & (nbuckets - 1)`` where ``day = int(time / width)``.
+    Buckets are unordered bags: schedule appends (O(1)), cancel
+    swap-removes (O(1), physical), and draining min-scans the current
+    day's bucket — with width sized so a day holds ~2 live entries, the
+    scan is O(1) amortized. Bucket count grows with the live population
+    and width is recomputed from the observed interval span at each resize
     (``bucket_resizes`` / ``bucket_scan_len`` perf counters track both).
 
-    Execution order is exactly (time, seq), identical to
-    :class:`EventScheduler`: day tags are computed with the same
-    monotonic ``int(time * inv_width)`` at insert and rebuild, so an
-    earlier event can never land in a later day, and ties inside a day
-    are broken by the scan's (time, seq) minimum.
+    Execution order is exactly (time, seq): day tags are computed with
+    the same monotonic ``int(time * inv_width)`` at insert and rebuild,
+    so an earlier event can never land in a later day, and ties inside
+    a day are broken by the scan's (time, seq) minimum.
     """
-
-    backend: ClassVar[str] = "calendar"
 
     __slots__ = ("now", "events_processed", "_buckets", "_nbuckets",
                  "_mask", "_width", "_inv_width", "_day", "_live",
                  "_gap_ewma", "_next_seq", "_running", "_tie_permuter",
                  "perf")
 
-    def __init__(self, width: float = 1.0,
-                 nbuckets: int = MIN_BUCKETS) -> None:
-        n = MIN_BUCKETS
-        while n < nbuckets:
-            n <<= 1
+    def __init__(self) -> None:
         #: Current simulated time (plain attribute: this is the kernel's
         #: hottest read, via ``Agent.now``).
         self.now = 0.0
         self.events_processed = 0
-        self._buckets: List[List[CalendarEvent]] = [[] for _ in range(n)]
-        self._nbuckets = n
-        self._mask = n - 1
-        self._width = width
-        self._inv_width = 1.0 / width
+        self._buckets: List[List[Event]] = [
+            [] for _ in range(MIN_BUCKETS)]
+        self._nbuckets = MIN_BUCKETS
+        self._mask = MIN_BUCKETS - 1
+        self._width = 1.0
+        self._inv_width = 1.0
         self._day = 0
         self._live = 0
         #: EWMA of the gap between consecutive *executed* event times —
@@ -596,17 +171,12 @@ class CalendarScheduler:
     def set_tie_permuter(self, permuter: Optional[TiePermuter]) -> None:
         """Install (or clear) a same-instant drain-order hook.
 
-        The calendar's drain already collects each same-instant group as
+        The drain already collects each same-instant group as
         one seq-sorted batch; with a permuter installed that batch fires
         in the hook's order instead. Only the race detector does this;
         ``None`` restores the contract order.
         """
         self._tie_permuter = permuter
-
-    @property
-    def heap_rebuilds(self) -> int:
-        """Heap-backend compatibility: the calendar never compacts."""
-        return 0
 
     def bucket_count(self) -> int:
         """Current number of buckets (power of two; instrumentation)."""
@@ -622,7 +192,7 @@ class CalendarScheduler:
         return self._live
 
     def schedule(self, delay: float, callback: Callable[..., Any],
-                 *args: Any) -> CalendarEvent:
+                 *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` units from now.
 
         The insert body is duplicated with :meth:`schedule_at` (rather
@@ -637,7 +207,7 @@ class CalendarScheduler:
         seq = self._next_seq
         self._next_seq = seq + 1
         day = int(time * self._inv_width)
-        event = object.__new__(CalendarEvent)
+        event = object.__new__(Event)
         event.time = time
         event.seq = seq
         event.callback = callback
@@ -659,7 +229,7 @@ class CalendarScheduler:
         return event
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> CalendarEvent:
+                    *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimulationError(
@@ -667,7 +237,7 @@ class CalendarScheduler:
         seq = self._next_seq
         self._next_seq = seq + 1
         day = int(time * self._inv_width)
-        event = object.__new__(CalendarEvent)
+        event = object.__new__(Event)
         event.time = time
         event.seq = seq
         event.callback = callback
@@ -701,7 +271,7 @@ class CalendarScheduler:
         :meth:`schedule_at` per row — same seq order, same counters.
 
         Events are built by direct slot assignment (``object.__new__``)
-        rather than the ``CalendarEvent`` constructor: this loop is the
+        rather than the ``Event`` constructor: this loop is the
         single biggest event producer in delivery-heavy runs and the
         ``__init__`` frame per event is a measurable share of it.
         """
@@ -715,7 +285,7 @@ class CalendarScheduler:
         for (delay, _, target), arrival in zip(entries, arrivals):
             time = base + delay
             day = int(time * inv)
-            event = new(CalendarEvent)
+            event = new(Event)
             event.time = time
             event.seq = seq
             event.callback = (deliver_run if type(target) is tuple
@@ -745,8 +315,7 @@ class CalendarScheduler:
         if target_n != self._nbuckets:
             self._rebuild(target_n)
 
-    def reschedule_event(self, event: CalendarEvent,
-                         delay: float) -> CalendarEvent:
+    def reschedule_event(self, event: Event, delay: float) -> Event:
         """Move a pending event to fire ``delay`` from now, in place.
 
         Exactly equivalent to ``event.cancel()`` followed by
@@ -755,10 +324,9 @@ class CalendarScheduler:
         but the entry object is *moved* between bags (two O(1) list
         operations) instead of being discarded and reallocated. This is
         the backbone of SRM timer re-arming (backoff, suppression
-        resets): the heap backend cannot offer it because its entries
-        are immutable tuples. A fired or cancelled handle is *revived*
-        in place (fresh seq, no allocation) — the caller must therefore
-        own the handle exclusively, which :class:`~repro.sim.timers.Timer`
+        resets). A fired or cancelled handle is *revived* in place
+        (fresh seq, no allocation) — the caller must therefore own the
+        handle exclusively, which :class:`~repro.sim.timers.Timer`
         guarantees.
         """
         if delay < 0:
@@ -815,7 +383,7 @@ class CalendarScheduler:
         return event
 
     def schedule_many(self, delays: List[float],
-                      callback: Callable[[], Any]) -> List[CalendarEvent]:
+                      callback: Callable[[], Any]) -> List[Event]:
         """Arm one event per delay in a single call, in list order.
 
         The batch entry point for suppression waves (a detected loss
@@ -830,7 +398,7 @@ class CalendarScheduler:
         buckets = self._buckets
         mask = self._mask
         min_day = self._day
-        out: List[CalendarEvent] = []
+        out: List[Event] = []
         append_out = out.append
         for delay in delays:
             if delay < 0:
@@ -838,7 +406,7 @@ class CalendarScheduler:
                     f"cannot schedule {delay} units in the past (now={now})")
             time = now + delay
             day = int(time * inv)
-            event = CalendarEvent(time, seq, callback, (), day, self)
+            event = Event(time, seq, callback, (), day, self)
             seq += 1
             bucket = buckets[day & mask]
             event._index = len(bucket)
@@ -862,87 +430,6 @@ class CalendarScheduler:
             self._rebuild(target)  # one jump, not a chain of doublings
         return out
 
-    def rearm_many(self, events: List[CalendarEvent],
-                   delays: List[float]) -> None:
-        """Re-arm a batch of exclusively-owned handles, one per delay.
-
-        Each pending handle is moved (cancel + schedule, counters
-        included); each fired/cancelled handle is revived without
-        allocation. One frame for a whole wave — the mega-session
-        re-arm path.
-        """
-        now = self.now
-        seq = self._next_seq
-        inv = self._inv_width
-        buckets = self._buckets
-        mask = self._mask
-        min_day = self._day
-        counters = self.perf
-        revived = 0
-        moved = 0
-        for event, delay in zip(events, delays):
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay} units in the past (now={now})")
-            time = now + delay
-            day = int(time * inv)
-            old_bucket = event._bucket
-            if old_bucket is None or event.cancelled:
-                event.cancelled = False
-                revived += 1
-            else:
-                moved += 1
-                index = event._index
-                last = old_bucket.pop()
-                if last is not event:
-                    old_bucket[index] = last
-                    last._index = index
-            event.time = time
-            event.seq = seq
-            seq += 1
-            event._day = day
-            bucket = buckets[day & mask]
-            event._index = len(bucket)
-            event._bucket = bucket
-            bucket.append(event)
-            if day < min_day:
-                min_day = day
-        self._next_seq = seq
-        self._day = min_day
-        live = self._live + revived
-        self._live = live
-        counters.events_scheduled += revived + moved
-        counters.events_cancelled += moved
-        target = self._nbuckets
-        while live > (target << 1) and target < MAX_BUCKETS:
-            target <<= 4
-        if target > MAX_BUCKETS:
-            target = MAX_BUCKETS
-        if target != self._nbuckets:
-            self._rebuild(target)  # one jump, not a chain of doublings
-
-    def cancel_many(self, events: List[CalendarEvent]) -> None:
-        """Cancel a batch of handles in one frame (already-dead ones are
-        skipped, exactly as with individual :meth:`CalendarEvent.cancel`
-        calls)."""
-        cancelled = 0
-        for event in events:
-            if event.cancelled:
-                continue
-            event.cancelled = True
-            bucket = event._bucket
-            if bucket is None:
-                continue
-            event._bucket = None
-            index = event._index
-            last = bucket.pop()
-            if last is not event:
-                bucket[index] = last
-                last._index = index
-            cancelled += 1
-        self._live -= cancelled
-        self.perf.events_cancelled += cancelled
-
     def _rebuild(self, nbuckets: int,
                  width: Optional[float] = None) -> None:
         """Re-bucket all live events into ``nbuckets`` buckets.
@@ -954,7 +441,7 @@ class CalendarScheduler:
         inter-execution gap when one has been sampled, else from the
         live population's time span (see :data:`MIN_BUCKET_WIDTH`).
         """
-        events: List[CalendarEvent] = []
+        events: List[Event] = []
         for bucket in self._buckets:
             events.extend(bucket)
         live = len(events)
@@ -979,7 +466,7 @@ class CalendarScheduler:
         inv = 1.0 / width
         self._width = width
         self._inv_width = inv
-        buckets: List[List[CalendarEvent]]
+        buckets: List[List[Event]]
         if nbuckets == self._nbuckets:
             # Width-only rebuild (the run loop's gap adaptation): reuse
             # the existing lists instead of allocating nbuckets fresh
@@ -1019,19 +506,17 @@ class CalendarScheduler:
         assert best is not None  # only called with _live > 0
         return int(best * self._inv_width)
 
-    def _find_next(self, limit: Optional[float],
-                   remove: bool) -> Optional[CalendarEvent]:
+    def _find_next(self, remove: bool) -> Optional[Event]:
         """Earliest pending event in (time, seq) order, or None.
 
-        Advances the day cursor to the found event's day. With ``limit``,
-        an event strictly beyond it is left in place and None is
-        returned. With ``remove``, the found event is swap-removed.
+        Advances the day cursor to the found event's day. With
+        ``remove``, the found event is swap-removed.
 
         The bucket count only ever grows (on insert) — SRM's wave
         pattern of schedule-a-burst-then-suppress-90% oscillates the
         live population 10x every round, and a shrink-on-drain policy
         rebuilds the calendar every wave. Memory is bounded by the peak
-        live population, as with the heap; :meth:`reset` reclaims it.
+        live population; :meth:`reset` reclaims it.
         """
         if self._live == 0:
             return None
@@ -1042,7 +527,7 @@ class CalendarScheduler:
         while True:
             bucket = buckets[day & mask]
             if bucket:
-                best: Optional[CalendarEvent] = None
+                best: Optional[Event] = None
                 best_time = 0.0
                 best_seq = 0
                 for ev in bucket:
@@ -1057,8 +542,6 @@ class CalendarScheduler:
                 if best is not None:
                     self._day = day
                     self.perf.bucket_scan_len += len(bucket)
-                    if limit is not None and best_time > limit:
-                        return None
                     if remove:
                         index = best._index
                         last = bucket.pop()
@@ -1115,7 +598,7 @@ class CalendarScheduler:
                 if executed == max_e:
                     break
                 bucket = buckets[day & mask]
-                best: Optional[CalendarEvent] = None
+                best: Optional[Event] = None
                 ties = 1
                 if bucket:
                     best_time = 0.0
@@ -1264,7 +747,7 @@ class CalendarScheduler:
 
     def step(self) -> bool:
         """Execute the single next pending event. Returns False if none."""
-        event = self._find_next(None, True)
+        event = self._find_next(True)
         if event is None:
             return False
         self.now = event.time
@@ -1275,7 +758,7 @@ class CalendarScheduler:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if none are pending."""
-        event = self._find_next(None, False)
+        event = self._find_next(False)
         return None if event is None else event.time
 
     def reset(self) -> None:
@@ -1297,41 +780,15 @@ class CalendarScheduler:
         self.events_processed = 0
 
 
-#: Either concrete backend; both execute identical (time, seq) order.
-SimScheduler = Union[EventScheduler, CalendarScheduler]
-
-#: Backend used when ``SRM_SCHED_BACKEND`` is unset. Calendar won the
-#: A/B equivalence sweep (byte-identical goldens) and the kernel bench.
-DEFAULT_BACKEND = "calendar"
-
-#: Environment variable selecting the backend (``heap`` or ``calendar``);
-#: set by ``--sched-backend`` so runner worker processes inherit it.
-SCHED_BACKEND_ENV = "SRM_SCHED_BACKEND"
-
-_BACKENDS = ("heap", "calendar")
-
-
+# Kept only because benchmarks/ledger/child.py records it as provenance
+# (a non-benchmark PR may not touch that directory).
 def scheduler_backend() -> str:
-    """The configured backend name: env override or the default."""
-    from repro import env
-
-    name = env.sched_backend()
-    if not name:
-        return DEFAULT_BACKEND
-    if name not in _BACKENDS:
-        raise SimulationError(
-            f"unknown scheduler backend {name!r} "
-            f"(expected one of {', '.join(_BACKENDS)})")
-    return name
+    """The name of the only scheduler implementation."""
+    return "calendar"
 
 
-def create_scheduler(backend: Optional[str] = None) -> SimScheduler:
-    """Build a scheduler: ``backend`` overrides ``SRM_SCHED_BACKEND``."""
-    name = backend if backend is not None else scheduler_backend()
-    if name == "heap":
-        return EventScheduler()
-    if name == "calendar":
-        return CalendarScheduler()
-    raise SimulationError(
-        f"unknown scheduler backend {name!r} "
-        f"(expected one of {', '.join(_BACKENDS)})")
+# Kept only because benchmarks/ledger/tracer.py resolves the scheduler
+# class through it (a non-benchmark PR may not touch that directory).
+def create_scheduler() -> EventScheduler:
+    """A fresh :class:`EventScheduler`."""
+    return EventScheduler()

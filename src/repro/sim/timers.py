@@ -73,9 +73,10 @@ class Timer:
         self.name = name
         self._event: Optional[ScheduledEvent] = None
         self._state = TimerState.IDLE
-        # Schedulers that can move a pending entry in place (the calendar
-        # backend) expose ``reschedule_event``; re-arming through it skips
-        # the cancel + reallocate round trip. Resolved once per timer.
+        # Schedulers that can move a pending entry in place (the
+        # simulator's EventScheduler; not the live engine's) expose
+        # ``reschedule_event``; re-arming through it skips the cancel +
+        # reallocate round trip. Resolved once per timer.
         self._resched: Optional[Callable[..., ScheduledEvent]] = getattr(
             scheduler, "reschedule_event", None)
         self.expiry: Optional[float] = None
@@ -164,7 +165,7 @@ class TimerWave:
     ``TimerWave`` stores the wave as one time-sorted array and keeps
     exactly one scheduler event live — the head. Arming is a C-speed
     sort, members fire in time order (the head event reschedules itself
-    to the next member, an O(1) in-place move on the calendar backend),
+    to the next member, an O(1) in-place move on ``EventScheduler``),
     and :meth:`cancel_all` retires the whole remaining wave by
     cancelling that single event.
 

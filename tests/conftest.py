@@ -6,6 +6,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import pytest
 from hypothesis import settings as hypothesis_settings
+from reference_scheduler import ReferenceScheduler
 
 from repro import env as srm_env
 from repro.core.agent import SrmAgent
@@ -14,7 +15,15 @@ from repro.net.network import Network
 from repro.net.packet import GroupAddress
 from repro.oracle.base import check_mode_enabled
 from repro.sim.rng import RandomSource
+from repro.sim.scheduler import EventScheduler
 from repro.topology.spec import TopologySpec
+
+#: The production scheduler and the naive reference it is checked against
+#: (production-vs-reference tests parametrize over this). The ids predate
+#: the single scheduler and are kept so test names stay stable:
+#: ``calendar`` is ``EventScheduler`` (a calendar queue); ``heap`` — once
+#: the binary-heap backend — is now ``tests/reference_scheduler.py``.
+SCHEDULERS = {"heap": ReferenceScheduler, "calendar": EventScheduler}
 
 # ----------------------------------------------------------------------
 # Hypothesis profiles
@@ -54,10 +63,10 @@ def examples(base: int) -> int:
 
 def build_srm_session(spec: TopologySpec, members: Iterable[int],
                       config: Optional[SrmConfig] = None, seed: int = 0,
-                      delivery: str = "direct",
+                      delivery: str = "direct", scheduler=None,
                       ) -> Tuple[Network, Dict[int, SrmAgent], GroupAddress]:
     """Instantiate a network and attach SRM agents on the given members."""
-    network = spec.build(delivery=delivery)
+    network = spec.build(scheduler=scheduler, delivery=delivery)
     network.trace.enabled = True
     group = network.groups.allocate("session")
     master = RandomSource(seed)

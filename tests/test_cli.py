@@ -49,6 +49,14 @@ def test_parser_rejects_unknown_command():
         build_parser().parse_args(["figure99"])
 
 
+def test_retired_sched_backend_flag_is_a_usage_error(capsys):
+    # The heap backend and its selector are gone: loud, not ignored.
+    with pytest.raises(SystemExit) as usage:
+        main(["figure3", "--sched-backend", "heap"])
+    assert usage.value.code == 2
+    assert "--sched-backend" in capsys.readouterr().err
+
+
 def test_runner_flags_parse_with_defaults():
     args = build_parser().parse_args(["figure4"])
     assert args.jobs == 1

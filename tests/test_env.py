@@ -34,9 +34,8 @@ def test_every_knob_is_declared_once_with_srm_prefix():
 def test_wire_knobs_are_declared_knobs():
     declared = {knob.name for knob in env.KNOBS}
     assert set(env.WIRE_KNOBS) <= declared
-    # The determinism-relevant three, exactly: what a task computes.
-    assert set(env.WIRE_KNOBS) == {"SRM_CHECK", "SRM_SCHED_BACKEND",
-                                   "SRM_CACHE_SALT"}
+    # The determinism-relevant two, exactly: what a task computes.
+    assert set(env.WIRE_KNOBS) == {"SRM_CHECK", "SRM_CACHE_SALT"}
 
 
 def test_knob_lookup_rejects_undeclared_names():
@@ -64,15 +63,6 @@ def test_check_accessor_and_setter(monkeypatch):
     env.set_check(True)
     assert os.environ["SRM_CHECK"] == "1"
     env.set_check(False)
-
-
-def test_sched_backend_is_normalized(monkeypatch):
-    monkeypatch.delenv("SRM_SCHED_BACKEND", raising=False)
-    assert env.sched_backend() == ""
-    monkeypatch.setenv("SRM_SCHED_BACKEND", "  HEAP ")
-    assert env.sched_backend() == "heap"
-    env.set_sched_backend("calendar")
-    assert os.environ["SRM_SCHED_BACKEND"] == "calendar"
 
 
 def test_cache_dir_default_and_override(monkeypatch):
@@ -125,9 +115,11 @@ def test_snapshot_only_reports_explicitly_set_knobs(monkeypatch):
         monkeypatch.delenv(name, raising=False)
     assert env.snapshot() == {}
     monkeypatch.setenv("SRM_CHECK", "1")
+    monkeypatch.setenv("SRM_CACHE_SALT", "salt-x")
+    # A retired knob left in a shell profile is not part of the block.
     monkeypatch.setenv("SRM_SCHED_BACKEND", "heap")
     assert env.snapshot() == {"SRM_CHECK": "1",
-                              "SRM_SCHED_BACKEND": "heap"}
+                              "SRM_CACHE_SALT": "salt-x"}
 
 
 def test_snapshot_wire_only_excludes_local_knobs(monkeypatch):
@@ -159,15 +151,22 @@ def test_apply_refuses_undeclared_variables(monkeypatch):
     assert "SRM_CHECK" not in os.environ
 
 
+def test_apply_refuses_the_retired_scheduler_knob(monkeypatch):
+    """``SRM_SCHED_BACKEND`` left the registry with the heap backend: a
+    block that still names it is rejected loudly, not silently ignored."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    with pytest.raises(env.UnknownKnobError, match="SRM_SCHED_BACKEND"):
+        env.apply({"SRM_CHECK": "1", "SRM_SCHED_BACKEND": "heap"})
+    assert "SRM_CHECK" not in os.environ
+    assert "SRM_SCHED_BACKEND" not in os.environ
+
+
 def test_call_sites_read_through_the_registry(monkeypatch):
     """The migrated call sites honor the knobs via repro.env."""
     from repro.oracle.base import check_mode_enabled
     from repro.runner.executor import code_version_salt
-    from repro.sim.scheduler import scheduler_backend
 
     monkeypatch.setenv("SRM_CHECK", "1")
     assert check_mode_enabled() is True
-    monkeypatch.setenv("SRM_SCHED_BACKEND", "heap")
-    assert scheduler_backend() == "heap"
     monkeypatch.setenv("SRM_CACHE_SALT", "pinned")
     assert code_version_salt() == "pinned"

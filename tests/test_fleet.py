@@ -271,14 +271,36 @@ def test_lease_carries_the_env_block(tmp_path):
     submitted = controller.submit({
         "experiment": "envtest",
         "specs": [json.loads(spec.to_json()) for spec in _specs(1)],
-        "env": {"SRM_CHECK": "1", "SRM_SCHED_BACKEND": "heap"},
+        "env": {"SRM_CHECK": "1", "SRM_CACHE_SALT": "s"},
         "salt": "s",
     })
     worker = controller.register_worker({"name": "w"})
     lease = controller.lease({"worker": worker["worker"]})
     assert lease["task"]["env"] == {"SRM_CHECK": "1",
-                                    "SRM_SCHED_BACKEND": "heap"}
+                                    "SRM_CACHE_SALT": "s"}
     assert submitted["state"] == "running"
+
+
+def test_retired_scheduler_knob_in_env_block_fails_the_job(tmp_path,
+                                                           monkeypatch):
+    """A submitter still exporting ``SRM_SCHED_BACKEND`` (retired with
+    the heap backend) gets a failed job naming the knob, and the worker
+    applies none of the block."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    fleet = Fleet(tmp_path, retries=0)
+    try:
+        job = fleet.client.submit(
+            "envtest", _specs(1),
+            env_block={"SRM_CHECK": "1", "SRM_SCHED_BACKEND": "heap"})
+        fleet.start_worker(name="w-a")
+        with pytest.raises(FleetError, match="failed"):
+            fleet.client.wait(job, timeout=60, poll=0.05)
+        error = fleet.client.status(job)["error"]
+        assert "UnknownKnobError" in error
+        assert "SRM_SCHED_BACKEND" in error
+        assert "SRM_CHECK" not in os.environ
+    finally:
+        fleet.close()
 
 
 def test_duplicate_report_after_reschedule_is_benign(tmp_path):

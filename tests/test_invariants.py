@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import examples
 
-from repro.core.stats import quantiles
+from repro.metrics.events import quantiles
 from repro.core.transmit import TokenBucket, TransmitQueue
 from repro.sim.scheduler import EventScheduler
 

@@ -228,6 +228,28 @@ def test_bundle_merge_is_associative_over_counts():
         first.recovery_ratios + second.recovery_ratios)
 
 
+def test_bundle_merge_sums_every_kernel_counter():
+    """Merging used to sum a hard-coded key list that predated the
+    calendar/delivery counters, silently dropping them from every
+    sweep-level bundle; now every integer ``PerfCounters.as_dict()``
+    key is summed."""
+    from repro.sim import perf
+
+    first = _run_one(seed=3).metrics
+    second = _run_one(seed=4).metrics
+    merged = RunMetrics.merged([first, second], experiment="unit")
+    counters = [key for key, value in perf.PerfCounters().as_dict().items()
+                if isinstance(value, int)]
+    assert {"bucket_resizes", "bucket_scan_len",
+            "batched_deliveries"} <= set(counters)
+    assert first.kernel["bucket_scan_len"] > 0
+    for key in counters:
+        assert merged.kernel[key] == first.kernel[key] + second.kernel[key]
+    assert merged.kernel["packets_by_kind"]["srm-request"] == (
+        first.kernel["packets_by_kind"]["srm-request"]
+        + second.kernel["packets_by_kind"]["srm-request"])
+
+
 def test_compare_flags_only_regressions_beyond_threshold():
     baseline = _run_one(seed=3).metrics
     same = compare_bundles(baseline, baseline, threshold=0.10)

@@ -1,6 +1,5 @@
 """Tests for the hot-path optimizations: delivery-plan cache
-invalidation, timer-heap compaction, arrival-copy dedup, and the perf
-counter layer.
+invalidation, arrival-copy dedup, and the perf counter layer.
 
 The plan cache, merged delivery runs, and shared arrival copies must be
 invisible: every scenario here is run on the direct engine twice — once
@@ -14,14 +13,11 @@ shows up only under mid-run mutation.)
 
 from __future__ import annotations
 
-import pytest
-
 from repro.net.link import NthPacketDropFilter
 from repro.net.node import Agent
 from repro.net.packet import Packet
 from repro.sim import perf
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import COMPACT_MIN_CANCELLED, EventScheduler
 from repro.topology.random_tree import random_labeled_tree
 from repro.topology.star import star
 
@@ -166,25 +162,6 @@ def test_merged_star_arrivals_share_one_copy():
     assert counters.arrival_copies_shared == 28
     # All leaves heard the same arrival instant, in member order.
     assert log == sorted(log)
-
-
-def test_cancellation_heavy_heap_stays_bounded():
-    sched = EventScheduler()
-    live = []
-    for wave in range(60):
-        events = [sched.schedule(1000.0 + wave + i * 1e-4, lambda: None)
-                  for i in range(200)]
-        for event in events[:180]:
-            event.cancel()
-        live.extend(events[180:])
-    assert sched.pending() == len(live) == 60 * 20
-    # Lazy deletion must not let cancelled entries pile up: the heap may
-    # keep a compaction backlog but never the full 10800 cancellations.
-    assert sched.heap_size() <= max(2 * sched.pending(),
-                                    sched.pending() + COMPACT_MIN_CANCELLED)
-    assert sched.heap_rebuilds >= 1
-    assert sched.run() == len(live)
-    assert sched.pending() == 0 and sched.heap_size() == 0
 
 
 def test_perf_counters_roundtrip_and_merge():

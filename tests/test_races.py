@@ -4,18 +4,21 @@ The determinism contract fixes the ``(time, seq)`` drain order; the
 race detector checks the stronger invariant that protocol behavior is
 *invariant* to same-instant drain order. These tests pin three things:
 
-* the scheduler permutation hooks preserve semantics (a permuted run
-  fires the same events, and both backends agree under permutation),
+* the scheduler permutation hook preserves semantics (a permuted run
+  fires the same events, and production agrees with the naive
+  ``tests/reference_scheduler.py`` under the same permutation),
 * the clean scenario suite is byte-identical under permuted replay
   while genuinely permuting tie batches (no vacuous pass), and
 * the injected tie-order canary — an unordered-set leader election
-  inside a timer callback — is caught on the heap backend, the
-  calendar backend, and the herd engine, with a usable trace diff.
+  inside a timer callback — is caught on the agent engine and the
+  herd engine, with a usable trace diff.
 """
 
 from __future__ import annotations
 
 import pytest
+from conftest import SCHEDULERS
+from reference_scheduler import ReferenceScheduler
 
 from repro.lint.cli import main as lint_main
 from repro.lint.races import (
@@ -25,7 +28,7 @@ from repro.lint.races import (
     canonical_stream,
     check_races,
 )
-from repro.sim.scheduler import CalendarScheduler, EventScheduler
+from repro.sim.scheduler import EventScheduler
 
 CLEAN_NAMES = [scenario.name for scenario in SCENARIOS]
 CANARY_NAMES = [scenario.name for scenario in INJECT_SCENARIOS]
@@ -36,8 +39,7 @@ CANARY_NAMES = [scenario.name for scenario in INJECT_SCENARIOS]
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [EventScheduler, CalendarScheduler],
-                         ids=["heap", "calendar"])
+@pytest.mark.parametrize("make", SCHEDULERS.values(), ids=SCHEDULERS)
 def test_permuter_reorders_ties_but_keeps_the_event_set(make):
     fired = []
     sched = make()
@@ -49,8 +51,7 @@ def test_permuter_reorders_ties_but_keeps_the_event_set(make):
     assert fired == ["d", "c", "b", "a", "late"]
 
 
-@pytest.mark.parametrize("make", [EventScheduler, CalendarScheduler],
-                         ids=["heap", "calendar"])
+@pytest.mark.parametrize("make", SCHEDULERS.values(), ids=SCHEDULERS)
 def test_permuted_callback_may_reschedule_and_cancel(make):
     fired = []
     sched = make()
@@ -80,7 +81,7 @@ def test_backends_agree_under_the_same_permutation():
         sched.run()
         return fired
 
-    assert run(EventScheduler) == run(CalendarScheduler)
+    assert run(EventScheduler) == run(ReferenceScheduler)
 
 
 def test_tie_permutation_is_seeded_and_counts_batches():
@@ -105,7 +106,7 @@ def test_clean_scenario_is_drain_order_invariant(name):
     assert report.ok, report.format()
     assert report.permuted_batches > 0, \
         "vacuous pass: no tie batch was ever permuted"
-    assert report.replays == 2 * 8  # two backends x permutations
+    assert report.replays == 8
 
 
 # ----------------------------------------------------------------------
@@ -117,8 +118,6 @@ def test_clean_scenario_is_drain_order_invariant(name):
 def test_injected_tie_order_bug_is_caught(name):
     report = check_races([name], permutations=4, inject="tie-order")
     assert not report.ok
-    backends = {finding.backend for finding in report.findings}
-    assert backends == {"calendar", "heap"}
     excerpt = report.findings[0].excerpt
     assert "--- contract-order" in excerpt
     assert "+++ permuted-order" in excerpt
@@ -178,4 +177,7 @@ def test_cli_injected_canary_exits_nonzero_with_diff(capsys):
 
 def test_cli_unknown_scenario_is_usage_error():
     assert lint_main(["--races", "--race-scenarios", "nope"]) == 2
-    assert lint_main(["--races", "--race-backends", "quantum"]) == 2
+    # The per-backend selector left with the heap backend.
+    with pytest.raises(SystemExit) as usage:
+        lint_main(["--races", "--race-backends", "calendar"])
+    assert usage.value.code == 2

@@ -1,17 +1,18 @@
-"""Cross-backend scheduler equivalence and calendar-queue regressions.
+"""Production scheduler vs the naive reference, and calendar-queue regressions.
 
-The heap and calendar backends promise byte-identical behavior: any
-sequence of schedule / cancel / batch / timer / wave operations executes
-in the same (time, seq) order on both. These tests drive that promise
-three ways — a hypothesis property over random op sequences, a seed x
-topology golden replay of full SRM sessions, and targeted regressions
-for the perf-counter plumbing the benchmarks rely on.
+``EventScheduler`` promises the (time, seq) contract that
+``tests/reference_scheduler.py`` spells out in one list and a ``min``:
+any sequence of schedule / cancel / batch / timer / wave operations
+executes identically on both. These tests drive that promise three ways
+— a hypothesis property over random op sequences, a seed x topology
+replay of full SRM sessions with the reference injected through
+``scheduler=``, and targeted regressions for the perf-counter plumbing
+the benchmarks rely on. (The file keeps its two-backend-era name, and
+the ``heap`` / ``calendar`` ids of ``conftest.SCHEDULERS``, so test
+names stay stable.)
 """
 
 from __future__ import annotations
-
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,32 +22,29 @@ from repro.core.names import AduName, DEFAULT_PAGE
 from repro.net.link import NthPacketDropFilter
 from repro.sim import perf
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import (SCHED_BACKEND_ENV, CalendarScheduler,
-                                 EventScheduler, create_scheduler,
-                                 scheduler_backend)
+from repro.sim.scheduler import EventScheduler, create_scheduler
 from repro.sim.timers import Timer, TimerWave
 from repro.topology.chain import chain
 from repro.topology.random_tree import random_labeled_tree
 from repro.topology.star import star
 
-from conftest import build_srm_session, examples
-
-BENCH_DIR = str(Path(__file__).resolve().parent.parent / "benchmarks")
-
+from conftest import SCHEDULERS, build_srm_session, examples
+from reference_scheduler import ReferenceScheduler
 
 # ----------------------------------------------------------------------
-# Property: any op sequence executes identically on both backends
+# Property: any op sequence executes identically on production and
+# reference
 # ----------------------------------------------------------------------
 
 # Delays drawn from a small grid *and* the continuum: the grid forces
-# exact same-instant ties (the calendar backend's tie-batch drain), the
+# exact same-instant ties (the production tie-batch drain), the
 # continuum exercises bucket-width adaptation.
 _delay = st.one_of(
     st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0]),
     st.floats(min_value=0.0, max_value=5.0,
               allow_nan=False, allow_infinity=False))
 
-_op = st.tuples(st.integers(0, 11), _delay)
+_op = st.tuples(st.integers(0, 10), _delay)
 
 
 def _drive(sched, ops):
@@ -72,20 +70,11 @@ def _drive(sched, ops):
                 [value, value * 0.5, value],
                 lambda i=i: fire(f"m{i}"))
             handles.extend(batch)
-        elif op == 6 and handles:
-            sub = handles[-3:]
-            if int(value * 31.0) % 2:
-                # Updates ``sub`` in place with the fresh handles.
-                sched.rearm_many(sub, [value, value * 0.7,
-                                       value * 0.7][:len(sub)])
-                handles[-len(sub):] = sub
-            else:
-                sched.cancel_many(sub)
-        elif op == 7:
+        elif op == 6:
             timer = Timer(sched, lambda i=i: fire(f"t{i}"), name=f"t{i}")
             timer.start(value)
             timers.append(timer)
-        elif op == 8 and timers:
+        elif op == 7 and timers:
             timer = timers[int(value * 977.0) % len(timers)]
             choice = int(value * 31.0) % 3
             if choice == 0:
@@ -94,13 +83,13 @@ def _drive(sched, ops):
                 timer.reschedule(value * 0.5)
             else:
                 timer.cancel()
-        elif op == 9:
+        elif op == 8:
             if wave.armed:
                 log.append(("wcancel", round(sched.now, 9),
                             wave.cancel_all()))
             else:
                 wave.arm([value, value * 0.5, value, value * 0.25])
-        elif op == 10:
+        elif op == 9:
             sched.run(until=sched.now + value)
             log.append(("ran", round(sched.now, 9), sched.pending()))
         else:
@@ -116,33 +105,30 @@ def _drive(sched, ops):
 @settings(max_examples=examples(40))
 @given(ops=st.lists(_op, min_size=1, max_size=80))
 def test_backends_execute_any_op_sequence_identically(ops):
-    heap_log = _drive(EventScheduler(), ops)
-    calendar_log = _drive(CalendarScheduler(), ops)
-    assert heap_log == calendar_log
+    assert _drive(EventScheduler(), ops) == _drive(ReferenceScheduler(), ops)
 
 
 @settings(max_examples=examples(20))
 @given(ops=st.lists(_op, min_size=1, max_size=60))
 def test_backends_agree_on_lifecycle_counters(ops):
-    perf.GLOBAL.reset()
-    _drive(EventScheduler(), ops)
-    heap_counts = perf.GLOBAL.as_dict()
-    perf.GLOBAL.reset()
-    _drive(CalendarScheduler(), ops)
-    calendar_counts = perf.GLOBAL.as_dict()
+    # In particular the in-place ``reschedule_event`` move counts exactly
+    # like the reference's cancel + schedule fallback.
+    counts = []
+    for make in (EventScheduler, ReferenceScheduler):
+        perf.GLOBAL.reset()
+        _drive(make(), ops)
+        counts.append(perf.GLOBAL.as_dict())
     for key in ("events_scheduled", "events_executed", "events_cancelled"):
-        assert heap_counts[key] == calendar_counts[key], key
+        assert counts[0][key] == counts[1][key], key
 
 
 # ----------------------------------------------------------------------
-# Golden replay: full SRM sessions are identical across backends
+# Replay: full SRM sessions are identical on production and reference
 # ----------------------------------------------------------------------
 
-def _session_trace(backend, seed, spec_name, monkeypatch):
-    monkeypatch.setenv(SCHED_BACKEND_ENV, backend)
-    assert scheduler_backend() == backend
+def _session_trace(make, delivery, seed, spec_name, monkeypatch):
     # Packet uids flow into trace details and come from a process-global
-    # counter; restart it so both backends' runs see identical ids.
+    # counter; restart it so both runs see identical ids.
     import itertools
 
     from repro.net import packet as packet_module
@@ -155,7 +141,9 @@ def _session_trace(backend, seed, spec_name, monkeypatch):
     else:
         spec = random_labeled_tree(8, rng)
     members = list(range(spec.num_nodes))
-    network, agents, _ = build_srm_session(spec, members, seed=seed)
+    network, agents, _ = build_srm_session(
+        spec, members, seed=seed, delivery=delivery, scheduler=make())
+    assert type(network.scheduler) is make
     source = members[0]
     drop_link = rng.choice(spec.edges)
     network.add_drop_filter(*drop_link, NthPacketDropFilter(
@@ -174,41 +162,19 @@ def _session_trace(backend, seed, spec_name, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_seed_matrix_replay_is_identical_across_backends(
         seed, spec_name, monkeypatch):
-    heap_trace = _session_trace("heap", seed, spec_name, monkeypatch)
-    calendar_trace = _session_trace("calendar", seed, spec_name, monkeypatch)
-    assert heap_trace == calendar_trace
-    assert len(heap_trace) > 0
+    for delivery in ("direct", "hop"):
+        production, reference = (
+            _session_trace(make, delivery, seed, spec_name, monkeypatch)
+            for make in (EventScheduler, ReferenceScheduler))
+        assert production == reference
+        assert len(production) > 0
 
 
 # ----------------------------------------------------------------------
 # Perf-counter regressions the benchmarks rely on
 # ----------------------------------------------------------------------
 
-def test_bench_resets_counters_between_benches():
-    """``heap_peak`` is a high-water mark, not a delta: without a reset
-    before every bench attempt, each bench reports the largest peak any
-    *earlier* bench left in the process-global counters (the bug that
-    once stamped 200,000 on all four benches)."""
-    sys.path.insert(0, BENCH_DIR)
-    try:
-        from bench_kernel import run_bench
-    finally:
-        sys.path.remove(BENCH_DIR)
-
-    def tiny_workload():
-        sched = EventScheduler()
-        for i in range(10):
-            sched.schedule(float(i), lambda: None)
-        return sched.run(), {}
-
-    perf.GLOBAL.reset()
-    perf.GLOBAL.heap_peak = 200_000  # stale residue from a "previous bench"
-    result = run_bench(tiny_workload, repeat=2)
-    assert result["kernel"]["heap_peak"] <= 10
-
-
-def test_batched_deliveries_counter_counts_merged_events(monkeypatch):
-    monkeypatch.setenv(SCHED_BACKEND_ENV, "calendar")
+def test_batched_deliveries_counter_counts_merged_events():
     perf.GLOBAL.reset()
     network, agents, _ = build_srm_session(star(8), range(1, 9))
     network.scheduler.schedule(0.0, lambda: agents[1].send_data("x"))
@@ -218,11 +184,10 @@ def test_batched_deliveries_counter_counts_merged_events(monkeypatch):
     assert perf.GLOBAL.batched_deliveries > 0
 
 
-def test_calendar_counters_move_under_churn(monkeypatch):
-    monkeypatch.setenv(SCHED_BACKEND_ENV, "calendar")
+def test_calendar_counters_move_under_churn():
     perf.GLOBAL.reset()
-    sched = create_scheduler()
-    assert isinstance(sched, CalendarScheduler)
+    sched = create_scheduler()  # the zero-arg factory the ledger imports
+    assert type(sched) is EventScheduler
     rng = RandomSource(3)
     for i in range(5000):
         sched.schedule(rng.uniform(0.0, 50.0), lambda: None)
@@ -235,10 +200,9 @@ def test_calendar_counters_move_under_churn(monkeypatch):
 # TimerWave (the bulk suppression primitive cancel_heavy benchmarks)
 # ----------------------------------------------------------------------
 
-@pytest.fixture(params=["heap", "calendar"])
+@pytest.fixture(params=list(SCHEDULERS))
 def wave_sched(request):
-    return (EventScheduler() if request.param == "heap"
-            else CalendarScheduler())
+    return SCHEDULERS[request.param]()
 
 
 def test_wave_fires_members_in_time_then_index_order(wave_sched):

@@ -1,22 +1,22 @@
-"""Unit tests for the discrete-event scheduler.
+"""Contract tests for the discrete-event scheduler.
 
-Every test runs against both backends (the binary heap and the calendar
-queue): the two must be behaviorally indistinguishable — identical
-(time, seq) execution order, identical error behavior, identical
-clock/step/peek semantics.
+Every test runs against the production ``EventScheduler`` *and* the naive
+``tests/reference_scheduler.py``: the (time, seq) execution order, the
+error behavior and the clock/step/peek semantics are the contract, and
+running the reference through the same tests keeps the reference honest.
+
+(``conftest.SCHEDULERS`` explains the ``heap`` / ``calendar`` ids.)
 """
 
 import pytest
+from conftest import SCHEDULERS
 
-from repro.sim.scheduler import (CalendarScheduler, EventScheduler,
-                                 SimulationError)
+from repro.sim.scheduler import SimulationError
 
 
-@pytest.fixture(params=["heap", "calendar"])
+@pytest.fixture(params=list(SCHEDULERS))
 def sched(request):
-    if request.param == "heap":
-        return EventScheduler()
-    return CalendarScheduler()
+    return SCHEDULERS[request.param]()
 
 
 def test_events_run_in_time_order(sched):
@@ -109,7 +109,7 @@ def test_max_events_limits_execution(sched):
 
 
 def test_max_events_limits_execution_within_a_tie(sched):
-    # Simultaneous events exercise the calendar backend's tie-batch
+    # Simultaneous events exercise the calendar queue's tie-batch
     # drain; max_events must still stop mid-burst.
     fired = []
     for i in range(10):
@@ -192,8 +192,8 @@ def test_zero_delay_event_fires_at_current_time(sched):
 def test_event_scheduled_inside_a_tie_fires_after_the_tie(sched):
     # An event scheduled at the *same instant* from inside a
     # simultaneous burst gets a larger seq, so it fires after every
-    # member of the burst — on both backends (on the calendar this is
-    # the tie-batch drain's seq guarantee).
+    # member of the burst (in production this is the tie-batch drain's
+    # seq guarantee).
     order = []
 
     def second(label):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.names import AduName, DEFAULT_PAGE
-from repro.core.stats import (
+from repro.metrics.events import (
     LossEventReport,
     MemberTiming,
     analyze_loss_event,

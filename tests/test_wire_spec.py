@@ -1,4 +1,4 @@
-"""The frozen spec/v1 wire schema (repro.fleet.wire).
+"""The frozen spec/v2 wire schema (repro.fleet.wire).
 
 The contract under test: ``ExperimentSpec.from_json(spec.to_json())``
 round-trips *every* spec the experiment layer produces — each figure
@@ -237,9 +237,12 @@ def test_unknown_fields_are_rejected_at_every_level():
 
 def test_wrong_schema_version_is_rejected():
     payload = spec_to_wire(_spec())
-    assert payload["schema"] == WIRE_SCHEMA == "spec/v1"
-    with pytest.raises(WireFormatError, match="schema"):
-        spec_from_wire(dict(payload, schema="spec/v2"))
+    assert payload["schema"] == WIRE_SCHEMA == "spec/v2"
+    # spec/v1 peers (whose env blocks could carry SRM_SCHED_BACKEND) and
+    # any future version are refused, never mis-read.
+    for other in ("spec/v1", "spec/v3"):
+        with pytest.raises(WireFormatError, match="unsupported wire schema"):
+            spec_from_wire(dict(payload, schema=other))
     without = dict(payload)
     del without["schema"]
     with pytest.raises(WireFormatError):

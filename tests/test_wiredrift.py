@@ -58,7 +58,7 @@ def test_committed_lock_matches_the_live_surface():
     lock = load_lock(REPO_ROOT / DEFAULT_LOCK)
     assert lock is not None
     surface = current_surface(REPO_ROOT)
-    assert lock["schema"] == surface["schema"] == "spec/v1"
+    assert lock["schema"] == surface["schema"] == "spec/v2"
     assert lock["digest"] == surface_digest(surface)
 
 
@@ -114,20 +114,20 @@ def test_update_lock_is_idempotent(tmp_path):
 def test_update_lock_refuses_drift_under_a_frozen_tag(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
     # Same schema tag, stale digest: the surface moved without a bump.
-    save_lock(lock_path, "spec/v1", "sha256:" + "0" * 64)
+    save_lock(lock_path, "spec/v2", "sha256:" + "0" * 64)
     code, message = update_lock(lock_path, root=REPO_ROOT)
     assert code == 2
-    assert "WIRE_SCHEMA is still 'spec/v1'" in message
+    assert "WIRE_SCHEMA is still 'spec/v2'" in message
     # And the lock was not touched.
     assert load_lock(lock_path)["digest"] == "sha256:" + "0" * 64
 
 
 def test_update_lock_repins_after_a_schema_bump(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
-    save_lock(lock_path, "spec/v0", "sha256:" + "0" * 64)
+    save_lock(lock_path, "spec/v1", "sha256:" + "0" * 64)
     code, message = update_lock(lock_path, root=REPO_ROOT)
-    assert code == 0 and "spec/v0 -> spec/v1" in message
-    assert load_lock(lock_path)["schema"] == "spec/v1"
+    assert code == 0 and "spec/v1 -> spec/v2" in message
+    assert load_lock(lock_path)["schema"] == "spec/v2"
 
 
 def test_missing_lock_is_a_violation(tmp_path):
@@ -176,5 +176,5 @@ def test_cli_update_wire_lock_round_trip(tmp_path, capsys):
     assert lint_main(["--update-wire-lock",
                       "--wire-lock", str(lock_path)]) == 0
     payload = json.loads(lock_path.read_text())
-    assert payload["schema"] == "spec/v1"
+    assert payload["schema"] == "spec/v2"
     assert payload["digest"].startswith("sha256:")
