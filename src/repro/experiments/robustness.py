@@ -125,7 +125,7 @@ def _heterogeneous_delays(network, rng: RandomSource) -> None:
     """Point-to-point links with propagation delays from 1 to 20."""
     for link in network.links:
         link.delay = float(rng.randint(1, 20))
-    network._trees.clear()
+    network.invalidate_routes()
 
 
 DEFAULT_CASES: Dict[str, RobustnessCase] = {

@@ -46,8 +46,8 @@ class TreeIndex:
     def __init__(self, spec: TopologySpec) -> None:
         if not spec.is_tree():
             raise ValueError(
-                f"topology {spec.name!r} is not a tree "
-                f"({spec.num_edges} edges, {spec.num_nodes} nodes)")
+                f"topology {spec.name!r} is not a tree: {spec.num_edges} "
+                f"edges, {spec.num_nodes} nodes, or not connected")
         self.spec = spec
         self.num_nodes = spec.num_nodes
         degree = np.zeros(self.num_nodes, dtype=np.int64)

@@ -33,7 +33,7 @@ from repro.mcast.groups import GroupManager
 from repro.net.link import DropFilter, Link
 from repro.net.node import Agent, Node
 from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
-from repro.net.routing import SourceTree, build_source_tree
+from repro.net.routing import NeighborTable, SourceTree, build_source_tree
 from repro.sim import perf
 from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import Trace
@@ -64,7 +64,13 @@ class Network:
         self.scope_zones: Dict[str, Set[NodeId]] = {}
         self.account_bandwidth = False
         self.packets_dropped = 0
+        #: Routing caches, all dropped by :meth:`invalidate_routes`.
         self._trees: Dict[NodeId, SourceTree] = {}
+        #: Sorted neighbour table, kept only while ``links == nodes - 1``.
+        self._neighbors: Optional[NeighborTable] = None
+        #: (a, b) -> (delay, hops) answered by :meth:`_walk` on a tree
+        #: topology without building ``a``'s source tree.
+        self._pairs: Dict[Tuple[NodeId, NodeId], Tuple[float, int]] = {}
         self._filtered_links: Set[Link] = set()
         self._queueing_links: Set[Link] = set()
         #: (origin, gid) -> (membership version, nodes with members at or
@@ -106,7 +112,7 @@ class Network:
         node = Node(node_id)
         self.nodes[node_id] = node
         self.adjacency[node_id] = {}
-        self._trees.clear()
+        self.invalidate_routes()
         return node
 
     def add_link(self, a: NodeId, b: NodeId, delay: float = 1.0,
@@ -120,8 +126,18 @@ class Network:
         self.links.append(link)
         self.adjacency[a][b] = link
         self.adjacency[b][a] = link
-        self._trees.clear()
+        self.invalidate_routes()
         return link
+
+    def invalidate_routes(self) -> None:
+        """Forget every cached route.
+
+        ``add_node``/``add_link`` call it; so must any caller that edits
+        a link's ``delay`` or ``threshold`` in place.
+        """
+        self._trees = {}
+        self._neighbors = None
+        self._pairs = {}
 
     def link_between(self, a: NodeId, b: NodeId) -> Link:
         try:
@@ -199,20 +215,98 @@ class Network:
     def source_tree(self, origin: NodeId) -> SourceTree:
         tree = self._trees.get(origin)
         if tree is None:
-            tree = build_source_tree(self.adjacency, origin)
+            neighbors = self._neighbors
+            if neighbors is None and len(self.links) == len(self.nodes) - 1:
+                neighbors = self._neighbors = {
+                    node: sorted(links.items())
+                    for node, links in self.adjacency.items()}
+            tree = build_source_tree(self.adjacency, origin, neighbors)
             self._trees[origin] = tree
         return tree
+
+    def _rooted_tree(self) -> Optional[SourceTree]:
+        """Any cached source tree, provided the topology is a tree.
+
+        ``nodes - 1`` links (``_neighbors`` exists) and a tree that was
+        built (so the graph is connected) make it one; paths are then
+        unique and can be read off this tree whatever its origin.
+        """
+        if self._neighbors is not None:
+            for tree in self._trees.values():
+                return tree
+        return None
+
+    def _walk(self, a: NodeId, b: NodeId) -> Tuple[float, int]:
+        """(delay, hops) of the path a -> b when ``a`` has no cached tree.
+
+        On a tree topology, climb ``a`` and ``b`` to their lowest common
+        ancestor on the rooted tree. Delays are summed in a -> b order
+        from 0.0, the order Dijkstra from ``a`` adds them in, so the float
+        equals ``source_tree(a).dist[b]`` bit for bit. Other topologies
+        (and the first query of a tree topology) build ``a``'s tree.
+        """
+        rooted = self._rooted_tree()
+        if rooted is None:
+            tree = self.source_tree(a)
+            return tree.dist[b], tree.hops[b]
+        key = (a, b)
+        parent = rooted.parent
+        depth = rooted.hops
+        adjacency = self.adjacency
+        depth_a = depth[a]
+        depth_b = depth[b]
+        hops = depth_a + depth_b
+        total = 0.0
+        descent: List[float] = []  # b-side delays, b's own link first
+        while a != b:
+            if depth_a >= depth_b:
+                above: NodeId = parent[a]  # type: ignore[assignment]
+                total += adjacency[a][above].delay
+                a = above
+                depth_a -= 1
+            else:
+                above = parent[b]  # type: ignore[assignment]
+                descent.append(adjacency[b][above].delay)
+                b = above
+                depth_b -= 1
+        for delay in descent[::-1]:
+            total += delay
+        found = self._pairs[key] = (total, hops - 2 * depth_a)
+        return found
 
     def distance(self, a: NodeId, b: NodeId) -> float:
         """One-way shortest-path delay between two nodes."""
         if a == b:
             return 0.0
-        return self.source_tree(a).dist[b]
+        if a in self._trees:
+            return self._trees[a].dist[b]
+        key = (a, b)
+        if key in self._pairs:
+            return self._pairs[key][0]
+        return self._walk(a, b)[0]
 
     def hops(self, a: NodeId, b: NodeId) -> int:
         if a == b:
             return 0
-        return self.source_tree(a).hops[b]
+        if a in self._trees:
+            return self._trees[a].hops[b]
+        key = (a, b)
+        if key in self._pairs:
+            return self._pairs[key][1]
+        return self._walk(a, b)[1]
+
+    def path(self, a: NodeId, b: NodeId) -> List[NodeId]:
+        """Nodes on the shortest path a -> b, inclusive (``a``'s tree path)."""
+        rooted = None if a in self._trees else self._rooted_tree()
+        if rooted is None:
+            return self.source_tree(a).path(b)
+        down_a = rooted.path(a)
+        down_b = rooted.path(b)
+        shared = 0  # root .. lowest common ancestor
+        limit = min(len(down_a), len(down_b))
+        while shared < limit and down_a[shared] == down_b[shared]:
+            shared += 1
+        return down_a[:shared - 1:-1] + down_b[shared - 1:]
 
     def rtt(self, a: NodeId, b: NodeId) -> float:
         """Round-trip delay, assuming symmetric paths as the paper does."""

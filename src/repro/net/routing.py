@@ -20,6 +20,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.link import Link
 
 Adjacency = Dict[NodeId, Dict[NodeId, "Link"]]
+#: node -> its (neighbour, link) pairs in ascending neighbour id. The
+#: :class:`~repro.net.network.Network` computes it once per topology
+#: version, for graphs with exactly ``nodes - 1`` links.
+NeighborTable = Dict[NodeId, List[Tuple[NodeId, "Link"]]]
 
 
 class SourceTree:
@@ -31,18 +35,15 @@ class SourceTree:
 
     def __init__(self, origin: NodeId, parent: Dict[NodeId, Optional[NodeId]],
                  dist: Dict[NodeId, float], hops: Dict[NodeId, int],
-                 ttl_required: Dict[NodeId, int]) -> None:
+                 ttl_required: Dict[NodeId, int],
+                 children: Dict[NodeId, List[NodeId]]) -> None:
         self.origin = origin
         self.parent = parent
         self.dist = dist
         self.hops = hops
         self.ttl_required = ttl_required
-        self.children: Dict[NodeId, List[NodeId]] = {node: [] for node in parent}
-        for node, par in parent.items():
-            if par is not None:
-                self.children[par].append(node)
-        for kids in self.children.values():
-            kids.sort()
+        #: node -> its tree children in ascending id.
+        self.children = children
         self._subtree_cache: Dict[NodeId, Set[NodeId]] = {}
 
     @property
@@ -101,16 +102,29 @@ class SourceTree:
         return current
 
 
-def build_source_tree(adjacency: Adjacency, origin: NodeId) -> SourceTree:
-    """Dijkstra from ``origin`` over the weighted adjacency.
+def build_source_tree(adjacency: Adjacency, origin: NodeId,
+                      neighbors: Optional[NeighborTable] = None
+                      ) -> SourceTree:
+    """The shortest-path tree from ``origin`` over the weighted adjacency.
 
     Also computes, per node, the minimum initial TTL a multicast packet
     needs to reach it along the tree: the TTL at an intermediate node u is
     ``initial_ttl - hops(origin, u)`` and the packet crosses link (u, v)
     only if that is at least the link's threshold.
+
+    A caller whose graph has exactly ``nodes - 1`` links passes its sorted
+    ``neighbors`` table. If that graph is connected it is a tree, every
+    path is unique, and one traversal yields what Dijkstra would: each
+    node's fields are computed from its tree parent's by Dijkstra's own
+    expressions, so the floats are bit-identical for any delays. Anything
+    else takes Dijkstra below.
     """
     if origin not in adjacency:
         raise KeyError(f"origin {origin} not in topology")
+    if neighbors is not None:
+        tree = _traverse_tree(neighbors, origin)
+        if tree is not None:
+            return tree
     dist: Dict[NodeId, float] = {origin: 0.0}
     hops: Dict[NodeId, int] = {origin: 0}
     parent: Dict[NodeId, Optional[NodeId]] = {origin: None}
@@ -144,9 +158,44 @@ def build_source_tree(adjacency: Adjacency, origin: NodeId) -> SourceTree:
         raise ValueError(
             f"topology is disconnected; unreachable from {origin}: "
             f"{sorted(unreachable)[:5]}...")
-    return SourceTree(origin, parent, dist, hops, ttl_required)
+    children: Dict[NodeId, List[NodeId]] = {node: [] for node in parent}
+    for node, par in parent.items():
+        if par is not None:
+            children[par].append(node)
+    for kids in children.values():
+        kids.sort()
+    return SourceTree(origin, parent, dist, hops, ttl_required, children)
 
 
-def pairwise_distance(adjacency: Adjacency, a: NodeId, b: NodeId) -> float:
-    """Shortest-path delay between two nodes (one-off query)."""
-    return build_source_tree(adjacency, a).dist[b]
+def _traverse_tree(neighbors: NeighborTable,
+                   origin: NodeId) -> Optional[SourceTree]:
+    """Breadth-first tree from ``origin``; None unless every node is reached.
+
+    With ``nodes - 1`` links, reaching every node means the graph is a
+    tree; falling short means it is disconnected (and has a cycle).
+    """
+    parent: Dict[NodeId, Optional[NodeId]] = {origin: None}
+    dist: Dict[NodeId, float] = {origin: 0.0}
+    hops: Dict[NodeId, int] = {origin: 0}
+    ttl_required: Dict[NodeId, int] = {origin: 0}
+    children: Dict[NodeId, List[NodeId]] = {}
+    order = [origin]
+    for node in order:  # grows while iterated: the BFS queue
+        d = dist[node]
+        h = hops[node]
+        ttl = ttl_required[node]
+        kids: List[NodeId] = []
+        for neighbor, link in neighbors[node]:
+            if neighbor in parent:
+                continue
+            parent[neighbor] = node
+            dist[neighbor] = d + link.delay
+            hops[neighbor] = h + 1
+            crossing = h + link.threshold
+            ttl_required[neighbor] = ttl if ttl > crossing else crossing
+            kids.append(neighbor)
+        children[node] = kids
+        order += kids
+    if len(parent) != len(neighbors):
+        return None
+    return SourceTree(origin, parent, dist, hops, ttl_required, children)

@@ -152,9 +152,8 @@ def _member_zone(network: Network, members: List[int]) -> List[int]:
     """Every node on a shortest path between two session members."""
     covered = set()
     for member in members:
-        tree = network.source_tree(member)
         for other in members:
-            covered.update(tree.path(other))
+            covered.update(network.path(member, other))
     return sorted(covered)
 
 

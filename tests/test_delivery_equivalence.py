@@ -42,7 +42,7 @@ def run_scenario(delivery, spec, members, sends, drop_edge, thresholds,
     network = spec.build(delivery=delivery)
     for (a, b), threshold in thresholds.items():
         network.link_between(a, b).threshold = threshold
-    network._trees.clear()
+    network.invalidate_routes()
     group = network.groups.allocate()
     log = []
     for member in members:

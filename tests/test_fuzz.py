@@ -15,6 +15,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.oracle.fuzz import (
     CASE_SEED_STRIDE,
+    _member_zone,
+    build_spec,
     case_seed,
     format_fuzz_report,
     generate_case,
@@ -49,6 +51,27 @@ def test_case_generation_is_deterministic_and_pure_data():
         assert case["source"] in case["members"]
         assert all(m < case["nodes"] for m in case["members"])
         assert case["packets"] > len(case["data_drops"])
+
+
+def test_member_zone_matches_per_member_tree_definition():
+    """The zone is read off one tree on tree topologies; pin it to the
+    definition it replaced (a full source tree per member)."""
+    kinds = set()
+    for index in range(30):
+        case = generate_case(case_seed(11, index))
+        kinds.add(case["topology"])
+        members = case["members"]
+        reference = build_spec(case).build()
+        covered = set()
+        for member in members:
+            tree = reference.source_tree(member)
+            for other in members:
+                covered.update(tree.path(other))
+        network = build_spec(case).build()
+        assert _member_zone(network, members) == sorted(covered)
+        if case["topology"] != "mesh":
+            assert len(network._trees) == 1
+    assert "mesh" in kinds and len(kinds) >= 3
 
 
 def test_case_seed_spacing_makes_each_case_standalone():

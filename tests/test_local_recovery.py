@@ -47,7 +47,7 @@ def test_ttl_to_reach_is_max_hop_distance():
 def test_ttl_to_reach_respects_thresholds():
     network = chain(5).build()
     network.link_between(2, 3).threshold = 10
-    network._trees.clear()
+    network.invalidate_routes()
     assert ttl_to_reach(network, 0, [4]) == 12  # 2 hops + threshold 10
 
 

@@ -100,7 +100,7 @@ def test_ttl_limits_multicast_scope(delivery):
 def test_link_threshold_blocks_low_ttl(delivery):
     network, sinks = chain_network(4, delivery)
     network.link_between(1, 2).threshold = 100
-    network._trees.clear()  # thresholds feed ttl_required caches
+    network.invalidate_routes()  # thresholds feed ttl_required caches
     group = network.groups.allocate()
     for node in range(4):
         network.join(node, group)
@@ -251,3 +251,46 @@ def test_star_hub_not_member_forwards_anyway():
     assert sinks[0].received == []  # hub is not a member
     for leaf in (2, 3, 4):
         assert sinks[leaf].received[0][0] == 2.0
+
+
+def test_invalidate_routes_after_delay_edit():
+    """Editing a link in place needs one call to drop every routing cache:
+    trees, the tree-topology pair memo and (by tree identity) the plans."""
+    network, sinks = chain_network(5)
+    group = network.groups.allocate()
+    for node in range(5):
+        network.join(node, group)
+    stale_tree = network.source_tree(0)
+    assert network.distance(0, 4) == 4.0   # read off node 0's tree
+    assert network.distance(3, 1) == 2.0   # walked: node 3 has no tree
+    assert network.hops(4, 2) == 2
+    network.scheduler.schedule(
+        0.0, network.send_multicast, 0, group, "data")
+    network.run()
+    assert sinks[4].received[-1][0] == 4.0
+    plan_key = next(iter(network._plan_cache))
+    assert network._plan_cache[plan_key][0] is stale_tree
+
+    network.link_between(1, 2).delay = 7.5
+    network.invalidate_routes()
+    assert network.distance(3, 1) == 8.5
+    assert network.distance(0, 4) == 10.5
+    assert network.hops(4, 2) == 2
+    fresh_tree = network.source_tree(0)
+    assert fresh_tree is not stale_tree
+    assert fresh_tree.dist[4] == 10.5
+    start = network.scheduler.now
+    network.scheduler.schedule(
+        0.0, network.send_multicast, 0, group, "data")
+    network.run()
+    assert sinks[4].received[-1][0] == start + 10.5
+    assert network._plan_cache[plan_key][0] is fresh_tree
+
+
+def test_add_link_invalidates_walked_distances():
+    network = chain(3).build()
+    network.source_tree(0)
+    assert network.distance(2, 1) == 1.0   # memoised pair, no tree for 2
+    network.add_link(0, 2, delay=0.25)     # now a cycle, not a tree
+    assert network.distance(2, 0) == 0.25
+    assert network.path(2, 0) == [2, 0]

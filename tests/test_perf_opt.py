@@ -137,7 +137,7 @@ def test_plan_cache_survives_topology_mutation_midrun():
         # The TTL-threshold change invalidates routing; rebuilding the
         # trees must also invalidate the cached delivery plans.
         network.link_between(a, b).threshold = 10
-        network._trees.clear()
+        network.invalidate_routes()
 
     _, log = both_engines_agree(spec, members, sends,
                                 [(3.5, raise_threshold)])

@@ -2,13 +2,19 @@
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.routing import build_source_tree, pairwise_distance
+from repro.net import routing
+from repro.net.routing import build_source_tree
 from repro.sim.rng import RandomSource
 from repro.topology.chain import chain
 from repro.topology.graphs import tree_plus_edges
 from repro.topology.random_tree import random_labeled_tree
+from repro.topology.spec import TopologySpec
 from repro.topology.star import star
+
+from conftest import examples
 
 
 def adjacency_of(spec, delays=None, thresholds=None):
@@ -131,7 +137,7 @@ def test_unknown_origin_raises():
 
 
 def test_pairwise_distance():
-    assert pairwise_distance(adjacency_of(chain(6)), 1, 4) == 3.0
+    assert chain(6).build().distance(1, 4) == 3.0
 
 
 def test_random_tree_subtrees_partition_children():
@@ -145,3 +151,118 @@ def test_random_tree_subtrees_partition_children():
         assert not (union & sub)
         union |= sub
     assert union == set(range(25)) - {0}
+
+
+# ----------------------------------------------------------------------
+# Tree topologies: one traversal instead of Dijkstra, bit for bit
+# ----------------------------------------------------------------------
+
+
+def random_weighted_tree(seed, n):
+    """A random labeled tree with non-dyadic delays and mixed thresholds."""
+    rng = RandomSource(seed)
+    network = random_labeled_tree(n, rng).build()
+    for link in network.links:
+        link.delay = rng.uniform(0.1, 20.0)
+        link.threshold = rng.randint(1, 8)
+    network.invalidate_routes()
+    return network
+
+
+def assert_same_tree(tree, reference, nodes):
+    assert tree.origin == reference.origin
+    assert tree.parent == reference.parent
+    assert tree.dist == reference.dist  # ==, not approx: same float ops
+    assert tree.hops == reference.hops
+    assert tree.ttl_required == reference.ttl_required
+    assert tree.children == reference.children
+    for node in nodes:
+        assert tree.subtree(node) == reference.subtree(node)
+        assert tree.path(node) == reference.path(node)
+
+
+@settings(max_examples=examples(30))
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 60),
+       data=st.data())
+def test_tree_traversal_is_bitwise_dijkstra(seed, n, data):
+    network = random_weighted_tree(seed, n)
+    nodes = range(n)
+    origin = data.draw(st.integers(0, n - 1), label="origin")
+    # No neighbour table -> Dijkstra: the reference for every origin.
+    dijkstra = {a: build_source_tree(network.adjacency, a) for a in nodes}
+    assert_same_tree(network.source_tree(origin), dijkstra[origin], nodes)
+
+    def check_all_pairs():
+        for a in nodes:
+            for b in nodes:
+                assert network.distance(a, b) == dijkstra[a].dist[b]
+                assert network.hops(a, b) == dijkstra[a].hops[b]
+                assert network.path(a, b) == dijkstra[a].path(b)
+
+    # Only ``origin`` has a tree: every other ``a`` is answered by walking.
+    check_all_pairs()
+    assert list(network._trees) == [origin]
+    check_all_pairs()  # now from the pair memo
+    for a in nodes:
+        assert_same_tree(network.source_tree(a), dijkstra[a], nodes)
+    check_all_pairs()  # and from each a's own cached tree
+
+
+def count_heap_pops(monkeypatch):
+    pops = []
+    real = routing.heapq.heappop
+
+    def spy(heap):
+        pops.append(1)
+        return real(heap)
+
+    monkeypatch.setattr(routing.heapq, "heappop", spy)
+    return pops
+
+
+def test_tree_topology_never_touches_the_heap(monkeypatch):
+    network = random_weighted_tree(5, 40)
+    pops = count_heap_pops(monkeypatch)  # after the Pruefer decoder's use
+    network.source_tree(3)
+    assert network.distance(7, 21) > 0.0
+    assert pops == []
+
+
+def test_extra_edges_take_dijkstra(monkeypatch):
+    network = tree_plus_edges(30, 33, RandomSource(9)).build()
+    reference = build_source_tree(network.adjacency, 4)
+    pops = count_heap_pops(monkeypatch)
+    assert_same_tree(network.source_tree(4), reference, range(30))
+    assert len(pops) >= 30
+    assert network._neighbors is None
+    # distance() on a non-tree builds (and then reads) a's Dijkstra tree.
+    assert network.distance(11, 2) == network.source_tree(11).dist[2]
+    assert network.path(11, 2) == network.source_tree(11).path(2)
+
+
+def test_cycle_plus_isolated_node_raises_like_dijkstra():
+    """|E| = |V| - 1 without being a tree: the traversal falls short and
+    Dijkstra reports it, in the same words, from every entry point."""
+    network = TopologySpec("bad", 4, [(0, 1), (1, 2), (2, 0)]).build()
+    assert len(network.links) == len(network.nodes) - 1
+    with pytest.raises(ValueError) as reference:
+        build_source_tree(network.adjacency, 0)
+    text = str(reference.value)
+    assert text.startswith("topology is disconnected; unreachable from 0")
+    for query in (network.source_tree, lambda a: network.distance(a, 1),
+                  lambda a: network.hops(a, 2),
+                  lambda a: network.path(a, 1)):
+        with pytest.raises(ValueError) as raised:
+            query(0)
+        assert str(raised.value) == text
+
+
+def test_distance_unknown_nodes_raise_key_error():
+    network = chain(4).build()
+    for warm in (False, True):
+        if warm:
+            network.source_tree(0)
+        with pytest.raises(KeyError):
+            network.distance(1, 99)
+        with pytest.raises(KeyError):
+            network.distance(99, 1)

@@ -48,7 +48,7 @@ def test_distance_estimates_with_heterogeneous_delays():
     spec = chain(4)
     network = spec.build()
     network.link_between(1, 2).delay = 7.0
-    network._trees.clear()
+    network.invalidate_routes()
     network.trace.enabled = True
     group = network.groups.allocate("s")
     from repro.core.agent import SrmAgent

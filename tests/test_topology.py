@@ -231,3 +231,30 @@ def test_routers_with_lans_structure():
 def test_routers_with_lans_validation():
     with pytest.raises(ValueError):
         routers_with_lans(4, workstations_per_lan=0)
+
+
+def test_is_tree_requires_connectivity():
+    """n - 1 edges is not enough: a triangle plus a detached edge."""
+    bad = TopologySpec("bad", 5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    assert bad.num_edges == bad.num_nodes - 1
+    assert not bad.is_tree()
+    assert TopologySpec("one", 1, []).is_tree()
+    assert not TopologySpec("two-apart", 2, []).is_tree()
+    # Edge order and orientation do not matter to the union-find.
+    assert TopologySpec("ok", 5, [(3, 4), (1, 0), (4, 1), (2, 1)]).is_tree()
+
+
+def test_herd_rejects_edge_count_tree_that_is_disconnected():
+    from repro.experiments.common import Scenario
+    from repro.herd import HerdSimulation, HerdUnsupportedError
+    from repro.herd.topo import TreeIndex
+
+    bad = TopologySpec("bad", 5, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    with pytest.raises(ValueError, match="not a tree"):
+        TreeIndex(bad)
+    with pytest.raises(HerdUnsupportedError, match="not a tree"):
+        HerdSimulation(Scenario(spec=bad, members=[0, 1, 3], source=0,
+                                drop_edge=(0, 1)))
+    # The agent engine has always refused it too.
+    with pytest.raises(ValueError, match="topology is disconnected"):
+        bad.build().source_tree(0)
