@@ -208,7 +208,7 @@ class SrmAgent(Agent):
     def trace(self, kind: str, **detail: Any) -> None:
         trace = self.network.trace
         if trace.enabled:
-            trace.record(self._scheduler.now, self.node_id, kind, **detail)
+            trace.record(self._scheduler.now, self.node_id, kind, detail)
 
     def _distance_or_default(self, peer: int) -> float:
         """Distance to a peer, tolerating unknown/departed node ids.

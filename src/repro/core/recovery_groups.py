@@ -81,11 +81,6 @@ class RecoveryGroup:
     def member_nodes(self) -> List[NodeId]:
         return sorted(agent.node_id for agent in self.members)
 
-    def traffic_carried(self) -> int:
-        """Packets delivered on this group so far (reach accounting)."""
-        return sum(1 for row in self.network.trace.records
-                   if row.kind in ("send_request", "send_repair"))
-
 
 def invite_loss_neighborhood(network: Network, initiator: SrmAgent,
                              agents: Iterable[SrmAgent],

@@ -19,11 +19,7 @@ from repro.core.config import SrmConfig
 from repro.core.names import AduName
 from repro.metrics.bundle import RunMetrics
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.events import (
-    LossEventReport,
-    analyze_loss_event,
-    quantiles,
-)
+from repro.metrics.events import LossEventReport, quantiles
 from repro.net.link import NthPacketDropFilter
 from repro.net.network import Network
 from repro.net.packet import NodeId
@@ -203,13 +199,12 @@ class LossRecoverySimulation:
             self.oracle.verify(context=f"round {self.rounds_run}")
 
         name = sent[0]
-        report = analyze_loss_event(network.trace, name)
         if self.oracle is not None:
             # Same gate as the protocol oracles: the streaming metrics
             # aggregation must match a full offline pass over the trace.
             self.collector.verify(network.trace)
         self.last_round_metrics = self.collector.snapshot(rounds=1)
-        return self._outcome(report, name)
+        return self._outcome(self.collector.report(name), name)
 
     def _outcome(self, report: LossEventReport,
                  name: AduName) -> RoundOutcome:

@@ -75,17 +75,24 @@ def run_congestion_experiment(
     network.scheduler.schedule(400.0, lambda: source.send_data("beacon"))
     network.run(max_events=5_000_000)
 
-    data_drops = sum(1 for row in network.trace.records
-                     if row.kind == "queue_drop"
-                     and row.detail.get("packet_kind") == "srm-data")
-    requests = network.trace.count("send_request")
-    repairs = network.trace.count("send_repair")
+    data_drops = requests = repairs = 0
+    finish = 0.0
+    for row in network.trace.records:
+        kind = row.kind
+        if kind == "recv_data":
+            if row.time > finish:
+                finish = row.time
+        elif kind == "send_request":
+            requests += 1
+        elif kind == "send_repair":
+            repairs += 1
+        elif kind == "queue_drop" and \
+                row.detail.get("packet_kind") == "srm-data":
+            data_drops += 1
     recovered = all(
         agents[node].store.have(AduName(0, DEFAULT_PAGE, seq))
         for node in range(chain_length)
         for seq in range(1, burst + 2))
-    finish = max((row.time for row in network.trace.records
-                  if row.kind == "recv_data"), default=0.0)
     return CongestionOutcome(
         packets_sent=burst + 1,
         queue_drops=bottleneck.queue_drops,

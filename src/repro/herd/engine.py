@@ -58,7 +58,7 @@ from repro.herd.topo import TreeIndex
 from repro.herd.wave import HerdWave
 from repro.metrics.bundle import RunMetrics
 from repro.metrics.collector import (MetricsCollector, _perf_snapshot)
-from repro.metrics.events import LossEventReport, analyze_loss_event
+from repro.metrics.events import LossEventReport
 from repro.net.packet import DEFAULT_TTL
 from repro.oracle.base import check_mode_enabled
 from repro.sim.rng import RandomSource
@@ -321,7 +321,7 @@ class HerdSimulation:
     # ------------------------------------------------------------------
 
     def _emit(self, node: int, kind: str, **detail: Any) -> None:
-        self.trace.record(self.scheduler.now, node, kind, **detail)
+        self.trace.record(self.scheduler.now, node, kind, detail)
 
     def _bump(self, kind: str, count: int = 1) -> None:
         if count:
@@ -645,7 +645,7 @@ class HerdSimulation:
             if planned:
                 node = int(self._nodes[position])
                 for kind, detail in planned:
-                    self._emit(node, kind, **detail)
+                    self.trace.record(now, node, kind, detail)
 
     # ------------------------------------------------------------------
     # Repair wave
@@ -873,10 +873,10 @@ class HerdSimulation:
             self.oracle.verify(context=f"round {self.rounds_run}")
 
         if self.collector is not None:
-            report = analyze_loss_event(self.trace, name)
             if self.oracle is not None:
                 self.collector.verify(self.trace)
             self.last_round_metrics = self.collector.snapshot(rounds=1)
+            report = self.collector.report(name)
         else:
             self.last_round_metrics, report = aggregate_snapshot(
                 name=name, requests=self._n_requests,

@@ -38,8 +38,9 @@ HOT_PATH_SLOTS_MODULES = (
     "repro/sim/perf.py",
 )
 
-#: Modules where ``Trace.record`` sits on the delivery hot path and must
-#: be guarded by ``trace.enabled`` (SRM006).
+#: Modules where ``Trace.record`` sits on the delivery hot path: it must
+#: be guarded by ``trace.enabled`` and handed its detail dict as built,
+#: not re-expanded (SRM006).
 HOT_PATH_TRACE_MODULES = (
     "repro/net/network.py",
     "repro/core/agent.py",

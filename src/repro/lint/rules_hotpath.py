@@ -93,11 +93,17 @@ def _receiver_mentions_trace(node: ast.expr) -> bool:
 
 @register
 class UnguardedTraceRecordRule(Rule):
-    """SRM006: ``Trace.record`` on the hot path behind ``trace.enabled``."""
+    """SRM006: hot-path ``Trace.record`` is guarded and builds one dict.
+
+    Two findings share the code: a call outside a ``trace.enabled``
+    guard, and a call that re-expands a mapping (``**detail``) which
+    ``record`` accepts as it is.
+    """
 
     code = "SRM006"
     name = "unguarded-trace-record"
-    summary = "guard hot-path Trace.record with `if trace.enabled:`"
+    summary = ("guard hot-path Trace.record with `if trace.enabled:`; "
+               "pass a built detail dict, not **mapping")
     domain_only = True
 
     def applies_to(self, ctx: FileContext) -> bool:
@@ -114,13 +120,19 @@ class UnguardedTraceRecordRule(Rule):
                     and func.attr == "record"
                     and _receiver_mentions_trace(func.value)):
                 continue
-            if self._guarded(ctx, node):
-                continue
-            out.append(self.violation(
-                ctx, node,
-                "Trace.record on the hot path without a trace.enabled "
-                "guard; building the detail dict costs even when "
-                "tracing is off (see docs/performance.md)"))
+            if not self._guarded(ctx, node):
+                out.append(self.violation(
+                    ctx, node,
+                    "Trace.record on the hot path without a trace.enabled "
+                    "guard; building the detail dict costs even when "
+                    "tracing is off (see docs/performance.md)"))
+            if any(keyword.arg is None for keyword in node.keywords):
+                out.append(self.violation(
+                    ctx, node,
+                    "Trace.record(..., **mapping) on the hot path copies "
+                    "the mapping into a second dict per row; pass it as "
+                    "the fourth positional argument (see "
+                    "docs/performance.md)"))
         return out
 
     @staticmethod

@@ -156,7 +156,6 @@ def run_live_soak(spec: SoakSpec) -> EngineRun:
     collector = MetricsCollector(
         control_packet_size=config.control_packet_size
     ).attach(engine.trace)
-    collector.begin_round()
     suite = attach_live_oracles(engine, agents=agents) if spec.check \
         else None
 
@@ -225,7 +224,6 @@ def run_matched_sim(spec: SoakSpec) -> EngineRun:
     collector = MetricsCollector(
         control_packet_size=config.control_packet_size
     ).attach(network.trace)
-    collector.begin_round()
 
     source = agents[0]
     sent: List[AduName] = []

@@ -2,11 +2,12 @@
 
 :class:`MetricsCollector` subscribes to a :class:`repro.sim.trace.Trace`
 — the same hook the protocol oracles use — and aggregates the run online
-into per-loss-event counters, RTT-ratio histograms, timer activity and
+into per-loss-event reports, RTT-ratio histograms, timer activity and
 control-bandwidth tallies, folding in the :mod:`repro.sim.perf` kernel
-counter deltas at snapshot time. No full-trace rescan: a figure sweep
-gets its :class:`~repro.metrics.bundle.RunMetrics` for the price of a
-dict update per observed record.
+counter deltas at snapshot time. No full-trace rescan, and no callback
+for a row it would only count: the per-loss-event and control kinds are
+delivered to :meth:`MetricsCollector.on_record`, timer activity is read
+as the movement of ``Trace.kind_totals`` since :meth:`begin_round`.
 
 The collector must agree with the offline passes in
 :mod:`repro.metrics.events` record-for-record; :meth:`verify` recomputes
@@ -17,10 +18,16 @@ everything from the recorded trace and raises
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from collections import defaultdict
+from typing import Any, Dict, Optional
 
+from repro.core.names import AduName
 from repro.metrics.bundle import RunMetrics
-from repro.metrics.events import analyze_loss_event
+from repro.metrics.events import (
+    LossEventReport,
+    MemberTiming,
+    analyze_loss_event,
+)
 from repro.sim.trace import Trace, TraceRecord
 
 #: Kinds that feed the per-loss-event aggregation.
@@ -30,7 +37,8 @@ EVENT_KINDS = frozenset({
 })
 
 #: Kinds counted as protocol timer activity (sets, fires, backoffs,
-#: suppressions, hold-downs).
+#: suppressions, hold-downs). Never delivered one by one: only their
+#: per-kind totals are read.
 TIMER_KINDS = frozenset({
     "request_timer_set", "send_request", "request_backoff",
     "request_abandoned", "request_dup_ignored",
@@ -45,35 +53,12 @@ CONTROL_KINDS = frozenset({
     "send_page_request", "send_page_reply", "send_session",
 })
 
-#: Everything the collector subscribes to.
-OBSERVED_KINDS = EVENT_KINDS | TIMER_KINDS | CONTROL_KINDS
+#: The kinds :meth:`MetricsCollector.on_record` is called for.
+SUBSCRIBED_KINDS = EVENT_KINDS | CONTROL_KINDS
 
 
 class MetricsConsistencyError(AssertionError):
     """Streaming aggregation disagreed with the offline trace pass."""
-
-
-class _EventAggregate:
-    """Streaming counterpart of :class:`repro.metrics.events.LossEventReport`."""
-
-    __slots__ = ("requests", "repairs", "second_step_repairs",
-                 "losses_detected", "recoveries", "request_waits")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.repairs = 0
-        self.second_step_repairs = 0
-        self.losses_detected = 0
-        #: node -> (ratio, recovery time); mirrors MemberTiming.
-        self.recoveries: Dict[Any, Tuple[float, float]] = {}
-        self.request_waits: Dict[Any, float] = {}
-
-    def last_member_ratio(self) -> Optional[float]:
-        if not self.recoveries:
-            return None
-        last = max(self.recoveries.items(),
-                   key=lambda item: (item[1][1], item[0]))
-        return last[1][0]
 
 
 class MetricsCollector:
@@ -91,9 +76,14 @@ class MetricsCollector:
     # ------------------------------------------------------------------
 
     def attach(self, trace: Trace) -> "MetricsCollector":
-        """Subscribe to ``trace`` (only the kinds this collector reads)."""
+        """Start a round on ``trace``, leaving any trace attached before.
+
+        Only :data:`SUBSCRIBED_KINDS` reach :meth:`on_record`.
+        """
+        self.detach()
         self._trace = trace
-        trace.subscribe(self.on_record, kinds=OBSERVED_KINDS)
+        trace.subscribe(self.on_record, kinds=SUBSCRIBED_KINDS)
+        self.begin_round()
         return self
 
     def detach(self) -> None:
@@ -102,10 +92,13 @@ class MetricsCollector:
             self._trace = None
 
     def begin_round(self) -> None:
-        """Forget the previous round and re-baseline the kernel counters."""
-        self._events: Dict[Any, _EventAggregate] = {}
-        self._timers: Dict[str, int] = {}
-        self._control: Dict[Any, int] = {}
+        """Forget the previous round and re-baseline every counter."""
+        self._events: Dict[AduName, LossEventReport] = {}
+        self._control: Dict[Any, int] = defaultdict(int)
+        # Totals are monotonic, so the baseline survives a trace.clear()
+        # on either side of this call.
+        self._totals_before: Dict[str, int] = \
+            dict(self._trace.kind_totals) if self._trace is not None else {}
         self._perf_before = _perf_snapshot()
 
     # ------------------------------------------------------------------
@@ -114,30 +107,64 @@ class MetricsCollector:
 
     def on_record(self, row: TraceRecord) -> None:
         kind = row.kind
-        if kind in TIMER_KINDS:
-            self._timers[kind] = self._timers.get(kind, 0) + 1
         if kind in CONTROL_KINDS:
-            self._control[row.node] = self._control.get(row.node, 0) + 1
+            self._control[row.node] += 1
         if kind not in EVENT_KINDS:
             return
-        name = row.detail.get("name")
+        detail = row.detail
+        # Subscripts under try, not .get(): in a suppression round this
+        # runs ~600 times and the miss branches about once.
+        try:
+            name = detail["name"]
+        except KeyError:
+            return
         if name is None:
             return
-        event = self._events.get(name)
-        if event is None:
-            event = self._events[name] = _EventAggregate()
+        try:
+            report = self._events[name]
+        except KeyError:
+            report = self._events[name] = LossEventReport(name=name)
         if kind == "send_request":
-            event.requests += 1
+            report.requests += 1
         elif kind == "send_repair":
-            event.repairs += 1
+            report.repairs += 1
         elif kind == "send_repair_second_step":
-            event.second_step_repairs += 1
+            report.second_step_repairs += 1
         elif kind == "loss_detected":
-            event.losses_detected += 1
-        elif kind == "data_recovered":
-            event.recoveries[row.node] = (row.detail["ratio"], row.time)
-        elif kind == "first_request_event":
-            event.request_waits[row.node] = row.detail["ratio"]
+            report.losses_detected += 1
+        else:
+            timing = MemberTiming(
+                member=row.node, delay=detail["delay"], rtt=detail["rtt"],
+                ratio=detail["ratio"], at=row.time,
+                via=detail.get("via", ""))
+            if kind == "data_recovered":
+                report.recoveries[row.node] = timing
+            else:  # first_request_event
+                report.request_waits[row.node] = timing
+
+    def report(self, name: AduName) -> LossEventReport:
+        """This round's report for one ADU name (empty if never seen).
+
+        Equal, field for field, to ``analyze_loss_event`` over the rows
+        recorded since :meth:`begin_round`. The object is the live
+        aggregate: it keeps counting until the next ``begin_round()``
+        and is left alone after it.
+        """
+        report = self._events.get(name)
+        return report if report is not None else LossEventReport(name=name)
+
+    def _timer_activity(self) -> Dict[str, int]:
+        """Rows of each timer kind recorded since :meth:`begin_round`."""
+        if self._trace is None:
+            return {}
+        totals = self._trace.kind_totals
+        before = self._totals_before
+        activity: Dict[str, int] = {}
+        for kind in sorted(TIMER_KINDS):
+            moved = totals.get(kind, 0) - before.get(kind, 0)
+            if moved:
+                activity[kind] = moved
+        return activity
 
     # ------------------------------------------------------------------
     # Snapshot
@@ -152,20 +179,19 @@ class MetricsCollector:
             rounds=rounds)
         for name in sorted(self._events, key=str):
             event = self._events[name]
-            dup_requests = max(0, event.requests - 1)
-            dup_repairs = max(0, event.repairs - 1)
             bundle.loss_events += 1
             bundle.requests += event.requests
             bundle.repairs += event.repairs
             bundle.second_step_repairs += event.second_step_repairs
-            bundle.duplicate_requests += dup_requests
-            bundle.duplicate_repairs += dup_repairs
+            bundle.duplicate_requests += event.duplicate_requests
+            bundle.duplicate_repairs += event.duplicate_repairs
             bundle.losses_detected += event.losses_detected
             bundle.recoveries += len(event.recoveries)
             bundle.recovery_ratios.extend(
-                ratio for ratio, _ in event.recoveries.values())
-            bundle.request_ratios.extend(event.request_waits.values())
-            last = event.last_member_ratio()
+                [timing.ratio for timing in event.recoveries.values()])
+            bundle.request_ratios.extend(
+                [timing.ratio for timing in event.request_waits.values()])
+            last = event.last_member_recovery_ratio()
             if last is not None:
                 bundle.last_member_ratios.append(last)
             bundle.events.append({
@@ -173,13 +199,13 @@ class MetricsCollector:
                 "requests": event.requests,
                 "repairs": event.repairs,
                 "second_step_repairs": event.second_step_repairs,
-                "duplicate_requests": dup_requests,
-                "duplicate_repairs": dup_repairs,
+                "duplicate_requests": event.duplicate_requests,
+                "duplicate_repairs": event.duplicate_repairs,
                 "losses_detected": event.losses_detected,
                 "recoveries": len(event.recoveries),
                 "last_member_ratio": last,
             })
-        bundle.timers = dict(sorted(self._timers.items()))
+        bundle.timers = self._timer_activity()
         bundle.control_packets = {
             str(node): count
             for node, count in sorted(self._control.items(), key=str)}
@@ -211,23 +237,12 @@ class MetricsCollector:
         # Sorted so a multi-event mismatch always raises on the same
         # event regardless of set hash order.
         for name in sorted(offline_names, key=str):
-            report = analyze_loss_event(trace, name)
-            event = self._events[name]
-            observed = (event.requests, event.repairs,
-                        event.second_step_repairs, event.losses_detected,
-                        {node: ratio
-                         for node, (ratio, _) in event.recoveries.items()},
-                        dict(event.request_waits))
-            expected = (report.requests, report.repairs,
-                        report.second_step_repairs, report.losses_detected,
-                        {node: timing.ratio
-                         for node, timing in report.recoveries.items()},
-                        {node: timing.ratio
-                         for node, timing in report.request_waits.items()})
-            if observed != expected:
+            offline = analyze_loss_event(trace, name)
+            streamed = self.report(name)
+            if streamed != offline:
                 raise MetricsConsistencyError(
-                    f"event {name}: streaming {observed} != offline "
-                    f"{expected}")
+                    f"event {name}: streaming {streamed} != offline "
+                    f"{offline}")
         timers: Dict[str, int] = {}
         control: Dict[Any, int] = {}
         for row in trace.records:
@@ -235,9 +250,10 @@ class MetricsCollector:
                 timers[row.kind] = timers.get(row.kind, 0) + 1
             if row.kind in CONTROL_KINDS:
                 control[row.node] = control.get(row.node, 0) + 1
-        if timers != self._timers:
+        streamed_timers = self._timer_activity()
+        if timers != streamed_timers:
             raise MetricsConsistencyError(
-                f"timer counters diverged: streaming {self._timers} != "
+                f"timer counters diverged: streaming {streamed_timers} != "
                 f"offline {timers}")
         if control != self._control:
             raise MetricsConsistencyError(
@@ -247,12 +263,16 @@ class MetricsCollector:
 
 def collect_from_trace(trace: Trace, control_packet_size: int = 60,
                        experiment: str = "", rounds: int = 1) -> RunMetrics:
-    """Offline convenience: one bundle from an already-recorded trace."""
+    """Offline convenience: one bundle from an already-recorded trace.
+
+    Replays the rows through a scratch trace, so the bundle is built by
+    the very path a live run takes.
+    """
+    replay = Trace()
     collector = MetricsCollector(control_packet_size=control_packet_size,
-                                 experiment=experiment)
+                                 experiment=experiment).attach(replay)
     for row in trace.records:
-        if row.kind in OBSERVED_KINDS:
-            collector.on_record(row)
+        replay.record(row.time, row.node, row.kind, row.detail)
     return collector.snapshot(rounds=rounds)
 
 

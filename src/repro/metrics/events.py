@@ -8,10 +8,13 @@ expressed as a multiple of that member's RTT to the original source — and
 the request delay — "the delay from when the request timer is set until a
 request was either sent by that member or received from another member".
 
-The streaming counterpart (no full-trace rescan) is
-:class:`repro.metrics.collector.MetricsCollector`, which must agree with
-these offline passes record-for-record — the consistency check run under
-``SRM_CHECK=1`` enforces exactly that.
+Simulation rounds do not call :func:`analyze_loss_event`: they take the
+:class:`LossEventReport` that
+:class:`repro.metrics.collector.MetricsCollector` has streamed into
+(``collector.report(name)``, no full-trace rescan). The scan here is the
+oracle that report must equal field for field — the consistency check
+run under ``SRM_CHECK=1`` enforces exactly that — and the way to analyse
+a trace nobody was subscribed to.
 """
 
 from __future__ import annotations

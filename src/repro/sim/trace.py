@@ -8,6 +8,7 @@ into a shared :class:`Trace`, and the experiment layer queries it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -26,32 +27,85 @@ class TraceRecord:
         return f"{self.time:10.4f} node={self.node} {self.kind} {extras}"
 
 
+# ``Trace.record`` builds rows by writing the slots directly (the
+# ``_arrived_copy`` idiom of ``repro.net.network``): the generated frozen
+# ``__init__`` marshals four arguments into four ``object.__setattr__``
+# calls and costs about twice as much per row. Only this module holds
+# the slot descriptors; rows stay frozen, hashable and ``==`` to
+# ``TraceRecord(...)`` for everyone else.
+_new_row = object.__new__
+_slots = TraceRecord.__dict__
+_set_time: Callable[[TraceRecord, float], None] = _slots["time"].__set__
+_set_node: Callable[[TraceRecord, Any], None] = _slots["node"].__set__
+_set_kind: Callable[[TraceRecord, str], None] = _slots["kind"].__set__
+_set_detail: Callable[[TraceRecord, dict[str, Any]], None] = \
+    _slots["detail"].__set__
+del _slots
+
+Listener = Callable[[TraceRecord], None]
+
+
 class Trace:
     """An append-only log of :class:`TraceRecord` rows with simple queries."""
 
-    __slots__ = ("enabled", "records", "_listeners")
+    __slots__ = ("enabled", "records", "kind_totals", "_listeners",
+                 "_routes")
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self.records: list[TraceRecord] = []
-        self._listeners: list[
-            tuple[Callable[[TraceRecord], None],
-                  Optional[frozenset[str]]]] = []
+        #: Rows ever recorded per kind. Monotonic: :meth:`clear` does not
+        #: reset it, so a consumer that only needs "how many since then"
+        #: (the metrics collector's timer activity) reads a difference of
+        #: two totals instead of being called once per row.
+        self.kind_totals: defaultdict[str, int] = defaultdict(int)
+        self._listeners: list[tuple[Listener, Optional[frozenset[str]]]] = []
+        #: kind -> the listeners that hear it, in subscription order.
+        #: Filled on the first row of a kind, emptied by (un)subscribe.
+        self._routes: dict[str, tuple[Listener, ...]] = {}
 
-    def record(self, time: float, node: Any, kind: str, **detail: Any) -> None:
-        """Append a record (no-op when tracing is disabled)."""
+    def record(self, time: float, node: Any, kind: str,
+               detail: Optional[dict[str, Any]] = None, /,
+               **fields: Any) -> None:
+        """Append a record (no-op when tracing is disabled).
+
+        The detail is given either as keyword ``fields`` or as one
+        already-built dict, which the row then owns; forwarding callers
+        (``Agent.trace``) pass the dict they were handed instead of
+        expanding it into a second one.
+        """
         if not self.enabled:
             return
-        row = TraceRecord(time, node, kind, detail)
+        if detail is None:
+            detail = fields
+        elif fields:
+            raise TypeError("pass the detail as one dict or as keyword "
+                            "fields, not both")
+        row = _new_row(TraceRecord)
+        _set_time(row, time)
+        _set_node(row, node)
+        _set_kind(row, kind)
+        _set_detail(row, detail)
         self.records.append(row)
-        if self._listeners:
-            # Snapshot: a listener may subscribe/unsubscribe from inside
-            # its callback without perturbing this delivery round.
-            for listener, kinds in tuple(self._listeners):
-                if kinds is None or kind in kinds:
-                    listener(row)
+        self.kind_totals[kind] += 1
+        try:
+            listeners = self._routes[kind]
+        except KeyError:
+            listeners = self._route(kind)
+        # ``listeners`` is a tuple nobody mutates: a listener may
+        # subscribe/unsubscribe from inside its callback without
+        # perturbing this delivery round.
+        for listener in listeners:
+            listener(row)
 
-    def subscribe(self, listener: Callable[[TraceRecord], None],
+    def _route(self, kind: str) -> tuple[Listener, ...]:
+        """Resolve (and remember) who hears ``kind``."""
+        listeners = self._routes[kind] = tuple(
+            listener for listener, kinds in self._listeners
+            if kinds is None or kind in kinds)
+        return listeners
+
+    def subscribe(self, listener: Listener,
                   kinds: Optional[Iterable[str]] = None) -> None:
         """Invoke ``listener`` on every future record (live monitoring).
 
@@ -61,12 +115,14 @@ class Trace:
         """
         self._listeners.append(
             (listener, None if kinds is None else frozenset(kinds)))
+        self._routes.clear()
 
-    def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
+    def unsubscribe(self, listener: Listener) -> None:
         """Stop invoking ``listener``; unknown listeners are a no-op."""
         for index, (registered, _) in enumerate(self._listeners):
             if registered == listener:
                 del self._listeners[index]
+                self._routes.clear()
                 return
 
     def clear(self) -> None:

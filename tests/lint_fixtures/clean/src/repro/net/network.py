@@ -11,3 +11,8 @@ class Delivery:
     def deliver(self, node: int) -> None:
         if self.trace.enabled:
             self.trace.record(self.scheduler.now, node, "deliver")
+
+    def narrate(self, node: int, kind: str, **detail) -> None:
+        # The already-built dict goes through as it is (SRM006).
+        if self.trace.enabled:
+            self.trace.record(self.scheduler.now, node, kind, detail)

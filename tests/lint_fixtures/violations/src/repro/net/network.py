@@ -1,4 +1,4 @@
-"""Fixture: SRM006 — unguarded hot-path Trace.record."""
+"""Fixture: SRM006 — unguarded / re-expanding hot-path Trace.record."""
 
 
 class Delivery:
@@ -8,3 +8,8 @@ class Delivery:
 
     def deliver(self, node: int) -> None:
         self.trace.record(self.scheduler.now, node, "deliver")  # line 10
+
+    def narrate(self, node: int, kind: str, **detail) -> None:
+        if self.trace.enabled:
+            self.trace.record(self.scheduler.now, node, kind,
+                              **detail)  # call starts on line 14

@@ -67,6 +67,14 @@ def test_repo_is_clean():
     assert report.ok, report.format()
 
 
+def test_srm006_flags_mapping_reexpansion_even_when_guarded():
+    report = lint_paths([VIOLATIONS_TREE / "src/repro/net/network.py"])
+    hits = [v for v in report.violations if v.code == "SRM006"]
+    assert [v.line for v in hits] == [10, 14]
+    assert "guard" in hits[0].message
+    assert "**mapping" in hits[1].message
+
+
 def test_srm001_aliased_numpy_and_from_import():
     engine = LintEngine()
     src = ("import numpy as np\n"

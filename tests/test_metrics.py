@@ -8,8 +8,13 @@ comparison used by ``repro compare``.
 
 from __future__ import annotations
 
-import pytest
+from collections import Counter as TallyCounter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.names import AduName, DEFAULT_PAGE
 from repro.experiments.common import (
     ExperimentSpec,
     choose_scenario,
@@ -22,13 +27,24 @@ from repro.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricsCollector,
+    MetricsConsistencyError,
     MetricsRegistry,
     RunMetrics,
+    analyze_loss_event,
     collect_from_trace,
     compare_bundles,
     load_bundle,
     save_bundle,
 )
+from repro.metrics.collector import (
+    CONTROL_KINDS,
+    EVENT_KINDS,
+    TIMER_KINDS,
+)
+from repro.sim.trace import Trace
+
+from conftest import examples
 
 
 # ----------------------------------------------------------------------
@@ -143,6 +159,118 @@ def test_consistency_check_runs_under_check_mode(monkeypatch):
     result = _run_one(seed=9)
     assert result.metrics is not None
     assert result.metrics.rounds == 3
+
+
+def test_attach_again_or_elsewhere_counts_each_row_once():
+    """attach() used to stack subscriptions: a second call (or a move to
+    another trace) delivered every row twice."""
+    name = AduName(1, DEFAULT_PAGE, 1)
+    first, second = Trace(), Trace()
+    collector = MetricsCollector().attach(first)
+    collector.attach(first)
+    first.record(1.0, 5, "send_request", name=name)
+    assert collector.report(name).requests == 1
+    assert collector.snapshot().control_packets == {"5": 1}
+
+    collector.attach(second)
+    first.record(2.0, 5, "send_request", name=name)   # left behind
+    second.record(2.0, 6, "send_request", name=name)
+    second.record(2.5, 6, "request_backoff", name=name)
+    bundle = collector.snapshot()
+    assert bundle.requests == 1
+    assert bundle.control_packets == {"6": 1}
+    assert bundle.timers == {"request_backoff": 1, "send_request": 1}
+
+
+def test_verify_compares_the_streamed_report_with_the_offline_scan():
+    name = AduName(1, DEFAULT_PAGE, 1)
+    trace = Trace()
+    collector = MetricsCollector().attach(trace)
+    trace.record(1.0, 5, "loss_detected", name=name)
+    trace.record(2.0, 5, "data_recovered", name=name, delay=1.0, rtt=2.0,
+                 ratio=0.5, via="repair")
+    collector.verify(trace)
+    # One field of one member's timing is enough to fail the round.
+    collector.report(name).recoveries[5].via = "elsewhere"
+    with pytest.raises(MetricsConsistencyError):
+        collector.verify(trace)
+
+
+# Property: whatever is interleaved with the rows -- clear(), a new
+# round, listeners coming and going from inside a callback -- the
+# streamed report and bundle equal the offline pass over the rows
+# recorded since begin_round().
+
+_POOL = [AduName(1, DEFAULT_PAGE, seq) for seq in (1, 2, 3)]
+_KINDS = sorted(EVENT_KINDS | TIMER_KINDS | CONTROL_KINDS) \
+    + ["recv_data", "deliver"]    # two kinds no bundle reads
+_row = st.tuples(
+    st.just("row"), st.sampled_from(_KINDS),
+    st.sampled_from(_POOL + [None]),      # None: a row without a name
+    st.integers(0, 3),                     # node
+    st.floats(0.0, 8.0, allow_nan=False),  # delay
+    st.sampled_from(["repair", "sent", None]))
+_op = st.one_of(_row, _row, _row, st.sampled_from(
+    [("clear",), ("begin",), ("churn",)]))
+
+
+@settings(max_examples=examples(60))
+@given(ops=st.lists(_op, max_size=60))
+def test_streamed_report_and_bundle_equal_the_offline_pass(ops):
+    trace = Trace()
+    collector = MetricsCollector(control_packet_size=40).attach(trace)
+    since_begin = Trace()   # what the offline oracle gets to see
+    every_row = []
+    tails = []              # (rows recorded before it joined, heard)
+
+    def churn():
+        """A listener that leaves and recruits from inside its callback,
+        followed by one that must not notice."""
+        heard = []
+
+        def once(row):
+            trace.unsubscribe(once)
+            trace.subscribe(lambda later: None, kinds=[row.kind])
+
+        trace.subscribe(once)
+        trace.subscribe(heard.append)
+        tails.append((len(every_row), heard))
+
+    for clock, op in enumerate(ops):
+        if op[0] == "row":
+            _, kind, name, node, delay, via = op
+            detail = {"delay": delay, "rtt": 2.0, "ratio": delay / 2.0}
+            if name is not None:
+                detail["name"] = name
+            if via is not None:
+                detail["via"] = via
+            trace.record(float(clock), node, kind, detail)
+            every_row.append(trace.records[-1])
+            since_begin.records.append(trace.records[-1])
+        elif op[0] == "clear":
+            trace.clear()
+        elif op[0] == "begin":
+            collector.begin_round()
+            since_begin.clear()
+        else:
+            churn()
+
+    for start, heard in tails:
+        assert heard == every_row[start:]
+    for name in _POOL:
+        assert collector.report(name) == \
+            analyze_loss_event(since_begin, name)
+    streamed = collector.snapshot().to_dict()
+    offline = collect_from_trace(since_begin,
+                                 control_packet_size=40).to_dict()
+    del streamed["kernel"], offline["kernel"]
+    assert streamed == offline
+    # collect_from_trace replays through a collector; count by hand too.
+    kinds = TallyCounter(row.kind for row in since_begin.records)
+    assert streamed["timers"] == {
+        kind: kinds[kind] for kind in sorted(TIMER_KINDS) if kinds[kind]}
+    assert streamed["control_bytes"] == 40 * sum(
+        kinds[kind] for kind in CONTROL_KINDS)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ shows up only under mid-run mutation.)
 
 from __future__ import annotations
 
+import sys
+
 from repro.net.link import NthPacketDropFilter
 from repro.net.node import Agent
 from repro.net.packet import Packet
@@ -192,3 +194,74 @@ def test_cli_profile_flag_reports_to_stderr(capsys):
     assert "events executed" in captured.err
     # stdout stays clean: golden-output comparisons must keep working.
     assert "kernel profile" not in captured.out
+
+
+# ----------------------------------------------------------------------
+# Trace -> metrics in one pass (docs/performance.md): a round takes the
+# report the collector streamed, and the collector is called only for
+# the rows it aggregates.
+# ----------------------------------------------------------------------
+
+
+def _instrumented_star_round(monkeypatch, leaves=50):
+    """One round on a star; returns (simulation, outcome, offline-scan
+    calls, kinds on_record was called with)."""
+    from repro.core.config import SrmConfig
+    from repro.experiments.common import LossRecoverySimulation
+    from repro.experiments.figure5 import star_scenario
+    from repro.metrics import events
+    from repro.metrics.collector import MetricsCollector
+
+    scans = []
+    original_scan = events.analyze_loss_event
+
+    def counted_scan(trace, name):
+        scans.append(name)
+        return original_scan(trace, name)
+
+    # Every module that imported the function by name, as the ledger's
+    # tracer does.
+    for module in list(sys.modules.values()):
+        for key, value in list(getattr(module, "__dict__", {}).items()):
+            if value is original_scan:
+                monkeypatch.setattr(module, key, counted_scan)
+
+    delivered = []
+    original_on_record = MetricsCollector.on_record
+
+    def counted_on_record(self, row):
+        delivered.append(row.kind)
+        original_on_record(self, row)
+
+    monkeypatch.setattr(MetricsCollector, "on_record", counted_on_record)
+    simulation = LossRecoverySimulation(
+        star_scenario(leaves), config=SrmConfig(c1=2.0, c2=20.0), seed=11)
+    return simulation, simulation.run_round(), scans, delivered
+
+
+def test_round_reads_the_streamed_report_without_rescanning(monkeypatch):
+    from repro.metrics.collector import CONTROL_KINDS, EVENT_KINDS
+    from repro.metrics.events import analyze_loss_event
+
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    simulation, outcome, scans, delivered = \
+        _instrumented_star_round(monkeypatch)
+    assert scans == []
+    trace = simulation.network.trace
+    assert set(delivered) <= EVENT_KINDS | CONTROL_KINDS
+    assert delivered == [row.kind for row in trace
+                         if row.kind in EVENT_KINDS | CONTROL_KINDS]
+    # The suppression narration (two rows per request heard) is most of
+    # the trace and none of the callbacks.
+    assert len(delivered) * 4 < len(trace)
+    assert outcome.recovered and outcome.report.losses_detected == 49
+    assert outcome.report == analyze_loss_event(trace, outcome.name)
+    assert simulation.last_round_metrics.timers[
+        "request_timer_set"] == trace.count("request_timer_set")
+
+
+def test_check_mode_compares_streamed_report_with_the_rescan(monkeypatch):
+    monkeypatch.setenv("SRM_CHECK", "1")
+    _, outcome, scans, _ = _instrumented_star_round(monkeypatch)
+    assert scans == [outcome.name]
+    assert outcome.recovered

@@ -1,5 +1,9 @@
 """Unit tests for the trace recorder."""
 
+from dataclasses import FrozenInstanceError
+
+import pytest
+
 from repro.sim.trace import Trace, TraceRecord
 
 
@@ -138,3 +142,91 @@ def test_listener_may_subscribe_another_mid_delivery():
     trace.unsubscribe(recruiter)
     trace.record(2.0, 1, "second")
     assert seen == ["recruiter", "recruit"]
+
+
+# ----------------------------------------------------------------------
+# The fast row path (slot writes instead of the frozen __init__) and the
+# per-kind listener routes must be invisible.
+# ----------------------------------------------------------------------
+
+
+def test_recorded_rows_equal_constructor_built_rows():
+    trace = Trace()
+    trace.record(1.0, 3, "send", seq=5)
+    row = trace.records[0]
+    built = TraceRecord(1.0, 3, "send", {"seq": 5})
+    assert row == built
+    assert hash(row) == hash(built)
+    assert row.detail == built.detail
+    assert repr(row) == repr(built)
+    assert str(row) == str(built)
+    # ``detail`` stays outside ==, the other three fields inside it.
+    assert row == TraceRecord(1.0, 3, "send", {"seq": 6})
+    assert row != TraceRecord(1.0, 3, "recv", {"seq": 5})
+    assert row != TraceRecord(1.0, 4, "send", {"seq": 5})
+    assert row != TraceRecord(1.5, 3, "send", {"seq": 5})
+
+
+def test_recorded_rows_stay_frozen():
+    trace = Trace()
+    trace.record(1.0, 3, "send", seq=5)
+    row = trace.records[0]
+    with pytest.raises(FrozenInstanceError):
+        row.time = 2.0
+    with pytest.raises(FrozenInstanceError):
+        row.detail = {}
+    with pytest.raises(FrozenInstanceError):
+        del row.kind
+    assert row == TraceRecord(1.0, 3, "send")
+
+
+def test_record_takes_keyword_fields_or_one_built_dict():
+    trace = Trace()
+    detail = {"name": "a", "delay": 0.5}
+    trace.record(1.0, 3, "send", detail)
+    trace.record(1.0, 3, "send", name="a", delay=0.5)
+    first, second = trace.records
+    assert first == second
+    assert first.detail == second.detail
+    assert first.detail is detail  # handed over, not copied
+    # The four leading parameters are positional-only, so a detail field
+    # may carry any of their names.
+    trace.record(2.0, 3, "send", time=1, node=2, kind=3, detail=4)
+    assert trace.records[-1].detail == {
+        "time": 1, "node": 2, "kind": 3, "detail": 4}
+    assert trace.records[-1].kind == "send"
+    with pytest.raises(TypeError):
+        trace.record(3.0, 3, "send", detail, extra=1)
+    assert len(trace) == 3
+
+
+def test_listeners_hear_rows_in_subscription_order():
+    trace = Trace()
+    seen = []
+    trace.subscribe(lambda row: seen.append("all-1"))
+    trace.subscribe(lambda row: seen.append("send-only"), kinds=["send"])
+    trace.subscribe(lambda row: seen.append("all-2"))
+    trace.record(1.0, 1, "send")
+    trace.record(2.0, 1, "recv")
+    assert seen == ["all-1", "send-only", "all-2", "all-1", "all-2"]
+    # A kind that already has a route picks a later subscriber up, last.
+    trace.subscribe(lambda row: seen.append("late"), kinds=["recv"])
+    del seen[:]
+    trace.record(3.0, 1, "recv")
+    trace.record(4.0, 1, "send")
+    assert seen == ["all-1", "all-2", "late",
+                    "all-1", "send-only", "all-2"]
+
+
+def test_kind_totals_count_every_row_and_survive_clear():
+    trace = Trace()
+    trace.record(1.0, 1, "send")
+    trace.record(2.0, 1, "send")
+    trace.record(2.0, 2, "recv")
+    trace.clear()
+    trace.record(3.0, 1, "send")
+    assert trace.kind_totals == {"send": 3, "recv": 1}
+    assert trace.count("send") == 1
+    trace.enabled = False
+    trace.record(4.0, 1, "send")
+    assert trace.kind_totals["send"] == 3
