@@ -23,7 +23,7 @@ experiment layer (``repro.experiments``) is a pure consumer of traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.core import timer_math
 from repro.core.adaptive import AdaptiveTimers
@@ -40,6 +40,7 @@ from repro.core.messages import (
     PageRequestPayload,
     RepairPayload,
     RequestPayload,
+    SessionPayload,
 )
 from repro.core.names import DEFAULT_PAGE, AduName, PageId
 from repro.core.session import (
@@ -47,6 +48,7 @@ from repro.core.session import (
     OracleDistance,
     SessionDistance,
     SessionProtocol,
+    merge_report,
 )
 from repro.core.fec import KIND_FEC, FecCodec
 from repro.core.state import DataStore, ReceptionState
@@ -360,6 +362,21 @@ class SrmAgent(Agent):
         elif kind == KIND_FEC:
             if self.fec is not None:
                 self.fec.on_parity_received(packet.payload)
+
+    @staticmethod
+    def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
+        """One multicast packet for a delivery run of SRM agents.
+
+        Session reports, which every member sends to every other, are
+        merged in one pass over the run; every other kind (and a session
+        packet without a report in it) is received agent by agent.
+        """
+        if (packet.kind == KIND_SESSION
+                and packet.payload.__class__ is SessionPayload):
+            merge_report(agents, packet.payload, packet.dst)
+        else:
+            for agent in agents:
+                agent.receive(packet)
 
     # ------------------------------------------------------------------
     # Loss detection and request timers

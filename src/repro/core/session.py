@@ -12,14 +12,15 @@ bandwidth, so the per-member interval grows linearly with the group size.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.core.messages import KIND_SESSION, SessionPayload, SessionTimestamp
 from repro.sim.timers import Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import SrmAgent
-    from repro.net.packet import NodeId
+    from repro.core.names import PageId
+    from repro.net.packet import GroupAddress, NodeId
 
 
 class DistanceEstimator:
@@ -71,12 +72,13 @@ class SessionProtocol:
     def __init__(self, agent: "SrmAgent") -> None:
         self.agent = agent
         self.config = agent.config
-        #: The agent's reception table and its high-water dict, cached:
-        #: both are bound once in ``SrmAgent.__init__`` (before the
-        #: session protocol) and never rebound, and :meth:`handle` probes
-        #: them for every stream in every report.
-        self._reception = agent.reception
-        self._reception_high = agent.reception._high
+        #: The page of the last report merged (by identity: members
+        #: viewing one page report the same ``PageId`` object) and the
+        #: agent's high-water table for it, which :func:`merge_report`
+        #: probes for every stream in every report. ``agent.reception``
+        #: is bound once in ``SrmAgent.__init__`` and never rebound.
+        self._page: Optional["PageId"] = None
+        self._page_high: Dict[int, int] = {}
         #: Peers heard from: peer -> (their last send time, our receive time).
         self.last_heard: Dict["NodeId", tuple[float, float]] = {}
         self.messages_sent = 0
@@ -185,44 +187,76 @@ class SessionProtocol:
     # ------------------------------------------------------------------
 
     def handle(self, payload: SessionPayload) -> None:
-        # Hot path: every member processes every other member's periodic
-        # report, so a session-heavy run spends more time here than in
-        # the scheduler. Locals are hoisted and the timestamp-echo branch
-        # is taken only when this member actually learns distances from
-        # echoes (the oracle ignores them).
-        agent = self.agent
-        now: float = agent._scheduler.now  # type: ignore[union-attr]
-        self.last_heard[payload.member] = (payload.sent_at, now)
+        """Digest one report at this member (see :func:`merge_report`)."""
+        merge_report((self.agent,), payload)
+
+
+def merge_report(agents: Sequence["SrmAgent"], payload: SessionPayload,
+                 group: Optional["GroupAddress"] = None) -> None:
+    """Digest one session report at each of ``agents``, in order.
+
+    Hot path: every member processes every other member's periodic
+    report, so a session-heavy run spends more time here than in the
+    scheduler. What depends only on the report is therefore built once
+    per call, and a call covers a whole delivery run
+    (``SrmAgent.receive_run``, which passes the ``group`` the report was
+    multicast to so that the membership check ``SrmAgent.receive`` makes
+    is made here) or the one agent of :meth:`SessionProtocol.handle`,
+    which ``receive`` has already checked. Each agent is finished (its
+    losses detected, their timers drawn) before the next is touched.
+    """
+    member = payload.member
+    page = payload.page
+    now: float = agents[0]._scheduler.now  # type: ignore[union-attr]
+    stamp = (payload.sent_at, now)
+    echoes = payload.echoes
+    # (source, reported high-water mark, page) per stream, with ``page``
+    # itself standing in for every equal PageId so the loop below can
+    # tell by identity. (No member reports a stream off ``payload.page``;
+    # a decoded datagram may hold one.)
+    reported = [
+        (key[0], high_seq,
+         page if key[1] is page or key[1] == page else key[1])
+        for key, high_seq in payload.page_state.items()
+    ] if payload.page_state else ()
+    for agent in agents:
+        if (group is not None and group is not agent.group
+                and group not in agent._joined_groups):
+            continue  # not, or no longer, listening on this group
+        session = agent.session
+        if session is None:
+            continue
+        session.last_heard[member] = stamp
         distances = agent.distances
+        # The timestamp-echo branch is taken only when this member
+        # actually learns distances from echoes (the oracle ignores them).
         if distances.__class__ is SessionDistance:
-            echo = payload.echoes.get(agent.node_id)
+            echo = echoes.get(agent.node_id)
             if echo is not None:
                 # t1: our send; echo.delta: peer's holding time; now: t4.
                 estimate = ((now - echo.t1) - echo.delta) / 2.0
-                distances.update(payload.member, estimate)
+                distances.update(member, estimate)
+        if not reported:
+            continue
         # Reception-state reports reveal tail losses. The steady-state
         # outcome — the reported high-water mark is already known — is
-        # checked inline against the reception table (page_state keys are
-        # the same (source, page) tuples ReceptionState keys by), so the
-        # overwhelmingly common case costs one dict probe per stream
-        # instead of a note_high_water call.
-        page_state = payload.page_state
-        if page_state:
-            node_id = agent.node_id
-            reception = self._reception
-            high = self._reception_high
-            for key, high_seq in page_state.items():
-                # Steady state first: a report at or below our own
-                # high-water mark needs no further filtering (our own
-                # streams always land here too, since no peer can report
-                # above what we ourselves sent).
-                previous = high.get(key)
-                if previous is not None and high_seq <= previous:
-                    continue
-                if key[0] == node_id:
-                    continue
-                newly_missing = reception.note_high_water(
-                    key[0], key[1], high_seq)
-                if newly_missing:
-                    for name in newly_missing:
-                        agent.on_loss_detected(name)
+        # checked inline against the agent's table for the reported page,
+        # so the overwhelmingly common case costs one int-keyed probe per
+        # stream instead of a note_high_water call.
+        if session._page is not page:
+            session._page = page
+            session._page_high = agent.reception.high_water_table(page)
+        high = session._page_high
+        for source, high_seq, stream_page in reported:
+            # Steady state first: a report at or below our own
+            # high-water mark needs no further filtering (our own
+            # streams always land here too, since no peer can report
+            # above what we ourselves sent).
+            if (stream_page is page and source in high
+                    and high_seq <= high[source]):
+                continue
+            if source == agent.node_id:
+                continue
+            for name in agent.reception.note_high_water(
+                    source, stream_page, high_seq):
+                agent.on_loss_detected(name)

@@ -72,6 +72,25 @@ class DataStore:
         return sorted(name for name in self._data if name.page == page)
 
 
+class _PageStreams:
+    """One page's per-source tables (sources are plain ints)."""
+
+    __slots__ = ("high", "received", "base")
+
+    def __init__(self) -> None:
+        #: source -> highest sequence number known to exist.
+        self.high: Dict[int, int] = {}
+        self.received: Dict[int, Set[int]] = {}
+        #: source -> first seq this member cares about (adopted streams
+        #: only). Once ``high`` has the source, ``base <= high + 1``.
+        self.base: Dict[int, int] = {}
+
+
+#: What the read-only queries see for a page nothing was heard on; never
+#: written to.
+_NO_STREAMS = _PageStreams()
+
+
 class ReceptionState:
     """Tracks received sequence numbers per (source, page) stream.
 
@@ -86,32 +105,49 @@ class ReceptionState:
     earlier history is never considered missing. This is the right mode
     for live substreams (the receiver-driven layering of Section IX-C),
     where a subscriber wants the stream from now on, not its past.
+
+    Tables are indexed page first, source second: a session report covers
+    one page, so its receiver resolves the page once
+    (:meth:`high_water_table`) and then probes by source, an int.
     """
 
     def __init__(self, first_seq: int = 1,
                  adopt_streams: bool = False) -> None:
         self.first_seq = first_seq
         self.adopt_streams = adopt_streams
-        self._received: Dict[StreamKey, Set[int]] = {}
-        self._high: Dict[StreamKey, int] = {}
-        #: Per-stream starting seq (used when adopting streams).
-        self._base: Dict[StreamKey, int] = {}
+        self._pages: Dict[PageId, _PageStreams] = {}
+
+    def _page_streams(self, page: PageId) -> _PageStreams:
+        """The page's tables, created on first use (write paths only)."""
+        try:
+            return self._pages[page]
+        except KeyError:
+            streams = self._pages[page] = _PageStreams()
+            return streams
+
+    def high_water_table(self, page: PageId) -> Dict[int, int]:
+        """The live source -> high-water table of ``page``; read-only.
+
+        The dict is the one :meth:`mark_received` and
+        :meth:`note_high_water` update and is never replaced, so the
+        session merge may hold on to it.
+        """
+        return self._page_streams(page).high
 
     def streams(self) -> List[StreamKey]:
-        return sorted(self._high, key=lambda key: (key[0], key[1]))
-
-    def _stream_base(self, key: StreamKey) -> int:
-        """The first sequence number this member cares about."""
-        return self._base.get(key, self.first_seq)
+        return sorted((source, page)
+                      for page, streams in self._pages.items()
+                      for source in streams.high)
 
     def highest_seq(self, source: int, page: PageId) -> int:
         """Highest sequence number known to exist (0 if none)."""
-        key = (source, page)
-        return self._high.get(key, self._stream_base(key) - 1)
+        streams = self._pages.get(page, _NO_STREAMS)
+        return streams.high.get(
+            source, streams.base.get(source, self.first_seq) - 1)
 
     def has_received(self, name: AduName) -> bool:
-        received = self._received.get((name.source, name.page))
-        return received is not None and name.seq in received
+        received = self._pages.get(name.page, _NO_STREAMS).received
+        return name.source in received and name.seq in received[name.source]
 
     def mark_received(self, name: AduName) -> List[AduName]:
         """Record receipt of ``name``; returns newly-discovered gaps.
@@ -120,15 +156,21 @@ class ReceptionState:
         were revealed missing by this arrival (they were not previously
         known to exist).
         """
-        key = (name.source, name.page)
-        if (self.adopt_streams and key not in self._base
-                and key not in self._high):
+        source = name.source
+        seq = name.seq
+        streams = self._page_streams(name.page)
+        if (self.adopt_streams and source not in streams.base
+                and source not in streams.high):
             # First contact with this stream: adopt it from here on and
             # never treat its history as missing.
-            self._base[key] = name.seq
-        received = self._received.setdefault(key, set())
-        received.add(name.seq)
-        return self._raise_high_water(key, name.seq, exclude=name.seq)
+            streams.base[source] = seq
+        received = streams.received
+        if source in received:
+            received[source].add(seq)
+        else:
+            received[source] = {seq}
+        return self._raise_high_water(streams, source, name.page, seq,
+                                      exclude=seq)
 
     def note_high_water(self, source: int, page: PageId,
                         seq: int) -> List[AduName]:
@@ -136,56 +178,54 @@ class ReceptionState:
 
         Returns the names newly discovered missing.
         """
-        key = (source, page)
-        previous = self._high.get(key)
-        if previous is not None and seq <= previous:
-            # Session reports mostly repeat known high-water marks; this
-            # is the steady-state path and nothing below can fire.
-            return []
-        if (self.adopt_streams and key not in self._base
-                and previous is None):
+        streams = self._page_streams(page)
+        high = streams.high
+        if source in high:
+            if seq <= high[source]:
+                # Session reports mostly repeat known high-water marks;
+                # this is the steady-state path.
+                return []
+        elif self.adopt_streams and source not in streams.base:
             # An adopted stream we have never received from: note that
             # the data exists but do not chase its history.
-            self._base[key] = seq + 1
-            self._high[key] = seq
+            streams.base[source] = seq + 1
+            high[source] = seq
             return []
-        if seq < self._stream_base(key):
-            return []
-        return self._raise_high_water(key, seq, exclude=None)
+        return self._raise_high_water(streams, source, page, seq,
+                                      exclude=None)
 
-    def _raise_high_water(self, key: StreamKey, seq: int,
+    def _raise_high_water(self, streams: _PageStreams, source: int,
+                          page: PageId, seq: int,
                           exclude: Optional[int]) -> List[AduName]:
-        previous_high = self._high.get(key)
-        if previous_high is None:
-            # First sighting of this stream; _base (when set) is always
-            # one past any recorded high, so the max() only matters here.
-            previous_high = self._stream_base(key) - 1
-        if seq <= previous_high:
+        high = streams.high
+        if source in high:
+            start = high[source] + 1  # never below the stream's base
+        else:
+            start = streams.base.get(source, self.first_seq)
+        if seq < start:
             return []
-        self._high[key] = seq
-        received = self._received.get(key)
-        if received is None:
-            received = self._received[key] = set()
-        source, page = key
-        start = max(previous_high + 1, self._stream_base(key))
+        high[source] = seq
+        if source not in streams.received:
+            streams.received[source] = set()
+        received = streams.received[source]
         return [AduName(source, page, candidate)
                 for candidate in range(start, seq + 1)
                 if candidate != exclude and candidate not in received]
 
     def missing(self, source: int, page: PageId) -> List[AduName]:
         """All currently-missing names on a stream (for page requests)."""
-        key = (source, page)
-        received = self._received.get(key, set())
-        base = self._stream_base(key)
-        high = self._high.get(key, base - 1)
+        streams = self._pages.get(page, _NO_STREAMS)
+        received = streams.received.get(source, ())
+        base = streams.base.get(source, self.first_seq)
+        high = streams.high.get(source, base - 1)
         return [AduName(source, page, seq)
                 for seq in range(base, high + 1)
                 if seq not in received]
 
     def page_state(self, page: PageId) -> Dict[StreamKey, int]:
         """The session-message report: highest seq per source on a page."""
-        return {key: high for key, high in self._high.items()
-                if key[1] == page}
+        return {(source, page): high for source, high
+                in self._pages.get(page, _NO_STREAMS).high.items()}
 
     def complete(self, source: int, page: PageId) -> bool:
         """True when no known name on the stream is missing."""

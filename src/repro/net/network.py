@@ -43,6 +43,15 @@ from repro.sim.trace import Trace
 #: same delay and hop count and are therefore delivered by one event.
 PlanTarget = Union[NodeId, Tuple[NodeId, ...]]
 PlanEntry = Tuple[float, int, PlanTarget]
+#: A delivery plan: (entries, receiver count, distinct hop counts, per
+#: entry the index of its hop count among those). The last two let a send
+#: make one arrival copy per hop count and hand them out by position.
+Plan = Tuple[Tuple[PlanEntry, ...], int, Tuple[int, ...], Tuple[int, ...]]
+#: How :meth:`Network._deliver_many` serves one run of members: (run
+#: handler, the run's agents, events saved) or, without a handler,
+#: (None, one bound ``receive`` or ``Node.deliver`` per member, saved).
+RunBinding = Tuple[Optional[Callable[[Sequence[Agent], Packet], None]],
+                   Tuple[Any, ...], int]
 
 
 class Network:
@@ -78,21 +87,21 @@ class Network:
         self._prune_cache: Dict[Tuple[NodeId, int], Tuple[int, Set[NodeId]]] = {}
         #: Direct-engine delivery plans: (origin, gid, initial_ttl,
         #: scope_zone) -> (tree identity, membership version, zone version,
-        #: delivery entries, receiver count). The tree identity entry
-        #: invalidates on any topology change (trees are rebuilt), the
-        #: versions on membership / zone changes. Drop-filter changes do
-        #: NOT invalidate: plans exclude filters by design (cuts are
-        #: applied per send on top of the cached plan).
+        #: plan). The tree identity entry invalidates on any topology
+        #: change (trees are rebuilt), the versions on membership / zone
+        #: changes. Drop-filter changes do NOT invalidate: plans exclude
+        #: filters by design (cuts are applied per send on top of the
+        #: cached plan).
         self._plan_cache: Dict[
             Tuple[NodeId, int, int, Optional[str]],
-            Tuple[SourceTree, int, int, Tuple[PlanEntry, ...], int]] = {}
+            Tuple[SourceTree, int, int, Plan]] = {}
         self._zone_version = 0
-        #: node -> bound ``receive`` of that node's sole agent; built
-        #: lazily by :meth:`_deliver_many` and cleared whenever
-        #: :meth:`attach`/:meth:`detach` changes any node's agent list
-        #: (the only mutation paths — ``Node.attach`` is not called
-        #: directly anywhere else).
-        self._receive_cache: Dict[NodeId, Callable[[Packet], None]] = {}
+        #: members tuple -> how to deliver to that run; built by
+        #: :meth:`_bind_run` on the run's first delivery and cleared
+        #: whenever :meth:`attach`/:meth:`detach` changes any node's
+        #: agent list (the only mutation paths — ``Node.attach`` is not
+        #: called directly anywhere else).
+        self._run_bindings: Dict[Tuple[NodeId, ...], RunBinding] = {}
         #: When True (and tracing is enabled), every packet handed to a
         #: node emits a "deliver" trace record. Off by default: delivery
         #: is the hottest path and check mode (repro.oracle) opts in.
@@ -186,12 +195,12 @@ class Network:
     def attach(self, node_id: NodeId, agent: Agent) -> Agent:
         self.nodes[node_id].attach(agent)
         agent.attached(self, node_id)
-        self._receive_cache.clear()
+        self._run_bindings.clear()
         return agent
 
     def detach(self, node_id: NodeId, agent: Agent) -> None:
         self.nodes[node_id].detach(agent)
-        self._receive_cache.clear()
+        self._run_bindings.clear()
 
     def join(self, node_id: NodeId, group: GroupAddress) -> None:
         self.groups.join(node_id, group)
@@ -393,17 +402,16 @@ class Network:
             raise KeyError(f"unknown scope zone {packet.scope_zone!r}")
         return all(node in zone for node in tree.path(target))
 
-    def _multicast_plan(self, tree: SourceTree,
-                        packet: Packet) -> Tuple[Tuple[PlanEntry, ...], int]:
+    def _multicast_plan(self, tree: SourceTree, packet: Packet) -> Plan:
         """TTL/zone-eligible receivers for this (origin, group, ttl, zone).
 
-        Returns ``(entries, receiver_count)``. Receivers sharing the same
-        (delay, hop count) are merged into one entry delivered by a single
-        event. Two same-send arrivals tie in time exactly when they tie in
-        delay, so a stable sort by delay followed by merging preserves the
-        per-receiver firing order the unmerged engine produced: receivers
-        at distinct delays were already ordered by time, and receivers at
-        equal delay keep their membership-iteration order inside the run.
+        Receivers sharing the same (delay, hop count) are merged into one
+        :data:`Plan` entry delivered by a single event. Two same-send
+        arrivals tie in time exactly when they tie in delay, so a stable
+        sort by delay followed by merging preserves the per-receiver
+        firing order the unmerged engine produced: receivers at distinct
+        delays were already ordered by time, and receivers at equal delay
+        keep their membership-iteration order inside the run.
 
         Drop filters are deliberately *not* folded in: their verdict can
         change per send (counting filters), so cuts are applied on top of
@@ -448,7 +456,11 @@ class Network:
             entries.append((run_dist, run_hops,
                             run_members[0] if len(run_members) == 1
                             else tuple(run_members)))
-        return tuple(entries), len(eligible)
+        per_entry = [entry[1] for entry in entries]
+        hop_counts = tuple(dict.fromkeys(per_entry))
+        slot_of = {count: slot for slot, count in enumerate(hop_counts)}
+        return (tuple(entries), len(eligible), hop_counts,
+                tuple([slot_of[count] for count in per_entry]))
 
     def _multicast_direct(self, packet: Packet) -> None:
         origin = packet.origin
@@ -461,12 +473,13 @@ class Network:
         if (cached is not None and cached[0] is tree
                 and cached[1] == self.groups.version
                 and cached[2] == self._zone_version):
-            plan, receivers = cached[3], cached[4]
+            plan, receivers, hop_counts, slots = cached[3]
             self.perf.plan_cache_hits += 1
         else:
-            plan, receivers = self._multicast_plan(tree, packet)
+            found = self._multicast_plan(tree, packet)
             self._plan_cache[key] = (tree, self.groups.version,
-                                     self._zone_version, plan, receivers)
+                                     self._zone_version, found)
+            plan, receivers, hop_counts, slots = found
             self.perf.plan_cache_misses += 1
         # Filters must be consulted on every send (their counters advance
         # with traffic), but the common case — no filter armed anywhere —
@@ -474,12 +487,12 @@ class Network:
         cuts = (self._dropped_subtrees(tree, packet)
                 if self._filtered_links else ())
         scheduler = self.scheduler
-        schedule = scheduler.schedule
         deliver = self._deliver
         deliver_many = self._deliver_many
-        copies: Dict[int, Packet] = {}
-        scheduled = 0
         if cuts:
+            schedule = scheduler.schedule
+            made: Dict[int, Packet] = {}
+            scheduled = 0
             for dist, hops, target in plan:
                 if type(target) is tuple:
                     kept = [member for member in target
@@ -492,31 +505,28 @@ class Network:
                     if any(target in cut for cut in cuts):
                         continue
                     count = 1
-                arrival = copies.get(hops)
+                arrival = made.get(hops)
                 if arrival is None:
-                    copies[hops] = arrival = _arrived_copy(packet, hops)
+                    made[hops] = arrival = _arrived_copies(packet,
+                                                           (hops,))[0]
                 if count == 1:
                     schedule(dist, deliver, target, arrival)
                 else:
                     schedule(dist, deliver_many, target, arrival)
                 scheduled += count
+            copied = len(made)
         else:
-            # Hot branch: one scheduler call arms the whole plan (one
-            # event per entry, exactly as the per-entry loop would).
-            arrivals: List[Packet] = []
-            append_arrival = arrivals.append
-            get_copy = copies.get
-            for _, hops, _ in plan:
-                arrival = get_copy(hops)
-                if arrival is None:
-                    copies[hops] = arrival = _arrived_copy(packet, hops)
-                append_arrival(arrival)
+            # Hot branch: every copy the plan needs is made up front and
+            # one scheduler call arms the whole plan (one event per
+            # entry, exactly as the per-entry loop would).
+            copies = _arrived_copies(packet, hop_counts)
             scheduler.run_plan(scheduler.now, plan, deliver, deliver_many,
-                               arrivals)
+                               [copies[slot] for slot in slots])
             scheduled = receivers
+            copied = len(hop_counts)
         counters = self.perf
-        counters.arrival_copies += len(copies)
-        counters.arrival_copies_shared += scheduled - len(copies)
+        counters.arrival_copies += copied
+        counters.arrival_copies_shared += scheduled - copied
         if self.account_bandwidth:
             members = self.groups.members(packet.dst)  # type: ignore[arg-type]
             self._account_multicast(tree, packet, members, cuts)
@@ -570,7 +580,7 @@ class Network:
                 return
             if self.account_bandwidth:
                 link.account(packet)
-        arrival = _arrived_copy(packet, tree.hops[dst])
+        arrival = _arrived_copies(packet, (tree.hops[dst],))[0]
         self.scheduler.schedule(tree.dist[dst], self._deliver, dst, arrival)
 
     # ------------------------------------------------------------------
@@ -696,36 +706,60 @@ class Network:
         One scheduler event replaces ``len(members)`` individual ones;
         ``batched_deliveries`` counts the events saved. When delivery
         tracing is off and ``_deliver`` is not overridden or wrapped, the
-        per-member hop through :meth:`_deliver` is skipped too. Otherwise
-        delivery routes through ``_deliver``, resolved at fire time (not
-        schedule time), so mid-run attachment changes — and tests that
-        wrap ``_deliver`` to observe deliveries — behave exactly as they
-        did when every receiver had its own event.
+        per-member hop through :meth:`_deliver` is skipped too: the run
+        goes to its agents' run handler in one call, or failing that to
+        each member's bound ``receive`` (see :meth:`_bind_run`).
+        Otherwise delivery routes through ``_deliver``, resolved at fire
+        time (not schedule time), so tests that wrap ``_deliver`` to
+        observe deliveries see every receiver exactly as they did when
+        each had its own event.
         """
-        self.perf.batched_deliveries += len(members) - 1
         if (not self.trace_deliveries
                 and type(self)._deliver is Network._deliver
                 and "_deliver" not in self.__dict__):
-            # Node.deliver's single-agent fast path, inlined and memoized:
-            # this loop body runs once per receiver per packet, so the
-            # node lookup / agent-count check / method bind is cached per
-            # member (invalidated by attach/detach).
-            cache = self._receive_cache
-            nodes = self.nodes
-            for member in members:
-                receive = cache.get(member)
-                if receive is None:
-                    agents = nodes[member].agents
-                    if len(agents) != 1:
-                        nodes[member].deliver(packet)
-                        continue
-                    receive = agents[0].receive
-                    cache[member] = receive
-                receive(packet)
+            try:
+                handler, targets, saved = self._run_bindings[members]
+            except KeyError:
+                handler, targets, saved = self._run_bindings[members] = \
+                    self._bind_run(members)
+            self.perf.batched_deliveries += saved
+            if handler is not None:
+                handler(targets, packet)
+            else:
+                for receive in targets:
+                    receive(packet)
             return
+        self.perf.batched_deliveries += len(members) - 1
         deliver = self._deliver
         for member in members:
             deliver(member, packet)
+
+    def _bind_run(self, members: Tuple[NodeId, ...]) -> RunBinding:
+        """Resolve how a run of members takes its packets.
+
+        The run handler (``Agent.receive_run``) serves the run when every
+        member node carries exactly one agent, all of one class, none
+        with a ``receive`` set on the instance (a test spy). Any other
+        run is bound per member: to the agents' ``receive`` when each
+        node has one agent, else to :meth:`Node.deliver`. Runs are bound
+        about as often as plans are built when every round has a fresh
+        network, hence no per-member call below.
+        """
+        nodes = self.nodes
+        saved = len(members) - 1
+        try:
+            agents = [agent for (agent,) in
+                      [nodes[member].agents for member in members]]
+        except ValueError:  # a node with no agent, or with several
+            return None, tuple([nodes[member].deliver
+                                for member in members]), saved
+        cls = agents[0].__class__
+        handler = cls.receive_run
+        if handler is None or [
+                agent for agent in agents
+                if agent.__class__ is not cls or "receive" in agent.__dict__]:
+            return None, tuple([agent.receive for agent in agents]), saved
+        return handler, tuple(agents), saved
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
@@ -737,8 +771,9 @@ class Network:
                 f"delivery={self.delivery}>")
 
 
-def _arrived_copy(packet: Packet, hops: int) -> Packet:
-    """The packet as seen by a receiver ``hops`` away from the origin.
+def _arrived_copies(packet: Packet,
+                    hop_counts: Sequence[int]) -> List[Packet]:
+    """The packet as seen by receivers ``hops`` away, per hop count.
 
     Clones by direct slot assignment rather than the dataclass
     constructor: this allocation runs once per (send, hop-distance), and
@@ -746,17 +781,27 @@ def _arrived_copy(packet: Packet, hops: int) -> Packet:
     only admit receivers with ``ttl >= hops``, so the TTL checks cannot
     fire) is a measurable share of the delivery hot path.
     """
-    if hops == 0:
-        return packet
-    copy = object.__new__(Packet)
-    copy.origin = packet.origin
-    copy.dst = packet.dst
-    copy.kind = packet.kind
-    copy.payload = packet.payload
-    copy.ttl = packet.ttl - hops
-    copy.initial_ttl = packet.initial_ttl
-    copy.size = packet.size
-    copy.scope_zone = packet.scope_zone
-    copy.uid = packet.uid
-    copy.sent_at = packet.sent_at
-    return copy
+    new = object.__new__
+    origin = packet.origin
+    dst = packet.dst
+    kind = packet.kind
+    payload = packet.payload
+    ttl = packet.ttl
+    initial_ttl = packet.initial_ttl
+    size = packet.size
+    scope_zone = packet.scope_zone
+    uid = packet.uid
+    sent_at = packet.sent_at
+    copies = [new(Packet) for _ in hop_counts]
+    for copy, hops in zip(copies, hop_counts):
+        copy.origin = origin
+        copy.dst = dst
+        copy.kind = kind
+        copy.payload = payload
+        copy.ttl = ttl - hops
+        copy.initial_ttl = initial_ttl
+        copy.size = size
+        copy.scope_zone = scope_zone
+        copy.uid = uid
+        copy.sent_at = sent_at
+    return copies

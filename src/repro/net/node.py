@@ -13,7 +13,7 @@ discrete-event :class:`~repro.net.network.Network` or to a real-time
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Any, Callable, ClassVar, Optional, Sequence, TYPE_CHECKING
 
 from repro.net.packet import NodeId, Packet
 
@@ -28,6 +28,21 @@ class Agent:
     Subclasses override :meth:`receive`. ``node_id`` and ``network`` are
     bound when the agent is attached via the engine's ``attach``.
     """
+
+    #: Optional run handler, ``receive_run(agents, packet)``: how this
+    #: class takes one multicast packet for a whole run of its instances
+    #: (receivers at one delay and hop count, each the only agent of its
+    #: node) in place of a :meth:`receive` call per agent. It must leave
+    #: every agent as the :meth:`receive` calls, made in order, would.
+    receive_run: ClassVar[Optional[
+        Callable[[Sequence["Agent"], Packet], None]]] = None
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "receive" in cls.__dict__ and "receive_run" not in cls.__dict__:
+            # A run handler stands in for the receive it was written
+            # beside; a subclass that replaces receive does not inherit it.
+            cls.receive_run = None
 
     def __init__(self) -> None:
         self.node_id: NodeId = -1

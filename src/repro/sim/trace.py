@@ -28,7 +28,7 @@ class TraceRecord:
 
 
 # ``Trace.record`` builds rows by writing the slots directly (the
-# ``_arrived_copy`` idiom of ``repro.net.network``): the generated frozen
+# ``_arrived_copies`` idiom of ``repro.net.network``): the generated frozen
 # ``__init__`` marshals four arguments into four ``object.__setattr__``
 # calls and costs about twice as much per row. Only this module holds
 # the slot descriptors; rows stay frozen, hashable and ``==`` to

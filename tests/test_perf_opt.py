@@ -166,6 +166,93 @@ def test_merged_star_arrivals_share_one_copy():
     assert log == sorted(log)
 
 
+def test_warm_plan_builds_one_arrival_per_distinct_hop_count():
+    """On a random tree several plan entries (different delays) share a
+    hop count; a send on the cached plan still makes exactly one arrival
+    ``Packet`` per distinct hop count and hands it to all of them."""
+    spec = random_labeled_tree(40, RandomSource(5))
+    network = spec.build(delivery="direct")
+    delays = RandomSource(5).fork("links")
+    for link in network.links:
+        link.delay = delays.choice((0.5, 1.0, 2.0))
+    network.invalidate_routes()
+    group = network.groups.allocate()
+    arrivals = []
+
+    class Keeper(Agent):
+        def receive(self, packet):
+            arrivals.append((self.node_id, packet))
+
+    for member in range(40):
+        network.attach(member, Keeper())
+        network.join(member, group)
+    network.send_multicast(0, group, "data", None)   # builds the plan
+    network.run()
+    arrivals.clear()
+    perf.reset()
+    sent = network.send_multicast(0, group, "data", None)
+    network.run()
+    counters = perf.counters()
+    assert counters.plan_cache_hits == 1 and counters.plan_cache_misses == 0
+    entries, receivers, hop_counts, slots = network._plan_cache[
+        (0, group.gid, sent.initial_ttl, None)][3]
+    assert receivers == len(arrivals) == 39
+    assert len(set(hop_counts)) == len(hop_counts) < len(entries)
+    assert [hop_counts[slot] for slot in slots] == [
+        hops for _, hops, _ in entries]
+    assert counters.arrival_copies == len(hop_counts)
+    assert counters.arrival_copies_shared == 39 - len(hop_counts)
+    assert len({id(packet) for _, packet in arrivals}) == len(hop_counts)
+    for node, packet in arrivals:
+        assert packet.hops_travelled() == network.hops(0, node)
+        assert packet is not sent and packet.uid == sent.uid
+
+
+def test_star_report_reaches_the_leaves_in_one_run_call(monkeypatch):
+    """One leaf's session report: the other leaves tie, so they are one
+    ``receive_run`` call and no ``receive`` / ``handle`` call; the hub
+    is alone at its distance, a scalar plan entry, and takes one of each
+    (docs/performance.md, "Batched session/state delivery")."""
+    from repro.core.agent import SrmAgent
+    from repro.core.config import SrmConfig
+    from repro.core.session import SessionProtocol
+
+    network = star(30).build(delivery="direct")
+    network.trace_deliveries = False  # check mode traces, never batches
+    group = network.groups.allocate("session")
+    master = RandomSource(9)
+    agents = {}
+    for member in range(30):  # the hub and leaves 1..29
+        agents[member] = SrmAgent(
+            SrmConfig(session_enabled=True), master.fork(f"m{member}"))
+        network.attach(member, agents[member])
+        agents[member].join_group(group)
+        agents[member].session.stop()   # only the report sent below
+    calls = {}
+
+    def count(owner, attr, note):
+        original = getattr(owner, attr)
+        calls[attr] = []
+
+        def counted(first, second):
+            calls[attr].append(note(first))
+            return original(first, second)
+
+        monkeypatch.setattr(owner, attr, staticmethod(counted)
+                            if attr == "receive_run" else counted)
+
+    count(SrmAgent, "receive_run", len)
+    count(SrmAgent, "receive", lambda agent: agent.node_id)
+    count(SessionProtocol, "handle", lambda session: session.agent.node_id)
+    agents[1].session.send_session_message()
+    network.run(until=3.0)
+    assert calls == {"receive_run": [28], "receive": [0], "handle": [0]}
+    assert all(1 in agents[member].session.last_heard
+               for member in range(30) if member != 1)
+    assert agents[0].session.last_heard[1] == (0.0, 1.0)
+    assert agents[29].session.last_heard[1] == (0.0, 2.0)
+
+
 def test_perf_counters_roundtrip_and_merge():
     first = perf.PerfCounters()
     first.events_executed = 3

@@ -1,0 +1,364 @@
+"""Batched session fan-in is invisible (docs/performance.md, "Batched
+session/state delivery").
+
+``Network._deliver_many`` hands a run of receivers that tie in (delay,
+hops) to ``SrmAgent.receive_run`` in one call, and a session report is
+then merged into the whole run by ``core.session.merge_report``. The
+reference is the per-receiver path the same method takes when
+``_deliver`` is set on the instance (the seam tests already use to watch
+deliveries): one ``Node.deliver`` -> ``receive`` -> ``handle`` chain per
+member. Both must leave the same trace, the same event count and the same
+state at every member.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.agent import SrmAgent
+from repro.core.config import SrmConfig
+from repro.core.messages import KIND_SESSION, SessionPayload, SessionTimestamp
+from repro.core.names import DEFAULT_PAGE, AduName
+from repro.net.link import NthPacketDropFilter
+from repro.net.node import Agent
+from repro.sim.rng import RandomSource
+from repro.topology.random_tree import random_labeled_tree
+from repro.topology.spec import TopologySpec
+from repro.topology.star import star
+
+from conftest import examples
+
+#: Few distinct link delays, so that receivers tie and runs form.
+DELAYS = (0.5, 1.0, 2.0)
+
+
+def deliver_per_receiver(network):
+    """Send ``_deliver_many`` down its per-member path."""
+    network._deliver = network._deliver
+
+
+def handler_bound_runs(network):
+    return [members for members, (handler, _, _)
+            in network._run_bindings.items() if handler is not None]
+
+
+def run_session(batched, *, n, seed, oracle, adopt, shared_node, center,
+                leaver):
+    """A session on a random tree of ``n`` nodes plus two twin leaves.
+
+    Sessions on; one data packet whose loss only a session report can
+    reveal; the members near ``center`` scope their reports to a zone;
+    ``shared_node`` carries a second agent; ``leaver`` leaves mid-run.
+    """
+    tree = random_labeled_tree(n, RandomSource(seed))
+    # The twins hang off node 0 at equal delay: they tie for every other
+    # origin, so every case has at least one run.
+    spec = TopologySpec(name="tree+twins", num_nodes=n + 2,
+                        edges=tree.edges + [(0, n), (0, n + 1)])
+    network = spec.build()
+    link_rng = RandomSource(seed).fork("links")
+    for link in network.links[:-2]:
+        link.delay = link_rng.choice(DELAYS)
+    network.invalidate_routes()
+    network.trace.enabled = True
+    # Check mode (SRM_CHECK=1) traces deliveries, which never batches.
+    network.trace_deliveries = False
+    if not batched:
+        deliver_per_receiver(network)
+    group = network.groups.allocate("session")
+    config = SrmConfig(session_enabled=True, session_min_interval=5.0,
+                       distance_oracle=oracle, adopt_streams=adopt)
+    master = RandomSource(seed)
+    agents = {}
+    for member in range(n + 2):
+        agent = SrmAgent(config.copy(), master.fork(f"member-{member}"))
+        network.attach(member, agent)
+        agent.join_group(group)
+        agents[member] = agent
+    lodger = SrmAgent(config.copy(), master.fork("lodger"))
+    network.attach(shared_node, lodger)
+    lodger.join_group(network.groups.allocate("side"))
+    zone = {node for node in range(n + 2)
+            if network.hops(center, node) <= 2}
+    network.define_scope_zone("site", zone)
+    for node in zone - {center}:
+        agents[node].session.scope_zone = "site"
+    source = 0
+    network.add_drop_filter(*tree.edges[seed % len(tree.edges)],
+                            NthPacketDropFilter(
+        lambda p: p.kind == "srm-data" and p.origin == source))
+    network.scheduler.schedule(1.0, agents[source].send_data, "tail")
+    if leaver is not None:
+        network.scheduler.schedule(12.3, agents[leaver].leave_group)
+    network.run(until=40.0)
+    agents["lodger"] = lodger
+    return network, agents
+
+
+def observed(network, agents):
+    """Everything the two delivery paths must agree on."""
+    rows = [f"{row.time!r} {row.node} {row.kind} " + repr(sorted(
+                (key, repr(value)) for key, value in row.detail.items()
+                if key != "packet"))  # uids count across both runs
+            for row in network.trace]
+    members = {}
+    for node, agent in agents.items():
+        reception = agent.reception
+        members[node] = (
+            dict(agent.session.last_heard),
+            dict(getattr(agent.distances, "estimates", {})),
+            reception.streams(),
+            list(reception.page_state(DEFAULT_PAGE).items()),
+            [reception.missing(*stream) for stream in reception.streams()],
+            agent.pending_requests(), len(agent.store))
+    return "\n".join(rows).encode(), network.scheduler.events_processed, \
+        members
+
+
+@settings(max_examples=examples(25))
+@given(data=st.data())
+def test_batched_and_per_receiver_delivery_agree(data):
+    n = data.draw(st.integers(4, 38), label="nodes")
+    case = dict(
+        n=n, seed=data.draw(st.integers(0, 10_000), label="seed"),
+        oracle=data.draw(st.booleans(), label="distance_oracle"),
+        adopt=data.draw(st.booleans(), label="adopt_streams"),
+        shared_node=data.draw(st.integers(1, n - 1), label="shared_node"),
+        center=data.draw(st.integers(0, n + 1), label="zone_center"),
+        leaver=data.draw(st.none() | st.integers(1, n + 1), label="leaver"))
+    batched_network, batched_agents = run_session(True, **case)
+    plain_network, plain_agents = run_session(False, **case)
+    assert handler_bound_runs(batched_network)
+    assert not plain_network._run_bindings
+    batched = observed(batched_network, batched_agents)
+    plain = observed(plain_network, plain_agents)
+    assert batched[0] == plain[0]
+    assert batched[1:] == plain[1:]
+    assert b"send_session" in batched[0]
+    if not case["adopt"]:
+        # The tail loss was found, and only a session report could.
+        assert b"loss_detected" in batched[0]
+
+
+def test_hop_engine_sees_the_same_session(monkeypatch):
+    """``delivery="hop"`` never batches: every report goes through
+    ``handle``, and the members end up where the direct engine's do."""
+    handled = []
+    original = SrmAgent.receive_run
+    monkeypatch.setattr(SrmAgent, "receive_run", staticmethod(
+        lambda agents, packet: handled.append(len(agents))
+        or original(agents, packet)))
+    results = {}
+    for delivery in ("direct", "hop"):
+        handled.clear()
+        network, agents = star_session(delivery=delivery, periodic=True)
+        network.run(until=30.0)
+        results[delivery] = {
+            node: ({peer: sent for peer, (sent, _)
+                    in agent.session.last_heard.items()},
+                   agent.session.messages_sent)
+            for node, agent in agents.items()}
+        assert bool(handled) == (delivery == "direct")
+    assert results["direct"] == results["hop"]
+
+
+# ----------------------------------------------------------------------
+# The edges of run binding and of the merge, one at a time
+# ----------------------------------------------------------------------
+
+def star_session(members=range(1, 7), delivery="direct", sessionless=(),
+                 periodic=False, **overrides):
+    """SRM agents on leaves of a star: from any leaf, the others tie.
+
+    Unless ``periodic``, the report timers are stopped and a test sends
+    the reports it wants (:func:`report_from`).
+    """
+    network = star(6).build(delivery=delivery)
+    network.trace_deliveries = False  # see run_session
+    group = network.groups.allocate("session")
+    master = RandomSource(3)
+    agents = {}
+    for leaf in members:
+        config = SrmConfig(session_enabled=leaf not in sessionless,
+                           session_min_interval=5.0, **overrides)
+        agents[leaf] = SrmAgent(config, master.fork(f"member-{leaf}"))
+        network.attach(leaf, agents[leaf])
+        agents[leaf].join_group(group)
+        if not periodic and agents[leaf].session is not None:
+            agents[leaf].session.stop()
+    return network, agents
+
+
+def report_from(agent):
+    """One session report, now, and its delivery."""
+    agent.session.send_session_message()
+    network = agent.network
+    network.run(until=network.scheduler.now + 2.5)
+
+
+def heard(agents, peer):
+    return sorted(node for node, agent in agents.items()
+                  if agent.session is not None
+                  and peer in agent.session.last_heard)
+
+
+class Listener(Agent):
+    """A non-SRM agent that joined the session's group."""
+
+    def __init__(self):
+        super().__init__()
+        self.kinds = []
+
+    def receive(self, packet):
+        self.kinds.append(packet.kind)
+
+
+def test_session_kind_without_a_report_goes_agent_by_agent(monkeypatch):
+    """The merge reads ``SessionPayload`` fields; anything else carried
+    under the session kind is left to each agent's ``receive``."""
+    network, agents = star_session(sessionless=range(1, 7))
+    received = []
+    original = SrmAgent.receive
+    monkeypatch.setattr(SrmAgent, "receive", lambda self, packet: (
+        received.append(self.node_id), original(self, packet))[1])
+    network.send_multicast(1, agents[1].group, KIND_SESSION, None)
+    network.run()
+    assert received == [2, 3, 4, 5, 6]
+    assert handler_bound_runs(network) == [(2, 3, 4, 5, 6)]
+
+
+def test_merge_skips_an_agent_without_a_session_protocol():
+    network, agents = star_session(sessionless=(4,))
+    assert agents[4].session is None
+    report_from(agents[1])
+    assert heard(agents, 1) == [2, 3, 5, 6]
+    assert handler_bound_runs(network) == [(2, 3, 4, 5, 6)]
+
+
+def test_instance_level_receive_keeps_its_run_off_the_handler():
+    network, agents = star_session()
+    seen = []
+    original = agents[3].receive
+    agents[3].receive = lambda packet: (seen.append(packet.kind),
+                                        original(packet))[1]
+    report_from(agents[1])
+    assert seen == [KIND_SESSION]
+    assert heard(agents, 1) == [2, 3, 4, 5, 6]
+    assert not handler_bound_runs(network)
+    # A run the spy is not part of is still batched.
+    report_from(agents[3])
+    assert handler_bound_runs(network) == [(1, 2, 4, 5, 6)]
+
+
+def test_mixed_agent_classes_are_not_batched():
+    network, agents = star_session(members=range(1, 6))
+    listener = Listener()
+    network.attach(6, listener)
+    network.join(6, agents[1].group)
+    report_from(agents[1])
+    assert listener.kinds == [KIND_SESSION]
+    assert heard(agents, 1) == [2, 3, 4, 5]
+    assert list(network._run_bindings) == [(2, 3, 4, 5, 6)]
+    assert not handler_bound_runs(network)
+
+
+def test_subclass_that_replaces_receive_drops_the_run_handler():
+    class Quiet(SrmAgent):
+        def receive(self, packet):
+            pass
+
+    class Renamed(SrmAgent):
+        pass
+
+    assert Quiet.receive_run is None
+    assert Renamed.receive_run is SrmAgent.receive_run
+    assert Agent.receive_run is None and Listener.receive_run is None
+
+
+def test_a_member_that_left_is_skipped_by_the_merge():
+    network, agents = star_session()
+    agents[1].session.send_session_message()
+    # The report is in flight (2.0 away); its plan still names leaf 4.
+    network.scheduler.schedule(1.0, agents[4].leave_group)
+    network.run(until=network.scheduler.now + 2.5)
+    assert heard(agents, 1) == [2, 3, 5, 6]
+    assert handler_bound_runs(network) == [(2, 3, 4, 5, 6)]
+
+
+def test_attach_and_detach_rebind_the_run():
+    network, agents = star_session()
+    report_from(agents[1])
+    run = (2, 3, 4, 5, 6)
+    assert handler_bound_runs(network) == [run]
+    lodger = Listener()
+    network.attach(4, lodger)
+    assert not network._run_bindings
+    report_from(agents[1])
+    assert lodger.kinds == [KIND_SESSION]
+    assert list(network._run_bindings) == [run]
+    assert not handler_bound_runs(network)
+    network.detach(4, lodger)
+    report_from(agents[1])
+    assert lodger.kinds == [KIND_SESSION]
+    assert handler_bound_runs(network) == [run]
+    assert all(agent.session.last_heard[1][0] == network.scheduler.now - 2.5
+               for node, agent in agents.items() if node != 1)
+
+
+def test_streams_off_the_reported_page_still_reach_note_high_water():
+    """No member reports one, a decoded datagram may: a stream keyed by a
+    page other than ``payload.page`` takes the general path."""
+    network, agents = star_session()
+    network.trace.enabled = True
+    other = agents[1].create_page(7)
+    payload = SessionPayload(
+        member=1, sent_at=0.0, page=DEFAULT_PAGE,
+        page_state={(1, other): 2, (1, DEFAULT_PAGE): 1})
+    network.send_multicast(1, agents[1].group, KIND_SESSION, payload)
+    network.run(until=2.5)
+    for node in (2, 3, 4, 5, 6):
+        assert agents[node].reception.missing(1, other) == [
+            AduName(1, other, 1), AduName(1, other, 2)]
+        assert agents[node].reception.missing(1, DEFAULT_PAGE) == [
+            AduName(1, DEFAULT_PAGE, 1)]
+    detected = [(row.node, row.detail["name"])
+                for row in network.trace.filter(kind="loss_detected")]
+    # Receiver by receiver, each in the report's stream order.
+    assert detected == [
+        (node, name) for node in (2, 3, 4, 5, 6)
+        for name in (AduName(1, other, 1), AduName(1, other, 2),
+                     AduName(1, DEFAULT_PAGE, 1))]
+
+
+@pytest.mark.parametrize("oracle", [True, False])
+def test_handle_is_the_one_receiver_call_of_the_merge(oracle):
+    """``SessionProtocol.handle`` on each member in turn leaves what one
+    merged run leaves (the echo branch included when distances are
+    learned from session messages)."""
+    outcomes = []
+    for batched in (True, False):
+        network, agents = star_session(distance_oracle=oracle)
+        scheduler = network.scheduler
+        payload = SessionPayload(
+            member=1, sent_at=scheduler.now, page=DEFAULT_PAGE,
+            page_state={(1, DEFAULT_PAGE): 1},
+            echoes={2: SessionTimestamp(t1=-3.0, delta=0.5)})
+        if batched:
+            network.send_multicast(1, agents[1].group, KIND_SESSION,
+                                   payload)
+        else:
+            scheduler.schedule(2.0, lambda: [
+                agents[node].session.handle(payload)
+                for node in (2, 3, 4, 5, 6)])
+        network.run(until=2.0)
+        outcomes.append({
+            node: (agent.session.last_heard[1],
+                   dict(getattr(agent.distances, "estimates", {})),
+                   agent.pending_requests())
+            for node, agent in agents.items() if node != 1})
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][3][2] == [AduName(1, DEFAULT_PAGE, 1)]
+    if not oracle:
+        assert outcomes[0][2][1][1] == ((2.0 + 3.0) - 0.5) / 2.0

@@ -248,3 +248,103 @@ def test_property_revealed_names_are_each_revealed_once(seqs, high):
         if first_rx is not None:
             # It must have been revealed by an earlier higher arrival.
             assert any(s > missing_name.seq for s in seqs[:first_rx])
+
+
+# ----------------------------------------------------------------------
+# Model-based: the page-indexed tables against a flat dict-of-sets model
+# ----------------------------------------------------------------------
+
+class FlatModel:
+    """Reception state the obvious way: one dict per table, keyed by
+    (source, page), every stream starting at sequence 1."""
+
+    def __init__(self, adopt):
+        self.adopt = adopt
+        self.received, self.high, self.base = {}, {}, {}
+
+    def _reveal(self, key, seq, exclude):
+        base = self.base.get(key, 1)
+        previous = self.high.get(key, base - 1)
+        if seq <= previous:
+            return []
+        self.high[key] = seq
+        got = self.received.setdefault(key, set())
+        return [AduName(key[0], key[1], s)
+                for s in range(max(previous + 1, base), seq + 1)
+                if s != exclude and s not in got]
+
+    def mark_received(self, adu):
+        key = (adu.source, adu.page)
+        if self.adopt and key not in self.base and key not in self.high:
+            self.base[key] = adu.seq
+        self.received.setdefault(key, set()).add(adu.seq)
+        return self._reveal(key, adu.seq, adu.seq)
+
+    def note_high_water(self, source, page, seq):
+        key = (source, page)
+        if self.adopt and key not in self.base and key not in self.high:
+            self.base[key], self.high[key] = seq + 1, seq
+            return []
+        return self._reveal(key, seq, None)
+
+    def missing(self, source, page):
+        key = (source, page)
+        base = self.base.get(key, 1)
+        return [AduName(source, page, s)
+                for s in range(base, self.high.get(key, base - 1) + 1)
+                if s not in self.received.get(key, ())]
+
+
+MODEL_PAGES = [DEFAULT_PAGE, PageId(1, 5), PageId(2, 5)]
+MODEL_SOURCES = [1, 2, 3]
+
+_model_ops = st.lists(
+    st.tuples(st.booleans(), st.sampled_from(MODEL_SOURCES),
+              st.sampled_from(MODEL_PAGES), st.integers(1, 12)),
+    max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(adopt=st.booleans(), ops=_model_ops)
+def test_property_page_indexed_tables_match_the_flat_model(adopt, ops):
+    state = ReceptionState(adopt_streams=adopt)
+    model = FlatModel(adopt)
+    for is_data, source, page, seq in ops:
+        # A fresh but equal PageId per call: lookups are by value.
+        page = PageId(page.creator, page.number)
+        if is_data:
+            adu = AduName(source, page, seq)
+            assert state.mark_received(adu) == model.mark_received(adu)
+        else:
+            assert state.note_high_water(source, page, seq) \
+                == model.note_high_water(source, page, seq)
+    assert state.streams() == sorted(model.high)
+    for page in MODEL_PAGES:
+        report = state.page_state(page)
+        # Same streams in the same (first-heard) order, this page's only.
+        assert list(report.items()) == [
+            (key, high) for key, high in model.high.items()
+            if key[1] == page]
+        report[(99, page)] = 1
+        report.update(dict.fromkeys(report, 0))
+        assert (99, page) not in state.page_state(page)
+        for source in MODEL_SOURCES:
+            key = (source, page)
+            assert state.missing(source, page) == model.missing(source, page)
+            assert state.highest_seq(source, page) == model.high.get(
+                key, model.base.get(key, 1) - 1)
+            assert state.high_water_table(page).get(source) \
+                == model.high.get(key)
+            for seq in range(1, 13):
+                assert state.has_received(AduName(source, page, seq)) \
+                    == (seq in model.received.get(key, ()))
+
+
+def test_queries_about_an_unheard_page_leave_no_record():
+    state = ReceptionState()
+    elsewhere = PageId(9, 9)
+    assert state.page_state(elsewhere) == {}
+    assert state.missing(1, elsewhere) == []
+    assert state.highest_seq(1, elsewhere) == 0
+    assert not state.has_received(name(1, page=elsewhere))
+    assert state._pages == {}
