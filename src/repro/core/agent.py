@@ -395,10 +395,9 @@ class SrmAgent(Agent):
         self._last_request_period_at = now
         context = RequestContext(
             name=name, detected_at=now,
-            timer=Timer(self.network.scheduler, lambda: None))
-        context.timer = Timer(self.network.scheduler,
-                              lambda: self._request_timer_expired(context),
-                              name=f"req:{name}@{self.node_id}")
+            timer=Timer(self.network.scheduler,
+                        lambda: self._request_timer_expired(context),
+                        name=f"req:{name}@{self.node_id}"))
         context.request_ttl_used = self._request_ttl(name)
         context.request_zone_used = self.config.request_scope_zone
         context.group = self._recovery_group_for(name)
@@ -526,8 +525,7 @@ class SrmAgent(Agent):
             # A request reveals data we did not know existed: enter loss
             # recovery directly in the backed-off state, as if our own
             # timer had just been reset by this request.
-            newly_missing = self.reception.note_high_water(
-                name.source, name.page, name.seq)
+            newly_missing = self.reception.note_high_water(*name)
             for missing in newly_missing:
                 self.on_loss_detected(missing)
             fresh = self._requests.get(name)
@@ -555,14 +553,13 @@ class SrmAgent(Agent):
         self._last_repair_period_name = name
         context = RepairContext(
             name=name, requester=payload.requester, set_at=now,
-            timer=Timer(self.network.scheduler, lambda: None),
+            timer=Timer(self.network.scheduler,
+                        lambda: self._repair_timer_expired(context),
+                        name=f"rep:{name}@{self.node_id}"),
             request_initial_ttl=packet.initial_ttl,
             request_hops=packet.hops_travelled(),
             request_zone=packet.scope_zone,
             reply_group=packet.dst if packet.dst != self.group else None)
-        context.timer = Timer(self.network.scheduler,
-                              lambda: self._repair_timer_expired(context),
-                              name=f"rep:{name}@{self.node_id}")
         self._repairs[name] = context
         context.timer.start(self._draw_repair_delay(payload.requester))
         self.trace("repair_scheduled", name=name,
@@ -745,11 +742,10 @@ class SrmAgent(Agent):
                 self._page_requests[page].timer.pending:
             return
         context = PageRequestContext(
-            page=page, timer=Timer(self.network.scheduler, lambda: None))
-        context.timer = Timer(
-            self.network.scheduler,
-            lambda: self._page_request_timer_expired(context),
-            name=f"pagereq:{page}@{self.node_id}")
+            page=page,
+            timer=Timer(self.network.scheduler,
+                        lambda: self._page_request_timer_expired(context),
+                        name=f"pagereq:{page}@{self.node_id}"))
         self._page_requests[page] = context
         distance = self._distance_or_default(page.creator)
         params = self.params
@@ -782,12 +778,10 @@ class SrmAgent(Agent):
         if own is not None and own.is_reply and own.timer.pending:
             return
         reply_context = PageRequestContext(
-            page=page, timer=Timer(self.network.scheduler, lambda: None),
-            is_reply=True)
-        reply_context.timer = Timer(
-            self.network.scheduler,
-            lambda: self._page_reply_timer_expired(reply_context),
-            name=f"pagerep:{page}@{self.node_id}")
+            page=page, is_reply=True,
+            timer=Timer(self.network.scheduler,
+                        lambda: self._page_reply_timer_expired(reply_context),
+                        name=f"pagerep:{page}@{self.node_id}"))
         self._page_requests[page] = reply_context
         distance = self.distances.distance(payload.requester)
         params = self.params

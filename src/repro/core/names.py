@@ -9,11 +9,10 @@ once bound, rebinding a name to different bytes is an application bug that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class PageId:
+class PageId(NamedTuple):
     """A page: the unit of state reported in session messages.
 
     ``creator`` is the Source-ID of the member that created the page and
@@ -23,52 +22,43 @@ class PageId:
     creator: int
     number: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.creator, self.number)))
-
     def __str__(self) -> str:
         return f"page({self.creator}:{self.number})"
-
-
-# Page ids key the per-stream reception tables consulted on every data
-# arrival and session report; the generated hash rebuilds a field tuple
-# per call. Hash once at construction (equal pages hash the same tuple,
-# so this is consistent with equality). Assigned after class creation so
-# the dataclass machinery does not replace it.
-PageId.__hash__ = lambda self: self._hash  # type: ignore[method-assign]
 
 
 #: The page used by applications that do not need the page hierarchy.
 DEFAULT_PAGE = PageId(creator=0, number=0)
 
 
-@dataclass(frozen=True, order=True)
-class AduName:
+class _AduFields(NamedTuple):
+    source: int
+    page: PageId
+    seq: int
+
+
+class AduName(_AduFields):
     """The persistent name of one application data unit.
 
     ``source`` is the Source-ID of the member that created the ADU,
     ``page`` the container it belongs to, and ``seq`` the source-local
     sequence number within that page. Sequence numbers start at 1 and,
     per the paper, have "sufficient precision to never wrap" (Python ints).
+
+    Names (and pages) are tuples: they key the data store, the request,
+    repair and hold-down tables on every packet, and a tuple hashes,
+    compares and orders in C without entering a Python frame.
     """
 
-    source: int
-    page: PageId
-    seq: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.seq < 1:
-            raise ValueError(f"sequence numbers start at 1, got {self.seq}")
-        object.__setattr__(
-            self, "_hash", hash((self.source, self.page, self.seq)))
+    def __new__(cls, source: int, page: PageId, seq: int) -> "AduName":
+        if seq < 1:
+            raise ValueError(f"sequence numbers start at 1, got {seq}")
+        return tuple.__new__(cls, (source, page, seq))
 
     def __str__(self) -> str:
-        return f"{self.source}:{self.page.creator}.{self.page.number}:{self.seq}"
-
-
-# Names key the data store, request table, and repair table on every
-# packet; cache the hash at construction like PageId above.
-AduName.__hash__ = lambda self: self._hash  # type: ignore[method-assign]
+        source, (creator, number), seq = self
+        return f"{source}:{creator}.{number}:{seq}"
 
 
 def name_range(source: int, page: PageId, first_seq: int,

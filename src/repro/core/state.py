@@ -146,8 +146,9 @@ class ReceptionState:
             source, streams.base.get(source, self.first_seq) - 1)
 
     def has_received(self, name: AduName) -> bool:
-        received = self._pages.get(name.page, _NO_STREAMS).received
-        return name.source in received and name.seq in received[name.source]
+        source, page, seq = name
+        received = self._pages.get(page, _NO_STREAMS).received
+        return source in received and seq in received[source]
 
     def mark_received(self, name: AduName) -> List[AduName]:
         """Record receipt of ``name``; returns newly-discovered gaps.
@@ -156,9 +157,8 @@ class ReceptionState:
         were revealed missing by this arrival (they were not previously
         known to exist).
         """
-        source = name.source
-        seq = name.seq
-        streams = self._page_streams(name.page)
+        source, page, seq = name
+        streams = self._page_streams(page)
         if (self.adopt_streams and source not in streams.base
                 and source not in streams.high):
             # First contact with this stream: adopt it from here on and
@@ -169,7 +169,7 @@ class ReceptionState:
             received[source].add(seq)
         else:
             received[source] = {seq}
-        return self._raise_high_water(streams, source, name.page, seq,
+        return self._raise_high_water(streams, source, page, seq,
                                       exclude=seq)
 
     def note_high_water(self, source: int, page: PageId,

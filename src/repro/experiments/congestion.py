@@ -93,6 +93,10 @@ def run_congestion_experiment(
         agents[node].store.have(AduName(0, DEFAULT_PAGE, seq))
         for node in range(chain_length)
         for seq in range(1, burst + 2))
+    # The session is unreachable from here on but cyclic (agents <-> nodes,
+    # timers <-> contexts), so it waits for a full collection; release the
+    # trace rows — most of its objects — now rather than in that pause.
+    network.trace.clear()
     return CongestionOutcome(
         packets_sent=burst + 1,
         queue_drops=bottleneck.queue_drops,

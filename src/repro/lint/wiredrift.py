@@ -158,7 +158,7 @@ def extract_codec_surface(source: str) -> Dict[str, _FunctionSurface]:
 
 
 def _live_type_fields() -> Dict[str, List[str]]:
-    """Field names of every wired dataclass, from the live classes."""
+    """Field names of every wired type, from the live classes."""
     from repro.core.names import AduName
     from repro.experiments.common import (ExperimentSpec, RoundOutcome,
                                           RunResult, Scenario)
@@ -167,7 +167,9 @@ def _live_type_fields() -> Dict[str, List[str]]:
 
     classes = (ExperimentSpec, RunResult, Scenario, TopologySpec,
                RoundOutcome, LossEventReport, MemberTiming, AduName)
-    return {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+    # AduName is tuple-backed (``_fields``); the rest are dataclasses.
+    return {cls.__name__: list(getattr(cls, "_fields", None)
+                               or [f.name for f in dataclasses.fields(cls)])
             for cls in classes}
 
 

@@ -97,19 +97,27 @@ class Packet:
         return self.initial_ttl - self.ttl
 
     def forwarded_copy(self) -> "Packet":
-        """The copy sent one hop further: same identity, TTL minus one."""
-        return Packet(
-            origin=self.origin,
-            dst=self.dst,
-            kind=self.kind,
-            payload=self.payload,
-            ttl=self.ttl - 1,
-            initial_ttl=self.initial_ttl,
-            size=self.size,
-            scope_zone=self.scope_zone,
-            uid=self.uid,
-            sent_at=self.sent_at,
-        )
+        """The copy sent one hop further: same identity, TTL minus one.
+
+        A slot-by-slot clone, not a constructor call: the hop engine
+        makes one per link crossing, and every other field was validated
+        when the original was built.
+        """
+        ttl = self.ttl - 1
+        if ttl < 0:
+            raise ValueError(f"negative ttl {ttl}")
+        copy = object.__new__(Packet)
+        copy.origin = self.origin
+        copy.dst = self.dst
+        copy.kind = self.kind
+        copy.payload = self.payload
+        copy.ttl = ttl
+        copy.initial_ttl = self.initial_ttl
+        copy.size = self.size
+        copy.scope_zone = self.scope_zone
+        copy.uid = self.uid
+        copy.sent_at = self.sent_at
+        return copy
 
     def __str__(self) -> str:
         return (f"<{self.kind} #{self.uid} {self.origin}->{self.dst} "

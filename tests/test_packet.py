@@ -1,5 +1,7 @@
 """Unit tests for packets and addresses."""
 
+import dataclasses
+
 import pytest
 
 from repro.net.packet import (
@@ -46,6 +48,30 @@ def test_forwarded_copy_decrements_ttl_only():
     assert copy.uid == packet.uid
     assert copy.origin == packet.origin
     assert copy.hops_travelled() == 1
+
+
+def test_forwarded_copy_matches_the_constructor_field_by_field():
+    """``forwarded_copy`` clones slot by slot; it must build what the
+    constructor would, and refuse what the constructor refuses."""
+    payload = ["shared, not copied"]
+    packet = Packet(origin=4, dst=GroupAddress(2, "g"), kind="srm-data",
+                    payload=payload, ttl=9, initial_ttl=12, size=640,
+                    scope_zone="campus", sent_at=3.5)
+    copy = packet.forwarded_copy()
+    built = Packet(origin=4, dst=GroupAddress(2, "g"), kind="srm-data",
+                   payload=payload, ttl=8, initial_ttl=12, size=640,
+                   scope_zone="campus", uid=packet.uid, sent_at=3.5)
+    for field in dataclasses.fields(Packet):
+        assert getattr(copy, field.name) == getattr(built, field.name), \
+            field.name
+    assert copy == built and copy is not packet
+    assert copy.payload is payload
+    assert packet.ttl == 9  # the original is left alone
+    last_hop = Packet(origin=4, dst=GroupAddress(2), kind="data", ttl=0)
+    with pytest.raises(ValueError, match="negative ttl -1"):
+        last_hop.forwarded_copy()
+    with pytest.raises(ValueError, match="negative ttl -1"):
+        dataclasses.replace(last_hop, ttl=-1)
 
 
 def test_hops_travelled_accumulates():

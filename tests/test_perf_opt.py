@@ -352,3 +352,76 @@ def test_check_mode_compares_streamed_report_with_the_rescan(monkeypatch):
     _, outcome, scans, _ = _instrumented_star_round(monkeypatch)
     assert scans == [outcome.name]
     assert outcome.recovered
+
+
+# ----------------------------------------------------------------------
+# Call budgets (docs/performance.md, "Hop engine: forwarding tables"):
+# what a name probe and a hop may cost in Python frames. C calls are not
+# counted; the ledger's pycalls_per_op counts both.
+# ----------------------------------------------------------------------
+
+
+def _python_frames(fn, inside=None):
+    """Qualified names of the Python frames ``fn()`` enters, ``fn``'s own
+    excluded; frames entered under a call of the code ``inside`` too."""
+    frames = []
+    depth = 0   # > 0 while under an ``inside`` frame
+
+    def profiler(frame, event, arg):
+        nonlocal depth
+        if event == "call":
+            if depth or frame.f_code is inside:
+                depth += 1
+            else:
+                frames.append(frame.f_code.co_qualname)
+        elif event == "return" and depth:
+            depth -= 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return frames[1:]
+
+
+def test_name_probes_enter_no_python_frame():
+    from repro.core.names import AduName, PageId
+
+    name = AduName(3, PageId(3, 7), 12)
+    twin = AduName(3, PageId(3, 7), 12)
+    table = {name: "held"}
+    results = []
+
+    def probe():
+        results.append((table[twin], twin in table, table.get(twin),
+                        name == twin, name != twin, name < twin,
+                        hash(twin) == hash(name), twin.page in {name.page}))
+
+    assert _python_frames(probe) == []
+    assert results == [("held", True, "held", True, False, False, True,
+                        True)]
+
+
+def test_a_hop_costs_at_most_four_python_frames_outside_receive():
+    """One multicast down a 10-node chain: per hop the engine enters
+    ``_multicast_arrive``, ``forwarded_copy`` and ``schedule_at`` (12
+    frames before the forwarding tables). Per-hop membership or prune
+    lookups, or a second frame between arrival and forwarding, would
+    show here before they show in the ledger."""
+    from repro.topology.chain import chain
+
+    network = chain(10).build(delivery="hop")
+    network.trace_deliveries = False  # check mode delivers via _deliver
+    group = network.groups.allocate()
+    log = []
+    for member in range(10):
+        network.attach(member, Recorder(log))
+        network.join(member, group)
+    network.send_multicast(0, group, "data")
+    frames = _python_frames(network.run, inside=Recorder.receive.__code__)
+    hops = 9
+    assert [node for _, node, _, _ in log] == list(range(1, 10))
+    assert frames.count("Network._multicast_arrive") == hops
+    assert len(frames) <= 4 * hops, sorted(set(frames))

@@ -4,6 +4,7 @@ from repro.net.node import Agent
 from repro.net.packet import Packet
 from repro.topology.btree import balanced_tree
 from repro.topology.chain import chain
+from repro.topology.spec import TopologySpec
 
 
 class Sink(Agent):
@@ -82,3 +83,52 @@ def test_empty_group_generates_no_traffic():
                                "data")
     network.run()
     assert all(link.packets_carried == 0 for link in network.links)
+
+
+def square_with_member_at_3():
+    """0-1-3 costs 2 and 0-2-3 costs 4: node 0's tree reaches 3 via 1."""
+    network = TopologySpec(
+        name="square", num_nodes=4,
+        edges=[(0, 1), (1, 3), (0, 2), (2, 3)]).build(delivery="hop")
+    network.link_between(0, 2).delay = 2.0
+    network.link_between(2, 3).delay = 2.0
+    network.invalidate_routes()
+    group = network.groups.allocate()
+    arrivals = []
+
+    class Clock(Agent):
+        def receive(self, packet):
+            arrivals.append(self.now)
+
+    network.attach(3, Clock())
+    network.join(3, group)
+    return network, group, arrivals
+
+
+def slow_down_link_0_1(network):
+    network.link_between(0, 1).delay = 10.0
+    network.invalidate_routes()
+
+
+def test_prune_follows_a_route_change_without_a_membership_change():
+    """The pruned state belongs to one source tree: after a topology edit
+    reshapes node 0's tree (now 0-2-3) the next multicast must not be
+    forwarded into — and silently dropped by — the old tree's prune."""
+    network, group, arrivals = square_with_member_at_3()
+    network.send_multicast(0, group, "data")
+    network.run()
+    assert arrivals == [2.0]
+    slow_down_link_0_1(network)
+    network.send_multicast(0, group, "data")
+    network.run()
+    assert arrivals == [2.0, 6.0]
+    assert network.packets_dropped == 0
+
+
+def test_packet_in_flight_finishes_on_its_old_tree():
+    network, group, arrivals = square_with_member_at_3()
+    network.send_multicast(0, group, "data")
+    network.scheduler.schedule_at(0.5, slow_down_link_0_1, network)
+    network.run()
+    # Already on link 0-1 (delay 1 when it left) it goes on through 1.
+    assert arrivals == [2.0]

@@ -88,6 +88,17 @@ def test_canonical_handles_plain_data():
     assert value["c"]["__type__"].endswith("SrmConfig")
 
 
+def test_canonical_encodes_a_bare_name_as_its_field_list():
+    """Names are tuples (repro.core.names), so one passed bare would
+    fingerprint as the list of its fields. No task argument carries one
+    today — sweeps pass specs, which go through ``to_wire`` — and this
+    pins the encoding for whoever adds the first."""
+    from repro.core.names import AduName, PageId
+
+    name = AduName(source=3, page=PageId(creator=3, number=7), seq=12)
+    assert canonical({"name": name}) == {"name": [3, [3, 7], 12]}
+
+
 def test_canonical_rejects_unfingerprintable_types():
     with pytest.raises(TypeError):
         canonical(object())
