@@ -1,7 +1,7 @@
 """Kernel microbenchmarks: the perf trajectory of the simulation core.
 
-Unlike the ``bench_figure*.py`` suite (which reproduces the paper's
-figures under pytest-benchmark), this is a standalone script that times
+Unlike ``repro fidelity`` (which re-runs the paper's figures and checks
+their claims), this is a standalone script that times
 the *kernel* hot paths — event queue churn, cancellation-heavy timer
 workloads, multicast fan-out through the direct delivery engine, and a
 full session-heavy SRM scenario on a random tree — and writes the

@@ -8,6 +8,7 @@ Usage::
     python -m repro figure13 [--runs 3] [--rounds 60]
     python -m repro robustness [--rounds 5]
     python -m repro congestion
+    python -m repro fidelity [--full] [--jobs 4]
     python -m repro fuzz --rounds 100 --seed 7 --jobs 4
     python -m repro report figure3 --sims 4 --save metrics.json
     python -m repro report metrics.json
@@ -15,7 +16,11 @@ Usage::
     python -m repro live wb --members 3 --loss 0.05
     python -m repro live soak --packets 80 --loss 0.1 --check
 
-Each command prints the same series its benchmark asserts against.
+Each figure command prints the series the paper plots; ``repro
+fidelity`` re-runs the experiments behind every claim of the paper's
+evaluation (reduced scale, or the paper's with ``--full``), prints one
+``figure | claim | paper | measured | ok`` row per claim, and exits 1
+when a gating claim fails (``results/fidelity.txt``, EXPERIMENTS.md).
 
 ``repro live`` runs the same SRM core in real time on the asyncio
 engine (:mod:`repro.live`): ``wb`` spawns one OS process per whiteboard
@@ -176,6 +181,12 @@ def scaling_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
                           "(JSON) here")
 
 
+def fidelity_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+    sub.add_argument("--full", action="store_true",
+                     help="run every experiment at the paper's scale "
+                          "(default: the reduced, shape-preserving scale)")
+
+
 def lint_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
     from repro.lint.cli import install_options
     install_options(sub, defaults)
@@ -323,6 +334,16 @@ def _congestion(args):
     congestion.main()
 
 
+@with_options(base_options, runner_options, fidelity_options)
+def _fidelity(args):
+    """The paper's claims vs measured, one checked table."""
+    from repro.experiments import fidelity
+
+    verdicts = fidelity.run_fidelity(_make_runner(args), full=args.full)
+    print(fidelity.format_table(verdicts, full=args.full))
+    return 1 if fidelity.failed_claims(verdicts) else 0
+
+
 @with_options(fuzz_options)
 def _fuzz(args):
     from repro.oracle.fuzz import format_fuzz_report, run_fuzz
@@ -433,6 +454,7 @@ COMMANDS: Dict[str, Callable] = {
     "scaling": _scaling,
     "robustness": _robustness,
     "congestion": _congestion,
+    "fidelity": _fidelity,
     "fuzz": _fuzz,
     "report": _report,
     "compare": _compare,
@@ -481,9 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
 FIGURE_SEEDS = {"figure3": 3, "figure4": 4, "figure5": 5, "figure6": 6,
                 "figure7": 7, "figure8": 8, "figure12": 12,
                 "figure13": 13, "figure14": 4, "figure15": 15,
-                "robustness": 55, "congestion": 0, "fuzz": 7, "scaling": 0,
-                "report": 0, "compare": 0, "lint": 0, "live": 6,
-                "fleet": 0}
+                "robustness": 55, "congestion": 0, "fidelity": 0, "fuzz": 7,
+                "scaling": 0, "report": 0, "compare": 0, "lint": 0,
+                "live": 6, "fleet": 0}
 
 
 def _resolve_seed(args) -> None:

@@ -1,9 +1,8 @@
 """Typed accessors for every ``SRM_*`` environment knob.
 
 The repo grew one environment variable per subsystem — ``SRM_CHECK``
-(oracles), ``SRM_CACHE_DIR`` / ``SRM_CACHE_SALT`` (result cache),
-``SRM_HYPOTHESIS_PROFILE`` (test scale) and the ``SRM_BENCH_*`` family
-(benchmark harness) — each read with its own ad-hoc
+(oracles), ``SRM_CACHE_DIR`` / ``SRM_CACHE_SALT`` (result cache) and
+``SRM_HYPOTHESIS_PROFILE`` (test scale) — each read with its own ad-hoc
 ``os.environ.get`` and its own parsing convention.
 This module is now the single registry: every knob is declared once in
 :data:`KNOBS` with its type, default and documentation (the table in
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 __all__ = [
     "Knob",
@@ -39,11 +38,6 @@ __all__ = [
     "cache_dir",
     "cache_salt",
     "hypothesis_profile",
-    "bench_full",
-    "bench_jobs",
-    "bench_cache_enabled",
-    "bench_cache_dir",
-    "bench_manifest",
     "snapshot",
     "apply",
 ]
@@ -75,29 +69,20 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("SRM_HYPOTHESIS_PROFILE", "str", "ci",
          "Hypothesis example-count profile for the test suite: "
          "ci, dev or nightly."),
-    Knob("SRM_BENCH_FULL", "bool", "0",
-         "Run benchmarks at the paper's full scale."),
-    Knob("SRM_BENCH_JOBS", "int", "1",
-         "Worker processes for benchmark sweeps."),
-    Knob("SRM_BENCH_CACHE", "bool", "0",
-         "Let benchmarks reuse the on-disk result cache."),
-    Knob("SRM_BENCH_CACHE_DIR", "path", "results/.cache",
-         "Cache location for SRM_BENCH_CACHE=1."),
-    Knob("SRM_BENCH_MANIFEST", "path", "",
-         "Append a JSONL run manifest per benchmark sweep here."),
 )
 
 _BY_NAME: Dict[str, Knob] = {entry.name: entry for entry in KNOBS}
 
 #: The determinism-relevant subset a fleet controller serializes to its
 #: workers: anything that changes *what a task computes* (oracles on or
-#: off, cache keying). Worker-local knobs (cache location, bench scale)
-#: deliberately stay out — each worker keeps its own storage.
+#: off, cache keying). Worker-local knobs (cache location, test scale)
+#: deliberately stay out — each worker keeps its own storage — and
+#: :func:`apply` refuses them.
 WIRE_KNOBS: Tuple[str, ...] = ("SRM_CHECK", "SRM_CACHE_SALT")
 
 
 class UnknownKnobError(KeyError):
-    """An env block named a variable outside the declared registry."""
+    """A name outside the registry, or a non-wire knob in an env block."""
 
 
 def knob(name: str) -> Knob:
@@ -161,57 +146,34 @@ def hypothesis_profile() -> str:
     return _raw("SRM_HYPOTHESIS_PROFILE") or "ci"
 
 
-def bench_full() -> bool:
-    """``SRM_BENCH_FULL``: paper-scale benchmark runs."""
-    return _raw("SRM_BENCH_FULL") == "1"
-
-
-def bench_jobs() -> int:
-    """``SRM_BENCH_JOBS``: worker processes for benchmark sweeps."""
-    return int(_raw("SRM_BENCH_JOBS") or "1")
-
-
-def bench_cache_enabled() -> bool:
-    """``SRM_BENCH_CACHE``: benchmarks may reuse cached results."""
-    return _raw("SRM_BENCH_CACHE") == "1"
-
-
-def bench_cache_dir() -> str:
-    """``SRM_BENCH_CACHE_DIR`` or the shared default cache location."""
-    return _raw("SRM_BENCH_CACHE_DIR") or "results/.cache"
-
-
-def bench_manifest() -> Optional[str]:
-    """``SRM_BENCH_MANIFEST``: manifest path, or None when unset."""
-    return _raw("SRM_BENCH_MANIFEST") or None
-
-
 # ----------------------------------------------------------------------
 # Fleet env blocks.
 # ----------------------------------------------------------------------
 
 
-def snapshot(wire_only: bool = True) -> Dict[str, str]:
-    """The explicitly-set knobs of this process as one env block.
+def snapshot() -> Dict[str, str]:
+    """The explicitly-set :data:`WIRE_KNOBS` of this process, one block.
 
-    ``wire_only`` (the default) restricts the block to
-    :data:`WIRE_KNOBS` — what a controller should impose on its workers.
-    Unset knobs are omitted: applying the block elsewhere must not
-    clobber a worker's own defaults with empty strings.
+    This is what a controller imposes on its workers. Unset knobs are
+    omitted: applying the block elsewhere must not clobber a worker's
+    own defaults with empty strings.
     """
-    names = WIRE_KNOBS if wire_only else tuple(_BY_NAME)
     return {name: os.environ[name]
-            for name in names if name in os.environ}
+            for name in WIRE_KNOBS if name in os.environ}
 
 
 def apply(block: Mapping[str, str]) -> None:
     """Impose an env block produced by :func:`snapshot`.
 
-    Every name must be a declared knob (:class:`UnknownKnobError`
-    otherwise) — a controller cannot smuggle arbitrary environment into
-    a worker process.
+    Every name must be one of :data:`WIRE_KNOBS`
+    (:class:`UnknownKnobError` otherwise, before anything is set) — a
+    controller cannot smuggle arbitrary environment, or a worker-local
+    knob such as a cache path, into a worker process.
     """
     for name in block:
-        knob(name)
+        if name not in WIRE_KNOBS:
+            raise UnknownKnobError(
+                f"{name!r} is not a wire knob (an env block may set "
+                f"only: {', '.join(WIRE_KNOBS)})")
     for name, value in block.items():
         os.environ[name] = str(value)

@@ -2,8 +2,8 @@
 
 Every module exposes a ``run_*`` function returning a result object with
 (a) raw per-simulation rows and (b) a ``format_table()`` rendering the
-same series the paper plots. The benchmarks in ``benchmarks/`` are thin
-wrappers that execute these and assert the expected shapes.
+same series the paper plots. :mod:`repro.experiments.fidelity` runs
+them and checks the shapes the paper claims, one table row per claim.
 
 The unified execution API: describe a run as an
 :class:`~repro.experiments.common.ExperimentSpec`, execute it with

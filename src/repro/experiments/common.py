@@ -261,7 +261,7 @@ class ExperimentSpec:
     scoped_mode: Optional[str] = None
     trigger_gap: float = 1.0
 
-    # -- spec/v2 wire contract (see repro.fleet.wire) ------------------
+    # -- spec/v3 wire contract (see repro.fleet.wire) ------------------
     # The frozen, versioned JSON encoding used by every fleet HTTP
     # payload and by the runner's cache-key fingerprint (Task.canonical
     # prefers to_wire() over generic dataclass walking).
@@ -309,7 +309,7 @@ class RunResult:
         """The final round (the only round, for the one-shot figures)."""
         return self.outcomes[-1]
 
-    # -- spec/v2 wire contract (see repro.fleet.wire) ------------------
+    # -- spec/v3 wire contract (see repro.fleet.wire) ------------------
 
     def to_wire(self) -> Dict[str, Any]:
         from repro.fleet.wire import result_to_wire

@@ -1,8 +1,8 @@
-"""repro.fleet: controller + worker agents behind the ``spec/v2`` API.
+"""repro.fleet: controller + worker agents behind the ``spec/v3`` API.
 
 The fleet turns the one-machine :mod:`repro.runner` into a service:
 
-* :mod:`repro.fleet.wire` — the frozen ``spec/v2`` JSON wire schema for
+* :mod:`repro.fleet.wire` — the frozen ``spec/v3`` JSON wire schema for
   :class:`~repro.experiments.common.ExperimentSpec` and
   :class:`~repro.experiments.common.RunResult` (explicit
   ``to_json``/``from_json``, schema-version field, unknown-field

@@ -1,8 +1,8 @@
-"""The fleet controller: spec/v2 sweeps in, cached results out.
+"""The fleet controller: spec/v3 sweeps in, cached results out.
 
 One controller owns the full state of every submitted sweep:
 
-* **Jobs** — a submitted sweep of ``spec/v2`` payloads. At submit time
+* **Jobs** — a submitted sweep of ``spec/v3`` payloads. At submit time
   every spec is decoded (so malformed payloads are rejected before any
   worker sees them) and fingerprinted exactly the way the serial
   :class:`~repro.runner.executor.ExperimentRunner` fingerprints its
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,6 +53,17 @@ from repro.runner.task import Task
 #: Default seconds a lease stays valid without a heartbeat.
 DEFAULT_LEASE_TTL = 15.0
 
+#: Largest request body accepted; a longer ``Content-Length`` is a 413
+#: before a byte is read. Ten times the largest body any shipped sweep
+#: sends, rounded up: figure14's default-scale submit (100 specs on
+#: 1000-node trees) is 1,333,500 bytes; the CI ``figure3 --sims 4``
+#: sweep sends 51,604 and ``tests/test_fleet.py`` at most 5,749.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: A decimal count from a header or query string. At most 18 digits, so
+#: ``int()`` cannot raise and the value fits an int64.
+_COUNT = re.compile(r"[0-9]{1,18}")
+
 
 class FleetAPIError(Exception):
     """A request the controller rejects; carries the HTTP status."""
@@ -66,7 +78,7 @@ class TaskState:
     """One sweep point inside a job."""
 
     index: int
-    payload: Dict[str, Any]          # the spec/v2 wire dict, as submitted
+    payload: Dict[str, Any]          # the spec/v3 wire dict, as submitted
     fingerprint: str
     status: str = "pending"          # pending | leased | done | failed
     worker: Optional[str] = None
@@ -353,7 +365,7 @@ class FleetController:
 
             if not isinstance(result_payload, dict):
                 raise FleetAPIError(400, "report requires 'result' "
-                                         "(spec/v2 RunResult) or 'error'")
+                                         "(spec/v3 RunResult) or 'error'")
             try:
                 decoded = result_from_wire(result_payload)
             except WireFormatError as exc:
@@ -487,6 +499,13 @@ source.onmessage = (msg) => {
 """
 
 
+def _count(text: str, what: str) -> int:
+    if not _COUNT.fullmatch(text):
+        raise FleetAPIError(
+            400, f"{what} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class FleetRequestHandler(BaseHTTPRequestHandler):
     """Routes ``/api/v1/...`` onto the controller; JSON in, JSON out."""
 
@@ -508,7 +527,12 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = _count(self.headers.get("Content-Length") or "0",
+                        "Content-Length")
+        if length > MAX_BODY_BYTES:
+            raise FleetAPIError(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -597,7 +621,7 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
     def _send_events_jsonl(self, query: Dict[str, List[str]]) -> None:
         """Snapshot of the event feed, one JSON object per line."""
         job_id = query.get("job", [None])[0]
-        since = int(query.get("since", ["0"])[0])
+        since = _count(query.get("since", ["0"])[0], "since")
         feed = self.controller.events_since(since, job_id)
         body = "".join(json.dumps(event) + "\n"
                        for event in feed["events"]).encode()
@@ -610,7 +634,7 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
     def _send_events_sse(self, query: Dict[str, List[str]]) -> None:
         """Live Server-Sent Events stream of the feed (long poll loop)."""
         job_id = query.get("job", [None])[0]
-        cursor = int(query.get("since", ["0"])[0])
+        cursor = _count(query.get("since", ["0"])[0], "since")
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-cache")

@@ -1,4 +1,4 @@
-"""The frozen ``spec/v2`` wire schema for experiment specs and results.
+"""The frozen ``spec/v3`` wire schema for experiment specs and results.
 
 This module is the single serialization boundary for the
 ``ExperimentSpec → RunResult`` API: every fleet HTTP payload and every
@@ -7,10 +7,10 @@ pickling of in-process conventions.
 
 Design rules, enforced here and tested by the round-trip suite:
 
-* **Versioned.** Every top-level payload carries ``"schema": "spec/v2"``
+* **Versioned.** Every top-level payload carries ``"schema": "spec/v3"``
   and decoding any other version raises :class:`WireFormatError`. The
   schema is *frozen*: changing the meaning of an existing field requires
-  a ``spec/v3``, not an edit.
+  a ``spec/v4``, not an edit.
 * **Explicit.** Each type has a hand-written encoder/decoder with a
   fixed field list. Nothing is derived from ``repr`` or pickle, so the
   wire format cannot drift when an in-memory class grows a cache slot.
@@ -48,7 +48,7 @@ from repro.metrics.events import LossEventReport, MemberTiming
 from repro.topology.spec import TopologySpec
 
 #: The frozen schema tag carried by every top-level payload.
-WIRE_SCHEMA = "spec/v2"
+WIRE_SCHEMA = "spec/v3"
 
 __all__ = [
     "WIRE_SCHEMA",
@@ -66,7 +66,7 @@ __all__ = [
 
 
 class WireFormatError(ValueError):
-    """A payload violates the spec/v2 schema (version, fields, types)."""
+    """A payload violates the spec/v3 schema (version, fields, types)."""
 
 
 def dumps_canonical(payload: Mapping[str, Any]) -> str:
@@ -268,7 +268,7 @@ def _config_from_wire(payload: Any) -> SrmConfig:
 
 
 def spec_to_wire(spec: ExperimentSpec) -> Dict[str, Any]:
-    """Encode one :class:`ExperimentSpec` as a spec/v2 payload."""
+    """Encode one :class:`ExperimentSpec` as a spec/v3 payload."""
     return {
         "schema": WIRE_SCHEMA,
         "scenario": _scenario_to_wire(spec.scenario),
@@ -285,7 +285,7 @@ def spec_to_wire(spec: ExperimentSpec) -> Dict[str, Any]:
 
 
 def spec_from_wire(payload: Any) -> ExperimentSpec:
-    """Decode a spec/v2 payload back into an :class:`ExperimentSpec`."""
+    """Decode a spec/v3 payload back into an :class:`ExperimentSpec`."""
     reader = _Reader(payload, "spec")
     _expect_schema(reader, "spec")
     config = reader.take("config")
@@ -458,7 +458,7 @@ def _artifact_to_wire(value: Any, context: str) -> Any:
         return {str(key): _artifact_to_wire(item, f"{context}.{key}")
                 for key, item in value.items()}
     raise WireFormatError(
-        f"{context}: artifact type {type(value).__name__} has no spec/v2 "
+        f"{context}: artifact type {type(value).__name__} has no spec/v3 "
         "encoding; extend repro.fleet.wire deliberately")
 
 
@@ -496,7 +496,7 @@ def _artifact_from_wire(value: Any, context: str) -> Any:
 
 
 def result_to_wire(result: RunResult) -> Dict[str, Any]:
-    """Encode one :class:`RunResult` as a spec/v2 payload."""
+    """Encode one :class:`RunResult` as a spec/v3 payload."""
     return {
         "schema": WIRE_SCHEMA,
         "spec": spec_to_wire(result.spec),
@@ -511,7 +511,7 @@ def result_to_wire(result: RunResult) -> Dict[str, Any]:
 
 
 def result_from_wire(payload: Any) -> RunResult:
-    """Decode a spec/v2 payload back into a :class:`RunResult`."""
+    """Decode a spec/v3 payload back into a :class:`RunResult`."""
     reader = _Reader(payload, "result")
     _expect_schema(reader, "result")
     metrics = reader.take("metrics")

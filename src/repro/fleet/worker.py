@@ -1,7 +1,7 @@
 """The fleet worker agent: register, lease, execute, report, repeat.
 
 A worker is deliberately stateless: every piece of information it needs
-to run a task arrives in the lease (the spec/v2 payload, the job's env
+to run a task arrives in the lease (the spec/v3 payload, the job's env
 block, the lease TTL), and everything it produces leaves in the report.
 Killing a worker at any point — mid-execution included — loses nothing:
 the controller's lease expires and the task reruns elsewhere, and the

@@ -1,6 +1,6 @@
 """SRM009 — wire-schema drift between codecs, dataclasses and knobs.
 
-:mod:`repro.fleet.wire` freezes ``spec/v2``: every fleet payload and
+:mod:`repro.fleet.wire` freezes ``spec/v3``: every fleet payload and
 every runner cache key flows through hand-written encoder/decoder
 pairs with *closed* field sets. That design stops silent drift at
 runtime — but only for fields the codec knows about. The failure mode
@@ -21,11 +21,12 @@ code path:
   registry a fleet controller serializes to workers. An undeclared
   knob is exactly the side channel the registry exists to prevent.
 * **Schema digest.** The whole surface (schema tag, per-type field and
-  wire-key lists, knob names) is hashed into ``wire-schema.lock``. Any
+  wire-key lists, the :data:`repro.env.WIRE_KNOBS` an env block may
+  carry) is hashed into ``wire-schema.lock``. Any
   drift from the committed digest fails lint; re-pinning via
   ``repro lint --update-wire-lock`` *refuses* unless ``WIRE_SCHEMA``
   itself was bumped, so an intentional change always rides a
-  ``spec/v2`` (see docs/fleet.md, "Schema evolution").
+  new ``spec/vN`` (see docs/fleet.md, "Schema evolution").
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro import env
 from repro.lint.violations import Violation
 
 CODE = "SRM009"
@@ -194,14 +196,8 @@ def _wire_schema_tag(source: str) -> str:
 # ----------------------------------------------------------------------
 
 
-def _declared_knobs() -> Set[str]:
-    from repro import env
-
-    return {knob.name for knob in env.KNOBS}
-
-
 def _knob_literal_violations(root: Path) -> List[Violation]:
-    declared = _declared_knobs()
+    declared = {knob.name for knob in env.KNOBS}
     out: List[Violation] = []
     src_root = root / "src" / "repro"
     for file in sorted(src_root.rglob("*.py")):
@@ -253,7 +249,7 @@ def current_surface(root: Path,
     return {
         "schema": _wire_schema_tag(source),
         "types": types,
-        "knobs": sorted(_declared_knobs()),
+        "knobs": sorted(env.WIRE_KNOBS),
     }
 
 
@@ -317,7 +313,7 @@ def _codec_violations(root: Path,
         if encoder is None or decoder is None:
             missing = spec.encoder if encoder is None else spec.decoder
             hit(1, f"codec function {missing}() for {spec.type_name} "
-                   f"not found; the spec/v2 surface must keep explicit "
+                   f"not found; the spec/v3 surface must keep explicit "
                    f"encoder/decoder pairs")
             continue
         expected = {spec.aliases.get(name, name)

@@ -35,7 +35,7 @@ def canonical(value: Any) -> Any:
             and hasattr(value, "to_wire"):
         # Types with a frozen wire contract (ExperimentSpec and friends,
         # see repro.fleet.wire) fingerprint through their versioned
-        # spec/v2 encoding, so a spec decoded from the wire keys the
+        # spec/v3 encoding, so a spec decoded from the wire keys the
         # cache identically to the in-process original — workers, the
         # fleet controller, and serial runs all share one result store.
         return value.to_wire()

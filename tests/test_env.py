@@ -81,23 +81,6 @@ def test_cache_salt_defaults_to_package_version(monkeypatch):
     assert env.cache_salt() == "experiment-42"
 
 
-def test_bench_accessors(monkeypatch):
-    for name in ("SRM_BENCH_FULL", "SRM_BENCH_JOBS", "SRM_BENCH_CACHE",
-                 "SRM_BENCH_CACHE_DIR", "SRM_BENCH_MANIFEST"):
-        monkeypatch.delenv(name, raising=False)
-    assert env.bench_full() is False
-    assert env.bench_jobs() == 1
-    assert env.bench_cache_enabled() is False
-    assert env.bench_cache_dir() == "results/.cache"
-    assert env.bench_manifest() is None
-    monkeypatch.setenv("SRM_BENCH_FULL", "1")
-    monkeypatch.setenv("SRM_BENCH_JOBS", "8")
-    monkeypatch.setenv("SRM_BENCH_MANIFEST", "out.jsonl")
-    assert env.bench_full() is True
-    assert env.bench_jobs() == 8
-    assert env.bench_manifest() == "out.jsonl"
-
-
 def test_hypothesis_profile_default(monkeypatch):
     monkeypatch.delenv("SRM_HYPOTHESIS_PROFILE", raising=False)
     assert env.hypothesis_profile() == "ci"
@@ -123,9 +106,8 @@ def test_snapshot_only_reports_explicitly_set_knobs(monkeypatch):
 
 
 def test_snapshot_wire_only_excludes_local_knobs(monkeypatch):
-    monkeypatch.setenv("SRM_BENCH_JOBS", "4")
-    assert "SRM_BENCH_JOBS" not in env.snapshot()
-    assert "SRM_BENCH_JOBS" in env.snapshot(wire_only=False)
+    monkeypatch.setenv("SRM_CACHE_DIR", "/tmp/controller-cache")
+    assert "SRM_CACHE_DIR" not in env.snapshot()
 
 
 def test_apply_round_trips_a_snapshot(monkeypatch):
@@ -149,6 +131,17 @@ def test_apply_refuses_undeclared_variables(monkeypatch):
         env.apply({"SRM_CHECK": "1", "LD_PRELOAD": "evil.so"})
     # Validation happens before any assignment: nothing was applied.
     assert "SRM_CHECK" not in os.environ
+
+
+def test_apply_refuses_worker_local_knobs(monkeypatch):
+    """Declared is not enough: a controller's block may not move a
+    worker's cache (a path on the worker's own disk)."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    monkeypatch.delenv("SRM_CACHE_DIR", raising=False)
+    with pytest.raises(env.UnknownKnobError, match="SRM_CACHE_DIR"):
+        env.apply({"SRM_CHECK": "1", "SRM_CACHE_DIR": "/tmp/elsewhere"})
+    assert "SRM_CHECK" not in os.environ
+    assert "SRM_CACHE_DIR" not in os.environ
 
 
 def test_apply_refuses_the_retired_scheduler_knob(monkeypatch):

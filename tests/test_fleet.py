@@ -27,7 +27,12 @@ from repro.experiments.common import (
     run_experiment,
 )
 from repro.fleet.client import FleetClient, FleetError, FleetRunner
-from repro.fleet.controller import FleetAPIError, FleetController, make_server
+from repro.fleet.controller import (
+    MAX_BODY_BYTES,
+    FleetAPIError,
+    FleetController,
+    make_server,
+)
 from repro.fleet.worker import FleetWorker
 from repro.runner import ExperimentRunner, ResultCache
 from repro.sim.rng import RandomSource
@@ -407,3 +412,37 @@ def test_controller_direct_api_error_statuses(tmp_path):
     with pytest.raises(FleetAPIError) as excinfo:
         controller.submit({"experiment": "x", "specs": "not-a-list"})
     assert excinfo.value.status == 400
+
+
+# ----------------------------------------------------------------------
+# The HTTP edge fails closed
+# ----------------------------------------------------------------------
+
+
+def _raw_request(fleet, request: str) -> int:
+    """Send ``request`` on a raw socket; return the reply's status."""
+    import socket
+
+    with socket.create_connection(fleet.server.server_address,
+                                  timeout=10) as sock:
+        sock.sendall(request.encode())
+        status_line = sock.makefile("rb").readline().decode()
+    return int(status_line.split()[1])
+
+
+@pytest.mark.parametrize("request_text, status", [
+    # No body follows any of these headers: a server that trusted them
+    # would block in rfile.read() instead of answering.
+    ("POST /api/v1/lease HTTP/1.0\r\nContent-Length: "
+     f"{MAX_BODY_BYTES + 1}\r\n\r\n", 413),
+    ("POST /api/v1/lease HTTP/1.0\r\nContent-Length: -1\r\n\r\n", 400),
+    ("POST /api/v1/lease HTTP/1.0\r\nContent-Length: abc\r\n\r\n", 400),
+    ("POST /api/v1/jobs HTTP/1.0\r\nContent-Length: 1_0\r\n\r\n", 400),
+    ("GET /api/v1/events?since=abc HTTP/1.0\r\n\r\n", 400),
+    ("GET /api/v1/events/stream?since=abc HTTP/1.0\r\n\r\n", 400),
+], ids=["oversized-length", "negative-length", "non-integer-length",
+        "underscored-length", "non-integer-since", "non-integer-sse-since"])
+def test_malformed_lengths_and_cursors_are_rejected(fleet, request_text,
+                                                    status):
+    assert _raw_request(fleet, request_text) == status
+    assert fleet.client.ping()["ok"] is True

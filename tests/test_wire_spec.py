@@ -1,4 +1,4 @@
-"""The frozen spec/v2 wire schema (repro.fleet.wire).
+"""The frozen spec/v3 wire schema (repro.fleet.wire).
 
 The contract under test: ``ExperimentSpec.from_json(spec.to_json())``
 round-trips *every* spec the experiment layer produces — each figure
@@ -237,10 +237,11 @@ def test_unknown_fields_are_rejected_at_every_level():
 
 def test_wrong_schema_version_is_rejected():
     payload = spec_to_wire(_spec())
-    assert payload["schema"] == WIRE_SCHEMA == "spec/v2"
-    # spec/v1 peers (whose env blocks could carry SRM_SCHED_BACKEND) and
-    # any future version are refused, never mis-read.
-    for other in ("spec/v1", "spec/v3"):
+    assert payload["schema"] == WIRE_SCHEMA == "spec/v3"
+    # Older peers (whose env blocks could carry SRM_SCHED_BACKEND or a
+    # worker-local knob) and any future version are refused, never
+    # mis-read.
+    for other in ("spec/v1", "spec/v2", "spec/v4"):
         with pytest.raises(WireFormatError, match="unsupported wire schema"):
             spec_from_wire(dict(payload, schema=other))
     without = dict(payload)

@@ -58,8 +58,11 @@ def test_committed_lock_matches_the_live_surface():
     lock = load_lock(REPO_ROOT / DEFAULT_LOCK)
     assert lock is not None
     surface = current_surface(REPO_ROOT)
-    assert lock["schema"] == surface["schema"] == "spec/v2"
+    assert lock["schema"] == surface["schema"] == "spec/v3"
     assert lock["digest"] == surface_digest(surface)
+    # Only what an env block may carry is wire surface; worker-local
+    # knobs (cache location, test scale) come and go without a bump.
+    assert surface["knobs"] == ["SRM_CACHE_SALT", "SRM_CHECK"]
 
 
 def test_every_wired_type_is_reflected():
@@ -99,7 +102,7 @@ def test_removed_wire_key_fails_both_directions(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Lock update workflow: the ratchet that forces spec/v2.
+# Lock update workflow: the ratchet that forces a new spec/vN.
 # ----------------------------------------------------------------------
 
 
@@ -114,20 +117,20 @@ def test_update_lock_is_idempotent(tmp_path):
 def test_update_lock_refuses_drift_under_a_frozen_tag(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
     # Same schema tag, stale digest: the surface moved without a bump.
-    save_lock(lock_path, "spec/v2", "sha256:" + "0" * 64)
+    save_lock(lock_path, "spec/v3", "sha256:" + "0" * 64)
     code, message = update_lock(lock_path, root=REPO_ROOT)
     assert code == 2
-    assert "WIRE_SCHEMA is still 'spec/v2'" in message
+    assert "WIRE_SCHEMA is still 'spec/v3'" in message
     # And the lock was not touched.
     assert load_lock(lock_path)["digest"] == "sha256:" + "0" * 64
 
 
 def test_update_lock_repins_after_a_schema_bump(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
-    save_lock(lock_path, "spec/v1", "sha256:" + "0" * 64)
+    save_lock(lock_path, "spec/v2", "sha256:" + "0" * 64)
     code, message = update_lock(lock_path, root=REPO_ROOT)
-    assert code == 0 and "spec/v1 -> spec/v2" in message
-    assert load_lock(lock_path)["schema"] == "spec/v2"
+    assert code == 0 and "spec/v2 -> spec/v3" in message
+    assert load_lock(lock_path)["schema"] == "spec/v3"
 
 
 def test_missing_lock_is_a_violation(tmp_path):
@@ -176,5 +179,5 @@ def test_cli_update_wire_lock_round_trip(tmp_path, capsys):
     assert lint_main(["--update-wire-lock",
                       "--wire-lock", str(lock_path)]) == 0
     payload = json.loads(lock_path.read_text())
-    assert payload["schema"] == "spec/v2"
+    assert payload["schema"] == "spec/v3"
     assert payload["digest"].startswith("sha256:")
