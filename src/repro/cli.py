@@ -16,7 +16,11 @@ Usage::
     python -m repro live wb --members 3 --loss 0.05
     python -m repro live soak --packets 80 --loss 0.1 --check
 
-Each figure command prints the series the paper plots; ``repro
+Each figure command prints the series the paper plots, and is one
+entry of :data:`repro.experiments.figures.FIGURES` (run function, seed,
+the scale flags it reads and their defaults) that ``repro report`` and
+``repro fleet submit`` read too; a flag a command does not read
+(``repro figure3 --rounds 7``) is a usage error. ``repro
 fidelity`` re-runs the experiments behind every claim of the paper's
 evaluation (reduced scale, or the paper's with ``--full``), prints one
 ``figure | claim | paper | measured | ok`` row per claim, and exits 1
@@ -56,18 +60,23 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro import env
+from repro.experiments.figures import FIGURES, SCALE_FLAGS, Figure
 
 # ----------------------------------------------------------------------
 # Shared option groups.
 #
 # Each command function is decorated with the option installers its
-# subparser needs; build_parser() applies them. Adding a flag for every
-# sweep command (or a new command inheriting the standard set, like
-# report/compare) is a one-line change here.
+# subparser needs; build_parser() applies them. A command installs only
+# the flags it reads, so a flag it would ignore is a usage error.
 # ----------------------------------------------------------------------
+
+FIGURE_FLAG_HELP = {"seed": "random seed",
+                    "sims": "simulations per point",
+                    "runs": "independent runs of the round sequence",
+                    "rounds": "loss-recovery rounds per run"}
 
 
 def with_options(*installers: Callable) -> Callable:
@@ -78,15 +87,25 @@ def with_options(*installers: Callable) -> Callable:
     return decorate
 
 
-def base_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    """--seed/--sims/--runs/--rounds/--profile/--check for every sweep."""
-    sub.add_argument("--seed", type=int, default=None,
-                     help="random seed (default: the figure's own)")
-    sub.add_argument("--sims", type=int, default=20,
-                     help="simulations per point")
-    sub.add_argument("--runs", type=int, default=defaults.get("runs", 10))
-    sub.add_argument("--rounds", type=int,
-                     default=defaults.get("rounds", 100))
+def figure_options(seed: Optional[int],
+                   scale: Mapping[str, Optional[int]]) -> Callable:
+    """--seed plus a figure's scale flags, with its defaults."""
+    def install(sub: argparse.ArgumentParser) -> None:
+        for flag, default in {"seed": seed, **scale}.items():
+            shown = "the figure's own" if default is None else default
+            sub.add_argument(f"--{flag}", type=int, default=default,
+                             help=f"{FIGURE_FLAG_HELP[flag]} "
+                                  f"(default: {shown})")
+    return install
+
+
+#: ``report`` and ``fleet submit`` learn their figure only after parsing:
+#: every scale flag, with None defaults that :func:`parse_args` fills in.
+any_figure_options = figure_options(None, dict.fromkeys(SCALE_FLAGS))
+
+
+def common_options(sub: argparse.ArgumentParser) -> None:
+    """--profile/--check, for every experiment command."""
     sub.add_argument("--profile", action="store_true",
                      help="print kernel perf counters and events/sec "
                           "to stderr after the run (serial runs "
@@ -98,7 +117,7 @@ def base_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
                           "report on any invariant break")
 
 
-def runner_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+def runner_options(sub: argparse.ArgumentParser) -> None:
     """--jobs/--no-cache/--cache-dir/--manifest/--metrics (runner knobs)."""
     from repro.runner import default_cache_dir
 
@@ -116,7 +135,7 @@ def runner_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
                           "(JSON) here")
 
 
-def report_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+def report_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("target",
                      help="a figure command to run and report on, or the "
                           "path of a saved metrics bundle (JSON)")
@@ -124,7 +143,7 @@ def report_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
                      help="also save the metrics bundle (JSON) here")
 
 
-def compare_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+def compare_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("baseline", help="baseline metrics bundle (JSON)")
     sub.add_argument("candidate", help="candidate metrics bundle (JSON)")
     sub.add_argument("--threshold", "--tolerance", type=float,
@@ -133,7 +152,7 @@ def compare_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
                           "metric (default: 0.10)")
 
 
-def fuzz_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+def fuzz_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rounds", type=int, default=50,
                      help="number of random scenarios (default: "
                           "%(default)s)")
@@ -159,7 +178,7 @@ def fuzz_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
                      help="append a JSONL run manifest here")
 
 
-def scaling_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+def scaling_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sizes", default=None, metavar="N[,N...]",
                      help="comma-separated session sizes (default: "
                           "100,1000,10000,100000)")
@@ -170,8 +189,8 @@ def scaling_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
                           "(default: %(default)s)")
     sub.add_argument("--kinds", default="star,tree",
                      help="topology kinds to sweep (default: %(default)s)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="random seed (default: 0)")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="random seed (default: %(default)s)")
     sub.add_argument("--check", action="store_true",
                      help="attach the protocol oracles (forces full "
                           "per-member tracing at every size; the 10^5 "
@@ -181,25 +200,25 @@ def scaling_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
                           "(JSON) here")
 
 
-def fidelity_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+def fidelity_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--full", action="store_true",
                      help="run every experiment at the paper's scale "
                           "(default: the reduced, shape-preserving scale)")
 
 
-def lint_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+def lint_options(sub: argparse.ArgumentParser) -> None:
     from repro.lint.cli import install_options
-    install_options(sub, defaults)
+    install_options(sub)
 
 
-def live_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+def live_options(sub: argparse.ArgumentParser) -> None:
     from repro.live.cli import install_options
-    install_options(sub, defaults)
+    install_options(sub)
 
 
-def fleet_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+def fleet_options(sub: argparse.ArgumentParser) -> None:
     from repro.fleet.cli import install_options
-    install_options(sub, defaults)
+    install_options(sub)
 
 
 def _make_runner(args):
@@ -213,128 +232,49 @@ def _make_runner(args):
 
 
 # ----------------------------------------------------------------------
-# Commands. Each prints its table and returns its result object (the
-# report command reuses both the printing and the metrics bundle).
+# Commands. The figure commands are built from the FIGURES registry;
+# the rest are hand-written.
 # ----------------------------------------------------------------------
 
 
-@with_options(base_options, runner_options)
-def _figure3(args):
-    from repro.experiments.figure3 import run_figure3
-    result = run_figure3(sims=args.sims, seed=args.seed,
-                         runner=_make_runner(args))
-    print(result.format_table())
-    return result
+def _figure_command(figure: Figure) -> Callable:
+    @with_options(figure_options(figure.seed, figure.scale),
+                  common_options, runner_options)
+    def command(args, runner=None) -> tuple:
+        """Run the figure at the parsed seed and scale; print and return
+        its tables. (``fleet submit`` passes its own runner.)"""
+        if runner is None:
+            runner = _make_runner(args)
+        parts = figure.run(runner=runner, seed=args.seed,
+                           **{flag: getattr(args, flag)
+                              for flag in figure.scale})
+        print("\n\n".join(part.format_table() for part in parts))
+        return parts
+    return command
 
 
-@with_options(base_options, runner_options)
-def _figure4(args):
-    from repro.experiments.figure4 import run_figure4
-    result = run_figure4(sims=args.sims, seed=args.seed,
-                         runner=_make_runner(args))
-    print(result.format_table())
-    return result
+def robustness_options(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--rounds", type=int, default=5,
+                     help="loss-recovery rounds per scenario family "
+                          "(default: %(default)s)")
+    sub.add_argument("--seed", type=int, default=55,
+                     help="random seed (default: %(default)s)")
 
 
-@with_options(base_options, runner_options)
-def _figure5(args):
-    from repro.experiments.figure5 import run_figure5
-    result = run_figure5(sims=args.sims, seed=args.seed,
-                         runner=_make_runner(args))
-    print(result.format_table())
-    return result
-
-
-@with_options(base_options, runner_options)
-def _figure6(args):
-    from repro.experiments.figure6 import run_figure6
-    result = run_figure6(sims=args.sims, seed=args.seed,
-                         runner=_make_runner(args))
-    print(result.format_table())
-    return result
-
-
-@with_options(base_options, runner_options)
-def _figure7(args):
-    from repro.experiments.figure7 import run_figure7
-    result = run_figure7(sims=args.sims, seed=args.seed,
-                         runner=_make_runner(args))
-    print(result.format_table())
-    return result
-
-
-@with_options(base_options, runner_options)
-def _figure8(args):
-    from repro.experiments.figure8 import run_figure8
-    result = run_figure8(sims=args.sims, seed=args.seed,
-                         runner=_make_runner(args))
-    print(result.format_table())
-    return result
-
-
-@with_options(base_options, runner_options)
-def _figure12(args):
-    from repro.experiments.figure12_13 import (
-        find_adversarial_scenario, run_rounds_experiment)
-    scenario = find_adversarial_scenario()
-    result = run_rounds_experiment(scenario, adaptive=False,
-                                   runs=args.runs, rounds=args.rounds,
-                                   seed=args.seed,
-                                   runner=_make_runner(args))
-    print(result.format_table())
-    return result
-
-
-@with_options(base_options, runner_options)
-def _figure13(args):
-    from repro.experiments.figure12_13 import (
-        find_adversarial_scenario, run_rounds_experiment)
-    scenario = find_adversarial_scenario()
-    result = run_rounds_experiment(scenario, adaptive=True,
-                                   runs=args.runs, rounds=args.rounds,
-                                   seed=args.seed,
-                                   runner=_make_runner(args))
-    print(result.format_table())
-    return result
-
-
-@with_options(base_options, runner_options)
-def _figure14(args):
-    from repro.experiments.figure14 import run_figure14
-    result = run_figure14(sims=args.sims, rounds=args.rounds,
-                          seed=args.seed, runner=_make_runner(args))
-    print(result.format_table())
-    return result
-
-
-@with_options(base_options, runner_options)
-def _figure15(args):
-    from repro.experiments.figure15 import run_figure15
-    runner = _make_runner(args)
-    two_step = run_figure15(sims=args.sims, seed=args.seed,
-                            runner=runner)
-    print(two_step.format_table())
-    print()
-    one_step = run_figure15(sims=args.sims, seed=args.seed,
-                            mode="one-step", runner=runner)
-    print(one_step.format_table())
-    return (two_step, one_step)
-
-
-@with_options(base_options)
+@with_options(robustness_options, common_options)
 def _robustness(args):
     from repro.experiments.robustness import format_table, run_robustness
     print(format_table(run_robustness(rounds=args.rounds,
                                       seed=args.seed)))
 
 
-@with_options(base_options)
+@with_options(common_options)
 def _congestion(args):
     from repro.experiments import congestion
     congestion.main()
 
 
-@with_options(base_options, runner_options, fidelity_options)
+@with_options(common_options, runner_options, fidelity_options)
 def _fidelity(args):
     """The paper's claims vs measured, one checked table."""
     from repro.experiments import fidelity
@@ -358,7 +298,8 @@ def _fuzz(args):
         raise SystemExit(1)
 
 
-@with_options(base_options, runner_options, report_options)
+@with_options(report_options, any_figure_options, common_options,
+              runner_options)
 def _report(args):
     from repro.metrics import format_metrics_report, load_bundle, save_bundle
 
@@ -371,16 +312,11 @@ def _report(args):
         print(f"report: {target!r} is neither a metrics bundle file nor "
               f"a reportable figure (one of: {known})", file=sys.stderr)
         return 2
-    result = COMMANDS[target](args)
-    bundle = getattr(result, "metrics", None)
-    if bundle is None:
-        print(f"report: {target} produced no metrics bundle",
-              file=sys.stderr)
-        return 2
+    (result,) = COMMANDS[target](args)
     print()
-    print(format_metrics_report(bundle))
+    print(format_metrics_report(result.metrics))
     if args.save:
-        path = save_bundle(bundle, args.save)
+        path = save_bundle(result.metrics, args.save)
         print(f"saved metrics bundle to {path}", file=sys.stderr)
     return 0
 
@@ -441,16 +377,7 @@ def _compare(args):
 
 
 COMMANDS: Dict[str, Callable] = {
-    "figure3": _figure3,
-    "figure4": _figure4,
-    "figure5": _figure5,
-    "figure6": _figure6,
-    "figure7": _figure7,
-    "figure8": _figure8,
-    "figure12": _figure12,
-    "figure13": _figure13,
-    "figure14": _figure14,
-    "figure15": _figure15,
+    **{name: _figure_command(figure) for name, figure in FIGURES.items()},
     "scaling": _scaling,
     "robustness": _robustness,
     "congestion": _congestion,
@@ -463,26 +390,9 @@ COMMANDS: Dict[str, Callable] = {
     "fleet": _fleet,
 }
 
-#: Figure commands whose results carry a RunMetrics bundle that
-#: ``repro report`` can render (figure15 is analytic: no bundle).
-REPORTABLE = frozenset({
-    "figure3", "figure4", "figure5", "figure6", "figure7", "figure8",
-    "figure12", "figure13", "figure14",
-})
-
-#: Commands whose sweeps run on the ExperimentRunner and therefore take
-#: the --jobs/--no-cache/--cache-dir/--manifest/--metrics knobs.
-#: (robustness/congestion drive their own serial loops.)
-RUNNER_COMMANDS = frozenset(
-    name for name, fn in COMMANDS.items()
-    if runner_options in getattr(fn, "option_installers", ()))
-
-DEFAULTS = {
-    "figure12": {"runs": 3, "rounds": 60},
-    "figure13": {"runs": 3, "rounds": 60},
-    "figure14": {"rounds": 40},
-    "robustness": {"rounds": 5},
-}
+#: Figure commands ``repro report`` can run and render.
+REPORTABLE = frozenset(name for name, figure in FIGURES.items()
+                       if figure.reportable)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,48 +402,51 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command")
     subparsers.add_parser("list", help="list available experiments")
     for name, fn in COMMANDS.items():
-        defaults = DEFAULTS.get(name, {})
         sub = subparsers.add_parser(name, help=f"run {name}")
         for installer in getattr(fn, "option_installers", ()):
-            installer(sub, defaults)
+            installer(sub)
     return parser
 
 
-#: Each figure module's own default seed, used when --seed is omitted.
-FIGURE_SEEDS = {"figure3": 3, "figure4": 4, "figure5": 5, "figure6": 6,
-                "figure7": 7, "figure8": 8, "figure12": 12,
-                "figure13": 13, "figure14": 4, "figure15": 15,
-                "robustness": 55, "congestion": 0, "fidelity": 0, "fuzz": 7,
-                "scaling": 0, "report": 0, "compare": 0, "lint": 0,
-                "live": 6, "fleet": 0}
-
-
-def _resolve_seed(args) -> None:
-    if getattr(args, "seed", None) is not None:
-        return
-    key = args.command
-    if key == "report":
-        # A report run borrows the target figure's own default seed, so
-        # `repro report figure3` reproduces `repro figure3` exactly.
-        key = getattr(args, "target", key)
-    elif key == "fleet":
-        # Likewise a fleet submit: `repro fleet submit --figure figure3`
-        # must reproduce `repro figure3` byte for byte.
-        key = getattr(args, "figure", key)
-    args.seed = FIGURE_SEEDS.get(key, 0)
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    """Parse a command line; an omitted --seed or scale flag becomes
+    that of the figure being run, so ``repro figure3``, ``repro report
+    figure3`` and ``repro fleet submit --figure figure3`` run the same
+    sweep. The last two accept every figure's scale flags; one the named
+    figure does not read is the usage error it is on ``repro figure3``.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    name = args.command
+    if name == "report":
+        name = args.target
+    elif name == "fleet":
+        name = args.figure
+    figure = FIGURES.get(name)
+    if figure is None:
+        return args
+    for flag in SCALE_FLAGS:
+        if flag not in figure.scale and \
+                getattr(args, flag, None) is not None:
+            parser.error(f"unrecognized arguments: --{flag} "
+                         f"({name} does not read it)")
+    if args.seed is None:
+        args.seed = figure.seed
+    for flag, default in figure.scale.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     from repro.oracle.base import OracleViolationError
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     if args.command in (None, "list"):
         print("available experiments:")
         for name in COMMANDS:
             print(f"  {name}")
         return 0
-    _resolve_seed(args)
     if getattr(args, "check", False):
         # The environment variable (not a module flag) switches the mode
         # on: runner (and fleet) worker processes inherit it, so

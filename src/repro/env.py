@@ -32,7 +32,6 @@ __all__ = [
     "KNOBS",
     "WIRE_KNOBS",
     "UnknownKnobError",
-    "knob",
     "check_enabled",
     "set_check",
     "cache_dir",
@@ -71,8 +70,6 @@ KNOBS: Tuple[Knob, ...] = (
          "ci, dev or nightly."),
 )
 
-_BY_NAME: Dict[str, Knob] = {entry.name: entry for entry in KNOBS}
-
 #: The determinism-relevant subset a fleet controller serializes to its
 #: workers: anything that changes *what a task computes* (oracles on or
 #: off, cache keying). Worker-local knobs (cache location, test scale)
@@ -83,16 +80,6 @@ WIRE_KNOBS: Tuple[str, ...] = ("SRM_CHECK", "SRM_CACHE_SALT")
 
 class UnknownKnobError(KeyError):
     """A name outside the registry, or a non-wire knob in an env block."""
-
-
-def knob(name: str) -> Knob:
-    """The declaration for one knob; raises :class:`UnknownKnobError`."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise UnknownKnobError(
-            f"unknown SRM environment knob {name!r} (declared: "
-            f"{', '.join(sorted(_BY_NAME))})") from None
 
 
 def _raw(name: str) -> str:

@@ -12,14 +12,18 @@ units of each member's RTT to the source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.runner import ExperimentRunner
 
 from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
 from repro.core.names import AduName
 from repro.metrics.bundle import RunMetrics
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.events import LossEventReport, quantiles
+from repro.metrics.events import LossEventReport, mean, quantiles
 from repro.net.link import NthPacketDropFilter
 from repro.net.network import Network
 from repro.net.packet import NodeId
@@ -429,3 +433,133 @@ def format_quartile_table(points: List[SeriesPoint], metric: str,
         lines.append(f"{point.x:>10.3g}  {q1:>8.3f} {median:>8.3f} "
                      f"{q3:>8.3f} {mean_value:>8.3f}  {len(values)}")
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# Sweeps, and the table shapes their results fold into. (Here, not in a
+# module of their own: importing one figure loads nothing but this file.)
+# ----------------------------------------------------------------------
+
+
+def run_sweep(experiment: str, specs: Sequence[ExperimentSpec],
+              runner: Optional["ExperimentRunner"] = None
+              ) -> Tuple[List[RunResult], Optional[RunMetrics]]:
+    """Execute ``specs`` on the runner (default: in-process serial).
+
+    Results come back in spec order, never completion order, together
+    with their merged metrics bundle — None when no result carries one
+    (the analytic kinds).
+    """
+    from repro.runner import ExperimentRunner
+
+    runner = runner if runner is not None else ExperimentRunner()
+    results = runner.map(experiment, run_experiment,
+                         [dict(spec=spec) for spec in specs])
+    bundles = [result.metrics for result in results
+               if result.metrics is not None]
+    metrics = RunMetrics.merged(bundles, experiment=experiment) \
+        if bundles else None
+    return results, metrics
+
+
+@dataclass
+class QuartilePanels:
+    """Median/quartile panels against session size (Figs. 3, 4, 14, 15)."""
+
+    points: List[SeriesPoint]
+    #: (metric, title) of each panel, in print order.
+    panels: Sequence[Tuple[str, str]]
+    metrics: Optional[RunMetrics] = None
+
+    def format_table(self) -> str:
+        return "\n\n".join(
+            format_quartile_table(self.points, metric, "session", title)
+            for metric, title in self.panels)
+
+
+def recovery_panels(figure: str) -> Sequence[Tuple[str, str]]:
+    """The three panels of the fixed-timer size sweeps (Figs. 3 and 4)."""
+    return (("requests", f"{figure}a: number of requests"),
+            ("repairs", f"{figure}b: number of repairs"),
+            ("delay_ratio", f"{figure}c: last-member recovery delay "
+                            f"(units of its RTT to the source)"))
+
+
+def recovery_panel_values(result: RunResult) -> Dict[str, Optional[float]]:
+    """What Figs. 3, 4 and 14 plot of a run: its final round."""
+    outcome = result.outcome
+    return {"requests": outcome.requests, "repairs": outcome.repairs,
+            "delay_ratio": outcome.last_member_ratio}
+
+
+def run_size_sweep(experiment: str, sizes: Sequence[int],
+                   sweep: Sequence[Tuple[int, ExperimentSpec]],
+                   panels: Sequence[Tuple[str, str]],
+                   runner: Optional["ExperimentRunner"] = None,
+                   values: Callable[[RunResult], Dict[str, Optional[float]]]
+                   = recovery_panel_values) -> QuartilePanels:
+    """Run ``sweep`` — (session size, spec) pairs in submit order — and
+    fold ``values(result)`` into one point per session size."""
+    results, metrics = run_sweep(experiment, [spec for _, spec in sweep],
+                                 runner)
+    points = {size: SeriesPoint(x=size) for size in sizes}
+    for (size, _), result in zip(sweep, results):
+        for metric, value in values(result).items():
+            points[size].add(metric, value)
+    return QuartilePanels(points=[points[size] for size in sizes],
+                          panels=panels, metrics=metrics)
+
+
+@dataclass
+class TradeoffSeries:
+    """Delay against duplicates as C2 grows, one series per placement of
+    the failed edge (Figs. 6, 7, 8)."""
+
+    title: str
+    #: hops from the source to the failed edge -> per-C2 SeriesPoints.
+    series: Dict[int, List[SeriesPoint]]
+    metrics: Optional[RunMetrics] = None
+
+    def format_table(self) -> str:
+        lines = [self.title]
+        for hops, points in sorted(self.series.items()):
+            lines.append(f"-- failed edge {hops} hop(s) from the source --")
+            lines.append(f"{'C2':>6} {'delay/RTT':>10} {'requests':>9}")
+            for point in points:
+                lines.append(f"{point.x:>6.0f} "
+                             f"{mean(point.series('delay')):>10.3f} "
+                             f"{mean(point.series('requests')):>9.2f}")
+        return "\n".join(lines)
+
+    def mean_requests(self, hops: int) -> List[float]:
+        return [mean(point.series("requests"))
+                for point in self.series[hops]]
+
+
+def run_c2_sweep(experiment: str, scenarios: Dict[int, Scenario],
+                 c2_values: Sequence[float], c1: float, sims: int,
+                 task_seed: Callable[[int, float], int],
+                 runner: Optional["ExperimentRunner"] = None
+                 ) -> Tuple[Dict[int, List[SeriesPoint]],
+                            Optional[RunMetrics]]:
+    """One ``sims``-round run per (failed-edge placement, C2) point.
+
+    ``scenarios`` maps hops-from-the-source to the scenario with the
+    edge there; ``task_seed(hops, c2)`` is the figure's seed formula.
+    Each point collects, per round, the request count and the request
+    delay of the closest affected member (Section VI's two axes).
+    """
+    sweep = [(hops, c2, ExperimentSpec(
+        scenario=scenario, config=SrmConfig(c1=c1, c2=float(c2)),
+        rounds=sims, seed=task_seed(hops, c2), experiment=experiment))
+        for hops, scenario in scenarios.items() for c2 in c2_values]
+    results, metrics = run_sweep(experiment,
+                                 [spec for _, _, spec in sweep], runner)
+    series: Dict[int, List[SeriesPoint]] = {hops: [] for hops in scenarios}
+    for (hops, c2, _), result in zip(sweep, results):
+        point = SeriesPoint(x=c2)
+        for outcome in result.outcomes:
+            point.add("requests", outcome.requests)
+            point.add("delay", outcome.closest_request_ratio)
+        series[hops].append(point)
+    return series, metrics

@@ -37,19 +37,12 @@ from repro.baselines import bandwidth_ratio, build_sender_ack_session, \
 from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
 from repro.core.names import DEFAULT_PAGE, AduName
-from repro.experiments.common import ExperimentSpec, SeriesPoint, \
-    run_experiment
+from repro.experiments.common import ExperimentSpec, SeriesPoint, run_sweep
 from repro.experiments.congestion import run_congestion_experiment
-from repro.experiments.figure3 import run_figure3
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5, star_scenario
-from repro.experiments.figure6 import chain_scenario, run_figure6
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.figure8 import run_figure8
-from repro.experiments.figure12_13 import find_adversarial_scenario, \
-    run_rounds_experiment
-from repro.experiments.figure14 import run_figure14
-from repro.experiments.figure15 import run_figure15
+from repro.experiments.figure5 import star_scenario
+from repro.experiments.figure6 import chain_scenario
+from repro.experiments.figure12_13 import find_adversarial_scenario
+from repro.experiments.figures import FIGURES
 from repro.experiments.robustness import run_robustness
 from repro.metrics.events import mean, quantiles
 from repro.net.link import BernoulliDropFilter, NthPacketDropFilter
@@ -109,10 +102,18 @@ def _close(value: float, expected: float, rel: float,
     return abs(value - expected) <= max(rel * abs(expected), abs_tol)
 
 
-def _sweep(runner: ExperimentRunner, name: str,
-           specs: List[ExperimentSpec]) -> List[Any]:
-    return runner.map(name, run_experiment,
-                      [dict(spec=spec) for spec in specs])
+def run_figure(name: str, runner: ExperimentRunner,
+               **arguments: Any) -> Tuple[Any, ...]:
+    """The tables of the ``repro <name>`` command, at its own seed."""
+    figure = FIGURES[name]
+    return figure.run(runner=runner, seed=figure.seed, **arguments)
+
+
+def run_figure_table(name: str, runner: ExperimentRunner,
+                     **arguments: Any) -> Any:
+    """:func:`run_figure` for a figure that prints a single table."""
+    (table,) = run_figure(name, runner, **arguments)
+    return table
 
 
 def _mean_outcome(result: Any, metric: str) -> float:
@@ -134,9 +135,10 @@ FAILURE_HOPS = 5
 def run_chain_section4(runner: ExperimentRunner,
                        chain_length: int) -> Dict[str, Any]:
     """Section IV-A: deterministic timers on a chain vs the closed form."""
-    outcome = _sweep(runner, "sec4a", [ExperimentSpec(
+    (result,), _ = run_sweep("sec4a", [ExperimentSpec(
         scenario=chain_scenario(FAILURE_HOPS, chain_length),
-        config=SrmConfig(c1=1.0, c2=0.0, d1=1.0, d2=0.0))])[0].outcome
+        config=SrmConfig(c1=1.0, c2=0.0, d1=1.0, d2=0.0))], runner)
+    outcome = result.outcome
     schedule = chain_recovery_schedule(chain_length, FAILURE_HOPS)
     farthest = chain_length - 1
     return {"outcome": outcome,
@@ -149,10 +151,10 @@ def run_star_section4(runner: ExperimentRunner, group_size: int,
                       rounds: int) -> List[Dict[str, float]]:
     """Section IV-B: star request counts and delay vs the closed form."""
     c2_values = (5.0, 20.0, float(group_size))
-    results = _sweep(runner, "sec4b", [ExperimentSpec(
+    results, _ = run_sweep("sec4b", [ExperimentSpec(
         scenario=star_scenario(group_size),
         config=SrmConfig(c1=2.0, c2=c2), rounds=rounds, seed=int(c2) + 7)
-        for c2 in c2_values])
+        for c2 in c2_values], runner)
     return [{"requests": _mean_outcome(result, "requests"),
              "delay": _mean_outcome(result, "closest_request_ratio"),
              "model_requests": expected_requests(group_size, c2),
@@ -165,12 +167,12 @@ def run_baselines(runner: ExperimentRunner, ack_groups: Tuple[int, ...],
                   tree_sizes: Tuple[int, ...],
                   chain_length: int) -> Dict[str, Any]:
     """Section II-A: ACK implosion, N-unicast bandwidth, the 1-RTT floor."""
-    results = _sweep(runner, "sec2a", [ExperimentSpec(
+    results, _ = run_sweep("sec2a", [ExperimentSpec(
         scenario=star_scenario(group_size),
         config=SrmConfig(c1=2.0, c2=group_size), rounds=5, seed=group_size)
         for group_size in ack_groups] + [ExperimentSpec(
             scenario=chain_scenario(FAILURE_HOPS, chain_length),
-            config=SrmConfig(c1=1.0, c2=0.0, d1=1.0, d2=0.0))])
+            config=SrmConfig(c1=1.0, c2=0.0, d1=1.0, d2=0.0))], runner)
     acks = []
     for group_size in ack_groups:
         network = star(group_size).build()
@@ -221,11 +223,11 @@ def run_ablations(runner: ExperimentRunner, backoff_chain: int,
         ("ignore_backoff", "last_member_ratio", star_all, rounds, 51,
          small_c2, small_c2.copy(ignore_backoff_enabled=False)),
     ]
-    results = _sweep(runner, "ablations", [
+    results, _ = run_sweep("ablations", [
         ExperimentSpec(scenario=scenario, config=config, rounds=count,
                        seed=seed)
         for _, _, scenario, count, seed, *configs in sweep
-        for config in configs])
+        for config in configs], runner)
     return {name: (_mean_outcome(results[2 * index], metric),
                    _mean_outcome(results[2 * index + 1], metric))
             for index, (name, metric, *_) in enumerate(sweep)}
@@ -272,10 +274,10 @@ def run_fec(nodes: int, packets: int) -> Dict[str, Dict[str, Any]]:
             "fec": run_lossy_transfer(4, nodes, packets)}
 
 
-def run_c2_series(figure: Callable[..., Any], runner: ExperimentRunner,
+def run_c2_series(name: str, runner: ExperimentRunner,
                   **scale: Any) -> Dict[int, Dict[str, List[float]]]:
     """Figures 6-8: per failure placement, mean delay/requests per C2."""
-    result = figure(runner=runner, **scale)
+    result = run_figure_table(name, runner, **scale)
     return {hops: {"delay": _means(points, "delay"),
                    "requests": _means(points, "requests")}
             for hops, points in result.series.items()}
@@ -287,10 +289,10 @@ def run_figure12_13(runner: ExperimentRunner, runs: int,
     # the full Fig. 4 set so the duplicate-heavy scenario is found even
     # at reduced scale.
     scenario = find_adversarial_scenario(candidates=40, probe_rounds=3)
-    fixed = run_rounds_experiment(scenario, adaptive=False, runs=runs,
-                                  rounds=rounds, seed=12, runner=runner)
-    adaptive = run_rounds_experiment(scenario, adaptive=True, runs=runs,
-                                     rounds=rounds, seed=13, runner=runner)
+    fixed = run_figure_table("figure12", runner, scenario=scenario,
+                             runs=runs, rounds=rounds)
+    adaptive = run_figure_table("figure13", runner, scenario=scenario,
+                                runs=runs, rounds=rounds)
     late = (3 * rounds // 4, rounds)
     return {"fixed_early": fixed.mean_requests_over(0, rounds // 4),
             "fixed_late": fixed.mean_requests_over(*late),
@@ -303,8 +305,8 @@ def run_figure12_13(runner: ExperimentRunner, runs: int,
 def run_figure14_pair(runner: ExperimentRunner, rounds: int,
                       **scale: Any) -> Dict[str, List[float]]:
     """Fig. 14 against Fig. 4's fixed timers on the very same scenarios."""
-    fixed = run_figure4(seed=4, runner=runner, **scale)
-    adaptive = run_figure14(rounds=rounds, seed=4, runner=runner, **scale)
+    fixed = run_figure_table("figure4", runner, **scale)
+    adaptive = run_figure_table("figure14", runner, rounds=rounds, **scale)
     return {"fixed": _means(fixed.points, "repairs"),
             "adaptive": _means(adaptive.points, "repairs"),
             "medians": _medians(adaptive.points, "repairs")}
@@ -312,8 +314,7 @@ def run_figure14_pair(runner: ExperimentRunner, rounds: int,
 
 def run_figure15_pair(runner: ExperimentRunner,
                       **scale: Any) -> Dict[str, Any]:
-    two = run_figure15(mode="two-step", seed=15, runner=runner, **scale)
-    one = run_figure15(mode="one-step", seed=15, runner=runner, **scale)
+    two, one = run_figure("figure15", runner, **scale)
     return {"fractions": list(zip(_medians(two.points, "fraction"),
                                   _medians(one.points, "fraction"))),
             "two_ratio": mean([value for point in two.points
@@ -383,7 +384,7 @@ SEC4B = Experiment(
     ))
 
 FIG3 = Experiment(
-    "fig3", "Fig. 3", partial(run_figure3, seed=3),
+    "fig3", "Fig. 3", partial(run_figure_table, "figure3"),
     reduced=dict(sizes=(10, 30, 60), sims=8),
     full=dict(sizes=(10, 20, 40, 60, 80, 100), sims=20), rows=(
         Row("fig3.request-median",
@@ -402,7 +403,7 @@ FIG3 = Experiment(
     ))
 
 FIG4 = Experiment(
-    "fig4", "Fig. 4", partial(run_figure4, seed=4),
+    "fig4", "Fig. 4", partial(run_figure_table, "figure4"),
     reduced=dict(sizes=(20, 60), sims=8),
     full=dict(sizes=(20, 40, 60, 80, 100), sims=20), rows=(
         Row("fig4.request-median", "requests stay near one", "median <= 2.0",
@@ -415,7 +416,7 @@ FIG4 = Experiment(
     ))
 
 FIG5 = Experiment(
-    "fig5", "Fig. 5", partial(run_figure5, seed=5),
+    "fig5", "Fig. 5", partial(run_figure_table, "figure5"),
     reduced=dict(group_size=50, c2_values=(2, 10, 40), sims=10),
     full=dict(group_size=100, c2_values=(0, 4, 10, 20, 40, 100), sims=20),
     rows=(
@@ -451,7 +452,7 @@ FIG5 = Experiment(
 
 FIG6 = Experiment(
     "fig6", "Fig. 6",
-    partial(run_c2_series, run_figure6, failure_hops=(1, 2, 5, 10), seed=6),
+    partial(run_c2_series, "figure6", failure_hops=(1, 2, 5, 10)),
     reduced=dict(c2_values=(0, 10, 50, 100), sims=8, chain_length=60),
     full=dict(c2_values=tuple(range(0, 101, 10)), sims=20, chain_length=100),
     rows=(
@@ -478,7 +479,7 @@ FIG6 = Experiment(
 
 FIG7 = Experiment(
     "fig7", "Fig. 7",
-    partial(run_c2_series, run_figure7, hops_values=(1, 2, 3, 4), seed=7),
+    partial(run_c2_series, "figure7", hops_values=(1, 2, 3, 4)),
     reduced=dict(c2_values=(0, 2, 8, 20, 100), sims=10, num_nodes=85),
     full=dict(c2_values=C2_PAPER, sims=20, num_nodes=120), rows=(
         Row("fig7.peak-inside-sweep",
@@ -495,7 +496,7 @@ FIG7 = Experiment(
 
 FIG8 = Experiment(
     "fig8", "Fig. 8",
-    partial(run_c2_series, run_figure8, hops_values=(1, 2), seed=8),
+    partial(run_c2_series, "figure8", hops_values=(1, 2)),
     reduced=dict(c2_values=(0, 2, 8, 30, 100), sims=6, num_nodes=300,
                  session_size=40),
     full=dict(c2_values=C2_PAPER, sims=20, num_nodes=1000, session_size=100),

@@ -22,7 +22,7 @@ from repro.experiments.common import (
     ExperimentSpec,
     LossRecoverySimulation,
     Scenario,
-    run_experiment,
+    run_sweep,
 )
 from repro.experiments.figure4 import figure4_scenarios
 from repro.metrics.bundle import RunMetrics
@@ -75,7 +75,6 @@ class RoundsResult:
     requests: List[List[int]]
     repairs: List[List[int]]
     delays: List[List[float]]
-    label: str = ""
     metrics: Optional[RunMetrics] = None
 
     def round_request_quartiles(self, round_index: int):
@@ -134,25 +133,17 @@ def run_rounds_experiment(scenario: Scenario, adaptive: bool,
                           seed: int = 12,
                           runner: Optional["ExperimentRunner"] = None) -> RoundsResult:
     """Ten runs of 100 rounds; same scenario, different RNG seeds per run."""
-    from repro.runner import ExperimentRunner
-
-    runner = runner if runner is not None else ExperimentRunner()
     experiment = "figure13" if adaptive else "figure12"
-    results = runner.map(
-        experiment, run_experiment,
-        [dict(spec=ExperimentSpec(
-            scenario=scenario, config=SrmConfig(adaptive=adaptive),
-            rounds=rounds, seed=seed * 1009 + run_index,
-            experiment=experiment))
-         for run_index in range(runs)])
+    results, metrics = run_sweep(experiment, [ExperimentSpec(
+        scenario=scenario, config=SrmConfig(adaptive=adaptive),
+        rounds=rounds, seed=seed * 1009 + run_index,
+        experiment=experiment) for run_index in range(runs)], runner)
     requests = [[outcome.requests for outcome in result.outcomes]
                 for result in results]
     repairs = [[outcome.repairs for outcome in result.outcomes]
                for result in results]
     delays = [[outcome.last_member_ratio for outcome in result.outcomes]
               for result in results]
-    metrics = RunMetrics.merged((result.metrics for result in results),
-                                experiment=experiment)
     return RoundsResult(adaptive=adaptive, runs=runs,
                         rounds=rounds, requests=requests,
                         repairs=repairs, delays=delays, metrics=metrics)
@@ -162,9 +153,8 @@ def run_figure12(scenario: Optional[Scenario] = None,
                  runs: int = NUM_RUNS, rounds: int = NUM_ROUNDS,
                  seed: int = 12,
                  runner: Optional["ExperimentRunner"] = None) -> RoundsResult:
-    scenario = scenario or find_adversarial_scenario()
-    return run_rounds_experiment(scenario, adaptive=False,
-                                 runs=runs, rounds=rounds,
+    return run_rounds_experiment(scenario or find_adversarial_scenario(),
+                                 adaptive=False, runs=runs, rounds=rounds,
                                  seed=seed, runner=runner)
 
 
@@ -172,22 +162,6 @@ def run_figure13(scenario: Optional[Scenario] = None,
                  runs: int = NUM_RUNS, rounds: int = NUM_ROUNDS,
                  seed: int = 13,
                  runner: Optional["ExperimentRunner"] = None) -> RoundsResult:
-    scenario = scenario or find_adversarial_scenario()
-    return run_rounds_experiment(scenario, adaptive=True,
-                                 runs=runs, rounds=rounds,
+    return run_rounds_experiment(scenario or find_adversarial_scenario(),
+                                 adaptive=True, runs=runs, rounds=rounds,
                                  seed=seed, runner=runner)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    scenario = find_adversarial_scenario()
-    fixed = run_rounds_experiment(scenario, adaptive=False, runs=3,
-                                  rounds=60)
-    adaptive = run_rounds_experiment(scenario, adaptive=True, runs=3,
-                                     rounds=60)
-    print(fixed.format_table())
-    print()
-    print(adaptive.format_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

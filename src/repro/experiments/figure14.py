@@ -11,84 +11,38 @@ number of duplicates over a range of scenarios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.config import SrmConfig
 from repro.experiments.common import (
     ExperimentSpec,
-    SeriesPoint,
-    format_quartile_table,
-    run_experiment,
+    QuartilePanels,
+    run_size_sweep,
 )
 from repro.experiments.figure4 import DEFAULT_SIZES, figure4_scenarios
-from repro.metrics.bundle import RunMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runner import ExperimentRunner
 
-DEFAULT_ROUNDS = 40
-
-
-@dataclass
-class Figure14Result:
-    points: List[SeriesPoint]
-    rounds: int
-    metrics: Optional[RunMetrics] = None
-
-    def format_table(self) -> str:
-        sections = [
-            format_quartile_table(
-                self.points, "requests", "session",
-                f"Figure 14a: requests at round {self.rounds} (adaptive)"),
-            format_quartile_table(
-                self.points, "repairs", "session",
-                f"Figure 14b: repairs at round {self.rounds} (adaptive)"),
-            format_quartile_table(
-                self.points, "delay_ratio", "session",
-                f"Figure 14c: last-member recovery delay at round "
-                f"{self.rounds}"),
-        ]
-        return "\n\n".join(sections)
-
 
 def run_figure14(sizes: Sequence[int] = DEFAULT_SIZES,
-                 sims: int = 20, rounds: int = DEFAULT_ROUNDS,
-                 seed: int = 4,
+                 sims: int = 20, rounds: int = 40, seed: int = 4,
                  config: Optional[SrmConfig] = None,
-                 runner: Optional["ExperimentRunner"] = None) -> Figure14Result:
+                 runner: Optional["ExperimentRunner"] = None
+                 ) -> QuartilePanels:
     """Re-runs the exact Fig. 4 scenario sweep, adaptively, to round 40."""
-    from repro.runner import ExperimentRunner
-
     base_config = config if config is not None else SrmConfig(adaptive=True)
     if not base_config.adaptive:
         raise ValueError("figure 14 requires an adaptive config")
-    runner = runner if runner is not None else ExperimentRunner()
     scenarios = figure4_scenarios(sizes, sims, seed)
-    results = runner.map(
-        "figure14", run_experiment,
-        [dict(spec=ExperimentSpec(scenario=scenario, config=base_config,
-                                  rounds=rounds,
-                                  seed=(seed * 524287 + index),
-                                  experiment="figure14"))
-         for index, scenario in enumerate(scenarios)])
-    points = {size: SeriesPoint(x=size) for size in sizes}
-    for scenario, result in zip(scenarios, results):
-        outcome = result.outcome
-        point = points[scenario.session_size]
-        point.add("requests", outcome.requests)
-        point.add("repairs", outcome.repairs)
-        point.add("delay_ratio", outcome.last_member_ratio)
-    metrics = RunMetrics.merged((result.metrics for result in results),
-                                experiment="figure14")
-    return Figure14Result(points=[points[size] for size in sizes],
-                          rounds=rounds, metrics=metrics)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run_figure14(sizes=(20, 40, 60), sims=8,
-                       rounds=25).format_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    sweep = [(scenario.session_size, ExperimentSpec(
+        scenario=scenario, config=base_config, rounds=rounds,
+        seed=(seed * 524287 + index), experiment="figure14"))
+        for index, scenario in enumerate(scenarios)]
+    panels = (
+        ("requests", f"Figure 14a: requests at round {rounds} (adaptive)"),
+        ("repairs", f"Figure 14b: repairs at round {rounds} (adaptive)"),
+        ("delay_ratio", f"Figure 14c: last-member recovery delay at round "
+                        f"{rounds}"),
+    )
+    return run_size_sweep("figure14", sizes, sweep, panels, runner)

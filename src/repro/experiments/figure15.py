@@ -16,17 +16,16 @@ size; the one-step variant is run alongside to show its inefficiency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.core.local import loss_neighborhood
 from repro.experiments.common import (
     ExperimentSpec,
+    QuartilePanels,
+    RunResult,
     Scenario,
-    SeriesPoint,
     candidate_drop_edges,
-    format_quartile_table,
-    run_experiment,
+    run_size_sweep,
 )
 from repro.net.network import Network
 from repro.sim.rng import RandomSource
@@ -40,25 +39,6 @@ NUM_NODES = 1000
 DEGREE = 4
 #: The paper restricts to loss neighborhoods of at most 1/10 the session.
 MAX_LOSS_FRACTION = 0.1
-
-
-@dataclass
-class Figure15Result:
-    points: List[SeriesPoint]
-    mode: str
-
-    def format_table(self) -> str:
-        sections = [
-            format_quartile_table(
-                self.points, "fraction", "session",
-                f"Figure 15 top ({self.mode}): fraction of session "
-                f"members reached by the repair"),
-            format_quartile_table(
-                self.points, "ratio", "session",
-                f"Figure 15 bottom ({self.mode}): repair neighborhood / "
-                f"loss neighborhood"),
-        ]
-        return "\n\n".join(sections)
 
 
 def _draw_scenario(network: Network, rng: RandomSource,
@@ -77,17 +57,22 @@ def _draw_scenario(network: Network, rng: RandomSource,
             return members, source, (drop_parent, drop_child)
 
 
+def _scoped_panel_values(result: RunResult) -> Dict[str, Optional[float]]:
+    outcome = result.artifacts["scoped"]
+    assert outcome.covered, "scoped repair must cover the loss"
+    return {"fraction": outcome.fraction_of_session,
+            "ratio": outcome.repair_to_loss_ratio}
+
+
 def run_figure15(sizes: Sequence[int] = DEFAULT_SIZES,
                  sims: int = 20, num_nodes: int = NUM_NODES,
                  degree: int = DEGREE, mode: str = "two-step",
                  seed: int = 15,
-                 runner: Optional["ExperimentRunner"] = None) -> Figure15Result:
-    from repro.runner import ExperimentRunner
-
+                 runner: Optional["ExperimentRunner"] = None
+                 ) -> QuartilePanels:
     spec = balanced_tree(num_nodes, degree)
     network = spec.build()
     master = RandomSource(seed)
-    runner = runner if runner is not None else ExperimentRunner()
     sweep = []  # (size, spec), in sweep order
     for size in sizes:
         for sim_index in range(sims):
@@ -98,24 +83,11 @@ def run_figure15(sizes: Sequence[int] = DEFAULT_SIZES,
                 scenario=Scenario(spec=spec, members=members, source=source,
                                   drop_edge=drop_edge),
                 kind="scoped", scoped_mode=mode, experiment="figure15")))
-    results = runner.map("figure15", run_experiment,
-                         [dict(spec=spec) for _, spec in sweep])
-    points = {size: SeriesPoint(x=size) for size in sizes}
-    for (size, _), result in zip(sweep, results):
-        outcome = result.artifacts["scoped"]
-        assert outcome.covered, "scoped repair must cover the loss"
-        point = points[size]
-        point.add("fraction", outcome.fraction_of_session)
-        point.add("ratio", outcome.repair_to_loss_ratio)
-    return Figure15Result(points=[points[size] for size in sizes],
-                          mode=mode)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run_figure15().format_table())
-    print()
-    print(run_figure15(mode="one-step").format_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    panels = (
+        ("fraction", f"Figure 15 top ({mode}): fraction of session "
+                     f"members reached by the repair"),
+        ("ratio", f"Figure 15 bottom ({mode}): repair neighborhood / "
+                  f"loss neighborhood"),
+    )
+    return run_size_sweep("figure15", sizes, sweep, panels, runner,
+                          values=_scoped_panel_values)

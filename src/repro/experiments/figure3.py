@@ -13,8 +13,7 @@ unicast recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runner import ExperimentRunner
@@ -22,52 +21,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.core.config import SrmConfig
 from repro.experiments.common import (
     ExperimentSpec,
-    SeriesPoint,
+    QuartilePanels,
     choose_scenario,
-    format_quartile_table,
-    run_experiment,
+    recovery_panels,
+    run_size_sweep,
 )
-from repro.metrics.bundle import RunMetrics
 from repro.sim.rng import RandomSource
 from repro.topology.random_tree import random_labeled_tree
 
 DEFAULT_SIZES = (10, 20, 40, 60, 80, 100)
 
-
-@dataclass
-class Figure3Result:
-    points: List[SeriesPoint]
-    sims: int
-    metrics: Optional[RunMetrics] = None
-
-    def format_table(self) -> str:
-        sections = [
-            format_quartile_table(self.points, "requests",
-                                  "session", "Figure 3a: number of requests"),
-            format_quartile_table(self.points, "repairs",
-                                  "session", "Figure 3b: number of repairs"),
-            format_quartile_table(self.points, "delay_ratio", "session",
-                                  "Figure 3c: last-member recovery delay "
-                                  "(units of its RTT to the source)"),
-        ]
-        return "\n\n".join(sections)
-
-
 def run_figure3(sizes: Sequence[int] = DEFAULT_SIZES,
                 sims: int = 20, seed: int = 3,
                 config: Optional[SrmConfig] = None,
-                runner: Optional["ExperimentRunner"] = None) -> Figure3Result:
+                runner: Optional["ExperimentRunner"] = None
+                ) -> QuartilePanels:
     """Twenty sims per session size; a fresh random tree per sim.
 
     Scenario generation (topology draws, membership, congested link)
     stays serial in this process — forking the master RNG is order
     dependent — while the independent specs execute on the runner.
     """
-    from repro.runner import ExperimentRunner
-
     master = RandomSource(seed)
     base_config = config if config is not None else SrmConfig()
-    runner = runner if runner is not None else ExperimentRunner()
     sweep = []  # (size, spec), in sweep order
     for size in sizes:
         for sim_index in range(sims):
@@ -78,24 +54,5 @@ def run_figure3(sizes: Sequence[int] = DEFAULT_SIZES,
                 scenario=scenario, config=base_config,
                 seed=hash((seed, size, sim_index)) & 0xFFFF,
                 experiment="figure3")))
-    results = runner.map("figure3", run_experiment,
-                         [dict(spec=spec) for _, spec in sweep])
-    points = {size: SeriesPoint(x=size) for size in sizes}
-    for (size, _), result in zip(sweep, results):
-        outcome = result.outcome
-        point = points[size]
-        point.add("requests", outcome.requests)
-        point.add("repairs", outcome.repairs)
-        point.add("delay_ratio", outcome.last_member_ratio)
-    metrics = RunMetrics.merged((result.metrics for result in results),
-                                experiment="figure3")
-    return Figure3Result(points=[points[size] for size in sizes],
-                         sims=sims, metrics=metrics)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run_figure3().format_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return run_size_sweep("figure3", sizes, sweep,
+                          recovery_panels("Figure 3"), runner)

@@ -9,7 +9,6 @@ somewhat high — the motivation for the adaptive algorithm (Fig. 13/14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -18,13 +17,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 from repro.core.config import SrmConfig
 from repro.experiments.common import (
     ExperimentSpec,
+    QuartilePanels,
     Scenario,
-    SeriesPoint,
     choose_scenario,
-    format_quartile_table,
-    run_experiment,
+    recovery_panels,
+    run_size_sweep,
 )
-from repro.metrics.bundle import RunMetrics
 from repro.sim.rng import RandomSource
 from repro.topology.btree import balanced_tree
 
@@ -51,56 +49,16 @@ def figure4_scenarios(sizes: Sequence[int] = DEFAULT_SIZES,
     return scenarios
 
 
-@dataclass
-class Figure4Result:
-    points: List[SeriesPoint]
-    sims: int
-    metrics: Optional[RunMetrics] = None
-
-    def format_table(self) -> str:
-        sections = [
-            format_quartile_table(self.points, "requests",
-                                  "session", "Figure 4a: number of requests"),
-            format_quartile_table(self.points, "repairs",
-                                  "session", "Figure 4b: number of repairs"),
-            format_quartile_table(self.points, "delay_ratio", "session",
-                                  "Figure 4c: last-member recovery delay "
-                                  "(units of its RTT to the source)"),
-        ]
-        return "\n\n".join(sections)
-
-
 def run_figure4(sizes: Sequence[int] = DEFAULT_SIZES,
                 sims: int = 20, seed: int = 4,
                 config: Optional[SrmConfig] = None,
-                runner: Optional["ExperimentRunner"] = None) -> Figure4Result:
-    from repro.runner import ExperimentRunner
-
+                runner: Optional["ExperimentRunner"] = None
+                ) -> QuartilePanels:
     base_config = config if config is not None else SrmConfig()
-    runner = runner if runner is not None else ExperimentRunner()
     scenarios = figure4_scenarios(sizes, sims, seed)
-    results = runner.map(
-        "figure4", run_experiment,
-        [dict(spec=ExperimentSpec(scenario=scenario, config=base_config,
-                                  seed=(seed * 7919 + index),
-                                  experiment="figure4"))
-         for index, scenario in enumerate(scenarios)])
-    points = {size: SeriesPoint(x=size) for size in sizes}
-    for scenario, result in zip(scenarios, results):
-        outcome = result.outcome
-        point = points[scenario.session_size]
-        point.add("requests", outcome.requests)
-        point.add("repairs", outcome.repairs)
-        point.add("delay_ratio", outcome.last_member_ratio)
-    metrics = RunMetrics.merged((result.metrics for result in results),
-                                experiment="figure4")
-    return Figure4Result(points=[points[size] for size in sizes],
-                         sims=sims, metrics=metrics)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run_figure4().format_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    sweep = [(scenario.session_size, ExperimentSpec(
+        scenario=scenario, config=base_config,
+        seed=(seed * 7919 + index), experiment="figure4"))
+        for index, scenario in enumerate(scenarios)]
+    return run_size_sweep("figure4", sizes, sweep,
+                          recovery_panels("Figure 4"), runner)

@@ -21,14 +21,9 @@ from repro.analysis.star import (
     expected_first_request_delay_ratio,
     expected_requests,
 )
-from repro.core.config import SrmConfig
-from repro.experiments.common import (
-    ExperimentSpec,
-    Scenario,
-    SeriesPoint,
-    run_experiment,
-)
+from repro.experiments.common import Scenario, run_c2_sweep
 from repro.metrics.bundle import RunMetrics
+from repro.metrics.events import mean
 from repro.topology.star import star
 
 DEFAULT_C2_VALUES = tuple(range(0, 101, 4))
@@ -79,42 +74,19 @@ def run_figure5(c2_values: Sequence[float] = DEFAULT_C2_VALUES,
                 sims: int = 20, group_size: int = GROUP_SIZE,
                 c1: float = 2.0, seed: int = 5,
                 runner: Optional["ExperimentRunner"] = None) -> Figure5Result:
-    from repro.runner import ExperimentRunner
-
-    scenario = star_scenario(group_size)
-    runner = runner if runner is not None else ExperimentRunner()
-    results = runner.map(
-        "figure5", run_experiment,
-        [dict(spec=ExperimentSpec(
-            scenario=scenario, config=SrmConfig(c1=c1, c2=float(c2)),
-            rounds=sims, seed=(seed * 104729 + int(c2) * 613),
-            experiment="figure5"))
-         for c2 in c2_values])
+    # One placement: in a star the failed edge is the source's own.
+    series, metrics = run_c2_sweep(
+        "figure5", {1: star_scenario(group_size)}, c2_values, c1, sims,
+        lambda hops, c2: seed * 104729 + int(c2) * 613, runner)
     points = []
-    for c2, result in zip(c2_values, results):
-        point = SeriesPoint(x=c2)
-        for outcome in result.outcomes:
-            point.add("requests", outcome.requests)
-            point.add("delay", outcome.closest_request_ratio)
-        requests = point.series("requests")
-        delays = point.series("delay")
+    for point in series[1]:
         points.append(Figure5Point(
-            c2=float(c2),
+            c2=float(point.x),
             analysis_delay=expected_first_request_delay_ratio(
-                group_size, c1, c2),
-            analysis_requests=expected_requests(group_size, c2),
-            sim_delay_mean=sum(delays) / len(delays),
-            sim_requests_mean=sum(requests) / len(requests),
+                group_size, c1, point.x),
+            analysis_requests=expected_requests(group_size, point.x),
+            sim_delay_mean=mean(point.series("delay")),
+            sim_requests_mean=mean(point.series("requests")),
             sims=sims))
-    metrics = RunMetrics.merged((result.metrics for result in results),
-                                experiment="figure5")
     return Figure5Result(group_size=group_size, c1=c1, points=points,
                          metrics=metrics)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run_figure5().format_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

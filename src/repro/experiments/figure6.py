@@ -8,50 +8,18 @@ series place the failed edge 1, 2, 5 and 10 hops from the source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runner import ExperimentRunner
 
-from repro.core.config import SrmConfig
-from repro.experiments.common import (
-    ExperimentSpec,
-    Scenario,
-    SeriesPoint,
-    run_experiment,
-)
-from repro.metrics.bundle import RunMetrics
+from repro.experiments.common import Scenario, TradeoffSeries, run_c2_sweep
 from repro.topology.chain import chain
 
 #: The paper sweeps C2 over 0..10 by 1 then 10..100 by 10.
 DEFAULT_C2_VALUES = tuple(list(range(0, 11)) + list(range(20, 101, 10)))
 DEFAULT_FAILURE_HOPS = (1, 2, 5, 10)
 CHAIN_LENGTH = 100
-
-
-@dataclass
-class Figure6Result:
-    chain_length: int
-    c1: float
-    #: failure_hops -> list of per-C2 SeriesPoints.
-    series: Dict[int, List[SeriesPoint]] = field(default_factory=dict)
-    metrics: Optional[RunMetrics] = None
-
-    def format_table(self) -> str:
-        lines = [f"Figure 6: chain of {self.chain_length} nodes, "
-                 f"C1={self.c1}; mean over sims per point"]
-        for hops, points in sorted(self.series.items()):
-            lines.append(f"-- failed edge {hops} hop(s) from the source --")
-            lines.append(f"{'C2':>6} {'delay/RTT':>10} {'requests':>9}")
-            for point in points:
-                delays = point.series("delay")
-                requests = point.series("requests")
-                lines.append(
-                    f"{point.x:>6.0f} "
-                    f"{sum(delays) / len(delays):>10.3f} "
-                    f"{sum(requests) / len(requests):>9.2f}")
-        return "\n".join(lines)
 
 
 def chain_scenario(failure_hops: int,
@@ -66,38 +34,14 @@ def run_figure6(c2_values: Sequence[float] = DEFAULT_C2_VALUES,
                 failure_hops: Sequence[int] = DEFAULT_FAILURE_HOPS,
                 sims: int = 20, chain_length: int = CHAIN_LENGTH,
                 c1: float = 2.0, seed: int = 6,
-                runner: Optional["ExperimentRunner"] = None) -> Figure6Result:
-    from repro.runner import ExperimentRunner
-
-    runner = runner if runner is not None else ExperimentRunner()
-    sweep = []  # (hops, c2, spec) across both loops
-    for hops in failure_hops:
-        scenario = chain_scenario(hops, chain_length)
-        for c2 in c2_values:
-            sweep.append((hops, c2, ExperimentSpec(
-                scenario=scenario, config=SrmConfig(c1=c1, c2=float(c2)),
-                rounds=sims,
-                seed=(seed * 65537 + hops * 9973 + int(c2) * 613),
-                experiment="figure6")))
-    results = runner.map("figure6", run_experiment,
-                         [dict(spec=spec) for _, _, spec in sweep])
-    series: Dict[int, List[SeriesPoint]] = {hops: [] for hops in failure_hops}
-    for (hops, c2, _), result in zip(sweep, results):
-        point = SeriesPoint(x=c2)
-        for outcome in result.outcomes:
-            point.add("requests", outcome.requests)
-            point.add("delay", outcome.closest_request_ratio)
-        series[hops].append(point)
-    metrics = RunMetrics.merged((result.metrics for result in results),
-                                experiment="figure6")
-    return Figure6Result(chain_length=chain_length, c1=c1, series=series,
-                         metrics=metrics)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    result = run_figure6(sims=10)
-    print(result.format_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+                runner: Optional["ExperimentRunner"] = None
+                ) -> TradeoffSeries:
+    series, metrics = run_c2_sweep(
+        "figure6",
+        {hops: chain_scenario(hops, chain_length) for hops in failure_hops},
+        c2_values, c1, sims,
+        lambda hops, c2: seed * 65537 + hops * 9973 + int(c2) * 613, runner)
+    return TradeoffSeries(
+        title=f"Figure 6: chain of {chain_length} nodes, C1={c1}; "
+              f"mean over sims per point",
+        series=series, metrics=metrics)

@@ -14,20 +14,12 @@ is out so fast that deeper levels are deterministically suppressed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runner import ExperimentRunner
 
-from repro.core.config import SrmConfig
-from repro.experiments.common import (
-    ExperimentSpec,
-    Scenario,
-    SeriesPoint,
-    run_experiment,
-)
-from repro.metrics.bundle import RunMetrics
+from repro.experiments.common import Scenario, TradeoffSeries, run_c2_sweep
 from repro.topology.btree import balanced_tree
 from repro.topology.spec import TopologySpec
 
@@ -57,31 +49,14 @@ def drop_edge_at_hops(spec: TopologySpec, source: int, hops: int,
     return min(candidates, key=lambda edge: edge[1])
 
 
-@dataclass
-class Figure7Result:
-    num_nodes: int
-    c1: float
-    series: Dict[int, List[SeriesPoint]] = field(default_factory=dict)
-    label: str = "Figure 7"
-    metrics: Optional[RunMetrics] = None
-
-    def format_table(self) -> str:
-        lines = [f"{self.label}: tree of {self.num_nodes} nodes, C1={self.c1}"]
-        for hops, points in sorted(self.series.items()):
-            lines.append(f"-- failed edge {hops} hop(s) from the source --")
-            lines.append(f"{'C2':>6} {'delay/RTT':>10} {'requests':>9}")
-            for point in points:
-                delays = point.series("delay")
-                requests = point.series("requests")
-                lines.append(
-                    f"{point.x:>6.0f} "
-                    f"{sum(delays) / len(delays):>10.3f} "
-                    f"{sum(requests) / len(requests):>9.2f}")
-        return "\n".join(lines)
-
-    def mean_requests(self, hops: int) -> List[float]:
-        return [sum(p.series("requests")) / len(p.series("requests"))
-                for p in self.series[hops]]
+def tree_scenarios(spec: TopologySpec, source: int,
+                   hops_values: Sequence[int],
+                   members: Sequence[int]) -> Dict[int, Scenario]:
+    """One scenario per failed-edge placement (Figs. 7 and 8)."""
+    return {hops: Scenario(spec=spec, members=list(members), source=source,
+                           drop_edge=drop_edge_at_hops(spec, source, hops,
+                                                       members))
+            for hops in hops_values}
 
 
 def run_figure7(c2_values: Sequence[float] = DEFAULT_C2_VALUES,
@@ -89,42 +64,13 @@ def run_figure7(c2_values: Sequence[float] = DEFAULT_C2_VALUES,
                 sims: int = 20, num_nodes: int = NUM_NODES,
                 degree: int = DEGREE, c1: float = 2.0,
                 seed: int = 7,
-                runner: Optional["ExperimentRunner"] = None) -> Figure7Result:
-    from repro.runner import ExperimentRunner
-
+                runner: Optional["ExperimentRunner"] = None
+                ) -> TradeoffSeries:
     spec = balanced_tree(num_nodes, degree)
-    members = list(range(num_nodes))
-    source = 0
-    runner = runner if runner is not None else ExperimentRunner()
-    sweep = []  # (hops, c2, spec) across both loops
-    for hops in hops_values:
-        drop_edge = drop_edge_at_hops(spec, source, hops, members)
-        scenario = Scenario(spec=spec, members=members, source=source,
-                            drop_edge=drop_edge)
-        for c2 in c2_values:
-            sweep.append((hops, c2, ExperimentSpec(
-                scenario=scenario, config=SrmConfig(c1=c1, c2=float(c2)),
-                rounds=sims,
-                seed=(seed * 31337 + hops * 7919 + int(c2) * 613),
-                experiment="figure7")))
-    results = runner.map("figure7", run_experiment,
-                         [dict(spec=spec) for _, _, spec in sweep])
-    series: Dict[int, List[SeriesPoint]] = {hops: [] for hops in hops_values}
-    for (hops, c2, _), result in zip(sweep, results):
-        point = SeriesPoint(x=c2)
-        for outcome in result.outcomes:
-            point.add("requests", outcome.requests)
-            point.add("delay", outcome.closest_request_ratio)
-        series[hops].append(point)
-    metrics = RunMetrics.merged((result.metrics for result in results),
-                                experiment="figure7")
-    return Figure7Result(num_nodes=num_nodes, c1=c1, series=series,
-                         metrics=metrics)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run_figure7(sims=10).format_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    series, metrics = run_c2_sweep(
+        "figure7", tree_scenarios(spec, 0, hops_values, range(num_nodes)),
+        c2_values, c1, sims,
+        lambda hops, c2: seed * 31337 + hops * 7919 + int(c2) * 613, runner)
+    return TradeoffSeries(
+        title=f"Figure 7: tree of {num_nodes} nodes, C1={c1}",
+        series=series, metrics=metrics)

@@ -8,27 +8,18 @@ duplicates at a moderate cost in delay.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runner import ExperimentRunner
 
-from repro.core.config import SrmConfig
-from repro.experiments.common import (
-    ExperimentSpec,
-    Scenario,
-    SeriesPoint,
-    run_experiment,
-)
-from repro.experiments.figure7 import Figure7Result, drop_edge_at_hops
-from repro.metrics.bundle import RunMetrics
+from repro.experiments.common import TradeoffSeries, run_c2_sweep
+from repro.experiments.figure7 import (DEFAULT_C2_VALUES, DEFAULT_HOPS,
+                                       DEGREE, tree_scenarios)
 from repro.sim.rng import RandomSource
 from repro.topology.btree import balanced_tree
 
-DEFAULT_C2_VALUES = (0, 1, 2, 3, 5, 8, 12, 20, 35, 60, 100)
-DEFAULT_HOPS = (1, 2, 3, 4)
 NUM_NODES = 1000
-DEGREE = 4
 SESSION_SIZE = 100
 
 
@@ -37,43 +28,17 @@ def run_figure8(c2_values: Sequence[float] = DEFAULT_C2_VALUES,
                 sims: int = 20, num_nodes: int = NUM_NODES,
                 session_size: int = SESSION_SIZE, c1: float = 2.0,
                 seed: int = 8,
-                runner: Optional["ExperimentRunner"] = None) -> Figure7Result:
-    from repro.runner import ExperimentRunner
-
+                runner: Optional["ExperimentRunner"] = None
+                ) -> TradeoffSeries:
     spec = balanced_tree(num_nodes, DEGREE)
     rng = RandomSource(seed)
     members = sorted(rng.sample(range(num_nodes), session_size))
     source = rng.choice(members)
-    runner = runner if runner is not None else ExperimentRunner()
-    sweep = []  # (hops, c2, spec) across both loops
-    for hops in hops_values:
-        drop_edge = drop_edge_at_hops(spec, source, hops, members)
-        scenario = Scenario(spec=spec, members=members, source=source,
-                            drop_edge=drop_edge)
-        for c2 in c2_values:
-            sweep.append((hops, c2, ExperimentSpec(
-                scenario=scenario, config=SrmConfig(c1=c1, c2=float(c2)),
-                rounds=sims,
-                seed=(seed * 131071 + hops * 7919 + int(c2) * 613),
-                experiment="figure8")))
-    results = runner.map("figure8", run_experiment,
-                         [dict(spec=spec) for _, _, spec in sweep])
-    series: Dict[int, List[SeriesPoint]] = {hops: [] for hops in hops_values}
-    for (hops, c2, _), result in zip(sweep, results):
-        point = SeriesPoint(x=c2)
-        for outcome in result.outcomes:
-            point.add("requests", outcome.requests)
-            point.add("delay", outcome.closest_request_ratio)
-        series[hops].append(point)
-    metrics = RunMetrics.merged((result.metrics for result in results),
-                                experiment="figure8")
-    return Figure7Result(num_nodes=num_nodes, c1=c1, series=series,
-                         label="Figure 8 (sparse session)", metrics=metrics)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(run_figure8(sims=10).format_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    series, metrics = run_c2_sweep(
+        "figure8", tree_scenarios(spec, source, hops_values, members),
+        c2_values, c1, sims,
+        lambda hops, c2: seed * 131071 + hops * 7919 + int(c2) * 613, runner)
+    return TradeoffSeries(
+        title=f"Figure 8 (sparse session): tree of {num_nodes} nodes, "
+              f"C1={c1}",
+        series=series, metrics=metrics)

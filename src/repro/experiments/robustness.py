@@ -178,11 +178,3 @@ def format_table(results: List[RobustnessResult]) -> str:
                      f"{result.median_delay:>10.2f} "
                      f"{'yes' if result.all_recovered else 'NO':>4}")
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(format_table(run_robustness(rounds=5)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -9,29 +9,25 @@ Modes::
     repro fleet workers --url ...
 
 ``submit`` runs the named figure's own sweep code against a
-:class:`~repro.fleet.client.FleetRunner`, so the printed table — and
-the ``--metrics`` bundle — are byte-identical to the serial
-``repro <figure>`` output when the fleet behaves (that identity is the
-CI fleet-smoke gate; see docs/fleet.md).
+:class:`~repro.fleet.client.FleetRunner`, at the figure's own default
+seed and scale (:data:`repro.experiments.figures.FIGURES`), so the
+printed table — and the ``--metrics`` bundle — are byte-identical to
+the serial ``repro <figure>`` output when the fleet behaves (that
+identity is the CI fleet-smoke gate; see docs/fleet.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, Optional
 
 DEFAULT_URL = "http://127.0.0.1:8765"
 
-#: Figures whose sweeps are pure run_experiment maps and therefore can
-#: execute on the fleet, with the per-figure sweep arguments they take.
-FLEET_FIGURES = ("figure3", "figure4", "figure5", "figure6", "figure7",
-                 "figure8", "figure12", "figure13", "figure14",
-                 "figure15")
 
+def install_options(sub: argparse.ArgumentParser) -> None:
+    from repro.cli import any_figure_options
+    from repro.experiments.figures import FIGURES
 
-def install_options(sub: argparse.ArgumentParser,
-                    defaults: Optional[Dict[str, Any]] = None) -> None:
     sub.add_argument("mode",
                      choices=["serve", "worker", "submit", "status",
                               "workers"],
@@ -72,22 +68,11 @@ def install_options(sub: argparse.ArgumentParser,
                      help="(worker) pause between lease and execution; "
                           "a crash-recovery test hook")
     # submit
-    sub.add_argument("--figure", default="figure3",
-                     choices=list(FLEET_FIGURES),
+    sub.add_argument("--figure", default="figure3", choices=list(FIGURES),
                      help="(submit) figure sweep to run "
                           "(default: %(default)s)")
-    sub.add_argument("--sims", type=int, default=20,
-                     help="(submit) simulations per point "
-                          "(default: %(default)s)")
-    sub.add_argument("--runs", type=int, default=3,
-                     help="(submit) runs, for figure12/13 "
-                          "(default: %(default)s)")
-    sub.add_argument("--rounds", type=int, default=60,
-                     help="(submit) rounds, for figure12/13/14 "
-                          "(default: %(default)s)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="(submit) random seed (default: the "
-                          "figure's own)")
+    # (submit) --seed and every figure's scale flags.
+    any_figure_options(sub)
     sub.add_argument("--metrics", default=None, metavar="PATH",
                      help="(submit) write the merged metrics bundle "
                           "(JSON) here")
@@ -149,50 +134,19 @@ def _worker(args: argparse.Namespace) -> int:
 
 
 def _submit(args: argparse.Namespace) -> int:
+    from repro.cli import COMMANDS
     from repro.fleet.client import FleetError, FleetRunner
 
-    seed = args.seed
-    if seed is None:
-        from repro.cli import FIGURE_SEEDS
-        seed = FIGURE_SEEDS.get(args.figure, 0)
     runner = FleetRunner(args.url, timeout=args.timeout,
                          metrics_path=args.metrics)
     try:
-        result = _run_figure(args.figure, runner, seed, args)
+        COMMANDS[args.figure](args, runner=runner)
     except FleetError as exc:
         print(f"fleet submit: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, tuple):
-        print("\n\n".join(part.format_table() for part in result))
-    else:
-        print(result.format_table())
     if args.metrics:
         print(f"saved metrics bundle to {args.metrics}", file=sys.stderr)
     return 0
-
-
-def _run_figure(figure: str, runner: Any, seed: int,
-                args: argparse.Namespace) -> Any:
-    """Run one figure sweep on the fleet runner (same code as serial)."""
-    if figure in ("figure12", "figure13"):
-        from repro.experiments.figure12_13 import (
-            find_adversarial_scenario, run_rounds_experiment)
-        return run_rounds_experiment(
-            find_adversarial_scenario(), adaptive=(figure == "figure13"),
-            runs=args.runs, rounds=args.rounds, seed=seed, runner=runner)
-    if figure == "figure14":
-        from repro.experiments.figure14 import run_figure14
-        return run_figure14(sims=args.sims, rounds=args.rounds,
-                            seed=seed, runner=runner)
-    if figure == "figure15":
-        from repro.experiments.figure15 import run_figure15
-        return (run_figure15(sims=args.sims, seed=seed, runner=runner),
-                run_figure15(sims=args.sims, seed=seed, mode="one-step",
-                             runner=runner))
-    import importlib
-    module = importlib.import_module(f"repro.experiments.{figure}")
-    run = getattr(module, f"run_{figure}")
-    return run(sims=args.sims, seed=seed, runner=runner)
 
 
 def _status(args: argparse.Namespace) -> int:

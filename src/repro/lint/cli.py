@@ -28,8 +28,7 @@ DEFAULT_PATHS = ("src", "tests")
 FORMATS = ("text", "json", "github")
 
 
-def install_options(sub: argparse.ArgumentParser,
-                    defaults: Optional[dict] = None) -> None:
+def install_options(sub: argparse.ArgumentParser) -> None:
     """Argparse options for the lint command (used by repro.cli)."""
     sub.add_argument("paths", nargs="*", default=None,
                      help="files or directories to lint "

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict
 
 
-def install_options(sub: argparse.ArgumentParser,
-                    defaults: Dict[str, Any]) -> None:
+def install_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("mode", choices=["wb", "wb-member", "soak"],
                      help="wb: multi-process whiteboard demo; "
                           "wb-member: one member process; "
@@ -34,8 +32,8 @@ def install_options(sub: argparse.ArgumentParser,
                      help="injected loss probability per (packet, "
                           "receiver) on data/repair traffic "
                           "(default: %(default)s)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="random seed (default: the live default)")
+    sub.add_argument("--seed", type=int, default=6,
+                     help="random seed (default: %(default)s)")
     sub.add_argument("--duration", type=float, default=None,
                      help="wall-clock budget in seconds "
                           "(default: mode-specific)")
@@ -89,9 +87,8 @@ def _run_wb(args: argparse.Namespace) -> int:
     from repro.live.wbdemo import run_wb_demo
 
     duration = args.duration if args.duration is not None else 20.0
-    seed = args.seed if args.seed is not None else 0
     result = run_wb_demo(members=args.members, ops=args.ops,
-                         loss=args.loss, seed=seed,
+                         loss=args.loss, seed=args.seed,
                          duration=duration, multicast=args.multicast)
     print(result.format())
     return 0 if result.converged else 2
@@ -110,10 +107,9 @@ def _run_wb_member(args: argparse.Namespace) -> int:
     ports = [int(port) for port in args.ports.split(",")] \
         if args.ports else []
     duration = args.duration if args.duration is not None else 20.0
-    seed = args.seed if args.seed is not None else args.index
     report = run_wb_member(
         index=args.index, ports=ports, ops=args.ops, loss=args.loss,
-        seed=seed, duration=duration, out=args.out or "",
+        seed=args.seed, duration=duration, out=args.out or "",
         multicast=args.multicast,
         members=args.members if args.multicast else None)
     if not args.out:
@@ -128,7 +124,7 @@ def _run_soak(args: argparse.Namespace) -> int:
 
     spec = SoakSpec(members=args.members, packets=args.packets,
                     rate=args.rate, loss=args.loss, drain=args.drain,
-                    seed=args.seed if args.seed is not None else 0,
+                    seed=args.seed,
                     check=args.check)
     if args.duration is not None:
         spec.drain = max(0.0, args.duration - spec.packets / spec.rate)

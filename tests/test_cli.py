@@ -1,12 +1,80 @@
 """Tests for the experiment CLI."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import COMMANDS, FIGURE_SEEDS, build_parser, main
+from repro.cli import COMMANDS, build_parser, main, parse_args
+from repro.experiments.figures import FIGURES
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+#: Commands with a golden that are not runner-mapped figures.
+HAND_WRITTEN = {"robustness", "congestion", "scaling", "fidelity"}
 
 
-def test_every_command_has_a_seed_default():
-    assert set(FIGURE_SEEDS) == set(COMMANDS)
+def test_registry_goldens_and_cli_agree():
+    """A figure is a FIGURES entry, a golden and a command — all three."""
+    goldens = {path.stem for path in RESULTS.glob("*.txt")}
+    assert goldens == set(FIGURES) | HAND_WRITTEN
+    assert set(FIGURES) | HAND_WRITTEN <= set(COMMANDS)
+    for name in FIGURES:
+        assert parse_args(["fleet", "submit", "--figure", name]).figure \
+            == name
+    for name in sorted(set(COMMANDS) - set(FIGURES)):
+        with pytest.raises(SystemExit):
+            parse_args(["fleet", "submit", "--figure", name])
+
+
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_serial_report_and_fleet_resolve_the_same_seed_and_scale(name):
+    """No flags given: `repro <figure>`, `repro report <figure>` and
+    `repro fleet submit --figure <figure>` run the registry's sweep."""
+    figure = FIGURES[name]
+    for argv in ([name], ["report", name],
+                 ["fleet", "submit", "--figure", name]):
+        args = parse_args(argv)
+        assert (args.seed, {flag: getattr(args, flag)
+                            for flag in figure.scale}) \
+            == (figure.seed, figure.scale), argv
+
+
+def _flag_cases():
+    """(argv prefix, the sweep flags that command line reads)."""
+    for name, figure in FIGURES.items():
+        reads = {"seed", *figure.scale}
+        yield [name], reads
+        yield ["report", name], reads
+        yield ["fleet", "submit", "--figure", name], reads
+    yield ["scaling"], {"seed", "rounds"}
+    yield ["robustness"], {"seed", "rounds"}
+    yield ["congestion"], set()
+    yield ["fidelity"], set()
+    yield ["fuzz"], {"seed", "rounds"}
+    yield ["compare", "a.json", "b.json"], set()
+    yield ["lint"], set()
+    yield ["live", "soak"], {"seed"}
+
+
+def test_flag_cases_cover_every_command():
+    assert {argv[0] for argv, _ in _flag_cases()} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("flag", ["seed", "sims", "runs", "rounds"])
+@pytest.mark.parametrize("argv,reads", list(_flag_cases()),
+                         ids=lambda value: "-".join(value)
+                         if isinstance(value, list) else "")
+def test_sweep_flag_is_accepted_iff_the_command_reads_it(argv, reads, flag,
+                                                         capsys):
+    """A flag a command would ignore is an argparse error, not a no-op."""
+    line = argv + [f"--{flag}", "2"]
+    if flag in reads:
+        assert getattr(parse_args(line), flag) == 2
+    else:
+        with pytest.raises(SystemExit) as usage:
+            parse_args(line)
+        assert usage.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_list_command(capsys):

@@ -38,14 +38,6 @@ def test_wire_knobs_are_declared_knobs():
     assert set(env.WIRE_KNOBS) == {"SRM_CHECK", "SRM_CACHE_SALT"}
 
 
-def test_knob_lookup_rejects_undeclared_names():
-    assert env.knob("SRM_CHECK").kind == "bool"
-    with pytest.raises(env.UnknownKnobError):
-        env.knob("SRM_NOT_A_KNOB")
-    with pytest.raises(env.UnknownKnobError):
-        env.knob("PATH")
-
-
 # ----------------------------------------------------------------------
 # Typed accessors
 # ----------------------------------------------------------------------
