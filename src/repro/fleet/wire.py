@@ -2,27 +2,32 @@
 
 This module is the single serialization boundary for the
 ``ExperimentSpec → RunResult`` API: every fleet HTTP payload and every
-runner cache key goes through these codecs, never through ad-hoc
-pickling of in-process conventions.
-
-Design rules, enforced here and tested by the round-trip suite:
+runner cache key goes through it, never through ad-hoc pickling of
+in-process conventions. The schema is one table: :data:`SCHEMA` holds,
+per wired class, ``(attribute, wire key, codec)`` rows built from a
+handful of combinators (:data:`INT` … :func:`record`), and :func:`_encode`
+/ :func:`_decode` are the only code that builds or takes apart a
+payload — a class is framed once, in its rows. The rules:
 
 * **Versioned.** Every top-level payload carries ``"schema": "spec/v3"``
-  and decoding any other version raises :class:`WireFormatError`. The
-  schema is *frozen*: changing the meaning of an existing field requires
-  a ``spec/v4``, not an edit.
-* **Explicit.** Each type has a hand-written encoder/decoder with a
-  fixed field list. Nothing is derived from ``repr`` or pickle, so the
-  wire format cannot drift when an in-memory class grows a cache slot.
-* **Closed.** Decoders reject unknown fields instead of ignoring them:
-  a payload from a newer, incompatible peer fails loudly at the
-  boundary rather than silently dropping semantics.
+  (a :func:`tag` row) and decoding any other version raises
+  :class:`WireFormatError`. The schema is *frozen*: changing the meaning
+  of an existing field requires a ``spec/v4``, not an edit
+  (``tests/data/spec_v3_golden.json`` pins the bytes).
+* **Explicit.** Rows name exactly their class's fields or this module
+  does not import (:func:`_check_rows`): a field added to a dataclass
+  but not to the table cannot fingerprint, let alone ship. Nothing is
+  derived from ``repr`` or pickle, so the wire format cannot drift when
+  an in-memory class grows a cache slot.
+* **Closed.** ``_decode`` requires every row's key and rejects any
+  other, so a newer, incompatible peer fails loudly at the boundary —
+  and whatever the JSON value, only ever as :class:`WireFormatError`.
 * **Exact.** Floats ride as JSON numbers (Python's shortest-round-trip
   repr), so a decoded spec fingerprints and simulates bit-identically
   to the original — the property the fleet's determinism guarantee
   rests on.
 
-The codecs cover every spec used by the figure, scaling and fuzz
+The table covers every spec used by the figure, scaling and fuzz
 suites: recovery and scoped kinds, direct/hop/herd engines, adaptive
 configs, and the full result path (round outcomes with their per-member
 loss-event reports, metrics bundles, scoped-recovery artifacts).
@@ -32,7 +37,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Type, TypeVar
 
 from repro.core.config import AdaptiveBounds, SrmConfig
 from repro.core.local import LocalRecoveryOutcome
@@ -79,231 +85,311 @@ def dumps_canonical(payload: Mapping[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Decoding helpers: closed field sets, light type validation.
+# Codecs: how one value rides, and the combinators that build them.
 # ----------------------------------------------------------------------
 
 
-class _Reader:
-    """Pop-only view of a payload dict that rejects leftovers."""
+class Codec(NamedTuple):
+    """``encode(value) -> JSON`` and ``decode(JSON) -> value``; either
+    raises :class:`WireFormatError` on a value with no spec/v3 form."""
 
-    def __init__(self, payload: Any, context: str) -> None:
-        if not isinstance(payload, dict):
-            raise WireFormatError(
-                f"{context}: expected a JSON object, got "
-                f"{type(payload).__name__}")
-        self._data = dict(payload)
-        self._context = context
-
-    def take(self, name: str) -> Any:
-        try:
-            return self._data.pop(name)
-        except KeyError:
-            raise WireFormatError(
-                f"{self._context}: missing required field {name!r}"
-            ) from None
-
-    def take_opt(self, name: str, default: Any = None) -> Any:
-        return self._data.pop(name, default)
-
-    def close(self) -> None:
-        if self._data:
-            unknown = ", ".join(sorted(self._data))
-            raise WireFormatError(
-                f"{self._context}: unknown field(s) {unknown}")
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
 
 
-def _expect_schema(reader: _Reader, context: str) -> None:
-    schema = reader.take("schema")
-    if schema != WIRE_SCHEMA:
-        raise WireFormatError(
-            f"{context}: unsupported wire schema {schema!r} "
-            f"(this build speaks {WIRE_SCHEMA!r})")
+#: ``(attribute, wire key, codec)``; a None attribute is a :func:`tag`.
+Row = Tuple[Optional[str], str, Codec]
+T = TypeVar("T")
 
 
-def _int(value: Any, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise WireFormatError(f"{context}: expected an integer, "
-                              f"got {value!r}")
+def _same(value: Any) -> Any:
     return value
 
 
-def _float(value: Any, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise WireFormatError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+def _expects(what: str, *kinds: type) -> Callable[[Any], Any]:
+    def check(wire: Any) -> Any:
+        # Exact JSON types: isinstance() would call a bool an int.
+        if type(wire) in kinds:
+            return wire
+        raise WireFormatError(f"expected {what}, got {wire!r}")
+
+    return check
 
 
-def _opt_float(value: Any, context: str) -> Optional[float]:
-    return None if value is None else _float(value, context)
+_scalar = _expects("a scalar (bool/int/float/str/null)",
+                   bool, int, float, str, type(None))
+_number = _expects("a number", int, float)
+_object = _expects("a JSON object", dict)
+_list = _expects("a list", list)
+
+INT = Codec(_same, _expects("an integer", int))
+# A conversion's own ValueError / OverflowError (``float(10**400)``,
+# ``int("x")`` in int_keyed) is reported by _decode like any other.
+FLOAT = Codec(_same, lambda wire: float(_number(wire)))
+STR = Codec(_same, _expects("a string", str))
+BOOL = Codec(_same, _expects("a boolean", bool))
+#: Config knobs: checked in both directions, so a future non-scalar
+#: knob must get a codec of its own deliberately.
+SCALAR = Codec(_scalar, _scalar)
 
 
-def _str(value: Any, context: str) -> str:
-    if not isinstance(value, str):
-        raise WireFormatError(f"{context}: expected a string, got {value!r}")
-    return value
+def tag(value: str, what: str) -> Codec:
+    """A constant every payload of the class carries; no attribute."""
+
+    def decode(wire: Any) -> None:
+        if wire != value:
+            raise WireFormatError(f"unsupported {what} {wire!r} "
+                                  f"(this build speaks {value!r})")
+
+    return Codec(lambda _: value, decode)
 
 
-def _bool(value: Any, context: str) -> bool:
-    if not isinstance(value, bool):
-        raise WireFormatError(f"{context}: expected a boolean, "
-                              f"got {value!r}")
-    return value
+def optional(item: Codec) -> Codec:
+    """``item``, or JSON null for None."""
+    return Codec(lambda value: None if value is None else item.encode(value),
+                 lambda wire: None if wire is None else item.decode(wire))
 
 
-def _int_list(value: Any, context: str) -> List[int]:
-    if not isinstance(value, list):
-        raise WireFormatError(f"{context}: expected a list, got {value!r}")
-    return [_int(item, context) for item in value]
+def list_of(item: Codec) -> Codec:
+    """A JSON list of ``item`` (a plain copy when items ride as-is)."""
+    encode: Callable[[Any], Any] = list if item.encode is _same else (
+        lambda value: [item.encode(element) for element in value])
+    return Codec(encode,
+                 lambda wire: [item.decode(element) for element in _list(wire)])
 
 
-def _edge(value: Any, context: str) -> Tuple[int, int]:
-    pair = _int_list(value, context)
-    if len(pair) != 2:
-        raise WireFormatError(f"{context}: expected an [a, b] pair, "
-                              f"got {value!r}")
-    return (pair[0], pair[1])
+def pair_of(item: Codec) -> Codec:
+    """A two-element JSON list, decoded to a tuple."""
+    items = list_of(item)
+
+    def decode(wire: Any) -> Tuple[Any, Any]:
+        first, second = items.decode(wire)  # ValueError unless exactly two
+        return first, second
+
+    return Codec(items.encode, decode)
 
 
-# ----------------------------------------------------------------------
-# Topology / scenario / config.
-# ----------------------------------------------------------------------
+def int_keyed(item: Codec) -> Codec:
+    """``{int: item}`` as a JSON object keyed by the decimal string."""
+    return Codec(
+        lambda value: {str(member): item.encode(element)
+                       for member, element in sorted(value.items())},
+        lambda wire: {int(member): item.decode(element)
+                      for member, element in _object(wire).items()})
 
 
-def _topology_to_wire(spec: TopologySpec) -> Dict[str, Any]:
-    return {
-        "name": spec.name,
-        "num_nodes": spec.num_nodes,
-        "edges": [[a, b] for a, b in spec.edges],
-        "metadata": dict(spec.metadata),
-    }
+def record(cls: type) -> Codec:
+    """A nested wired class: its :data:`SCHEMA` rows as a JSON object."""
+    return Codec(partial(_encode, cls), partial(_decode, cls))
 
 
-def _topology_from_wire(payload: Any) -> TopologySpec:
-    reader = _Reader(payload, "topology")
-    metadata = reader.take_opt("metadata", {})
-    if not isinstance(metadata, dict):
-        raise WireFormatError("topology.metadata: expected an object")
-    spec = TopologySpec(
-        name=_str(reader.take("name"), "topology.name"),
-        num_nodes=_int(reader.take("num_nodes"), "topology.num_nodes"),
-        edges=[_edge(edge, "topology.edges")
-               for edge in reader.take("edges")],
-        metadata=dict(metadata),
-    )
-    reader.close()
-    return spec
-
-
-def _scenario_to_wire(scenario: Scenario) -> Dict[str, Any]:
-    return {
-        "topology": _topology_to_wire(scenario.spec),
-        "members": list(scenario.members),
-        "source": scenario.source,
-        "drop_edge": list(scenario.drop_edge),
-    }
-
-
-def _scenario_from_wire(payload: Any) -> Scenario:
-    reader = _Reader(payload, "scenario")
-    scenario = Scenario(
-        spec=_topology_from_wire(reader.take("topology")),
-        members=_int_list(reader.take("members"), "scenario.members"),
-        source=_int(reader.take("source"), "scenario.source"),
-        drop_edge=_edge(reader.take("drop_edge"), "scenario.drop_edge"),
-    )
-    reader.close()
-    return scenario
-
-
-#: SrmConfig / AdaptiveBounds ride field-by-field. The field lists are
-#: pinned at import from the dataclass definitions; every value is a
-#: scalar (bool/int/float/str/None), which the round-trip tests enforce
-#: so a future non-scalar knob must extend the codec deliberately.
-_BOUNDS_FIELDS = tuple(f.name for f in dataclasses.fields(AdaptiveBounds))
-_CONFIG_SCALARS = tuple(f.name for f in dataclasses.fields(SrmConfig)
-                        if f.name != "adaptive_bounds")
-
-
-def _scalar(value: Any, context: str) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise WireFormatError(
-        f"{context}: config values must be scalars, got "
-        f"{type(value).__name__}")
-
-
-def _bounds_to_wire(bounds: AdaptiveBounds) -> Dict[str, Any]:
-    return {name: _scalar(getattr(bounds, name), f"adaptive_bounds.{name}")
-            for name in _BOUNDS_FIELDS}
-
-
-def _bounds_from_wire(payload: Any) -> AdaptiveBounds:
-    reader = _Reader(payload, "adaptive_bounds")
-    values = {name: _scalar(reader.take(name), f"adaptive_bounds.{name}")
-              for name in _BOUNDS_FIELDS}
-    reader.close()
-    return AdaptiveBounds(**values)
-
-
-def _config_to_wire(config: SrmConfig) -> Dict[str, Any]:
-    payload = {name: _scalar(getattr(config, name), f"config.{name}")
-               for name in _CONFIG_SCALARS}
-    payload["adaptive_bounds"] = _bounds_to_wire(config.adaptive_bounds)
+def _encode(cls: type, obj: Any) -> Dict[str, Any]:
+    """``obj`` as the JSON object its :data:`SCHEMA` rows describe."""
+    payload: Dict[str, Any] = {}
+    key = ""
+    try:
+        for attribute, key, codec in SCHEMA[cls]:
+            payload[key] = codec.encode(
+                None if attribute is None else getattr(obj, attribute))
+    except WireFormatError as exc:
+        raise WireFormatError(f"{key}: {exc}") from None
     return payload
 
 
-def _config_from_wire(payload: Any) -> SrmConfig:
-    reader = _Reader(payload, "config")
-    values = {name: _scalar(reader.take(name), f"config.{name}")
-              for name in _CONFIG_SCALARS}
-    values["adaptive_bounds"] = _bounds_from_wire(
-        reader.take("adaptive_bounds"))
-    reader.close()
-    return SrmConfig(**values)
+def _decode(cls: Type[T], payload: Any) -> T:
+    """The ``cls`` a JSON value describes, or :class:`WireFormatError`.
+
+    Owns every check: the value is an object, each row's key is there
+    and satisfies its codec (a tag is the first row, so a foreign version
+    is refused before anything else is read), no other key is. Failures
+    are prefixed with their key on the way out: a path from the root.
+    """
+    found, rows = _object(payload), SCHEMA[cls]
+    values: Dict[str, Any] = {}
+    key = ""
+    try:
+        for attribute, key, codec in rows:
+            if key not in found:
+                raise WireFormatError("missing required field")
+            value = codec.decode(found[key])
+            if attribute is not None:
+                values[attribute] = value
+    except (ValueError, OverflowError) as exc:
+        raise WireFormatError(f"{key}: {exc}") from None
+    if len(found) != len(rows):
+        known = {key for _, key, _ in rows}
+        unknown = ", ".join(sorted(str(key) for key in found.keys() - known))
+        raise WireFormatError(f"unknown field(s) {unknown}")
+    return _build(cls, **values)
+
+
+def _build(make: Callable[..., T], *args: Any, **fields: Any) -> T:
+    """``make(...)``; its own refusal (``TopologySpec`` of a self-loop,
+    ``RunMetrics.from_dict`` of a foreign bundle, ``json.loads`` of
+    anything but JSON) is a schema violation like any other."""
+    try:
+        return make(*args, **fields)
+    except (TypeError, ValueError) as exc:
+        raise WireFormatError(
+            f"{make.__module__}.{make.__qualname__}: {exc}") from exc
+
+
+def _encode_artifact(value: Any) -> Any:
+    if isinstance(value, LocalRecoveryOutcome):
+        return _encode(LocalRecoveryOutcome, value)
+    if isinstance(value, (list, tuple)):
+        return [_encode_artifact(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _encode_artifact(item)
+                for key, item in value.items()}
+    # Anything else has no spec/v3 form until a codec is added for it.
+    return _scalar(value)
+
+
+def _decode_artifact(wire: Any) -> Any:
+    if isinstance(wire, dict):
+        if wire.get("__kind__") == SCOPED_OUTCOME:
+            return _decode(LocalRecoveryOutcome, wire)
+        return {key: _decode_artifact(item) for key, item in wire.items()}
+    if isinstance(wire, list):
+        return [_decode_artifact(item) for item in wire]
+    return wire
+
+
+def _scalars(cls: type, **nested: Codec) -> Tuple[Row, ...]:
+    """Rows for a dataclass of scalar knobs, read off its field list:
+    ``SrmConfig`` / ``AdaptiveBounds`` ride field-by-field under their
+    own names, so their rows follow the dataclass by construction."""
+    return tuple((f.name, f.name, nested.get(f.name, SCALAR))
+                 for f in dataclasses.fields(cls))
 
 
 # ----------------------------------------------------------------------
-# ExperimentSpec.
+# The schema: one row per field of every wired class.
 # ----------------------------------------------------------------------
+
+SCHEMA_TAG = tag(WIRE_SCHEMA, "wire schema")
+SCOPED_OUTCOME = "scoped-outcome"
+INT_LIST = list_of(INT)
+INT_PAIR = pair_of(INT)
+INT_SET = Codec(sorted, lambda wire: frozenset(INT_LIST.decode(wire)))
+PAGE = Codec(list, lambda wire: PageId(*INT_PAIR.decode(wire)))
+TIMINGS = int_keyed(record(MemberTiming))
+#: Free-form annotations (``TopologySpec.metadata``): any JSON object.
+OBJECT = Codec(dict, lambda wire: dict(_object(wire)))
+METRICS = Codec(RunMetrics.to_dict,
+                lambda wire: _build(RunMetrics.from_dict, _object(wire)))
+#: Kind-specific extras: JSON values, plus tagged scoped outcomes.
+ARTIFACTS = Codec(_encode_artifact,
+                  lambda wire: _decode_artifact(_object(wire)))
+
+#: A ``spec/v4`` field is one new row here, plus the ``WIRE_SCHEMA`` bump
+#: and a re-pinned ``wire-schema.lock`` (docs/fleet.md, "Schema
+#: evolution"). Both top-level types, so a result's spec too, are tagged.
+SCHEMA: Dict[type, Tuple[Row, ...]] = {
+    TopologySpec: (
+        ("name", "name", STR),
+        ("num_nodes", "num_nodes", INT),
+        ("edges", "edges", list_of(INT_PAIR)),
+        ("metadata", "metadata", OBJECT),
+    ),
+    Scenario: (
+        ("spec", "topology", record(TopologySpec)),
+        ("members", "members", INT_LIST),
+        ("source", "source", INT),
+        ("drop_edge", "drop_edge", INT_PAIR),
+    ),
+    AdaptiveBounds: _scalars(AdaptiveBounds),
+    SrmConfig: _scalars(SrmConfig, adaptive_bounds=record(AdaptiveBounds)),
+    ExperimentSpec: (
+        (None, "schema", SCHEMA_TAG),
+        ("scenario", "scenario", record(Scenario)),
+        ("config", "config", optional(record(SrmConfig))),
+        ("rounds", "rounds", INT),
+        ("seed", "seed", INT),
+        ("engine", "engine", STR),
+        ("experiment", "experiment", STR),
+        ("kind", "kind", STR),
+        ("scoped_mode", "scoped_mode", optional(STR)),
+        ("trigger_gap", "trigger_gap", FLOAT),
+    ),
+    AduName: (
+        ("source", "source", INT),
+        ("page", "page", PAGE),
+        ("seq", "seq", INT),
+    ),
+    MemberTiming: (
+        ("member", "member", INT),
+        ("delay", "delay", FLOAT),
+        ("rtt", "rtt", FLOAT),
+        ("ratio", "ratio", FLOAT),
+        ("at", "at", FLOAT),
+        ("via", "via", STR),
+    ),
+    LossEventReport: (
+        ("name", "name", record(AduName)),
+        ("requests", "requests", INT),
+        ("repairs", "repairs", INT),
+        ("second_step_repairs", "second_step_repairs", INT),
+        ("losses_detected", "losses_detected", INT),
+        ("recoveries", "recoveries", TIMINGS),
+        ("request_waits", "request_waits", TIMINGS),
+    ),
+    RoundOutcome: (
+        ("report", "report", record(LossEventReport)),
+        ("name", "name", record(AduName)),
+        ("requests", "requests", INT),
+        ("repairs", "repairs", INT),
+        ("duplicate_requests", "duplicate_requests", INT),
+        ("duplicate_repairs", "duplicate_repairs", INT),
+        ("last_member_ratio", "last_member_ratio", optional(FLOAT)),
+        ("closest_request_ratio", "closest_request_ratio", optional(FLOAT)),
+        ("recovered", "recovered", BOOL),
+    ),
+    LocalRecoveryOutcome: (
+        (None, "__kind__", tag(SCOPED_OUTCOME, "artifact kind")),
+        ("requester", "requester", INT),
+        ("replier", "replier", INT),
+        ("request_ttl", "request_ttl", INT),
+        ("loss_members", "loss_members", INT_SET),
+        ("repair_reached", "repair_reached", INT_SET),
+        ("session_size", "session_size", INT),
+    ),
+    RunResult: (
+        (None, "schema", SCHEMA_TAG),
+        ("spec", "spec", record(ExperimentSpec)),
+        ("outcomes", "outcomes", list_of(record(RoundOutcome))),
+        ("metrics", "metrics", optional(METRICS)),
+        ("artifacts", "artifacts", ARTIFACTS),
+    ),
+}
+
+
+def _check_rows(cls: type, rows: Tuple[Row, ...]) -> None:
+    """Raise unless ``rows`` name each field of ``cls`` exactly once; run
+    over the table at import, so a dataclass field without a row (or a
+    row whose field is gone) stops this module from loading."""
+    # AduName is tuple-backed (``_fields``); the rest are dataclasses.
+    fields = sorted(getattr(cls, "_fields", None)
+                    or [f.name for f in dataclasses.fields(cls)])
+    named = sorted(name for name, _, _ in rows if name is not None)
+    if named != fields:
+        raise TypeError(f"SCHEMA[{cls.__name__}] rows name {named}, "
+                        f"but the class's fields are {fields}")
+
+
+for _cls, _rows in SCHEMA.items():
+    _check_rows(_cls, _rows)
 
 
 def spec_to_wire(spec: ExperimentSpec) -> Dict[str, Any]:
     """Encode one :class:`ExperimentSpec` as a spec/v3 payload."""
-    return {
-        "schema": WIRE_SCHEMA,
-        "scenario": _scenario_to_wire(spec.scenario),
-        "config": None if spec.config is None
-        else _config_to_wire(spec.config),
-        "rounds": spec.rounds,
-        "seed": spec.seed,
-        "engine": spec.engine,
-        "experiment": spec.experiment,
-        "kind": spec.kind,
-        "scoped_mode": spec.scoped_mode,
-        "trigger_gap": spec.trigger_gap,
-    }
+    return _encode(ExperimentSpec, spec)
 
 
 def spec_from_wire(payload: Any) -> ExperimentSpec:
     """Decode a spec/v3 payload back into an :class:`ExperimentSpec`."""
-    reader = _Reader(payload, "spec")
-    _expect_schema(reader, "spec")
-    config = reader.take("config")
-    scoped_mode = reader.take("scoped_mode")
-    spec = ExperimentSpec(
-        scenario=_scenario_from_wire(reader.take("scenario")),
-        config=None if config is None else _config_from_wire(config),
-        rounds=_int(reader.take("rounds"), "spec.rounds"),
-        seed=_int(reader.take("seed"), "spec.seed"),
-        engine=_str(reader.take("engine"), "spec.engine"),
-        experiment=_str(reader.take("experiment"), "spec.experiment"),
-        kind=_str(reader.take("kind"), "spec.kind"),
-        scoped_mode=None if scoped_mode is None
-        else _str(scoped_mode, "spec.scoped_mode"),
-        trigger_gap=_float(reader.take("trigger_gap"), "spec.trigger_gap"),
-    )
-    reader.close()
-    return spec
+    return _decode(ExperimentSpec, payload)
 
 
 def spec_to_json(spec: ExperimentSpec) -> str:
@@ -311,222 +397,17 @@ def spec_to_json(spec: ExperimentSpec) -> str:
 
 
 def spec_from_json(text: str) -> ExperimentSpec:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WireFormatError(f"spec: not valid JSON ({exc})") from exc
-    return spec_from_wire(payload)
-
-
-# ----------------------------------------------------------------------
-# Results: member timings, loss-event reports, outcomes, artifacts.
-# ----------------------------------------------------------------------
-
-
-def _name_to_wire(name: AduName) -> Dict[str, Any]:
-    return {"source": name.source, "page": [name.page.creator,
-                                            name.page.number],
-            "seq": name.seq}
-
-
-def _name_from_wire(payload: Any) -> AduName:
-    reader = _Reader(payload, "adu_name")
-    creator, number = _edge(reader.take("page"), "adu_name.page")
-    name = AduName(source=_int(reader.take("source"), "adu_name.source"),
-                   page=PageId(creator=creator, number=number),
-                   seq=_int(reader.take("seq"), "adu_name.seq"))
-    reader.close()
-    return name
-
-
-def _timing_to_wire(timing: MemberTiming) -> Dict[str, Any]:
-    return {"member": timing.member, "delay": timing.delay,
-            "rtt": timing.rtt, "ratio": timing.ratio, "at": timing.at,
-            "via": timing.via}
-
-
-def _timing_from_wire(payload: Any) -> MemberTiming:
-    reader = _Reader(payload, "member_timing")
-    timing = MemberTiming(
-        member=_int(reader.take("member"), "member_timing.member"),
-        delay=_float(reader.take("delay"), "member_timing.delay"),
-        rtt=_float(reader.take("rtt"), "member_timing.rtt"),
-        ratio=_float(reader.take("ratio"), "member_timing.ratio"),
-        at=_float(reader.take("at"), "member_timing.at"),
-        via=_str(reader.take_opt("via", ""), "member_timing.via"))
-    reader.close()
-    return timing
-
-
-def _timing_map_to_wire(timings: Dict[int, MemberTiming]
-                        ) -> Dict[str, Any]:
-    return {str(member): _timing_to_wire(timing)
-            for member, timing in sorted(timings.items())}
-
-
-def _timing_map_from_wire(payload: Any, context: str
-                          ) -> Dict[int, MemberTiming]:
-    if not isinstance(payload, dict):
-        raise WireFormatError(f"{context}: expected an object")
-    return {int(member): _timing_from_wire(timing)
-            for member, timing in payload.items()}
-
-
-def _report_to_wire(report: LossEventReport) -> Dict[str, Any]:
-    return {
-        "name": _name_to_wire(report.name),
-        "requests": report.requests,
-        "repairs": report.repairs,
-        "second_step_repairs": report.second_step_repairs,
-        "losses_detected": report.losses_detected,
-        "recoveries": _timing_map_to_wire(report.recoveries),
-        "request_waits": _timing_map_to_wire(report.request_waits),
-    }
-
-
-def _report_from_wire(payload: Any) -> LossEventReport:
-    reader = _Reader(payload, "loss_event")
-    report = LossEventReport(
-        name=_name_from_wire(reader.take("name")),
-        requests=_int(reader.take("requests"), "loss_event.requests"),
-        repairs=_int(reader.take("repairs"), "loss_event.repairs"),
-        second_step_repairs=_int(reader.take("second_step_repairs"),
-                                 "loss_event.second_step_repairs"),
-        losses_detected=_int(reader.take("losses_detected"),
-                             "loss_event.losses_detected"),
-        recoveries=_timing_map_from_wire(reader.take("recoveries"),
-                                         "loss_event.recoveries"),
-        request_waits=_timing_map_from_wire(reader.take("request_waits"),
-                                            "loss_event.request_waits"),
-    )
-    reader.close()
-    return report
-
-
-def _outcome_to_wire(outcome: RoundOutcome) -> Dict[str, Any]:
-    return {
-        "report": _report_to_wire(outcome.report),
-        "name": _name_to_wire(outcome.name),
-        "requests": outcome.requests,
-        "repairs": outcome.repairs,
-        "duplicate_requests": outcome.duplicate_requests,
-        "duplicate_repairs": outcome.duplicate_repairs,
-        "last_member_ratio": outcome.last_member_ratio,
-        "closest_request_ratio": outcome.closest_request_ratio,
-        "recovered": outcome.recovered,
-    }
-
-
-def _outcome_from_wire(payload: Any) -> RoundOutcome:
-    reader = _Reader(payload, "outcome")
-    outcome = RoundOutcome(
-        report=_report_from_wire(reader.take("report")),
-        name=_name_from_wire(reader.take("name")),
-        requests=_int(reader.take("requests"), "outcome.requests"),
-        repairs=_int(reader.take("repairs"), "outcome.repairs"),
-        duplicate_requests=_int(reader.take("duplicate_requests"),
-                                "outcome.duplicate_requests"),
-        duplicate_repairs=_int(reader.take("duplicate_repairs"),
-                               "outcome.duplicate_repairs"),
-        last_member_ratio=_opt_float(reader.take("last_member_ratio"),
-                                     "outcome.last_member_ratio"),
-        closest_request_ratio=_opt_float(
-            reader.take("closest_request_ratio"),
-            "outcome.closest_request_ratio"),
-        recovered=_bool(reader.take("recovered"), "outcome.recovered"),
-    )
-    reader.close()
-    return outcome
-
-
-def _artifact_to_wire(value: Any, context: str) -> Any:
-    if isinstance(value, LocalRecoveryOutcome):
-        return {
-            "__kind__": "scoped-outcome",
-            "requester": value.requester,
-            "replier": value.replier,
-            "request_ttl": value.request_ttl,
-            "loss_members": sorted(value.loss_members),
-            "repair_reached": sorted(value.repair_reached),
-            "session_size": value.session_size,
-        }
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [_artifact_to_wire(item, context) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _artifact_to_wire(item, f"{context}.{key}")
-                for key, item in value.items()}
-    raise WireFormatError(
-        f"{context}: artifact type {type(value).__name__} has no spec/v3 "
-        "encoding; extend repro.fleet.wire deliberately")
-
-
-def _artifact_from_wire(value: Any, context: str) -> Any:
-    if isinstance(value, dict):
-        if value.get("__kind__") == "scoped-outcome":
-            reader = _Reader(value, context)
-            reader.take("__kind__")
-            outcome = LocalRecoveryOutcome(
-                requester=_int(reader.take("requester"),
-                               f"{context}.requester"),
-                replier=_int(reader.take("replier"), f"{context}.replier"),
-                request_ttl=_int(reader.take("request_ttl"),
-                                 f"{context}.request_ttl"),
-                loss_members=frozenset(_int_list(
-                    reader.take("loss_members"),
-                    f"{context}.loss_members")),
-                repair_reached=frozenset(_int_list(
-                    reader.take("repair_reached"),
-                    f"{context}.repair_reached")),
-                session_size=_int(reader.take("session_size"),
-                                  f"{context}.session_size"))
-            reader.close()
-            return outcome
-        return {key: _artifact_from_wire(item, f"{context}.{key}")
-                for key, item in value.items()}
-    if isinstance(value, list):
-        return [_artifact_from_wire(item, context) for item in value]
-    return value
-
-
-# ----------------------------------------------------------------------
-# RunResult.
-# ----------------------------------------------------------------------
+    return spec_from_wire(_build(json.loads, text))
 
 
 def result_to_wire(result: RunResult) -> Dict[str, Any]:
     """Encode one :class:`RunResult` as a spec/v3 payload."""
-    return {
-        "schema": WIRE_SCHEMA,
-        "spec": spec_to_wire(result.spec),
-        "outcomes": [_outcome_to_wire(outcome)
-                     for outcome in result.outcomes],
-        "metrics": None if result.metrics is None
-        else result.metrics.to_dict(),
-        "artifacts": {str(key): _artifact_to_wire(value,
-                                                  f"artifacts.{key}")
-                      for key, value in result.artifacts.items()},
-    }
+    return _encode(RunResult, result)
 
 
 def result_from_wire(payload: Any) -> RunResult:
     """Decode a spec/v3 payload back into a :class:`RunResult`."""
-    reader = _Reader(payload, "result")
-    _expect_schema(reader, "result")
-    metrics = reader.take("metrics")
-    outcomes = reader.take("outcomes")
-    if not isinstance(outcomes, list):
-        raise WireFormatError("result.outcomes: expected a list")
-    result = RunResult(
-        spec=spec_from_wire(reader.take("spec")),
-        outcomes=[_outcome_from_wire(outcome) for outcome in outcomes],
-        metrics=None if metrics is None else RunMetrics.from_dict(metrics),
-        artifacts=_artifact_from_wire(reader.take("artifacts"),
-                                      "artifacts"),
-    )
-    reader.close()
-    return result
+    return _decode(RunResult, payload)
 
 
 def result_to_json(result: RunResult) -> str:
@@ -534,8 +415,4 @@ def result_to_json(result: RunResult) -> str:
 
 
 def result_from_json(text: str) -> RunResult:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WireFormatError(f"result: not valid JSON ({exc})") from exc
-    return result_from_wire(payload)
+    return result_from_wire(_build(json.loads, text))

@@ -20,29 +20,31 @@ a golden-trace diff has to:
             re-expanding ``**mapping``, in a hot-path module
 ``SRM007``  unpicklable ``runner.Task`` payload (lambda, nested
             function, open handle)
+``SRM008``  timer callback reads an unordered shared set (behavior
+            would depend on same-instant drain order; ``--races`` is
+            the dynamic replay)
+``SRM009``  undeclared ``SRM_*`` knob literal, or ``repro.fleet.wire``'s
+            schema table drifted from ``wire-schema.lock``
+            (``--wire-drift``)
 ==========  ==========================================================
 
-Violations are suppressed line-by-line with ``# lint: ignore[SRMxxx]``,
-file-wide with ``# lint: ignore-file[SRMxxx]`` near the top of a file,
-or waived by the committed ``lint-baseline.json`` ratchet (which may
-only ever shrink). See ``docs/static-analysis.md``.
+Violations are suppressed line-by-line with ``# lint: ignore[SRMxxx]``
+or file-wide with ``# lint: ignore-file[SRMxxx]`` near the top of a
+file; there is no other waiver. See ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import Baseline, load_baseline
 from repro.lint.engine import LintEngine, LintReport, lint_paths
 from repro.lint.rules import ALL_RULES, Rule, rule_codes
 from repro.lint.violations import Violation
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "LintEngine",
     "LintReport",
     "Rule",
     "Violation",
     "lint_paths",
-    "load_baseline",
     "rule_codes",
 ]

@@ -8,7 +8,7 @@ installed checkout, and on test fixture trees that mirror the layout
 
 from __future__ import annotations
 
-from pathlib import PurePosixPath
+from pathlib import Path, PurePosixPath
 
 #: Directory names never descended into while walking lint roots.
 #: ``lint_fixtures`` holds deliberately-broken fixture files for the
@@ -49,6 +49,18 @@ HOT_PATH_TRACE_MODULES = (
 #: Path fragment marking simulation-domain code: the determinism rules
 #: (SRM001/2/4/6/7) apply only here. Hygiene rules apply everywhere.
 DOMAIN_FRAGMENT = "repro/"
+
+
+def repo_root() -> Path:
+    """The checkout this package runs from: the directory holding
+    ``src/repro``. Display paths and the default ``wire-schema.lock``
+    anchor here, so a run from any cwd reports the same paths; an
+    installed package (no ``src/`` above it) falls back to the cwd.
+    """
+    package = Path(__file__).resolve().parent.parent
+    if package.parent.name == "src":
+        return package.parent.parent
+    return Path.cwd()
 
 
 def as_posix(path: str) -> str:

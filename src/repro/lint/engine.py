@@ -1,4 +1,4 @@
-"""The lint engine: walk files, run rules, apply suppressions + baseline."""
+"""The lint engine: walk files, run rules, apply inline suppressions."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro.lint import config
-from repro.lint.baseline import Baseline
 from repro.lint.rules import FileContext, Rule, all_rules
 from repro.lint.suppressions import parse_suppressions
 from repro.lint.violations import Violation
@@ -23,14 +22,7 @@ class LintReport:
     violations: list[Violation] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    waived: int = 0
     parse_errors: list[Violation] = field(default_factory=list)
-    #: file -> code -> count, before baseline waiving (ratchet input).
-    observed: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: Baseline entries with zero observed hits this run — dead debt
-    #: that ``--update-baseline`` would drop (``--fail-stale-baseline``
-    #: turns them into a CI failure).
-    stale: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -42,13 +34,8 @@ class LintReport:
         total = len(self.violations) + len(self.parse_errors)
         summary = (f"{self.files_checked} files checked: "
                    f"{total} violation{'s' if total != 1 else ''}")
-        extras = []
         if self.suppressed:
-            extras.append(f"{self.suppressed} suppressed")
-        if self.waived:
-            extras.append(f"{self.waived} waived by baseline")
-        if extras:
-            summary += f" ({', '.join(extras)})"
+            summary += f" ({self.suppressed} suppressed)"
         lines.append(summary)
         return "\n".join(lines)
 
@@ -63,11 +50,8 @@ class LintReport:
             "ok": self.ok,
             "files_checked": self.files_checked,
             "suppressed": self.suppressed,
-            "waived": self.waived,
             "violations": [row(v) for v in self.parse_errors
                            + self.violations],
-            "stale_baseline": [{"path": path, "code": code}
-                               for path, code in self.stale],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -117,12 +101,10 @@ def iter_python_files(roots: Sequence[str | Path]) -> list[Path]:
 
 
 class LintEngine:
-    """Run the rule set over files, with suppressions and a baseline."""
+    """Run the rule set over files; inline suppressions are the only waiver."""
 
     def __init__(self, rules: Optional[Iterable[Rule]] = None,
-                 baseline: Optional[Baseline] = None,
-                 select: Optional[Iterable[str]] = None,
-                 root: Optional[Path] = None) -> None:
+                 select: Optional[Iterable[str]] = None) -> None:
         chosen = list(rules) if rules is not None else list(all_rules())
         if select is not None:
             wanted = set(select)
@@ -132,13 +114,6 @@ class LintEngine:
                     f"unknown rule code(s): {', '.join(sorted(unknown))}")
             chosen = [rule for rule in chosen if rule.code in wanted]
         self.rules = chosen
-        self.baseline = baseline if baseline is not None else Baseline()
-        #: Paths are displayed (and keyed into the baseline) relative to
-        #: this directory. Defaults to the cwd; the CLI anchors it to the
-        #: baseline file's directory so a run from any cwd produces the
-        #: same baseline keys (a cwd mismatch used to make every waived
-        #: violation look brand-new).
-        self.root = root
 
     def check_source(self, path: str, source: str) -> list[Violation]:
         """Raw rule hits for one in-memory file (no suppressions)."""
@@ -152,9 +127,9 @@ class LintEngine:
 
     def run(self, roots: Sequence[str | Path]) -> LintReport:
         report = LintReport()
-        all_violations: list[Violation] = []
+        root = config.repo_root()
         for file in iter_python_files(roots):
-            path = _display_path(file, self.root)
+            path = _display_path(file, root)
             try:
                 source = file.read_text(encoding="utf-8")
                 raw = self.check_source(path, source)
@@ -167,38 +142,25 @@ class LintEngine:
                 continue
             report.files_checked += 1
             table = parse_suppressions(source)
-            kept = []
             for violation in raw:
                 if table.covers(violation):
                     report.suppressed += 1
                 else:
-                    kept.append(violation)
-            all_violations.extend(kept)
-        reported, waived, observed = self.baseline.apply(all_violations)
-        report.violations = reported
-        report.waived = waived
-        report.observed = observed
-        report.stale = self.baseline.stale(observed)
+                    report.violations.append(violation)
+        report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
         return report
 
 
-def _display_path(file: Path, root: Optional[Path] = None) -> str:
-    """Posix path relative to ``root`` (default: cwd) when possible.
-
-    Display paths double as baseline keys, so they must be stable for a
-    given tree no matter where the linter is launched from — callers
-    with a baseline pass its directory as ``root``.
-    """
-    anchor = (root if root is not None else Path.cwd()).resolve()
+def _display_path(file: Path, root: Path) -> str:
+    """Posix path relative to ``root`` (the repo root) when the file is
+    under it, so a tree reports the same paths from any launch directory."""
     try:
-        return file.resolve().relative_to(anchor).as_posix()
+        return file.resolve().relative_to(root).as_posix()
     except ValueError:
         return file.as_posix()
 
 
 def lint_paths(roots: Sequence[str | Path],
-               baseline: Optional[Baseline] = None,
-               select: Optional[Iterable[str]] = None,
-               root: Optional[Path] = None) -> LintReport:
+               select: Optional[Iterable[str]] = None) -> LintReport:
     """One-call convenience: lint ``roots`` and return the report."""
-    return LintEngine(baseline=baseline, select=select, root=root).run(roots)
+    return LintEngine(select=select).run(roots)

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 class Violation:
     """One rule hit, pointing at ``path:line:col``.
 
-    ``path`` is recorded exactly as the engine walked it (normally
-    relative to the repository root), because it doubles as the baseline
-    key and baselines must be stable across machines.
+    ``path`` is recorded as the engine displays it: relative to the
+    repository root when the file is under it, so reports are stable
+    across machines and launch directories.
     """
 
     path: str
@@ -19,11 +19,6 @@ class Violation:
     col: int
     code: str
     message: str
-
-    @property
-    def baseline_key(self) -> tuple[str, str]:
-        """Baselines waive by (file, rule code), never by line number."""
-        return (self.path, self.code)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"

@@ -265,6 +265,28 @@ def test_malformed_submissions_are_rejected(fleet):
         fleet.client.lease("w-unknown")
 
 
+def test_malformed_wire_payloads_answer_400_not_500(fleet):
+    """A payload that is JSON but not spec/v3 is the client's error: the
+    decoders raise WireFormatError for any JSON value, so the controller
+    never sees a raw AttributeError / TypeError to turn into a 500."""
+    spec_payload = json.loads(_specs(1)[0].to_json())
+    spec_payload["scenario"]["topology"]["edges"] = 5
+    with pytest.raises(FleetError, match="400.*edges"):
+        fleet.client._post("/api/v1/jobs", {"experiment": "x",
+                                            "specs": [spec_payload]})
+    spec = _specs(1)[0]
+    job = fleet.client.submit("fleettest", [spec])
+    result_payload = json.loads(run_experiment(spec).to_json())
+    for metrics in ([], 5, {"schema": "run-metrics/v0"}):
+        with pytest.raises(FleetError, match="400.*metrics"):
+            fleet.client.report({"worker": "w", "job": job, "index": 0,
+                                 "result": dict(result_payload,
+                                                metrics=metrics)})
+    with pytest.raises(FleetError, match="400.*artifacts"):
+        fleet.client.report({"worker": "w", "job": job, "index": 0,
+                             "result": dict(result_payload, artifacts=[])})
+
+
 def test_results_before_completion_conflict(fleet):
     job = fleet.client.submit("fleettest", _specs(2))
     with pytest.raises(FleetError, match="409"):

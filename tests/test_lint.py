@@ -1,4 +1,4 @@
-"""repro.lint: rule firing, suppressions, baseline ratchet, CLI codes."""
+"""repro.lint: rule firing, suppressions, display paths, CLI codes."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as repro_main
-from repro.lint import LintEngine, lint_paths, load_baseline, rule_codes
-from repro.lint.baseline import Baseline, save_baseline
+from repro.lint import LintEngine, lint_paths, rule_codes
 from repro.lint.cli import main as lint_main
 from repro.lint.config import in_domain, module_key
 from repro.lint.engine import iter_python_files
@@ -61,9 +60,7 @@ def test_clean_tree_is_clean():
 
 def test_repo_is_clean():
     repo_root = Path(__file__).parent.parent
-    report = lint_paths([repo_root / "src", repo_root / "tests"],
-                        baseline=load_baseline(
-                            repo_root / "lint-baseline.json"))
+    report = lint_paths([repo_root / "src", repo_root / "tests"])
     assert report.ok, report.format()
 
 
@@ -185,117 +182,26 @@ def test_file_suppression_only_near_top(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Baseline ratchet.
+# Display paths.
 # ----------------------------------------------------------------------
 
 
-def _violating_tree(tmp_path: Path) -> Path:
+def test_display_paths_anchor_to_the_repo_root_from_any_cwd(tmp_path,
+                                                            monkeypatch):
+    # One tree reports one set of paths, whatever the launch directory:
+    # relative to the repo root under it, as given outside it.
+    target = VIOLATIONS_TREE / "src/repro/core/srm001.py"
+    expected = "tests/lint_fixtures/violations/src/repro/core/srm001.py"
+    for cwd in (tmp_path, Path(__file__).parent):
+        monkeypatch.chdir(cwd)
+        report = lint_paths([target])
+        assert {v.path for v in report.violations} == {expected}
     tree = tmp_path / "src" / "repro" / "core"
     tree.mkdir(parents=True)
     (tree / "old.py").write_text("import time\nt = time.time()\n")
-    return tmp_path
-
-
-def _baseline_for(tmp_path: Path, entries) -> Path:
-    path = tmp_path / "lint-baseline.json"
-    save_baseline(Baseline(entries), path)
-    return path
-
-
-def test_baseline_waives_exactly_its_count(tmp_path, monkeypatch):
-    root = _violating_tree(tmp_path)
-    monkeypatch.chdir(root)
-    key = "src/repro/core/old.py"
-    report = lint_paths(["src"],
-                        baseline=Baseline({key: {"SRM001": 1}}))
-    assert report.ok
-    assert report.waived == 1
-    # A second violation in the same file exceeds the waived count.
-    (root / key).write_text(
-        "import time\nt = time.time()\nu = time.time()\n")
-    report = lint_paths(["src"],
-                        baseline=Baseline({key: {"SRM001": 1}}))
-    assert [v.code for v in report.violations] == ["SRM001"]
-    assert report.waived == 1
-
-
-def test_update_baseline_shrinks_and_never_grows(tmp_path, monkeypatch):
-    root = _violating_tree(tmp_path)
-    monkeypatch.chdir(root)
-    key = "src/repro/core/old.py"
-    baseline_path = _baseline_for(
-        root, {key: {"SRM001": 2},
-               "src/repro/core/gone.py": {"SRM003": 1}})
-    # The file now has 1 violation (baseline says 2) and gone.py no
-    # longer exists: both entries must shrink away.
-    assert lint_main(["src", "--baseline", str(baseline_path),
-                      "--update-baseline"]) == 0
-    ratcheted = load_baseline(baseline_path)
-    assert ratcheted.entries == {key: {"SRM001": 1}}
-
-
-def test_update_baseline_refuses_new_debt(tmp_path, monkeypatch, capsys):
-    root = _violating_tree(tmp_path)
-    monkeypatch.chdir(root)
-    baseline_path = _baseline_for(root, {})  # empty: violation is new
-    assert lint_main(["src", "--baseline", str(baseline_path),
-                      "--update-baseline"]) == 2
-    assert "never absorbs new debt" in capsys.readouterr().err
-    assert load_baseline(baseline_path).entries == {}  # untouched
-
-
-def test_shrunk_baseline_cannot_add_entries():
-    baseline = Baseline({"a.py": {"SRM001": 1}})
-    observed = {"a.py": {"SRM001": 5}, "b.py": {"SRM003": 2}}
-    shrunk = baseline.shrunk(observed)
-    assert shrunk.entries == {"a.py": {"SRM001": 1}}
-    assert baseline.would_grow(shrunk) == []
-
-
-def test_update_baseline_pure_removal_works_from_any_cwd(tmp_path,
-                                                         monkeypatch):
-    # Regression: display paths used to be cwd-relative, so running
-    # --update-baseline from outside the repo root produced keys that
-    # never matched the baseline — a pure-removal update then looked
-    # like "new debt" and exited 2. Paths now anchor to the baseline
-    # file's directory, so the launch directory is irrelevant.
-    root = _violating_tree(tmp_path)
-    elsewhere = tmp_path / "elsewhere"
-    elsewhere.mkdir()
-    monkeypatch.chdir(elsewhere)
-    key = "src/repro/core/old.py"
-    baseline_path = _baseline_for(
-        root, {key: {"SRM001": 2},
-               "src/repro/core/gone.py": {"SRM003": 1}})
-    assert lint_main([str(root / "src"), "--baseline", str(baseline_path),
-                      "--update-baseline"]) == 0
-    assert load_baseline(baseline_path).entries == {key: {"SRM001": 1}}
-
-
-def test_stale_baseline_entries_are_reported(tmp_path, monkeypatch,
-                                             capsys):
-    root = _violating_tree(tmp_path)
-    monkeypatch.chdir(root)
-    key = "src/repro/core/old.py"
-    baseline_path = _baseline_for(
-        root, {key: {"SRM001": 1},
-               "src/repro/core/gone.py": {"SRM003": 1}})
-    # Dead debt alone is not a failure by default...
-    assert lint_main(["src", "--baseline", str(baseline_path)]) == 0
-    # ... but --fail-stale-baseline makes it one.
-    assert lint_main(["src", "--baseline", str(baseline_path),
-                      "--fail-stale-baseline"]) == 1
-    err = capsys.readouterr().err
-    assert "stale baseline entry" in err
-    assert "src/repro/core/gone.py: SRM003" in err
-
-
-def test_malformed_baseline_is_a_usage_error(tmp_path, monkeypatch):
-    root = _violating_tree(tmp_path)
-    monkeypatch.chdir(root)
-    bad = root / "lint-baseline.json"
-    bad.write_text("not json")
-    assert lint_main(["src", "--baseline", str(bad)]) == 2
+    report = lint_paths([tmp_path / "src"])
+    assert [v.path for v in report.violations] == [
+        (tree / "old.py").as_posix()]
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +233,7 @@ def test_cli_list_rules(capsys):
 
 def test_cli_json_format_is_machine_readable(capsys):
     assert lint_main([str(VIOLATIONS_TREE / "src/repro/core/srm001.py"),
-                      "--no-baseline", "--format", "json"]) == 1
+                      "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     assert payload["files_checked"] == 1
@@ -335,12 +241,11 @@ def test_cli_json_format_is_machine_readable(capsys):
     assert "SRM001" in codes
     assert all({"path", "line", "col", "code", "message"}
                <= set(row) for row in payload["violations"])
-    assert payload["stale_baseline"] == []
 
 
 def test_cli_github_format_emits_error_annotations(capsys):
     assert lint_main([str(VIOLATIONS_TREE / "src/repro/core/srm003.py"),
-                      "--no-baseline", "--format", "github"]) == 1
+                      "--format", "github"]) == 1
     out = capsys.readouterr().out
     annotations = [line for line in out.splitlines()
                    if line.startswith("::error ")]
@@ -348,15 +253,5 @@ def test_cli_github_format_emits_error_annotations(capsys):
     assert ",title=SRM003::" in annotations[0]
     assert "file=" in annotations[0] and "line=" in annotations[0]
     # Clean runs still end with the human summary, no annotations.
-    assert lint_main([str(CLEAN_TREE), "--no-baseline",
-                      "--format", "github"]) == 0
+    assert lint_main([str(CLEAN_TREE), "--format", "github"]) == 0
     assert "::error" not in capsys.readouterr().out
-
-
-def test_committed_baseline_file_is_valid():
-    path = Path(__file__).parent.parent / "lint-baseline.json"
-    baseline = load_baseline(path)
-    payload = json.loads(path.read_text())
-    assert payload["version"] == 1
-    # The ratchet's goal state: the tree is clean, debt only shrinks.
-    assert baseline.total() == 0

@@ -12,6 +12,7 @@ format is frozen, not permissive.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,8 @@ from repro.core.config import AdaptiveBounds, SrmConfig
 from repro.fleet.wire import (
     WIRE_SCHEMA,
     WireFormatError,
+    result_from_wire,
+    result_to_wire,
     spec_from_wire,
     spec_to_json,
     spec_to_wire,
@@ -33,6 +36,8 @@ from repro.fleet.wire import (
 from repro.runner.task import Task, canonical
 from repro.sim.rng import RandomSource
 from repro.topology.random_tree import random_labeled_tree
+
+from conftest import examples
 
 
 def _spec(seed: int = 3, nodes: int = 10, **overrides) -> ExperimentSpec:
@@ -190,6 +195,58 @@ def test_canonical_uses_the_wire_encoding_for_specs():
 
 
 # ----------------------------------------------------------------------
+# Frozen means frozen: canonical bytes and fingerprints recorded at the
+# commit *before* the codecs became one schema table (d95d365).
+# ----------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "spec_v3_golden.json"
+
+
+def _golden_specs():
+    config = SrmConfig(c1=1.5, d2=0.75, adaptive=True,
+                       adaptive_bounds=AdaptiveBounds(c1_min=0.25))
+    return {
+        "recovery": _spec(seed=5, nodes=12, rounds=2, config=config,
+                          experiment="golden-recovery"),
+        "scoped": _spec(seed=15, kind="scoped", scoped_mode="two-step",
+                        experiment="golden-scoped"),
+    }
+
+
+def _golden_document():
+    """What ``tests/data/spec_v3_golden.json`` holds.
+
+    Never regenerate it under ``spec/v3``: a byte that moves here moves
+    every cache key and every fleet payload. A ``spec/v4`` re-records it
+    with ``json.dump(_golden_document(), f, indent=1, sort_keys=True)``.
+    """
+    document = {}
+    for name, spec in _golden_specs().items():
+        task = Task(experiment=spec.experiment, index=0, fn=run_experiment,
+                    kwargs={"spec": spec})
+        document[name] = {"spec": spec.to_json(),
+                          "fingerprint": task.fingerprint("golden"),
+                          "result": run_experiment(spec).to_json()}
+    return document
+
+
+def test_canonical_bytes_and_fingerprints_match_the_recorded_golden():
+    from repro.experiments.common import RunResult
+
+    recorded = json.loads(GOLDEN.read_text())
+    assert _golden_document() == recorded
+    for entry in recorded.values():
+        # Decoding the recorded bytes and re-encoding them is the
+        # identity, so a peer's payload re-fingerprints unchanged.
+        assert ExperimentSpec.from_json(entry["spec"]).to_json() \
+            == entry["spec"]
+        assert RunResult.from_json(entry["result"]).to_json() \
+            == entry["result"]
+    assert '"metrics":{' in recorded["recovery"]["result"]
+    assert '"__kind__":"scoped-outcome"' in recorded["scoped"]["result"]
+
+
+# ----------------------------------------------------------------------
 # RunResult round-trip
 # ----------------------------------------------------------------------
 
@@ -271,3 +328,87 @@ def test_non_dict_payload_is_rejected():
         spec_from_wire([1, 2, 3])
     with pytest.raises(WireFormatError):
         ExperimentSpec.from_json("[]")
+
+
+# ----------------------------------------------------------------------
+# Any JSON value either decodes or is refused as a WireFormatError
+# ----------------------------------------------------------------------
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6)
+
+
+def _paths(node, prefix=()):
+    """Every node of a JSON tree, as the key/index path that reaches it."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for step, child in children:
+        yield from _paths(child, prefix + (step,))
+
+
+def _mutated(document, path, action, value, key):
+    """A deep copy with one node replaced, deleted, or given a child."""
+    root = [json.loads(json.dumps(document))]
+    parent, step = root, 0
+    for next_step in path:
+        parent, step = parent[step], next_step
+    if action == "replace":
+        parent[step] = value
+    elif action == "delete" and path:
+        del parent[step]
+    elif isinstance(parent[step], dict):
+        parent[step][key] = value
+    elif isinstance(parent[step], list):
+        parent[step].append(value)
+    else:
+        parent[step] = value
+    return root[0]
+
+
+@settings(max_examples=examples(300))
+@given(data=st.data())
+def test_mutated_payloads_round_trip_or_raise_wire_format_error(data):
+    recorded = json.loads(GOLDEN.read_text())
+    entry = recorded[data.draw(st.sampled_from(sorted(recorded)))]
+    kind = data.draw(st.sampled_from(["spec", "result"]))
+    decode, encode = {"spec": (spec_from_wire, spec_to_wire),
+                      "result": (result_from_wire, result_to_wire)}[kind]
+    payload = json.loads(entry[kind])
+    path = data.draw(st.sampled_from(list(_paths(payload))))
+    mutant = _mutated(payload, path,
+                      data.draw(st.sampled_from(["replace", "delete", "add"])),
+                      data.draw(_JSON), data.draw(st.text(max_size=6)))
+    try:
+        decoded = decode(mutant)
+    except WireFormatError:
+        return  # refused at the boundary, and only ever this way
+    # Accepted, so it is a value the schema can carry: it survives the
+    # wire unchanged. (A bundle's own fields are run-metrics/v1's to
+    # police, not spec/v3's — garbage there may not re-summarize.)
+    if path[:1] != ("metrics",):
+        assert decode(json.loads(json.dumps(encode(decoded)))) == decoded
+
+
+@pytest.mark.parametrize("where, value", [
+    (("metrics",), 5), (("metrics",), []),
+    (("metrics", "schema"), "run-metrics/v0"),
+    (("artifacts",), []),
+    (("outcomes", 0, "report", "recoveries"), {"seven": {}}),
+    (("outcomes", 0, "name", "seq"), 0),
+    (("spec", "scenario", "topology", "edges"), 5),
+    (("spec", "scenario", "topology", "edges"), [[0, 0]]),
+    (("spec", "trigger_gap"), 10 ** 400),
+])
+def test_malformed_results_raise_wire_format_error_not_a_raw_one(where,
+                                                                  value):
+    # JSON a per-type decoder lets through as a raw AttributeError /
+    # TypeError / bare ValueError / OverflowError from a line below the
+    # boundary (or, for ``artifacts``, accepts): _decode owns every check.
+    payload = json.loads(json.loads(GOLDEN.read_text())["recovery"]["result"])
+    with pytest.raises(WireFormatError, match=f"^{where[0]}: "):
+        result_from_wire(_mutated(payload, where, "replace", value, ""))

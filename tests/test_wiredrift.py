@@ -1,48 +1,34 @@
-"""SRM009 wire-schema drift checker: codecs, knobs, digest lock."""
+"""SRM009: the schema table's import-time checks, knobs, digest lock."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import subprocess
+import sys
+import typing
 from pathlib import Path
 
+import pytest
+
+from repro.core.names import PageId
+from repro.experiments.common import ExperimentSpec, RunResult
+from repro.fleet import wire
 from repro.lint.cli import main as lint_main
 from repro.lint.wiredrift import (
     DEFAULT_LOCK,
-    TYPE_CODECS,
+    LOCKED_TYPES,
     _knob_literal_violations,
-    _live_type_fields,
     check_wire_drift,
     current_surface,
-    extract_codec_surface,
     load_lock,
     save_lock,
     surface_digest,
     update_lock,
 )
+from repro.metrics.bundle import RunMetrics
 
 REPO_ROOT = Path(__file__).parent.parent
-
-
-# ----------------------------------------------------------------------
-# AST extraction.
-# ----------------------------------------------------------------------
-
-
-def test_extract_codec_surface_reads_emits_and_takes():
-    source = (
-        "def thing_to_wire(thing):\n"
-        "    payload = {'a': thing.a, 'b': thing.b}\n"
-        "    payload['c'] = thing.c\n"
-        "    return payload\n"
-        "def thing_from_wire(payload):\n"
-        "    reader = _Reader(payload, 'thing')\n"
-        "    _expect_schema(reader, 'thing')\n"
-        "    a = reader.take('a')\n"
-        "    b = reader.take_opt('b', None)\n"
-        "    return a, b\n")
-    surface = extract_codec_surface(source)
-    assert surface["thing_to_wire"].keys == {"a", "b", "c"}
-    assert surface["thing_from_wire"].keys == {"a", "b", "schema"}
 
 
 # ----------------------------------------------------------------------
@@ -51,54 +37,113 @@ def test_extract_codec_surface_reads_emits_and_takes():
 
 
 def test_clean_tree_has_no_drift():
-    assert check_wire_drift(root=REPO_ROOT) == []
+    assert check_wire_drift() == []
 
 
 def test_committed_lock_matches_the_live_surface():
     lock = load_lock(REPO_ROOT / DEFAULT_LOCK)
     assert lock is not None
-    surface = current_surface(REPO_ROOT)
+    surface = current_surface()
     assert lock["schema"] == surface["schema"] == "spec/v3"
     assert lock["digest"] == surface_digest(surface)
     # Only what an env block may carry is wire surface; worker-local
     # knobs (cache location, test scale) come and go without a bump.
     assert surface["knobs"] == ["SRM_CACHE_SALT", "SRM_CHECK"]
+    # Both top-level types carry the schema tag beside their fields.
+    spec = surface["types"]["ExperimentSpec"]
+    assert set(spec["wire"]) - set(spec["fields"]) == {"schema"}
+
+
+# ----------------------------------------------------------------------
+# Codec <-> dataclass agreement is structural: SCHEMA rows are checked
+# against their class when repro.fleet.wire is imported.
+# ----------------------------------------------------------------------
+
+
+def _wired_classes(annotation) -> set:
+    """Dataclasses / NamedTuples an annotation mentions, at any depth."""
+    if dataclasses.is_dataclass(annotation) or hasattr(annotation, "_fields"):
+        return {annotation}
+    found: set = set()
+    for argument in typing.get_args(annotation):
+        found |= _wired_classes(argument)
+    return found
 
 
 def test_every_wired_type_is_reflected():
-    fields = _live_type_fields()
-    assert {spec.type_name for spec in TYPE_CODECS} <= set(fields)
-    assert all(fields[spec.type_name] for spec in TYPE_CODECS)
+    # Walk the field types down from the two top-level classes: every
+    # class a payload can hold has a SCHEMA row, bar the two that ride
+    # in a form of their own.
+    rides_whole = {RunMetrics: "its own run-metrics/v1 bundle",
+                   PageId: "a [creator, number] pair"}
+    seen: set = set()
+    frontier = [ExperimentSpec, RunResult]
+    while frontier:
+        cls = frontier.pop()
+        if cls in seen or cls in rides_whole:
+            continue
+        seen.add(cls)
+        assert cls in wire.SCHEMA, f"{cls.__name__} has no SCHEMA row"
+        for annotation in typing.get_type_hints(cls).values():
+            frontier.extend(_wired_classes(annotation))
+    assert LOCKED_TYPES <= {cls.__name__ for cls in seen}
+    assert {cls.__name__ for cls in wire.SCHEMA} - {
+        cls.__name__ for cls in seen} == {"LocalRecoveryOutcome"}
 
 
-# ----------------------------------------------------------------------
-# The acceptance fixture: a field added to ExperimentSpec without a
-# codec change and digest bump MUST fail.
-# ----------------------------------------------------------------------
+@dataclasses.dataclass
+class _Probe:
+    alpha: int
+    beta: int
 
 
 def test_field_added_without_codec_change_fails():
-    fields = {name: list(values)
-              for name, values in _live_type_fields().items()}
-    fields["ExperimentSpec"] = fields["ExperimentSpec"] + ["new_knob"]
-    violations = check_wire_drift(root=REPO_ROOT, type_fields=fields)
-    messages = [v.message for v in violations]
-    assert any("ExperimentSpec.new_knob is not encoded" in m
-               for m in messages), messages
-    # The digest moves too, so even a codec-complete change cannot
-    # land without re-pinning (which demands a schema bump).
-    assert any("drifted from the committed lock" in m for m in messages)
-    assert all(v.code == "SRM009" for v in violations)
+    complete = (("alpha", "alpha", wire.INT), ("beta", "b", wire.INT))
+    wire._check_rows(_Probe, complete)  # aliases live in the key column
+    # A field with no row: the dataclass grew, the table did not.
+    with pytest.raises(TypeError, match=r"SCHEMA\[_Probe\]"):
+        wire._check_rows(_Probe, complete[:1])
+    # ... and through the front door: the module itself refuses to load.
+    script = (
+        "import dataclasses\n"
+        "import repro.metrics.events as events\n"
+        "events.MemberTiming = dataclasses.make_dataclass(\n"
+        "    'MemberTiming', [('hops', int, 0)],\n"
+        "    bases=(events.MemberTiming,))\n"
+        "import repro.fleet.wire\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={"PYTHONPATH": str(REPO_ROOT / "src")})
+    assert proc.returncode != 0
+    assert "SCHEMA[MemberTiming]" in proc.stderr
+    assert "hops" in proc.stderr
 
 
-def test_removed_wire_key_fails_both_directions(tmp_path):
-    fields = {name: list(values)
-              for name, values in _live_type_fields().items()}
-    fields["MemberTiming"] = [f for f in fields["MemberTiming"]
-                              if f != "rtt"]
-    violations = check_wire_drift(root=REPO_ROOT, type_fields=fields)
-    assert any("emits 'rtt' which is not a field of MemberTiming"
-               in v.message for v in violations)
+def test_removed_wire_key_fails_both_directions():
+    rows = (("alpha", "alpha", wire.INT), ("beta", "beta", wire.INT))
+    # A row whose field is gone ...
+    with pytest.raises(TypeError, match="gamma"):
+        wire._check_rows(_Probe, rows + (("gamma", "gamma", wire.INT),))
+    # ... a field renamed in the class but not in the attribute column
+    # (an alias belongs in the key column, never the attribute) ...
+    with pytest.raises(TypeError, match="beta_renamed"):
+        wire._check_rows(_Probe, (rows[0],
+                                  ("beta_renamed", "beta", wire.INT)))
+    # ... and one field claimed by two rows.
+    with pytest.raises(TypeError):
+        wire._check_rows(_Probe, rows + (rows[1],))
+    # Tag rows carry no attribute and do not count as fields.
+    wire._check_rows(_Probe, ((None, "schema", wire.SCHEMA_TAG),) + rows)
+
+
+def test_a_row_added_under_a_frozen_tag_moves_the_digest(monkeypatch):
+    rows = wire.SCHEMA[ExperimentSpec]
+    monkeypatch.setitem(wire.SCHEMA, ExperimentSpec,
+                        rows + (("new_knob", "new_knob", wire.INT),))
+    violations = check_wire_drift()
+    assert [v.code for v in violations] == ["SRM009"]
+    assert "drifted from the committed lock" in violations[0].message
+    assert violations[0].path == "src/repro/fleet/wire.py"
 
 
 # ----------------------------------------------------------------------
@@ -108,9 +153,10 @@ def test_removed_wire_key_fails_both_directions(tmp_path):
 
 def test_update_lock_is_idempotent(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
-    code, message = update_lock(lock_path, root=REPO_ROOT)
+    code, message = update_lock(lock_path)
     assert code == 0 and "pinned" in message
-    code, message = update_lock(lock_path, root=REPO_ROOT)
+    assert lock_path.read_text() == (REPO_ROOT / DEFAULT_LOCK).read_text()
+    code, message = update_lock(lock_path)
     assert code == 0 and "up to date" in message
 
 
@@ -118,7 +164,7 @@ def test_update_lock_refuses_drift_under_a_frozen_tag(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
     # Same schema tag, stale digest: the surface moved without a bump.
     save_lock(lock_path, "spec/v3", "sha256:" + "0" * 64)
-    code, message = update_lock(lock_path, root=REPO_ROOT)
+    code, message = update_lock(lock_path)
     assert code == 2
     assert "WIRE_SCHEMA is still 'spec/v3'" in message
     # And the lock was not touched.
@@ -128,14 +174,13 @@ def test_update_lock_refuses_drift_under_a_frozen_tag(tmp_path):
 def test_update_lock_repins_after_a_schema_bump(tmp_path):
     lock_path = tmp_path / "wire-schema.lock"
     save_lock(lock_path, "spec/v2", "sha256:" + "0" * 64)
-    code, message = update_lock(lock_path, root=REPO_ROOT)
+    code, message = update_lock(lock_path)
     assert code == 0 and "spec/v2 -> spec/v3" in message
     assert load_lock(lock_path)["schema"] == "spec/v3"
 
 
 def test_missing_lock_is_a_violation(tmp_path):
-    violations = check_wire_drift(root=REPO_ROOT,
-                                  lock_path=tmp_path / "absent.lock")
+    violations = check_wire_drift(lock_path=tmp_path / "absent.lock")
     assert any("--update-wire-lock" in v.message for v in violations)
 
 
@@ -167,11 +212,13 @@ def test_declared_knob_literals_pass(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_cli_wire_drift_on_the_committed_tree(capsys):
+def test_cli_wire_drift_on_the_committed_tree(tmp_path, monkeypatch, capsys):
+    # The default lock is the repo root's, wherever lint is launched.
+    monkeypatch.chdir(tmp_path)
     target = str(REPO_ROOT / "src" / "repro" / "fleet" / "wire.py")
-    assert lint_main([target, "--baseline",
-                      str(REPO_ROOT / "lint-baseline.json"),
-                      "--wire-drift"]) == 0
+    assert lint_main([target, "--wire-drift"]) == 0
+    assert lint_main([target, "--wire-drift", "--wire-lock",
+                      str(tmp_path / "absent.lock")]) == 1
 
 
 def test_cli_update_wire_lock_round_trip(tmp_path, capsys):
