@@ -86,8 +86,24 @@ def _raw(name: str) -> str:
     return os.environ.get(name, "")
 
 
+_TRUE = ("1", "true", "yes", "on")
+_FALSE = ("", "0", "false", "no", "off")
+
+
 def _bool(name: str) -> bool:
-    return _raw(name) not in ("", "0")
+    """:data:`_TRUE` or :data:`_FALSE`, any case; anything else is a typo
+    and raises rather than passing for one of the two."""
+    value = _raw(name)
+    if value not in _TRUE and value not in _FALSE:
+        # Not an exact spelling ("True", " on"): normalise, then judge.
+        # Exact ones cost no call — every simulation asks for SRM_CHECK.
+        value = value.strip().lower()
+    if value in _TRUE:
+        return True
+    if value in _FALSE:
+        return False
+    raise ValueError(f"{name}={_raw(name)!r}: expected one of "
+                     f"{'/'.join(_TRUE)} or {'/'.join(_FALSE[1:])}")
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ The fleet turns the one-machine :mod:`repro.runner` into a service:
   rejection). The same encoding keys the runner's result cache.
 * :mod:`repro.fleet.controller` — a thin stdlib HTTP service that
   accepts serialized spec sweeps, schedules tasks onto registered
-  workers (lease + heartbeat; expiry reschedules), stores results in
+  workers (lease + heartbeat on the runner's
+  :class:`~repro.runner.lease.LeaseTable`; an expiry spends an attempt
+  and reschedules), stores results in
   the shared content-addressed :class:`~repro.runner.cache.ResultCache`,
   and streams manifest rows to clients as JSONL/SSE plus a minimal live
   dashboard page.
@@ -17,8 +19,8 @@ The fleet turns the one-machine :mod:`repro.runner` into a service:
   lease, execute via :func:`~repro.experiments.common.run_experiment`,
   report, heartbeat while busy.
 * :mod:`repro.fleet.client` — :class:`FleetClient` (submit / status /
-  results / events) and :class:`FleetRunner`, a drop-in
-  :class:`~repro.runner.executor.ExperimentRunner` stand-in that ships
+  results / events) and :class:`FleetRunner`, the
+  :class:`~repro.runner.executor.ExperimentRunner` subclass that ships
   a figure sweep through a controller instead of a local pool.
 
 Determinism is the contract: a sweep run through the fleet — worker

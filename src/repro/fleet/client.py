@@ -4,13 +4,13 @@
 JSON in and out, every fleet endpoint as one method.
 
 :class:`FleetRunner` is the piece that makes the fleet invisible to the
-experiment layer: it implements the same ``map(experiment, fn,
-kwargs_list)`` surface as :class:`~repro.runner.executor.ExperimentRunner`,
-so ``run_figure3(runner=FleetRunner(url))`` ships the sweep through a
-controller and hands the figure code the same ``RunResult`` list, in the
-same order, that a serial run produces. The figure's own aggregation is
-untouched, which is what makes fleet output byte-identical to serial
-output.
+experiment layer: an :class:`~repro.runner.executor.ExperimentRunner` —
+same ``map`` / ``run``, same metrics merge — that overrides one step,
+where the misses execute. ``run_figure3(runner=FleetRunner(url))`` ships
+the sweep through a controller and hands the figure code the same
+``RunResult`` list, in the same order, that a serial run produces. The
+figure's own aggregation is untouched, which is what makes fleet output
+byte-identical to serial output.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import urllib.request
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.fleet.wire import WIRE_SCHEMA, result_from_wire, spec_to_wire
+from repro.runner.executor import ExperimentRunner
+from repro.runner.task import Task
 
 
 class FleetError(RuntimeError):
@@ -188,14 +190,14 @@ class FleetClient:
                 event_name = "message"
 
 
-class FleetRunner:
-    """ExperimentRunner stand-in that executes sweeps on a fleet.
+class FleetRunner(ExperimentRunner):
+    """An :class:`ExperimentRunner` whose misses execute on a fleet.
 
     Only spec-shaped sweeps — ``map(experiment, run_experiment,
     [{"spec": ExperimentSpec}, ...])`` — can cross the wire; that is
     the entire post-PR-4 experiment surface. Anything else (a bare
     task function, extra kwargs) raises rather than silently running
-    locally.
+    locally. Retries and lease deadlines are the controller's.
     """
 
     def __init__(self, base_url_or_client: Any,
@@ -204,67 +206,37 @@ class FleetRunner:
                  timeout: Optional[float] = None,
                  poll: float = 0.2,
                  metrics_path: Optional[str] = None) -> None:
+        super().__init__(salt=salt, metrics_path=metrics_path)
         self.client = base_url_or_client \
             if isinstance(base_url_or_client, FleetClient) \
             else FleetClient(str(base_url_or_client))
         self.env_block = env_block
-        self.salt = salt
         self.timeout = timeout
         self.poll = poll
-        #: Mirrors ExperimentRunner.metrics_path: when set, each map()
-        #: merges its results' bundles and persists them as JSON here.
-        self.metrics_path = metrics_path
-        #: Job ids submitted through this runner, newest last.
-        self.jobs: List[str] = []
 
-    def map(self, experiment: str, fn: Callable[..., Any],
-            kwargs_list: Sequence[Dict[str, Any]]) -> List[Any]:
+    def _execute(self, tasks: Sequence[Task], misses: List[int],
+                 finish: Callable[..., None]) -> None:
         from repro.experiments.common import run_experiment
 
-        if fn is not run_experiment:
-            raise FleetError(
-                f"FleetRunner can only execute run_experiment sweeps, "
-                f"not {getattr(fn, '__qualname__', fn)!r}")
-        specs = []
-        for index, kwargs in enumerate(kwargs_list):
-            if set(kwargs) != {"spec"}:
+        for position in misses:
+            task = tasks[position]
+            if task.fn is not run_experiment:
                 raise FleetError(
-                    f"kwargs[{index}] must be exactly {{'spec': "
-                    f"ExperimentSpec}}, got keys {sorted(kwargs)}")
-            specs.append(kwargs["spec"])
-        job_id = self.client.submit(experiment, specs,
-                                    env_block=self.env_block,
-                                    salt=self.salt)
-        self.jobs.append(job_id)
-        self.client.wait(job_id, timeout=self.timeout, poll=self.poll)
-        results = self.client.results(job_id)
-        if self.metrics_path:
-            self._persist_metrics(results, experiment)
-        return results
-
-    def run(self, tasks: Sequence[Any]) -> List[Any]:
-        """Task-list form, for parity with ExperimentRunner.run()."""
-        groups: Dict[str, List[Any]] = {}
-        for task in tasks:
-            groups.setdefault(task.experiment, []).append(task)
-        if len(groups) != 1:
+                    f"FleetRunner can only execute run_experiment sweeps, "
+                    f"not {getattr(task.fn, '__qualname__', task.fn)!r}")
+            if set(task.kwargs) != {"spec"}:
+                raise FleetError(
+                    f"kwargs[{task.index}] must be exactly {{'spec': "
+                    f"ExperimentSpec}}, got keys {sorted(task.kwargs)}")
+        experiments = {tasks[position].experiment for position in misses}
+        if len(experiments) != 1:
             raise FleetError("FleetRunner.run() expects tasks from one "
                              "experiment per call")
-        (experiment, group), = groups.items()
-        return self.map(experiment, group[0].fn,
-                        [task.kwargs for task in group])
-
-    def _persist_metrics(self, results: Sequence[Any],
-                         experiment: str) -> None:
-        # Same merge-and-save the serial ExperimentRunner performs, so
-        # `repro fleet submit --metrics` gates against `repro figureN
-        # --metrics` with no translation step.
-        from repro.metrics.bundle import RunMetrics, save_bundle
-
-        bundles = [bundle for bundle in
-                   (getattr(result, "metrics", None) for result in results)
-                   if isinstance(bundle, RunMetrics)]
-        if not bundles:
-            return
-        merged = RunMetrics.merged(bundles, experiment=experiment)
-        save_bundle(merged, self.metrics_path)
+        job_id = self.client.submit(
+            experiments.pop(),
+            [tasks[position].kwargs["spec"] for position in misses],
+            env_block=self.env_block, salt=self.salt)
+        self.client.wait(job_id, timeout=self.timeout, poll=self.poll)
+        for position, value in zip(misses, self.client.results(job_id)):
+            # attempts=0, pid=None: nothing ran in this process.
+            finish(position, "ok", 0, result=value)

@@ -12,12 +12,14 @@ One controller owns the full state of every submitted sweep:
 * **Workers** — pull-based agents. A worker registers, then leases one
   task at a time. A lease carries the job's serialized env block
   (:func:`repro.env.snapshot`) so every worker runs the sweep under the
-  submitter's knobs. Leases expire: a worker that stops heartbeating
-  loses its task back to the pending queue, and the sweep completes on
-  the surviving workers with results identical to a crash-free run —
-  task results are content-addressed, so a straggler's late report of
-  an already-rescheduled task is a harmless duplicate write of the same
-  bytes.
+  submitter's knobs. Each job runs on one
+  :class:`~repro.runner.lease.LeaseTable`, as the serial runner and the
+  ``--jobs`` pool do: a worker that stops heartbeating loses its lease
+  and the attempt is spent — the task goes back to pending, or fails the
+  job once its budget is gone — and the sweep completes on the surviving
+  workers with results identical to a crash-free run: results are
+  content-addressed, so a straggler's late report of a rescheduled task
+  is a harmless duplicate write of the same bytes.
 * **Events** — an append-only feed (submit, lease, result, expiry,
   registration) served as JSONL snapshots and live SSE, and a minimal
   HTML dashboard polling the same JSON endpoints.
@@ -36,18 +38,20 @@ import json
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
 from repro.fleet.wire import (
     WIRE_SCHEMA,
     WireFormatError,
+    result_from_wire,
     result_to_wire,
     spec_from_wire,
 )
 from repro.runner.cache import ResultCache
+from repro.runner.lease import LeaseTable
 from repro.runner.task import Task
 
 #: Default seconds a lease stays valid without a heartbeat.
@@ -80,40 +84,19 @@ class TaskState:
     index: int
     payload: Dict[str, Any]          # the spec/v3 wire dict, as submitted
     fingerprint: str
-    status: str = "pending"          # pending | leased | done | failed
-    worker: Optional[str] = None
-    lease_expires: float = 0.0       # monotonic deadline while leased
-    attempts: int = 0
     cached: bool = False             # resolved from the cache at submit
 
 
 @dataclass
 class Job:
-    """A submitted sweep and its scheduling state."""
+    """A submitted sweep; ``table`` row ``n`` schedules ``tasks[n]``."""
 
     job_id: str
     experiment: str
-    salt: str
     env: Dict[str, str]
     tasks: List[TaskState]
-    retries: int
+    table: LeaseTable[str]           # holders are worker ids
     error: str = ""
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        counts = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
-        for task in self.tasks:
-            counts[task.status] += 1
-        return counts
-
-    @property
-    def state(self) -> str:
-        counts = self.counts
-        if counts["failed"]:
-            return "failed"
-        if counts["done"] == len(self.tasks):
-            return "done"
-        return "running"
 
 
 @dataclass
@@ -124,7 +107,6 @@ class WorkerState:
     name: str
     last_seen: float
     done: int = 0
-    leases: List[Tuple[str, int]] = field(default_factory=list)
 
 
 class FleetController:
@@ -152,33 +134,40 @@ class FleetController:
 
     # -- internals -----------------------------------------------------
 
-    def _now(self) -> float:
-        return time.monotonic()
-
     def _record(self, event: str, **detail: Any) -> None:
         entry = {"seq": next(self._event_seq),
-                 "t": round(self._now() - self._started, 6),
+                 "t": round(time.monotonic() - self._started, 6),
                  "event": event}
         entry.update(detail)
         self.events.append(entry)
 
     def _expire(self) -> None:
         """Reclaim every lease whose deadline has passed (lazy sweep)."""
-        now = self._now()
         for job in self.jobs.values():
-            for task in job.tasks:
-                if task.status == "leased" and task.lease_expires < now:
-                    worker = self.workers.get(task.worker or "")
-                    if worker is not None:
-                        try:
-                            worker.leases.remove((job.job_id, task.index))
-                        except ValueError:
-                            pass
-                    self._record("lease-expired", job=job.job_id,
-                                 index=task.index, worker=task.worker)
-                    task.status = "pending"
-                    task.worker = None
-                    task.lease_expires = 0.0
+            for index, worker_id in job.table.overdue(time.monotonic()):
+                self._record("lease-expired", job=job.job_id,
+                             index=index, worker=worker_id)
+                self._spend(job, index, worker_id,
+                            f"lease expired (worker {worker_id} stopped "
+                            f"heartbeating)", "timeout")
+
+    def _spend(self, job: Job, index: int, worker_id: str, reason: str,
+               cause: str) -> bool:
+        """``worker_id``'s attempt at a task failed. True when the task
+        will be retried; once its budget is gone the job fails with it."""
+        retrying = job.table.fail(index, worker_id, reason, cause,
+                                  time.monotonic()) is not None
+        if not retrying and not job.error:
+            job.error = (f"task {index} failed after "
+                         f"{job.table.rows[index].attempts} attempts: "
+                         f"{reason}")
+            self._record("job-failed", job=job.job_id, error=job.error)
+        return retrying
+
+    def _leases(self, worker_id: str) -> List[List[Any]]:
+        """``[job, index]`` of every task ``worker_id`` holds."""
+        return [[job.job_id, index] for job in self.jobs.values()
+                for index in job.table.held(worker_id)]
 
     def _job(self, job_id: str) -> Job:
         job = self.jobs.get(job_id)
@@ -232,35 +221,36 @@ class FleetController:
                                    fingerprint=fingerprint))
         with self._lock:
             job_id = f"job-{next(self._job_ids)}"
-            job = Job(job_id=job_id, experiment=experiment, salt=salt,
+            # No backoff: a worker polls for its next lease anyway.
+            job = Job(job_id=job_id, experiment=experiment,
                       env=dict(env_block), tasks=tasks,
-                      retries=self.retries)
+                      table=LeaseTable(len(tasks), self.retries, 0.0))
             cached = 0
             for task in tasks:
                 if task.fingerprint in self.cache:
-                    task.status = "done"
+                    job.table.complete(task.index)
                     task.cached = True
                     cached += 1
             self.jobs[job_id] = job
             self._record("submit", job=job_id, experiment=experiment,
                          tasks=len(tasks), cached=cached)
-            if job.state == "done":
+            state = job.table.state
+            if state == "done":
                 self._record("job-done", job=job_id, cached=cached)
             return {"job": job_id, "tasks": len(tasks), "cached": cached,
-                    "state": job.state}
+                    "state": state}
 
     def job_status(self, job_id: str) -> Dict[str, Any]:
         with self._lock:
             self._expire()
             job = self._job(job_id)
             return {"job": job.job_id, "experiment": job.experiment,
-                    "state": job.state, "tasks": len(job.tasks),
-                    "counts": job.counts, "error": job.error,
+                    "state": job.table.state, "tasks": len(job.tasks),
+                    "counts": job.table.counts, "error": job.error,
                     "cached": sum(1 for task in job.tasks if task.cached)}
 
     def list_jobs(self) -> Dict[str, Any]:
         with self._lock:
-            self._expire()
             return {"jobs": [self.job_status(job_id)
                              for job_id in self.jobs]}
 
@@ -269,10 +259,11 @@ class FleetController:
         with self._lock:
             self._expire()
             job = self._job(job_id)
-            if job.state == "failed":
+            state = job.table.state
+            if state == "failed":
                 raise FleetAPIError(409, f"job {job_id} failed: "
                                          f"{job.error}")
-            if job.state != "done":
+            if state != "done":
                 raise FleetAPIError(409, f"job {job_id} is still "
                                          f"running")
             payloads = []
@@ -295,7 +286,7 @@ class FleetController:
             worker_id = f"w{next(self._worker_ids)}"
             self.workers[worker_id] = WorkerState(
                 worker_id=worker_id, name=name or worker_id,
-                last_seen=self._now())
+                last_seen=time.monotonic())
             self._record("worker-registered", worker=worker_id,
                          name=name or worker_id)
             return {"worker": worker_id, "lease_ttl": self.lease_ttl,
@@ -305,14 +296,10 @@ class FleetController:
         with self._lock:
             self._expire()
             worker = self._worker(worker_id)
-            now = self._now()
-            worker.last_seen = now
-            for job_id, index in worker.leases:
-                task = self._job(job_id).tasks[index]
-                if task.status == "leased" and task.worker == worker_id:
-                    task.lease_expires = now + self.lease_ttl
-            return {"ok": True,
-                    "leases": [list(lease) for lease in worker.leases]}
+            worker.last_seen = time.monotonic()
+            for job in self.jobs.values():
+                job.table.renew(worker_id, worker.last_seen, self.lease_ttl)
+            return {"ok": True, "leases": self._leases(worker_id)}
 
     def lease(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Hand the next pending task (lowest job, lowest index) out."""
@@ -322,30 +309,26 @@ class FleetController:
         with self._lock:
             self._expire()
             worker = self._worker(worker_id)
-            now = self._now()
-            worker.last_seen = now
+            worker.last_seen = time.monotonic()
             for job in self.jobs.values():
-                if job.state != "running":
+                if job.table.state != "running":
                     continue
-                for task in job.tasks:
-                    if task.status != "pending":
-                        continue
-                    task.status = "leased"
-                    task.worker = worker_id
-                    task.lease_expires = now + self.lease_ttl
-                    task.attempts += 1
-                    worker.leases.append((job.job_id, task.index))
-                    self._record("lease", job=job.job_id,
-                                 index=task.index, worker=worker_id,
-                                 attempt=task.attempts)
-                    return {"task": {
-                        "job": job.job_id, "index": task.index,
-                        "experiment": job.experiment,
-                        "spec": task.payload,
-                        "fingerprint": task.fingerprint,
-                        "env": job.env,
-                        "lease_ttl": self.lease_ttl,
-                    }}
+                index = job.table.lease(worker_id, worker.last_seen,
+                                        self.lease_ttl)
+                if index is None:
+                    continue
+                task = job.tasks[index]
+                self._record("lease", job=job.job_id, index=index,
+                             worker=worker_id,
+                             attempt=job.table.rows[index].attempts)
+                return {"task": {
+                    "job": job.job_id, "index": index,
+                    "experiment": job.experiment,
+                    "spec": task.payload,
+                    "fingerprint": task.fingerprint,
+                    "env": job.env,
+                    "lease_ttl": self.lease_ttl,
+                }}
             return {"task": None}
 
     def report(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -361,8 +344,6 @@ class FleetController:
         result_payload = payload.get("result")
         decoded = None
         if error is None:
-            from repro.fleet.wire import result_from_wire
-
             if not isinstance(result_payload, dict):
                 raise FleetAPIError(400, "report requires 'result' "
                                          "(spec/v3 RunResult) or 'error'")
@@ -375,60 +356,46 @@ class FleetController:
             job = self._job(job_id)
             if not 0 <= index < len(job.tasks):
                 raise FleetAPIError(404, f"no task {job_id}/{index}")
-            task = job.tasks[index]
             worker = self.workers.get(worker_id)
             if worker is not None:
-                worker.last_seen = self._now()
-                try:
-                    worker.leases.remove((job_id, index))
-                except ValueError:
-                    pass
-            if task.status == "done":
+                worker.last_seen = time.monotonic()
+            if job.table.rows[index].status in ("done", "failed"):
                 # A straggler whose lease expired and whose task was
-                # re-run elsewhere. The result is content-addressed and
-                # deterministic, so there is nothing to reconcile.
+                # re-run elsewhere (or given up on). The result is
+                # content-addressed and deterministic, so there is
+                # nothing to reconcile.
                 return {"ok": True, "duplicate": True}
             if error is not None:
                 self._record("task-error", job=job_id, index=index,
                              worker=worker_id, error=str(error))
-                if task.attempts > job.retries:
-                    task.status = "failed"
-                    job.error = (f"task {index} failed after "
-                                 f"{task.attempts} attempts: {error}")
-                    self._record("job-failed", job=job_id,
-                                 error=job.error)
-                else:
-                    task.status = "pending"
-                    task.worker = None
-                    task.lease_expires = 0.0
-                return {"ok": True, "retrying": task.status == "pending"}
-            self.cache.put(task.fingerprint, decoded)
-            task.status = "done"
-            task.worker = worker_id
+                return {"ok": True, "retrying": self._spend(
+                    job, index, worker_id, str(error), "error")}
+            self.cache.put(job.tasks[index].fingerprint, decoded)
+            job.table.complete(index)
             if worker is not None:
                 worker.done += 1
             self._record("result", job=job_id, index=index,
                          worker=worker_id,
                          duration=float(payload.get("duration", 0.0)))
-            if job.state == "done":
+            if job.table.state == "done":
                 self._record("job-done", job=job_id)
             return {"ok": True}
 
     def list_workers(self) -> Dict[str, Any]:
         with self._lock:
             self._expire()
-            now = self._now()
+            now = time.monotonic()
             rows = []
             for worker in self.workers.values():
                 age = now - worker.last_seen
-                state = "busy" if worker.leases else "idle"
+                leases = self._leases(worker.worker_id)
+                state = "busy" if leases else "idle"
                 if age > 2 * self.lease_ttl:
                     state = "lost"
                 rows.append({"worker": worker.worker_id,
                              "name": worker.name, "state": state,
                              "done": worker.done,
-                             "leases": [list(lease)
-                                        for lease in worker.leases],
+                             "leases": leases,
                              "last_seen_age": round(age, 3)})
             return {"workers": rows}
 

@@ -5,8 +5,10 @@ The orchestration substrate every figure sweep runs on:
 * :mod:`repro.runner.task` — one sweep point as pure, picklable data,
   with a stable content fingerprint
 * :mod:`repro.runner.cache` — content-addressed on-disk result cache
-* :mod:`repro.runner.pool` — crash-tolerant worker pool with per-task
-  deadlines and retry-with-backoff
+* :mod:`repro.runner.lease` — the one task state machine (attempts,
+  backoff, deadlines) the serial runner, the pool and the fleet run on
+* :mod:`repro.runner.pool` — that table's two local transports: in
+  this process, and a crash-tolerant worker pool with per-task deadlines
 * :mod:`repro.runner.manifest` — JSONL run manifests (one row per task)
 * :mod:`repro.runner.executor` — :class:`ExperimentRunner`, the facade
   the experiments and the CLI talk to
@@ -21,10 +23,10 @@ Quickstart::
     print(result.format_table())             # identical to runner-less
 """
 
+from repro.env import cache_salt as code_version_salt
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, \
     default_cache_dir
-from repro.runner.executor import ExperimentRunner, RunnerError, \
-    TaskReport, code_version_salt
+from repro.runner.executor import ExperimentRunner, RunnerError, TaskReport
 from repro.runner.manifest import RunManifest, read_manifest
 from repro.runner.pool import Execution, TaskFailed, run_pool
 from repro.runner.task import Task, canonical, function_ref

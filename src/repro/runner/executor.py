@@ -4,10 +4,11 @@
 to. Given a list of :class:`~repro.runner.task.Task` sweep points it
 
 * resolves cache hits from the :class:`~repro.runner.cache.ResultCache`,
-* executes the misses — in-process when ``jobs == 1`` (bit-for-bit the
-  historical serial behavior), on a crash-tolerant worker pool otherwise,
-* retries failures with exponential backoff and enforces per-task
-  timeouts (pool mode),
+* executes the misses — in-process when ``jobs == 1``, on a
+  crash-tolerant worker pool otherwise, on a fleet when the runner is a
+  :class:`~repro.fleet.client.FleetRunner` — each on one
+  :class:`~repro.runner.lease.LeaseTable`, which owns retries, backoff
+  and deadlines (only the pool passes one: it has a process to kill),
 * appends a JSONL :class:`~repro.runner.manifest.RunManifest` row per
   task, and
 * emits live progress through a :class:`repro.sim.trace.Trace`, so any
@@ -20,29 +21,16 @@ Results are always returned in task order, never completion order:
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.env import cache_salt as code_version_salt
 from repro.runner.cache import ResultCache
 from repro.runner.manifest import RunManifest
-from repro.runner.pool import TaskFailed, run_pool
+from repro.runner.pool import TaskFailed, run_inline, run_pool
 from repro.runner.task import Task
 from repro.sim.trace import Trace
-
-
-def code_version_salt() -> str:
-    """The cache salt: the package version, overridable via env.
-
-    Keyed to the released version rather than a hash of the source tree,
-    so an unrelated edit (docs, tests, an experiment that was not run)
-    keeps the cache warm; bump ``SRM_CACHE_SALT`` (or the package
-    version) when simulation semantics change.
-    """
-    from repro import env
-
-    return env.cache_salt()
 
 
 class RunnerError(RuntimeError):
@@ -96,6 +84,7 @@ class ExperimentRunner:
         self.salt = salt if salt is not None else code_version_salt()
         #: Reports accumulate across ``run()`` invocations, newest last.
         self.reports: List[TaskReport] = []
+        self._started = time.monotonic()
 
     # ------------------------------------------------------------------
 
@@ -107,9 +96,13 @@ class ExperimentRunner:
                  for index, kwargs in enumerate(kwargs_list)]
         return self.run(tasks)
 
+    def _elapsed(self) -> float:
+        """Seconds since ``run()`` began: the trace's one time base."""
+        return time.monotonic() - self._started
+
     def run(self, tasks: Sequence[Task]) -> List[Any]:
         """Execute every task; return their results in task order."""
-        started = time.monotonic()
+        self._started = time.monotonic()
         manifest = RunManifest(self.manifest_path) \
             if self.manifest_path else None
         experiments = sorted({task.experiment for task in tasks})
@@ -123,11 +116,23 @@ class ExperimentRunner:
                             cache="on" if self.cache is not None else "off")
         fingerprints = [task.fingerprint(self.salt) for task in tasks]
         results: List[Any] = [None] * len(tasks)
-        done = [False] * len(tasks)
-        run_reports: List[Optional[TaskReport]] = [None] * len(tasks)
+        first_report = len(self.reports)
 
-        def finish(position: int, report: TaskReport) -> None:
-            run_reports[position] = report
+        def finish(position: int, status: str, attempts: int,
+                   duration: float = 0.0, pid: Optional[int] = None,
+                   result: Any = None, hit: bool = False) -> None:
+            """Record how one task ended; store and cache an ``ok`` result."""
+            task = tasks[position]
+            if status == "ok":
+                results[position] = result
+                if self.cache is not None and not hit:
+                    self.cache.put(fingerprints[position], result)
+            report = TaskReport(
+                task_id=task.task_id, experiment=task.experiment,
+                index=task.index, fingerprint=fingerprints[position],
+                status=status, attempts=attempts, duration=duration,
+                cache="hit" if hit else
+                "miss" if self.cache is not None else "off", pid=pid)
             self.reports.append(report)
             if manifest:
                 manifest.task(
@@ -136,135 +141,75 @@ class ExperimentRunner:
                     status=report.status, attempts=report.attempts,
                     duration=round(report.duration, 6), cache=report.cache,
                     pid=report.pid)
-            self.trace.record(time.monotonic() - started, "runner",
-                              "task_done", task=report.task_id,
-                              status=report.status, cache=report.cache,
-                              attempts=report.attempts)
+            self.trace.record(self._elapsed(), "runner", "task_done",
+                              task=report.task_id, status=report.status,
+                              cache=report.cache, attempts=report.attempts)
 
+        failed = True
         try:
-            misses = self._resolve_cache(tasks, fingerprints, results, done,
-                                         finish)
-            if misses:
-                if self.jobs == 1:
-                    self._run_serial(tasks, fingerprints, misses, results,
-                                     finish)
+            misses: List[int] = []
+            for position, fingerprint in enumerate(fingerprints):
+                hit, value = self.cache.get(fingerprint) \
+                    if self.cache is not None else (False, None)
+                if hit:
+                    finish(position, "ok", 0, result=value, hit=True)
                 else:
-                    self._run_pool(tasks, fingerprints, misses, results,
-                                   finish)
+                    misses.append(position)
+            if misses:
+                self._execute(tasks, misses, finish)
+            if self.metrics_path:
+                self._persist_metrics(results, experiments, manifest)
+            failed = False
         except TaskFailed as failure:
-            task = tasks[failure.index]
-            finish(failure.index, TaskReport(
-                task_id=task.task_id, experiment=task.experiment,
-                index=task.index, fingerprint=fingerprints[failure.index],
-                status="timeout" if "timed out" in failure.reason
-                else "failed",
-                attempts=failure.attempts, duration=0.0,
-                cache="miss" if self.cache is not None else "off", pid=None))
-            self._finalize(manifest, run_reports, started, failed=True)
+            finish(failure.index,
+                   "timeout" if failure.cause == "timeout" else "failed",
+                   failure.attempts)
             raise RunnerError(str(failure)) from failure
-        except Exception:
-            self._finalize(manifest, run_reports, started, failed=True)
-            raise
-        if self.metrics_path:
-            self._persist_metrics(results, experiments, manifest, started)
-        self._finalize(manifest, run_reports, started, failed=False)
+        finally:
+            reports = self.reports[first_report:]
+            hits = sum(1 for report in reports if report.cache == "hit")
+            wall = self._elapsed()
+            self.trace.record(wall, "runner", "run_end",
+                              completed=len(reports), cache_hits=hits,
+                              failed=failed)
+            if manifest:
+                manifest.summary(
+                    completed=len(reports), cache_hits=hits,
+                    cache_misses=sum(1 for report in reports
+                                     if report.cache == "miss"),
+                    failed=failed, wall_seconds=round(wall, 6))
+                manifest.close()
         return results
 
     # ------------------------------------------------------------------
 
-    def _resolve_cache(self, tasks: Sequence[Task],
-                       fingerprints: List[str], results: List[Any],
-                       done: List[bool],
-                       finish: Callable[[int, "TaskReport"], None]
-                       ) -> List[int]:
-        """Fill cache hits in place; return the indices still to run."""
-        misses: List[int] = []
-        for position, task in enumerate(tasks):
-            if self.cache is None:
-                misses.append(position)
-                continue
-            hit, value = self.cache.get(fingerprints[position])
-            if hit:
-                results[position] = value
-                done[position] = True
-                finish(position, TaskReport(
-                    task_id=task.task_id, experiment=task.experiment,
-                    index=task.index, fingerprint=fingerprints[position],
-                    status="ok", attempts=0, duration=0.0, cache="hit",
-                    pid=None))
-            else:
-                misses.append(position)
-        return misses
-
-    def _run_serial(self, tasks: Sequence[Task],
-                    fingerprints: List[str], misses: List[int],
-                    results: List[Any],
-                    finish: Callable[[int, "TaskReport"], None]) -> None:
-        for position in misses:
-            task = tasks[position]
-            attempt = 1
-            while True:
-                begun = time.monotonic()
-                try:
-                    value = task.execute()
-                except Exception as exc:  # noqa: BLE001 - retried/reported
-                    reason = f"{type(exc).__name__}: {exc}"
-                    if attempt >= self.retries + 1:
-                        raise TaskFailed(position, attempt, reason) from exc
-                    self.trace.record(time.monotonic(), "runner",
-                                      "task_retry", task=task.task_id,
-                                      attempts=attempt, reason=reason)
-                    time.sleep(self.backoff * (2 ** (attempt - 1)))
-                    attempt += 1
-                    continue
-                duration = time.monotonic() - begun
-                results[position] = value
-                if self.cache is not None:
-                    self.cache.put(fingerprints[position], value)
-                finish(position, TaskReport(
-                    task_id=task.task_id, experiment=task.experiment,
-                    index=task.index, fingerprint=fingerprints[position],
-                    status="ok", attempts=attempt, duration=duration,
-                    cache="miss" if self.cache is not None else "off", pid=os.getpid()))
-                break
-
-    def _run_pool(self, tasks: Sequence[Task],
-                  fingerprints: List[str], misses: List[int],
-                  results: List[Any],
-                  finish: Callable[[int, "TaskReport"], None]) -> None:
+    def _execute(self, tasks: Sequence[Task], misses: List[int],
+                 finish: Callable[..., None]) -> None:
+        """Run ``tasks[position]`` for every miss and ``finish`` it:
+        in this process when ``jobs == 1``, on the pool otherwise."""
         # Completions are reported (manifest row, cache write, trace
         # record) from the event callback as each task lands, so a
         # listener sees live progress rather than one burst at the end.
         def on_event(kind: str, **detail: Any) -> None:
             position = detail.pop("index")
-            task = tasks[position]
             if kind in ("retry", "start"):
-                self.trace.record(time.monotonic(), "runner",
-                                  f"task_{kind}", task=task.task_id,
-                                  **detail)
-            elif kind == "done":
-                value = detail.pop("result")
-                results[position] = value
-                if self.cache is not None:
-                    self.cache.put(fingerprints[position], value)
-                finish(position, TaskReport(
-                    task_id=task.task_id, experiment=task.experiment,
-                    index=task.index, fingerprint=fingerprints[position],
-                    status="ok", attempts=detail["attempts"],
-                    duration=detail["duration"],
-                    cache="miss" if self.cache is not None else "off",
-                    pid=detail["pid"]))
+                self.trace.record(self._elapsed(), "runner", f"task_{kind}",
+                                  task=tasks[position].task_id, **detail)
+            elif kind == "done":  # attempts, duration, pid, result
+                finish(position, "ok", **detail)
 
         items = [(position, tasks[position].fn, tasks[position].kwargs)
                  for position in misses]
-        run_pool(items, jobs=self.jobs, timeout=self.task_timeout,
-                 retries=self.retries, backoff=self.backoff,
-                 on_event=on_event)
+        if self.jobs == 1:
+            run_inline(items, self.retries, self.backoff, on_event)
+        else:
+            run_pool(items, jobs=self.jobs, timeout=self.task_timeout,
+                     retries=self.retries, backoff=self.backoff,
+                     on_event=on_event)
 
     def _persist_metrics(self, results: List[Any],
                          experiments: List[str],
-                         manifest: Optional[RunManifest],
-                         started: float) -> None:
+                         manifest: Optional[RunManifest]) -> None:
         """Merge the results' RunMetrics bundles and save them as JSON.
 
         Results without a bundle (legacy task functions, analytic
@@ -282,26 +227,9 @@ class ExperimentRunner:
         merged = RunMetrics.merged(bundles,
                                    experiment=",".join(experiments))
         path = save_bundle(merged, self.metrics_path)
-        self.trace.record(time.monotonic() - started, "runner",
-                          "metrics_saved", path=str(path),
-                          bundles=len(bundles))
+        self.trace.record(self._elapsed(), "runner", "metrics_saved",
+                          path=str(path), bundles=len(bundles))
         if manifest:
             manifest.metrics(path=str(path), bundles=len(bundles),
                              experiments=experiments,
                              headline=merged.headline())
-
-    def _finalize(self, manifest: Optional[RunManifest],
-                  run_reports: List[Optional["TaskReport"]],
-                  started: float, failed: bool) -> None:
-        reports = [report for report in run_reports if report is not None]
-        hits = sum(1 for report in reports if report.cache == "hit")
-        wall = time.monotonic() - started
-        self.trace.record(wall, "runner", "run_end",
-                          completed=len(reports), cache_hits=hits,
-                          failed=failed)
-        if manifest:
-            manifest.summary(completed=len(reports), cache_hits=hits,
-                             cache_misses=sum(1 for report in reports
-                                              if report.cache == "miss"),
-                             failed=failed, wall_seconds=round(wall, 6))
-            manifest.close()

@@ -5,20 +5,26 @@ timeouts leave the worker wedged on the task forever) and a worker that
 dies mid-task hangs the whole map. This pool keeps one duplex pipe per
 worker, so the parent always knows *which* task a dead or overdue worker
 was holding: it terminates the process, respawns a fresh one, and
-requeues the task with exponential backoff until its retry budget is
-spent. Results are reported through an event callback as they arrive;
-the caller reassembles them in task order.
+charges the task one attempt. Which task runs next, how long a retry
+waits and when its budget is spent is decided by
+:class:`~repro.runner.lease.LeaseTable`; the pool is its local transport
+(holder = worker slot, ttl = task timeout). Results are reported through
+an event callback as they arrive; the caller reassembles them in task
+order.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.context import BaseContext
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.runner.lease import LeaseTable
 
 #: Upper bound on one poll of the worker pipes; keeps deadline checks
 #: responsive even when no worker finishes for a while.
@@ -28,12 +34,15 @@ _POLL_SECONDS = 0.25
 class TaskFailed(RuntimeError):
     """A task exhausted its retry budget."""
 
-    def __init__(self, index: int, attempts: int, reason: str) -> None:
+    def __init__(self, index: int, attempts: int, reason: str,
+                 cause: str) -> None:
         super().__init__(
             f"task {index} failed after {attempts} attempt(s): {reason}")
         self.index = index
         self.attempts = attempts
         self.reason = reason
+        #: How the last attempt ended: "error" | "crash" | "timeout".
+        self.cause = cause
 
 
 @dataclass
@@ -47,7 +56,8 @@ class Execution:
 
 
 def _worker_main(conn: Connection) -> None:
-    """Worker loop: receive ``(index, fn, kwargs)``, send back the result.
+    """Worker loop: receive ``(index, fn, kwargs)``, send back ``(result,
+    error)`` — ``error`` is None unless ``fn`` raised.
 
     Runs until the parent sends ``None`` or closes the pipe. Exceptions
     are caught and reported as data; only a hard crash (``os._exit``,
@@ -61,22 +71,20 @@ def _worker_main(conn: Connection) -> None:
             return
         if message is None:
             return
-        index, fn, kwargs = message
+        _, fn, kwargs = message
+        reply: Tuple[Any, Optional[str]]
         try:
-            result = fn(**kwargs)
+            reply = (fn(**kwargs), None)
         except BaseException as exc:  # noqa: BLE001 - reported, not hidden
-            payload = (index, "error", None,
-                       f"{type(exc).__name__}: {exc}")
-        else:
-            payload = (index, "ok", result, None)
+            reply = (None, f"{type(exc).__name__}: {exc}")
         try:
-            conn.send(payload)
+            conn.send(reply)
         except (BrokenPipeError, OSError):
             return
 
 
 class _Worker:
-    """One live worker process plus the parent's view of its state."""
+    """One live worker process and the parent's end of its pipe."""
 
     def __init__(self, context: BaseContext) -> None:
         parent_conn, child_conn = multiprocessing.Pipe()
@@ -85,26 +93,6 @@ class _Worker:
                                        args=(child_conn,), daemon=True)
         self.process.start()
         child_conn.close()
-        self.index: Optional[int] = None
-        self.attempt = 0
-        self.started = 0.0
-        self.deadline: Optional[float] = None
-
-    @property
-    def idle(self) -> bool:
-        return self.index is None
-
-    def assign(self, index: int, attempt: int, fn: Callable,
-               kwargs: Dict[str, Any], timeout: Optional[float]) -> None:
-        self.index = index
-        self.attempt = attempt
-        self.started = time.monotonic()
-        self.deadline = None if timeout is None else self.started + timeout
-        self.conn.send((index, fn, kwargs))
-
-    def release(self) -> None:
-        self.index = None
-        self.deadline = None
 
     def kill(self) -> None:
         try:
@@ -118,19 +106,55 @@ class _Worker:
             pass
 
     def stop(self) -> None:
-        """Graceful shutdown; falls back to terminate."""
+        """Graceful shutdown; ``kill`` only terminates a process that
+        has not exited by then."""
         try:
             self.conn.send(None)
         except (BrokenPipeError, OSError):
             pass
         self.process.join(timeout=2)
-        if self.process.is_alive():
-            self.kill()
-        else:
-            try:
-                self.conn.close()
-            except Exception:
-                pass
+        self.kill()
+
+
+def _spend(table: LeaseTable[int], index: int, position: int, holder: int,
+           reason: str, cause: str, notify: Callable[..., None]) -> None:
+    """``holder``'s attempt at row ``position`` (task ``index``) failed:
+    announce the retry, or announce and raise that the budget is spent."""
+    attempts = table.rows[position].attempts
+    delay = table.fail(position, holder, reason, cause, time.monotonic())
+    if delay is None:
+        notify("failed", index=index, attempts=attempts, reason=reason,
+               cause=cause)
+        raise TaskFailed(index, attempts, reason, cause)
+    notify("retry", index=index, attempts=attempts, reason=reason,
+           cause=cause, delay=delay)
+
+
+def run_inline(items: List[Tuple[int, Callable, Dict[str, Any]]],
+               retries: int, backoff: float,
+               on_event: Callable[..., None]) -> None:
+    """:func:`run_pool`'s contract with no pool: this process, one task
+    at a time. No timeout — a task cannot preempt itself."""
+    table: LeaseTable[int] = LeaseTable(len(items), retries, backoff)
+    pid = os.getpid()
+    while table.state == "running":
+        position = table.lease(pid, time.monotonic())
+        if position is None:
+            # Only retries are left: sleep until the earliest backoff ends.
+            time.sleep(max(table.wake() - time.monotonic(), 0.0))
+            continue
+        (index, fn, kwargs), row = items[position], table.rows[position]
+        on_event("start", index=index, attempts=row.attempts, pid=pid)
+        try:
+            result = fn(**kwargs)
+        except Exception as exc:  # noqa: BLE001 - retried/reported
+            _spend(table, index, position, pid,
+                   f"{type(exc).__name__}: {exc}", "error", on_event)
+            continue
+        table.complete(position)
+        on_event("done", index=index, attempts=row.attempts,
+                 duration=time.monotonic() - row.since, pid=pid,
+                 result=result)
 
 
 def run_pool(items: List[Tuple[int, Callable, Dict[str, Any]]],
@@ -147,92 +171,71 @@ def run_pool(items: List[Tuple[int, Callable, Dict[str, Any]]],
     ``failed`` as the run progresses. Raises :class:`TaskFailed` as soon
     as any task exhausts ``retries`` (attempts = retries + 1).
     """
-    if not items:
-        return {}
     notify = on_event if on_event is not None else (lambda kind, **kw: None)
-    by_index = {index: (fn, kwargs) for index, fn, kwargs in items}
     context = multiprocessing.get_context()
-    #: (ready_time, index, attempt) — a retry waits out its backoff here.
-    pending: List[Tuple[float, int, int]] = \
-        [(0.0, index, 1) for index, _, _ in items]
+    #: Row ``n`` is ``items[n]``; a holder is a position in ``workers``.
+    table: LeaseTable[int] = LeaseTable(len(items), retries, backoff)
     results: Dict[int, Execution] = {}
     workers = [_Worker(context) for _ in range(min(jobs, len(items)))]
 
-    def fail_or_requeue(index: int, attempt: int, reason: str,
-                        cause: str) -> None:
-        if attempt >= retries + 1:
-            notify("failed", index=index, attempts=attempt, reason=reason,
-                   cause=cause)
-            raise TaskFailed(index, attempt, reason)
-        delay = backoff * (2 ** (attempt - 1))
-        pending.append((time.monotonic() + delay, index, attempt + 1))
-        notify("retry", index=index, attempts=attempt, reason=reason,
-               cause=cause, delay=delay)
+    def spend(position: int, slot: int, reason: str, cause: str) -> None:
+        if cause != "error":  # the process is dead, or wedged on the task
+            workers[slot].kill()
+            workers[slot] = _Worker(context)
+        _spend(table, items[position][0], position, slot, reason, cause,
+               notify)
 
     try:
-        while pending or any(not worker.idle for worker in workers):
-            now = time.monotonic()
+        while table.state == "running":
             # Hand every ready pending task to an idle worker.
-            ready = sorted(entry for entry in pending if entry[0] <= now)
-            for worker in workers:
-                if not ready:
+            now = time.monotonic()
+            for slot, worker in enumerate(workers):
+                if table.held(slot):
+                    continue
+                position = table.lease(slot, now, timeout)
+                if position is None:
                     break
-                if worker.idle:
-                    entry = ready.pop(0)
-                    pending.remove(entry)
-                    _, index, attempt = entry
-                    fn, kwargs = by_index[index]
-                    worker.assign(index, attempt, fn, kwargs, timeout)
-                    notify("start", index=index, attempts=attempt,
-                           pid=worker.process.pid)
+                worker.conn.send(items[position])
+                notify("start", index=items[position][0],
+                       attempts=table.rows[position].attempts,
+                       pid=worker.process.pid)
 
-            busy = [worker for worker in workers if not worker.idle]
+            busy: Dict[Any, Tuple[int, int]] = {
+                worker.conn: (slot, position)
+                for slot, worker in enumerate(workers)
+                for position in table.held(slot)}
             if not busy:
                 # Nothing running: sleep until the earliest backoff ends.
-                wake = min(entry[0] for entry in pending)
-                time.sleep(min(max(wake - time.monotonic(), 0.0),
+                time.sleep(min(max(table.wake() - time.monotonic(), 0.0),
                                _POLL_SECONDS))
                 continue
 
-            readable = _connection_wait([worker.conn for worker in busy],
-                                        timeout=_POLL_SECONDS)
-            for conn in readable:
-                worker = next(w for w in busy if w.conn is conn)
-                index, attempt = worker.index, worker.attempt
-                duration = time.monotonic() - worker.started
+            for conn in _connection_wait(list(busy), timeout=_POLL_SECONDS):
+                slot, position = busy[conn]
+                row, pid = table.rows[position], workers[slot].process.pid
+                duration = time.monotonic() - row.since
                 try:
-                    _, status, result, error = conn.recv()
+                    result, error = conn.recv()
                 except (EOFError, OSError):
                     # Hard crash mid-task: replace the worker, retry.
-                    pid = worker.process.pid
-                    worker.kill()
-                    workers[workers.index(worker)] = _Worker(context)
-                    fail_or_requeue(index, attempt,
-                                    f"worker pid {pid} died", "crash")
+                    spend(position, slot, f"worker pid {pid} died", "crash")
                     continue
-                worker.release()
-                if status == "ok":
-                    results[index] = Execution(
-                        result=result, attempts=attempt, duration=duration,
-                        pid=worker.process.pid)
-                    notify("done", index=index, attempts=attempt,
-                           duration=duration, pid=worker.process.pid,
-                           result=result)
-                else:
-                    fail_or_requeue(index, attempt, error, "error")
+                if error is not None:
+                    spend(position, slot, error, "error")
+                    continue
+                table.complete(position)
+                index = items[position][0]
+                results[index] = Execution(result, row.attempts, duration,
+                                           pid)
+                notify("done", index=index, attempts=row.attempts,
+                       duration=duration, pid=pid, result=result)
 
-            # Enforce deadlines on whoever is still running.
+            # A lease past its deadline: the task overran its timeout.
             now = time.monotonic()
-            for position, worker in enumerate(workers):
-                if worker.idle or worker.deadline is None or \
-                        worker.deadline > now:
-                    continue
-                index, attempt = worker.index, worker.attempt
-                elapsed = now - worker.started
-                worker.kill()
-                workers[position] = _Worker(context)
-                fail_or_requeue(index, attempt,
-                                f"timed out after {elapsed:.2f}s", "timeout")
+            for position, slot in table.overdue(now):
+                overran = now - table.rows[position].since
+                spend(position, slot, f"timed out after {overran:.2f}s",
+                      "timeout")
     finally:
         for worker in workers:
             worker.stop()

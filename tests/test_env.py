@@ -57,6 +57,23 @@ def test_check_accessor_and_setter(monkeypatch):
     env.set_check(False)
 
 
+@pytest.mark.parametrize("raw, expected", [
+    ("1", True), ("true", True), ("YES", True), (" on ", True),
+    ("", False), ("0", False), ("false", False), ("No", False),
+    ("off", False), ("2", ValueError), ("enabled", ValueError),
+])
+def test_boolean_knobs_accept_the_documented_spellings_only(
+        monkeypatch, raw, expected):
+    """docs/configuration.md's table: ``SRM_CHECK=false`` and ``=off``
+    used to attach the oracles (anything but "" and "0" was true)."""
+    monkeypatch.setenv("SRM_CHECK", raw)
+    if expected is ValueError:
+        with pytest.raises(ValueError, match="SRM_CHECK"):
+            env.check_enabled()
+    else:
+        assert env.check_enabled() is expected
+
+
 def test_cache_dir_default_and_override(monkeypatch):
     monkeypatch.setenv("SRM_CACHE_DIR", "/tmp/somewhere")
     assert env.cache_dir() == "/tmp/somewhere"

@@ -225,6 +225,38 @@ def test_killed_subprocess_worker_mid_sweep(tmp_path):
         fleet.close()
 
 
+def test_lease_expiry_spends_the_retry_budget(tmp_path):
+    """A task that kills every worker that leases it is not retried
+    forever: an expired lease spends one attempt, exactly as a pool
+    crash or timeout does (one LeaseTable, docs/fleet.md)."""
+    controller = FleetController(cache=ResultCache(tmp_path / "c"),
+                                 lease_ttl=0.01, retries=2)
+    controller.submit({"experiment": "poison",
+                       "specs": [json.loads(_specs(1)[0].to_json())],
+                       "env": {}, "salt": ""})
+    leases = []
+    for _ in range(8):
+        worker = controller.register_worker({})["worker"]
+        task = controller.lease({"worker": worker})["task"]
+        if task is None:
+            break
+        leases.append(task)
+        time.sleep(0.03)  # the worker dies; its lease expires
+    assert len(leases) == 3  # retries + 1 attempts, then no more
+    status = controller.job_status("job-1")
+    assert status["state"] == "failed"
+    assert status["counts"] == {"pending": 0, "leased": 0, "done": 0,
+                                "failed": 1}
+    assert "task 0" in status["error"]
+    assert "lease expired" in status["error"]
+    events = controller.events_since(0, "job-1")["events"]
+    kinds = [event["event"] for event in events]
+    assert kinds.count("lease-expired") == 3
+    assert kinds.count("job-failed") == 1
+    assert [event["attempt"] for event in events
+            if event["event"] == "lease"] == [1, 2, 3]
+
+
 def test_worker_error_reports_retry_then_fail(tmp_path):
     fleet = Fleet(tmp_path, lease_ttl=5.0, retries=1)
     try:

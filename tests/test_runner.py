@@ -50,6 +50,10 @@ def _always_raises():
     raise RuntimeError("permanent failure")
 
 
+def _raises_timed_out():
+    raise OSError("connection timed out")
+
+
 def _sleepy(seconds):
     time.sleep(seconds)
     return seconds
@@ -222,6 +226,19 @@ def test_parallel_timeout_kills_and_raises(tmp_path):
     assert task_row["status"] == "timeout" and task_row["attempts"] == 2
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_task_that_says_timed_out_is_failed_not_timeout(tmp_path, jobs):
+    """The manifest status comes from ``TaskFailed.cause`` — how the last
+    attempt ended — not from a substring of the task's own message."""
+    manifest_path = tmp_path / "run.jsonl"
+    runner = ExperimentRunner(jobs=jobs, retries=0, task_timeout=30,
+                              manifest_path=str(manifest_path))
+    with pytest.raises(RunnerError, match="timed out"):
+        runner.map("flaky-net", _raises_timed_out, [dict()])
+    task_row, = read_manifest(manifest_path, "task")
+    assert task_row["status"] == "failed" and task_row["attempts"] == 1
+
+
 def test_parallel_results_arrive_in_task_order():
     # Uneven task durations: completion order differs from task order.
     runner = ExperimentRunner(jobs=3)
@@ -234,11 +251,24 @@ def test_parallel_results_arrive_in_task_order():
     assert sorted(report.index for report in runner.reports) == [0, 1, 2, 3]
 
 
-def test_trace_listener_sees_live_progress():
-    runner = ExperimentRunner(jobs=1)
-    seen = []
-    runner.trace.subscribe(lambda record: seen.append(record.kind))
-    runner.map("exp", _double, [dict(x=1), dict(x=2)])
-    assert seen[0] == "run_start"
-    assert seen.count("task_done") == 2
-    assert seen[-1] == "run_end"
+def test_trace_listener_sees_live_progress(tmp_path):
+    for jobs in (1, 2):
+        runner = ExperimentRunner(jobs=jobs, retries=1, backoff=0.01)
+        seen = []
+        runner.trace.subscribe(lambda record: seen.append(record))
+        begun = time.monotonic()
+        runner.map("exp", _raise_until,
+                   [dict(counter_path=str(tmp_path / f"jobs{jobs}-{x}"),
+                         value=x, attempts_needed=x) for x in (1, 2)])
+        wall = time.monotonic() - begun
+        kinds = [record.kind for record in seen]
+        assert kinds[0] == "run_start"
+        assert kinds.count("task_done") == 2
+        assert kinds.count("task_start") == 3 and "task_retry" in kinds
+        assert kinds[-1] == "run_end"
+        # One time base: every row is stamped with seconds since the run
+        # began, so the trace reads in order and ends inside the wall
+        # clock (task_start / task_retry used to carry time.monotonic()).
+        times = [record.time for record in seen]
+        assert times == sorted(times)
+        assert 0.0 <= times[0] and times[-1] <= wall
