@@ -6,20 +6,29 @@ persistent :class:`~repro.core.names.AduName` and are addressed to the
 group, never to a specific sender — any member holding the data may answer
 (Section III-B).
 
-:func:`payload_to_wire` / :func:`payload_from_wire` round-trip any payload
-through a JSON-compatible dict (the simulation passes payload objects by
-reference for speed, but the codec pins down an interoperable external
-representation and is what a real transport would ship).
-:func:`packet_to_wire` / :func:`packet_from_wire` do the same for a whole
-packet including the TTL-scoping header.
+The simulation passes payload objects by reference for speed; the ``v: 1``
+packet wire pins down the interoperable external form a real transport
+ships. It is a table on :mod:`repro.codec`: one record per payload kind,
+told apart by the ``kind`` tag (:data:`PAYLOAD`), under the packet's
+scoping header (:data:`PACKET`; :func:`packet_codec` builds it around
+a codec for the application data, e.g. the whiteboard's drawops).
+Names, pages, page state and echoes ride as flat integer rows. Decoding
+is total and closed: anything that is not exactly a packet raises
+:class:`~repro.codec.WireFormatError`, and what decodes re-encodes to
+the bytes it came from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.codec import (ANY, BOOL, INT, NUMBER, STR, Codec, Rows,
+                         WireFormatError, list_of, optional, record, tag,
+                         tuple_of, union)
 from repro.core.names import AduName, PageId
+from repro.net.packet import GroupAddress, Packet
 
 #: Packet ``kind`` tags used by SRM agents.
 KIND_DATA = "srm-data"
@@ -128,219 +137,139 @@ class SessionPayload:
 
 
 # ----------------------------------------------------------------------
-# Wire codec
+# Wire codec: the ``v: 1`` packet table
 # ----------------------------------------------------------------------
 
 #: Bumped on any incompatible change to the wire layout.
 WIRE_VERSION = 1
 
-
-class WireFormatError(ValueError):
-    """A payload or packet that cannot be encoded/decoded."""
-
-
-class WireDecodeError(WireFormatError):
-    """Malformed, truncated or hostile wire input.
-
-    Everything a decoder can reject raises this one type: the live
-    receive path (``repro.live``) catches it to drop-and-count bad
-    datagrams instead of crashing the session, and no ``KeyError`` /
-    ``TypeError`` / ``ValueError`` from arbitrary network bytes may leak
-    past :func:`payload_from_wire` / :func:`packet_from_wire`.
-    """
+_INT_PAIR = tuple_of(INT, INT)
+_INT_ROW = tuple_of(INT, INT, INT, INT)
+_STATE_ROWS = list_of(_INT_ROW)
+_ECHO_ROWS = list_of(tuple_of(INT, NUMBER, NUMBER))
 
 
-def _name_to_wire(name: AduName) -> List[int]:
-    return [name.source, name.page.creator, name.page.number, name.seq]
-
-
-def _name_from_wire(wire: Any) -> AduName:
-    try:
-        source, creator, number, seq = wire
-    except (TypeError, ValueError) as exc:
-        raise WireDecodeError(f"bad ADU name encoding {wire!r}") from exc
-    if not all(isinstance(part, int)
-               for part in (source, creator, number, seq)):
-        raise WireDecodeError(f"bad ADU name encoding {wire!r}")
+def _name(source: int, creator: int, number: int, seq: int) -> AduName:
     return AduName(source, PageId(creator, number), seq)
 
 
-def _page_to_wire(page: PageId) -> List[int]:
-    return [page.creator, page.number]
+def _ascending(rows: List[Tuple[Any, ...]], width: int
+               ) -> List[Tuple[Any, ...]]:
+    """``rows`` if their ``width``-wide keys strictly ascend — the one
+    order the encoder writes a map in — so a decoded map re-encodes to
+    the bytes it came from."""
+    if any(a[:width] >= b[:width] for a, b in zip(rows, rows[1:])):
+        raise WireFormatError("rows out of order or repeated")
+    return rows
 
 
-def _page_from_wire(wire: Any) -> PageId:
-    try:
-        creator, number = wire
-    except (TypeError, ValueError) as exc:
-        raise WireDecodeError(f"bad page encoding {wire!r}") from exc
-    if not (isinstance(creator, int) and isinstance(number, int)):
-        raise WireDecodeError(f"bad page encoding {wire!r}")
-    return PageId(creator, number)
+def _ttl(wire: Any) -> int:
+    ttl: int = INT.decode(wire)
+    if ttl < 0:
+        raise WireFormatError(f"expected a hop count, got {ttl}")
+    return ttl
 
 
-def _page_state_to_wire(page_state: Dict[Tuple[int, PageId], int]
-                        ) -> List[List[int]]:
-    # Sorted so equal payloads always encode to identical wire bytes.
-    return sorted([source, page.creator, page.number, seq]
-                  for (source, page), seq in page_state.items())
+#: A page as ``[creator, number]``.
+PAGE = Codec(list, lambda wire: PageId(*_INT_PAIR.decode(wire)))
+#: An ADU name as ``[source, creator, number, seq]``.
+NAME = Codec(lambda name: [name.source, *name.page, name.seq],
+             lambda wire: _name(*_INT_ROW.decode(wire)))
+#: ``{(source, page): seq}`` as sorted ``[source, creator, number, seq]``
+#: rows.
+PAGE_STATE = Codec(
+    lambda state: sorted([source, *page, seq]
+                         for (source, page), seq in state.items()),
+    lambda wire: {(source, PageId(creator, number)): seq
+                  for source, creator, number, seq
+                  in _ascending(_STATE_ROWS.decode(wire), 3)})
+#: ``{peer: SessionTimestamp}`` as sorted ``[peer, t1, delta]`` rows.
+ECHOES = Codec(
+    lambda echoes: sorted([peer, echo.t1, echo.delta]
+                          for peer, echo in echoes.items()),
+    lambda wire: {peer: SessionTimestamp(t1, delta)
+                  for peer, t1, delta
+                  in _ascending(_ECHO_ROWS.decode(wire), 1)})
+#: A TTL: a hop count, never negative.
+TTL = Codec(INT.encode, _ttl)
 
 
-def _page_state_from_wire(wire: Any) -> Dict[Tuple[int, PageId], int]:
-    state: Dict[Tuple[int, PageId], int] = {}
-    if isinstance(wire, (str, bytes)) or not hasattr(wire, "__iter__"):
-        raise WireDecodeError(f"bad page-state encoding {wire!r}")
-    for row in wire:
-        try:
-            source, creator, number, seq = row
-        except (TypeError, ValueError) as exc:
-            raise WireDecodeError(f"bad page-state row {row!r}") from exc
-        state[(source, PageId(creator, number))] = seq
-    return state
+class _Unicast(NamedTuple):
+    """A unicast destination as the wire frames it: ``{"node": id}``."""
+
+    node: int
 
 
-def payload_to_wire(payload: Any) -> Dict[str, Any]:
-    """Encode a payload as a JSON-compatible dict tagged with its kind.
-
-    ``data`` fields are carried verbatim, so they must themselves be
-    JSON-compatible for the result to survive ``json.dumps``.
-    """
-    if isinstance(payload, DataPayload):
-        return {"kind": KIND_DATA, "name": _name_to_wire(payload.name),
-                "data": payload.data}
-    if isinstance(payload, RequestPayload):
-        return {"kind": KIND_REQUEST, "name": _name_to_wire(payload.name),
-                "requester": payload.requester,
-                "distance": payload.requester_distance_to_source}
-    if isinstance(payload, RepairPayload):
-        return {"kind": KIND_REPAIR, "name": _name_to_wire(payload.name),
-                "data": payload.data, "replier": payload.replier,
-                "answering": payload.answering,
-                "distance": payload.replier_distance_to_requester,
-                "local_step": payload.local_step}
-    if isinstance(payload, PageRequestPayload):
-        return {"kind": KIND_PAGE_REQUEST,
-                "page": _page_to_wire(payload.page),
-                "requester": payload.requester}
-    if isinstance(payload, PageReplyPayload):
-        return {"kind": KIND_PAGE_REPLY, "page": _page_to_wire(payload.page),
-                "replier": payload.replier,
-                "page_state": _page_state_to_wire(payload.page_state)}
-    if isinstance(payload, SessionPayload):
-        return {"kind": KIND_SESSION, "member": payload.member,
-                "sent_at": payload.sent_at,
-                "page": _page_to_wire(payload.page),
-                "page_state": _page_state_to_wire(payload.page_state),
-                "echoes": sorted([peer, echo.t1, echo.delta]
-                                 for peer, echo in payload.echoes.items())}
-    raise WireFormatError(f"not a wire payload: {payload!r}")
+_GROUP = record(GroupAddress,
+                (("gid", "group", INT), ("label", "label", STR)))
+_UNICAST = record(_Unicast, (("node", "node", INT),))
+#: A packet's destination: a group address, or a node id.
+DST = Codec(
+    lambda dst: (_GROUP.encode(dst) if isinstance(dst, GroupAddress)
+                 else _UNICAST.encode(_Unicast(dst))),
+    lambda wire: (_GROUP.decode(wire)
+                  if isinstance(wire, dict) and "group" in wire
+                  else _UNICAST.decode(wire).node))
 
 
-def payload_from_wire(wire: Mapping[str, Any]) -> Any:
-    """Decode :func:`payload_to_wire`'s output back into a payload.
-
-    Raises :class:`WireDecodeError` on any malformed input; no stray
-    ``KeyError``/``TypeError``/``ValueError`` escapes to the caller.
-    """
-    try:
-        kind = wire["kind"]
-    except (TypeError, KeyError) as exc:
-        raise WireDecodeError(f"payload wire dict without kind: {wire!r}"
-                              ) from exc
-    try:
-        if kind == KIND_DATA:
-            return DataPayload(name=_name_from_wire(wire["name"]),
-                               data=wire["data"])
-        if kind == KIND_REQUEST:
-            return RequestPayload(
-                name=_name_from_wire(wire["name"]),
-                requester=wire["requester"],
-                requester_distance_to_source=wire["distance"])
-        if kind == KIND_REPAIR:
-            return RepairPayload(
-                name=_name_from_wire(wire["name"]), data=wire["data"],
-                replier=wire["replier"], answering=wire["answering"],
-                replier_distance_to_requester=wire["distance"],
-                local_step=wire["local_step"])
-        if kind == KIND_PAGE_REQUEST:
-            return PageRequestPayload(page=_page_from_wire(wire["page"]),
-                                      requester=wire["requester"])
-        if kind == KIND_PAGE_REPLY:
-            return PageReplyPayload(
-                page=_page_from_wire(wire["page"]), replier=wire["replier"],
-                page_state=_page_state_from_wire(wire["page_state"]))
-        if kind == KIND_SESSION:
-            return SessionPayload(
-                member=wire["member"], sent_at=wire["sent_at"],
-                page=_page_from_wire(wire["page"]),
-                page_state=_page_state_from_wire(wire["page_state"]),
-                echoes={peer: SessionTimestamp(t1=t1, delta=delta)
-                        for peer, t1, delta in wire["echoes"]})
-    except WireDecodeError:
-        raise
-    except KeyError as exc:
-        raise WireDecodeError(
-            f"{kind} wire dict missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise WireDecodeError(f"malformed {kind} payload: {exc}") from exc
-    raise WireDecodeError(f"unknown payload kind {kind!r}")
+def _payloads(data: Codec) -> Dict[str, Tuple[type, Rows]]:
+    """The six payload kinds, ``data`` framing their application data."""
+    return {
+        KIND_DATA: (DataPayload, (
+            ("name", "name", NAME),
+            ("data", "data", data))),
+        KIND_REQUEST: (RequestPayload, (
+            ("name", "name", NAME),
+            ("requester", "requester", INT),
+            ("requester_distance_to_source", "distance", NUMBER))),
+        KIND_REPAIR: (RepairPayload, (
+            ("name", "name", NAME),
+            ("data", "data", data),
+            ("replier", "replier", INT),
+            ("answering", "answering", optional(INT)),
+            ("replier_distance_to_requester", "distance", NUMBER),
+            ("local_step", "local_step", BOOL))),
+        KIND_PAGE_REQUEST: (PageRequestPayload, (
+            ("page", "page", PAGE),
+            ("requester", "requester", INT))),
+        KIND_PAGE_REPLY: (PageReplyPayload, (
+            ("page", "page", PAGE),
+            ("replier", "replier", INT),
+            ("page_state", "page_state", PAGE_STATE))),
+        KIND_SESSION: (SessionPayload, (
+            ("member", "member", INT),
+            ("sent_at", "sent_at", NUMBER),
+            ("page", "page", PAGE),
+            ("page_state", "page_state", PAGE_STATE),
+            ("echoes", "echoes", ECHOES))),
+    }
 
 
-def packet_to_wire(packet: Any) -> Dict[str, Any]:
-    """Encode a whole packet: scoping header plus encoded payload."""
-    from repro.net.packet import GroupAddress, Packet
-
-    if not isinstance(packet, Packet):
-        raise WireFormatError(f"not a packet: {packet!r}")
-    dst = packet.dst
-    return {"v": WIRE_VERSION,
-            "origin": packet.origin,
-            "dst": ({"group": dst.gid, "label": dst.label}
-                    if isinstance(dst, GroupAddress) else {"node": dst}),
-            "ttl": packet.ttl,
-            "initial_ttl": packet.initial_ttl,
-            "size": packet.size,
-            "scope_zone": packet.scope_zone,
-            "uid": packet.uid,
-            "sent_at": packet.sent_at,
-            "payload": payload_to_wire(packet.payload)}
+#: Any payload, tagged with its ``kind``; ``data`` carried verbatim.
+PAYLOAD = union("kind", _payloads(ANY))
 
 
-def packet_from_wire(wire: Mapping[str, Any]) -> Any:
-    """Decode :func:`packet_to_wire`'s output back into a ``Packet``.
+@lru_cache(maxsize=None)
+def packet_codec(data: Codec = ANY) -> Codec:
+    """The ``v: 1`` packet: scoping header plus tagged payload, whose
+    application data (the ``data`` of data and repair payloads) is
+    framed by ``data``. A packet's ``kind`` is its payload's tag. Built
+    once per data codec (in practice two: verbatim and drawops)."""
+    payloads = _payloads(data)
+    kinds = {cls: kind for kind, (cls, _) in payloads.items()}
+    return record(Packet, (
+        (None, "v", tag(WIRE_VERSION, "wire version")),
+        ("origin", "origin", INT),
+        ("dst", "dst", DST),
+        ("ttl", "ttl", TTL),
+        ("initial_ttl", "initial_ttl", TTL),
+        ("size", "size", INT),
+        ("scope_zone", "scope_zone", optional(STR)),
+        ("uid", "uid", INT),
+        ("sent_at", "sent_at", NUMBER),
+        ("payload", "payload", union("kind", payloads)),
+    ), kind=lambda fields: kinds[type(fields["payload"])])
 
-    Total over arbitrary input: any malformed or truncated wire dict
-    raises :class:`WireDecodeError` (never a bare ``KeyError`` /
-    ``TypeError`` / ``ValueError``), which is what lets the live receive
-    path drop-and-count bad datagrams instead of crashing.
-    """
-    from repro.net.packet import GroupAddress, Packet
 
-    try:
-        version = wire.get("v")
-    except AttributeError as exc:
-        raise WireDecodeError(
-            f"packet wire must be a mapping, got {type(wire).__name__}"
-        ) from exc
-    if version != WIRE_VERSION:
-        raise WireDecodeError(f"unsupported wire version {version!r}")
-    try:
-        dst_wire = wire["dst"]
-        if "group" in dst_wire:
-            dst: Any = GroupAddress(gid=dst_wire["group"],
-                                    label=dst_wire.get("label", ""))
-        else:
-            dst = dst_wire["node"]
-        payload = payload_from_wire(wire["payload"])
-        return Packet(origin=wire["origin"], dst=dst,
-                      kind=wire["payload"]["kind"], payload=payload,
-                      ttl=wire["ttl"], initial_ttl=wire["initial_ttl"],
-                      size=wire["size"], scope_zone=wire["scope_zone"],
-                      uid=wire["uid"], sent_at=wire["sent_at"])
-    except WireDecodeError:
-        raise
-    except KeyError as exc:
-        raise WireDecodeError(
-            f"packet wire dict missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise WireDecodeError(f"malformed packet wire dict: {exc}") from exc
+#: The packet with its application data carried verbatim.
+PACKET = packet_codec(ANY)

@@ -6,7 +6,8 @@ The fleet turns the one-machine :mod:`repro.runner` into a service:
   :class:`~repro.experiments.common.ExperimentSpec` and
   :class:`~repro.experiments.common.RunResult` (explicit
   ``to_json``/``from_json``, schema-version field, unknown-field
-  rejection). The same encoding keys the runner's result cache.
+  rejection), a table on :mod:`repro.codec`. The same encoding keys
+  the runner's result cache.
 * :mod:`repro.fleet.controller` — a thin stdlib HTTP service that
   accepts serialized spec sweeps, schedules tasks onto registered
   workers (lease + heartbeat on the runner's

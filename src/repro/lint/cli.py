@@ -5,7 +5,8 @@ Exit codes:
 * ``0`` — clean (after inline suppressions)
 * ``1`` — violations (or a race finding)
 * ``2`` — usage / configuration error, including a
-  ``--update-wire-lock`` for a changed surface without a schema bump
+  ``--update-wire-lock`` for a changed surface without a schema bump or
+  against a lock file it cannot read
 """
 
 from __future__ import annotations

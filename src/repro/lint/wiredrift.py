@@ -1,10 +1,11 @@
 """SRM009 — wire-schema drift: undeclared knobs and the pinned surface.
 
 :mod:`repro.fleet.wire` builds and reads every ``spec/v3`` payload from
-one ``SCHEMA`` table whose rows must name exactly their class's fields:
-a field added to a wired dataclass and **not** to the table stops that
-module from importing, so codec ↔ dataclass drift is structural and
-needs no linter. What is left to check statically:
+one ``SCHEMA`` table of :mod:`repro.codec` records, whose rows must name
+exactly their class's fields: a field added to a wired dataclass and
+**not** to the table stops that module from importing, so codec ↔
+dataclass drift is structural and needs no linter. What is left to
+check statically:
 
 * **Knob registry.** Every ``"SRM_*"`` string literal in the source
   tree must name a knob declared in :data:`repro.env.KNOBS` — the
@@ -116,7 +117,7 @@ def load_lock(path: Path) -> Optional[Dict[str, str]]:
         return None
     try:
         payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes, or not JSON
         raise WireDriftError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or "digest" not in payload \
             or "schema" not in payload:
@@ -175,15 +176,18 @@ def update_lock(lock_path: Optional[Path] = None) -> Tuple[int, str]:
     """Re-pin the lock; refuse when the surface moved under a frozen tag.
 
     Returns ``(exit_code, message)`` for the CLI: 0 on success or
-    no-op, 2 when the surface changed but ``WIRE_SCHEMA`` did not —
-    the whole point of the lock is that an intentional schema change
-    rides an explicit version bump.
+    no-op, 2 when the lock file cannot be read or the surface changed
+    but ``WIRE_SCHEMA`` did not — the whole point of the lock is that an
+    intentional schema change rides an explicit version bump.
     """
     if lock_path is None:
         lock_path = repo_root() / DEFAULT_LOCK
     digest = surface_digest(current_surface())
     schema = wire.WIRE_SCHEMA
-    lock = load_lock(lock_path)
+    try:
+        lock = load_lock(lock_path)
+    except WireDriftError as exc:
+        return 2, str(exc)
     if lock is None:
         save_lock(lock_path, schema, digest)
         return 0, f"{lock_path}: pinned {schema} ({digest})"

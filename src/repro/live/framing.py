@@ -1,10 +1,9 @@
 """Length-prefixed wire framing for the live transports.
 
-The wire codec of :mod:`repro.core.messages` turns packets into
+The packet table of :mod:`repro.core.messages` turns packets into
 JSON-compatible dicts; this module turns those dicts into bytes on a
 socket and back, totally — arbitrary garbage in never crashes, it
-surfaces as :class:`~repro.core.messages.WireDecodeError` or a counted
-resync.
+surfaces as :class:`~repro.codec.WireFormatError` or a counted resync.
 
 Three layers:
 
@@ -19,19 +18,19 @@ Three layers:
   small case) and :class:`FragmentReassembler` reassembles, evicting
   stale partial frames whose fragments were lost.
 * **Packets** — :func:`packet_to_frame` / :func:`frame_to_packet`
-  compose the wire codec with framing, with an optional data codec hook
-  for application payloads that are not JSON-native (the whiteboard's
-  drawops use :func:`repro.wb.drawops.op_to_wire`).
+  compose the packet table with framing; their ``data`` codec frames
+  application payloads that are not JSON-native (the whiteboard passes
+  :data:`repro.wb.drawops.DRAWOPS`).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple, cast
 
-from repro.core.messages import (WireDecodeError, WireFormatError,
-                                 packet_from_wire, packet_to_wire)
+from repro.codec import ANY, Codec, WireFormatError, dumps_canonical
+from repro.core.messages import packet_codec
 from repro.net.packet import Packet
 
 #: Frame header: magic + body length.
@@ -50,10 +49,6 @@ MAX_FRAME = 1 << 20
 #: Default datagram budget (loopback-safe, well under 64 KiB UDP).
 MAX_DATAGRAM = 8192
 
-#: Optional application-data codec (applied to ``payload["data"]``).
-DataCodec = Callable[[Any], Any]
-
-
 # ----------------------------------------------------------------------
 # Frames
 # ----------------------------------------------------------------------
@@ -62,8 +57,7 @@ DataCodec = Callable[[Any], Any]
 def encode_frame(wire: Mapping[str, Any]) -> bytes:
     """One wire dict -> magic + length + canonical JSON bytes."""
     try:
-        body = json.dumps(wire, separators=(",", ":"),
-                          sort_keys=True).encode("utf-8")
+        body = dumps_canonical(wire).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise WireFormatError(
             f"wire dict is not JSON-encodable: {exc}") from exc
@@ -77,18 +71,18 @@ def encode_frame(wire: Mapping[str, Any]) -> bytes:
 def decode_frame(frame: bytes) -> Dict[str, Any]:
     """Exactly one complete frame -> its wire dict.
 
-    Raises :class:`WireDecodeError` on bad magic, a length that
+    Raises :class:`WireFormatError` on bad magic, a length that
     disagrees with the buffer, or a non-object JSON body.
     """
     if len(frame) < FRAME_HEADER_SIZE:
-        raise WireDecodeError(f"truncated frame header ({len(frame)} bytes)")
+        raise WireFormatError(f"truncated frame header ({len(frame)} bytes)")
     magic, length = _FRAME_HEADER.unpack_from(frame)
     if magic != FRAME_MAGIC:
-        raise WireDecodeError(f"bad frame magic {magic!r}")
+        raise WireFormatError(f"bad frame magic {magic!r}")
     if length > MAX_FRAME:
-        raise WireDecodeError(f"frame length {length} exceeds MAX_FRAME")
+        raise WireFormatError(f"frame length {length} exceeds MAX_FRAME")
     if len(frame) != FRAME_HEADER_SIZE + length:
-        raise WireDecodeError(
+        raise WireFormatError(
             f"frame length {length} disagrees with buffer of "
             f"{len(frame) - FRAME_HEADER_SIZE} body bytes")
     return _decode_body(frame[FRAME_HEADER_SIZE:])
@@ -97,10 +91,10 @@ def decode_frame(frame: bytes) -> Dict[str, Any]:
 def _decode_body(body: bytes) -> Dict[str, Any]:
     try:
         wire = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise WireDecodeError(f"frame body is not JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting
+        raise WireFormatError(f"frame body is not JSON: {exc}") from exc
     if not isinstance(wire, dict):
-        raise WireDecodeError(
+        raise WireFormatError(
             f"frame body is not a JSON object: {type(wire).__name__}")
     return wire
 
@@ -150,7 +144,7 @@ class FrameDecoder:
             try:
                 out.append(_decode_body(body))
                 self.frames += 1
-            except WireDecodeError:
+            except WireFormatError:
                 self.errors += 1
         return out
 
@@ -174,10 +168,6 @@ class FrameDecoder:
                 break
         self.garbage_bytes += len(buffer) - keep
         self._buffer = buffer[-keep:] if keep else b""
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
 
 
 # ----------------------------------------------------------------------
@@ -267,38 +257,16 @@ class FragmentReassembler:
 # ----------------------------------------------------------------------
 
 
-def packet_to_frame(packet: Packet,
-                    encode_data: Optional[DataCodec] = None) -> bytes:
-    """Serialize a packet for the wire.
-
-    ``encode_data`` maps application payload data (the ``data`` field of
-    data/repair payloads) to a JSON-compatible form first.
-    """
-    wire = packet_to_wire(packet)
-    if encode_data is not None:
-        payload = wire["payload"]
-        if "data" in payload:
-            payload["data"] = encode_data(payload["data"])
-    return encode_frame(wire)
+def packet_to_frame(packet: Packet, data: Codec = ANY) -> bytes:
+    """Serialize a packet for the wire, its application data framed by
+    ``data``."""
+    return encode_frame(packet_codec(data).encode(packet))
 
 
-def frame_to_packet(wire: Dict[str, Any],
-                    decode_data: Optional[DataCodec] = None) -> Packet:
+def frame_to_packet(wire: Dict[str, Any], data: Codec = ANY) -> Packet:
     """Decode a received wire dict back into a :class:`Packet`.
 
-    Totally: any malformation — including one thrown by ``decode_data``
-    — raises :class:`WireDecodeError`.
+    Totally: any malformation, in the application data too, raises
+    :class:`WireFormatError`.
     """
-    if decode_data is not None:
-        payload = wire.get("payload")
-        if isinstance(payload, dict) and "data" in payload:
-            try:
-                payload["data"] = decode_data(payload["data"])
-            except WireDecodeError:
-                raise
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise WireDecodeError(
-                    f"malformed application data: {exc}") from exc
-    packet = packet_from_wire(wire)
-    assert isinstance(packet, Packet)
-    return packet
+    return cast(Packet, packet_codec(data).decode(wire))

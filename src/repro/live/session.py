@@ -15,9 +15,11 @@ Differences from the sim, by design:
   to ``default_distance``.
 * **Group size** is local membership plus remote origins heard, the way
   a deployed SRM learns session size from traffic.
-* **Receive hardening**: frames that fail to decode are dropped and
-  counted (``decode_errors``), never raised — satellite of the
-  ``WireDecodeError`` hardening in :mod:`repro.core.messages`.
+* **Receive hardening**: a frame that is not exactly a packet — bad
+  JSON shape, a mistyped field, application data its ``data`` codec
+  refuses — raises :class:`~repro.codec.WireFormatError` in the packet
+  table and is dropped and counted (``decode_errors``) before any agent
+  sees it.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.codec import ANY, Codec, WireFormatError
 from repro.core.config import SrmConfig
-from repro.core.messages import WireDecodeError
-from repro.live.framing import DataCodec, frame_to_packet, packet_to_frame
+from repro.live.framing import frame_to_packet, packet_to_frame
 from repro.live.scheduler import LiveScheduler
 from repro.live.transport import LinkEmulator, _UdpTransportBase
 from repro.mcast.groups import GroupManager
@@ -61,14 +63,15 @@ class LiveEngine:
     One engine per process. Attach one or more local agents; give it a
     ``link`` to emulate an impaired network among them (the in-process
     mesh), and/or a socket ``transport`` to reach other processes.
+    ``data`` frames application payloads on the wire (the whiteboard
+    passes :data:`repro.wb.drawops.DRAWOPS`).
     """
 
     def __init__(self, transport: Optional[_UdpTransportBase] = None,
                  link: Optional[LinkEmulator] = None,
                  trace: Optional[Trace] = None,
                  default_distance: float = 0.05,
-                 encode_data: Optional[DataCodec] = None,
-                 decode_data: Optional[DataCodec] = None) -> None:
+                 data: Codec = ANY) -> None:
         self.scheduler = LiveScheduler()
         self.trace = trace if trace is not None else Trace(enabled=True)
         self.transport = transport
@@ -78,8 +81,7 @@ class LiveEngine:
         self.nodes: Dict[NodeId, Node] = {}
         self.trace_deliveries = False
         self.perf = perf.GLOBAL
-        self._encode_data = encode_data
-        self._decode_data = decode_data
+        self._data = data
         #: gid -> remote origins heard (insertion-ordered dict-as-set).
         self._remote_members: Dict[int, Dict[NodeId, None]] = {}
         #: Frames dropped because they failed to decode into a packet.
@@ -146,7 +148,7 @@ class LiveEngine:
         self._deliver_local(src, group, packet)
         if self.transport is not None:
             self.transport.send_frame(
-                packet_to_frame(packet, encode_data=self._encode_data))
+                packet_to_frame(packet, self._data))
         return packet
 
     # ------------------------------------------------------------------
@@ -196,8 +198,8 @@ class LiveEngine:
         """One decoded frame from the transport. Never raises."""
         self.scheduler.advance()
         try:
-            packet = frame_to_packet(wire, decode_data=self._decode_data)
-        except WireDecodeError:
+            packet = frame_to_packet(wire, self._data)
+        except WireFormatError:
             self.decode_errors += 1
             return
         if packet.origin in self.nodes:

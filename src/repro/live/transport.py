@@ -28,7 +28,8 @@ import struct
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, \
     Tuple
 
-from repro.core.messages import KIND_DATA, KIND_REPAIR, WireDecodeError
+from repro.codec import WireFormatError
+from repro.core.messages import KIND_DATA, KIND_REPAIR
 from repro.live.framing import (FragmentReassembler, MAX_DATAGRAM,
                                 decode_frame, split_datagrams)
 from repro.net.packet import Packet
@@ -162,7 +163,7 @@ class _UdpTransportBase:
             return
         try:
             wire = decode_frame(frame)
-        except WireDecodeError:
+        except WireFormatError:
             self.framing_errors += 1
             return
         self.frames_received += 1
@@ -173,13 +174,6 @@ class _UdpTransportBase:
         if self._transport is not None:
             self._transport.close()
             self._transport = None
-
-    @property
-    def local_port(self) -> Optional[int]:
-        if self._transport is None:
-            return None
-        name = self._transport.get_extra_info("sockname")
-        return int(name[1]) if name else None
 
 
 class UdpPeerTransport(_UdpTransportBase):

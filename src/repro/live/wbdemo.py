@@ -29,12 +29,13 @@ from dataclasses import dataclass
 from socket import AF_INET, SOCK_DGRAM, socket
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.codec import dumps_canonical
 from repro.core.names import DEFAULT_PAGE
 from repro.live.session import LiveEngine, live_config
 from repro.live.transport import (LinkEmulator, UdpMulticastTransport,
                                   UdpPeerTransport, _UdpTransportBase)
 from repro.sim.rng import RandomSource
-from repro.wb.drawops import DrawOp, DrawType, op_from_wire, op_to_wire
+from repro.wb.drawops import DRAWOPS, DrawOp, DrawType
 from repro.wb.whiteboard import Whiteboard
 
 #: Session time granted beyond convergence so a member that already has
@@ -56,8 +57,8 @@ def member_digest(wb: Whiteboard) -> Dict[str, Any]:
     """
     canvas = wb._canvas(DEFAULT_PAGE)
     rows = [[name.source, name.page.creator, name.page.number, name.seq,
-             op_to_wire(op)] for name, op in canvas.visible_ops()]
-    blob = json.dumps(rows, sort_keys=True, separators=(",", ":"))
+             DRAWOPS.encode(op)] for name, op in canvas.visible_ops()]
+    blob = dumps_canonical(rows)
     return {"digest": hashlib.sha256(blob.encode()).hexdigest(),
             "visible": len(rows)}
 
@@ -80,7 +81,7 @@ def run_wb_member(index: int, ports: Sequence[int], ops: int, loss: float,
     config = live_config(default_distance=delay)
     engine = LiveEngine(transport=transport, link=link,
                         default_distance=delay,
-                        encode_data=op_to_wire, decode_data=op_from_wire)
+                        data=DRAWOPS)
     wb = Whiteboard(config=config, rng=master.fork(f"wb-{index}"))
     session = engine.groups.allocate("wb")
     wb.join(engine, index, session)

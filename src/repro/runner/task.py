@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict
+
+from repro.codec import dumps_canonical
 
 
 def canonical(value: Any) -> Any:
@@ -96,9 +97,7 @@ class Task:
             "kwargs": canonical(self.kwargs),
             "salt": salt,
         }
-        encoded = json.dumps(payload, sort_keys=True,
-                             separators=(",", ":")).encode()
-        return hashlib.sha256(encoded).hexdigest()
+        return hashlib.sha256(dumps_canonical(payload).encode()).hexdigest()
 
     def execute(self) -> Any:
         return self.fn(**self.kwargs)

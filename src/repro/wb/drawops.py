@@ -1,19 +1,26 @@
-"""Drawing operations.
+"""Drawing operations and their wire codec.
 
 Every drawop is an immutable value named by its SRM ADU name. "The name
 always refers to the same data": to change a blue line into a red circle,
 wb sends a delete for the line's name followed by a new drawop — it never
 rebinds the old name (Section II-C).
+
+The simulation passes drawops by reference; the live transports need
+JSON. :data:`DRAWOPS` is that codec — a tagged union on
+:mod:`repro.codec`, so a drawop with a mistyped field (a numeric colour,
+a delete target of the wrong shape) is refused as a
+:class:`~repro.codec.WireFormatError`, never coerced.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from repro.core.messages import WireDecodeError, WireFormatError
-from repro.core.names import AduName, PageId
+from repro.codec import NUMBER, STR, Codec, list_of, optional, tuple_of, union
+from repro.core.messages import NAME
+from repro.core.names import AduName
 
 
 class DrawType(enum.Enum):
@@ -76,58 +83,25 @@ class ClearOp:
 # ----------------------------------------------------------------------
 # Wire codec
 # ----------------------------------------------------------------------
-#
-# The simulation passes drawops by reference; the live transports need
-# bytes. This is the data codec plugged into
-# :func:`repro.live.framing.packet_to_frame` for whiteboard sessions.
 
+_COORDS = list_of(tuple_of(NUMBER, NUMBER))
 
-def op_to_wire(op: Any) -> Dict[str, Any]:
-    """Encode one drawing operation as a JSON-compatible dict."""
-    if isinstance(op, DrawOp):
-        return {"op": "draw", "shape": op.shape.value,
-                "coords": [[x, y] for x, y in op.coords],
-                "color": op.color, "width": op.width, "text": op.text,
-                "ts": op.timestamp}
-    if isinstance(op, DeleteOp):
-        target = op.target
-        return {"op": "delete",
-                "target": [target.source, target.page.creator,
-                           target.page.number, target.seq],
-                "ts": op.timestamp}
-    if isinstance(op, ClearOp):
-        return {"op": "clear", "ts": op.timestamp}
-    raise WireFormatError(f"not a whiteboard operation: {op!r}")
-
-
-def op_from_wire(wire: Any) -> Any:
-    """Decode :func:`op_to_wire` output; total over arbitrary input.
-
-    Raises :class:`~repro.core.messages.WireDecodeError` on anything
-    malformed — the live receive path drops-and-counts it.
-    """
-    try:
-        tag = wire["op"]
-        if tag == "draw":
-            return DrawOp(
-                shape=DrawType(wire["shape"]),
-                coords=tuple((float(x), float(y))
-                             for x, y in wire["coords"]),
-                color=wire["color"], width=float(wire["width"]),
-                text=wire["text"], timestamp=float(wire["ts"]))
-        if tag == "delete":
-            source, creator, number, seq = wire["target"]
-            return DeleteOp(
-                target=AduName(int(source), PageId(int(creator),
-                                                   int(number)), int(seq)),
-                timestamp=float(wire["ts"]))
-        if tag == "clear":
-            return ClearOp(timestamp=float(wire["ts"]))
-    except WireDecodeError:
-        raise
-    except KeyError as exc:
-        raise WireDecodeError(
-            f"whiteboard op missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise WireDecodeError(f"malformed whiteboard op: {exc}") from exc
-    raise WireDecodeError(f"unknown whiteboard op tag {tag!r}")
+#: The whiteboard's data codec: one drawing operation per ADU, told
+#: apart by its ``op`` tag. The live transports frame data and repair
+#: payloads with it (:func:`repro.core.messages.packet_codec`).
+DRAWOPS = union("op", {
+    "draw": (DrawOp, (
+        ("shape", "shape", Codec(lambda shape: shape.value,
+                                 lambda wire: DrawType(STR.decode(wire)))),
+        ("coords", "coords", Codec(_COORDS.encode,
+                                   lambda wire: tuple(_COORDS.decode(wire)))),
+        ("color", "color", STR),
+        ("width", "width", NUMBER),
+        ("text", "text", optional(STR)),
+        ("timestamp", "ts", NUMBER))),
+    "delete": (DeleteOp, (
+        ("target", "target", NAME),
+        ("timestamp", "ts", NUMBER))),
+    "clear": (ClearOp, (
+        ("timestamp", "ts", NUMBER),)),
+})

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from typing import Dict, Iterable, Optional, Tuple
 
 import pytest
 from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 from reference_scheduler import ReferenceScheduler
 
 from repro import env as srm_env
@@ -59,6 +61,56 @@ def examples(base: int) -> int:
     multiplies it for the deep cron run.
     """
     return max(1, round(base * _PROFILE_SCALE[_ACTIVE_PROFILE]))
+
+
+# ----------------------------------------------------------------------
+# Wire mutations: one node of a recorded JSON document changed
+# ----------------------------------------------------------------------
+
+#: Any JSON value, including an int no float can hold.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6)
+
+
+def json_paths(node, prefix=()):
+    """Every node of a JSON tree, as the key/index path that reaches it."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for step, child in children:
+        yield from json_paths(child, prefix + (step,))
+
+
+def mutated(document, path, action, value, key):
+    """A deep copy with one node replaced, deleted, or given a child."""
+    root = [json.loads(json.dumps(document))]
+    parent, step = root, 0
+    for next_step in path:
+        parent, step = parent[step], next_step
+    if action == "replace":
+        parent[step] = value
+    elif action == "delete" and path:
+        del parent[step]
+    elif isinstance(parent[step], dict):
+        parent[step][key] = value
+    elif isinstance(parent[step], list):
+        parent[step].append(value)
+    else:
+        parent[step] = value
+    return root[0]
+
+
+def draw_mutation(data, document):
+    """``(path, mutant)``: one hypothesis-drawn change to ``document``."""
+    path = data.draw(st.sampled_from(list(json_paths(document))))
+    return path, mutated(
+        document, path,
+        data.draw(st.sampled_from(["replace", "delete", "add"])),
+        data.draw(JSON_VALUES), data.draw(st.text(max_size=6)))
 
 
 def build_srm_session(spec: TopologySpec, members: Iterable[int],

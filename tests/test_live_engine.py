@@ -10,6 +10,7 @@ cancellation, and a ``now`` frozen for the duration of each callback.
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 
 from repro.live.engine import Engine
@@ -161,3 +162,65 @@ def test_own_origin_frames_are_discarded():
     wire = decode_frame(packet_to_frame(packet))
     engine._on_frame(wire)
     assert engine.frames_received == 0  # looped-back own frame
+
+
+def test_ill_typed_frames_are_dropped_and_counted():
+    # Each frame is a well-formed one with a single field mistyped; the
+    # packet table refuses it before any agent sees it.
+    from repro.core.messages import (
+        KIND_DATA,
+        KIND_REQUEST,
+        KIND_SESSION,
+        DataPayload,
+        RequestPayload,
+        SessionPayload,
+        SessionTimestamp,
+    )
+    from repro.core.names import DEFAULT_PAGE, AduName
+    from repro.live.framing import decode_frame, packet_to_frame
+    from repro.net.packet import Packet
+    from repro.sim.rng import RandomSource
+    from repro.wb.drawops import DRAWOPS, DeleteOp, DrawOp, DrawType
+    from repro.wb.whiteboard import Whiteboard
+
+    engine = LiveEngine(data=DRAWOPS)
+    wb = Whiteboard(config=live_config(), rng=RandomSource(1))
+    group = engine.groups.allocate("wb")
+    wb.join(engine, 0, group)
+    agent = wb.agent
+
+    def wire(kind, payload):
+        packet = Packet(origin=7, dst=group, kind=kind, payload=payload)
+        return decode_frame(packet_to_frame(packet, DRAWOPS))
+
+    line = DrawOp(shape=DrawType.LINE, coords=((0.0, 0.0), (1.0, 1.0)))
+    name = AduName(7, DEFAULT_PAGE, 1)
+    session = wire(KIND_SESSION, SessionPayload(
+        member=7, sent_at=0.5, page=DEFAULT_PAGE,
+        echoes={0: SessionTimestamp(t1=0.1, delta=0.0)}))
+    request = wire(KIND_REQUEST, RequestPayload(name, requester=7))
+    draw = wire(KIND_DATA, DataPayload(name, line))
+    delete = wire(KIND_DATA, DataPayload(AduName(7, DEFAULT_PAGE, 2),
+                                         DeleteOp(target=name)))
+    session["payload"]["echoes"] = [[0, "t1", "d"]]
+    request["payload"]["requester"] = [1]
+    bool_name = json.loads(json.dumps(draw))
+    bool_name["payload"]["name"] = [True, 0, 0, 1]
+    draw["payload"]["data"]["color"] = 5
+    delete["payload"]["data"]["target"] = [True, "0", 0.9, 1]
+    frames = [session, request, bool_name, draw, delete]
+
+    def state():
+        return (engine.frames_received, dict(engine._remote_members),
+                len(engine.trace.records), engine.scheduler.pending_count,
+                dict(agent.session.last_heard),
+                dict(agent.distances.estimates), len(agent.store),
+                agent.data_received, agent.losses_detected,
+                sorted(agent._requests), sorted(agent._repairs),
+                wb.op_count(DEFAULT_PAGE))
+
+    before = state()
+    for count, frame in enumerate(frames, start=1):
+        assert engine._on_frame(frame) is None
+        assert engine.decode_errors == count
+    assert state() == before

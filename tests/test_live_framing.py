@@ -15,12 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import (
-    KIND_DATA,
-    DataPayload,
-    WireDecodeError,
-    WireFormatError,
-)
+from repro.codec import ANY, Codec, WireFormatError
+from repro.core.messages import KIND_DATA, DataPayload
 from repro.core.names import AduName, PageId
 from repro.live.framing import (
     FRAG_HEADER_SIZE,
@@ -37,7 +33,7 @@ from repro.live.framing import (
     split_datagrams,
 )
 from repro.net.packet import GroupAddress, Packet
-from repro.wb.drawops import DrawOp, DrawType, op_from_wire, op_to_wire
+from repro.wb.drawops import DRAWOPS, DrawOp, DrawType
 
 from conftest import examples
 
@@ -89,14 +85,14 @@ def test_decode_frame_is_total_over_garbage(garbage):
     assume(garbage != encode_frame({}) and not (
         garbage.startswith(FRAME_MAGIC)
         and len(garbage) >= FRAME_HEADER_SIZE))
-    with pytest.raises(WireDecodeError):
+    with pytest.raises(WireFormatError):
         decode_frame(garbage)
 
 
 def test_decode_frame_rejects_non_object_body():
     body = b"[1,2,3]"
     frame = struct.pack("!4sI", FRAME_MAGIC, len(body)) + body
-    with pytest.raises(WireDecodeError):
+    with pytest.raises(WireFormatError):
         decode_frame(frame)
 
 
@@ -150,6 +146,14 @@ def test_stream_decoder_skips_hostile_length_and_recovers():
     decoder = FrameDecoder()
     out = decoder.feed(hostile + good)
     assert out == [{"ok": 1}]
+    assert decoder.errors == 1
+
+
+def test_stream_decoder_counts_a_body_nested_past_the_parser():
+    body = b"[" * 100_000 + b"]" * 100_000
+    deep = struct.pack("!4sI", FRAME_MAGIC, len(body)) + body
+    decoder = FrameDecoder()
+    assert decoder.feed(deep + encode_frame({"ok": 3})) == [{"ok": 3}]
     assert decoder.errors == 1
 
 
@@ -235,9 +239,8 @@ def test_packet_frame_roundtrip_with_data_codec():
     name = AduName(3, PageId(0, 0), 1)
     packet = Packet(origin=3, dst=GroupAddress(gid=0, label="wb"),
                     kind=KIND_DATA, payload=DataPayload(name=name, data=op))
-    frame = packet_to_frame(packet, encode_data=op_to_wire)
-    restored = frame_to_packet(decode_frame(frame),
-                               decode_data=op_from_wire)
+    frame = packet_to_frame(packet, DRAWOPS)
+    restored = frame_to_packet(decode_frame(frame), DRAWOPS)
     assert restored.origin == 3 and restored.kind == KIND_DATA
     assert restored.dst == GroupAddress(gid=0, label="wb")
     assert restored.payload.name == name
@@ -245,9 +248,11 @@ def test_packet_frame_roundtrip_with_data_codec():
 
 
 def test_frame_to_packet_wraps_codec_failures():
-    def bad_codec(_data):
+    def refuse(_data):
         raise ValueError("boom")
 
-    wire = {"v": 1, "payload": {"data": {"op": "draw"}}}
-    with pytest.raises(WireDecodeError):
-        frame_to_packet(wire, decode_data=bad_codec)
+    packet = Packet(origin=3, dst=GroupAddress(gid=0), kind=KIND_DATA,
+                    payload=DataPayload(AduName(3, PageId(0, 0), 1), "x"))
+    wire = decode_frame(packet_to_frame(packet))
+    with pytest.raises(WireFormatError, match="^payload: data: boom"):
+        frame_to_packet(wire, Codec(ANY.encode, refuse))

@@ -37,7 +37,7 @@ from repro.runner.task import Task, canonical
 from repro.sim.rng import RandomSource
 from repro.topology.random_tree import random_labeled_tree
 
-from conftest import examples
+from conftest import draw_mutation, examples, mutated
 
 
 def _spec(seed: int = 3, nodes: int = 10, **overrides) -> ExperimentSpec:
@@ -334,42 +334,6 @@ def test_non_dict_payload_is_rejected():
 # Any JSON value either decodes or is refused as a WireFormatError
 # ----------------------------------------------------------------------
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.just(10 ** 400)
-    | st.floats(allow_nan=False) | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=6)
-
-
-def _paths(node, prefix=()):
-    """Every node of a JSON tree, as the key/index path that reaches it."""
-    yield prefix
-    children = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    for step, child in children:
-        yield from _paths(child, prefix + (step,))
-
-
-def _mutated(document, path, action, value, key):
-    """A deep copy with one node replaced, deleted, or given a child."""
-    root = [json.loads(json.dumps(document))]
-    parent, step = root, 0
-    for next_step in path:
-        parent, step = parent[step], next_step
-    if action == "replace":
-        parent[step] = value
-    elif action == "delete" and path:
-        del parent[step]
-    elif isinstance(parent[step], dict):
-        parent[step][key] = value
-    elif isinstance(parent[step], list):
-        parent[step].append(value)
-    else:
-        parent[step] = value
-    return root[0]
-
-
 @settings(max_examples=examples(300))
 @given(data=st.data())
 def test_mutated_payloads_round_trip_or_raise_wire_format_error(data):
@@ -378,11 +342,7 @@ def test_mutated_payloads_round_trip_or_raise_wire_format_error(data):
     kind = data.draw(st.sampled_from(["spec", "result"]))
     decode, encode = {"spec": (spec_from_wire, spec_to_wire),
                       "result": (result_from_wire, result_to_wire)}[kind]
-    payload = json.loads(entry[kind])
-    path = data.draw(st.sampled_from(list(_paths(payload))))
-    mutant = _mutated(payload, path,
-                      data.draw(st.sampled_from(["replace", "delete", "add"])),
-                      data.draw(_JSON), data.draw(st.text(max_size=6)))
+    path, mutant = draw_mutation(data, json.loads(entry[kind]))
     try:
         decoded = decode(mutant)
     except WireFormatError:
@@ -411,4 +371,4 @@ def test_malformed_results_raise_wire_format_error_not_a_raw_one(where,
     # boundary (or, for ``artifacts``, accepts): _decode owns every check.
     payload = json.loads(json.loads(GOLDEN.read_text())["recovery"]["result"])
     with pytest.raises(WireFormatError, match=f"^{where[0]}: "):
-        result_from_wire(_mutated(payload, where, "replace", value, ""))
+        result_from_wire(mutated(payload, where, "replace", value, ""))

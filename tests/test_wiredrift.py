@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import codec
 from repro.core.names import PageId
 from repro.experiments.common import ExperimentSpec, RunResult
 from repro.fleet import wire
@@ -55,8 +56,9 @@ def test_committed_lock_matches_the_live_surface():
 
 
 # ----------------------------------------------------------------------
-# Codec <-> dataclass agreement is structural: SCHEMA rows are checked
-# against their class when repro.fleet.wire is imported.
+# Codec <-> dataclass agreement is structural: every record's rows are
+# checked against its class when the record is built, so SCHEMA's are
+# checked when repro.fleet.wire is imported.
 # ----------------------------------------------------------------------
 
 
@@ -98,11 +100,11 @@ class _Probe:
 
 
 def test_field_added_without_codec_change_fails():
-    complete = (("alpha", "alpha", wire.INT), ("beta", "b", wire.INT))
-    wire._check_rows(_Probe, complete)  # aliases live in the key column
+    complete = (("alpha", "alpha", codec.INT), ("beta", "b", codec.INT))
+    codec._check_rows(_Probe, complete)  # aliases live in the key column
     # A field with no row: the dataclass grew, the table did not.
     with pytest.raises(TypeError, match=r"SCHEMA\[_Probe\]"):
-        wire._check_rows(_Probe, complete[:1])
+        codec._check_rows(_Probe, complete[:1])
     # ... and through the front door: the module itself refuses to load.
     script = (
         "import dataclasses\n"
@@ -120,26 +122,26 @@ def test_field_added_without_codec_change_fails():
 
 
 def test_removed_wire_key_fails_both_directions():
-    rows = (("alpha", "alpha", wire.INT), ("beta", "beta", wire.INT))
+    rows = (("alpha", "alpha", codec.INT), ("beta", "beta", codec.INT))
     # A row whose field is gone ...
     with pytest.raises(TypeError, match="gamma"):
-        wire._check_rows(_Probe, rows + (("gamma", "gamma", wire.INT),))
+        codec._check_rows(_Probe, rows + (("gamma", "gamma", codec.INT),))
     # ... a field renamed in the class but not in the attribute column
     # (an alias belongs in the key column, never the attribute) ...
     with pytest.raises(TypeError, match="beta_renamed"):
-        wire._check_rows(_Probe, (rows[0],
-                                  ("beta_renamed", "beta", wire.INT)))
+        codec._check_rows(_Probe, (rows[0],
+                                  ("beta_renamed", "beta", codec.INT)))
     # ... and one field claimed by two rows.
     with pytest.raises(TypeError):
-        wire._check_rows(_Probe, rows + (rows[1],))
+        codec._check_rows(_Probe, rows + (rows[1],))
     # Tag rows carry no attribute and do not count as fields.
-    wire._check_rows(_Probe, ((None, "schema", wire.SCHEMA_TAG),) + rows)
+    codec._check_rows(_Probe, ((None, "schema", wire.SCHEMA_TAG),) + rows)
 
 
 def test_a_row_added_under_a_frozen_tag_moves_the_digest(monkeypatch):
     rows = wire.SCHEMA[ExperimentSpec]
     monkeypatch.setitem(wire.SCHEMA, ExperimentSpec,
-                        rows + (("new_knob", "new_knob", wire.INT),))
+                        rows + (("new_knob", "new_knob", codec.INT),))
     violations = check_wire_drift()
     assert [v.code for v in violations] == ["SRM009"]
     assert "drifted from the committed lock" in violations[0].message
@@ -228,3 +230,17 @@ def test_cli_update_wire_lock_round_trip(tmp_path, capsys):
     payload = json.loads(lock_path.read_text())
     assert payload["schema"] == "spec/v3"
     assert payload["digest"].startswith("sha256:")
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"schema": "x"}'])
+def test_cli_update_wire_lock_refuses_a_malformed_lock(tmp_path, capsys,
+                                                       text):
+    lock_path = tmp_path / "wire-schema.lock"
+    lock_path.write_text(text)
+    assert lint_main(["--update-wire-lock",
+                      "--wire-lock", str(lock_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{lock_path}: ")
+    assert "Traceback" not in captured.err
+    assert lock_path.read_text() == text  # left as found
