@@ -64,6 +64,9 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 from repro import env
 from repro.experiments.figures import FIGURES, SCALE_FLAGS, Figure
+from repro.fleet import cli as fleet_cli
+from repro.lint import cli as lint_cli
+from repro.live import cli as live_cli
 
 # ----------------------------------------------------------------------
 # Shared option groups.
@@ -206,21 +209,6 @@ def fidelity_options(sub: argparse.ArgumentParser) -> None:
                           "(default: the reduced, shape-preserving scale)")
 
 
-def lint_options(sub: argparse.ArgumentParser) -> None:
-    from repro.lint.cli import install_options
-    install_options(sub)
-
-
-def live_options(sub: argparse.ArgumentParser) -> None:
-    from repro.live.cli import install_options
-    install_options(sub)
-
-
-def fleet_options(sub: argparse.ArgumentParser) -> None:
-    from repro.fleet.cli import install_options
-    install_options(sub)
-
-
 def _make_runner(args):
     """Build the ExperimentRunner a figure command was asked for."""
     from repro.runner import ExperimentRunner, ResultCache
@@ -342,27 +330,6 @@ def _scaling(args):
     return result
 
 
-@with_options(lint_options)
-def _lint(args):
-    """SRM-specific static analysis; see docs/static-analysis.md."""
-    from repro.lint.cli import run_lint_command
-    return run_lint_command(args)
-
-
-@with_options(live_options)
-def _live(args):
-    """Real-time engine: whiteboard demo and sim-vs-live soak."""
-    from repro.live.cli import run_live_command
-    return run_live_command(args)
-
-
-@with_options(fleet_options)
-def _fleet(args):
-    """Fleet service: controller, worker agents, remote sweeps."""
-    from repro.fleet.cli import run_fleet_command
-    return run_fleet_command(args)
-
-
 @with_options(compare_options)
 def _compare(args):
     from repro.metrics import DEFAULT_THRESHOLD, compare_bundles, load_bundle
@@ -385,9 +352,14 @@ COMMANDS: Dict[str, Callable] = {
     "fuzz": _fuzz,
     "report": _report,
     "compare": _compare,
-    "lint": _lint,
-    "live": _live,
-    "fleet": _fleet,
+    # Own modules: SRM static analysis (docs/static-analysis.md), the
+    # real-time engine (docs/live.md), the fleet service (docs/fleet.md).
+    "lint": with_options(lint_cli.install_options)(
+        lint_cli.run_lint_command),
+    "live": with_options(live_cli.install_options)(
+        live_cli.run_live_command),
+    "fleet": with_options(fleet_cli.install_options)(
+        fleet_cli.run_fleet_command),
 }
 
 #: Figure commands ``repro report`` can run and render.

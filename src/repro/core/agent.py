@@ -62,6 +62,17 @@ from repro.net.node import Agent
 from repro.net.packet import DEFAULT_TTL, GroupAddress, Packet
 from repro.sim.rng import RandomSource
 from repro.sim.timers import Timer
+from repro.sim.trace import (DATA_RECOVERED, DUP_REPAIR_OBSERVED,
+                             DUP_REQUEST_OBSERVED, FIRST_REQUEST_EVENT,
+                             LOSS_DETECTED, PAGE_REPLY_SUPPRESSED,
+                             PAGE_REQUEST_SUPPRESSED, RECOVERY_RESET,
+                             RECV_DATA, RECV_REPAIR, REPAIR_CANCELLED,
+                             REPAIR_SCHEDULED, REQUEST_ABANDONED,
+                             REQUEST_BACKOFF, REQUEST_DUP_IGNORED,
+                             REQUEST_IGNORED_HOLDDOWN, REQUEST_TIMER_SET,
+                             REQUEST_WHILE_REPAIR_PENDING, SEND_DATA,
+                             SEND_PAGE_REPLY, SEND_PAGE_REQUEST, SEND_REPAIR,
+                             SEND_REPAIR_SECOND_STEP, SEND_REQUEST)
 
 
 @dataclass
@@ -274,7 +285,7 @@ class SrmAgent(Agent):
                        ttl=DEFAULT_TTL, size=self.config.data_packet_size,
                        priority=PRIORITY_NEW_DATA)
         self.data_sent += 1
-        self.trace("send_data", name=name)
+        self.trace(SEND_DATA, name=name)
         if self.fec is not None:
             self.fec.on_data_sent(name, data)
         if self.session is not None:
@@ -405,8 +416,8 @@ class SrmAgent(Agent):
         delay = self._draw_request_delay(name, 0)
         context.timer.start(delay)
         self.losses_detected += 1
-        self.trace("loss_detected", name=name)
-        self.trace("request_timer_set", name=name, delay=delay, backoff=0,
+        self.trace(LOSS_DETECTED, name=name)
+        self.trace(REQUEST_TIMER_SET, name=name, delay=delay, backoff=0,
                    ignore_until=None)
 
     def _draw_request_delay(self, name: AduName, backoff_count: int) -> float:
@@ -427,7 +438,7 @@ class SrmAgent(Agent):
         name = context.name
         if context.rounds >= self.config.max_request_rounds:
             context.done = True
-            self.trace("request_abandoned", name=name)
+            self.trace(REQUEST_ABANDONED, name=name)
             return
         distance = self.distances.distance(name.source)
         payload = RequestPayload(name=name, requester=self.node_id,
@@ -444,7 +455,7 @@ class SrmAgent(Agent):
                               reported_distance=distance)
         if self.adaptive is not None:
             self.adaptive.record_request_sent()
-        self.trace("send_request", name=name, round=context.rounds,
+        self.trace(SEND_REQUEST, name=name, round=context.rounds,
                    ttl=context.request_ttl_used)
         # "multicasts a request for the missing data, and doubles the
         # request timer to wait for the repair."
@@ -461,7 +472,7 @@ class SrmAgent(Agent):
                 timer_math.ignore_backoff_until(self.now, delay)
         else:
             context.ignore_backoff_until = float("-inf")
-        self.trace("request_timer_set", name=context.name, delay=delay,
+        self.trace(REQUEST_TIMER_SET, name=context.name, delay=delay,
                    backoff=context.backoff_count,
                    ignore_until=(context.ignore_backoff_until
                                  if self.config.ignore_backoff_enabled
@@ -477,7 +488,7 @@ class SrmAgent(Agent):
             rtt = self.network.rtt(self.node_id, context.name.source)
             ratio = delay / rtt if rtt > 0 else 0.0
             via = "sent" if requester == self.node_id else "heard"
-            self.trace("first_request_event", name=context.name,
+            self.trace(FIRST_REQUEST_EVENT, name=context.name,
                        delay=delay, rtt=rtt, ratio=ratio, via=via)
             if self.adaptive is not None:
                 self.adaptive.record_request_delay(ratio)
@@ -486,7 +497,7 @@ class SrmAgent(Agent):
             # "dup_req keeps count of the number of duplicate requests
             # received during one request period"); our own
             # retransmissions in a later iteration do not.
-            self.trace("dup_request_observed", name=context.name,
+            self.trace(DUP_REQUEST_OBSERVED, name=context.name,
                        requester=requester)
             if self.adaptive is not None:
                 own_distance = self.distances.distance(context.name.source)
@@ -513,11 +524,11 @@ class SrmAgent(Agent):
             if timer_math.should_backoff(self.now,
                                          context.ignore_backoff_until):
                 self._backoff_request(context)
-                self.trace("request_backoff", name=name,
+                self.trace(REQUEST_BACKOFF, name=name,
                            count=context.backoff_count)
             else:
                 self.requests_suppressed += 1
-                self.trace("request_dup_ignored", name=name)
+                self.trace(REQUEST_DUP_IGNORED, name=name)
             return
         if context is not None:
             return  # abandoned; nothing useful to do
@@ -540,11 +551,11 @@ class SrmAgent(Agent):
         name = payload.name
         now = self.now
         if now < self._holddown.get(name, float("-inf")):
-            self.trace("request_ignored_holddown", name=name)
+            self.trace(REQUEST_IGNORED_HOLDDOWN, name=name)
             return
         existing = self._repairs.get(name)
         if existing is not None and existing.timer.pending:
-            self.trace("request_while_repair_pending", name=name)
+            self.trace(REQUEST_WHILE_REPAIR_PENDING, name=name)
             return
         if self.adaptive is not None and name != self._last_repair_period_name:
             # A repair period ends when a repair timer is set for a
@@ -562,7 +573,7 @@ class SrmAgent(Agent):
             reply_group=packet.dst if packet.dst != self.group else None)
         self._repairs[name] = context
         context.timer.start(self._draw_repair_delay(payload.requester))
-        self.trace("repair_scheduled", name=name,
+        self.trace(REPAIR_SCHEDULED, name=name,
                    requester=payload.requester)
 
     def _draw_repair_delay(self, requester: int) -> float:
@@ -613,7 +624,7 @@ class SrmAgent(Agent):
         if self.adaptive is not None:
             self.adaptive.record_repair_delay(ratio)
             self.adaptive.record_repair_sent()
-        self.trace("send_repair", name=name, two_step=two_step,
+        self.trace(SEND_REPAIR, name=name, two_step=two_step,
                    delay=delay, ratio=ratio, answering=context.requester)
         self._set_holddown(name, context.requester)
 
@@ -621,7 +632,7 @@ class SrmAgent(Agent):
                         payload: RepairPayload) -> None:
         context.repairs_observed += 1
         if context.repairs_observed >= 2 and payload.replier != self.node_id:
-            self.trace("dup_repair_observed", name=context.name,
+            self.trace(DUP_REPAIR_OBSERVED, name=context.name,
                        replier=payload.replier)
             if self.adaptive is not None:
                 own_distance = self.distances.distance(context.requester)
@@ -650,7 +661,7 @@ class SrmAgent(Agent):
     def _handle_repair(self, packet: Packet) -> None:
         payload: RepairPayload = packet.payload
         name = payload.name
-        self.trace("recv_repair", name=name, replier=payload.replier,
+        self.trace(RECV_REPAIR, name=name, replier=payload.replier,
                    answering=payload.answering)
         arrival_group = packet.dst if packet.dst != self.group else None
         repair_context = self._repairs.get(name)
@@ -659,7 +670,7 @@ class SrmAgent(Agent):
                 repair_context.timer.cancel()
                 repair_context.done = True
                 self.repairs_cancelled += 1
-                self.trace("repair_cancelled", name=name)
+                self.trace(REPAIR_CANCELLED, name=name)
             self._observe_repair(repair_context, payload)
         elif repair_context is not None:
             self._observe_repair(repair_context, payload)
@@ -688,7 +699,7 @@ class SrmAgent(Agent):
                        priority=self._control_priority(name),
                        group=group)
         self.repairs_sent += 1
-        self.trace("send_repair_second_step", name=name, ttl=ttl)
+        self.trace(SEND_REPAIR_SECOND_STEP, name=name, ttl=ttl)
 
     def _accept_data(self, name: AduName, data: Any, is_repair: bool,
                      first_requester: Optional[int] = None) -> None:
@@ -710,16 +721,16 @@ class SrmAgent(Agent):
                 # original data or a scoped repair): close the waiting
                 # period for the delay statistics.
                 context.first_request_seen = True
-                self.trace("first_request_event", name=name, delay=delay,
+                self.trace(FIRST_REQUEST_EVENT, name=name, delay=delay,
                            rtt=rtt, ratio=ratio, via="data")
                 if self.adaptive is not None:
                     self.adaptive.record_request_delay(ratio)
-            self.trace("data_recovered", name=name, delay=delay, rtt=rtt,
+            self.trace(DATA_RECOVERED, name=name, delay=delay, rtt=rtt,
                        ratio=ratio, via="repair" if is_repair else "data")
         if is_repair:
             self._set_holddown(name, first_requester)
         self.data_received += 1
-        self.trace("recv_data", name=name, repair=is_repair)
+        self.trace(RECV_DATA, name=name, repair=is_repair)
         if self.fec is not None:
             self.fec.on_data_received(name, data)
         if self.on_app_receive is not None:
@@ -762,7 +773,7 @@ class SrmAgent(Agent):
             self.node_id, self.group, KIND_PAGE_REQUEST, payload,
             size=self.config.control_packet_size)
         context.done = True
-        self.trace("send_page_request", page=str(context.page))
+        self.trace(SEND_PAGE_REQUEST, page=str(context.page))
 
     def _handle_page_request(self, payload: PageRequestPayload) -> None:
         page = payload.page
@@ -771,7 +782,7 @@ class SrmAgent(Agent):
             # Another member asked first; suppress our page request.
             own.timer.cancel()
             own.done = True
-            self.trace("page_request_suppressed", page=str(page))
+            self.trace(PAGE_REQUEST_SUPPRESSED, page=str(page))
         state = self.reception.page_state(page)
         if not state:
             return
@@ -799,7 +810,7 @@ class SrmAgent(Agent):
             self.node_id, self.group, KIND_PAGE_REPLY, payload,
             size=self.config.control_packet_size)
         context.done = True
-        self.trace("send_page_reply", page=str(context.page))
+        self.trace(SEND_PAGE_REPLY, page=str(context.page))
 
     def _handle_page_reply(self, payload: PageReplyPayload) -> None:
         context = self._page_requests.get(payload.page)
@@ -808,7 +819,7 @@ class SrmAgent(Agent):
             # still-pending request for the same page).
             context.timer.cancel()
             context.done = True
-            self.trace("page_reply_suppressed", page=str(payload.page))
+            self.trace(PAGE_REPLY_SUPPRESSED, page=str(payload.page))
         for (source, page), high_seq in payload.page_state.items():
             if source == self.node_id:
                 continue
@@ -852,7 +863,7 @@ class SrmAgent(Agent):
         if self.network is not None:
             # Online checkers key suppression state on (node, name); the
             # reset marker tells them this node's slate is clean.
-            self.trace("recovery_reset")
+            self.trace(RECOVERY_RESET)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SrmAgent node={self.node_id} "

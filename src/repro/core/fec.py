@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.names import AduName, PageId
+from repro.sim.trace import FEC_RECONSTRUCTED, SEND_FEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import SrmAgent
@@ -108,7 +109,7 @@ class FecCodec:
             self.agent.node_id, self.agent.group, KIND_FEC, payload,
             size=self.agent.config.data_packet_size)
         self.parity_sent += 1
-        self.agent.trace("send_fec", page=str(name.page),
+        self.agent.trace(SEND_FEC, page=str(name.page),
                          first_seq=payload.first_seq)
 
     # ------------------------------------------------------------------
@@ -163,5 +164,5 @@ class FecCodec:
         if self.agent.store.have(name):
             return
         self.reconstructed += 1
-        self.agent.trace("fec_reconstructed", name=name)
+        self.agent.trace(FEC_RECONSTRUCTED, name=name)
         self.agent._accept_data(name, data, is_repair=False)

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.core.messages import KIND_SESSION, SessionPayload, SessionTimestamp
 from repro.sim.timers import Timer
+from repro.sim.trace import SEND_SESSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import SrmAgent
@@ -180,7 +181,7 @@ class SessionProtocol:
             size=self.config.session_message_size,
             scope_zone=self.scope_zone)
         self.messages_sent += 1
-        agent.trace("send_session", scoped=self.scope_zone is not None)
+        agent.trace(SEND_SESSION, scoped=self.scope_zone is not None)
 
     # ------------------------------------------------------------------
     # Receiving

@@ -18,6 +18,7 @@ from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
 from repro.core.names import AduName, DEFAULT_PAGE
 from repro.sim.rng import RandomSource
+from repro.sim.trace import QUEUE_DROP, RECV_DATA, SEND_REPAIR, SEND_REQUEST
 from repro.topology.chain import chain
 
 
@@ -79,14 +80,14 @@ def run_congestion_experiment(
     finish = 0.0
     for row in network.trace.records:
         kind = row.kind
-        if kind == "recv_data":
+        if kind == RECV_DATA:
             if row.time > finish:
                 finish = row.time
-        elif kind == "send_request":
+        elif kind == SEND_REQUEST:
             requests += 1
-        elif kind == "send_repair":
+        elif kind == SEND_REPAIR:
             repairs += 1
-        elif kind == "queue_drop" and \
+        elif kind == QUEUE_DROP and \
                 row.detail.get("packet_kind") == "srm-data":
             data_drops += 1
     recovered = all(

@@ -47,6 +47,7 @@ from repro.experiments.robustness import run_robustness
 from repro.metrics.events import mean, quantiles
 from repro.net.link import BernoulliDropFilter, NthPacketDropFilter
 from repro.sim.rng import RandomSource
+from repro.sim.trace import FEC_RECONSTRUCTED, SEND_REPAIR, SEND_REQUEST
 from repro.topology.btree import balanced_tree
 from repro.topology.star import star
 
@@ -260,9 +261,9 @@ def run_lossy_transfer(fec_block: Optional[int], nodes: int, packets: int,
                                partial(agents[0].send_data, "beacon"))
     network.run(max_events=5_000_000)
     count = network.trace.count
-    return {"recovery": count("send_request") + count("send_repair"),
-            "requests": count("send_request"),
-            "reconstructed": count("fec_reconstructed"),
+    return {"recovery": count(SEND_REQUEST) + count(SEND_REPAIR),
+            "requests": count(SEND_REQUEST),
+            "reconstructed": count(FEC_RECONSTRUCTED),
             "complete": all(
                 agent.store.have(AduName(0, DEFAULT_PAGE, seq))
                 for agent in agents.values()

@@ -32,12 +32,6 @@ place and renders the same bundle shape via
 :func:`repro.herd.metrics.aggregate_snapshot`. The vectorized state
 mutation is identical in both; full mode only *adds* an ordered emission
 pass driven by the same decision masks, so the modes cannot drift apart.
-
-A few members stay "interesting" and are promoted to
-:class:`HerdMember` views in :attr:`HerdSimulation.actors` — the source,
-members adjacent to the dropped edge, the nearest affected member, and
-the first member to fire in each wave. These are windows into the
-arrays (not parallel state) used by the oracle facade and by tests.
 """
 
 from __future__ import annotations
@@ -57,13 +51,21 @@ from repro.herd.rngpool import DEFAULT_DEPTH, DrawPools
 from repro.herd.topo import TreeIndex
 from repro.herd.wave import HerdWave
 from repro.metrics.bundle import RunMetrics
-from repro.metrics.collector import (MetricsCollector, _perf_snapshot)
+from repro.metrics.collector import (CONTROL_KINDS, TIMER_KINDS,
+                                     MetricsCollector, _perf_snapshot)
 from repro.metrics.events import LossEventReport
 from repro.net.packet import DEFAULT_TTL
 from repro.oracle.base import check_mode_enabled
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import EventScheduler
-from repro.sim.trace import Trace
+from repro.sim.trace import (DATA_RECOVERED, DUP_REPAIR_OBSERVED,
+                             DUP_REQUEST_OBSERVED, FIRST_REQUEST_EVENT,
+                             LOSS_DETECTED, RECOVERY_RESET, REPAIR_CANCELLED,
+                             REPAIR_SCHEDULED, REQUEST_ABANDONED,
+                             REQUEST_BACKOFF, REQUEST_DUP_IGNORED,
+                             REQUEST_IGNORED_HOLDDOWN, REQUEST_TIMER_SET,
+                             REQUEST_WHILE_REPAIR_PENDING, SEND_DATA,
+                             SEND_REPAIR, SEND_REQUEST, Trace)
 
 FloatArray = Any
 IntArray = Any
@@ -88,65 +90,6 @@ _UNSUPPORTED = (
 
 class HerdUnsupportedError(RuntimeError):
     """The scenario or config needs the full agent engine."""
-
-
-class HerdMember:
-    """A per-member window into the herd's arrays.
-
-    Promoted for "interesting" members only; carries no state of its
-    own, so it can never disagree with the arrays. The oracle facade
-    resolves every member to one of these (or to the shared
-    config-bearing view, ``node is None``).
-    """
-
-    __slots__ = ("_sim", "node", "reason")
-
-    def __init__(self, sim: "HerdSimulation", node: Optional[int],
-                 reason: str) -> None:
-        self._sim = sim
-        self.node = node
-        self.reason = reason
-
-    @property
-    def config(self) -> SrmConfig:
-        return self._sim.config
-
-    def _index(self) -> Optional[int]:
-        if self.node is None:
-            return None
-        return self._sim.member_index.get(self.node)
-
-    @property
-    def distance_to_source(self) -> Optional[float]:
-        i = self._index()
-        return None if i is None else float(self._sim._dist_src[i])
-
-    @property
-    def holds_data(self) -> bool:
-        i = self._index()
-        return False if i is None else bool(self._sim._have[i])
-
-    @property
-    def request_pending(self) -> bool:
-        i = self._index()
-        if i is None:
-            return False
-        sim = self._sim
-        return bool(sim._r_exists[i] and not sim._r_done[i]
-                    and math.isfinite(sim._r_expiry[i]))
-
-    @property
-    def request_backoff_count(self) -> Optional[int]:
-        i = self._index()
-        return None if i is None else int(self._sim._r_backoff[i])
-
-    @property
-    def repair_pending(self) -> bool:
-        i = self._index()
-        return False if i is None else bool(self._sim._p_pending[i])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<HerdMember node={self.node} reason={self.reason!r}>"
 
 
 class HerdSimulation:
@@ -259,15 +202,11 @@ class HerdSimulation:
         self._perf_before = _perf_snapshot()
         self._payload_name: Optional[AduName] = None
         self._last_recovered = True
-        self._promoted_request = True
-        self._promoted_repair = True
 
         self.rounds_run = 0
         self.last_round_metrics: Optional[RunMetrics] = None
         #: inject="tie-order" shared state: see :meth:`_tie_order_arrive`.
         self._tie_claims: set[int] = set()
-        self.actors: Dict[int, HerdMember] = {}
-        self.shared_member = HerdMember(self, None, "shared-config")
         self.oracle = None
         if check_mode_enabled():
             from repro.herd.oracles import attach_herd_oracles
@@ -311,24 +250,28 @@ class HerdSimulation:
         mask[self._source_i] = False
         return sorted(int(node) for node in self._nodes[mask])
 
-    def _promote(self, i: int, reason: str) -> None:
-        node = int(self._nodes[i])
-        if node not in self.actors:
-            self.actors[node] = HerdMember(self, node, reason)
-
     # ------------------------------------------------------------------
     # Trace plumbing
     # ------------------------------------------------------------------
 
     def _emit(self, node: int, kind: str, **detail: Any) -> None:
-        self.trace.record(self.scheduler.now, node, kind, detail)
+        """One protocol row: recorded in full mode, counted otherwise.
+
+        Aggregate mode keeps what the collector would read off the row
+        (the kind's declared roles): its timer total and, for a control
+        packet, the sender's tally.
+        """
+        if self._full:
+            self.trace.record(self.scheduler.now, node, kind, detail)
+            return
+        if kind in TIMER_KINDS:
+            self._bump(kind)
+        if kind in CONTROL_KINDS:
+            self._agg_control[node] = self._agg_control.get(node, 0) + 1
 
     def _bump(self, kind: str, count: int = 1) -> None:
         if count:
             self._agg_timers[kind] = self._agg_timers.get(kind, 0) + count
-
-    def _control(self, node: int, count: int = 1) -> None:
-        self._agg_control[node] = self._agg_control.get(node, 0) + count
 
     # ------------------------------------------------------------------
     # Multicast delivery
@@ -398,8 +341,7 @@ class HerdSimulation:
 
     def _send_payload(self, name: AduName) -> None:
         self._have[self._source_i] = True
-        if self._full:
-            self._emit(self._source, "send_data", name=name)
+        self._emit(self._source, SEND_DATA, name=name)
         # The congested link eats this packet: members below the drop
         # edge never see a delivery for it.
         reached = np.flatnonzero(~self._affected)
@@ -409,8 +351,7 @@ class HerdSimulation:
         self._have[idx] = True
 
     def _send_trigger(self, name: AduName) -> None:
-        if self._full:
-            self._emit(self._source, "send_data", name=name)
+        self._emit(self._source, SEND_DATA, name=name)
         self._deliver(self._source, self._trigger_arrive)
 
     def _trigger_arrive(self, idx: IntArray, dist: float) -> None:
@@ -432,12 +373,12 @@ class HerdSimulation:
             name = self._payload_name
             for k, i in enumerate(detect):
                 node = int(self._nodes[i])
-                self._emit(node, "loss_detected", name=name)
-                self._emit(node, "request_timer_set", name=name,
+                self._emit(node, LOSS_DETECTED, name=name)
+                self._emit(node, REQUEST_TIMER_SET, name=name,
                            delay=float(delays[k]), backoff=0,
                            ignore_until=None)
         else:
-            self._bump("request_timer_set", int(detect.size))
+            self._bump(REQUEST_TIMER_SET, int(detect.size))
         self._req_wave.resync()
 
     # ------------------------------------------------------------------
@@ -461,11 +402,8 @@ class HerdSimulation:
             self._r_ignore[i] = ignore
         else:
             self._r_ignore[i] = -math.inf
-        if self._full:
-            self._emit(node, "request_timer_set", name=self._payload_name,
-                       delay=delay, backoff=count, ignore_until=ignore)
-        else:
-            self._bump("request_timer_set")
+        self._emit(node, REQUEST_TIMER_SET, name=self._payload_name,
+                   delay=delay, backoff=count, ignore_until=ignore)
         return count
 
     def _request_fire(self, idx: IntArray) -> None:
@@ -479,10 +417,7 @@ class HerdSimulation:
             if self._r_rounds[i] >= self.config.max_request_rounds:
                 self._r_done[i] = True
                 self._r_expiry[i] = math.inf
-                if self._full:
-                    self._emit(node, "request_abandoned", name=name)
-                else:
-                    self._bump("request_abandoned")
+                self._emit(node, REQUEST_ABANDONED, name=name)
                 continue
             self._r_rounds[i] += 1
             self._n_requests += 1
@@ -494,21 +429,12 @@ class HerdSimulation:
                 ratio = delay / rtt if rtt > 0 else 0.0
                 self._wait_at[i] = now
                 self._wait_ratio[i] = ratio
-                if self._full:
-                    self._emit(node, "first_request_event", name=name,
-                               delay=delay, rtt=rtt, ratio=ratio,
-                               via="sent")
-            if self._full:
-                self._emit(node, "send_request", name=name,
-                           round=int(self._r_rounds[i]), ttl=DEFAULT_TTL)
-            else:
-                self._bump("send_request")
-                self._control(node)
+                self._emit(node, FIRST_REQUEST_EVENT, name=name,
+                           delay=delay, rtt=rtt, ratio=ratio, via="sent")
+            self._emit(node, SEND_REQUEST, name=name,
+                       round=int(self._r_rounds[i]), ttl=DEFAULT_TTL)
             # "multicasts a request ... and doubles the request timer".
             self._backoff_member(i, node)
-            if self._promoted_request is False:
-                self._promoted_request = True
-                self._promote(i, "first-request-fire")
             self._deliver(node, self._request_arrive, extra=(node,))
         # The wave's head-fire resyncs after this returns; the explicit
         # resync here covers calls landing through tie batches that
@@ -606,40 +532,40 @@ class HerdSimulation:
                     self._req_wave.resync()
 
         if not self._full:
-            self._bump("request_ignored_holddown", int(held.size))
-            self._bump("request_while_repair_pending", int(busy.size))
-            self._bump("repair_scheduled", int(fresh.size))
-            self._bump("dup_request_observed", int(dups.size))
-            self._bump("request_timer_set", int(go.size))
-            self._bump("request_backoff", int(go.size))
-            self._bump("request_dup_ignored", int(stay.size))
+            self._bump(REQUEST_IGNORED_HOLDDOWN, int(held.size))
+            self._bump(REQUEST_WHILE_REPAIR_PENDING, int(busy.size))
+            self._bump(REPAIR_SCHEDULED, int(fresh.size))
+            self._bump(DUP_REQUEST_OBSERVED, int(dups.size))
+            self._bump(REQUEST_TIMER_SET, int(go.size))
+            self._bump(REQUEST_BACKOFF, int(go.size))
+            self._bump(REQUEST_DUP_IGNORED, int(stay.size))
             return
 
         # Ordered emission, exactly the agent's per-member row sequence.
         for position in map(int, held):
-            plan(position, "request_ignored_holddown", name=name)
+            plan(position, REQUEST_IGNORED_HOLDDOWN, name=name)
         for position in map(int, busy):
-            plan(position, "request_while_repair_pending", name=name)
+            plan(position, REQUEST_WHILE_REPAIR_PENDING, name=name)
         for position in map(int, fresh):
-            plan(position, "repair_scheduled", name=name,
+            plan(position, REPAIR_SCHEDULED, name=name,
                  requester=requester)
         for k, position in enumerate(map(int, firsts)):
-            plan(position, "first_request_event", name=name,
+            plan(position, FIRST_REQUEST_EVENT, name=name,
                  delay=float(delays_w[k]), rtt=float(rtts[k]),
                  ratio=float(ratios[k]), via="heard")
         for position in map(int, dups):
-            plan(position, "dup_request_observed", name=name,
+            plan(position, DUP_REQUEST_OBSERVED, name=name,
                  requester=requester)
         ignore_on = self.config.ignore_backoff_enabled
         for k, position in enumerate(map(int, go)):
-            plan(position, "request_timer_set", name=name,
+            plan(position, REQUEST_TIMER_SET, name=name,
                  delay=float(delays_b[k]),
                  backoff=int(counts[k]),
                  ignore_until=float(ignores[k]) if ignore_on else None)
-            plan(position, "request_backoff", name=name,
+            plan(position, REQUEST_BACKOFF, name=name,
                  count=int(counts[k]))
         for position in map(int, stay):
-            plan(position, "request_dup_ignored", name=name)
+            plan(position, REQUEST_DUP_IGNORED, name=name)
         for position in map(int, idx):
             planned = rows.get(position)
             if planned:
@@ -670,19 +596,12 @@ class HerdSimulation:
             rtt = 2.0 * self._topo.dist(node, requester)
             delay = now - self._p_set_at[i]
             ratio = delay / rtt if rtt > 0 else 0.0
-            if self._full:
-                self._emit(node, "send_repair", name=name, two_step=False,
-                           delay=delay, ratio=ratio, answering=requester)
-            else:
-                self._bump("send_repair")
-                self._control(node)
+            self._emit(node, SEND_REPAIR, name=name, two_step=False,
+                       delay=delay, ratio=ratio, answering=requester)
             anchor = self._source if requester == node else requester
             self._holddown[i] = timer_math.holddown_until(
                 now, self._topo.dist(node, anchor),
                 self.config.holddown_factor)
-            if self._promoted_repair is False:
-                self._promoted_repair = True
-                self._promote(i, "first-repair-fire")
             self._deliver(node, self._repair_arrive,
                           extra=(node, requester))
         self._rep_wave.resync()
@@ -755,23 +674,23 @@ class HerdSimulation:
             for position in map(int, idx):
                 node = int(self._nodes[position])
                 if position in cancel_set:
-                    self._emit(node, "repair_cancelled", name=name)
+                    self._emit(node, REPAIR_CANCELLED, name=name)
                 if position in dup_set:
-                    self._emit(node, "dup_repair_observed", name=name,
+                    self._emit(node, DUP_REPAIR_OBSERVED, name=name,
                                replier=replier)
                 if position in active_set:
                     k = ratio_at[position]
                     if position in first_set:
-                        self._emit(node, "first_request_event", name=name,
+                        self._emit(node, FIRST_REQUEST_EVENT, name=name,
                                    delay=float(delays[k]),
                                    rtt=float(rtts[k]),
                                    ratio=float(ratios[k]), via="data")
-                    self._emit(node, "data_recovered", name=name,
+                    self._emit(node, DATA_RECOVERED, name=name,
                                delay=float(delays[k]), rtt=float(rtts[k]),
                                ratio=float(ratios[k]), via="repair")
         else:
-            self._bump("repair_cancelled", int(cancel.size))
-            self._bump("dup_repair_observed", int(dup.size))
+            self._bump(REPAIR_CANCELLED, int(cancel.size))
+            self._bump(DUP_REPAIR_OBSERVED, int(dup.size))
 
     # ------------------------------------------------------------------
     # Rounds
@@ -843,22 +762,9 @@ class HerdSimulation:
         if self._full:
             now = self.scheduler.now
             for node in scenario.members:
-                self.trace.record(now, node, "recovery_reset")
+                self.trace.record(now, node, RECOVERY_RESET)
         if self.oracle is not None:
             self.oracle.reset()
-
-        self.actors.clear()
-        self._promote(self._source_i, "source")
-        for end in drop_edge:
-            i = self.member_index.get(end)
-            if i is not None:
-                self._promote(i, "drop-edge")
-        affected = np.flatnonzero(self._affected)
-        if affected.size:
-            nearest = affected[int(np.argmin(self._dist_src[affected]))]
-            self._promote(int(nearest), "nearest-affected")
-        self._promoted_request = False
-        self._promoted_repair = False
 
         name = AduName(source=scenario.source, page=DEFAULT_PAGE,
                        seq=2 * self.rounds_run + 1)

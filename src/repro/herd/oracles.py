@@ -4,17 +4,16 @@ The oracle suite (PR 3) validates trace streams against the paper's
 invariants; it reads the network only for ``scheduler.now``, pairwise
 distances, per-node shared-tree state and per-agent configs. The herd
 has no :class:`Network`, so :class:`HerdNetworkFacade` provides exactly
-that surface over the engine's :class:`TreeIndex`, and an agent
-directory resolves every member to its promoted :class:`HerdMember`
-(when one exists) or to a shared config-bearing view.
+that surface over the engine's :class:`TreeIndex`, and every member's
+agent is the simulation itself, whose config all members share.
 
-Only the engine-independent oracle subset attaches — scheduler sanity
-and the request-timer interval/backoff/ignore-window checker. The
-others (scope/TTL containment, hold-down, suppression, delivery
-consistency) read per-packet delivery rows the herd's aggregate
-delivery model deliberately does not emit; the differential equivalence
-suite covers those properties by pinning herd rounds to agent rounds,
-where the full suite runs.
+Only the engine-independent oracle subset attaches — the trace schema,
+scheduler sanity and the request-timer interval/backoff/ignore-window
+checker. The others (scope/TTL containment, hold-down, suppression,
+delivery consistency) read per-packet delivery rows the herd's
+aggregate delivery model deliberately does not emit; the differential
+equivalence suite covers those properties by pinning herd rounds to
+agent rounds, where the full suite runs.
 """
 
 from __future__ import annotations
@@ -23,13 +22,15 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.oracle.base import SessionOracleSuite
 from repro.oracle.checkers import (RequestTimerOracle,
-                                   SchedulerMonotonicityOracle)
+                                   SchedulerMonotonicityOracle,
+                                   TraceSchemaOracle)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.herd.engine import HerdSimulation
 
 #: Oracle classes that run against herd traces.
-HERD_ORACLES = (SchedulerMonotonicityOracle, RequestTimerOracle)
+HERD_ORACLES = (TraceSchemaOracle, SchedulerMonotonicityOracle,
+                RequestTimerOracle)
 
 
 class HerdNetworkFacade:
@@ -55,29 +56,12 @@ class HerdNetworkFacade:
         return distance
 
 
-class _AgentDirectory:
-    """dict-like ``agents`` view: promoted member or shared config."""
-
-    __slots__ = ("_sim",)
-
-    def __init__(self, sim: "HerdSimulation") -> None:
-        self._sim = sim
-
-    def get(self, node: Any, default: Any = None) -> Any:
-        sim = self._sim
-        if node not in sim.member_index:
-            return default
-        return sim.actors.get(node) or sim.shared_member
-
-
 def attach_herd_oracles(sim: "HerdSimulation",
                         oracles: Optional[tuple] = None
                         ) -> SessionOracleSuite:
     """Subscribe the engine-independent oracle subset to a herd trace."""
-    facade = HerdNetworkFacade(sim)
-    suite = SessionOracleSuite(facade, agents=_AgentDirectory(sim),
-                               oracles=list(oracles or HERD_ORACLES))
-    sim.trace.enabled = True
-    sim.trace.subscribe(suite._listener)
-    suite._attached = True
-    return suite
+    # Every member's "agent" is the simulation: its config, which all
+    # members share, is all the attached oracles read of one.
+    return SessionOracleSuite.attach(
+        HerdNetworkFacade(sim), agents=dict.fromkeys(sim.member_index, sim),
+        oracles=list(oracles or HERD_ORACLES))

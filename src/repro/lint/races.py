@@ -15,9 +15,11 @@ contract one. Any divergence is a tie-order race: some callback read
 state whose value depended on its same-instant neighbors' firing order.
 
 Trace canonicalization sorts rows *within* one instant (their emission
-order legitimately tracks drain order) but preserves cross-instant
-order and every row's content — so a race surfaces as soon as it
-perturbs what happens, when it happens, or any traced value.
+order legitimately tracks drain order) and masks each kind's volatile
+detail keys (declared, with their rationale, in the kind table of
+:mod:`repro.sim.trace`), but preserves cross-instant order and every
+other value — so a race surfaces as soon as it perturbs what happens,
+when it happens, or any traced value.
 
 ``repro lint --races`` drives this; ``--inject tie-order`` swaps in the
 canary scenarios that carry a deliberately planted unordered-set bug
@@ -33,26 +35,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.scheduler import EventScheduler, TieBatch
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import KINDS, SEND_REPAIR, Trace, TraceRecord
 
 DEFAULT_PERMUTATIONS = 8
-
-#: Trace-detail keys masked during canonicalization.
-#:
-#: * ``packet`` — uids come from a process-global ``itertools.count``,
-#:   so two replays see different absolute uids even when behavior is
-#:   identical.
-#: * ``requester`` / ``answering`` — the algorithm arms one repair
-#:   timer per loss in
-#:   response to "the first request received" (Section IV); when
-#:   several requests arrive at the *exact same instant*, which of them
-#:   is "first" is inherently drain-order bookkeeping. Its behavioral
-#:   consequences — the repair timer's bounds, expiry, and the repair
-#:   itself — are still compared exactly via the timer and send rows,
-#:   so a requester pick that *changes behavior* (e.g. a
-#:   different-distance requester shifting the repair delay) is still
-#:   caught. ``answering`` is the same pick echoed on the repair rows.
-VOLATILE_DETAIL_KEYS = frozenset({"packet", "requester", "answering"})
 
 #: Context lines shown on either side of the first divergence.
 EXCERPT_CONTEXT = 3
@@ -118,8 +103,10 @@ def canonical_stream(records: Sequence[TraceRecord]) -> List[str]:
             lines.extend(group)
             group = []
         group_time = record.time
+        spec = KINDS.get(record.kind)
+        masked = spec.volatile if spec is not None else frozenset()
         detail = " ".join(
-            f"{key}=*" if key in VOLATILE_DETAIL_KEYS
+            f"{key}=*" if key in masked
             else f"{key}={record.detail[key]!r}"
             for key in sorted(record.detail))
         group.append(f"t={record.time!r} node={record.node} "
@@ -306,7 +293,7 @@ def _canary_runner(permuter: Optional[TiePermutation]) -> List[str]:
             trace.record(scheduler.now, member, "defer", leader=leader)
 
     def respond(member: int) -> None:
-        trace.record(scheduler.now, member, "send_repair")
+        trace.record(scheduler.now, member, SEND_REPAIR)
 
     for member in range(12):
         scheduler.schedule(1.0, request_timer, member)

@@ -36,7 +36,7 @@ from repro.mcast.groups import GroupManager
 from repro.net.node import Agent, Node
 from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
 from repro.sim import perf
-from repro.sim.trace import Trace
+from repro.sim.trace import DELIVER, DROP, Trace
 
 
 def live_config(**overrides: Any) -> SrmConfig:
@@ -175,7 +175,7 @@ class LiveEngine:
         if node is None:
             return
         if self.trace_deliveries and self.trace.enabled:
-            self.trace.record(self.scheduler.now, node_id, "deliver",
+            self.trace.record(self.scheduler.now, node_id, DELIVER,
                               packet=packet.uid, packet_kind=packet.kind,
                               origin=packet.origin, ttl=packet.ttl,
                               initial_ttl=packet.initial_ttl,
@@ -186,7 +186,7 @@ class LiveEngine:
                     packet: Packet) -> None:
         self.packets_dropped += 1
         if self.trace.enabled:
-            self.trace.record(self.scheduler.now, member, "drop",
+            self.trace.record(self.scheduler.now, member, DROP,
                               packet=packet.uid, packet_kind=packet.kind,
                               link=(src, member))
 
@@ -289,9 +289,9 @@ def live_oracles(include_delivery: bool = False) -> List[type]:
     """The oracle subset that is wall-clock tolerant.
 
     The frozen per-callback clock keeps every timestamp-equality
-    invariant intact, so scheduler monotonicity, request backoff,
-    repair hold-down and suppression all run unchanged (their
-    distance-derived delay *bounds* self-disable under
+    invariant intact, so the trace schema, scheduler monotonicity,
+    request backoff, repair hold-down and suppression all run unchanged
+    (their distance-derived delay *bounds* self-disable under
     ``distance_oracle=False``, as in the sim). Excluded:
     ``ScopeTtlOracle`` needs the sim's source trees, and
     ``DeliveryConsistencyOracle`` needs a quiescent end state — opt in
@@ -301,9 +301,10 @@ def live_oracles(include_delivery: bool = False) -> List[type]:
                                        RepairHolddownOracle,
                                        RequestTimerOracle,
                                        SchedulerMonotonicityOracle,
-                                       SuppressionOracle)
-    oracles: List[type] = [SchedulerMonotonicityOracle, RequestTimerOracle,
-                           RepairHolddownOracle, SuppressionOracle]
+                                       SuppressionOracle, TraceSchemaOracle)
+    oracles: List[type] = [TraceSchemaOracle, SchedulerMonotonicityOracle,
+                           RequestTimerOracle, RepairHolddownOracle,
+                           SuppressionOracle]
     if include_delivery:
         oracles.append(DeliveryConsistencyOracle)
     return oracles
@@ -319,11 +320,6 @@ def attach_live_oracles(engine: LiveEngine,
     """
     from repro.oracle.base import SessionOracleSuite
 
-    suite = SessionOracleSuite(
+    return SessionOracleSuite.attach(
         engine,  # type: ignore[arg-type]  # structural Engine, not Network
         agents=agents, oracles=live_oracles(include_delivery))
-    engine.trace.enabled = True
-    engine.trace_deliveries = True
-    engine.trace.subscribe(suite._listener)
-    suite._attached = True
-    return suite

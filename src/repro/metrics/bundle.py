@@ -63,8 +63,7 @@ class RunMetrics:
     request_ratios: List[float] = field(default_factory=list)
     last_member_ratios: List[float] = field(default_factory=list)
 
-    #: Timer activity by trace kind (request_timer_set, send_request,
-    #: request_backoff, repair_scheduled, repair_cancelled, ...).
+    #: Rows per trace kind with the ``timer`` role (repro.sim.trace).
     timers: Dict[str, int] = field(default_factory=dict)
 
     #: Control packets multicast per member (node id, stringified) and

@@ -8,6 +8,8 @@ counter deltas at snapshot time. No full-trace rescan, and no callback
 for a row it would only count: the per-loss-event and control kinds are
 delivered to :meth:`MetricsCollector.on_record`, timer activity is read
 as the movement of ``Trace.kind_totals`` since :meth:`begin_round`.
+Which kind plays which role is the ``roles`` column of the kind table
+in :mod:`repro.sim.trace`; the sets below are read off it.
 
 The collector must agree with the offline passes in
 :mod:`repro.metrics.events` record-for-record; :meth:`verify` recomputes
@@ -28,31 +30,18 @@ from repro.metrics.events import (
     MemberTiming,
     analyze_loss_event,
 )
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import (DATA_RECOVERED, LOSS_DETECTED, SEND_REPAIR,
+                             SEND_REPAIR_SECOND_STEP, SEND_REQUEST, Trace,
+                             TraceRecord, kinds_with)
 
 #: Kinds that feed the per-loss-event aggregation.
-EVENT_KINDS = frozenset({
-    "send_request", "send_repair", "send_repair_second_step",
-    "loss_detected", "data_recovered", "first_request_event",
-})
-
+EVENT_KINDS = kinds_with("event")
 #: Kinds counted as protocol timer activity (sets, fires, backoffs,
 #: suppressions, hold-downs). Never delivered one by one: only their
 #: per-kind totals are read.
-TIMER_KINDS = frozenset({
-    "request_timer_set", "send_request", "request_backoff",
-    "request_abandoned", "request_dup_ignored",
-    "request_ignored_holddown", "request_while_repair_pending",
-    "repair_scheduled", "send_repair", "repair_cancelled",
-    "dup_request_observed", "dup_repair_observed",
-})
-
+TIMER_KINDS = kinds_with("timer")
 #: Kinds that put a control packet on the wire.
-CONTROL_KINDS = frozenset({
-    "send_request", "send_repair", "send_repair_second_step",
-    "send_page_request", "send_page_reply", "send_session",
-})
-
+CONTROL_KINDS = kinds_with("control")
 #: The kinds :meth:`MetricsCollector.on_record` is called for.
 SUBSCRIBED_KINDS = EVENT_KINDS | CONTROL_KINDS
 
@@ -124,20 +113,20 @@ class MetricsCollector:
             report = self._events[name]
         except KeyError:
             report = self._events[name] = LossEventReport(name=name)
-        if kind == "send_request":
+        if kind == SEND_REQUEST:
             report.requests += 1
-        elif kind == "send_repair":
+        elif kind == SEND_REPAIR:
             report.repairs += 1
-        elif kind == "send_repair_second_step":
+        elif kind == SEND_REPAIR_SECOND_STEP:
             report.second_step_repairs += 1
-        elif kind == "loss_detected":
+        elif kind == LOSS_DETECTED:
             report.losses_detected += 1
         else:
             timing = MemberTiming(
                 member=row.node, delay=detail["delay"], rtt=detail["rtt"],
                 ratio=detail["ratio"], at=row.time,
                 via=detail.get("via", ""))
-            if kind == "data_recovered":
+            if kind == DATA_RECOVERED:
                 report.recoveries[row.node] = timing
             else:  # first_request_event
                 report.request_waits[row.node] = timing

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.names import AduName
-from repro.sim.trace import Trace
+from repro.sim.trace import (DATA_RECOVERED, FIRST_REQUEST_EVENT,
+                             LOSS_DETECTED, SEND_REPAIR,
+                             SEND_REPAIR_SECOND_STEP, SEND_REQUEST, Trace)
 
 
 @dataclass
@@ -95,20 +97,20 @@ def analyze_loss_event(trace: Trace, name: AduName) -> LossEventReport:
     for row in trace.records:
         if row.detail.get("name") != name:
             continue
-        if row.kind == "send_request":
+        if row.kind == SEND_REQUEST:
             report.requests += 1
-        elif row.kind == "send_repair":
+        elif row.kind == SEND_REPAIR:
             report.repairs += 1
-        elif row.kind == "send_repair_second_step":
+        elif row.kind == SEND_REPAIR_SECOND_STEP:
             report.second_step_repairs += 1
-        elif row.kind == "loss_detected":
+        elif row.kind == LOSS_DETECTED:
             report.losses_detected += 1
-        elif row.kind == "data_recovered":
+        elif row.kind == DATA_RECOVERED:
             report.recoveries[row.node] = MemberTiming(
                 member=row.node, delay=row.detail["delay"],
                 rtt=row.detail["rtt"], ratio=row.detail["ratio"],
                 at=row.time, via=row.detail.get("via", ""))
-        elif row.kind == "first_request_event":
+        elif row.kind == FIRST_REQUEST_EVENT:
             report.request_waits[row.node] = MemberTiming(
                 member=row.node, delay=row.detail["delay"],
                 rtt=row.detail["rtt"], ratio=row.detail["ratio"],

@@ -9,7 +9,7 @@ into a :class:`repro.metrics.bundle.RunMetrics`.
 All three primitives share the registry's get-or-create access pattern::
 
     registry = MetricsRegistry()
-    registry.counter("send_request").inc()
+    registry.counter("requests").inc()
     registry.gauge("members").set(1042)
     registry.histogram("recovery_ratio").observe(1.25)
     registry.as_dict()   # {"counters": ..., "gauges": ..., "histograms": ...}

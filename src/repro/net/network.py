@@ -39,7 +39,7 @@ from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
 from repro.net.routing import NeighborTable, SourceTree, build_source_tree
 from repro.sim import perf
 from repro.sim.scheduler import EventScheduler
-from repro.sim.trace import Trace
+from repro.sim.trace import DELIVER, DROP, QUEUE_DROP, Trace
 
 #: One delivery-plan entry: (one-way delay, hop count, target), where
 #: target is a single member id or a tuple of member ids that share the
@@ -136,7 +136,7 @@ class Network:
         #: called directly anywhere else).
         self._run_bindings: Dict[Tuple[NodeId, ...], RunBinding] = {}
         #: When True (and tracing is enabled), every packet handed to a
-        #: node emits a "deliver" trace record. Off by default: delivery
+        #: node emits a ``deliver`` trace record. Off by default: delivery
         #: is the hottest path and check mode (repro.oracle) opts in.
         self.trace_deliveries = False
         self.perf = perf.GLOBAL
@@ -421,7 +421,7 @@ class Network:
             if link.drops_packet(packet, parent):
                 self.packets_dropped += 1
                 if self.trace.enabled:
-                    self.trace.record(self.scheduler.now, parent, "drop",
+                    self.trace.record(self.scheduler.now, parent, DROP,
                                       packet=packet.uid,
                                       packet_kind=packet.kind,
                                       link=(parent, child))
@@ -608,7 +608,7 @@ class Network:
             if link.filters and link.drops_packet(packet, parent):
                 self.packets_dropped += 1
                 if self.trace.enabled:
-                    self.trace.record(self.scheduler.now, parent, "drop",
+                    self.trace.record(self.scheduler.now, parent, DROP,
                                       packet=packet.uid,
                                       packet_kind=packet.kind,
                                       link=(parent, child))
@@ -725,7 +725,7 @@ class Network:
             if link.filters and link.drops_packet(packet, at):
                 self.packets_dropped += 1
                 if self.trace.enabled:
-                    self.trace.record(scheduler.now, at, "drop",
+                    self.trace.record(scheduler.now, at, DROP,
                                       packet=packet.uid,
                                       packet_kind=packet.kind,
                                       link=(at, child))
@@ -736,7 +736,7 @@ class Network:
             if arrival is None:
                 self.packets_dropped += 1
                 if self.trace.enabled:
-                    self.trace.record(scheduler.now, at, "queue_drop",
+                    self.trace.record(scheduler.now, at, QUEUE_DROP,
                                       packet=packet.uid,
                                       packet_kind=packet.kind,
                                       link=(at, child))
@@ -757,7 +757,7 @@ class Network:
         if link.filters and link.drops_packet(packet, at):
             self.packets_dropped += 1
             if self.trace.enabled:
-                self.trace.record(self.scheduler.now, at, "drop",
+                self.trace.record(self.scheduler.now, at, DROP,
                                   packet=packet.uid, packet_kind=packet.kind,
                                   link=(at, next_hop))
             return
@@ -765,7 +765,7 @@ class Network:
         if arrival is None:
             self.packets_dropped += 1
             if self.trace.enabled:
-                self.trace.record(self.scheduler.now, at, "queue_drop",
+                self.trace.record(self.scheduler.now, at, QUEUE_DROP,
                                   packet=packet.uid, packet_kind=packet.kind,
                                   link=(at, next_hop))
             return
@@ -780,7 +780,7 @@ class Network:
 
     def _deliver(self, node_id: NodeId, packet: Packet) -> None:
         if self.trace_deliveries and self.trace.enabled:
-            self.trace.record(self.scheduler.now, node_id, "deliver",
+            self.trace.record(self.scheduler.now, node_id, DELIVER,
                               packet=packet.uid, packet_kind=packet.kind,
                               origin=packet.origin, ttl=packet.ttl,
                               initial_ttl=packet.initial_ttl,

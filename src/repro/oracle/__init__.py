@@ -27,6 +27,7 @@ from repro.oracle.checkers import (
     SchedulerMonotonicityOracle,
     ScopeTtlOracle,
     SuppressionOracle,
+    TraceSchemaOracle,
     default_oracles,
     passive_oracles,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "SchedulerMonotonicityOracle",
     "ScopeTtlOracle",
     "SuppressionOracle",
+    "TraceSchemaOracle",
     "default_oracles",
     "passive_oracles",
 ]

@@ -176,10 +176,12 @@ class SessionOracleSuite:
     def attach(cls, network: "Network",
                agents: Optional[Dict[Any, Any]] = None,
                assert_delivery_members: Optional[List[Any]] = None,
-               enable_trace: bool = True) -> "SessionOracleSuite":
+               enable_trace: bool = True,
+               oracles: Optional[List[type]] = None) -> "SessionOracleSuite":
         """Create a suite, subscribe it, and turn on delivery tracing."""
         suite = cls(network, agents=agents,
-                    assert_delivery_members=assert_delivery_members)
+                    assert_delivery_members=assert_delivery_members,
+                    oracles=oracles)
         if enable_trace:
             network.trace.enabled = True
         network.trace_deliveries = True

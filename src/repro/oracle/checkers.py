@@ -3,6 +3,9 @@
 Each oracle validates one behavioral claim of the paper against the live
 trace stream:
 
+* :class:`TraceSchemaOracle` — every row is a kind the table in
+  :mod:`repro.sim.trace` declares, carrying exactly its declared detail
+  keys in order.
 * :class:`SchedulerMonotonicityOracle` — simulated time never runs
   backwards; every record is stamped with the scheduler's current time.
 * :class:`ScopeTtlOracle` — no multicast packet is observed at a node its
@@ -33,7 +36,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.oracle.base import EPSILON, Oracle, SessionOracleSuite
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import (DELIVER, KINDS, LOSS_DETECTED, RECOVERY_RESET,
+                             RECV_REPAIR, REPAIR_CANCELLED, REPAIR_SCHEDULED,
+                             REQUEST_ABANDONED, REQUEST_BACKOFF,
+                             REQUEST_DUP_IGNORED, REQUEST_IGNORED_HOLDDOWN,
+                             REQUEST_TIMER_SET, SEND_DATA, SEND_REPAIR,
+                             TraceRecord)
 
 Key = Tuple[Any, Any]  # (node id, ADU name)
 
@@ -70,13 +78,31 @@ class SchedulerMonotonicityOracle(Oracle):
             self._last = record.time
 
 
+class TraceSchemaOracle(Oracle):
+    """Every row is a declared kind carrying exactly its declared keys."""
+
+    name = "trace-schema"
+
+    def on_record(self, record: TraceRecord) -> None:
+        spec = KINDS.get(record.kind)
+        if spec is None:
+            self.violate(record.time, record.node,
+                         f"undeclared trace kind {record.kind!r}")
+        elif tuple(record.detail) != spec.keys:
+            self.violate(record.time, record.node,
+                         f"{record.kind} row carries detail keys "
+                         f"{list(record.detail)}, declared "
+                         f"{list(spec.keys)}",
+                         name=record.detail.get("name"))
+
+
 class ScopeTtlOracle(Oracle):
     """Deliveries respect TTL thresholds, hop counts and scope zones."""
 
     name = "scope-ttl"
 
     def on_record(self, record: TraceRecord) -> None:
-        if record.kind != "deliver" or not record.detail.get("mcast"):
+        if record.kind != DELIVER or not record.detail.get("mcast"):
             return
         detail = record.detail
         node, origin = record.node, detail["origin"]
@@ -139,26 +165,26 @@ class RequestTimerOracle(Oracle):
 
     def on_record(self, record: TraceRecord) -> None:
         kind = record.kind
-        if kind == "recovery_reset":
+        if kind == RECOVERY_RESET:
             _clear_node(self._states, record.node)
             return
-        if kind not in ("loss_detected", "request_timer_set",
-                        "request_backoff", "request_dup_ignored",
-                        "request_abandoned"):
+        if kind not in (LOSS_DETECTED, REQUEST_TIMER_SET,
+                        REQUEST_BACKOFF, REQUEST_DUP_IGNORED,
+                        REQUEST_ABANDONED):
             return
         if self.suite.shared_node(record.node):
             return  # co-located sessions: (node, name) keys collide
         name = record.detail.get("name")
         key = (record.node, name)
-        if kind == "loss_detected":
+        if kind == LOSS_DETECTED:
             self._states[key] = _RequestState(detected_at=record.time)
-        elif kind == "request_timer_set":
+        elif kind == REQUEST_TIMER_SET:
             self._on_timer_set(record, key)
-        elif kind == "request_backoff":
+        elif kind == REQUEST_BACKOFF:
             self._on_backoff(record, key)
-        elif kind == "request_dup_ignored":
+        elif kind == REQUEST_DUP_IGNORED:
             self._on_dup_ignored(record, key)
-        elif kind == "request_abandoned":
+        elif kind == REQUEST_ABANDONED:
             self._states.pop(key, None)
 
     def _on_timer_set(self, record: TraceRecord, key: Key) -> None:
@@ -272,14 +298,14 @@ class RepairHolddownOracle(Oracle):
 
     def on_record(self, record: TraceRecord) -> None:
         kind = record.kind
-        if kind == "recovery_reset":
+        if kind == RECOVERY_RESET:
             _clear_node(self._windows, record.node)
             return
-        if kind in ("send_repair", "recv_repair",
-                    "request_ignored_holddown") \
+        if kind in (SEND_REPAIR, RECV_REPAIR,
+                    REQUEST_IGNORED_HOLDDOWN) \
                 and self.suite.shared_node(record.node):
             return  # co-located sessions: (node, name) keys collide
-        if kind == "send_repair":
+        if kind == SEND_REPAIR:
             key = (record.node, record.detail["name"])
             window_end = self._windows.get(key)
             if window_end is not None and record.time < window_end - EPSILON:
@@ -289,9 +315,9 @@ class RepairHolddownOracle(Oracle):
                              "opened by an earlier repair",
                              name=record.detail["name"])
             self._open_window(record)
-        elif kind == "recv_repair":
+        elif kind == RECV_REPAIR:
             self._open_window(record)
-        elif kind == "request_ignored_holddown":
+        elif kind == REQUEST_IGNORED_HOLDDOWN:
             key = (record.node, record.detail["name"])
             window_end = self._windows.get(key)
             if window_end is None or record.time > window_end + EPSILON:
@@ -348,26 +374,26 @@ class SuppressionOracle(Oracle):
 
     def on_record(self, record: TraceRecord) -> None:
         kind = record.kind
-        if kind == "recovery_reset":
+        if kind == RECOVERY_RESET:
             _clear_node(self._pending, record.node)
             _clear_node(self._last_recv, record.node)
             return
-        if kind not in ("repair_scheduled", "send_repair",
-                        "repair_cancelled", "recv_repair"):
+        if kind not in (REPAIR_SCHEDULED, SEND_REPAIR,
+                        REPAIR_CANCELLED, RECV_REPAIR):
             return
         if self.suite.shared_node(record.node):
             return  # co-located sessions: (node, name) keys collide
         name = record.detail.get("name")
         key = (record.node, name)
-        if kind == "recv_repair":
+        if kind == RECV_REPAIR:
             self._last_recv[key] = record.time
-        elif kind == "repair_scheduled":
+        elif kind == REPAIR_SCHEDULED:
             if key in self._pending:
                 self.violate(record.time, record.node,
                              "second repair timer scheduled while one is "
                              "already pending for this name", name=name)
             self._pending[key] = (record.time, record.detail["requester"])
-        elif kind == "send_repair":
+        elif kind == SEND_REPAIR:
             entry = self._pending.pop(key, None)
             if entry is None:
                 self.violate(record.time, record.node,
@@ -375,7 +401,7 @@ class SuppressionOracle(Oracle):
                              name=name)
             else:
                 self._check_delay(record, entry)
-        elif kind == "repair_cancelled":
+        elif kind == REPAIR_CANCELLED:
             if self._pending.pop(key, None) is None:
                 self.violate(record.time, record.node,
                              "cancelled a repair timer that was never "
@@ -433,9 +459,9 @@ class DeliveryConsistencyOracle(Oracle):
         self._abandoned.clear()
 
     def on_record(self, record: TraceRecord) -> None:
-        if record.kind == "send_data":
+        if record.kind == SEND_DATA:
             self._sent[record.detail["name"]] = record.node
-        elif record.kind == "request_abandoned":
+        elif record.kind == REQUEST_ABANDONED:
             self._abandoned.add((record.node, record.detail["name"]))
 
     def finish(self) -> None:
@@ -482,9 +508,7 @@ class DeliveryConsistencyOracle(Oracle):
 
 def default_oracles() -> List[type]:
     """The full suite (needs agent visibility for the delivery check)."""
-    return [SchedulerMonotonicityOracle, ScopeTtlOracle, RequestTimerOracle,
-            RepairHolddownOracle, SuppressionOracle,
-            DeliveryConsistencyOracle]
+    return passive_oracles() + [DeliveryConsistencyOracle]
 
 
 def passive_oracles() -> List[type]:
@@ -494,5 +518,5 @@ def passive_oracles() -> List[type]:
     quiescence with stable membership, which arbitrary unit tests are
     not.
     """
-    return [SchedulerMonotonicityOracle, ScopeTtlOracle, RequestTimerOracle,
-            RepairHolddownOracle, SuppressionOracle]
+    return [TraceSchemaOracle, SchedulerMonotonicityOracle, ScopeTtlOracle,
+            RequestTimerOracle, RepairHolddownOracle, SuppressionOracle]

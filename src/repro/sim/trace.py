@@ -1,9 +1,18 @@
-"""Structured event tracing.
+"""Structured event tracing, and the vocabulary of its rows.
 
 Experiments count things ("how many requests were multicast for this loss?",
 "when did member 17 first receive the repair?"). Rather than threading
 counters through the protocol code, agents emit :class:`TraceRecord` rows
 into a shared :class:`Trace`, and the experiment layer queries it.
+
+Every row kind a protocol engine emits is declared once, in the table at
+the end of this module (:data:`KINDS`): its detail keys, its metric
+roles, its volatile keys and whether the herd engine emits it. A kind's
+handle is the kind string bound to a module-level name (``SEND_REQUEST``),
+so a misspelt kind is an undefined name, not a new kind. The collector's
+kind sets, the race masks and the herd vocabulary are read off the table;
+``Trace.subscribe`` refuses a kind the table lacks, and under
+``--check`` the ``trace-schema`` oracle holds every row to it.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ class TraceRecord:
 
     time: float
     node: Any          # node id of the agent that emitted the record
-    kind: str          # e.g. "send_request", "recv_repair", "loss_detected"
+    kind: str          # a declared kind, e.g. SEND_REQUEST
     detail: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def __str__(self) -> str:
@@ -111,10 +120,21 @@ class Trace:
 
         ``kinds`` restricts delivery to those record kinds; None means
         everything. Filtering here keeps uninterested listeners off the
-        hot record() path entirely.
+        hot record() path entirely. A bare string (which would subscribe
+        to its letters) and a kind the table does not declare (which no
+        engine emits) raise ``ValueError``: either listener would never
+        be called.
         """
-        self._listeners.append(
-            (listener, None if kinds is None else frozenset(kinds)))
+        wanted: Optional[frozenset[str]] = None
+        if kinds is not None:
+            if kinds.__class__ is str:
+                raise ValueError(f"kinds={kinds!r} is one string; pass a "
+                                 "collection of declared kinds")
+            wanted = frozenset(kinds)
+            if not wanted <= _DECLARED:
+                raise ValueError("undeclared trace kinds: "
+                                 f"{sorted(wanted - _DECLARED)}")
+        self._listeners.append((listener, wanted))
         self._routes.clear()
 
     def unsubscribe(self, listener: Listener) -> None:
@@ -188,3 +208,134 @@ class Trace:
             rows.sort(key=lambda row: abs(row.time - around))
             rows = sorted(rows[:limit], key=lambda row: row.time)
         return rows
+
+
+# ----------------------------------------------------------------------
+# The row vocabulary
+# ----------------------------------------------------------------------
+
+#: The metric roles a kind can play (``repro.metrics.collector``):
+#: ``event`` rows feed the per-loss-event reports, ``timer`` rows are
+#: counted as timer activity, ``control`` rows put a control packet on
+#: the wire.
+ROLES = frozenset({"event", "timer", "control"})
+
+
+@dataclass(frozen=True, slots=True)
+class TraceKind:
+    """One declared row kind (see :func:`_declare`)."""
+
+    keys: tuple[str, ...]
+    roles: frozenset[str]
+    volatile: frozenset[str]
+    herd: bool
+
+
+#: kind -> its declaration, in declaration order.
+KINDS: dict[str, TraceKind] = {}
+
+
+def _declare(name: str, keys: str = "", roles: str = "",
+             herd: bool = False) -> str:
+    """Declare one kind and return its handle (``name`` itself).
+
+    ``keys`` are the detail keys every row carries, in emitted order, a
+    volatile one starred; ``roles`` a subset of :data:`ROLES`; ``herd``
+    whether the herd engine emits the kind too, with the same keys.
+    """
+    spec = TraceKind(tuple(key.rstrip("*") for key in keys.split()),
+                     frozenset(roles.split()),
+                     frozenset(key[:-1] for key in keys.split()
+                               if key.endswith("*")), herd)
+    if name in KINDS or not spec.roles <= ROLES:
+        raise ValueError(f"bad trace kind declaration {name!r}: {spec}")
+    KINDS[name] = spec
+    return name
+
+
+def kinds_with(role: str) -> frozenset[str]:
+    """The declared kinds that play ``role`` (one of :data:`ROLES`)."""
+    return frozenset(name for name, spec in KINDS.items()
+                     if role in spec.roles)
+
+
+# Volatile (starred) keys are masked when the race detector
+# (repro.lint.races) compares replays:
+#
+# * ``packet`` — uids come from a process-global ``itertools.count``, so
+#   two replays see different absolute uids even when behaviour is
+#   identical.
+# * ``requester`` / ``answering`` — the algorithm arms one repair timer
+#   per loss in response to "the first request received" (Section IV);
+#   when several requests arrive at the *exact same instant*, which of
+#   them is "first" is drain-order bookkeeping. Its behavioural
+#   consequences — the repair timer's bounds, expiry, and the repair
+#   itself — are still compared exactly via the timer and send rows, so
+#   a requester pick that *changes behaviour* (e.g. a different-distance
+#   requester shifting the repair delay) is still caught. ``answering``
+#   is the same pick echoed on the repair rows.
+
+# Data, loss detection and recovery (core/agent.py, herd/engine.py).
+SEND_DATA = _declare("send_data", "name", herd=True)
+RECV_DATA = _declare("recv_data", "name repair")
+LOSS_DETECTED = _declare("loss_detected", "name", "event", herd=True)
+DATA_RECOVERED = _declare("data_recovered", "name delay rtt ratio via",
+                          "event", herd=True)
+RECOVERY_RESET = _declare("recovery_reset", herd=True)
+
+# Request timers: set, fire, suppression and backoff (Section III-B).
+REQUEST_TIMER_SET = _declare(
+    "request_timer_set", "name delay backoff ignore_until", "timer",
+    herd=True)
+FIRST_REQUEST_EVENT = _declare(
+    "first_request_event", "name delay rtt ratio via", "event", herd=True)
+SEND_REQUEST = _declare("send_request", "name round ttl",
+                        "event timer control", herd=True)
+DUP_REQUEST_OBSERVED = _declare("dup_request_observed", "name requester*",
+                                "timer", herd=True)
+REQUEST_BACKOFF = _declare("request_backoff", "name count", "timer",
+                           herd=True)
+REQUEST_DUP_IGNORED = _declare("request_dup_ignored", "name", "timer",
+                               herd=True)
+REQUEST_ABANDONED = _declare("request_abandoned", "name", "timer",
+                             herd=True)
+
+# Repair timers, hold-down and two-step local repair (Sections III-B,
+# VII-B3).
+REQUEST_IGNORED_HOLDDOWN = _declare("request_ignored_holddown", "name",
+                                    "timer", herd=True)
+REQUEST_WHILE_REPAIR_PENDING = _declare("request_while_repair_pending",
+                                        "name", "timer", herd=True)
+REPAIR_SCHEDULED = _declare("repair_scheduled", "name requester*",
+                            "timer", herd=True)
+SEND_REPAIR = _declare("send_repair", "name two_step delay ratio answering*",
+                       "event timer control", herd=True)
+RECV_REPAIR = _declare("recv_repair", "name replier answering*")
+REPAIR_CANCELLED = _declare("repair_cancelled", "name", "timer", herd=True)
+DUP_REPAIR_OBSERVED = _declare("dup_repair_observed", "name replier",
+                               "timer", herd=True)
+SEND_REPAIR_SECOND_STEP = _declare("send_repair_second_step", "name ttl",
+                                   "event control")
+
+# Page-state recovery (Section III-A).
+SEND_PAGE_REQUEST = _declare("send_page_request", "page", "control")
+PAGE_REQUEST_SUPPRESSED = _declare("page_request_suppressed", "page")
+SEND_PAGE_REPLY = _declare("send_page_reply", "page", "control")
+PAGE_REPLY_SUPPRESSED = _declare("page_reply_suppressed", "page")
+
+# Session messages (core/session.py), FEC (core/fec.py), whiteboard
+# integrity (wb/whiteboard.py).
+SEND_SESSION = _declare("send_session", "scoped", "control")
+SEND_FEC = _declare("send_fec", "page first_seq")
+FEC_RECONSTRUCTED = _declare("fec_reconstructed", "name")
+WB_INTEGRITY_REJECTED = _declare("wb_integrity_rejected", "name")
+
+# Transport (net/network.py, live/session.py). ``deliver`` rows exist
+# only while ``trace_deliveries`` is on (check mode).
+DELIVER = _declare("deliver",
+                   "packet* packet_kind origin ttl initial_ttl zone mcast")
+DROP = _declare("drop", "packet* packet_kind link")
+QUEUE_DROP = _declare("queue_drop", "packet* packet_kind link")
+
+#: Every declared kind: what ``Trace.subscribe(kinds=...)`` accepts.
+_DECLARED = frozenset(KINDS)

@@ -22,6 +22,7 @@ from repro.net.packet import GroupAddress
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.live.engine import Engine
 from repro.sim.rng import RandomSource
+from repro.sim.trace import WB_INTEGRITY_REJECTED
 from repro.wb.drawops import ClearOp, DeleteOp, DrawOp
 from repro.wb.integrity import IntegrityError, SealedOp
 
@@ -177,7 +178,7 @@ class Whiteboard:
                     # in repairs ("spread like a virus"), and re-enter
                     # loss recovery for an intact copy.
                     self.integrity_rejections += 1
-                    self.agent.trace("wb_integrity_rejected", name=name)
+                    self.agent.trace(WB_INTEGRITY_REJECTED, name=name)
                     self.agent.store.evict(name)
                     self.agent.on_loss_detected(name)
                     return

@@ -29,6 +29,7 @@ from repro.experiments.common import (LossRecoverySimulation, Scenario,
 from repro.experiments.figure5 import star_scenario
 from repro.herd import HerdSimulation
 from repro.sim.rng import RandomSource
+from repro.sim.trace import KINDS
 from repro.topology.btree import balanced_tree
 from repro.topology.chain import chain
 from repro.topology.random_tree import random_labeled_tree
@@ -36,18 +37,12 @@ from repro.topology.random_tree import random_labeled_tree
 #: Max absolute disagreement allowed on any RTT-ratio observation.
 RATIO_TOL = 1e-12
 
-#: Every protocol-event kind the herd engine emits in full-trace mode.
-#: The agent engine additionally emits transport rows (``recv_data``,
-#: ``recv_repair``, ``deliver``...) that no metrics consumer reads; the
-#: differential filters the agent trace down to this shared vocabulary.
-HERD_KINDS = frozenset({
-    "send_data", "recovery_reset", "loss_detected", "request_timer_set",
-    "request_abandoned", "first_request_event", "send_request",
-    "request_ignored_holddown", "request_while_repair_pending",
-    "repair_scheduled", "dup_request_observed", "request_backoff",
-    "request_dup_ignored", "send_repair", "repair_cancelled",
-    "dup_repair_observed", "data_recovered",
-})
+#: Every protocol-event kind the herd engine emits in full-trace mode
+#: (the ``herd`` column of the kind table). The agent engine additionally
+#: emits transport rows (``recv_data``, ``recv_repair``, ``deliver``...)
+#: that no metrics consumer reads; the differential filters the agent
+#: trace down to this shared vocabulary.
+HERD_KINDS = frozenset(kind for kind, spec in KINDS.items() if spec.herd)
 
 
 def protocol_rows(trace) -> List[Tuple]:

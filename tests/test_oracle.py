@@ -19,12 +19,14 @@ from repro.oracle import (
     SchedulerMonotonicityOracle,
     SessionOracleSuite,
     SuppressionOracle,
+    TraceSchemaOracle,
     Violation,
     ViolationReport,
     check_mode_enabled,
 )
 from repro.oracle.checkers import DeliveryConsistencyOracle
 from repro.sim.rng import RandomSource
+from repro.sim.trace import SEND_REQUEST
 from repro.topology import chain
 from repro.topology.random_tree import random_labeled_tree
 
@@ -109,6 +111,30 @@ def test_verify_is_repeatable():
     suite = run_recovery_session(seed=9)
     assert not suite.verify()
     assert not suite.verify()
+
+
+# ----------------------------------------------------------------------
+# Trace schema
+# ----------------------------------------------------------------------
+
+REQUEST_ROW = {"name": NAME, "round": 1, "ttl": 255}
+
+
+@pytest.mark.parametrize("kind,detail", [
+    ("send_reqeust", REQUEST_ROW),
+    (SEND_REQUEST, {"name": NAME, "round": 1}),
+    (SEND_REQUEST, {**REQUEST_ROW, "hops": 2}),
+    (SEND_REQUEST, {"name": NAME, "rounds": 1, "ttl": 255}),
+], ids=["undeclared-kind", "missing-key", "extra-key", "misspelt-key"])
+def test_schema_oracle_rejects_rows_off_the_kind_table(kind, detail):
+    network = two_node_network()
+    suite = single_oracle_suite(network, TraceSchemaOracle)
+    network.trace.record(0.0, 0, SEND_REQUEST, dict(REQUEST_ROW))
+    assert suite.violations == []
+    network.trace.record(0.0, 0, kind, dict(detail))
+    with pytest.raises(OracleViolationError, match=r"\[trace-schema\]"):
+        suite.verify()
+    assert len(suite.violations) == 1
 
 
 # ----------------------------------------------------------------------

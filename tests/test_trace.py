@@ -4,7 +4,8 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import (KINDS, RECV_DATA, SEND_DATA, SEND_REQUEST,
+                             Trace, TraceRecord)
 
 
 def test_record_and_len():
@@ -204,18 +205,35 @@ def test_listeners_hear_rows_in_subscription_order():
     trace = Trace()
     seen = []
     trace.subscribe(lambda row: seen.append("all-1"))
-    trace.subscribe(lambda row: seen.append("send-only"), kinds=["send"])
+    trace.subscribe(lambda row: seen.append("send-only"), kinds=[SEND_DATA])
     trace.subscribe(lambda row: seen.append("all-2"))
-    trace.record(1.0, 1, "send")
-    trace.record(2.0, 1, "recv")
+    trace.record(1.0, 1, SEND_DATA)
+    trace.record(2.0, 1, RECV_DATA)
     assert seen == ["all-1", "send-only", "all-2", "all-1", "all-2"]
     # A kind that already has a route picks a later subscriber up, last.
-    trace.subscribe(lambda row: seen.append("late"), kinds=["recv"])
+    trace.subscribe(lambda row: seen.append("late"), kinds=[RECV_DATA])
     del seen[:]
-    trace.record(3.0, 1, "recv")
-    trace.record(4.0, 1, "send")
+    trace.record(3.0, 1, RECV_DATA)
+    trace.record(4.0, 1, SEND_DATA)
     assert seen == ["all-1", "all-2", "late",
                     "all-1", "send-only", "all-2"]
+
+
+def test_subscribe_rejects_a_bare_string_and_undeclared_kinds():
+    """A bare string used to subscribe to its letters, and a misspelt
+    kind was accepted; neither listener could ever be called."""
+    trace = Trace()
+    seen = []
+    with pytest.raises(ValueError, match="one string"):
+        trace.subscribe(seen.append, kinds="deliver")
+    with pytest.raises(ValueError, match="send_reqeust"):
+        trace.subscribe(seen.append, kinds=[SEND_REQUEST, "send_reqeust"])
+    # A refused subscription leaves nothing behind.
+    trace.record(1.0, 1, SEND_REQUEST)
+    assert seen == []
+    trace.subscribe(seen.append, kinds=frozenset(KINDS))
+    trace.record(2.0, 1, SEND_REQUEST)
+    assert [row.time for row in seen] == [2.0]
 
 
 def test_kind_totals_count_every_row_and_survive_clear():
