@@ -122,14 +122,12 @@ def common_options(sub: argparse.ArgumentParser) -> None:
 
 def runner_options(sub: argparse.ArgumentParser) -> None:
     """--jobs/--no-cache/--cache-dir/--manifest/--metrics (runner knobs)."""
-    from repro.runner import default_cache_dir
-
     sub.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the sweep "
                           "(1 = in-process serial)")
     sub.add_argument("--no-cache", action="store_true",
                      help="skip the on-disk result cache")
-    sub.add_argument("--cache-dir", default=default_cache_dir(),
+    sub.add_argument("--cache-dir", default=env.cache_dir(),
                      help="result cache location (default: %(default)s)")
     sub.add_argument("--manifest", default=None, metavar="PATH",
                      help="append a JSONL run manifest here")
@@ -411,6 +409,7 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.codec import WireFormatError
     from repro.oracle.base import OracleViolationError
 
     args = parse_args(argv)
@@ -443,6 +442,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # A protocol invariant broke under --check: show the structured
         # report (with trace excerpts) and fail the command.
         print(exc.report.format(), file=sys.stderr)
+        return 1
+    except WireFormatError as exc:
+        # A file the command read is not what it claims to be (``repro
+        # report`` / ``compare`` on a bundle): one line naming the file
+        # and the bad key. Exit 2 stays "regression".
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # Output piped into e.g. `head`; exit quietly like other CLIs.

@@ -12,8 +12,9 @@ object: a class is framed once, in its rows. What every table gets:
 * **Explicit.** A record's rows name exactly its class's fields or the
   record is not built (:func:`_check_rows`), so a field added to a class
   but not to its rows stops the module that frames it from importing.
-* **Closed.** ``_decode`` requires every row's key and rejects any
-  other.
+* **Closed.** ``_decode`` requires every row's key — or, for an
+  :func:`omittable` row, decodes its default in place of an absent one —
+  and rejects any other.
 * **Exact.** Scalars are checked by exact JSON type: ``true`` is not an
   integer and ``"0"`` is not a number.
 * **One error.** Whatever the JSON value, a refusal is a
@@ -36,15 +37,23 @@ class WireFormatError(ValueError):
     """A value with no wire form, or wire input that is not one."""
 
 
+_REQUIRED: Any = object()
+
+
 class Codec(NamedTuple):
     """``encode(value) -> JSON`` and ``decode(JSON) -> value``; either
-    raises :class:`WireFormatError` on a value it has no form for."""
+    raises :class:`WireFormatError` on a value it has no form for.
+    ``omitted`` is what a record decodes when the row's key is absent
+    (set by :func:`omittable`; by default the key is required)."""
 
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
+    omitted: Any = _REQUIRED
 
 
-#: ``(attribute, wire key, codec)``; a None attribute is a :func:`tag`.
+#: ``(attribute, wire key, codec)``. A None attribute is a :func:`tag`,
+#: or a key computed from the whole object: its codec encodes the object,
+#: and what it decodes is checked and dropped.
 Row = Tuple[Optional[str], str, Codec]
 Rows = Tuple[Row, ...]
 T = TypeVar("T")
@@ -115,6 +124,12 @@ def tag(value: Any, what: str) -> Codec:
                                   f"(this build speaks {value!r})")
 
     return Codec(lambda _: value, decode)
+
+
+def omittable(item: Codec, default: Any) -> Codec:
+    """``item``, whose key a payload may leave out: a record then decodes
+    the JSON ``default`` in its place. Encoding always writes the key."""
+    return Codec(item.encode, item.decode, default)
 
 
 def optional(item: Codec) -> Codec:
@@ -207,7 +222,7 @@ def _encode(cls: type, rows: Rows, obj: Any) -> Dict[str, Any]:
     try:
         for attribute, key, codec in rows:
             payload[key] = codec.encode(
-                None if attribute is None else getattr(obj, attribute))
+                obj if attribute is None else getattr(obj, attribute))
     except WireFormatError as exc:
         raise WireFormatError(f"{key}: {exc}") from None
     return payload
@@ -219,23 +234,29 @@ def _decode(cls: Type[T], rows: Rows,
     """The ``cls`` a JSON value describes, or :class:`WireFormatError`.
 
     Owns every check: the value is an object, each row's key is there
-    and satisfies its codec (a tag is the first row, so a foreign version
-    is refused before anything else is read), no other key is. Failures
-    are prefixed with their key on the way out: a path from the root.
+    (unless the row is omittable) and satisfies its codec (a tag is the
+    first row, so a foreign version is refused before anything else is
+    read), no other key is. Failures are prefixed with their key on the
+    way out: a path from the root.
     """
     found = _object(payload)
     values: Dict[str, Any] = {}
+    present = 0
     key = ""
     try:
         for attribute, key, codec in rows:
-            if key not in found:
+            if key in found:
+                present += 1
+                value = codec.decode(found[key])
+            elif codec.omitted is _REQUIRED:
                 raise WireFormatError("missing required field")
-            value = codec.decode(found[key])
+            else:
+                value = codec.decode(codec.omitted)
             if attribute is not None:
                 values[attribute] = value
     except (ValueError, OverflowError) as exc:
         raise WireFormatError(f"{key}: {exc}") from None
-    if len(found) != len(rows):
+    if present != len(found):
         known = {key for _, key, _ in rows}
         unknown = ", ".join(sorted(str(key) for key in found.keys() - known))
         raise WireFormatError(f"unknown field(s) {unknown}")

@@ -50,7 +50,7 @@ from repro.core.session import (
     SessionProtocol,
     merge_report,
 )
-from repro.core.fec import KIND_FEC, FecCodec
+from repro.core.fec import KIND_FEC, FecCodec, payload_bytes
 from repro.core.state import DataStore, ReceptionState
 from repro.core.transmit import (
     PRIORITY_CURRENT_PAGE_CONTROL,
@@ -275,6 +275,8 @@ class SrmAgent(Agent):
         """Name and multicast a new ADU; returns the assigned name."""
         if self.group is None:
             raise RuntimeError("join a group before sending")
+        # Refused before it is named or sent: FEC parity needs a JSON form.
+        blob = payload_bytes(data) if self.fec is not None else b""
         page = page if page is not None else self.current_page
         seq = self._next_seq.get(page, 0) + 1
         self._next_seq[page] = seq
@@ -287,7 +289,7 @@ class SrmAgent(Agent):
         self.data_sent += 1
         self.trace(SEND_DATA, name=name)
         if self.fec is not None:
-            self.fec.on_data_sent(name, data)
+            self.fec.on_data_sent(name, blob)
         if self.session is not None:
             self.session.on_data_sent()
         return name

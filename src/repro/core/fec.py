@@ -8,18 +8,20 @@ multicasts one XOR parity packet per block of ``k`` data packets, and a
 receiver missing exactly one packet of a block reconstructs it locally —
 no request, no repair, no extra RTTs.
 
-Payloads are arbitrary objects; they are serialized (repr-stable pickle)
-for the XOR, and the reconstructed bytes are deserialized back. Losses
-of two or more packets in one block still fall back to SRM's normal
-request/repair recovery, so reliability is never weakened.
+Payloads are serialized for the XOR as canonical JSON (the live wire's
+rule for application data) and decoded back; one with no JSON form that
+decodes back equal is refused at send. Losses of two or more packets in
+one block still fall back to SRM's normal request/repair recovery, so
+reliability is never weakened.
 """
 
 from __future__ import annotations
 
-import pickle
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from repro.codec import WireFormatError, build, dumps_canonical
 from repro.core.names import AduName, PageId
 from repro.sim.trace import FEC_RECONSTRUCTED, SEND_FEC
 
@@ -27,6 +29,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import SrmAgent
 
 KIND_FEC = "srm-fec"
+
+
+def payload_bytes(data: Any) -> bytes:
+    """``data`` as the canonical JSON the parity is computed over."""
+    blob = build(dumps_canonical, data).encode()
+    if json.loads(blob) != data:
+        raise WireFormatError(f"FEC payload {data!r} does not decode back "
+                              f"from JSON equal")
+    return blob
 
 
 def _pad(blob: bytes, length: int) -> bytes:
@@ -93,10 +104,11 @@ class FecCodec:
     # Source side
     # ------------------------------------------------------------------
 
-    def on_data_sent(self, name: AduName, data: Any) -> None:
-        """Feed each sent ADU; emits a parity packet per full block."""
+    def on_data_sent(self, name: AduName, blob: bytes) -> None:
+        """Feed each sent ADU's :func:`payload_bytes`; emits a parity
+        packet per full block."""
         queue = self._pending.setdefault(name.page, [])
-        queue.append((name.seq, pickle.dumps(data)))
+        queue.append((name.seq, blob))
         if len(queue) < self.k:
             return
         block = queue[:self.k]
@@ -124,9 +136,13 @@ class FecCodec:
     def on_data_received(self, name: AduName, data: Any) -> None:
         if name.source == self.agent.node_id:
             return
+        try:
+            blob = payload_bytes(data)
+        except WireFormatError:
+            return  # no FEC source sent it: it is in no parity block
         key = self._block_key(name.source, name.page, name.seq)
         block = self._blocks.setdefault(key, _BlockState())
-        block.payloads[name.seq] = pickle.dumps(data)
+        block.payloads[name.seq] = blob
         self._try_reconstruct(key, block)
 
     def on_parity_received(self, payload: FecPayload) -> None:
@@ -159,7 +175,7 @@ class FecCodec:
             payload.parity,
             [block.payloads[seq] for seq in seqs if seq != missing_seq],
             payload.lengths[index])
-        data = pickle.loads(blob)
+        data = json.loads(blob)
         name = AduName(key[0], key[1], missing_seq)
         if self.agent.store.have(name):
             return

@@ -1,7 +1,9 @@
 """Client side of the fleet API: FleetClient and FleetRunner.
 
 :class:`FleetClient` is the raw HTTP binding — stdlib ``urllib`` only,
-JSON in and out, every fleet endpoint as one method.
+JSON in and out, every fleet endpoint as one method; request bodies are
+encoded through the :mod:`repro.fleet.wire` records the controller
+decodes them with.
 
 :class:`FleetRunner` is the piece that makes the fleet invisible to the
 experiment layer: an :class:`~repro.runner.executor.ExperimentRunner` —
@@ -21,7 +23,8 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.fleet.wire import WIRE_SCHEMA, result_from_wire, spec_to_wire
+from repro.experiments.common import ExperimentSpec
+from repro.fleet.wire import LEASE, REGISTER, SUBMIT, Lease, Register, Submit, result_from_wire
 from repro.runner.executor import ExperimentRunner
 from repro.runner.task import Task
 
@@ -76,7 +79,7 @@ class FleetClient:
     def ping(self) -> Dict[str, Any]:
         return self._get("/api/v1/ping")
 
-    def submit(self, experiment: str, specs: Sequence[Any],
+    def submit(self, experiment: str, specs: Sequence[ExperimentSpec],
                env_block: Optional[Dict[str, str]] = None,
                salt: Optional[str] = None) -> str:
         """Submit a sweep of ExperimentSpecs; returns the job id.
@@ -92,15 +95,9 @@ class FleetClient:
             env_block = env.snapshot()
         if salt is None:
             salt = env.cache_salt()
-        payload = {
-            "schema": WIRE_SCHEMA,
-            "experiment": experiment,
-            "specs": [spec if isinstance(spec, dict) else spec_to_wire(spec)
-                      for spec in specs],
-            "env": env_block,
-            "salt": salt,
-        }
-        reply = self._post("/api/v1/jobs", payload)
+        reply = self._post("/api/v1/jobs", SUBMIT.encode(Submit(
+            experiment=experiment, specs=list(specs), env=env_block,
+            salt=salt)))
         return str(reply["job"])
 
     def status(self, job_id: str) -> Dict[str, Any]:
@@ -109,15 +106,18 @@ class FleetClient:
     # Worker-side surface (used by FleetWorker).
 
     def register_worker(self, name: str = "") -> Dict[str, Any]:
-        return self._post("/api/v1/workers/register", {"name": name})
+        return self._post("/api/v1/workers/register",
+                          REGISTER.encode(Register(name=name)))
 
     def heartbeat(self, worker_id: str) -> Dict[str, Any]:
         return self._post(f"/api/v1/workers/{worker_id}/heartbeat", {})
 
     def lease(self, worker_id: str) -> Dict[str, Any]:
-        return self._post("/api/v1/lease", {"worker": worker_id})
+        return self._post("/api/v1/lease",
+                          LEASE.encode(Lease(worker=worker_id)))
 
     def report(self, body: Dict[str, Any]) -> Dict[str, Any]:
+        """Send a body the worker encoded through ``wire.REPORT``."""
         return self._post("/api/v1/results", body)
 
     def jobs(self) -> List[Dict[str, Any]]:

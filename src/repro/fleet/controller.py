@@ -24,6 +24,9 @@ One controller owns the full state of every submitted sweep:
   registration) served as JSONL snapshots and live SSE, and a minimal
   HTML dashboard polling the same JSON endpoints.
 
+Each POST body is decoded once, through its :mod:`repro.fleet.wire`
+record, before its handler touches any state: a refusal is a 400.
+
 The controller never executes a simulation itself and never blocks on a
 worker: all scheduling state transitions happen lazily, under one lock,
 when a request arrives. Determinism is structural — results are keyed
@@ -43,12 +46,19 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
+from repro.codec import Codec
+from repro.experiments.common import ExperimentSpec, run_experiment
 from repro.fleet.wire import (
+    LEASE,
+    REGISTER,
+    REPORT,
+    SUBMIT,
     WIRE_SCHEMA,
+    Report,
+    Submit,
     WireFormatError,
-    result_from_wire,
     result_to_wire,
-    spec_from_wire,
+    spec_to_wire,
 )
 from repro.runner.cache import ResultCache
 from repro.runner.lease import LeaseTable
@@ -82,7 +92,7 @@ class TaskState:
     """One sweep point inside a job."""
 
     index: int
-    payload: Dict[str, Any]          # the spec/v3 wire dict, as submitted
+    spec: ExperimentSpec
     fingerprint: str
     cached: bool = False             # resolved from the cache at submit
 
@@ -183,56 +193,35 @@ class FleetController:
 
     # -- job lifecycle -------------------------------------------------
 
-    def submit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Accept a sweep: validate every spec, fingerprint, pre-hit cache."""
-        if not isinstance(payload, dict):
-            raise FleetAPIError(400, "submit body must be a JSON object")
-        experiment = payload.get("experiment")
-        specs = payload.get("specs")
-        if not isinstance(experiment, str) or not experiment:
-            raise FleetAPIError(400, "submit requires a non-empty "
-                                     "'experiment' name")
-        if not isinstance(specs, list) or not specs:
-            raise FleetAPIError(400, "submit requires a non-empty "
-                                     "'specs' list")
-        salt = payload.get("salt", "")
-        if not isinstance(salt, str):
-            raise FleetAPIError(400, "'salt' must be a string")
-        env_block = payload.get("env", {})
-        if not isinstance(env_block, dict) or \
-                not all(isinstance(k, str) and isinstance(v, str)
-                        for k, v in env_block.items()):
-            raise FleetAPIError(400, "'env' must map strings to strings")
-        from repro.experiments.common import run_experiment
-
+    def submit(self, payload: Any) -> Dict[str, Any]:
+        """Accept a sweep: decode every spec, fingerprint, pre-hit cache."""
+        body: Submit = _body(SUBMIT, payload)
         tasks: List[TaskState] = []
-        for index, spec_payload in enumerate(specs):
-            try:
-                spec = spec_from_wire(spec_payload)
-            except WireFormatError as exc:
-                raise FleetAPIError(
-                    400, f"specs[{index}]: {exc}") from exc
+        for index, spec in enumerate(body.specs):
             # The same fingerprint the serial runner computes for this
             # sweep point — the fleet and `repro figureN` share a cache.
-            fingerprint = Task(experiment=experiment, index=index,
+            fingerprint = Task(experiment=body.experiment, index=index,
                                fn=run_experiment,
-                               kwargs={"spec": spec}).fingerprint(salt)
-            tasks.append(TaskState(index=index, payload=spec_payload,
+                               kwargs={"spec": spec}).fingerprint(body.salt)
+            tasks.append(TaskState(index=index, spec=spec,
                                    fingerprint=fingerprint))
         with self._lock:
             job_id = f"job-{next(self._job_ids)}"
             # No backoff: a worker polls for its next lease anyway.
-            job = Job(job_id=job_id, experiment=experiment,
-                      env=dict(env_block), tasks=tasks,
+            job = Job(job_id=job_id, experiment=body.experiment,
+                      env=body.env, tasks=tasks,
                       table=LeaseTable(len(tasks), self.retries, 0.0))
             cached = 0
             for task in tasks:
-                if task.fingerprint in self.cache:
+                # An entry that decodes, not one that exists: a corrupt
+                # entry is deleted here and its task recomputed, rather
+                # than found missing by results().
+                if self.cache.get(task.fingerprint)[0]:
                     job.table.complete(task.index)
                     task.cached = True
                     cached += 1
             self.jobs[job_id] = job
-            self._record("submit", job=job_id, experiment=experiment,
+            self._record("submit", job=job_id, experiment=body.experiment,
                          tasks=len(tasks), cached=cached)
             state = job.table.state
             if state == "done":
@@ -278,10 +267,8 @@ class FleetController:
 
     # -- worker lifecycle ----------------------------------------------
 
-    def register_worker(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        name = ""
-        if isinstance(payload, dict):
-            name = str(payload.get("name", ""))
+    def register_worker(self, payload: Any) -> Dict[str, Any]:
+        name = _body(REGISTER, payload).name
         with self._lock:
             worker_id = f"w{next(self._worker_ids)}"
             self.workers[worker_id] = WorkerState(
@@ -301,11 +288,9 @@ class FleetController:
                 job.table.renew(worker_id, worker.last_seen, self.lease_ttl)
             return {"ok": True, "leases": self._leases(worker_id)}
 
-    def lease(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def lease(self, payload: Any) -> Dict[str, Any]:
         """Hand the next pending task (lowest job, lowest index) out."""
-        worker_id = ""
-        if isinstance(payload, dict):
-            worker_id = str(payload.get("worker", ""))
+        worker_id = _body(LEASE, payload).worker
         with self._lock:
             self._expire()
             worker = self._worker(worker_id)
@@ -324,33 +309,17 @@ class FleetController:
                 return {"task": {
                     "job": job.job_id, "index": index,
                     "experiment": job.experiment,
-                    "spec": task.payload,
+                    "spec": spec_to_wire(task.spec),
                     "fingerprint": task.fingerprint,
                     "env": job.env,
                     "lease_ttl": self.lease_ttl,
                 }}
             return {"task": None}
 
-    def report(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def report(self, payload: Any) -> Dict[str, Any]:
         """Accept a worker's result (or failure) for a leased task."""
-        if not isinstance(payload, dict):
-            raise FleetAPIError(400, "report body must be a JSON object")
-        worker_id = str(payload.get("worker", ""))
-        job_id = str(payload.get("job", ""))
-        index = payload.get("index")
-        if not isinstance(index, int):
-            raise FleetAPIError(400, "report requires an integer 'index'")
-        error = payload.get("error")
-        result_payload = payload.get("result")
-        decoded = None
-        if error is None:
-            if not isinstance(result_payload, dict):
-                raise FleetAPIError(400, "report requires 'result' "
-                                         "(spec/v3 RunResult) or 'error'")
-            try:
-                decoded = result_from_wire(result_payload)
-            except WireFormatError as exc:
-                raise FleetAPIError(400, f"result: {exc}") from exc
+        body: Report = _body(REPORT, payload)
+        worker_id, job_id, index = body.worker, body.job, body.index
         with self._lock:
             self._expire()
             job = self._job(job_id)
@@ -365,18 +334,17 @@ class FleetController:
                 # content-addressed and deterministic, so there is
                 # nothing to reconcile.
                 return {"ok": True, "duplicate": True}
-            if error is not None:
+            if body.error is not None:
                 self._record("task-error", job=job_id, index=index,
-                             worker=worker_id, error=str(error))
+                             worker=worker_id, error=body.error)
                 return {"ok": True, "retrying": self._spend(
-                    job, index, worker_id, str(error), "error")}
-            self.cache.put(job.tasks[index].fingerprint, decoded)
+                    job, index, worker_id, body.error, "error")}
+            self.cache.put(job.tasks[index].fingerprint, body.result)
             job.table.complete(index)
             if worker is not None:
                 worker.done += 1
             self._record("result", job=job_id, index=index,
-                         worker=worker_id,
-                         duration=float(payload.get("duration", 0.0)))
+                         worker=worker_id, duration=body.duration)
             if job.table.state == "done":
                 self._record("job-done", job=job_id)
             return {"ok": True}
@@ -466,6 +434,14 @@ source.onmessage = (msg) => {
 """
 
 
+def _body(codec: Codec, payload: Any) -> Any:
+    """``payload`` decoded through its record; a refusal is a 400."""
+    try:
+        return codec.decode(payload)
+    except WireFormatError as exc:
+        raise FleetAPIError(400, str(exc)) from exc
+
+
 def _count(text: str, what: str) -> int:
     if not _COUNT.fullmatch(text):
         raise FleetAPIError(
@@ -493,7 +469,7 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> Dict[str, Any]:
+    def _read_json(self) -> Any:
         length = _count(self.headers.get("Content-Length") or "0",
                         "Content-Length")
         if length > MAX_BODY_BYTES:
@@ -504,12 +480,9 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
         if not raw:
             return {}
         try:
-            payload = json.loads(raw.decode())
+            return json.loads(raw.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FleetAPIError(400, f"invalid JSON body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise FleetAPIError(400, "request body must be a JSON object")
-        return payload
 
     def _dispatch(self, method: str) -> None:
         url = urlparse(self.path)

@@ -1,9 +1,9 @@
 """The frozen ``spec/v3`` wire schema for experiment specs and results.
 
 This module is the single serialization boundary for the
-``ExperimentSpec → RunResult`` API: every fleet HTTP payload and every
-runner cache key goes through it, never through ad-hoc pickling of
-in-process conventions. The schema is one table: :data:`SCHEMA` holds,
+``ExperimentSpec → RunResult`` API: every fleet HTTP payload, runner
+cache key and cache entry goes through it, never through ad-hoc pickling
+of in-process conventions. The schema is one table: :data:`SCHEMA` holds,
 per wired class, the ``(attribute, wire key, codec)`` rows of its
 :func:`~repro.codec.record`, so it gets the codec's guarantees — rows
 that name exactly their class's fields or this module does not import,
@@ -26,13 +26,17 @@ The table covers every spec used by the figure, scaling and fuzz
 suites: recovery and scoped kinds, direct/hop/herd engines, adaptive
 configs, and the full result path (round outcomes with their per-member
 loss-event reports, metrics bundles, scoped-recovery artifacts).
+
+Beside the schema sit the records of the controller's four POST bodies
+(:data:`SUBMIT` … :data:`REPORT`), outside ``wire-schema.lock``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, cast
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, cast
 
 from repro.codec import (
     BOOL,
@@ -49,6 +53,7 @@ from repro.codec import (
     dumps_canonical,
     int_keyed,
     list_of,
+    omittable,
     optional,
     record,
     tag,
@@ -64,7 +69,7 @@ from repro.experiments.common import (
     RunResult,
     Scenario,
 )
-from repro.metrics.bundle import RunMetrics
+from repro.metrics.bundle import BUNDLE
 from repro.metrics.events import LossEventReport, MemberTiming
 from repro.topology.spec import TopologySpec
 
@@ -137,8 +142,6 @@ SCOPED_OUTCOME = "scoped-outcome"
 INT_LIST = list_of(INT)
 INT_PAIR = tuple_of(INT, INT)
 INT_SET = Codec(sorted, lambda wire: frozenset(INT_LIST.decode(wire)))
-METRICS = Codec(RunMetrics.to_dict,
-                lambda wire: build(RunMetrics.from_dict, OBJECT.decode(wire)))
 #: Kind-specific extras: JSON values, plus tagged scoped outcomes.
 ARTIFACTS = Codec(_encode_artifact,
                   lambda wire: _decode_artifact(OBJECT.decode(wire)))
@@ -226,7 +229,7 @@ RESULT = _wired(
     (None, "schema", SCHEMA_TAG),
     ("spec", "spec", SPEC),
     ("outcomes", "outcomes", list_of(OUTCOME)),
-    ("metrics", "metrics", optional(METRICS)),
+    ("metrics", "metrics", optional(BUNDLE)),
     ("artifacts", "artifacts", ARTIFACTS),
 )
 
@@ -245,7 +248,7 @@ def spec_to_json(spec: ExperimentSpec) -> str:
     return dumps_canonical(spec_to_wire(spec))
 
 
-def spec_from_json(text: str) -> ExperimentSpec:
+def spec_from_json(text: str | bytes) -> ExperimentSpec:
     return spec_from_wire(build(json.loads, text))
 
 
@@ -263,5 +266,83 @@ def result_to_json(result: RunResult) -> str:
     return dumps_canonical(result_to_wire(result))
 
 
-def result_from_json(text: str) -> RunResult:
+def result_from_json(text: str | bytes) -> RunResult:
     return result_from_wire(build(json.loads, text))
+
+
+# ----------------------------------------------------------------------
+# The fleet controller's request bodies (docs/fleet.md, "API").
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Submit:
+    """``POST /api/v1/jobs``: one experiment's sweep of specs."""
+
+    experiment: str
+    specs: List[ExperimentSpec]
+    env: Dict[str, str]              # the submitter's repro.env.snapshot()
+    salt: str                        # the submitter's cache salt
+
+    def __post_init__(self) -> None:
+        if not self.experiment:
+            raise ValueError("submit requires a non-empty 'experiment'")
+        if not self.specs:
+            raise ValueError("submit requires a non-empty 'specs' list")
+
+
+@dataclass(frozen=True)
+class Register:
+    """``POST /api/v1/workers/register``."""
+
+    name: str
+
+
+@dataclass(frozen=True)
+class Lease:
+    """``POST /api/v1/lease``."""
+
+    worker: str
+
+
+@dataclass(frozen=True)
+class Report:
+    """``POST /api/v1/results``: a leased task's result, or its error."""
+
+    worker: str
+    job: str
+    index: int
+    duration: float
+    result: Optional[RunResult]
+    error: Optional[str]
+
+    def __post_init__(self) -> None:
+        if (self.result is None) == (self.error is None):
+            raise ValueError("a report carries exactly one of 'result' "
+                             "and 'error'")
+
+
+#: An env block: knob names to values.
+ENV = Codec(dict, lambda wire: {name: STR.decode(value) for name, value
+                                in OBJECT.decode(wire).items()})
+
+SUBMIT = record(
+    Submit,
+    (
+        ("experiment", "experiment", STR),
+        ("specs", "specs", list_of(SPEC)),
+        ("env", "env", omittable(ENV, {})),
+        ("salt", "salt", omittable(STR, "")),
+    ))
+REGISTER = record(Register, (("name", "name", omittable(STR, "")),))
+LEASE = record(Lease, (("worker", "worker", STR),))
+REPORT = record(
+    Report,
+    (
+        ("worker", "worker", STR),
+        ("job", "job", STR),
+        ("index", "index", INT),
+        ("duration", "duration", omittable(FLOAT, 0.0)),
+        ("result", "result", omittable(optional(RESULT), None)),
+        ("error", "error", omittable(optional(STR), None)),
+    ))

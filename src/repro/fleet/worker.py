@@ -20,8 +20,9 @@ import threading
 import time
 from typing import Any, Dict, Optional
 
+from repro.experiments.common import RunResult, run_experiment
 from repro.fleet.client import FleetClient, FleetError
-from repro.fleet.wire import result_to_wire, spec_from_wire
+from repro.fleet.wire import REPORT, Report, spec_from_wire
 
 
 class FleetWorker:
@@ -80,7 +81,6 @@ class FleetWorker:
 
     def _execute(self, task: Dict[str, Any]) -> None:
         from repro import env
-        from repro.experiments.common import run_experiment
 
         if self.hold > 0:
             if self.stop.wait(self.hold):
@@ -93,18 +93,23 @@ class FleetWorker:
         begun = time.monotonic()
         try:
             env.apply(task.get("env", {}))
-            spec = spec_from_wire(task["spec"])
-            result = run_experiment(spec)
-            payload = result_to_wire(result)
+            result = run_experiment(spec_from_wire(task["spec"]))
+            # Encoded here: a result with no wire form is the task's error.
+            body = self._report_body(task, begun, result=result)
         except Exception as exc:  # noqa: BLE001 - reported, not fatal
+            body = self._report_body(
+                task, begun, error=f"{type(exc).__name__}: {exc}")
+        finally:
             heartbeat_stop.set()
             beater.join()
-            self._report(task, error=f"{type(exc).__name__}: {exc}",
-                         begun=begun)
+        try:
+            self.client.report(body)
+        except FleetError:
+            # The lease will expire and the task rerun; a lost report
+            # of a deterministic result is safe to drop.
             return
-        heartbeat_stop.set()
-        beater.join()
-        self._report(task, result=payload, begun=begun)
+        if body["error"] is None:
+            self.completed += 1
 
     def _heartbeat_loop(self, done: threading.Event) -> None:
         interval = max(self.lease_ttl / 3.0, 0.05)
@@ -114,22 +119,10 @@ class FleetWorker:
             except FleetError:
                 pass  # transient; the next beat (or report) retries
 
-    def _report(self, task: Dict[str, Any],
-                result: Optional[Dict[str, Any]] = None,
-                error: Optional[str] = None,
-                begun: float = 0.0) -> None:
-        body = {"worker": self.worker_id, "job": task["job"],
-                "index": task["index"],
-                "duration": round(time.monotonic() - begun, 6)}
-        if error is not None:
-            body["error"] = error
-        else:
-            body["result"] = result
-        try:
-            self.client.report(body)
-        except FleetError:
-            # The lease will expire and the task rerun; a lost report
-            # of a deterministic result is safe to drop.
-            return
-        if error is None:
-            self.completed += 1
+    def _report_body(self, task: Dict[str, Any], begun: float,
+                     result: Optional[RunResult] = None,
+                     error: Optional[str] = None) -> Dict[str, Any]:
+        return REPORT.encode(Report(
+            worker=self.worker_id, job=task["job"], index=task["index"],
+            duration=round(time.monotonic() - begun, 6), result=result,
+            error=error))

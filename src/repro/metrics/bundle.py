@@ -11,19 +11,21 @@ repo's CI gate) cares about for one run — or, merged, for a whole sweep:
 * the :mod:`repro.sim.perf` kernel counters for the run.
 
 ``headline()`` distills the bundle into the flat scalar dict that
-``repro report`` prints and ``repro compare`` gates on. Bundles
-round-trip through JSON (:func:`save_bundle` / :func:`load_bundle`) and
-are embedded in every cached :class:`~repro.experiments.common.RunResult`.
+``repro report`` prints and ``repro compare`` gates on. Saved files and
+the ``metrics`` of every spec/v3 ``RunResult`` share one closed JSON
+form, the record :data:`BUNDLE` (docs/metrics.md, "Persistence and
+caching"); ``kernel`` stays an open object.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, cast
 
+from repro.codec import FLOAT, INT, OBJECT, STR, Codec, WireFormatError, build, list_of, record, tag
 from repro.metrics.events import percentile_sorted
 
 #: Format tag written into every persisted bundle.
@@ -176,21 +178,46 @@ class RunMetrics:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-able rendering, summaries included for human readers."""
-        payload = asdict(self)
-        payload["schema"] = BUNDLE_SCHEMA
-        payload["headline"] = self.headline()
-        payload["summaries"] = self.summaries()
-        return payload
+        """The bundle's JSON form (:data:`BUNDLE`)."""
+        return cast(Dict[str, Any], BUNDLE.encode(self))
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "RunMetrics":
-        schema = payload.get("schema", BUNDLE_SCHEMA)
-        if schema != BUNDLE_SCHEMA:
-            raise ValueError(f"unsupported metrics bundle schema {schema!r}")
-        fields = {f for f in cls.__dataclass_fields__}  # noqa: C401
-        return cls(**{key: value for key, value in payload.items()
-                      if key in fields})
+
+#: ``{str: int}``: rows per trace kind, packets per member.
+_COUNTS = Codec(dict, lambda wire: {key: INT.decode(count) for key, count
+                                    in OBJECT.decode(wire).items()})
+_RATIOS = list_of(FLOAT)
+#: ``headline`` and ``summaries``: computed from the bundle on encode; on
+#: decode only checked to be objects, since the decoded bundle recomputes
+#: them.
+_DERIVED = OBJECT.decode
+
+#: The bundle's one JSON form, for files and for the spec/v3 wire alike.
+BUNDLE = record(
+    RunMetrics,
+    (
+        (None, "schema", tag(BUNDLE_SCHEMA, "metrics bundle schema")),
+        ("experiment", "experiment", STR),
+        ("rounds", "rounds", INT),
+        ("loss_events", "loss_events", INT),
+        ("requests", "requests", INT),
+        ("repairs", "repairs", INT),
+        ("second_step_repairs", "second_step_repairs", INT),
+        ("duplicate_requests", "duplicate_requests", INT),
+        ("duplicate_repairs", "duplicate_repairs", INT),
+        ("losses_detected", "losses_detected", INT),
+        ("recoveries", "recoveries", INT),
+        ("recovery_ratios", "recovery_ratios", _RATIOS),
+        ("request_ratios", "request_ratios", _RATIOS),
+        ("last_member_ratios", "last_member_ratios", _RATIOS),
+        ("timers", "timers", _COUNTS),
+        ("control_packets", "control_packets", _COUNTS),
+        ("control_bytes", "control_bytes", INT),
+        ("kernel", "kernel", OBJECT),
+        ("events", "events", list_of(OBJECT)),
+        ("meta", "meta", OBJECT),
+        (None, "headline", Codec(RunMetrics.headline, _DERIVED)),
+        (None, "summaries", Codec(RunMetrics.summaries, _DERIVED)),
+    ))
 
 
 def save_bundle(bundle: RunMetrics, path: "str | os.PathLike") -> Path:
@@ -203,6 +230,10 @@ def save_bundle(bundle: RunMetrics, path: "str | os.PathLike") -> Path:
 
 
 def load_bundle(path: "str | os.PathLike") -> RunMetrics:
-    """Parse a bundle previously written by :func:`save_bundle`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return RunMetrics.from_dict(payload)
+    """The bundle saved at ``path``; :class:`~repro.codec.WireFormatError`
+    naming the file and the bad key if it is not one."""
+    try:
+        return cast(RunMetrics, BUNDLE.decode(
+            build(json.loads, Path(path).read_bytes())))
+    except WireFormatError as exc:
+        raise WireFormatError(f"{path}: {exc}") from None

@@ -4,7 +4,8 @@ The orchestration substrate every figure sweep runs on:
 
 * :mod:`repro.runner.task` — one sweep point as pure, picklable data,
   with a stable content fingerprint
-* :mod:`repro.runner.cache` — content-addressed on-disk result cache
+* :mod:`repro.runner.cache` — content-addressed on-disk result cache,
+  one spec/v3 JSON file per ``RunResult``
 * :mod:`repro.runner.lease` — the one task state machine (attempts,
   backoff, deadlines) the serial runner, the pool and the fleet run on
 * :mod:`repro.runner.pool` — that table's two local transports: in
@@ -24,8 +25,7 @@ Quickstart::
 """
 
 from repro.env import cache_salt as code_version_salt
-from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, \
-    default_cache_dir
+from repro.runner.cache import ResultCache
 from repro.runner.executor import ExperimentRunner, RunnerError, TaskReport
 from repro.runner.manifest import RunManifest, read_manifest
 from repro.runner.pool import Execution, TaskFailed, run_pool
@@ -36,8 +36,6 @@ __all__ = [
     "canonical",
     "function_ref",
     "ResultCache",
-    "DEFAULT_CACHE_DIR",
-    "default_cache_dir",
     "ExperimentRunner",
     "RunnerError",
     "TaskReport",

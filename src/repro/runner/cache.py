@@ -1,56 +1,50 @@
-"""Content-addressed on-disk cache for task results.
+"""Content-addressed on-disk cache for run results.
 
-Results live under ``<root>/<first two hex chars>/<fingerprint>.pkl``;
+An entry is the canonical spec/v3 JSON of one ``RunResult`` (the bytes
+a fleet worker reports) at ``<root>/<first two hex chars>/<fingerprint>.json``;
 the fingerprint (see :meth:`repro.runner.task.Task.fingerprint`) already
 folds in the code-version salt, so the cache itself is dumb storage:
-``get`` and ``put`` by key, atomic writes, corrupt entries dropped.
+``get`` and ``put`` by key, atomic writes. An entry that does not decode
+is a counted miss and is deleted; old ``.pkl`` entries are never read.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-#: Default location, relative to the working directory (the repo root for
-#: ``python -m repro`` invocations). Override with ``SRM_CACHE_DIR``.
-DEFAULT_CACHE_DIR = "results/.cache"
+from repro import env
+from repro.codec import WireFormatError
 
-
-def default_cache_dir() -> str:
-    from repro import env
-
-    return env.cache_dir()
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.common import RunResult
 
 
 class ResultCache:
-    """Pickle-per-entry store addressed by content fingerprint."""
+    """One spec/v3 JSON file per entry, addressed by content fingerprint."""
 
     def __init__(self, root: str | os.PathLike = None) -> None:
-        self.root = Path(root if root is not None else default_cache_dir())
+        self.root = Path(root if root is not None else env.cache_dir())
         self.hits = 0
         self.misses = 0
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Tuple[bool, Any]:
-        """``(True, value)`` on a hit, ``(False, None)`` on a miss.
+    def get(self, key: str) -> Tuple[bool, Optional["RunResult"]]:
+        """``(True, result)`` on a hit, ``(False, None)`` on a miss."""
+        # Here, not at the top: repro.fleet imports this module.
+        from repro.fleet.wire import result_from_json
 
-        An unreadable entry (truncated write from a killed process, or a
-        pickle referencing a class that no longer unpickles) counts as a
-        miss and is deleted so the slot heals on the next ``put``.
-        """
         path = self.path_for(key)
         try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
+            result = result_from_json(path.read_bytes())
         except FileNotFoundError:
             self.misses += 1
             return False, None
-        except Exception:
+        except (OSError, WireFormatError):
             try:
                 path.unlink()
             except OSError:
@@ -58,16 +52,20 @@ class ResultCache:
             self.misses += 1
             return False, None
         self.hits += 1
-        return True, value
+        return True, result
 
-    def put(self, key: str, value: Any) -> None:
-        """Atomically persist ``value``: tmp file + rename, never partial."""
+    def put(self, key: str, result: "RunResult") -> None:
+        """Atomically store ``result``: tmp file + rename, never partial.
+        Anything but a ``RunResult`` is a :class:`WireFormatError`."""
+        from repro.fleet.wire import result_to_json
+
+        data = result_to_json(result).encode()
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(data)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -76,20 +74,17 @@ class ResultCache:
                 pass
             raise
 
-    def __contains__(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
     def __len__(self) -> int:
         if not self.root.exists():
             return 0
-        return sum(1 for _ in self.root.glob("*/*.pkl"))
+        return sum(1 for _ in self.root.glob("*/*.json"))
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
         removed = 0
         if not self.root.exists():
             return removed
-        for entry in self.root.glob("*/*.pkl"):
+        for entry in self.root.glob("*/*.json"):
             try:
                 entry.unlink()
                 removed += 1

@@ -212,10 +212,10 @@ class ExperimentRunner:
                          manifest: Optional[RunManifest]) -> None:
         """Merge the results' RunMetrics bundles and save them as JSON.
 
-        Results without a bundle (legacy task functions, analytic
-        experiment kinds) are skipped; cache hits contribute the bundle
-        pickled into their cached value, so a fully-cached run persists
-        the same bundle as a cold one.
+        Results without a bundle (analytic experiment kinds, task
+        functions that return no ``RunResult``) are skipped; a cache hit
+        contributes the bundle decoded from its entry's JSON, so a
+        fully-cached run persists the same bundle as a cold one.
         """
         from repro.metrics.bundle import RunMetrics, save_bundle
 

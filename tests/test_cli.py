@@ -220,6 +220,37 @@ def test_compare_exit_codes(tmp_path, capsys):
                  "--threshold", "10"]) == 0
 
 
+@pytest.mark.parametrize("command", ["report", "compare"])
+@pytest.mark.parametrize("text, named", [
+    ('{"requests": "many"}', "requests: expected an integer"),
+    ('{"requets": 3}', "unknown field(s) requets"),
+    ("not json", "json.loads"),
+], ids=["wrong-type", "unknown-key", "not-json"])
+def test_an_undecodable_bundle_is_one_stderr_line_and_exit_1(
+        tmp_path, capsys, command, text, named):
+    """It used to be a traceback (or, for a wrong type, a bundle that
+    broke later); exit 2 keeps meaning "regression"."""
+    import json
+
+    from repro.metrics import RunMetrics, save_bundle
+
+    good = save_bundle(RunMetrics(), tmp_path / "good.json")
+    bad = tmp_path / "bad.json"
+    if text.startswith("{"):
+        bad.write_text(json.dumps(dict(json.loads(good.read_text()),
+                                       **json.loads(text))))
+    else:
+        bad.write_text(text)
+    argv = [command, str(bad)] if command == "report" else \
+        [command, str(good), str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"{command}: {bad}: ")
+    assert named in captured.err
+
+
 def test_figure12_accepts_runner_flags(tmp_path, capsys):
     manifest = tmp_path / "fig12.jsonl"
     assert main(["figure12", "--runs", "1", "--rounds", "2", "--no-cache",

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import WireFormatError
 from repro.core.config import SrmConfig
 from repro.core.fec import FecCodec, recover_missing, xor_parity
 from repro.core.names import AduName, DEFAULT_PAGE
@@ -174,3 +175,30 @@ def test_parity_sent_once_per_full_block():
     # 7 packets with k=3 -> two full blocks, one partial (no parity yet).
     assert agents[0].fec.parity_sent == 2
     assert network.trace.count("send_fec") == 2
+
+
+# ----------------------------------------------------------------------
+# Payloads ride the XOR as canonical JSON
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("data", [("a", 1), float("nan"), {1: "a"},
+                                  object()],
+                         ids=["tuple", "nan", "int-key", "object"])
+def test_a_payload_without_an_equal_json_form_is_refused_at_send(data):
+    """Parity used to be computed over pickles; now a payload that does
+    not decode back from canonical JSON equal is refused before it is
+    named or sent."""
+    network, agents = fec_session(lambda p: False)
+    with pytest.raises(WireFormatError):
+        agents[0].send_data(data)
+    assert agents[0].data_sent == 0
+    assert agents[0].peek_next_seq() == 1
+    assert network.trace.count("send_data") == 0
+
+
+def test_a_receiver_with_fec_accepts_any_payload_from_a_sender_without():
+    network, agents, _ = build_srm_session(chain(2), range(2))
+    agents[1].fec = FecCodec(agents[1], k=2)
+    name = agents[0].send_data(("not", "json"))
+    network.run()
+    assert agents[1].store.get(name) == ("not", "json")

@@ -10,6 +10,7 @@ for the crash test, a killed OS subprocess) and compare against
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import signal
@@ -20,6 +21,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.common import (
     ExperimentSpec,
@@ -37,6 +40,8 @@ from repro.fleet.worker import FleetWorker
 from repro.runner import ExperimentRunner, ResultCache
 from repro.sim.rng import RandomSource
 from repro.topology.random_tree import random_labeled_tree
+
+from conftest import draw_mutation, examples, mutated
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -90,6 +95,12 @@ def _specs(count: int, seed: int = 9, nodes: int = 8):
             scenario=choose_scenario(tspec, session_size=nodes, rng=rng),
             seed=index, experiment="fleettest"))
     return specs
+
+
+@pytest.fixture(scope="module")
+def result_payload():
+    """The spec/v3 result of ``_specs(1)[0]``, as a worker reports it."""
+    return json.loads(run_experiment(_specs(1)[0]).to_json())
 
 
 def _serial_results(specs, tmp_path):
@@ -392,6 +403,108 @@ def test_fleet_runner_rejects_non_spec_sweeps(fleet):
     with pytest.raises(FleetError, match="spec"):
         runner.map("x", run_experiment, [{"spec": _specs(1)[0],
                                           "extra": 1}])
+
+
+def test_a_corrupt_cache_entry_is_recomputed(tmp_path, result_payload):
+    """Submit resolves a task from the cache only if its entry decodes;
+    it used to check that the file exists, so a corrupt entry made the
+    job ``done`` at once and its results a 500."""
+    cache_root = tmp_path / "c"
+    controller = FleetController(cache=ResultCache(cache_root))
+    body = {"experiment": "corrupt", "specs": [_specs(1)[0].to_wire()]}
+    controller.submit(body)
+    worker = controller.register_worker({})["worker"]
+    controller.lease({"worker": worker})
+    report = {"worker": worker, "job": "job-1", "index": 0,
+              "result": result_payload}
+    controller.report(report)
+    entry, = cache_root.glob("*/*")
+    entry.write_bytes(entry.read_bytes()[:100])
+    assert controller.submit(body) == {"job": "job-2", "tasks": 1,
+                                       "cached": 0, "state": "running"}
+    assert controller.lease({"worker": worker})["task"]["job"] == "job-2"
+    controller.report(dict(report, job="job-2"))
+    assert controller.results("job-2")["results"] == [result_payload]
+
+
+# ----------------------------------------------------------------------
+# Request bodies fail closed
+# ----------------------------------------------------------------------
+
+
+def _leased_controller(cache_root):
+    """A two-task job whose task 0 is leased to the returned worker."""
+    controller = FleetController(cache=ResultCache(cache_root),
+                                 lease_ttl=600.0)
+    controller.submit({"experiment": "bodies",
+                       "specs": [spec.to_wire() for spec in _specs(2)]})
+    worker = controller.register_worker({"name": "w"})["worker"]
+    assert controller.lease({"worker": worker})["task"]["index"] == 0
+    return controller, worker
+
+
+def _state(controller):
+    """Every job's LeaseTable rows, and the event feed."""
+    return (copy.deepcopy({job_id: job.table.rows
+                           for job_id, job in controller.jobs.items()}),
+            list(controller.events))
+
+
+@pytest.mark.parametrize("path, action, value, key", [
+    (("duration",), "replace", "slow", ""),
+    (("index",), "replace", True, ""),
+    (("result", "metrics", "requests"), "replace", "many", ""),
+    (("result", "metrics", "recovery_ratios"), "replace", 7, ""),
+    (("result", "metrics"), "add", 3, "requets"),
+], ids=["string-duration", "bool-index", "string-count", "int-ratios",
+        "unknown-metrics-key"])
+def test_a_malformed_report_is_refused_before_any_state_changes(
+        tmp_path, result_payload, path, action, value, key):
+    """Each of these used to get through: a string duration raised
+    ValueError (a 500) after the result was cached and the task
+    completed; ``true`` completed task 1; bad metrics were cached, and
+    broke ``RunMetrics.merged`` in the submitter; an unknown metrics
+    key was dropped."""
+    controller, worker = _leased_controller(tmp_path / "c")
+    report = {"worker": worker, "job": "job-1", "index": 0,
+              "duration": 0.5, "result": result_payload}
+    before = _state(controller)
+    with pytest.raises(FleetAPIError) as excinfo:
+        controller.report(mutated(report, path, action, value, key))
+    assert excinfo.value.status == 400
+    assert _state(controller) == before
+    assert len(controller.cache) == 0
+    # The well-formed report still lands: cached, completed, recorded.
+    assert controller.report(report) == {"ok": True}
+    assert len(controller.cache) == 1
+    assert [row.status for row in controller.jobs["job-1"].table.rows] \
+        == ["done", "pending"]
+    assert controller.events[-1]["event"] == "result"
+
+
+@settings(max_examples=examples(200))
+@given(data=st.data())
+def test_post_handlers_return_or_refuse_without_side_effects(
+        data, tmp_path_factory, result_payload):
+    """Any one-node change to a valid body: the handler returns, or
+    refuses it with a 400/404/409 and leaves every job's lease rows and
+    the event feed as they were. Nothing else (no 500)."""
+    controller, worker = _leased_controller(tmp_path_factory.mktemp("c"))
+    handler, body = data.draw(st.sampled_from([
+        ("submit", {"experiment": "more", "specs": [_specs(1)[0].to_wire()],
+                    "env": {"SRM_CHECK": "1"}, "salt": "s"}),
+        ("register_worker", {"name": "w2"}),
+        ("lease", {"worker": worker}),
+        ("report", {"worker": worker, "job": "job-1", "index": 0,
+                    "duration": 0.5, "result": result_payload}),
+    ]))
+    _, mutant = draw_mutation(data, body)
+    before = _state(controller)
+    try:
+        getattr(controller, handler)(mutant)
+    except FleetAPIError as exc:
+        assert exc.status in (400, 404, 409)
+        assert _state(controller) == before
 
 
 # ----------------------------------------------------------------------

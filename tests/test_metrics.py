@@ -8,12 +8,15 @@ comparison used by ``repro compare``.
 
 from __future__ import annotations
 
+import json
 from collections import Counter as TallyCounter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import WireFormatError
 from repro.core.names import AduName, DEFAULT_PAGE
 from repro.experiments.common import (
     ExperimentSpec,
@@ -37,6 +40,7 @@ from repro.metrics import (
     load_bundle,
     save_bundle,
 )
+from repro.metrics.bundle import BUNDLE
 from repro.metrics.collector import (
     CONTROL_KINDS,
     EVENT_KINDS,
@@ -345,6 +349,39 @@ def test_bundle_json_round_trip(tmp_path):
     assert loaded.headline() == pytest.approx(bundle.headline())
 
 
+@pytest.mark.parametrize("key, value, error", [
+    ("requests", "many", "^requests: expected an integer"),
+    ("recovery_ratios", 7, "^recovery_ratios: expected a list"),
+    ("timers", {"send_request": 1.5}, "^timers: expected an integer"),
+    ("requets", 3, "unknown field.*requets"),
+    ("schema", "run-metrics/v0", "^schema: unsupported"),
+    ("headline", [], "^headline: expected a JSON object"),
+])
+def test_bundle_decoding_is_closed(key, value, error):
+    """Every key is required with its exact type, and no other is
+    accepted; ``from_dict`` used to take any value for a known key and
+    drop an unknown one."""
+    payload = dict(_run_one(seed=3).metrics.to_dict(), **{key: value})
+    with pytest.raises(WireFormatError, match=error):
+        BUNDLE.decode(payload)
+    del payload[key]
+    if key != "requets":
+        with pytest.raises(WireFormatError, match="missing required"):
+            BUNDLE.decode(payload)
+
+
+def test_bundle_decoding_recomputes_derived_keys_and_keeps_kernel_open():
+    bundle = _run_one(seed=3).metrics
+    payload = json.loads(json.dumps(bundle.to_dict()))
+    payload["headline"] = {"requests_mean": 1e9}
+    payload["summaries"] = {}
+    payload["kernel"]["heap_peak"] = 7  # a counter PerfCounters dropped
+    decoded = BUNDLE.decode(payload)
+    assert decoded.headline() == bundle.headline()
+    assert BUNDLE.encode(decoded)["headline"] == bundle.headline()
+    assert decoded.kernel["heap_peak"] == 7
+
+
 def test_bundle_merge_is_associative_over_counts():
     first = _run_one(seed=3).metrics
     second = _run_one(seed=4).metrics
@@ -383,8 +420,8 @@ def test_compare_flags_only_regressions_beyond_threshold():
     same = compare_bundles(baseline, baseline, threshold=0.10)
     assert same.ok and not same.regressions
 
-    worse = RunMetrics.from_dict(baseline.to_dict())
-    worse.recovery_ratios = [r * 1.5 for r in worse.recovery_ratios]
+    worse = replace(baseline, recovery_ratios=[
+        r * 1.5 for r in baseline.recovery_ratios])
     report = compare_bundles(baseline, worse, threshold=0.10)
     assert not report.ok
     regressed = {delta.key for delta in report.regressions}
@@ -399,7 +436,6 @@ def test_compare_flags_only_regressions_beyond_threshold():
 
 def test_compare_treats_new_nan_or_missing_as_regression():
     baseline = _run_one(seed=3).metrics
-    broken = RunMetrics.from_dict(baseline.to_dict())
-    broken.recovery_ratios = []
+    broken = replace(baseline, recovery_ratios=[])
     report = compare_bundles(baseline, broken, threshold=0.10)
     assert not report.ok

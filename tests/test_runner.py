@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from repro.codec import WireFormatError
 from repro.core.config import SrmConfig
+from repro.experiments.common import ExperimentSpec, RunResult, Scenario
 from repro.runner import (
     ExperimentRunner,
     ResultCache,
@@ -16,6 +18,7 @@ from repro.runner import (
     canonical,
     read_manifest,
 )
+from repro.topology.chain import chain
 
 # ----------------------------------------------------------------------
 # Module-level task functions: workers import them by reference, so they
@@ -26,6 +29,13 @@ from repro.runner import (
 
 def _double(x):
     return 2 * x
+
+
+def _result(seed):
+    """A RunResult without running anything: what the cache stores."""
+    return RunResult(spec=ExperimentSpec(
+        scenario=Scenario(spec=chain(2), members=[0, 1], source=0,
+                          drop_edge=(0, 1)), seed=seed))
 
 
 def _crash_until(counter_path, value, attempts_needed):
@@ -118,27 +128,31 @@ def test_cache_roundtrip(tmp_path):
     key = "ab" + "0" * 62
     hit, _ = cache.get(key)
     assert not hit
-    cache.put(key, {"answer": 42})
+    cache.put(key, _result(42))
     hit, value = cache.get(key)
-    assert hit and value == {"answer": 42}
-    assert key in cache
+    assert hit and value == _result(42)
+    assert cache.path_for(key).name == f"{key}.json"
     assert len(cache) == 1
+    assert (cache.hits, cache.misses) == (1, 1)
+    # Only RunResults have a stored form.
+    with pytest.raises(WireFormatError, match="not a RunResult"):
+        cache.put(key, {"answer": 42})
 
 
 def test_cache_corrupt_entry_counts_as_miss(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     key = "cd" + "0" * 62
-    cache.put(key, "good")
-    cache.path_for(key).write_bytes(b"not a pickle")
+    cache.put(key, _result(1))
+    cache.path_for(key).write_bytes(b"not json")
     hit, _ = cache.get(key)
-    assert not hit
-    assert key not in cache  # corrupt entry was deleted
+    assert not hit and cache.misses == 1
+    assert not cache.path_for(key).exists()  # corrupt entry was deleted
 
 
 def test_cache_clear(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     for index in range(3):
-        cache.put(f"{index:02d}" + "0" * 62, index)
+        cache.put(f"{index:02d}" + "0" * 62, _result(index))
     assert cache.clear() == 3
     assert len(cache) == 0
 
@@ -151,12 +165,14 @@ def test_cache_clear(tmp_path):
 def test_runner_cache_hit_and_miss_on_fingerprint_change(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     first = ExperimentRunner(cache=cache)
-    assert first.map("exp", _double, [dict(x=1), dict(x=2)]) == [2, 4]
+    assert first.map("exp", _result, [dict(seed=1), dict(seed=2)]) == [
+        _result(1), _result(2)]
     assert [report.cache for report in first.reports] == ["miss", "miss"]
 
     second = ExperimentRunner(cache=cache)
-    # x=2 is cached from the first run; x=3 is a genuinely new point.
-    assert second.map("exp", _double, [dict(x=2), dict(x=3)]) == [4, 6]
+    # seed=2 is cached from the first run; seed=3 is a genuinely new point.
+    assert second.map("exp", _result, [dict(seed=2), dict(seed=3)]) == [
+        _result(2), _result(3)]
     assert [report.cache for report in second.reports] == ["hit", "miss"]
 
 
@@ -164,7 +180,7 @@ def test_runner_manifest_rows(tmp_path):
     manifest_path = tmp_path / "run.jsonl"
     runner = ExperimentRunner(cache=ResultCache(tmp_path / "cache"),
                               manifest_path=str(manifest_path))
-    runner.map("exp", _double, [dict(x=5)])
+    runner.map("exp", _result, [dict(seed=5)])
     header, = read_manifest(manifest_path, "header")
     assert header["tasks"] == 1 and header["cache"] == "on"
     task_row, = read_manifest(manifest_path, "task")
