@@ -34,13 +34,8 @@ def loss_neighborhood(network: Network, source: NodeId,
     The congested edge must be a tree edge of the source's shortest-path
     tree, oriented away from the source.
     """
-    tree = network.source_tree(source)
-    oriented = tree.on_tree_edge(congested_parent, congested_child)
-    if oriented != (congested_parent, congested_child):
-        raise ValueError(
-            f"({congested_parent}, {congested_child}) is not a tree edge "
-            f"directed away from {source}")
-    below = tree.subtree(congested_child)
+    below = network.source_tree(source).cut(congested_parent,
+                                            congested_child)
     return sorted(member for member in members if member in below)
 
 

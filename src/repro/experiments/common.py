@@ -159,10 +159,9 @@ class LossRecoverySimulation:
         """Members below the congested link on the source's tree."""
         drop_edge = drop_edge if drop_edge is not None else \
             self.scenario.drop_edge
-        tree = self.network.source_tree(self.scenario.source)
-        below = tree.subtree(drop_edge[1])
+        below = self.network.source_tree(self.scenario.source).cut(*drop_edge)
         return sorted(member for member in self.scenario.members
-                      if member in below and member != self.scenario.source)
+                      if member in below)
 
     def run_round(self, drop_edge: Optional[DropEdge] = None,
                   trigger_gap: float = 1.0) -> RoundOutcome:

@@ -11,7 +11,7 @@ protocol over the same unit-delay trees as array operations:
 * each timer class (request, repair) is one :class:`HerdWave` — a single
   scheduler event armed at the array minimum, draining exact-tie batches
   the way the event scheduler drains same-instant events;
-* multicast delivery is one :meth:`TreeIndex.dist_row_to` per send plus
+* multicast delivery is one :meth:`TreeIndex.dist_row` per send plus
   a stable radix sort, producing one scheduler event per distinct
   distance — the same per-distance merging the network layer performs;
 * timer draws replay each member's :class:`RandomSource` fork from
@@ -67,8 +67,8 @@ from repro.sim.trace import (DATA_RECOVERED, DUP_REPAIR_OBSERVED,
                              REQUEST_WHILE_REPAIR_PENDING, SEND_DATA,
                              SEND_REPAIR, SEND_REQUEST, Trace)
 
-FloatArray = Any
 IntArray = Any
+BoolArray = Any
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -115,26 +115,23 @@ class HerdSimulation:
         self.master_rng = RandomSource(seed)
         self._inject = inject
 
-        try:
-            self._topo = TreeIndex(scenario.spec)
-        except ValueError as exc:
-            raise HerdUnsupportedError(str(exc)) from None
         if scenario.source not in scenario.members:
             raise ValueError("scenario source is not a member")
+        try:
+            self._topo = TreeIndex(scenario.spec, scenario.source)
+        except ValueError as exc:
+            raise HerdUnsupportedError(str(exc)) from None
         members = list(scenario.members)
         count = len(members)
         self._nodes = np.asarray(members, dtype=np.int64)
+        # Refuse an out-of-envelope drop edge now, not at the first round.
+        self._cut(scenario.drop_edge)
         self.member_index: Dict[int, int] = {
             node: i for i, node in enumerate(members)}
         self._source = scenario.source
         self._source_i = self.member_index[scenario.source]
-        try:
-            self._dist_src = self._topo.dist_row_to(
-                scenario.source, self._nodes).astype(np.float64)
-        except KeyError as exc:
-            raise HerdUnsupportedError(
-                f"member {exc.args[0]} unreachable from the source"
-            ) from None
+        self._dist_src = self._topo.dist_row_to(
+            scenario.source, self._nodes).astype(np.float64)
         # Hoist the per-member LCA gathers out of the delivery hot path.
         self._topo.attach_targets(self._nodes)
         self._params = self.config.fixed_params(count)
@@ -234,21 +231,30 @@ class HerdSimulation:
         return len(self._nodes)
 
     def node_distance(self, a: int, b: int) -> float:
-        """One-way delay between any two nodes (inf when unroutable)."""
-        try:
-            return self._topo.dist(a, b)
-        except KeyError:
-            return math.inf
+        """One-way delay between any two nodes."""
+        return self._topo.dist(a, b)
 
     def affected_members(self, drop_edge: Optional[DropEdge] = None
                          ) -> List[int]:
         """Members below the congested link (the agent engine's view)."""
         drop_edge = drop_edge if drop_edge is not None else \
             self.scenario.drop_edge
-        below = self._topo.below(drop_edge[0], drop_edge[1])
-        mask = below[self._nodes]
-        mask[self._source_i] = False
-        return sorted(int(node) for node in self._nodes[mask])
+        below = self._topo.tree.cut(*drop_edge)
+        return sorted(member for member in self.scenario.members
+                      if member in below)
+
+    def _cut(self, drop_edge: DropEdge) -> BoolArray:
+        """Membership-position mask of the members below ``drop_edge``.
+
+        Inside the herd's envelope only when the edge is a source-tree
+        edge pointing away from the source.
+        """
+        try:
+            below = self._topo.tree.cut(*drop_edge)
+        except ValueError as exc:
+            raise HerdUnsupportedError(str(exc)) from None
+        return np.isin(self._nodes, np.fromiter(
+            below, dtype=np.int64, count=len(below)))
 
     # ------------------------------------------------------------------
     # Trace plumbing
@@ -696,10 +702,9 @@ class HerdSimulation:
     # Rounds
     # ------------------------------------------------------------------
 
-    def _reset_round(self, below: FloatArray) -> None:
+    def _reset_round(self, affected: BoolArray) -> None:
         self._have.fill(False)
-        self._affected[:] = below[self._nodes]
-        self._affected[self._source_i] = False
+        self._affected[:] = affected
         self._r_exists.fill(False)
         self._r_done.fill(False)
         self._r_expiry.fill(math.inf)
@@ -745,20 +750,13 @@ class HerdSimulation:
             raise HerdUnsupportedError(
                 "previous herd round left members unrecovered; "
                 "carry-over loss state needs the agent engine")
-        try:
-            below = self._topo.below(drop_edge[0], drop_edge[1])
-        except ValueError as exc:
-            raise HerdUnsupportedError(str(exc)) from None
-        if below[scenario.source]:
-            raise HerdUnsupportedError(
-                f"drop edge {drop_edge} is not oriented away from "
-                "the source")
+        affected = self._cut(drop_edge)
 
         self.trace.clear()
         if self.collector is not None:
             self.collector.begin_round()
         self._tie_claims.clear()
-        self._reset_round(below)
+        self._reset_round(affected)
         if self._full:
             now = self.scheduler.now
             for node in scenario.members:

@@ -4,7 +4,8 @@ The oracle suite (PR 3) validates trace streams against the paper's
 invariants; it reads the network only for ``scheduler.now``, pairwise
 distances, per-node shared-tree state and per-agent configs. The herd
 has no :class:`Network`, so :class:`HerdNetworkFacade` provides exactly
-that surface over the engine's :class:`TreeIndex`, and every member's
+that surface over the engine's :class:`TreeIndex` (a numpy read of the
+source's :class:`~repro.net.routing.SourceTree`), and every member's
 agent is the simulation itself, whose config all members share.
 
 Only the engine-independent oracle subset attaches — the trace schema,
@@ -50,10 +51,7 @@ class HerdNetworkFacade:
         self.trace_deliveries = False
 
     def distance(self, a: int, b: int) -> float:
-        distance = self._sim.node_distance(a, b)
-        if distance != distance or distance == float("inf"):
-            raise KeyError((a, b))
-        return distance
+        return self._sim.node_distance(a, b)
 
 
 def attach_herd_oracles(sim: "HerdSimulation",

@@ -1,21 +1,24 @@
-"""Tree-topology index backing the vectorized herd engine.
+"""Numpy distance index over the source tree the agent engine builds.
 
-The herd engine never builds a :class:`repro.net.network.Network`; it
-needs only distances. For the unit-delay trees every figure experiment
-uses, hop counts *are* one-way delays, so this index replaces the
-routing layer entirely:
+The herd engine never builds a :class:`repro.net.network.Network`, but
+it reads the same :class:`~repro.net.routing.SourceTree`:
+:func:`~repro.net.routing.traverse_tree` run over the spec's edges from
+the session source, every edge one shared unit-delay link. On those
+trees hop counts *are* one-way delays, and this index lays an Euler
+tour + sparse-table LCA over the tree
+(``d(a,b) = depth[a] + depth[b] - 2*depth[lca]``):
 
 * ``dist_row_to(origin, nodes)`` — integer hop counts from one origin
-  to an arbitrary node array in O(len(nodes)) numpy gathers, via an
-  Euler tour + sparse-table LCA (``d(a,b) = depth[a] + depth[b] -
-  2*depth[lca]``). This is the multicast fan-out primitive: a
-  mega-session round issues tens of thousands of sends from *distinct*
-  origins, so per-origin BFS (a Python loop over all N nodes) would
-  dominate the whole run.
-* ``row(root)`` — one cached full BFS distance row (used for the
-  source and for small-scale inspection).
-* ``below(parent, child)`` — the node set that loses a packet dropped
-  on the directed source-tree edge ``parent -> child``.
+  to an arbitrary node array in O(len(nodes)) numpy gathers. This is
+  the multicast fan-out primitive: a mega-session round issues tens of
+  thousands of sends from *distinct* origins, so a per-origin traversal
+  (a Python loop over all N nodes) would dominate the whole run.
+* ``dist_row(origin)`` — the same against the targets fixed once by
+  ``attach_targets`` (the delivery hot path).
+* ``dist(a, b)`` — one distance.
+
+Everything else, including the nodes cut off below a dropped link
+(:meth:`SourceTree.cut`), is read off ``tree`` directly.
 
 Distances are exact small integers; converted to float64 they compare
 bit-identically to the shortest-path delays the agent engine's
@@ -24,127 +27,66 @@ bit-identically to the shortest-path delays the agent engine's
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
+from repro.net.link import Link
+from repro.net.routing import SourceTree, traverse_tree
 from repro.topology.spec import TopologySpec
 
-FloatArray = Any
 IntArray = Any
-BoolArray = Any
+
+#: The link behind every herd edge: the traversal reads only its
+#: ``delay`` and ``threshold`` (the agent engine's defaults, 1.0 and 1),
+#: never its endpoints.
+_UNIT_LINK = Link(0, 1)
 
 
 class TreeIndex:
-    """CSR adjacency + LCA distance queries over a unit-delay tree."""
+    """Vectorized LCA distance queries over the source's ``SourceTree``."""
 
-    __slots__ = ("spec", "num_nodes", "_ptr", "_adj", "_rows", "_edge_set",
-                 "_lca_root", "_depth", "_first", "_sparse", "_logt",
-                 "_t_nodes", "_t_first", "_t_depth")
+    __slots__ = ("tree", "_depth", "_first", "_sparse", "_logt",
+                 "_t_first", "_t_depth")
 
-    def __init__(self, spec: TopologySpec) -> None:
-        if not spec.is_tree():
+    def __init__(self, spec: TopologySpec, origin: int) -> None:
+        n = spec.num_nodes
+        tree = None
+        if spec.num_edges == n - 1:
+            neighbors: Dict[int, List[Tuple[int, Link]]] = {
+                node: [] for node in range(n)}
+            for a, b in spec.edges:
+                neighbors[a].append((b, _UNIT_LINK))
+                neighbors[b].append((a, _UNIT_LINK))
+            for row in neighbors.values():
+                row.sort()
+            tree = traverse_tree(neighbors, origin)
+        if tree is None:
             raise ValueError(
                 f"topology {spec.name!r} is not a tree: {spec.num_edges} "
-                f"edges, {spec.num_nodes} nodes, or not connected")
-        self.spec = spec
-        self.num_nodes = spec.num_nodes
-        degree = np.zeros(self.num_nodes, dtype=np.int64)
-        for a, b in spec.edges:
-            degree[a] += 1
-            degree[b] += 1
-        self._ptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        np.cumsum(degree, out=self._ptr[1:])
-        self._adj = np.empty(max(1, 2 * len(spec.edges)), dtype=np.int64)
-        fill = self._ptr[:-1].copy()
-        for a, b in spec.edges:
-            self._adj[fill[a]] = b
-            fill[a] += 1
-            self._adj[fill[b]] = a
-            fill[b] += 1
-        self._rows: Dict[int, FloatArray] = {}
-        self._edge_set = {(min(a, b), max(a, b)) for a, b in spec.edges}
-        self._lca_root: Optional[int] = None
-        self._t_nodes: Optional[IntArray] = None
+                f"edges, {n} nodes, or not connected")
+        self.tree: SourceTree = tree
 
-    # ------------------------------------------------------------------
-    # Adjacency
-    # ------------------------------------------------------------------
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self._edge_set
-
-    def neighbors(self, node: int) -> IntArray:
-        return self._adj[self._ptr[node]:self._ptr[node + 1]]
-
-    # ------------------------------------------------------------------
-    # BFS rows (full-node distances from one root; cached)
-    # ------------------------------------------------------------------
-
-    def row(self, root: int) -> FloatArray:
-        """Distances from ``root`` to every node (inf when unreachable)."""
-        cached = self._rows.get(root)
-        if cached is not None:
-            return cached
-        dist = np.full(self.num_nodes, math.inf, dtype=np.float64)
-        dist[root] = 0.0
-        frontier = [root]
-        level = 0.0
-        while frontier:
-            level += 1.0
-            nxt: List[int] = []
-            for node in frontier:
-                for peer in self._adj[self._ptr[node]:self._ptr[node + 1]]:
-                    if math.isinf(dist[peer]):
-                        dist[peer] = level
-                        nxt.append(int(peer))
-            frontier = nxt
-        self._rows[root] = dist
-        return dist
-
-    # ------------------------------------------------------------------
-    # Euler tour + sparse-table LCA
-    # ------------------------------------------------------------------
-
-    def _ensure_lca(self, root: int) -> None:
-        """Build (once) the Euler tour and RMQ table rooted anywhere.
-
-        Any root inside the component containing the session works; LCA
-        distances are root-independent. Nodes outside that component
-        keep ``first == -1`` and distance queries to them fail.
-        """
-        if self._lca_root is not None:
-            return
-        n = self.num_nodes
-        ptr, adj = self._ptr, self._adj
-        depth = np.full(n, -1, dtype=np.int64)
-        first = np.full(n, -1, dtype=np.int64)
-        parent = np.full(n, -1, dtype=np.int64)
-        cursor = ptr[:-1].copy()
-        euler: List[int] = [root]
-        depth[root] = 0
-        first[root] = 0
-        stack = [root]
+        # Euler tour: a node on entry, and its parent again after each
+        # child's subtree (pushed as ~parent, the only negative entries).
+        children = tree.children
+        first = [0] * n
+        euler: List[int] = []
+        stack = [origin]
         while stack:
-            node = stack[-1]
-            descended = False
-            while cursor[node] < ptr[node + 1]:
-                peer = int(adj[cursor[node]])
-                cursor[node] += 1
-                if peer == parent[node]:
-                    continue
-                parent[peer] = node
-                depth[peer] = depth[node] + 1
-                first[peer] = len(euler)
-                euler.append(peer)
-                stack.append(peer)
-                descended = True
-                break
-            if not descended:
-                stack.pop()
-                if stack:
-                    euler.append(stack[-1])
+            node = stack.pop()
+            if node < 0:
+                euler.append(~node)
+                continue
+            first[node] = len(euler)
+            euler.append(node)
+            back = ~node
+            for kid in reversed(children[node]):
+                stack.append(back)
+                stack.append(kid)
+        depth = np.empty(n, dtype=np.int64)
+        depth[np.fromiter(tree.hops.keys(), dtype=np.int64, count=n)] = \
+            np.fromiter(tree.hops.values(), dtype=np.int64, count=n)
         tour = np.asarray(euler, dtype=np.int64)
         euler_depth = depth[tour].astype(np.int32)
         length = len(tour)
@@ -154,12 +96,9 @@ class TreeIndex:
         # no argmin positions to chase through a second gather.
         sparse = np.zeros((levels, length), dtype=np.int32)
         sparse[0] = euler_depth
-        for k in range(1, levels):
+        for k in range(1, levels):  # 2^k <= length: every window fits
             half = 1 << (k - 1)
             prev = sparse[k - 1]
-            if 2 * half > length:
-                sparse[k] = prev
-                continue
             best = np.minimum(prev[:length - 2 * half + 1],
                               prev[half:length - half + 1])
             sparse[k, :len(best)] = best
@@ -169,9 +108,8 @@ class TreeIndex:
         logt = np.frexp(np.arange(length + 1,
                                   dtype=np.float64))[1].astype(np.int64) - 1
         logt[0] = 0
-        self._lca_root = root
         self._depth = depth
-        self._first = first
+        self._first = np.asarray(first, dtype=np.int64)
         self._sparse = sparse
         self._logt = logt
 
@@ -190,84 +128,20 @@ class TreeIndex:
         send — so the per-target gathers (``first[nodes]``,
         ``depth[nodes]``) are hoisted out of it here, once.
         """
-        self._ensure_lca(int(nodes[0]))
-        first = self._first[nodes]
-        if np.any(first < 0):
-            raise KeyError(int(np.asarray(nodes)[first < 0][0]))
-        self._t_nodes = np.asarray(nodes, dtype=np.int64)
-        self._t_first = first.astype(np.int32)
+        self._t_first = self._first[nodes].astype(np.int32)
         self._t_depth = self._depth[nodes].astype(np.int32)
 
     def dist_row(self, origin: int) -> IntArray:
         """Hop counts from ``origin`` to every attached target (int32)."""
-        if self._t_nodes is None:
-            raise RuntimeError("attach_targets() has not been called")
-        f_origin = int(self._first[origin])
-        if f_origin < 0:
-            raise KeyError(origin)
-        lca = self._lca_depth(np.int32(f_origin), self._t_first)
+        lca = self._lca_depth(np.int32(self._first[origin]), self._t_first)
         return np.int32(self._depth[origin]) + self._t_depth - 2 * lca
 
     def dist_row_to(self, origin: int, nodes: IntArray) -> IntArray:
-        """Hop counts from ``origin`` to each entry of ``nodes`` (int64).
-
-        Vectorized LCA: a handful of O(len(nodes)) gathers, no Python
-        loop. Raises :class:`KeyError` when the origin or any target is
-        outside the indexed component.
-        """
-        self._ensure_lca(origin)
-        first = self._first
-        f_origin = int(first[origin])
-        if f_origin < 0:
-            raise KeyError(origin)
-        f_nodes = first[nodes]
-        if np.any(f_nodes < 0):
-            raise KeyError(int(np.asarray(nodes)[f_nodes < 0][0]))
-        lca_depth = self._lca_depth(f_origin, f_nodes)
+        """Hop counts from ``origin`` to each entry of ``nodes`` (int64)."""
+        lca_depth = self._lca_depth(self._first[origin], self._first[nodes])
         return self._depth[origin] + self._depth[nodes] - 2 * lca_depth
 
     def dist(self, a: int, b: int) -> float:
-        """One-way delay between two nodes (KeyError when unroutable)."""
-        if a == b:
-            return 0.0
-        row = self._rows.get(a)
-        if row is not None:
-            value = float(row[b])
-        else:
-            row = self._rows.get(b)
-            if row is not None:
-                value = float(row[a])
-            else:
-                value = float(self.dist_row_to(
-                    a, np.asarray([b], dtype=np.int64))[0])
-        if math.isinf(value):
-            raise KeyError((a, b))
-        return value
-
-    # ------------------------------------------------------------------
-    # Loss classification
-    # ------------------------------------------------------------------
-
-    def below(self, parent: int, child: int) -> BoolArray:
-        """Membership mask of the component under ``parent -> child``.
-
-        These are the nodes cut off when that tree edge drops a packet:
-        everything reachable from ``child`` without crossing back over
-        ``parent``.
-        """
-        if not self.has_edge(parent, child):
-            raise ValueError(f"({parent}, {child}) is not a tree edge")
-        mask = np.zeros(self.num_nodes, dtype=bool)
-        mask[parent] = True        # block the dropped edge
-        mask[child] = True
-        frontier = [child]
-        while frontier:
-            nxt: List[int] = []
-            for node in frontier:
-                for peer in self._adj[self._ptr[node]:self._ptr[node + 1]]:
-                    if not mask[peer]:
-                        mask[peer] = True
-                        nxt.append(int(peer))
-            frontier = nxt
-        mask[parent] = False
-        return mask
+        """One-way delay between two nodes."""
+        lca_depth = self._lca_depth(self._first[a], self._first[b])
+        return float(self._depth[a] + self._depth[b] - 2 * lca_depth)

@@ -81,6 +81,17 @@ class SourceTree:
         self._subtree_cache[node] = members
         return members
 
+    def cut(self, parent: NodeId, child: NodeId) -> Set[NodeId]:
+        """The nodes that lose a packet dropped on ``parent -> child``.
+
+        The edge must be a tree edge pointing away from the origin;
+        anything else raises :class:`ValueError`.
+        """
+        if self.parent.get(child) != parent:
+            raise ValueError(f"({parent}, {child}) is not a tree edge "
+                             f"directed away from {self.origin}")
+        return self.subtree(child)
+
     def on_tree_edge(self, u: NodeId, v: NodeId) -> Optional[Tuple[NodeId, NodeId]]:
         """Orient an undirected edge along the tree, or None if off-tree.
 
@@ -122,7 +133,7 @@ def build_source_tree(adjacency: Adjacency, origin: NodeId,
     if origin not in adjacency:
         raise KeyError(f"origin {origin} not in topology")
     if neighbors is not None:
-        tree = _traverse_tree(neighbors, origin)
+        tree = traverse_tree(neighbors, origin)
         if tree is not None:
             return tree
     dist: Dict[NodeId, float] = {origin: 0.0}
@@ -167,12 +178,15 @@ def build_source_tree(adjacency: Adjacency, origin: NodeId,
     return SourceTree(origin, parent, dist, hops, ttl_required, children)
 
 
-def _traverse_tree(neighbors: NeighborTable,
-                   origin: NodeId) -> Optional[SourceTree]:
+def traverse_tree(neighbors: NeighborTable,
+                  origin: NodeId) -> Optional[SourceTree]:
     """Breadth-first tree from ``origin``; None unless every node is reached.
 
     With ``nodes - 1`` links, reaching every node means the graph is a
-    tree; falling short means it is disconnected (and has a cycle).
+    tree; falling short means it is disconnected (and has a cycle). Of
+    each link it reads only ``delay`` and ``threshold``, so the herd's
+    distance index (:mod:`repro.herd.topo`) hands every edge one shared
+    link.
     """
     parent: Dict[NodeId, Optional[NodeId]] = {origin: None}
     dist: Dict[NodeId, float] = {origin: 0.0}

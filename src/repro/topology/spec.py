@@ -41,23 +41,6 @@ class TopologySpec:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def is_tree(self) -> bool:
-        """Connected, with exactly ``num_nodes - 1`` edges."""
-        if self.num_edges != self.num_nodes - 1:
-            return False
-        # Union-find: with n - 1 edges, connected means no edge may close
-        # a cycle.
-        leader = list(range(self.num_nodes))
-        for a, b in self.edges:
-            while leader[a] != a:
-                leader[a] = a = leader[leader[a]]
-            while leader[b] != b:
-                leader[b] = b = leader[leader[b]]
-            if a == b:
-                return False
-            leader[a] = b
-        return True
-
     def degree(self, node: NodeId) -> int:
         return sum(1 for a, b in self.edges if node in (a, b))
 

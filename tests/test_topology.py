@@ -47,7 +47,7 @@ def test_spec_rejects_out_of_range_edges():
 
 def test_spec_degree_and_is_tree():
     spec = chain(4)
-    assert spec.is_tree()
+    assert nx.is_tree(as_graph(spec))
     assert spec.degree(0) == 1
     assert spec.degree(1) == 2
 
@@ -235,13 +235,19 @@ def test_routers_with_lans_validation():
 
 def test_is_tree_requires_connectivity():
     """n - 1 edges is not enough: a triangle plus a detached edge."""
+    from repro.herd.topo import TreeIndex
+
     bad = TopologySpec("bad", 5, [(0, 1), (1, 2), (2, 0), (3, 4)])
     assert bad.num_edges == bad.num_nodes - 1
-    assert not bad.is_tree()
-    assert TopologySpec("one", 1, []).is_tree()
-    assert not TopologySpec("two-apart", 2, []).is_tree()
-    # Edge order and orientation do not matter to the union-find.
-    assert TopologySpec("ok", 5, [(3, 4), (1, 0), (4, 1), (2, 1)]).is_tree()
+    for spec in (bad, TopologySpec("two-apart", 2, [])):
+        with pytest.raises(ValueError, match="not a tree"):
+            TreeIndex(spec, 0)
+        with pytest.raises(ValueError, match="topology is disconnected"):
+            spec.build().source_tree(0)
+    assert TreeIndex(TopologySpec("one", 1, []), 0).tree.parent == {0: None}
+    # Edge order and orientation do not matter to the traversal.
+    ok = TreeIndex(TopologySpec("ok", 5, [(3, 4), (1, 0), (4, 1), (2, 1)]), 0)
+    assert ok.tree.parent == {0: None, 1: 0, 2: 1, 4: 1, 3: 4}
 
 
 def test_herd_rejects_edge_count_tree_that_is_disconnected():
@@ -251,7 +257,7 @@ def test_herd_rejects_edge_count_tree_that_is_disconnected():
 
     bad = TopologySpec("bad", 5, [(0, 1), (1, 2), (2, 0), (3, 4)])
     with pytest.raises(ValueError, match="not a tree"):
-        TreeIndex(bad)
+        TreeIndex(bad, 0)
     with pytest.raises(HerdUnsupportedError, match="not a tree"):
         HerdSimulation(Scenario(spec=bad, members=[0, 1, 3], source=0,
                                 drop_edge=(0, 1)))
