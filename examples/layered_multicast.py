@@ -22,7 +22,7 @@ def main() -> None:
     # Topology: source -- r1 -- [bottleneck] -- r2 -- far receiver,
     # with the near receiver at r1 (upstream of the bottleneck).
     network = chain(5).build(delivery="hop")
-    network.trace.enabled = True
+    network.trace.keep = None
     bottleneck = network.set_link_bandwidth(1, 2, 300.0, queue_limit=3)
 
     layers = make_layers(network, 3, base_interval=8.0)

@@ -21,7 +21,7 @@ def main() -> None:
     # 1. A topology: nodes 0-7 in a chain, unit delay per link.
     spec = chain(8)
     network = spec.build()
-    network.trace.enabled = True
+    network.trace.keep = None   # keep every trace row (a network keeps none)
 
     # 2. A session: one multicast group, one SRM agent per member.
     group = network.groups.allocate("quickstart")

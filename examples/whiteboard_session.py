@@ -30,7 +30,7 @@ def describe(op: DrawOp) -> str:
 def main() -> None:
     spec = balanced_tree(21, 4)
     network = spec.build()
-    network.trace.enabled = True
+    network.trace.keep = None
     group = network.groups.allocate("wb-session")
     rng = RandomSource(2024)
 

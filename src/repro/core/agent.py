@@ -220,8 +220,10 @@ class SrmAgent(Agent):
 
     def trace(self, kind: str, **detail: Any) -> None:
         trace = self.network.trace
-        if trace.enabled:
+        if kind in trace.wanted:
             trace.record(self._scheduler.now, self.node_id, kind, detail)
+        else:
+            trace.kind_totals[kind] += 1
 
     def _distance_or_default(self, peer: int) -> float:
         """Distance to a peer, tolerating unknown/departed node ids.

@@ -22,7 +22,7 @@ from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
 from repro.core.names import AduName
 from repro.metrics.bundle import RunMetrics
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import SUBSCRIBED_KINDS, MetricsCollector
 from repro.metrics.events import LossEventReport, mean, quantiles
 from repro.net.link import NthPacketDropFilter
 from repro.net.network import Network
@@ -130,7 +130,9 @@ class LossRecoverySimulation:
         self.master_rng = RandomSource(seed)
         self.network = scenario.spec.build(scheduler=scheduler,
                                            delivery=delivery)
-        self.network.trace.enabled = True
+        # Only the rows the collector reads are built and kept; the rest
+        # are counted in kind_totals. Check mode's suite keeps every row.
+        self.network.trace.keep = SUBSCRIBED_KINDS
         self.group = self.network.groups.allocate("session")
         self.agents: Dict[NodeId, SrmAgent] = {}
         for member in scenario.members:

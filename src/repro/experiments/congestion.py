@@ -53,7 +53,7 @@ def run_congestion_experiment(
                        rate_limit_depth=1000.0 if rate_limit else 4000.0)
     spec = chain(chain_length)
     network = spec.build(delivery="hop")
-    network.trace.enabled = True
+    network.trace.keep = (RECV_DATA, QUEUE_DROP)
     bottleneck = network.set_link_bandwidth(
         chain_length // 2 - 1, chain_length // 2,
         bottleneck_bandwidth, queue_limit=queue_limit)
@@ -76,20 +76,17 @@ def run_congestion_experiment(
     network.scheduler.schedule(400.0, lambda: source.send_data("beacon"))
     network.run(max_events=5_000_000)
 
-    data_drops = requests = repairs = 0
+    data_drops = 0
     finish = 0.0
     for row in network.trace.records:
-        kind = row.kind
-        if kind == RECV_DATA:
+        if row.kind == RECV_DATA:
             if row.time > finish:
                 finish = row.time
-        elif kind == SEND_REQUEST:
-            requests += 1
-        elif kind == SEND_REPAIR:
-            repairs += 1
-        elif kind == QUEUE_DROP and \
-                row.detail.get("packet_kind") == "srm-data":
+        elif row.detail["packet_kind"] == "srm-data":  # a QUEUE_DROP row
             data_drops += 1
+    # The network is fresh, so its totals count this burst's rows alone.
+    totals = network.trace.kind_totals
+    requests, repairs = totals[SEND_REQUEST], totals[SEND_REPAIR]
     recovered = all(
         agents[node].store.have(AduName(0, DEFAULT_PAGE, seq))
         for node in range(chain_length)

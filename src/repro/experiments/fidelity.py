@@ -239,8 +239,7 @@ def run_lossy_transfer(fec_block: Optional[int], nodes: int, packets: int,
                        seed: int = 42) -> Dict[str, Any]:
     """``packets`` ADUs through a tree with a Bernoulli-lossy edge."""
     spec = balanced_tree(nodes, 4)
-    network = spec.build()
-    network.trace.enabled = True
+    network = spec.build()   # keeps no rows: only kind_totals are read
     group = network.groups.allocate("session")
     master = RandomSource(seed)
     config = SrmConfig(fec_block=fec_block)
@@ -260,10 +259,10 @@ def run_lossy_transfer(fec_block: Optional[int], nodes: int, packets: int,
     network.scheduler.schedule(packets * 2.0 + 50.0,
                                partial(agents[0].send_data, "beacon"))
     network.run(max_events=5_000_000)
-    count = network.trace.count
-    return {"recovery": count(SEND_REQUEST) + count(SEND_REPAIR),
-            "requests": count(SEND_REQUEST),
-            "reconstructed": count(FEC_RECONSTRUCTED),
+    totals = network.trace.kind_totals
+    return {"recovery": totals[SEND_REQUEST] + totals[SEND_REPAIR],
+            "requests": totals[SEND_REQUEST],
+            "reconstructed": totals[FEC_RECONSTRUCTED],
             "complete": all(
                 agent.store.have(AduName(0, DEFAULT_PAGE, seq))
                 for agent in agents.values()

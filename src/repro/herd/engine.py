@@ -147,7 +147,7 @@ class HerdSimulation:
                           and count <= full_trace_threshold))
         self.scheduler = (scheduler if scheduler is not None
                           else EventScheduler())
-        self.trace = Trace(enabled=self._full)
+        self.trace = Trace(keep=None if self._full else ())
         self.collector: Optional[MetricsCollector] = None
         if self._full:
             self.collector = MetricsCollector(

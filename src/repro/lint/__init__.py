@@ -16,8 +16,9 @@ a golden-trace diff has to:
 ``SRM003``  mutable default argument
 ``SRM004``  ``==``/``!=`` between simulation-time floats
 ``SRM005``  missing ``__slots__`` on a class in a hot-path module
-``SRM006``  ``Trace.record(...)`` not guarded by ``trace.enabled``, or
-            re-expanding ``**mapping``, in a hot-path module
+``SRM006``  ``Trace.record(...)`` not guarded by ``KIND in
+            trace.wanted``, or re-expanding ``**mapping``, in a hot-path
+            module
 ``SRM007``  unpicklable ``runner.Task`` payload (lambda, nested
             function, open handle)
 ``SRM008``  timer callback reads an unordered shared set (behavior

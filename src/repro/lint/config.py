@@ -39,8 +39,8 @@ HOT_PATH_SLOTS_MODULES = (
 )
 
 #: Modules where ``Trace.record`` sits on the delivery hot path: it must
-#: be guarded by ``trace.enabled`` and handed its detail dict as built,
-#: not re-expanded (SRM006).
+#: be guarded by ``KIND in trace.wanted`` and handed its detail dict as
+#: built, not re-expanded (SRM006).
 HOT_PATH_TRACE_MODULES = (
     "repro/net/network.py",
     "repro/core/agent.py",

@@ -175,6 +175,7 @@ def _replay_spec(spec: "ExperimentSpec",  # noqa: F821
             spec.scenario, config=spec.config, seed=spec.seed,
             delivery=spec.engine, scheduler=scheduler)
         trace = simulation.network.trace
+        trace.keep = None  # the replay compares every row
     stream: List[str] = []
     for round_index in range(spec.rounds):
         simulation.run_round(trigger_gap=spec.trigger_gap)
@@ -279,7 +280,7 @@ def _canary_runner(permuter: Optional[TiePermutation]) -> List[str]:
     scheduler = EventScheduler()
     if permuter is not None:
         scheduler.set_tie_permuter(permuter)
-    trace = Trace(enabled=True)
+    trace = Trace()
     claimed: set[int] = set()
 
     def request_timer(member: int) -> None:

@@ -1,8 +1,9 @@
 """SRM005/SRM006 — the hot-path invariants from docs/performance.md.
 
-PR 2 bought its kernel speedups with ``__slots__`` layouts and
-``trace.enabled`` guards; these rules turn those one-off optimizations
-into enforced invariants so a later edit cannot quietly regress them.
+The kernel's speedups rest on ``__slots__`` layouts and on building a
+trace row only for a kind the trace wants (``kind in trace.wanted``);
+these rules turn those optimizations into enforced invariants so a later
+edit cannot quietly regress them.
 """
 
 from __future__ import annotations
@@ -95,15 +96,15 @@ def _receiver_mentions_trace(node: ast.expr) -> bool:
 class UnguardedTraceRecordRule(Rule):
     """SRM006: hot-path ``Trace.record`` is guarded and builds one dict.
 
-    Two findings share the code: a call outside a ``trace.enabled``
-    guard, and a call that re-expands a mapping (``**detail``) which
-    ``record`` accepts as it is.
+    Two findings share the code: a call outside a wanted-kind guard
+    (``if KIND in trace.wanted:``), and a call that re-expands a mapping
+    (``**detail``) which ``record`` accepts as it is.
     """
 
     code = "SRM006"
     name = "unguarded-trace-record"
-    summary = ("guard hot-path Trace.record with `if trace.enabled:`; "
-               "pass a built detail dict, not **mapping")
+    summary = ("guard hot-path Trace.record with `if KIND in "
+               "trace.wanted:`; pass a built detail dict, not **mapping")
     domain_only = True
 
     def applies_to(self, ctx: FileContext) -> bool:
@@ -123,9 +124,10 @@ class UnguardedTraceRecordRule(Rule):
             if not self._guarded(ctx, node):
                 out.append(self.violation(
                     ctx, node,
-                    "Trace.record on the hot path without a trace.enabled "
-                    "guard; building the detail dict costs even when "
-                    "tracing is off (see docs/performance.md)"))
+                    "Trace.record on the hot path without a `KIND in "
+                    "trace.wanted` guard; building the detail dict costs "
+                    "even when nothing reads the row (see "
+                    "docs/performance.md)"))
             if any(keyword.arg is None for keyword in node.keywords):
                 out.append(self.violation(
                     ctx, node,
@@ -136,10 +138,14 @@ class UnguardedTraceRecordRule(Rule):
         return out
 
     @staticmethod
-    def _guard_expr_checks_enabled(test: ast.expr) -> bool:
+    def _guard_expr_tests_wanted(test: ast.expr) -> bool:
+        """True when ``test`` contains ``<kind> in <trace>.wanted``."""
         for sub in ast.walk(test):
-            if isinstance(sub, ast.Attribute) and sub.attr == "enabled" \
-                    and _receiver_mentions_trace(sub.value):
+            if isinstance(sub, ast.Compare) and any(
+                    isinstance(op, ast.In) and isinstance(right, ast.Attribute)
+                    and right.attr == "wanted"
+                    and _receiver_mentions_trace(right.value)
+                    for op, right in zip(sub.ops, sub.comparators)):
                 return True
         return False
 
@@ -149,6 +155,6 @@ class UnguardedTraceRecordRule(Rule):
                                      ast.Lambda)):
                 return False  # left the statement's function: unguarded
             if isinstance(ancestor, (ast.If, ast.IfExp, ast.While)) and \
-                    self._guard_expr_checks_enabled(ancestor.test):
+                    self._guard_expr_tests_wanted(ancestor.test):
                 return True
         return False

@@ -73,7 +73,7 @@ class LiveEngine:
                  default_distance: float = 0.05,
                  data: Codec = ANY) -> None:
         self.scheduler = LiveScheduler()
-        self.trace = trace if trace is not None else Trace(enabled=True)
+        self.trace = trace if trace is not None else Trace()
         self.transport = transport
         self.link = link
         self.default_distance = default_distance
@@ -174,7 +174,7 @@ class LiveEngine:
         node = self.nodes.get(node_id)
         if node is None:
             return
-        if self.trace_deliveries and self.trace.enabled:
+        if self.trace_deliveries:
             self.trace.record(self.scheduler.now, node_id, DELIVER,
                               packet=packet.uid, packet_kind=packet.kind,
                               origin=packet.origin, ttl=packet.ttl,
@@ -185,10 +185,9 @@ class LiveEngine:
     def _count_drop(self, src: NodeId, member: NodeId,
                     packet: Packet) -> None:
         self.packets_dropped += 1
-        if self.trace.enabled:
-            self.trace.record(self.scheduler.now, member, DROP,
-                              packet=packet.uid, packet_kind=packet.kind,
-                              link=(src, member))
+        self.trace.record(self.scheduler.now, member, DROP,
+                          packet=packet.uid, packet_kind=packet.kind,
+                          link=(src, member))
 
     # ------------------------------------------------------------------
     # Transport receive path

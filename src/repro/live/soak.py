@@ -204,7 +204,8 @@ def run_matched_sim(spec: SoakSpec) -> EngineRun:
     topology = star_topology(spec.members)
     hub = spec.members
     network = topology.build(delivery="direct", delay=spec.delay / 2.0)
-    network.trace.enabled = True
+    if spec.check:   # collector.verify recounts every row
+        network.trace.keep = None
     link_rng = master.fork("link")
     filters: List[BernoulliDropFilter] = []
     for leaf in range(spec.members):

@@ -93,7 +93,7 @@ class Network:
             raise ValueError(f"unknown delivery mode {delivery!r}")
         self.scheduler = (scheduler if scheduler is not None
                           else EventScheduler())
-        self.trace = trace if trace is not None else Trace(enabled=False)
+        self.trace = trace if trace is not None else Trace(keep=())
         self.delivery = delivery
         self.nodes: Dict[NodeId, Node] = {}
         self.links: List[Link] = []
@@ -135,8 +135,8 @@ class Network:
         #: agent list (the only mutation paths — ``Node.attach`` is not
         #: called directly anywhere else).
         self._run_bindings: Dict[Tuple[NodeId, ...], RunBinding] = {}
-        #: When True (and tracing is enabled), every packet handed to a
-        #: node emits a ``deliver`` trace record. Off by default: delivery
+        #: When True, every packet handed to a node emits a ``deliver``
+        #: trace row (built if the trace wants it). Off by default: delivery
         #: is the hottest path and check mode (repro.oracle) opts in.
         self.trace_deliveries = False
         self.perf = perf.GLOBAL
@@ -419,12 +419,7 @@ class Network:
             if any(parent in cut for cut in subtrees):
                 continue
             if link.drops_packet(packet, parent):
-                self.packets_dropped += 1
-                if self.trace.enabled:
-                    self.trace.record(self.scheduler.now, parent, DROP,
-                                      packet=packet.uid,
-                                      packet_kind=packet.kind,
-                                      link=(parent, child))
+                self._count_loss(DROP, parent, packet, (parent, child))
                 subtrees.append(tree.subtree(child))
         return subtrees
 
@@ -606,12 +601,7 @@ class Network:
         for parent, child in tree.path_edges(dst):
             link = self.adjacency[parent][child]
             if link.filters and link.drops_packet(packet, parent):
-                self.packets_dropped += 1
-                if self.trace.enabled:
-                    self.trace.record(self.scheduler.now, parent, DROP,
-                                      packet=packet.uid,
-                                      packet_kind=packet.kind,
-                                      link=(parent, child))
+                self._count_loss(DROP, parent, packet, (parent, child))
                 return
             if self.account_bandwidth:
                 link.account(packet)
@@ -723,23 +713,13 @@ class Network:
                 if at not in zone_nodes or child not in zone_nodes:
                     continue
             if link.filters and link.drops_packet(packet, at):
-                self.packets_dropped += 1
-                if self.trace.enabled:
-                    self.trace.record(scheduler.now, at, DROP,
-                                      packet=packet.uid,
-                                      packet_kind=packet.kind,
-                                      link=(at, child))
+                self._count_loss(DROP, at, packet, (at, child))
                 continue
             # Only a queueing link needs the call (and can tail-drop).
             arrival = (scheduler.now + link.delay if link.bandwidth is None
                        else link.arrival_time(scheduler, packet, at))
             if arrival is None:
-                self.packets_dropped += 1
-                if self.trace.enabled:
-                    self.trace.record(scheduler.now, at, QUEUE_DROP,
-                                      packet=packet.uid,
-                                      packet_kind=packet.kind,
-                                      link=(at, child))
+                self._count_loss(QUEUE_DROP, at, packet, (at, child))
                 continue
             if self.account_bandwidth:
                 link.account(packet)
@@ -755,19 +735,11 @@ class Network:
         next_hop = tree.next_hop_toward(dst)
         link = self.adjacency[at][next_hop]
         if link.filters and link.drops_packet(packet, at):
-            self.packets_dropped += 1
-            if self.trace.enabled:
-                self.trace.record(self.scheduler.now, at, DROP,
-                                  packet=packet.uid, packet_kind=packet.kind,
-                                  link=(at, next_hop))
+            self._count_loss(DROP, at, packet, (at, next_hop))
             return
         arrival = link.arrival_time(self.scheduler, packet, at)
         if arrival is None:
-            self.packets_dropped += 1
-            if self.trace.enabled:
-                self.trace.record(self.scheduler.now, at, QUEUE_DROP,
-                                  packet=packet.uid, packet_kind=packet.kind,
-                                  link=(at, next_hop))
+            self._count_loss(QUEUE_DROP, at, packet, (at, next_hop))
             return
         if self.account_bandwidth:
             link.account(packet)
@@ -778,14 +750,30 @@ class Network:
     # Delivery
     # ------------------------------------------------------------------
 
+    def _count_loss(self, kind: str, at: NodeId, packet: Packet,
+                    link: Tuple[NodeId, NodeId]) -> None:
+        """Count one packet lost at ``at`` and its ``drop`` /
+        ``queue_drop`` row; build the row if the trace wants it."""
+        self.packets_dropped += 1
+        trace = self.trace
+        if kind in trace.wanted:
+            trace.record(self.scheduler.now, at, kind, packet=packet.uid,
+                         packet_kind=packet.kind, link=link)
+        else:
+            trace.kind_totals[kind] += 1
+
     def _deliver(self, node_id: NodeId, packet: Packet) -> None:
-        if self.trace_deliveries and self.trace.enabled:
-            self.trace.record(self.scheduler.now, node_id, DELIVER,
-                              packet=packet.uid, packet_kind=packet.kind,
-                              origin=packet.origin, ttl=packet.ttl,
-                              initial_ttl=packet.initial_ttl,
-                              zone=packet.scope_zone,
-                              mcast=packet.dst.__class__ is GroupAddress)
+        if self.trace_deliveries:
+            trace = self.trace
+            if DELIVER in trace.wanted:
+                trace.record(self.scheduler.now, node_id, DELIVER,
+                             packet=packet.uid, packet_kind=packet.kind,
+                             origin=packet.origin, ttl=packet.ttl,
+                             initial_ttl=packet.initial_ttl,
+                             zone=packet.scope_zone,
+                             mcast=packet.dst.__class__ is GroupAddress)
+            else:
+                trace.kind_totals[DELIVER] += 1
         self.nodes[node_id].deliver(packet)
 
     def _deliver_many(self, members: Tuple[NodeId, ...],

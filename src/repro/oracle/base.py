@@ -178,12 +178,18 @@ class SessionOracleSuite:
                assert_delivery_members: Optional[List[Any]] = None,
                enable_trace: bool = True,
                oracles: Optional[List[type]] = None) -> "SessionOracleSuite":
-        """Create a suite, subscribe it, and turn on delivery tracing."""
+        """Create a suite, subscribe it, and turn on delivery tracing.
+
+        ``enable_trace`` makes the trace keep every row, so the suite
+        hears them all and excerpts and ``collector.verify`` read them.
+        Without it the suite is passive: it makes no kind wanted, and
+        checks the rows the trace builds anyway while it keeps them all.
+        """
         suite = cls(network, agents=agents,
                     assert_delivery_members=assert_delivery_members,
                     oracles=oracles)
         if enable_trace:
-            network.trace.enabled = True
+            network.trace.keep = None
         network.trace_deliveries = True
         network.trace.subscribe(suite._listener)
         suite._attached = True
@@ -197,6 +203,11 @@ class SessionOracleSuite:
     # ------------------------------------------------------------------
 
     def _on_record(self, record: TraceRecord) -> None:
+        # The checkers reason across kinds (a repair needs its scheduled
+        # timer), so a stream without the kinds nobody wanted would read
+        # as violations: only a trace that keeps every row is checked.
+        if self.trace.keep is not None:
+            return
         for oracle in self.oracles:
             oracle.on_record(record)
 

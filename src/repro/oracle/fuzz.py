@@ -178,7 +178,7 @@ def _run_case(case: Dict[str, Any]) -> Dict[str, Any]:
     rng = RandomSource(case["case_seed"] ^ 0x5EED)
     spec = build_spec(case)
     network = spec.build(delivery=case.get("delivery", "direct"))
-    network.trace.enabled = True
+    network.trace.keep = None
     group = network.groups.allocate("fuzz-session")
 
     config = SrmConfig(**{key: value

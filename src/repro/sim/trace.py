@@ -3,7 +3,9 @@
 Experiments count things ("how many requests were multicast for this loss?",
 "when did member 17 first receive the repair?"). Rather than threading
 counters through the protocol code, agents emit :class:`TraceRecord` rows
-into a shared :class:`Trace`, and the experiment layer queries it.
+into a shared :class:`Trace`, and the experiment layer queries it. A
+row is built only for a kind something reads — one the trace keeps or a
+listener subscribed to — and otherwise only counted.
 
 Every row kind a protocol engine emits is declared once, in the table at
 the end of this module (:data:`KINDS`): its detail keys, its metric
@@ -11,8 +13,8 @@ roles, its volatile keys and whether the herd engine emits it. A kind's
 handle is the kind string bound to a module-level name (``SEND_REQUEST``),
 so a misspelt kind is an undefined name, not a new kind. The collector's
 kind sets, the race masks and the herd vocabulary are read off the table;
-``Trace.subscribe`` refuses a kind the table lacks, and under
-``--check`` the ``trace-schema`` oracle holds every row to it.
+``Trace.subscribe`` and ``Trace.keep`` refuse a kind the table lacks, and
+under ``--check`` the ``trace-schema`` oracle holds every row to it.
 """
 
 from __future__ import annotations
@@ -55,94 +57,131 @@ Listener = Callable[[TraceRecord], None]
 
 
 class Trace:
-    """An append-only log of :class:`TraceRecord` rows with simple queries."""
+    """An append-only log of :class:`TraceRecord` rows with simple queries.
 
-    __slots__ = ("enabled", "records", "kind_totals", "_listeners",
+    Rows are built on demand. :attr:`keep` names the kinds stored in
+    :attr:`records`. A kind is *wanted* (in :attr:`wanted`, a frozenset
+    of declared kinds) when it is kept or a listener named it in
+    ``subscribe(kinds=...)``, and only a wanted kind's rows are built.
+    Every row, wanted or not, is counted in :attr:`kind_totals`. An
+    emitter that builds a detail dict asks ``kind in trace.wanted``
+    first and otherwise only bumps ``kind_totals[kind]`` (``Agent.trace``).
+    """
+
+    __slots__ = ("records", "kind_totals", "wanted", "_keep", "_listeners",
                  "_routes")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    wanted: frozenset[str]
+    _keep: Optional[frozenset[str]]
+
+    def __init__(self, keep: Optional[Iterable[str]] = None) -> None:
         self.records: list[TraceRecord] = []
-        #: Rows ever recorded per kind. Monotonic: :meth:`clear` does not
-        #: reset it, so a consumer that only needs "how many since then"
-        #: (the metrics collector's timer activity) reads a difference of
-        #: two totals instead of being called once per row.
+        #: Rows ever recorded per kind, built or not. Monotonic:
+        #: :meth:`clear` does not reset it, so a consumer that only needs
+        #: "how many since then" (the metrics collector's timer activity)
+        #: reads a difference of two totals instead of being called once
+        #: per row.
         self.kind_totals: defaultdict[str, int] = defaultdict(int)
         self._listeners: list[tuple[Listener, Optional[frozenset[str]]]] = []
-        #: kind -> the listeners that hear it, in subscription order.
-        #: Filled on the first row of a kind, emptied by (un)subscribe.
+        #: kind -> what a row is handed to: ``records.append`` when the
+        #: kind is kept, then the listeners that hear it, in subscription
+        #: order; empty for a kind nobody wants. Filled on the first row
+        #: of a kind, emptied by every change to :attr:`wanted`.
         self._routes: dict[str, tuple[Listener, ...]] = {}
+        self.keep = keep
+
+    @property
+    def keep(self) -> Optional[frozenset[str]]:
+        """The kinds stored in :attr:`records`.
+
+        None keeps every kind, declared or not; ``()`` keeps none. Set it
+        to a collection of declared kinds (a bare string or an undeclared
+        kind raises ``ValueError``).
+        """
+        return self._keep
+
+    @keep.setter
+    def keep(self, kinds: Optional[Iterable[str]]) -> None:
+        self._keep = None if kinds is None else _declared(kinds)
+        self._rewire()
+
+    def _rewire(self) -> None:
+        """Recompute :attr:`wanted` and forget every route."""
+        wanted = _DECLARED if self._keep is None else self._keep
+        for _, kinds in self._listeners:
+            if kinds is not None:
+                wanted = wanted | kinds
+        self.wanted = wanted
+        self._routes.clear()
 
     def record(self, time: float, node: Any, kind: str,
                detail: Optional[dict[str, Any]] = None, /,
                **fields: Any) -> None:
-        """Append a record (no-op when tracing is disabled).
+        """Count a row of ``kind``; build, store and route it if wanted.
 
         The detail is given either as keyword ``fields`` or as one
         already-built dict, which the row then owns; forwarding callers
         (``Agent.trace``) pass the dict they were handed instead of
         expanding it into a second one.
         """
-        if not self.enabled:
-            return
         if detail is None:
             detail = fields
         elif fields:
             raise TypeError("pass the detail as one dict or as keyword "
                             "fields, not both")
+        self.kind_totals[kind] += 1
+        try:
+            route = self._routes[kind]
+        except KeyError:
+            route = self._route(kind)
+        if not route:
+            return
         row = _new_row(TraceRecord)
         _set_time(row, time)
         _set_node(row, node)
         _set_kind(row, kind)
         _set_detail(row, detail)
-        self.records.append(row)
-        self.kind_totals[kind] += 1
-        try:
-            listeners = self._routes[kind]
-        except KeyError:
-            listeners = self._route(kind)
-        # ``listeners`` is a tuple nobody mutates: a listener may
+        # ``route`` is a tuple nobody mutates: a listener may
         # subscribe/unsubscribe from inside its callback without
         # perturbing this delivery round.
-        for listener in listeners:
-            listener(row)
+        for deliver in route:
+            deliver(row)
 
     def _route(self, kind: str) -> tuple[Listener, ...]:
-        """Resolve (and remember) who hears ``kind``."""
-        listeners = self._routes[kind] = tuple(
-            listener for listener, kinds in self._listeners
-            if kinds is None or kind in kinds)
-        return listeners
+        """Resolve (and remember) what a row of ``kind`` is handed to."""
+        keep = self._keep
+        route: list[Listener] = []
+        if keep is None or kind in self.wanted:
+            if keep is None or kind in keep:
+                route.append(self.records.append)
+            route.extend(listener for listener, kinds in self._listeners
+                         if kinds is None or kind in kinds)
+        routed = self._routes[kind] = tuple(route)
+        return routed
 
     def subscribe(self, listener: Listener,
                   kinds: Optional[Iterable[str]] = None) -> None:
-        """Invoke ``listener`` on every future record (live monitoring).
+        """Invoke ``listener`` on every future row it subscribes to.
 
-        ``kinds`` restricts delivery to those record kinds; None means
-        everything. Filtering here keeps uninterested listeners off the
-        hot record() path entirely. A bare string (which would subscribe
-        to its letters) and a kind the table does not declare (which no
-        engine emits) raise ``ValueError``: either listener would never
-        be called.
+        ``kinds`` restricts delivery to those kinds and makes them
+        wanted, so a listener that names a kind hears its next row even
+        on a trace that keeps nothing. None hears every row the trace
+        builds and makes no kind wanted: a catch-all observer (the
+        passive oracle suite) never turns rows on. A bare string (which
+        would subscribe to its letters) and a kind the table does not
+        declare (which no engine emits) raise ``ValueError``: either
+        listener would never be called.
         """
-        wanted: Optional[frozenset[str]] = None
-        if kinds is not None:
-            if kinds.__class__ is str:
-                raise ValueError(f"kinds={kinds!r} is one string; pass a "
-                                 "collection of declared kinds")
-            wanted = frozenset(kinds)
-            if not wanted <= _DECLARED:
-                raise ValueError("undeclared trace kinds: "
-                                 f"{sorted(wanted - _DECLARED)}")
-        self._listeners.append((listener, wanted))
-        self._routes.clear()
+        self._listeners.append(
+            (listener, None if kinds is None else _declared(kinds)))
+        self._rewire()
 
     def unsubscribe(self, listener: Listener) -> None:
         """Stop invoking ``listener``; unknown listeners are a no-op."""
         for index, (registered, _) in enumerate(self._listeners):
             if registered == listener:
                 del self._listeners[index]
-                self._routes.clear()
+                self._rewire()
                 return
 
     def clear(self) -> None:
@@ -337,5 +376,18 @@ DELIVER = _declare("deliver",
 DROP = _declare("drop", "packet* packet_kind link")
 QUEUE_DROP = _declare("queue_drop", "packet* packet_kind link")
 
-#: Every declared kind: what ``Trace.subscribe(kinds=...)`` accepts.
+#: Every declared kind: what ``Trace.subscribe(kinds=...)`` and
+#: ``Trace.keep`` accept, and what ``keep=None`` wants.
 _DECLARED = frozenset(KINDS)
+
+
+def _declared(kinds: Iterable[str]) -> frozenset[str]:
+    """``kinds`` as a set, refusing a bare string and undeclared kinds."""
+    if kinds.__class__ is str:
+        raise ValueError(f"kinds={kinds!r} is one string; pass a "
+                         "collection of declared kinds")
+    named = frozenset(kinds)
+    if not named <= _DECLARED:
+        raise ValueError("undeclared trace kinds: "
+                         f"{sorted(named - _DECLARED)}")
+    return named

@@ -119,7 +119,7 @@ def build_srm_session(spec: TopologySpec, members: Iterable[int],
                       ) -> Tuple[Network, Dict[int, SrmAgent], GroupAddress]:
     """Instantiate a network and attach SRM agents on the given members."""
     network = spec.build(scheduler=scheduler, delivery=delivery)
-    network.trace.enabled = True
+    network.trace.keep = None
     group = network.groups.allocate("session")
     master = RandomSource(seed)
     agents: Dict[int, SrmAgent] = {}
@@ -161,9 +161,10 @@ def _protocol_oracles(request, monkeypatch):
     :class:`repro.oracle.SessionOracleSuite` subscribed to its trace;
     at teardown each suite's findings are verified and any invariant
     break fails the test with a violation report. Passive mode leaves
-    the trace's enabled flag alone (a network that never turns tracing
-    on is simply not observed) so the fixture cannot perturb tests that
-    assert on trace contents beyond the extra ``deliver`` records.
+    what the trace keeps alone (a network whose trace does not keep
+    every row is simply not observed) so the fixture cannot perturb
+    tests that assert on trace contents beyond the extra ``deliver``
+    records.
     """
     if not check_mode_enabled():
         yield

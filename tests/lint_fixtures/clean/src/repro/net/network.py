@@ -9,10 +9,13 @@ class Delivery:
         self.scheduler = scheduler
 
     def deliver(self, node: int) -> None:
-        if self.trace.enabled:
+        if "deliver" in self.trace.wanted:
             self.trace.record(self.scheduler.now, node, "deliver")
 
     def narrate(self, node: int, kind: str, **detail) -> None:
         # The already-built dict goes through as it is (SRM006).
-        if self.trace.enabled:
-            self.trace.record(self.scheduler.now, node, kind, detail)
+        trace = self.trace
+        if kind in trace.wanted:
+            trace.record(self.scheduler.now, node, kind, detail)
+        else:
+            trace.kind_totals[kind] += 1

@@ -10,6 +10,6 @@ class Delivery:
         self.trace.record(self.scheduler.now, node, "deliver")  # line 10
 
     def narrate(self, node: int, kind: str, **detail) -> None:
-        if self.trace.enabled:
+        if kind in self.trace.wanted:
             self.trace.record(self.scheduler.now, node, kind,
                               **detail)  # call starts on line 14

@@ -144,7 +144,7 @@ def test_holddown_anchor_prefers_first_requester():
 
 def test_trace_disabled_network_still_recovers():
     network, agents, _ = build_srm_session(chain(4), range(4))
-    network.trace.enabled = False
+    network.trace.keep = ()
     network.add_drop_filter(1, 2, NthPacketDropFilter(
         lambda p: p.kind == "srm-data"))
     network.scheduler.schedule(0.0, lambda: agents[0].send_data("a"))

@@ -117,7 +117,7 @@ def test_hop_delivery_through_bottleneck_orders_fifo():
 
 def test_queue_drop_traced():
     network = chain(3).build(delivery="hop")
-    network.trace.enabled = True
+    network.trace.keep = None
     network.set_link_bandwidth(1, 2, 500.0, queue_limit=1)
     group = network.groups.allocate()
     network.join(2, group)

@@ -107,9 +107,12 @@ def assert_equivalent_round(agent_sim: LossRecoverySimulation,
 
 def engine_pair(scenario: Scenario, config: SrmConfig = None, seed: int = 0,
                 **herd_kwargs):
-    return (LossRecoverySimulation(scenario, config=config, seed=seed),
-            HerdSimulation(scenario, config=config, seed=seed,
-                           **herd_kwargs))
+    """Both engines on one scenario; the agent engine keeps every row, so
+    its protocol rows can be compared with the full-trace herd's."""
+    agent_sim = LossRecoverySimulation(scenario, config=config, seed=seed)
+    agent_sim.network.trace.keep = None
+    return (agent_sim, HerdSimulation(scenario, config=config, seed=seed,
+                                      **herd_kwargs))
 
 
 # ----------------------------------------------------------------------

@@ -47,10 +47,9 @@ def use_reference_forwarder(network):
 
     def dropped(kind, at, child, packet):
         network.packets_dropped += 1
-        if network.trace.enabled:
-            network.trace.record(network.scheduler.now, at, kind,
-                                 packet=packet.uid, packet_kind=packet.kind,
-                                 link=(at, child))
+        network.trace.record(network.scheduler.now, at, kind,
+                             packet=packet.uid, packet_kind=packet.kind,
+                             link=(at, child))
 
     def forward(at, packet, tree):
         needed = set()
@@ -138,7 +137,7 @@ def random_scenario(seed, nodes, extra_edges, trace_deliveries, prepare):
     else:
         spec = random_labeled_tree(nodes, rng)
     network = spec.build(delivery="hop")
-    network.trace.enabled = True
+    network.trace.keep = None
     network.trace_deliveries = trace_deliveries
     network.account_bandwidth = True
     for link in network.links:
@@ -221,7 +220,7 @@ def test_random_scenarios_reach_every_branch():
 
 def chain_scenario(script, prepare, members=(1, 3, 5), spec=None):
     network = (spec or chain(6)).build(delivery="hop")
-    network.trace.enabled = True
+    network.trace.keep = None
     network.trace_deliveries = False  # check mode (SRM_CHECK) turns it on
     network.account_bandwidth = True
     group = network.groups.allocate()

@@ -79,7 +79,7 @@ def test_corrupt_requires_mutation_for_non_drawops():
 
 def build_keyed_boards(count=4, key=b"session-key"):
     network = chain(count).build()
-    network.trace.enabled = True
+    network.trace.keep = None
     group = network.groups.allocate("wb")
     rng = RandomSource(11)
     boards = []

@@ -17,7 +17,7 @@ def layered_network(bottleneck_bandwidth=None, queue_limit=3,
     """Source at node 0; receivers hang off the chain. Node boundary
     (1,2) optionally becomes a bottleneck."""
     network = chain(chain_length).build(delivery="hop")
-    network.trace.enabled = True
+    network.trace.keep = None
     if bottleneck_bandwidth is not None:
         network.set_link_bandwidth(1, 2, bottleneck_bandwidth,
                                    queue_limit=queue_limit)

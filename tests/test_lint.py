@@ -72,6 +72,27 @@ def test_srm006_flags_mapping_reexpansion_even_when_guarded():
     assert "**mapping" in hits[1].message
 
 
+def test_srm006_guard_must_test_a_kind_against_trace_wanted():
+    engine = LintEngine()
+    template = ("def f(self, kind, node):\n"
+                "    if {test}:\n"
+                "        self.trace.record(0.0, node, kind)\n")
+    flagged = {test: [v.code for v in engine.check_source(
+        "src/repro/net/network.py", template.format(test=test))]
+        for test in ("kind in self.trace.wanted",
+                     "node and kind in trace.wanted",
+                     "self.trace.wanted",            # truthiness
+                     "kind in self.wanted",          # not the trace's
+                     "kind not in self.trace.wanted",
+                     "self.trace.enabled")}          # the old guard
+    assert flagged == {"kind in self.trace.wanted": [],
+                       "node and kind in trace.wanted": [],
+                       "self.trace.wanted": ["SRM006"],
+                       "kind in self.wanted": ["SRM006"],
+                       "kind not in self.trace.wanted": ["SRM006"],
+                       "self.trace.enabled": ["SRM006"]}
+
+
 def test_srm001_aliased_numpy_and_from_import():
     engine = LintEngine()
     src = ("import numpy as np\n"

@@ -84,7 +84,7 @@ def test_mesh_without_loss_needs_no_recovery():
 
 def test_mesh_trace_carries_drop_records():
     engine, link, agents = _build_mesh(members=4, loss=0.5, seed=7)
-    engine.trace.enabled = True
+    engine.trace.keep = None
     source = agents[0]
     sent: List[AduName] = []
     for index in range(5):

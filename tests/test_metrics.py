@@ -143,6 +143,7 @@ def test_collect_from_trace_reconstructs_streaming_bundle():
     from repro.experiments.common import LossRecoverySimulation
 
     simulation = LossRecoverySimulation(_scenario(5), seed=5)
+    simulation.network.trace.keep = None   # the timer rows too
     simulation.run_round()
     streaming = simulation.last_round_metrics
     offline = collect_from_trace(

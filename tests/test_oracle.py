@@ -42,7 +42,7 @@ def oracle_names(suite):
 def single_oracle_suite(network, oracle_class):
     """A suite running exactly one checker, subscribed to the trace."""
     suite = SessionOracleSuite(network, oracles=[oracle_class])
-    network.trace.enabled = True
+    network.trace.keep = None
     network.trace.subscribe(suite._on_record)
     return suite
 
@@ -323,7 +323,7 @@ class _StubAgent:
 def consistency_suite(network, agents):
     suite = SessionOracleSuite(network, agents=agents,
                                oracles=[DeliveryConsistencyOracle])
-    network.trace.enabled = True
+    network.trace.keep = None
     network.trace.subscribe(suite._on_record)
     return suite
 

@@ -336,15 +336,15 @@ def test_round_reads_the_streamed_report_without_rescanning(monkeypatch):
     assert scans == []
     trace = simulation.network.trace
     assert set(delivered) <= EVENT_KINDS | CONTROL_KINDS
-    assert delivered == [row.kind for row in trace
-                         if row.kind in EVENT_KINDS | CONTROL_KINDS]
+    # The round keeps exactly the rows the collector hears.
+    assert delivered == [row.kind for row in trace]
     # The suppression narration (two rows per request heard) is most of
-    # the trace and none of the callbacks.
-    assert len(delivered) * 4 < len(trace)
+    # the rows emitted, and is counted, never built.
+    assert len(delivered) * 4 < sum(trace.kind_totals.values())
     assert outcome.recovered and outcome.report.losses_detected == 49
     assert outcome.report == analyze_loss_event(trace, outcome.name)
     assert simulation.last_round_metrics.timers[
-        "request_timer_set"] == trace.count("request_timer_set")
+        "request_timer_set"] == trace.kind_totals["request_timer_set"]
 
 
 def test_check_mode_compares_streamed_report_with_the_rescan(monkeypatch):

@@ -49,7 +49,7 @@ def test_distance_estimates_with_heterogeneous_delays():
     network = spec.build()
     network.link_between(1, 2).delay = 7.0
     network.invalidate_routes()
-    network.trace.enabled = True
+    network.trace.keep = None
     group = network.groups.allocate("s")
     from repro.core.agent import SrmAgent
     from repro.sim.rng import RandomSource

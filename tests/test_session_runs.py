@@ -62,7 +62,7 @@ def run_session(batched, *, n, seed, oracle, adopt, shared_node, center,
     for link in network.links[:-2]:
         link.delay = link_rng.choice(DELAYS)
     network.invalidate_routes()
-    network.trace.enabled = True
+    network.trace.keep = None
     # Check mode (SRM_CHECK=1) traces deliveries, which never batches.
     network.trace_deliveries = False
     if not batched:
@@ -311,7 +311,7 @@ def test_streams_off_the_reported_page_still_reach_note_high_water():
     """No member reports one, a decoded datagram may: a stream keyed by a
     page other than ``payload.page`` takes the general path."""
     network, agents = star_session()
-    network.trace.enabled = True
+    network.trace.keep = None
     other = agents[1].create_page(7)
     payload = SessionPayload(
         member=1, sent_at=0.0, page=DEFAULT_PAGE,

@@ -16,9 +16,13 @@ def test_record_and_len():
 
 
 def test_disabled_trace_records_nothing():
-    trace = Trace(enabled=False)
+    trace = Trace(keep=())
+    seen = []
+    trace.subscribe(seen.append)   # a catch-all turns no row on
     trace.record(1.0, 3, "send")
-    assert len(trace) == 0
+    trace.record(1.0, 3, SEND_DATA)
+    assert len(trace) == 0 and seen == []
+    assert trace.wanted == frozenset()
 
 
 def test_filter_by_kind_and_node():
@@ -245,6 +249,35 @@ def test_kind_totals_count_every_row_and_survive_clear():
     trace.record(3.0, 1, "send")
     assert trace.kind_totals == {"send": 3, "recv": 1}
     assert trace.count("send") == 1
-    trace.enabled = False
+    # A row nobody keeps or hears is still counted, just not built.
+    trace.keep = ()
     trace.record(4.0, 1, "send")
-    assert trace.kind_totals["send"] == 3
+    assert trace.kind_totals["send"] == 4
+    assert trace.count("send") == 1
+
+
+def test_wanted_follows_keep_and_named_subscriptions():
+    trace = Trace(keep=[SEND_DATA])
+    assert trace.keep == trace.wanted == {SEND_DATA}
+    heard = []
+    trace.subscribe(heard.append, kinds=[SEND_REQUEST])
+    trace.subscribe(heard.append)   # a catch-all wants nothing
+    assert trace.wanted == {SEND_DATA, SEND_REQUEST}
+    trace.record(1.0, 1, SEND_REQUEST)
+    trace.record(2.0, 1, RECV_DATA)
+    assert [row.kind for row in trace] == []   # heard, not kept
+    assert [row.kind for row in heard] == [SEND_REQUEST, SEND_REQUEST]
+    trace.unsubscribe(heard.append)
+    trace.unsubscribe(heard.append)
+    assert trace.wanted == {SEND_DATA}
+    trace.keep = None
+    assert trace.wanted == frozenset(KINDS)
+    trace.record(3.0, 1, RECV_DATA)
+    trace.record(4.0, 1, "undeclared")   # kept: keep=None keeps any kind
+    assert [row.kind for row in trace] == [RECV_DATA, "undeclared"]
+    assert trace.kind_totals == {SEND_REQUEST: 1, RECV_DATA: 2,
+                                 "undeclared": 1}
+    with pytest.raises(ValueError, match="one string"):
+        trace.keep = SEND_DATA
+    with pytest.raises(ValueError, match="send_reqeust"):
+        Trace(keep=["send_reqeust"])

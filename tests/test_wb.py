@@ -13,7 +13,7 @@ from repro.wb import ClearOp, DeleteOp, DrawOp, DrawType, Whiteboard
 
 def build_boards(spec, count, config=None, seed=0):
     network = spec.build()
-    network.trace.enabled = True
+    network.trace.keep = None
     group = network.groups.allocate("wb")
     master = RandomSource(seed)
     boards = []
