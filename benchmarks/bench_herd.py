@@ -35,9 +35,9 @@ The JSON schema (``bench-herd/v1``)::
 
 Paired benches (same scenario, same seed) do byte-identical protocol
 work — the equivalence suite guarantees equal request/repair counts —
-so ``herd_speedup`` is a clean engines-only comparison. The mega points
-measure the herd's aggregate mode, where per-member tracing is off and
-the round is pure array work.
+so ``herd_speedup`` is a clean engines-only comparison. The herd's
+trace keeps no row unless asked, so the mega points measure pure array
+work.
 """
 
 from __future__ import annotations

@@ -193,9 +193,10 @@ def scaling_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0,
                      help="random seed (default: %(default)s)")
     sub.add_argument("--check", action="store_true",
-                     help="attach the protocol oracles (forces full "
-                          "per-member tracing at every size; the 10^5 "
-                          "points get slow)")
+                     help="attach the protocol oracles (keeps every "
+                          "row and checks each round's metrics against "
+                          "them; the table is unchanged, the 10^5 points "
+                          "get slow)")
     sub.add_argument("--metrics", default=None, metavar="PATH",
                      help="write the sweep's merged metrics bundle "
                           "(JSON) here")

@@ -21,11 +21,12 @@ SRM recovery at session sizes the paper could only analyze:
   request count stays O(1) from N=10^2 to N=10^5.
 
 Each point reports the request/repair counts and recovery-delay
-distribution that the figure experiments report, from the same
-:class:`~repro.metrics.bundle.RunMetrics` pipeline. Sessions up to
-:data:`~repro.herd.FULL_TRACE_THRESHOLD` members run with full
-per-member tracing, larger ones in the herd's aggregate mode; the
-``mode`` column records which.
+distribution that the figure experiments report, in the same
+:class:`~repro.metrics.bundle.RunMetrics` shape. The herd builds every
+bundle from its arrays, so ``--check`` changes no number. Round reports
+of sessions up to :data:`~repro.herd.FULL_TRACE_THRESHOLD` members also
+carry per-member timings (``full``); larger ones carry counts only
+(``aggregate``). The ``mode`` column records which.
 
 Wall-clock timing deliberately lives in ``benchmarks/bench_herd.py``,
 not here — experiment modules stay free of clock reads so identical

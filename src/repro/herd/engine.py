@@ -24,18 +24,21 @@ request/repair/suppression *counts* are exact against the agent engine,
 per-member delays and ratios are exact, and trace-row order matches up
 to same-instant batches from distinct senders (see ``docs/herd.md``).
 
-Two observation modes share one decision path. In **full** mode (small
-sessions, or always under ``SRM_CHECK=1``) the herd emits the agent
-engine's protocol trace rows member by member and reuses
-:class:`MetricsCollector` unchanged. In **aggregate** mode it counts in
-place and renders the same bundle shape via
-:func:`repro.herd.metrics.aggregate_snapshot`. The vectorized state
-mutation is identical in both; full mode only *adds* an ordered emission
-pass driven by the same decision masks, so the modes cannot drift apart.
+The herd observes the way the agent engine does. Its :class:`Trace`
+keeps nothing by default, so a row is built only for a kind someone
+wants (``kind in trace.wanted``, the ``Agent.trace`` guard) and every
+other row is only counted in ``kind_totals``; a vectorized batch either
+emits its rows in the agent's order or adds its counts in one step.
+Each round's :class:`RunMetrics` bundle and :class:`LossEventReport`
+are assembled from the arrays, whatever the trace keeps, so attaching
+the check-mode oracles (which keep every row) never changes a result.
+Check mode instead holds that bundle and report to the offline passes
+over the rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -46,14 +49,15 @@ from repro.core.config import SrmConfig
 from repro.core.names import DEFAULT_PAGE, AduName
 from repro.experiments.common import (ROUND_EVENT_LIMIT, DropEdge,
                                       RoundOutcome, Scenario)
-from repro.herd.metrics import aggregate_snapshot
 from repro.herd.rngpool import DEFAULT_DEPTH, DrawPools
 from repro.herd.topo import TreeIndex
 from repro.herd.wave import HerdWave
 from repro.metrics.bundle import RunMetrics
-from repro.metrics.collector import (CONTROL_KINDS, TIMER_KINDS,
-                                     MetricsCollector, _perf_snapshot)
-from repro.metrics.events import LossEventReport
+from repro.metrics.collector import (TIMER_KINDS, MetricsConsistencyError,
+                                     _perf_delta, _perf_snapshot,
+                                     collect_from_trace)
+from repro.metrics.events import (LossEventReport, MemberTiming,
+                                  analyze_loss_event)
 from repro.net.packet import DEFAULT_TTL
 from repro.oracle.base import check_mode_enabled
 from repro.sim.rng import RandomSource
@@ -68,14 +72,20 @@ from repro.sim.trace import (DATA_RECOVERED, DUP_REPAIR_OBSERVED,
                              SEND_REPAIR, SEND_REQUEST, Trace)
 
 IntArray = Any
+FloatArray = Any
 BoolArray = Any
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
-#: Sessions at or below this size default to full-trace mode, where the
-#: herd is row-for-row comparable with the agent engine; larger sessions
-#: default to aggregate counting.
+#: Round reports of sessions up to this size carry every member's
+#: recovery and request-wait timings; larger sessions report counts
+#: only, since 10^5 ``MemberTiming`` objects a round defeat the herd.
 FULL_TRACE_THRESHOLD = 512
+
+#: How a member's request wait ended (``first_request_event``'s ``via``),
+#: indexed by the codes stored in ``_wait_via``.
+_VIA = ("sent", "heard", "data")
+_SENT, _HEARD, _DATA = range(3)
 
 #: Config features the herd does not vectorize. Sessions needing them
 #: use the agent engine; :class:`HerdSimulation` refuses loudly rather
@@ -102,13 +112,9 @@ class HerdSimulation:
 
     def __init__(self, scenario: Scenario,
                  config: Optional[SrmConfig] = None, seed: int = 0,
-                 trace_mode: str = "auto",
-                 full_trace_threshold: int = FULL_TRACE_THRESHOLD,
                  pool_depth: int = DEFAULT_DEPTH,
                  inject: Optional[str] = None,
                  scheduler: Optional[EventScheduler] = None) -> None:
-        if trace_mode not in ("auto", "full", "aggregate"):
-            raise ValueError(f"unknown trace_mode {trace_mode!r}")
         self.scenario = scenario
         self.config = config if config is not None else SrmConfig()
         self._reject_unsupported(self.config)
@@ -141,18 +147,10 @@ class HerdSimulation:
         self._pools = DrawPools.from_master(self.master_rng, members,
                                             depth=pool_depth)
 
-        # Check mode always runs full-trace: the oracles read rows.
-        self._full = (trace_mode == "full" or check_mode_enabled()
-                      or (trace_mode == "auto"
-                          and count <= full_trace_threshold))
         self.scheduler = (scheduler if scheduler is not None
                           else EventScheduler())
-        self.trace = Trace(keep=None if self._full else ())
-        self.collector: Optional[MetricsCollector] = None
-        if self._full:
-            self.collector = MetricsCollector(
-                control_packet_size=self.config.control_packet_size
-            ).attach(self.trace)
+        #: Keeps no row until someone asks (the oracles keep every row).
+        self.trace = Trace(keep=())
 
         # ---- struct-of-arrays member state (membership-position index)
         shape = (count,)
@@ -170,6 +168,8 @@ class HerdSimulation:
         self._r_first = np.zeros(shape, dtype=bool)
         self._wait_at = np.zeros(shape, dtype=np.float64)
         self._wait_ratio = np.zeros(shape, dtype=np.float64)
+        self._wait_via = np.zeros(shape, dtype=np.int8)
+        self._wait_seq = np.zeros(shape, dtype=np.int64)
         # repair context
         self._p_exists = np.zeros(shape, dtype=bool)
         self._p_done = np.zeros(shape, dtype=bool)
@@ -178,11 +178,15 @@ class HerdSimulation:
         self._p_set_at = np.zeros(shape, dtype=np.float64)
         self._p_requester = np.zeros(shape, dtype=np.int64)
         self._p_observed = np.zeros(shape, dtype=np.int64)
+        self._p_sent = np.zeros(shape, dtype=np.int64)
         # suppression / recovery bookkeeping
         self._holddown = np.full(shape, -math.inf, dtype=np.float64)
         self._rec_mask = np.zeros(shape, dtype=bool)
         self._rec_at = np.zeros(shape, dtype=np.float64)
         self._rec_ratio = np.zeros(shape, dtype=np.float64)
+        self._rec_seq = np.zeros(shape, dtype=np.int64)
+        #: Rows numbered in emission order: the ratio lists follow it.
+        self._seq = 0
 
         #: The waves hold *references* to the expiry arrays; handlers
         #: mutate them in place and resync — never rebind.
@@ -191,12 +195,9 @@ class HerdSimulation:
         self._rep_wave = HerdWave(self.scheduler, self._p_expiry,
                                   self._repair_fire, label="repair")
 
-        self._n_requests = 0
-        self._n_repairs = 0
-        self._n_detected = 0
-        self._agg_timers: Dict[str, int] = {}
-        self._agg_control: Dict[int, int] = {}
-        self._perf_before = _perf_snapshot()
+        #: Round-start baselines, taken by :meth:`_reset_round`.
+        self._totals_before: Dict[str, int] = {}
+        self._perf_before: Dict[str, Any] = {}
         self._payload_name: Optional[AduName] = None
         self._last_recovered = True
 
@@ -224,7 +225,8 @@ class HerdSimulation:
 
     @property
     def full_trace(self) -> bool:
-        return self._full
+        """Whether round reports carry per-member timings (by size)."""
+        return len(self._nodes) <= FULL_TRACE_THRESHOLD
 
     @property
     def session_size(self) -> int:
@@ -261,23 +263,34 @@ class HerdSimulation:
     # ------------------------------------------------------------------
 
     def _emit(self, node: int, kind: str, **detail: Any) -> None:
-        """One protocol row: recorded in full mode, counted otherwise.
+        """One protocol row, built only if its kind is wanted."""
+        trace = self.trace
+        if kind in trace.wanted:
+            trace.record(self.scheduler.now, node, kind, detail)
+        else:
+            trace.kind_totals[kind] += 1
 
-        Aggregate mode keeps what the collector would read off the row
-        (the kind's declared roles): its timer total and, for a control
-        packet, the sender's tally.
+    def _rows_wanted(self, *batch: Tuple[str, int]) -> bool:
+        """Whether a vectorized batch must emit its rows one by one.
+
+        ``batch`` pairs each kind the batch emits with its row count.
+        When none of the kinds is wanted the counts go straight into
+        ``kind_totals`` and the caller skips its emission loop.
         """
-        if self._full:
-            self.trace.record(self.scheduler.now, node, kind, detail)
-            return
-        if kind in TIMER_KINDS:
-            self._bump(kind)
-        if kind in CONTROL_KINDS:
-            self._agg_control[node] = self._agg_control.get(node, 0) + 1
+        trace = self.trace
+        if any(kind in trace.wanted for kind, _ in batch):
+            return True
+        totals = trace.kind_totals
+        for kind, count in batch:
+            if count:
+                totals[kind] += count
+        return False
 
-    def _bump(self, kind: str, count: int = 1) -> None:
-        if count:
-            self._agg_timers[kind] = self._agg_timers.get(kind, 0) + count
+    def _stamp(self, seqs: IntArray, positions: Any) -> None:
+        """Number the rows ``positions`` emit now, in array order."""
+        start = self._seq
+        self._seq = start + len(positions)
+        seqs[positions] = np.arange(start, self._seq)
 
     # ------------------------------------------------------------------
     # Multicast delivery
@@ -374,8 +387,8 @@ class HerdSimulation:
         self._r_exists[detect] = True
         self._r_detected[detect] = now
         self._r_expiry[detect] = now + delays
-        self._n_detected += int(detect.size)
-        if self._full:
+        if self._rows_wanted((LOSS_DETECTED, detect.size),
+                             (REQUEST_TIMER_SET, detect.size)):
             name = self._payload_name
             for k, i in enumerate(detect):
                 node = int(self._nodes[i])
@@ -383,8 +396,6 @@ class HerdSimulation:
                 self._emit(node, REQUEST_TIMER_SET, name=name,
                            delay=float(delays[k]), backoff=0,
                            ignore_until=None)
-        else:
-            self._bump(REQUEST_TIMER_SET, int(detect.size))
         self._req_wave.resync()
 
     # ------------------------------------------------------------------
@@ -426,7 +437,6 @@ class HerdSimulation:
                 self._emit(node, REQUEST_ABANDONED, name=name)
                 continue
             self._r_rounds[i] += 1
-            self._n_requests += 1
             self._r_observed[i] += 1
             if not self._r_first[i]:
                 self._r_first[i] = True
@@ -435,6 +445,8 @@ class HerdSimulation:
                 ratio = delay / rtt if rtt > 0 else 0.0
                 self._wait_at[i] = now
                 self._wait_ratio[i] = ratio
+                self._wait_via[i] = _SENT
+                self._stamp(self._wait_seq, [i])
                 self._emit(node, FIRST_REQUEST_EVENT, name=name,
                            delay=delay, rtt=rtt, ratio=ratio, via="sent")
             self._emit(node, SEND_REQUEST, name=name,
@@ -455,14 +467,6 @@ class HerdSimulation:
         have = self._have[idx]
         holders = idx[have]
         others = idx[~have]
-        # Full-mode emission plan: member position -> ordered rows.
-        # Populated only in full mode; the vectorized mutations above it
-        # are the single decision path both modes share.
-        rows: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
-
-        def plan(member: int, kind: str, **detail: Any) -> None:
-            rows.setdefault(member, []).append((kind, detail))
-
         held = busy = fresh = _EMPTY
         if holders.size:
             # Agent order: hold-down first, then a pending repair timer,
@@ -514,6 +518,8 @@ class HerdSimulation:
                                        where=rtts > 0)
                     self._wait_at[firsts] = now
                     self._wait_ratio[firsts] = ratios
+                    self._wait_via[firsts] = _HEARD
+                    self._stamp(self._wait_seq, firsts)
                 backoff_mask = now >= self._r_ignore[active]
                 go = active[backoff_mask]
                 stay = active[~backoff_mask]
@@ -537,17 +543,23 @@ class HerdSimulation:
                         self._r_ignore[go] = -math.inf
                     self._req_wave.resync()
 
-        if not self._full:
-            self._bump(REQUEST_IGNORED_HOLDDOWN, int(held.size))
-            self._bump(REQUEST_WHILE_REPAIR_PENDING, int(busy.size))
-            self._bump(REPAIR_SCHEDULED, int(fresh.size))
-            self._bump(DUP_REQUEST_OBSERVED, int(dups.size))
-            self._bump(REQUEST_TIMER_SET, int(go.size))
-            self._bump(REQUEST_BACKOFF, int(go.size))
-            self._bump(REQUEST_DUP_IGNORED, int(stay.size))
+        if not self._rows_wanted(
+                (REQUEST_IGNORED_HOLDDOWN, held.size),
+                (REQUEST_WHILE_REPAIR_PENDING, busy.size),
+                (REPAIR_SCHEDULED, fresh.size),
+                (FIRST_REQUEST_EVENT, firsts.size),
+                (DUP_REQUEST_OBSERVED, dups.size),
+                (REQUEST_TIMER_SET, go.size), (REQUEST_BACKOFF, go.size),
+                (REQUEST_DUP_IGNORED, stay.size)):
             return
 
-        # Ordered emission, exactly the agent's per-member row sequence.
+        # Ordered emission, exactly the agent's per-member row sequence:
+        # member position -> its rows, emitted in batch order.
+        rows: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
+
+        def plan(member: int, kind: str, **detail: Any) -> None:
+            rows.setdefault(member, []).append((kind, detail))
+
         for position in map(int, held):
             plan(position, REQUEST_IGNORED_HOLDDOWN, name=name)
         for position in map(int, busy):
@@ -577,7 +589,7 @@ class HerdSimulation:
             if planned:
                 node = int(self._nodes[position])
                 for kind, detail in planned:
-                    self.trace.record(now, node, kind, detail)
+                    self._emit(node, kind, **detail)
 
     # ------------------------------------------------------------------
     # Repair wave
@@ -597,7 +609,7 @@ class HerdSimulation:
             self._p_pending[i] = False
             self._p_done[i] = True
             self._p_expiry[i] = math.inf
-            self._n_repairs += 1
+            self._p_sent[i] += 1
             self._p_observed[i] += 1  # our own repair; never a dup row
             rtt = 2.0 * self._topo.dist(node, requester)
             delay = now - self._p_set_at[i]
@@ -652,12 +664,15 @@ class HerdSimulation:
                 self._rec_mask[active] = True
                 self._rec_at[active] = now
                 self._rec_ratio[active] = ratios
+                self._stamp(self._rec_seq, active)
                 first_mask = ~self._r_first[active]
                 firsts = active[first_mask]
                 if firsts.size:
                     self._r_first[firsts] = True
                     self._wait_at[firsts] = now
                     self._wait_ratio[firsts] = ratios[first_mask]
+                    self._wait_via[firsts] = _DATA
+                    self._stamp(self._wait_seq, firsts)
                 self._req_wave.resync()
             self._have[recovering] = True
 
@@ -670,39 +685,43 @@ class HerdSimulation:
         self._holddown[idx] = now + \
             self.config.holddown_factor * anchor_dist
 
-        if self._full:
-            cancel_set = set(map(int, cancel))
-            dup_set = set(map(int, dup))
-            active_set = set(map(int, active))
-            first_set = set(map(int, firsts))
-            ratio_at = {int(position): k
-                        for k, position in enumerate(active)}
-            for position in map(int, idx):
-                node = int(self._nodes[position])
-                if position in cancel_set:
-                    self._emit(node, REPAIR_CANCELLED, name=name)
-                if position in dup_set:
-                    self._emit(node, DUP_REPAIR_OBSERVED, name=name,
-                               replier=replier)
-                if position in active_set:
-                    k = ratio_at[position]
-                    if position in first_set:
-                        self._emit(node, FIRST_REQUEST_EVENT, name=name,
-                                   delay=float(delays[k]),
-                                   rtt=float(rtts[k]),
-                                   ratio=float(ratios[k]), via="data")
-                    self._emit(node, DATA_RECOVERED, name=name,
-                               delay=float(delays[k]), rtt=float(rtts[k]),
-                               ratio=float(ratios[k]), via="repair")
-        else:
-            self._bump(REPAIR_CANCELLED, int(cancel.size))
-            self._bump(DUP_REPAIR_OBSERVED, int(dup.size))
+        if not self._rows_wanted((REPAIR_CANCELLED, cancel.size),
+                                 (DUP_REPAIR_OBSERVED, dup.size),
+                                 (FIRST_REQUEST_EVENT, firsts.size),
+                                 (DATA_RECOVERED, active.size)):
+            return
+        cancel_set = set(map(int, cancel))
+        dup_set = set(map(int, dup))
+        active_set = set(map(int, active))
+        first_set = set(map(int, firsts))
+        ratio_at = {int(position): k
+                    for k, position in enumerate(active)}
+        for position in map(int, idx):
+            node = int(self._nodes[position])
+            if position in cancel_set:
+                self._emit(node, REPAIR_CANCELLED, name=name)
+            if position in dup_set:
+                self._emit(node, DUP_REPAIR_OBSERVED, name=name,
+                           replier=replier)
+            if position in active_set:
+                k = ratio_at[position]
+                if position in first_set:
+                    self._emit(node, FIRST_REQUEST_EVENT, name=name,
+                               delay=float(delays[k]),
+                               rtt=float(rtts[k]),
+                               ratio=float(ratios[k]), via="data")
+                self._emit(node, DATA_RECOVERED, name=name,
+                           delay=float(delays[k]), rtt=float(rtts[k]),
+                           ratio=float(ratios[k]), via="repair")
 
     # ------------------------------------------------------------------
     # Rounds
     # ------------------------------------------------------------------
 
     def _reset_round(self, affected: BoolArray) -> None:
+        # Baselines first: the bundle's timers and kernel are deltas.
+        self._totals_before = dict(self.trace.kind_totals)
+        self._perf_before = _perf_snapshot()
         self._have.fill(False)
         self._affected[:] = affected
         self._r_exists.fill(False)
@@ -723,18 +742,13 @@ class HerdSimulation:
         self._p_set_at.fill(0.0)
         self._p_requester.fill(0)
         self._p_observed.fill(0)
+        self._p_sent.fill(0)
         self._holddown.fill(-math.inf)
         self._rec_mask.fill(False)
         self._rec_at.fill(0.0)
         self._rec_ratio.fill(0.0)
         self._req_wave.cancel()
         self._rep_wave.cancel()
-        self._n_requests = 0
-        self._n_repairs = 0
-        self._n_detected = 0
-        self._agg_timers = {}
-        self._agg_control = {}
-        self._perf_before = _perf_snapshot()
 
     def run_round(self, drop_edge: Optional[DropEdge] = None,
                   trigger_gap: float = 1.0) -> RoundOutcome:
@@ -753,14 +767,11 @@ class HerdSimulation:
         affected = self._cut(drop_edge)
 
         self.trace.clear()
-        if self.collector is not None:
-            self.collector.begin_round()
         self._tie_claims.clear()
         self._reset_round(affected)
-        if self._full:
-            now = self.scheduler.now
+        if self._rows_wanted((RECOVERY_RESET, len(scenario.members))):
             for node in scenario.members:
-                self.trace.record(now, node, RECOVERY_RESET)
+                self._emit(node, RECOVERY_RESET)
         if self.oracle is not None:
             self.oracle.reset()
 
@@ -773,47 +784,150 @@ class HerdSimulation:
         self.scheduler.schedule(trigger_gap, self._send_trigger, trigger)
         self.scheduler.run(max_events=ROUND_EVENT_LIMIT)
         self.rounds_run += 1
+        report = self._report(name)
+        self.last_round_metrics = bundle = self._bundle(report)
         if self.oracle is not None:
             self.oracle.verify(context=f"round {self.rounds_run}")
-
-        if self.collector is not None:
-            if self.oracle is not None:
-                self.collector.verify(self.trace)
-            self.last_round_metrics = self.collector.snapshot(rounds=1)
-            report = self.collector.report(name)
-        else:
-            self.last_round_metrics, report = aggregate_snapshot(
-                name=name, requests=self._n_requests,
-                repairs=self._n_repairs,
-                losses_detected=self._n_detected,
-                rec_nodes=self._nodes[self._rec_mask],
-                rec_ratios=self._rec_ratio[self._rec_mask],
-                rec_ats=self._rec_at[self._rec_mask],
-                wait_nodes=self._nodes[self._r_first],
-                wait_ratios=self._wait_ratio[self._r_first],
-                wait_ats=self._wait_at[self._r_first],
-                timers=self._agg_timers, control=self._agg_control,
-                control_packet_size=self.config.control_packet_size,
-                perf_before=self._perf_before)
-        return self._outcome(report, name)
+            self._check_round(report, bundle)
+        return self._outcome(report)
 
     # ------------------------------------------------------------------
-    # Outcome (computed from the arrays, identically in both modes)
+    # The round's report, bundle and outcome, all read off the arrays
     # ------------------------------------------------------------------
 
-    def _outcome(self, report: LossEventReport,
-                 name: AduName) -> RoundOutcome:
+    def _emitted(self, mask: BoolArray, seqs: IntArray) -> IntArray:
+        """Positions set in ``mask``, in the order their rows were emitted."""
+        positions = np.flatnonzero(mask)
+        return positions[np.argsort(seqs[positions], kind="stable")]
+
+    def _timings(self, positions: IntArray, ats: FloatArray,
+                 ratios: FloatArray, vias: List[str]
+                 ) -> Dict[int, MemberTiming]:
+        """Member timings as the rows carry them (delay since detection)."""
+        return {
+            node: MemberTiming(member=node, delay=at - detected,
+                               rtt=2.0 * dist, ratio=ratio, at=at, via=via)
+            for node, at, detected, dist, ratio, via in zip(
+                self._nodes[positions].tolist(), ats[positions].tolist(),
+                self._r_detected[positions].tolist(),
+                self._dist_src[positions].tolist(),
+                ratios[positions].tolist(), vias)}
+
+    def _report(self, name: AduName) -> LossEventReport:
+        """This round's loss-event report.
+
+        Counts always; up to :data:`FULL_TRACE_THRESHOLD` members also
+        every member's recovery and request-wait timing, in emission
+        order. Equal to ``analyze_loss_event`` over the round's rows.
+        """
+        report = LossEventReport(
+            name=name, requests=int(self._r_rounds.sum()),
+            repairs=int(self._p_sent.sum()),
+            losses_detected=int(np.count_nonzero(self._r_exists)))
+        if self.full_trace:
+            rec = self._emitted(self._rec_mask, self._rec_seq)
+            report.recoveries = self._timings(
+                rec, self._rec_at, self._rec_ratio, ["repair"] * rec.size)
+            waited = self._emitted(self._r_first, self._wait_seq)
+            report.request_waits = self._timings(
+                waited, self._wait_at, self._wait_ratio,
+                [_VIA[code] for code in self._wait_via[waited].tolist()])
+        return report
+
+    def _last_member_ratio(self) -> Optional[float]:
+        """Ratio of the last member to recover, by (time, node id)."""
+        rec = np.flatnonzero(self._rec_mask)
+        if not rec.size:
+            return None
+        order = np.lexsort((self._nodes[rec], self._rec_at[rec]))
+        return float(self._rec_ratio[rec[order[-1]]])
+
+    def _bundle(self, report: LossEventReport) -> RunMetrics:
+        """This round's bundle, as a collector on its rows would build it.
+
+        Ratio lists in row-emission order, timer activity the movement
+        of ``kind_totals`` since the round began, and one control tally
+        per member that sent a request or a repair.
+        """
+        bundle = RunMetrics(rounds=1)
+        # Every event row follows a loss detection (the arrival handlers
+        # refuse anything else), so detection alone opens the event.
+        if report.losses_detected:
+            rec = self._emitted(self._rec_mask, self._rec_seq)
+            waited = self._emitted(self._r_first, self._wait_seq)
+            last = self._last_member_ratio()
+            bundle.loss_events = 1
+            bundle.requests = report.requests
+            bundle.repairs = report.repairs
+            bundle.duplicate_requests = report.duplicate_requests
+            bundle.duplicate_repairs = report.duplicate_repairs
+            bundle.losses_detected = report.losses_detected
+            bundle.recoveries = int(rec.size)
+            bundle.recovery_ratios.extend(self._rec_ratio[rec].tolist())
+            bundle.request_ratios.extend(self._wait_ratio[waited].tolist())
+            if last is not None:
+                bundle.last_member_ratios.append(last)
+            bundle.events.append({
+                "name": str(report.name),
+                "requests": report.requests,
+                "repairs": report.repairs,
+                "second_step_repairs": 0,
+                "duplicate_requests": report.duplicate_requests,
+                "duplicate_repairs": report.duplicate_repairs,
+                "losses_detected": report.losses_detected,
+                "recoveries": int(rec.size),
+                "last_member_ratio": last,
+            })
+        totals, before = self.trace.kind_totals, self._totals_before
+        for kind in sorted(TIMER_KINDS):
+            moved = totals.get(kind, 0) - before.get(kind, 0)
+            if moved:
+                bundle.timers[kind] = moved
+        sent = self._r_rounds + self._p_sent
+        senders = np.flatnonzero(sent)
+        control = dict(zip(self._nodes[senders].tolist(),
+                           sent[senders].tolist()))
+        bundle.control_packets = {
+            str(node): count
+            for node, count in sorted(control.items(), key=str)}
+        bundle.control_bytes = \
+            sum(control.values()) * self.config.control_packet_size
+        bundle.kernel = _perf_delta(self._perf_before, _perf_snapshot())
+        return bundle
+
+    def _check_round(self, report: LossEventReport,
+                     bundle: RunMetrics) -> None:
+        """Check mode: hold the array-built report and bundle to the rows.
+
+        Raises :class:`MetricsConsistencyError` where they differ from
+        ``analyze_loss_event`` / ``collect_from_trace`` over the round's
+        rows. Like the oracles, it checks only a trace that keeps every
+        row. The ``kernel`` section is the run's own counter delta and is
+        not compared.
+        """
+        if self.trace.keep is not None:
+            return
+        offline = analyze_loss_event(self.trace, report.name)
+        if not self.full_trace:
+            offline.recoveries.clear()
+            offline.request_waits.clear()
+        replayed = collect_from_trace(
+            self.trace, control_packet_size=self.config.control_packet_size)
+        replayed.kernel = bundle.kernel
+        diverged = [
+            f"{label}.{spec.name}"
+            for label, built, rows in (("report", report, offline),
+                                       ("bundle", bundle, replayed))
+            for spec in dataclasses.fields(built)
+            if getattr(built, spec.name) != getattr(rows, spec.name)]
+        if diverged:
+            raise MetricsConsistencyError(
+                f"round {self.rounds_run}: the array-built "
+                f"{', '.join(diverged)} disagree with the round's rows")
+
+    def _outcome(self, report: LossEventReport) -> RoundOutcome:
         recovered = bool(self._have.all())
         self._last_recovered = recovered
-        requests = self._n_requests
-        repairs = self._n_repairs
-        last_ratio: Optional[float] = None
-        rec = np.flatnonzero(self._rec_mask)
-        if rec.size:
-            # Last member by (recovery time, node id) — the collector's
-            # tie-break, exactly.
-            order = np.lexsort((self._nodes[rec], self._rec_at[rec]))
-            last_ratio = float(self._rec_ratio[rec[order[-1]]])
         closest: Optional[float] = None
         waited = np.flatnonzero(self._r_first)
         if waited.size:
@@ -821,9 +935,10 @@ class HerdSimulation:
             at_minimum = waited[dists == dists.min()]
             closest = float(self._wait_ratio[at_minimum].min())
         return RoundOutcome(
-            report=report, name=name, requests=requests, repairs=repairs,
-            duplicate_requests=max(0, requests - 1),
-            duplicate_repairs=max(0, repairs - 1),
-            last_member_ratio=last_ratio,
+            report=report, name=report.name, requests=report.requests,
+            repairs=report.repairs,
+            duplicate_requests=report.duplicate_requests,
+            duplicate_repairs=report.duplicate_repairs,
+            last_member_ratio=self._last_member_ratio(),
             closest_request_ratio=closest,
             recovered=recovered)

@@ -168,14 +168,14 @@ def _replay_spec(spec: "ExperimentSpec",  # noqa: F821
         from repro.herd import HerdSimulation
         simulation = HerdSimulation(
             spec.scenario, config=spec.config, seed=spec.seed,
-            trace_mode="full", inject=inject, scheduler=scheduler)
+            inject=inject, scheduler=scheduler)
         trace = simulation.trace
     else:
         simulation = LossRecoverySimulation(
             spec.scenario, config=spec.config, seed=spec.seed,
             delivery=spec.engine, scheduler=scheduler)
         trace = simulation.network.trace
-        trace.keep = None  # the replay compares every row
+    trace.keep = None  # the replay compares every row
     stream: List[str] = []
     for round_index in range(spec.rounds):
         simulation.run_round(trigger_gap=spec.trigger_gap)
@@ -249,7 +249,7 @@ def _figure8_small_spec() -> "ExperimentSpec":  # noqa: F821
 
 
 def _herd_star_spec() -> "ExperimentSpec":  # noqa: F821
-    """A star session on the vectorized herd engine, full-trace mode.
+    """A star session on the vectorized herd engine, every row kept.
 
     C2=0 matters doubly here: the herd's waves serialize exact timer
     ties *inside* one scheduler callback (structurally immune to drain

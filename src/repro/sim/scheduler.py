@@ -139,6 +139,11 @@ class EventScheduler:
     the same monotonic ``int(time * inv_width)`` at insert and rebuild,
     so an earlier event can never land in a later day, and ties inside
     a day are broken by the scan's (time, seq) minimum.
+
+    The bucket count only ever grows: SRM's schedule-a-burst-then-
+    suppress-90% waves swing the live population 10x every round, and a
+    shrink-on-drain policy would rebuild the calendar every wave. Memory
+    is bounded by the peak live population; :meth:`reset` reclaims it.
     """
 
     __slots__ = ("now", "events_processed", "_buckets", "_nbuckets",
@@ -177,15 +182,6 @@ class EventScheduler:
         ``None`` restores the contract order.
         """
         self._tie_permuter = permuter
-
-    def bucket_count(self) -> int:
-        """Current number of buckets (power of two; instrumentation)."""
-        return self._nbuckets
-
-    @property
-    def width(self) -> float:
-        """Current bucket width in simulated seconds (instrumentation)."""
-        return self._width
 
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events. O(1)."""
@@ -384,51 +380,11 @@ class EventScheduler:
 
     def schedule_many(self, delays: List[float],
                       callback: Callable[[], Any]) -> List[Event]:
-        """Arm one event per delay in a single call, in list order.
-
-        The batch entry point for suppression waves (a detected loss
-        arms a request timer on *every* member at once): one Python
-        frame, calendar geometry in locals. Equivalent to calling
-        :meth:`schedule` once per delay — same sequence numbers, same
-        (time, seq) execution order, same counters.
-        """
-        now = self.now
-        seq = self._next_seq
-        inv = self._inv_width
-        buckets = self._buckets
-        mask = self._mask
-        min_day = self._day
-        out: List[Event] = []
-        append_out = out.append
-        for delay in delays:
-            if delay < 0:
-                raise SimulationError(
-                    f"cannot schedule {delay} units in the past (now={now})")
-            time = now + delay
-            day = int(time * inv)
-            event = Event(time, seq, callback, (), day, self)
-            seq += 1
-            bucket = buckets[day & mask]
-            event._index = len(bucket)
-            event._bucket = bucket
-            bucket.append(event)
-            append_out(event)
-            if day < min_day:
-                min_day = day
-        self._next_seq = seq
-        self._day = min_day
-        count = len(out)
-        live = self._live + count
-        self._live = live
-        self.perf.events_scheduled += count
-        target = self._nbuckets
-        while live > (target << 1) and target < MAX_BUCKETS:
-            target <<= 4
-        if target > MAX_BUCKETS:
-            target = MAX_BUCKETS
-        if target != self._nbuckets:
-            self._rebuild(target)  # one jump, not a chain of doublings
-        return out
+        """Arm one event per delay, in list order: one :meth:`schedule`
+        call each, so a negative delay raises with the earlier entries
+        armed and counted. No caller in ``src/``; the ledger's tracer
+        keeps it as a span boundary."""
+        return [self.schedule(delay, callback) for delay in delays]
 
     def _rebuild(self, nbuckets: int,
                  width: Optional[float] = None) -> None:
@@ -506,60 +462,6 @@ class EventScheduler:
         assert best is not None  # only called with _live > 0
         return int(best * self._inv_width)
 
-    def _find_next(self, remove: bool) -> Optional[Event]:
-        """Earliest pending event in (time, seq) order, or None.
-
-        Advances the day cursor to the found event's day. With
-        ``remove``, the found event is swap-removed.
-
-        The bucket count only ever grows (on insert) — SRM's wave
-        pattern of schedule-a-burst-then-suppress-90% oscillates the
-        live population 10x every round, and a shrink-on-drain policy
-        rebuilds the calendar every wave. Memory is bounded by the peak
-        live population; :meth:`reset` reclaims it.
-        """
-        if self._live == 0:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        day = self._day
-        misses = 0
-        while True:
-            bucket = buckets[day & mask]
-            if bucket:
-                best: Optional[Event] = None
-                best_time = 0.0
-                best_seq = 0
-                for ev in bucket:
-                    if ev._day != day:
-                        continue
-                    t = ev.time
-                    if (best is None or t < best_time
-                            or (t == best_time and ev.seq < best_seq)):
-                        best = ev
-                        best_time = t
-                        best_seq = ev.seq
-                if best is not None:
-                    self._day = day
-                    self.perf.bucket_scan_len += len(bucket)
-                    if remove:
-                        index = best._index
-                        last = bucket.pop()
-                        if last is not best:
-                            bucket[index] = last
-                            last._index = index
-                        best._bucket = None
-                        self._live -= 1
-                    return best
-            day += 1
-            misses += 1
-            if misses >= self._nbuckets:
-                # A full wrap without a hit: the population is sparse
-                # relative to the calendar year. Jump straight to the
-                # earliest occupied day instead of walking empty buckets.
-                day = self._min_day()
-                misses = 0
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         """Run events in time order.
@@ -575,8 +477,8 @@ class EventScheduler:
         executed = 0
         scanned = 0
         counters = self.perf
-        # The drain loop is inlined (rather than calling _find_next per
-        # event) and keeps the calendar geometry in locals; callbacks can
+        # The drain loop is inlined (no find-next helper per event) and
+        # keeps the calendar geometry in locals; callbacks can
         # schedule (backing the day cursor up or growing the calendar)
         # and cancel (in-place), so the locals are re-synced after every
         # callback return.
@@ -747,19 +649,15 @@ class EventScheduler:
 
     def step(self) -> bool:
         """Execute the single next pending event. Returns False if none."""
-        event = self._find_next(True)
-        if event is None:
-            return False
-        self.now = event.time
-        event.callback(*event.args)
-        self.events_processed += 1
-        self.perf.events_executed += 1
-        return True
+        return self.run(max_events=1) == 1
 
     def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None if none are pending."""
-        event = self._find_next(False)
-        return None if event is None else event.time
+        """Time of the next pending event, or None if none are pending.
+
+        A full scan of the buckets: only tests and tools ask.
+        """
+        return min((ev.time for bucket in self._buckets for ev in bucket),
+                   default=None)
 
     def reset(self) -> None:
         """Drop all pending events, rewind the clock, reclaim buckets."""

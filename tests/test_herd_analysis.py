@@ -124,7 +124,8 @@ def test_tree_duplicates_only_from_unsuppressed_levels():
     for seed in range(6):
         scenario = choose_scenario(spec, 120, RandomSource(seed).fork("pick"))
         sim = HerdSimulation(scenario, config=SrmConfig(c1=c1, c2=c2),
-                             seed=seed, trace_mode="full")
+                             seed=seed)
+        sim.trace.keep = None
         sim.run_round()
         level0 = scenario.drop_edge[1]
         source_distance = sim.node_distance(scenario.source, level0)

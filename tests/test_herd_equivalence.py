@@ -24,10 +24,13 @@ from typing import List, Tuple
 import pytest
 
 from repro.core.config import SrmConfig
-from repro.experiments.common import (LossRecoverySimulation, Scenario,
-                                      choose_scenario)
+from repro.experiments.common import (ExperimentSpec, LossRecoverySimulation,
+                                      RunResult, Scenario, choose_scenario)
 from repro.experiments.figure5 import star_scenario
+from repro.experiments.scaling import star_scaling_scenario
+from repro.fleet.wire import result_to_json
 from repro.herd import HerdSimulation
+from repro.metrics.bundle import RunMetrics
 from repro.sim.rng import RandomSource
 from repro.sim.trace import KINDS
 from repro.topology.btree import balanced_tree
@@ -37,8 +40,8 @@ from repro.topology.random_tree import random_labeled_tree
 #: Max absolute disagreement allowed on any RTT-ratio observation.
 RATIO_TOL = 1e-12
 
-#: Every protocol-event kind the herd engine emits in full-trace mode
-#: (the ``herd`` column of the kind table). The agent engine additionally
+#: Every protocol-event kind the herd engine emits (the ``herd`` column
+#: of the kind table). The agent engine additionally
 #: emits transport rows (``recv_data``, ``recv_repair``, ``deliver``...)
 #: that no metrics consumer reads; the differential filters the agent
 #: trace down to this shared vocabulary.
@@ -99,20 +102,25 @@ def assert_equivalent_round(agent_sim: LossRecoverySimulation,
     assert_ratio_lists_close("last_member_ratios",
                              am.last_member_ratios, hm.last_member_ratios)
 
-    # Full trace-row sequence, when the herd ran with per-member rows.
-    if herd_sim.full_trace:
-        assert protocol_rows(herd_sim.trace) == \
-            protocol_rows(agent_sim.network.trace)
+    # Rows counted per kind, built or not, and the full row sequence.
+    assert {kind: herd_sim.trace.kind_totals.get(kind, 0)
+            for kind in HERD_KINDS} == \
+        {kind: agent_sim.network.trace.kind_totals.get(kind, 0)
+         for kind in HERD_KINDS}
+    assert protocol_rows(herd_sim.trace) == \
+        protocol_rows(agent_sim.network.trace)
 
 
 def engine_pair(scenario: Scenario, config: SrmConfig = None, seed: int = 0,
                 **herd_kwargs):
-    """Both engines on one scenario; the agent engine keeps every row, so
-    its protocol rows can be compared with the full-trace herd's."""
+    """Both engines on one scenario, each keeping every row, so their
+    protocol rows can be compared."""
     agent_sim = LossRecoverySimulation(scenario, config=config, seed=seed)
     agent_sim.network.trace.keep = None
-    return (agent_sim, HerdSimulation(scenario, config=config, seed=seed,
-                                      **herd_kwargs))
+    herd_sim = HerdSimulation(scenario, config=config, seed=seed,
+                              **herd_kwargs)
+    herd_sim.trace.keep = None
+    return agent_sim, herd_sim
 
 
 # ----------------------------------------------------------------------
@@ -209,41 +217,46 @@ def test_multi_round_on_tree_with_alternating_drop_edges():
 
 
 # ----------------------------------------------------------------------
-# Herd-internal consistency: the aggregate (mega-session) path must
-# report the same metrics as the full-trace path it replaces.
+# Herd-internal consistency: what the trace keeps never changes a result.
 # ----------------------------------------------------------------------
+
+def herd_result_json(scenario: Scenario, config: SrmConfig, seed: int,
+                     keep) -> str:
+    """Two herd rounds as ``run_experiment`` runs them, the trace keeping
+    ``keep``; the result's canonical JSON."""
+    spec = ExperimentSpec(scenario=scenario, config=config, seed=seed,
+                          rounds=2, engine="herd")
+    sim = HerdSimulation(scenario, config=config, seed=seed)
+    sim.trace.keep = keep
+    outcomes, bundles = [], []
+    for _ in range(spec.rounds):
+        outcomes.append(sim.run_round())
+        bundles.append(sim.last_round_metrics)
+    return result_to_json(RunResult(spec=spec, outcomes=outcomes,
+                                    metrics=RunMetrics.merged(bundles)))
+
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_full_and_aggregate_modes_agree(seed):
-    scenario = star_scenario(12)
-    full = HerdSimulation(scenario, seed=seed, trace_mode="full")
-    agg = HerdSimulation(scenario, seed=seed, trace_mode="aggregate")
-    out_full = full.run_round()
-    out_agg = agg.run_round()
-    assert (out_agg.requests, out_agg.repairs, out_agg.recovered) == \
-        (out_full.requests, out_full.repairs, out_full.recovered)
-    assert out_agg.duplicate_requests == out_full.duplicate_requests
-    assert out_agg.duplicate_repairs == out_full.duplicate_repairs
-    fm, gm = full.last_round_metrics, agg.last_round_metrics
-    assert gm.timers == fm.timers
-    assert gm.control_packets == fm.control_packets
-    assert gm.control_bytes == fm.control_bytes
-    assert gm.losses_detected == fm.losses_detected
-    assert gm.recoveries == fm.recoveries
-    # Aggregate-mode ratio lists are ordered by recovery completion, the
-    # collector's by trace order; compare as distributions.
-    assert_ratio_lists_close("recovery_ratios",
-                             sorted(fm.recovery_ratios),
-                             sorted(gm.recovery_ratios))
-    assert_ratio_lists_close("request_ratios",
-                             sorted(fm.request_ratios),
-                             sorted(gm.request_ratios))
+    # Rows kept vs none, on both sides of FULL_TRACE_THRESHOLD: the
+    # bundle and report are read off the arrays either way.
+    for size in (12, 600):
+        scenario = star_scaling_scenario(size)
+        config = SrmConfig(c2=size / 10.0)
+        kept = herd_result_json(scenario, config, seed, keep=None)
+        assert herd_result_json(scenario, config, seed, keep=()) == kept
 
 
 def test_auto_mode_picks_full_below_threshold_and_aggregate_above():
+    # Per-member timings up to FULL_TRACE_THRESHOLD members, counts only
+    # above it: a rule of session size, whatever the trace keeps.
     small = HerdSimulation(star_scenario(12), seed=0)
     assert small.full_trace
-    big = HerdSimulation(star_scenario(12), seed=0, full_trace_threshold=4)
+    assert len(small.run_round().report.recoveries) == 11
+    big = HerdSimulation(star_scaling_scenario(600),
+                         config=SrmConfig(c2=60.0), seed=0)
     assert not big.full_trace
     out = big.run_round()
     assert out.recovered
+    assert out.report.losses_detected == 599
+    assert not out.report.recoveries and not out.report.request_waits

@@ -13,7 +13,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import SrmConfig
+from repro.experiments.common import ExperimentSpec, run_experiment
 from repro.experiments.figure5 import star_scenario
+from repro.experiments.scaling import star_scaling_scenario
+from repro.fleet.wire import result_to_json
 from repro.herd import HERD_ORACLES, HerdSimulation, attach_herd_oracles
 from repro.oracle.base import OracleViolationError
 from repro.oracle.checkers import (RequestTimerOracle,
@@ -24,18 +28,31 @@ def test_clean_round_passes_under_check_mode(monkeypatch):
     monkeypatch.setenv("SRM_CHECK", "1")
     sim = HerdSimulation(star_scenario(16), seed=0)
     assert sim.oracle is not None
-    # Check mode forces full per-member tracing regardless of size —
-    # the oracles read individual timer rows.
-    assert sim.full_trace
+    # The oracles read individual timer rows: check mode keeps them all.
+    assert sim.trace.keep is None
     outcome = sim.run_round()
     assert outcome.recovered
 
 
 def test_check_mode_overrides_aggregate_request(monkeypatch):
+    # Above FULL_TRACE_THRESHOLD too, check mode keeps every row and
+    # holds the array-built bundle and report to them.
     monkeypatch.setenv("SRM_CHECK", "1")
-    sim = HerdSimulation(star_scenario(16), seed=0, trace_mode="aggregate")
-    assert sim.full_trace
+    sim = HerdSimulation(star_scaling_scenario(600),
+                         config=SrmConfig(c2=60.0), seed=0)
+    assert not sim.full_trace
+    assert sim.trace.keep is None
     assert sim.run_round().recovered
+    assert len(sim.trace) > 600
+
+
+def test_check_mode_leaves_a_herd_result_unchanged(monkeypatch):
+    spec = ExperimentSpec(scenario=star_scaling_scenario(600),
+                          config=SrmConfig(c2=60.0), seed=1, engine="herd")
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    unchecked = result_to_json(run_experiment(spec))
+    monkeypatch.setenv("SRM_CHECK", "1")
+    assert result_to_json(run_experiment(spec)) == unchecked
 
 
 def test_injected_no_backoff_bug_is_caught(monkeypatch):
@@ -61,7 +78,7 @@ def test_injected_bug_invisible_without_check_mode(monkeypatch):
 
 def test_manual_attachment_without_env(monkeypatch):
     monkeypatch.delenv("SRM_CHECK", raising=False)
-    sim = HerdSimulation(star_scenario(12), seed=1, trace_mode="full")
+    sim = HerdSimulation(star_scenario(12), seed=1)
     suite = attach_herd_oracles(sim)
     sim.run_round()
     suite.verify(context="manual herd round")

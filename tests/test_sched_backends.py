@@ -22,7 +22,8 @@ from repro.core.names import AduName, DEFAULT_PAGE
 from repro.net.link import NthPacketDropFilter
 from repro.sim import perf
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import EventScheduler, create_scheduler
+from repro.sim.scheduler import (EventScheduler, SimulationError,
+                                 create_scheduler)
 from repro.sim.timers import Timer, TimerWave
 from repro.topology.chain import chain
 from repro.topology.random_tree import random_labeled_tree
@@ -120,6 +121,22 @@ def test_backends_agree_on_lifecycle_counters(ops):
         counts.append(perf.GLOBAL.as_dict())
     for key in ("events_scheduled", "events_executed", "events_cancelled"):
         assert counts[0][key] == counts[1][key], key
+
+
+def test_schedule_many_rejecting_a_delay_matches_reference():
+    # A negative delay mid-list raises with the earlier entries armed,
+    # counted and numbered, as one schedule() call per delay leaves them.
+    runs = []
+    for make in (EventScheduler, ReferenceScheduler):
+        sched = make()
+        log = []
+        with pytest.raises(SimulationError):
+            sched.schedule_many([1.0, 2.0, -1.0],
+                                lambda sched=sched: log.append(sched.now))
+        sched.schedule(1.0, log.append, "after")
+        pending = sched.pending()
+        runs.append((pending, sched.run(), log))
+    assert runs[0] == runs[1] == (3, 3, [1.0, "after", 2.0])
 
 
 # ----------------------------------------------------------------------

@@ -173,7 +173,7 @@ def two_step_local_repair(watcher: Watcher) -> None:
 
 def full_trace_herd_round(watcher: Watcher) -> None:
     sim = HerdSimulation(star_scenario(16), config=SrmConfig(c1=2.0, c2=0.5),
-                         seed=0, trace_mode="full")
+                         seed=0)
     watcher.add(attach_herd_oracles(sim, oracles=(TraceSchemaOracle,)),
                 sim.trace)
     assert sim.run_round().recovered
