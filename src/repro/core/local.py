@@ -34,8 +34,9 @@ def loss_neighborhood(network: Network, source: NodeId,
     The congested edge must be a tree edge of the source's shortest-path
     tree, oriented away from the source.
     """
-    below = network.source_tree(source).cut(congested_parent,
-                                            congested_child)
+    below = network.member_tree(
+        source, [*members, congested_parent, congested_child]).cut(
+            congested_parent, congested_child)
     return sorted(member for member in members if member in below)
 
 
@@ -43,7 +44,8 @@ def ttl_to_reach(network: Network, from_node: NodeId,
                  targets: Iterable[NodeId]) -> int:
     """Minimum initial TTL for a multicast from ``from_node`` to cover
     every node in ``targets`` (h in the paper's notation)."""
-    tree = network.source_tree(from_node)
+    targets = list(targets)
+    tree = network.member_tree(from_node, targets)
     required = 0
     for target in targets:
         if target == from_node:
@@ -57,7 +59,8 @@ def ttl_to_escape(network: Network, from_node: NodeId,
                   candidates: Iterable[NodeId]) -> Optional[int]:
     """Minimum TTL reaching some candidate outside the neighborhood
     (H in the paper's notation); None when no candidate exists."""
-    tree = network.source_tree(from_node)
+    candidates = list(candidates)
+    tree = network.member_tree(from_node, candidates)
     inside = set(neighborhood)
     best: Optional[int] = None
     for candidate in candidates:
@@ -72,7 +75,8 @@ def ttl_to_escape(network: Network, from_node: NodeId,
 def reached_by(network: Network, from_node: NodeId, ttl: int,
                targets: Iterable[NodeId]) -> Set[NodeId]:
     """Nodes among ``targets`` covered by a TTL-``ttl`` multicast."""
-    tree = network.source_tree(from_node)
+    targets = list(targets)
+    tree = network.member_tree(from_node, targets)
     reached = set()
     for target in targets:
         if target == from_node or tree.ttl_required[target] <= ttl:
@@ -110,13 +114,13 @@ class LocalRecoveryOutcome:
 
 def _closest_requester(network: Network, congested_child: NodeId,
                        loss_members: Sequence[NodeId]) -> NodeId:
-    tree = network.source_tree(congested_child)
+    tree = network.member_tree(congested_child, loss_members)
     return min(loss_members, key=lambda member: (tree.dist[member], member))
 
 
 def _closest_replier(network: Network, requester: NodeId, request_ttl: int,
                      good_members: Sequence[NodeId]) -> Optional[NodeId]:
-    tree = network.source_tree(requester)
+    tree = network.member_tree(requester, good_members)
     reachable = [member for member in good_members
                  if tree.ttl_required[member] <= request_ttl]
     if not reachable:

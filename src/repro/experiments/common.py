@@ -60,7 +60,7 @@ def candidate_drop_edges(network: Network, source: NodeId,
     These are the links "on the shortest-path tree from source to the
     members of the multicast group" where a drop produces a loss event.
     """
-    tree = network.source_tree(source)
+    tree = network.member_tree(source, members)
     member_set = set(members) - {source}
     needed = set()
     for member in sorted(member_set):

@@ -36,7 +36,8 @@ from repro.mcast.groups import GroupManager
 from repro.net.link import DropFilter, Link
 from repro.net.node import Agent, Node
 from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
-from repro.net.routing import NeighborTable, SourceTree, build_source_tree
+from repro.net.routing import (NeighborTable, RootedIndex, SourceTree,
+                                build_source_tree)
 from repro.sim import perf
 from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import DELIVER, DROP, QUEUE_DROP, Trace
@@ -106,9 +107,15 @@ class Network:
         self._trees: Dict[NodeId, SourceTree] = {}
         #: Sorted neighbour table, kept only while ``links == nodes - 1``.
         self._neighbors: Optional[NeighborTable] = None
-        #: (a, b) -> (delay, hops) answered by :meth:`_walk` on a tree
-        #: topology without building ``a``'s source tree.
+        #: A tree topology's rooted index, built on its first source tree.
+        self._index: Optional[RootedIndex] = None
+        #: (a, b) -> (delay, hops) answered by the rooted index without
+        #: building ``a``'s source tree.
         self._pairs: Dict[Tuple[NodeId, NodeId], Tuple[float, int]] = {}
+        #: (origin, gid) -> (membership version, member tree); see
+        #: :meth:`_sender_tree`.
+        self._member_trees: Dict[Tuple[NodeId, int],
+                                 Tuple[int, SourceTree]] = {}
         self._filtered_links: Set[Link] = set()
         self._queueing_links: Set[Link] = set()
         #: (origin, gid) -> the hop engine's forwarding table, replaced
@@ -119,15 +126,14 @@ class Network:
         #: hold each member node's receiver.
         self._attach_epoch = 0
         #: Direct-engine delivery plans: (origin, gid, initial_ttl,
-        #: scope_zone) -> (tree identity, membership version, zone version,
-        #: plan). The tree identity entry invalidates on any topology
-        #: change (trees are rebuilt), the versions on membership / zone
-        #: changes. Drop-filter changes do NOT invalidate: plans exclude
-        #: filters by design (cuts are applied per send on top of the
-        #: cached plan).
+        #: scope_zone) -> (membership version, zone version, plan). A
+        #: topology change empties it (:meth:`invalidate_routes`), the
+        #: versions invalidate on membership / zone changes. Drop-filter
+        #: changes do NOT invalidate: plans exclude filters by design
+        #: (cuts are applied per send on top of the cached plan).
         self._plan_cache: Dict[
             Tuple[NodeId, int, int, Optional[str]],
-            Tuple[SourceTree, int, int, Plan]] = {}
+            Tuple[int, int, Plan]] = {}
         self._zone_version = 0
         #: members tuple -> how to deliver to that run; built by
         #: :meth:`_bind_run` on the run's first delivery and cleared
@@ -179,7 +185,10 @@ class Network:
         """
         self._trees = {}
         self._neighbors = None
+        self._index = None
         self._pairs = {}
+        self._member_trees = {}
+        self._plan_cache = {}
 
     def link_between(self, a: NodeId, b: NodeId) -> Link:
         try:
@@ -268,54 +277,55 @@ class Network:
             self._trees[origin] = tree
         return tree
 
-    def _rooted_tree(self) -> Optional[SourceTree]:
-        """Any cached source tree, provided the topology is a tree.
+    def member_tree(self, origin: NodeId,
+                    nodes: Sequence[NodeId]) -> SourceTree:
+        """``origin``'s routes to ``nodes``, built only as far as needed.
+
+        For every node on a path ``origin -> n`` (``n`` in ``nodes``) the
+        result holds the parent, children, delay, hop count and TTL of
+        ``source_tree(origin)``, bit for bit; :meth:`SourceTree.cut` and
+        :meth:`SourceTree.path` agree on those nodes too. It is the
+        rooted index's member tree (:meth:`RootedIndex.member_tree`)
+        when the topology is a tree, ``origin`` has no cached source
+        tree and ``nodes`` number under half the topology; otherwise it
+        is the full source tree, which is cheaper once the paths cover
+        most of the topology. Member trees are not cached here.
+        """
+        tree = self._trees.get(origin)
+        if tree is not None:
+            return tree
+        index = self._rooted_index()
+        if index is None or 2 * len(nodes) >= len(self.nodes):
+            return self.source_tree(origin)
+        return index.member_tree(origin, nodes)
+
+    def _rooted_index(self) -> Optional[RootedIndex]:
+        """The topology's rooted index, provided the topology is a tree.
 
         ``nodes - 1`` links (``_neighbors`` exists) and a tree that was
         built (so the graph is connected) make it one; paths are then
-        unique and can be read off this tree whatever its origin.
+        unique and can be read off any cached tree whatever its origin.
         """
-        if self._neighbors is not None:
-            for tree in self._trees.values():
-                return tree
-        return None
+        index = self._index
+        if index is None and self._neighbors is not None and self._trees:
+            index = self._index = RootedIndex(
+                next(iter(self._trees.values())), self._neighbors,
+                self.adjacency)
+        return index
 
     def _walk(self, a: NodeId, b: NodeId) -> Tuple[float, int]:
         """(delay, hops) of the path a -> b when ``a`` has no cached tree.
 
-        On a tree topology, climb ``a`` and ``b`` to their lowest common
-        ancestor on the rooted tree. Delays are summed in a -> b order
-        from 0.0, the order Dijkstra from ``a`` adds them in, so the float
-        equals ``source_tree(a).dist[b]`` bit for bit. Other topologies
-        (and the first query of a tree topology) build ``a``'s tree.
+        A tree topology answers from its rooted index
+        (:meth:`RootedIndex.pair`, bit for bit ``source_tree(a)``'s
+        numbers) and memoises the pair. Other topologies (and the first
+        query of a tree topology) build ``a``'s tree.
         """
-        rooted = self._rooted_tree()
-        if rooted is None:
+        index = self._rooted_index()
+        if index is None:
             tree = self.source_tree(a)
             return tree.dist[b], tree.hops[b]
-        key = (a, b)
-        parent = rooted.parent
-        depth = rooted.hops
-        adjacency = self.adjacency
-        depth_a = depth[a]
-        depth_b = depth[b]
-        hops = depth_a + depth_b
-        total = 0.0
-        descent: List[float] = []  # b-side delays, b's own link first
-        while a != b:
-            if depth_a >= depth_b:
-                above: NodeId = parent[a]  # type: ignore[assignment]
-                total += adjacency[a][above].delay
-                a = above
-                depth_a -= 1
-            else:
-                above = parent[b]  # type: ignore[assignment]
-                descent.append(adjacency[b][above].delay)
-                b = above
-                depth_b -= 1
-        for delay in descent[::-1]:
-            total += delay
-        found = self._pairs[key] = (total, hops - 2 * depth_a)
+        found = self._pairs[(a, b)] = index.pair(a, b)
         return found
 
     def distance(self, a: NodeId, b: NodeId) -> float:
@@ -341,16 +351,10 @@ class Network:
 
     def path(self, a: NodeId, b: NodeId) -> List[NodeId]:
         """Nodes on the shortest path a -> b, inclusive (``a``'s tree path)."""
-        rooted = None if a in self._trees else self._rooted_tree()
-        if rooted is None:
+        index = None if a in self._trees else self._rooted_index()
+        if index is None:
             return self.source_tree(a).path(b)
-        down_a = rooted.path(a)
-        down_b = rooted.path(b)
-        shared = 0  # root .. lowest common ancestor
-        limit = min(len(down_a), len(down_b))
-        while shared < limit and down_a[shared] == down_b[shared]:
-            shared += 1
-        return down_a[:shared - 1:-1] + down_b[shared - 1:]
+        return index.path(a, b)
 
     def rtt(self, a: NodeId, b: NodeId) -> float:
         """Round-trip delay, assuming symmetric paths as the paper does."""
@@ -492,22 +496,50 @@ class Network:
         return (tuple(entries), len(eligible), hop_counts,
                 tuple([slot_of[count] for count in per_entry]))
 
+    def _sender_tree(self, origin: NodeId,
+                     group: GroupAddress) -> SourceTree:
+        """The tree a multicast from ``origin`` is planned and cut on,
+        when ``origin`` has no source tree.
+
+        :meth:`member_tree` over the members and both ends of every
+        armed drop filter, so :meth:`_dropped_subtrees` consults the
+        filters a full tree would, in the same order. Cached per
+        (origin, group) until membership changes, and rebuilt when a
+        filter is armed outside it.
+        """
+        key = (origin, group.gid)
+        version = self.groups.version
+        cached = self._member_trees.get(key)
+        if cached is not None and cached[0] == version:
+            inside = cached[1].parent
+            for link in self._filtered_links:
+                if link.a not in inside or link.b not in inside:
+                    break
+            else:
+                return cached[1]
+        spanned = list(self.groups.members(group))
+        for link in self._filtered_links:
+            spanned += (link.a, link.b)
+        tree = self.member_tree(origin, spanned)
+        self._member_trees[key] = (version, tree)
+        return tree
+
     def _multicast_direct(self, packet: Packet) -> None:
         origin = packet.origin
         tree = self._trees.get(origin)
         if tree is None:
-            tree = self.source_tree(origin)
+            tree = self._sender_tree(
+                origin, packet.dst)  # type: ignore[arg-type]
         key = (origin, packet.dst.gid,  # type: ignore[union-attr]
                packet.initial_ttl, packet.scope_zone)
         cached = self._plan_cache.get(key)
-        if (cached is not None and cached[0] is tree
-                and cached[1] == self.groups.version
-                and cached[2] == self._zone_version):
-            plan, receivers, hop_counts, slots = cached[3]
+        if (cached is not None and cached[0] == self.groups.version
+                and cached[1] == self._zone_version):
+            plan, receivers, hop_counts, slots = cached[2]
             self.perf.plan_cache_hits += 1
         else:
             found = self._multicast_plan(tree, packet)
-            self._plan_cache[key] = (tree, self.groups.version,
+            self._plan_cache[key] = (self.groups.version,
                                      self._zone_version, found)
             plan, receivers, hop_counts, slots = found
             self.perf.plan_cache_misses += 1
@@ -592,21 +624,25 @@ class Network:
 
     def _unicast_direct(self, packet: Packet) -> None:
         dst: NodeId = packet.dst  # type: ignore[assignment]
-        if dst == packet.origin:
+        origin = packet.origin
+        if dst == origin:
             self.scheduler.schedule(0.0, self._deliver, dst, packet)
             return
-        tree = self.source_tree(packet.origin)
-        if dst not in tree.dist:
-            raise KeyError(f"no route from {packet.origin} to {dst}")
-        for parent, child in tree.path_edges(dst):
+        if dst not in self.nodes:
+            raise KeyError(f"no route from {origin} to {dst}")
+        # On a tree topology the path comes off the rooted index: a
+        # unicast sender builds no source tree.
+        path = self.path(origin, dst)
+        for parent, child in zip(path, path[1:]):
             link = self.adjacency[parent][child]
             if link.filters and link.drops_packet(packet, parent):
                 self._count_loss(DROP, parent, packet, (parent, child))
                 return
             if self.account_bandwidth:
                 link.account(packet)
-        arrival = _arrived_copies(packet, (tree.hops[dst],))[0]
-        self.scheduler.schedule(tree.dist[dst], self._deliver, dst, arrival)
+        arrival = _arrived_copies(packet, (self.hops(origin, dst),))[0]
+        self.scheduler.schedule(self.distance(origin, dst), self._deliver,
+                                dst, arrival)
 
     # ------------------------------------------------------------------
     # Hop-by-hop delivery engine
@@ -774,7 +810,16 @@ class Network:
                              mcast=packet.dst.__class__ is GroupAddress)
             else:
                 trace.kind_totals[DELIVER] += 1
-        self.nodes[node_id].deliver(packet)
+        # A node's sole agent takes the packet directly, as in a run
+        # binding or a forwarding row; Node.deliver's copy loop serves a
+        # node with none or several.
+        node = self.nodes[node_id]
+        try:
+            (agent,) = node.agents
+        except ValueError:
+            node.deliver(packet)
+        else:
+            agent.receive(packet)
 
     def _deliver_many(self, members: Tuple[NodeId, ...],
                       packet: Packet) -> None:

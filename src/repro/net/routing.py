@@ -178,8 +178,9 @@ def build_source_tree(adjacency: Adjacency, origin: NodeId,
     return SourceTree(origin, parent, dist, hops, ttl_required, children)
 
 
-def traverse_tree(neighbors: NeighborTable,
-                  origin: NodeId) -> Optional[SourceTree]:
+def traverse_tree(neighbors: NeighborTable, origin: NodeId,
+                  within: Optional[Dict[NodeId, None]] = None
+                  ) -> Optional[SourceTree]:
     """Breadth-first tree from ``origin``; None unless every node is reached.
 
     With ``nodes - 1`` links, reaching every node means the graph is a
@@ -187,7 +188,13 @@ def traverse_tree(neighbors: NeighborTable,
     each link it reads only ``delay`` and ``threshold``, so the herd's
     distance index (:mod:`repro.herd.topo`) hands every edge one shared
     link.
+
+    ``within`` (default: every node) confines the walk to a connected
+    node set holding ``origin``; :meth:`RootedIndex.member_tree` passes
+    the nodes on the paths to a group's members.
     """
+    if within is None:
+        within = neighbors  # type: ignore[assignment]
     parent: Dict[NodeId, Optional[NodeId]] = {origin: None}
     dist: Dict[NodeId, float] = {origin: 0.0}
     hops: Dict[NodeId, int] = {origin: 0}
@@ -200,7 +207,7 @@ def traverse_tree(neighbors: NeighborTable,
         ttl = ttl_required[node]
         kids: List[NodeId] = []
         for neighbor, link in neighbors[node]:
-            if neighbor in parent:
+            if neighbor in parent or neighbor not in within:
                 continue
             parent[neighbor] = node
             dist[neighbor] = d + link.delay
@@ -210,6 +217,101 @@ def traverse_tree(neighbors: NeighborTable,
             kids.append(neighbor)
         children[node] = kids
         order += kids
-    if len(parent) != len(neighbors):
+    if len(parent) != len(within):  # type: ignore[arg-type]
         return None
     return SourceTree(origin, parent, dist, hops, ttl_required, children)
+
+
+class RootedIndex:
+    """One tree topology, rooted once, answering for every origin.
+
+    On a tree every path is unique, so any one :class:`SourceTree` (the
+    first one a :class:`~repro.net.network.Network` computes) fixes the
+    path between every pair: climb both ends by depth to their lowest
+    common ancestor. The network keeps one index per topology version
+    and drops it in ``invalidate_routes()``.
+
+    No float is re-associated. :meth:`pair` adds a path's delays from
+    ``a`` toward ``b`` starting at 0.0, and :meth:`member_tree` runs
+    :func:`traverse_tree` from the sender, so every delay equals the one
+    the sender's own source tree (and Dijkstra from the sender) holds.
+    """
+
+    __slots__ = ("tree", "neighbors", "adjacency")
+
+    def __init__(self, tree: SourceTree, neighbors: NeighborTable,
+                 adjacency: Adjacency) -> None:
+        self.tree = tree
+        self.neighbors = neighbors
+        self.adjacency = adjacency
+
+    def pair(self, a: NodeId, b: NodeId) -> Tuple[float, int]:
+        """(delay, hops) of the path a -> b."""
+        parent = self.tree.parent
+        depth = self.tree.hops
+        adjacency = self.adjacency
+        depth_a = depth[a]
+        depth_b = depth[b]
+        hops = depth_a + depth_b
+        total = 0.0
+        descent: List[float] = []  # b-side delays, b's own link first
+        while a != b:
+            if depth_a >= depth_b:
+                above: NodeId = parent[a]  # type: ignore[assignment]
+                total += adjacency[a][above].delay
+                a = above
+                depth_a -= 1
+            else:
+                above = parent[b]  # type: ignore[assignment]
+                descent.append(adjacency[b][above].delay)
+                b = above
+                depth_b -= 1
+        for delay in descent[::-1]:
+            total += delay
+        return total, hops - 2 * depth_a
+
+    def path(self, a: NodeId, b: NodeId) -> List[NodeId]:
+        """Nodes on the path a -> b, inclusive."""
+        down_a = self.tree.path(a)
+        down_b = self.tree.path(b)
+        shared = 0  # root .. lowest common ancestor
+        limit = min(len(down_a), len(down_b))
+        while shared < limit and down_a[shared] == down_b[shared]:
+            shared += 1
+        return down_a[:shared - 1:-1] + down_b[shared - 1:]
+
+    def member_tree(self, origin: NodeId,
+                    nodes: Iterable[NodeId]) -> SourceTree:
+        """``origin``'s source tree cut down to its paths to ``nodes``.
+
+        The result is a :class:`SourceTree` over exactly the nodes on
+        some path ``origin -> n``: each keeps the parent, children (in
+        the same order), delay, hop count and TTL it has in the full
+        tree, so a plan, a drop cut or a path read off it for those
+        nodes is the full tree's. Building it costs the nodes it spans,
+        not the topology.
+        """
+        parent = self.tree.parent
+        depth = self.tree.hops
+        rootward: Dict[NodeId, None] = {}  # origin up to the root
+        node: Optional[NodeId] = origin
+        while node is not None:
+            rootward[node] = None
+            node = parent[node]
+        spanned: Dict[NodeId, None] = {}
+        top = depth[origin]  # depth of the highest meeting point
+        for node in nodes:
+            # Climb to the first node already spanned or on origin's
+            # way to the root (the root at the latest).
+            while node not in spanned and node not in rootward:
+                spanned[node] = None
+                node = parent[node]
+            if node in rootward and depth[node] < top:
+                top = depth[node]
+        for node in rootward:
+            if depth[node] < top:
+                break
+            spanned[node] = None
+        tree = traverse_tree(self.neighbors, origin, spanned)
+        assert tree is not None  # spanned is connected and holds origin
+        return tree

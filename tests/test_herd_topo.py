@@ -3,8 +3,9 @@
 ``repro.herd.topo.TreeIndex`` builds no graph of its own: it runs
 ``repro.net.routing.traverse_tree`` over the spec and lays an Euler-tour
 LCA over the result. These tests pin that the two engines therefore see
-one tree: the same distances, the same members cut off below every
-candidate drop edge, and the same refusals.
+one tree: the same distances (the agent engine's answered by its rooted
+index, ``repro.net.routing.RootedIndex``), the same members cut off below
+every candidate drop edge, and the same refusals.
 """
 
 from __future__ import annotations
@@ -61,13 +62,19 @@ def test_herd_index_reads_the_agent_engines_source_tree(session):
 
     targets = np.asarray(members, dtype=np.int64)
     index.attach_targets(targets)
+    # Every other origin is answered by the network's rooted index.
+    rooted = network._rooted_index()
+    assert rooted is not None and rooted.tree is tree
     for a in range(spec.num_nodes):
         expected = [network.hops(a, b) for b in members]
         assert index.dist_row_to(a, targets).tolist() == expected
         assert index.dist_row(a).tolist() == expected
         for b in range(spec.num_nodes):
             assert index.dist(a, b) == network.hops(a, b) \
-                == network.distance(a, b)
+                == network.distance(a, b) == rooted.pair(a, b)[0]
+        member = rooted.member_tree(a, members)
+        assert [member.hops[b] for b in members] == expected
+    assert list(network._trees) == [origin]
 
     edges = candidate_drop_edges(network, origin, members)
     if not edges:

@@ -255,7 +255,7 @@ def test_star_hub_not_member_forwards_anyway():
 
 def test_invalidate_routes_after_delay_edit():
     """Editing a link in place needs one call to drop every routing cache:
-    trees, the tree-topology pair memo and (by tree identity) the plans."""
+    trees, the rooted index with its pair memo, and the plans."""
     network, sinks = chain_network(5)
     group = network.groups.allocate()
     for node in range(5):
@@ -269,10 +269,12 @@ def test_invalidate_routes_after_delay_edit():
     network.run()
     assert sinks[4].received[-1][0] == 4.0
     plan_key = next(iter(network._plan_cache))
-    assert network._plan_cache[plan_key][0] is stale_tree
+    stale_index = network._index
+    assert stale_index is not None and stale_index.tree is stale_tree
 
     network.link_between(1, 2).delay = 7.5
     network.invalidate_routes()
+    assert network._plan_cache == {} and network._index is None
     assert network.distance(3, 1) == 8.5
     assert network.distance(0, 4) == 10.5
     assert network.hops(4, 2) == 2
@@ -284,7 +286,8 @@ def test_invalidate_routes_after_delay_edit():
         0.0, network.send_multicast, 0, group, "data")
     network.run()
     assert sinks[4].received[-1][0] == start + 10.5
-    assert network._plan_cache[plan_key][0] is fresh_tree
+    assert plan_key in network._plan_cache
+    assert network._index not in (None, stale_index)
 
 
 def test_add_link_invalidates_walked_distances():

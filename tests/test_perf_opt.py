@@ -195,7 +195,7 @@ def test_warm_plan_builds_one_arrival_per_distinct_hop_count():
     counters = perf.counters()
     assert counters.plan_cache_hits == 1 and counters.plan_cache_misses == 0
     entries, receivers, hop_counts, slots = network._plan_cache[
-        (0, group.gid, sent.initial_ttl, None)][3]
+        (0, group.gid, sent.initial_ttl, None)][2]
     assert receivers == len(arrivals) == 39
     assert len(set(hop_counts)) == len(hop_counts) < len(entries)
     assert [hop_counts[slot] for slot in slots] == [

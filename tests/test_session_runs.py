@@ -6,7 +6,7 @@ hops) to ``SrmAgent.receive_run`` in one call, and a session report is
 then merged into the whole run by ``core.session.merge_report``. The
 reference is the per-receiver path the same method takes when
 ``_deliver`` is set on the instance (the seam tests already use to watch
-deliveries): one ``Node.deliver`` -> ``receive`` -> ``handle`` chain per
+deliveries): one ``_deliver`` -> ``receive`` -> ``handle`` chain per
 member. Both must leave the same trace, the same event count and the same
 state at every member.
 """
