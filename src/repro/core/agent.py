@@ -18,6 +18,11 @@ One :class:`SrmAgent` per session member. The agent
 
 Everything observable is also emitted into the network's trace; the
 experiment layer (``repro.experiments``) is a pure consumer of traces.
+Every member hears every request and repair, so each emission site asks
+``KIND in trace.wanted`` itself and otherwise only bumps
+``trace.kind_totals[KIND]`` (SRM006): a kind nobody reads costs no
+Python call. Hot methods read the clock as ``self._scheduler.now``, not
+through the ``now`` property.
 """
 
 from __future__ import annotations
@@ -218,13 +223,6 @@ class SrmAgent(Agent):
             self._fixed_params = self.config.fixed_params(self.group_size())
         return self._fixed_params
 
-    def trace(self, kind: str, **detail: Any) -> None:
-        trace = self.network.trace
-        if kind in trace.wanted:
-            trace.record(self._scheduler.now, self.node_id, kind, detail)
-        else:
-            trace.kind_totals[kind] += 1
-
     def _distance_or_default(self, peer: int) -> float:
         """Distance to a peer, tolerating unknown/departed node ids.
 
@@ -289,7 +287,12 @@ class SrmAgent(Agent):
                        ttl=DEFAULT_TTL, size=self.config.data_packet_size,
                        priority=PRIORITY_NEW_DATA)
         self.data_sent += 1
-        self.trace(SEND_DATA, name=name)
+        trace = self.network.trace
+        if SEND_DATA in trace.wanted:
+            trace.record(self._scheduler.now, self.node_id, SEND_DATA,
+                         {"name": name})
+        else:
+            trace.kind_totals[SEND_DATA] += 1
         if self.fec is not None:
             self.fec.on_data_sent(name, blob)
         if self.session is not None:
@@ -401,7 +404,7 @@ class SrmAgent(Agent):
         """Open loss-recovery state for ``name`` and set a request timer."""
         if self.store.have(name) or name in self._requests:
             return
-        now = self.now
+        now = self._scheduler.now
         if self.adaptive is not None and now > self._last_request_period_at:
             # Fig. 9: close the previous request period and adjust (C1, C2)
             # before the new request timer is set. Losses detected in the
@@ -420,9 +423,17 @@ class SrmAgent(Agent):
         delay = self._draw_request_delay(name, 0)
         context.timer.start(delay)
         self.losses_detected += 1
-        self.trace(LOSS_DETECTED, name=name)
-        self.trace(REQUEST_TIMER_SET, name=name, delay=delay, backoff=0,
-                   ignore_until=None)
+        trace = self.network.trace
+        if LOSS_DETECTED in trace.wanted:
+            trace.record(now, self.node_id, LOSS_DETECTED, {"name": name})
+        else:
+            trace.kind_totals[LOSS_DETECTED] += 1
+        if REQUEST_TIMER_SET in trace.wanted:
+            trace.record(now, self.node_id, REQUEST_TIMER_SET,
+                         {"name": name, "delay": delay, "backoff": 0,
+                          "ignore_until": None})
+        else:
+            trace.kind_totals[REQUEST_TIMER_SET] += 1
 
     def _draw_request_delay(self, name: AduName, backoff_count: int) -> float:
         params = self.params
@@ -442,7 +453,12 @@ class SrmAgent(Agent):
         name = context.name
         if context.rounds >= self.config.max_request_rounds:
             context.done = True
-            self.trace(REQUEST_ABANDONED, name=name)
+            trace = self.network.trace
+            if REQUEST_ABANDONED in trace.wanted:
+                trace.record(self._scheduler.now, self.node_id,
+                             REQUEST_ABANDONED, {"name": name})
+            else:
+                trace.kind_totals[REQUEST_ABANDONED] += 1
             return
         distance = self.distances.distance(name.source)
         payload = RequestPayload(name=name, requester=self.node_id,
@@ -459,8 +475,13 @@ class SrmAgent(Agent):
                               reported_distance=distance)
         if self.adaptive is not None:
             self.adaptive.record_request_sent()
-        self.trace(SEND_REQUEST, name=name, round=context.rounds,
-                   ttl=context.request_ttl_used)
+        trace = self.network.trace
+        if SEND_REQUEST in trace.wanted:
+            trace.record(self._scheduler.now, self.node_id, SEND_REQUEST,
+                         {"name": name, "round": context.rounds,
+                          "ttl": context.request_ttl_used})
+        else:
+            trace.kind_totals[SEND_REQUEST] += 1
         # "multicasts a request for the missing data, and doubles the
         # request timer to wait for the repair."
         self._backoff_request(context)
@@ -469,18 +490,25 @@ class SrmAgent(Agent):
         context.backoff_count += 1
         delay = self._draw_request_delay(context.name, context.backoff_count)
         context.timer.reschedule(delay)
+        now = self._scheduler.now
         # Footnote 1's heuristic: ignore further duplicate requests until
         # halfway between now and the new expiration time.
         if self.config.ignore_backoff_enabled:
             context.ignore_backoff_until = \
-                timer_math.ignore_backoff_until(self.now, delay)
+                timer_math.ignore_backoff_until(now, delay)
         else:
             context.ignore_backoff_until = float("-inf")
-        self.trace(REQUEST_TIMER_SET, name=context.name, delay=delay,
-                   backoff=context.backoff_count,
-                   ignore_until=(context.ignore_backoff_until
-                                 if self.config.ignore_backoff_enabled
-                                 else None))
+        trace = self.network.trace
+        if REQUEST_TIMER_SET in trace.wanted:
+            trace.record(now, self.node_id, REQUEST_TIMER_SET,
+                         {"name": context.name, "delay": delay,
+                          "backoff": context.backoff_count,
+                          "ignore_until": (
+                              context.ignore_backoff_until
+                              if self.config.ignore_backoff_enabled
+                              else None)})
+        else:
+            trace.kind_totals[REQUEST_TIMER_SET] += 1
 
     def _observe_request(self, context: RequestContext, requester: int,
                          reported_distance: float) -> None:
@@ -488,12 +516,18 @@ class SrmAgent(Agent):
         context.requests_observed += 1
         if not context.first_request_seen:
             context.first_request_seen = True
-            delay = self.now - context.detected_at
+            now = self._scheduler.now
+            delay = now - context.detected_at
             rtt = self.network.rtt(self.node_id, context.name.source)
             ratio = delay / rtt if rtt > 0 else 0.0
-            via = "sent" if requester == self.node_id else "heard"
-            self.trace(FIRST_REQUEST_EVENT, name=context.name,
-                       delay=delay, rtt=rtt, ratio=ratio, via=via)
+            trace = self.network.trace
+            if FIRST_REQUEST_EVENT in trace.wanted:
+                via = "sent" if requester == self.node_id else "heard"
+                trace.record(now, self.node_id, FIRST_REQUEST_EVENT,
+                             {"name": context.name, "delay": delay,
+                              "rtt": rtt, "ratio": ratio, "via": via})
+            else:
+                trace.kind_totals[FIRST_REQUEST_EVENT] += 1
             if self.adaptive is not None:
                 self.adaptive.record_request_delay(ratio)
         elif context.requests_observed >= 2 and requester != self.node_id:
@@ -501,8 +535,13 @@ class SrmAgent(Agent):
             # "dup_req keeps count of the number of duplicate requests
             # received during one request period"); our own
             # retransmissions in a later iteration do not.
-            self.trace(DUP_REQUEST_OBSERVED, name=context.name,
-                       requester=requester)
+            trace = self.network.trace
+            if DUP_REQUEST_OBSERVED in trace.wanted:
+                trace.record(self._scheduler.now, self.node_id,
+                             DUP_REQUEST_OBSERVED,
+                             {"name": context.name, "requester": requester})
+            else:
+                trace.kind_totals[DUP_REQUEST_OBSERVED] += 1
             if self.adaptive is not None:
                 own_distance = self.distances.distance(context.name.source)
                 self.adaptive.record_duplicate_request(
@@ -525,14 +564,23 @@ class SrmAgent(Agent):
             self._observe_request(context, requester=payload.requester,
                                   reported_distance=(
                                       payload.requester_distance_to_source))
-            if timer_math.should_backoff(self.now,
-                                         context.ignore_backoff_until):
+            now = self._scheduler.now
+            trace = self.network.trace
+            if timer_math.should_backoff(now, context.ignore_backoff_until):
                 self._backoff_request(context)
-                self.trace(REQUEST_BACKOFF, name=name,
-                           count=context.backoff_count)
+                if REQUEST_BACKOFF in trace.wanted:
+                    trace.record(now, self.node_id, REQUEST_BACKOFF,
+                                 {"name": name,
+                                  "count": context.backoff_count})
+                else:
+                    trace.kind_totals[REQUEST_BACKOFF] += 1
             else:
                 self.requests_suppressed += 1
-                self.trace(REQUEST_DUP_IGNORED, name=name)
+                if REQUEST_DUP_IGNORED in trace.wanted:
+                    trace.record(now, self.node_id, REQUEST_DUP_IGNORED,
+                                 {"name": name})
+                else:
+                    trace.kind_totals[REQUEST_DUP_IGNORED] += 1
             return
         if context is not None:
             return  # abandoned; nothing useful to do
@@ -553,13 +601,22 @@ class SrmAgent(Agent):
     def _consider_repair(self, packet: Packet,
                          payload: RequestPayload) -> None:
         name = payload.name
-        now = self.now
+        now = self._scheduler.now
+        trace = self.network.trace
         if now < self._holddown.get(name, float("-inf")):
-            self.trace(REQUEST_IGNORED_HOLDDOWN, name=name)
+            if REQUEST_IGNORED_HOLDDOWN in trace.wanted:
+                trace.record(now, self.node_id, REQUEST_IGNORED_HOLDDOWN,
+                             {"name": name})
+            else:
+                trace.kind_totals[REQUEST_IGNORED_HOLDDOWN] += 1
             return
         existing = self._repairs.get(name)
         if existing is not None and existing.timer.pending:
-            self.trace(REQUEST_WHILE_REPAIR_PENDING, name=name)
+            if REQUEST_WHILE_REPAIR_PENDING in trace.wanted:
+                trace.record(now, self.node_id, REQUEST_WHILE_REPAIR_PENDING,
+                             {"name": name})
+            else:
+                trace.kind_totals[REQUEST_WHILE_REPAIR_PENDING] += 1
             return
         if self.adaptive is not None and name != self._last_repair_period_name:
             # A repair period ends when a repair timer is set for a
@@ -577,8 +634,11 @@ class SrmAgent(Agent):
             reply_group=packet.dst if packet.dst != self.group else None)
         self._repairs[name] = context
         context.timer.start(self._draw_repair_delay(payload.requester))
-        self.trace(REPAIR_SCHEDULED, name=name,
-                   requester=payload.requester)
+        if REPAIR_SCHEDULED in trace.wanted:
+            trace.record(now, self.node_id, REPAIR_SCHEDULED,
+                         {"name": name, "requester": payload.requester})
+        else:
+            trace.kind_totals[REPAIR_SCHEDULED] += 1
 
     def _draw_repair_delay(self, requester: int) -> float:
         params = self.params
@@ -623,21 +683,34 @@ class SrmAgent(Agent):
         context.done = True
         self._observe_repair(context, payload)
         rtt = self.network.rtt(self.node_id, context.requester)
-        delay = self.now - context.set_at
+        now = self._scheduler.now
+        delay = now - context.set_at
         ratio = delay / rtt if rtt > 0 else 0.0
         if self.adaptive is not None:
             self.adaptive.record_repair_delay(ratio)
             self.adaptive.record_repair_sent()
-        self.trace(SEND_REPAIR, name=name, two_step=two_step,
-                   delay=delay, ratio=ratio, answering=context.requester)
+        trace = self.network.trace
+        if SEND_REPAIR in trace.wanted:
+            trace.record(now, self.node_id, SEND_REPAIR,
+                         {"name": name, "two_step": two_step,
+                          "delay": delay, "ratio": ratio,
+                          "answering": context.requester})
+        else:
+            trace.kind_totals[SEND_REPAIR] += 1
         self._set_holddown(name, context.requester)
 
     def _observe_repair(self, context: RepairContext,
                         payload: RepairPayload) -> None:
         context.repairs_observed += 1
         if context.repairs_observed >= 2 and payload.replier != self.node_id:
-            self.trace(DUP_REPAIR_OBSERVED, name=context.name,
-                       replier=payload.replier)
+            trace = self.network.trace
+            if DUP_REPAIR_OBSERVED in trace.wanted:
+                trace.record(self._scheduler.now, self.node_id,
+                             DUP_REPAIR_OBSERVED,
+                             {"name": context.name,
+                              "replier": payload.replier})
+            else:
+                trace.kind_totals[DUP_REPAIR_OBSERVED] += 1
             if self.adaptive is not None:
                 own_distance = self.distances.distance(context.requester)
                 self.adaptive.record_duplicate_repair(
@@ -656,7 +729,7 @@ class SrmAgent(Agent):
             anchor = name.source
         distance = self.distances.distance(anchor)
         self._holddown[name] = timer_math.holddown_until(
-            self.now, distance, self.config.holddown_factor)
+            self._scheduler.now, distance, self.config.holddown_factor)
 
     # ------------------------------------------------------------------
     # Handling repairs and original data
@@ -665,8 +738,13 @@ class SrmAgent(Agent):
     def _handle_repair(self, packet: Packet) -> None:
         payload: RepairPayload = packet.payload
         name = payload.name
-        self.trace(RECV_REPAIR, name=name, replier=payload.replier,
-                   answering=payload.answering)
+        trace = self.network.trace
+        if RECV_REPAIR in trace.wanted:
+            trace.record(self._scheduler.now, self.node_id, RECV_REPAIR,
+                         {"name": name, "replier": payload.replier,
+                          "answering": payload.answering})
+        else:
+            trace.kind_totals[RECV_REPAIR] += 1
         arrival_group = packet.dst if packet.dst != self.group else None
         repair_context = self._repairs.get(name)
         if repair_context is not None and not repair_context.done:
@@ -674,7 +752,11 @@ class SrmAgent(Agent):
                 repair_context.timer.cancel()
                 repair_context.done = True
                 self.repairs_cancelled += 1
-                self.trace(REPAIR_CANCELLED, name=name)
+                if REPAIR_CANCELLED in trace.wanted:
+                    trace.record(self._scheduler.now, self.node_id,
+                                 REPAIR_CANCELLED, {"name": name})
+                else:
+                    trace.kind_totals[REPAIR_CANCELLED] += 1
             self._observe_repair(repair_context, payload)
         elif repair_context is not None:
             self._observe_repair(repair_context, payload)
@@ -703,7 +785,12 @@ class SrmAgent(Agent):
                        priority=self._control_priority(name),
                        group=group)
         self.repairs_sent += 1
-        self.trace(SEND_REPAIR_SECOND_STEP, name=name, ttl=ttl)
+        trace = self.network.trace
+        if SEND_REPAIR_SECOND_STEP in trace.wanted:
+            trace.record(self._scheduler.now, self.node_id,
+                         SEND_REPAIR_SECOND_STEP, {"name": name, "ttl": ttl})
+        else:
+            trace.kind_totals[SEND_REPAIR_SECOND_STEP] += 1
 
     def _accept_data(self, name: AduName, data: Any, is_repair: bool,
                      first_requester: Optional[int] = None) -> None:
@@ -713,11 +800,13 @@ class SrmAgent(Agent):
             return
         self.store.put(name, data)
         newly_missing = self.reception.mark_received(name)
+        now = self._scheduler.now
+        trace = self.network.trace
         context = self._requests.get(name)
         if context is not None and not context.done:
             context.done = True
             context.timer.cancel()
-            delay = self.now - context.detected_at
+            delay = now - context.detected_at
             rtt = self.network.rtt(self.node_id, name.source)
             ratio = delay / rtt if rtt > 0 else 0.0
             if not context.first_request_seen:
@@ -725,16 +814,29 @@ class SrmAgent(Agent):
                 # original data or a scoped repair): close the waiting
                 # period for the delay statistics.
                 context.first_request_seen = True
-                self.trace(FIRST_REQUEST_EVENT, name=name, delay=delay,
-                           rtt=rtt, ratio=ratio, via="data")
+                if FIRST_REQUEST_EVENT in trace.wanted:
+                    trace.record(now, self.node_id, FIRST_REQUEST_EVENT,
+                                 {"name": name, "delay": delay, "rtt": rtt,
+                                  "ratio": ratio, "via": "data"})
+                else:
+                    trace.kind_totals[FIRST_REQUEST_EVENT] += 1
                 if self.adaptive is not None:
                     self.adaptive.record_request_delay(ratio)
-            self.trace(DATA_RECOVERED, name=name, delay=delay, rtt=rtt,
-                       ratio=ratio, via="repair" if is_repair else "data")
+            if DATA_RECOVERED in trace.wanted:
+                trace.record(now, self.node_id, DATA_RECOVERED,
+                             {"name": name, "delay": delay, "rtt": rtt,
+                              "ratio": ratio,
+                              "via": "repair" if is_repair else "data"})
+            else:
+                trace.kind_totals[DATA_RECOVERED] += 1
         if is_repair:
             self._set_holddown(name, first_requester)
         self.data_received += 1
-        self.trace(RECV_DATA, name=name, repair=is_repair)
+        if RECV_DATA in trace.wanted:
+            trace.record(now, self.node_id, RECV_DATA,
+                         {"name": name, "repair": is_repair})
+        else:
+            trace.kind_totals[RECV_DATA] += 1
         if self.fec is not None:
             self.fec.on_data_received(name, data)
         if self.on_app_receive is not None:
@@ -777,7 +879,12 @@ class SrmAgent(Agent):
             self.node_id, self.group, KIND_PAGE_REQUEST, payload,
             size=self.config.control_packet_size)
         context.done = True
-        self.trace(SEND_PAGE_REQUEST, page=str(context.page))
+        trace = self.network.trace
+        if SEND_PAGE_REQUEST in trace.wanted:
+            trace.record(self._scheduler.now, self.node_id, SEND_PAGE_REQUEST,
+                         {"page": str(context.page)})
+        else:
+            trace.kind_totals[SEND_PAGE_REQUEST] += 1
 
     def _handle_page_request(self, payload: PageRequestPayload) -> None:
         page = payload.page
@@ -786,7 +893,12 @@ class SrmAgent(Agent):
             # Another member asked first; suppress our page request.
             own.timer.cancel()
             own.done = True
-            self.trace(PAGE_REQUEST_SUPPRESSED, page=str(page))
+            trace = self.network.trace
+            if PAGE_REQUEST_SUPPRESSED in trace.wanted:
+                trace.record(self._scheduler.now, self.node_id,
+                             PAGE_REQUEST_SUPPRESSED, {"page": str(page)})
+            else:
+                trace.kind_totals[PAGE_REQUEST_SUPPRESSED] += 1
         state = self.reception.page_state(page)
         if not state:
             return
@@ -814,7 +926,12 @@ class SrmAgent(Agent):
             self.node_id, self.group, KIND_PAGE_REPLY, payload,
             size=self.config.control_packet_size)
         context.done = True
-        self.trace(SEND_PAGE_REPLY, page=str(context.page))
+        trace = self.network.trace
+        if SEND_PAGE_REPLY in trace.wanted:
+            trace.record(self._scheduler.now, self.node_id, SEND_PAGE_REPLY,
+                         {"page": str(context.page)})
+        else:
+            trace.kind_totals[SEND_PAGE_REPLY] += 1
 
     def _handle_page_reply(self, payload: PageReplyPayload) -> None:
         context = self._page_requests.get(payload.page)
@@ -823,7 +940,13 @@ class SrmAgent(Agent):
             # still-pending request for the same page).
             context.timer.cancel()
             context.done = True
-            self.trace(PAGE_REPLY_SUPPRESSED, page=str(payload.page))
+            trace = self.network.trace
+            if PAGE_REPLY_SUPPRESSED in trace.wanted:
+                trace.record(self._scheduler.now, self.node_id,
+                             PAGE_REPLY_SUPPRESSED,
+                             {"page": str(payload.page)})
+            else:
+                trace.kind_totals[PAGE_REPLY_SUPPRESSED] += 1
         for (source, page), high_seq in payload.page_state.items():
             if source == self.node_id:
                 continue
@@ -844,7 +967,7 @@ class SrmAgent(Agent):
                       if not ctx.done and ctx.timer.pending)
 
     def holddown_active(self, name: AduName) -> bool:
-        return self.now < self._holddown.get(name, float("-inf"))
+        return self._scheduler.now < self._holddown.get(name, float("-inf"))
 
     def reset_recovery_state(self) -> None:
         """Drop per-loss bookkeeping between experiment rounds.
@@ -867,7 +990,12 @@ class SrmAgent(Agent):
         if self.network is not None:
             # Online checkers key suppression state on (node, name); the
             # reset marker tells them this node's slate is clean.
-            self.trace(RECOVERY_RESET)
+            trace = self.network.trace
+            if RECOVERY_RESET in trace.wanted:
+                trace.record(self._scheduler.now, self.node_id,
+                             RECOVERY_RESET, {})
+            else:
+                trace.kind_totals[RECOVERY_RESET] += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SrmAgent node={self.node_id} "

@@ -121,8 +121,13 @@ class FecCodec:
             self.agent.node_id, self.agent.group, KIND_FEC, payload,
             size=self.agent.config.data_packet_size)
         self.parity_sent += 1
-        self.agent.trace(SEND_FEC, page=str(name.page),
-                         first_seq=payload.first_seq)
+        trace = self.agent.network.trace
+        if SEND_FEC in trace.wanted:
+            trace.record(self.agent._scheduler.now, self.agent.node_id,
+                         SEND_FEC, {"page": str(name.page),
+                                    "first_seq": payload.first_seq})
+        else:
+            trace.kind_totals[SEND_FEC] += 1
 
     # ------------------------------------------------------------------
     # Receiver side
@@ -180,5 +185,10 @@ class FecCodec:
         if self.agent.store.have(name):
             return
         self.reconstructed += 1
-        self.agent.trace(FEC_RECONSTRUCTED, name=name)
+        trace = self.agent.network.trace
+        if FEC_RECONSTRUCTED in trace.wanted:
+            trace.record(self.agent._scheduler.now, self.agent.node_id,
+                         FEC_RECONSTRUCTED, {"name": name})
+        else:
+            trace.kind_totals[FEC_RECONSTRUCTED] += 1
         self.agent._accept_data(name, data, is_repair=False)

@@ -157,7 +157,7 @@ class SessionProtocol:
 
     def send_session_message(self) -> None:
         agent = self.agent
-        now = agent.now
+        now: float = agent._scheduler.now  # type: ignore[union-attr]
         if agent.config.distance_oracle:
             # Every member resolves distances through the oracle, so the
             # timestamp echoes (one SessionTimestamp per peer heard) would
@@ -181,7 +181,12 @@ class SessionProtocol:
             size=self.config.session_message_size,
             scope_zone=self.scope_zone)
         self.messages_sent += 1
-        agent.trace(SEND_SESSION, scoped=self.scope_zone is not None)
+        trace = agent.network.trace
+        if SEND_SESSION in trace.wanted:
+            trace.record(now, agent.node_id, SEND_SESSION,
+                         {"scoped": self.scope_zone is not None})
+        else:
+            trace.kind_totals[SEND_SESSION] += 1
 
     # ------------------------------------------------------------------
     # Receiving

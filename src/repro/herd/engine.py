@@ -26,7 +26,7 @@ to same-instant batches from distinct senders (see ``docs/herd.md``).
 
 The herd observes the way the agent engine does. Its :class:`Trace`
 keeps nothing by default, so a row is built only for a kind someone
-wants (``kind in trace.wanted``, the ``Agent.trace`` guard) and every
+wants (``kind in trace.wanted``, the agent's emission guard) and every
 other row is only counted in ``kind_totals``; a vectorized batch either
 emits its rows in the agent's order or adds its counts in one step.
 Each round's :class:`RunMetrics` bundle and :class:`LossEventReport`

@@ -38,12 +38,16 @@ HOT_PATH_SLOTS_MODULES = (
     "repro/sim/perf.py",
 )
 
-#: Modules where ``Trace.record`` sits on the delivery hot path: it must
-#: be guarded by ``KIND in trace.wanted`` and handed its detail dict as
-#: built, not re-expanded (SRM006).
+#: Modules where ``Trace.record`` sits on the delivery hot path -- the
+#: network and every module an agent emits from: it must be guarded by
+#: ``KIND in trace.wanted`` and handed its detail dict as built, not
+#: re-expanded (SRM006).
 HOT_PATH_TRACE_MODULES = (
     "repro/net/network.py",
     "repro/core/agent.py",
+    "repro/core/session.py",
+    "repro/core/fec.py",
+    "repro/wb/whiteboard.py",
 )
 
 #: Path fragment marking simulation-domain code: the determinism rules

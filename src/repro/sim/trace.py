@@ -65,7 +65,8 @@ class Trace:
     ``subscribe(kinds=...)``, and only a wanted kind's rows are built.
     Every row, wanted or not, is counted in :attr:`kind_totals`. An
     emitter that builds a detail dict asks ``kind in trace.wanted``
-    first and otherwise only bumps ``kind_totals[kind]`` (``Agent.trace``).
+    first and otherwise only bumps ``kind_totals[kind]``, as every
+    emission site of ``SrmAgent`` and ``Network`` does.
     """
 
     __slots__ = ("records", "kind_totals", "wanted", "_keep", "_listeners",
@@ -120,9 +121,9 @@ class Trace:
         """Count a row of ``kind``; build, store and route it if wanted.
 
         The detail is given either as keyword ``fields`` or as one
-        already-built dict, which the row then owns; forwarding callers
-        (``Agent.trace``) pass the dict they were handed instead of
-        expanding it into a second one.
+        already-built dict, which the row then owns: the agent passes a
+        dict literal, and a forwarding caller (``HerdSimulation._emit``)
+        the dict it was handed instead of expanding it into a second one.
         """
         if detail is None:
             detail = fields

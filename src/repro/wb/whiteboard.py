@@ -178,7 +178,12 @@ class Whiteboard:
                     # in repairs ("spread like a virus"), and re-enter
                     # loss recovery for an intact copy.
                     self.integrity_rejections += 1
-                    self.agent.trace(WB_INTEGRITY_REJECTED, name=name)
+                    trace = self.agent.network.trace
+                    if WB_INTEGRITY_REJECTED in trace.wanted:
+                        trace.record(self.now, self.agent.node_id,
+                                     WB_INTEGRITY_REJECTED, {"name": name})
+                    else:
+                        trace.kind_totals[WB_INTEGRITY_REJECTED] += 1
                     self.agent.store.evict(name)
                     self.agent.on_loss_detected(name)
                     return

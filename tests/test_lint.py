@@ -72,6 +72,19 @@ def test_srm006_flags_mapping_reexpansion_even_when_guarded():
     assert "**mapping" in hits[1].message
 
 
+def test_srm006_covers_every_module_an_agent_emits_from():
+    report = lint_paths([VIOLATIONS_TREE / "src/repro/core/session.py"])
+    assert [(v.code, v.line) for v in report.violations] == [("SRM006", 12)]
+    engine = LintEngine()
+    emission = ("def emit(agent, kind):\n"
+                "    agent.network.trace.record(0.0, agent.node_id, kind, {})\n")
+    flagged = {module: [v.code for v in engine.check_source(
+        f"src/{module}", emission)]
+        for module in ("repro/core/agent.py", "repro/core/session.py",
+                       "repro/core/fec.py", "repro/wb/whiteboard.py")}
+    assert flagged == dict.fromkeys(flagged, ["SRM006"])
+
+
 def test_srm006_guard_must_test_a_kind_against_trace_wanted():
     engine = LintEngine()
     template = ("def f(self, kind, node):\n"

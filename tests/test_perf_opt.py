@@ -20,8 +20,11 @@ from repro.net.node import Agent
 from repro.net.packet import Packet
 from repro.sim import perf
 from repro.sim.rng import RandomSource
+from repro.sim.trace import DUP_REQUEST_OBSERVED, REQUEST_DUP_IGNORED
 from repro.topology.random_tree import random_labeled_tree
 from repro.topology.star import star
+
+from conftest import build_srm_session
 
 
 class Recorder(Agent):
@@ -425,3 +428,65 @@ def test_a_hop_costs_at_most_four_python_frames_outside_receive():
     assert [node for _, node, _, _ in log] == list(range(1, 10))
     assert frames.count("Network._multicast_arrive") == hops
     assert len(frames) <= 4 * hops, sorted(set(frames))
+
+
+def _member_in_request_suppression(keep):
+    """Member 3 of a four-leaf star session, waiting out a backed-off
+    request timer for member 1's first ADU: it detected the loss and
+    heard member 2's request. Returns the member, the name, a duplicate
+    request from member 4 and the trace (keeping ``keep``)."""
+    from repro.core.messages import KIND_REQUEST, RequestPayload
+    from repro.core.names import DEFAULT_PAGE, AduName
+
+    network, agents, group = build_srm_session(star(4), range(1, 5))
+    network.trace.keep = keep
+    name = AduName(1, DEFAULT_PAGE, 1)
+    member = agents[3]
+
+    def request(requester):
+        return Packet(requester, group, KIND_REQUEST, RequestPayload(
+            name=name, requester=requester,
+            requester_distance_to_source=1.0))
+
+    member.on_loss_detected(name)
+    member.receive(request(2))
+    assert member.requests_suppressed == 0   # that one backed it off
+    return member, name, request(4), network.trace
+
+
+def test_a_heard_duplicate_request_costs_no_trace_or_clock_frame():
+    """Every member of a star hears every request. A duplicate heard in
+    the ignore window emits two kinds nobody reads here: the guard only
+    counts them, so no ``Trace.record``, clock property or trace
+    wrapper frame runs."""
+    member, _, duplicate, trace = _member_in_request_suppression(keep=())
+    totals = dict(trace.kind_totals)
+    frames = _python_frames(lambda: member.receive(duplicate))
+    assert member.requests_suppressed == 1
+    # receive, _handle_request, DataStore.have, _observe_request and
+    # timer_math.should_backoff: the protocol work, nothing else.
+    assert len(frames) <= 5, frames
+    assert not [frame for frame in frames
+                if frame in ("Trace.record", "Agent.now")
+                or frame.endswith(".trace")], frames
+    assert {kind: count - totals.get(kind, 0)
+            for kind, count in trace.kind_totals.items()
+            if count != totals.get(kind, 0)} == {
+        DUP_REQUEST_OBSERVED: 1, REQUEST_DUP_IGNORED: 1}
+
+
+def test_a_heard_duplicate_request_builds_each_wanted_row_once():
+    """With every kind kept, the same delivery enters ``Trace.record``
+    once per row, and the rows are the ones the agent has always
+    emitted, in order."""
+    member, name, duplicate, trace = _member_in_request_suppression(
+        keep=None)
+    kept = len(trace.records)
+    frames = _python_frames(lambda: member.receive(duplicate))
+    rows = [(row.time, row.node, row.kind, row.detail)
+            for row in trace.records[kept:]]
+    assert rows == [
+        (0.0, 3, DUP_REQUEST_OBSERVED, {"name": name, "requester": 4}),
+        (0.0, 3, REQUEST_DUP_IGNORED, {"name": name})]
+    assert frames.count("Trace.record") == len(rows)
+    assert "Agent.now" not in frames

@@ -14,15 +14,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.common import (LossRecoverySimulation, Scenario,
-                                      choose_scenario)
+from repro.experiments import common
+from repro.experiments.common import (ExperimentSpec, LossRecoverySimulation,
+                                      Scenario, choose_scenario,
+                                      run_experiment)
+from repro.experiments.figure4 import figure4_scenarios
 from repro.experiments.figure5 import star_scenario
+from repro.fleet.wire import result_to_json
 from repro.metrics.collector import SUBSCRIBED_KINDS
 from repro.oracle import SessionOracleSuite
 from repro.sim import trace as trace_module
 from repro.sim.rng import RandomSource
-from repro.sim.trace import (DUP_REQUEST_OBSERVED, KINDS, RECV_REPAIR,
-                             REQUEST_TIMER_SET)
+from repro.sim.trace import (DELIVER, DUP_REQUEST_OBSERVED, KINDS,
+                             RECV_REPAIR, REQUEST_TIMER_SET)
 from repro.topology.chain import chain
 from repro.topology.random_tree import random_labeled_tree
 
@@ -155,3 +159,41 @@ def test_passive_suite_does_not_check_a_partial_stream(monkeypatch):
     assert simulation.run_round().repairs >= 1
     assert {row.kind for row in heard} <= SUBSCRIBED_KINDS
     assert not suite.verify(context="lean round")
+
+
+AGENT_SPECS = {
+    "figure4": lambda: ExperimentSpec(
+        scenario=figure4_scenarios((20,), sims=1)[0], seed=4 * 7919,
+        experiment="figure4"),
+    "star-50x3": lambda: ExperimentSpec(scenario=star_scenario(50),
+                                        rounds=3, seed=1),
+}
+
+
+@pytest.mark.parametrize("spec_name", sorted(AGENT_SPECS))
+def test_check_mode_leaves_an_agent_result_unchanged(monkeypatch, spec_name):
+    """Unchecked, an agent builds rows only for the collector's kinds
+    and takes the guard's counter branch for the rest; checked, it
+    builds every row. Both branches must give the same result and count
+    the same rows. Check mode also traces each delivery, a network row
+    rather than an agent's, so ``deliver`` is left out of the count."""
+    simulations = []
+
+    class Recorded(LossRecoverySimulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            simulations.append(self)
+
+    spec = AGENT_SPECS[spec_name]()
+    monkeypatch.setattr(common, "LossRecoverySimulation", Recorded)
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    unchecked = result_to_json(run_experiment(spec))
+    monkeypatch.setenv("SRM_CHECK", "1")
+    checked = result_to_json(run_experiment(spec))
+    lean, full = (simulation.network.trace for simulation in simulations)
+    assert lean.keep == SUBSCRIBED_KINDS and full.keep is None
+    assert checked == unchecked
+    lean_totals, full_totals = (
+        {kind: count for kind, count in trace.kind_totals.items()
+         if kind != DELIVER} for trace in (lean, full))
+    assert lean_totals == full_totals
