@@ -46,8 +46,7 @@ copies. v3 re-expresses ``cancel_heavy`` through the
 workload (N suppression timers armed, ~90% never fire), driven the way
 SRM suppression drives the kernel. v1/v2 files are still accepted by
 ``--compare``, as are v3 files that carry the ``"backend"`` field the
-heap-era script recorded (the committed ``BENCH_kernel.json`` is one;
-its heap rows are historical).
+heap-era script recorded.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ through the ``now`` property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional
 
 from repro.core import timer_math
 from repro.core.adaptive import AdaptiveTimers
@@ -53,7 +53,7 @@ from repro.core.session import (
     OracleDistance,
     SessionDistance,
     SessionProtocol,
-    merge_report,
+    receive_run,
 )
 from repro.core.fec import KIND_FEC, FecCodec, payload_bytes
 from repro.core.state import DataStore, ReceptionState
@@ -366,9 +366,11 @@ class SrmAgent(Agent):
             self._accept_data(payload.name, payload.data, is_repair=False)
         elif kind == KIND_SESSION:
             # Second in the chain: session traffic outnumbers every
-            # packet kind except data in a steady-state group.
-            if self.session is not None:
-                self.session.handle(packet.payload)
+            # packet kind except data in a steady-state group. A session
+            # packet without a report in it (none is sent) is ignored.
+            if (self.session is not None
+                    and packet.payload.__class__ is SessionPayload):
+                self.session.handle(packet)
         elif kind == KIND_REQUEST:
             self._handle_request(packet)
         elif kind == KIND_REPAIR:
@@ -381,20 +383,9 @@ class SrmAgent(Agent):
             if self.fec is not None:
                 self.fec.on_parity_received(packet.payload)
 
-    @staticmethod
-    def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
-        """One multicast packet for a delivery run of SRM agents.
-
-        Session reports, which every member sends to every other, are
-        merged in one pass over the run; every other kind (and a session
-        packet without a report in it) is received agent by agent.
-        """
-        if (packet.kind == KIND_SESSION
-                and packet.payload.__class__ is SessionPayload):
-            merge_report(agents, packet.payload, packet.dst)
-        else:
-            for agent in agents:
-                agent.receive(packet)
+    #: The run handler: session reports are merged into the whole run in
+    #: one frame, every other kind is received agent by agent.
+    receive_run = staticmethod(receive_run)
 
     # ------------------------------------------------------------------
     # Loss detection and request timers

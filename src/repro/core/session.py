@@ -15,13 +15,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.core.messages import KIND_SESSION, SessionPayload, SessionTimestamp
+from repro.net.packet import GroupAddress
 from repro.sim.timers import Timer
 from repro.sim.trace import SEND_SESSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import SrmAgent
     from repro.core.names import PageId
-    from repro.net.packet import GroupAddress, NodeId
+    from repro.net.packet import NodeId, Packet
 
 
 class DistanceEstimator:
@@ -75,7 +76,7 @@ class SessionProtocol:
         self.config = agent.config
         #: The page of the last report merged (by identity: members
         #: viewing one page report the same ``PageId`` object) and the
-        #: agent's high-water table for it, which :func:`merge_report`
+        #: agent's high-water table for it, which :func:`receive_run`
         #: probes for every stream in every report. ``agent.reception``
         #: is bound once in ``SrmAgent.__init__`` and never rebound.
         self._page: Optional["PageId"] = None
@@ -192,41 +193,38 @@ class SessionProtocol:
     # Receiving
     # ------------------------------------------------------------------
 
-    def handle(self, payload: SessionPayload) -> None:
-        """Digest one report at this member (see :func:`merge_report`)."""
-        merge_report((self.agent,), payload)
+    def handle(self, packet: "Packet") -> None:
+        """Digest one report at this member: a run of one (see
+        :func:`receive_run`)."""
+        receive_run((self.agent,), packet)
 
 
-def merge_report(agents: Sequence["SrmAgent"], payload: SessionPayload,
-                 group: Optional["GroupAddress"] = None) -> None:
-    """Digest one session report at each of ``agents``, in order.
+def receive_run(agents: Sequence["SrmAgent"], packet: "Packet") -> None:
+    """One packet at each of ``agents``, in order: ``SrmAgent.receive_run``.
 
-    Hot path: every member processes every other member's periodic
-    report, so a session-heavy run spends more time here than in the
-    scheduler. What depends only on the report is therefore built once
-    per call, and a call covers a whole delivery run
-    (``SrmAgent.receive_run``, which passes the ``group`` the report was
-    multicast to so that the membership check ``SrmAgent.receive`` makes
-    is made here) or the one agent of :meth:`SessionProtocol.handle`,
-    which ``receive`` has already checked. Each agent is finished (its
+    A session report is merged here, any other packet goes to each
+    agent's ``receive``. Hot path: every member processes every other
+    member's periodic report, so a session-heavy run spends more time
+    here than in the scheduler. A call covers a whole delivery run (or
+    the one agent of :meth:`SessionProtocol.handle`) in this one frame:
+    what depends only on the report is read once, and the reported
+    streams straight from ``page_state``. Each agent is finished (its
     losses detected, their timers drawn) before the next is touched.
     """
+    payload = packet.payload
+    if packet.kind != KIND_SESSION or payload.__class__ is not SessionPayload:
+        for agent in agents:
+            agent.receive(packet)
+        return
+    group = packet.dst
     member = payload.member
     page = payload.page
     now: float = agents[0]._scheduler.now  # type: ignore[union-attr]
     stamp = (payload.sent_at, now)
     echoes = payload.echoes
-    # (source, reported high-water mark, page) per stream, with ``page``
-    # itself standing in for every equal PageId so the loop below can
-    # tell by identity. (No member reports a stream off ``payload.page``;
-    # a decoded datagram may hold one.)
-    reported = [
-        (key[0], high_seq,
-         page if key[1] is page or key[1] == page else key[1])
-        for key, high_seq in payload.page_state.items()
-    ] if payload.page_state else ()
+    page_state = payload.page_state
     for agent in agents:
-        if (group is not None and group is not agent.group
+        if (group is not agent.group and group.__class__ is GroupAddress
                 and group not in agent._joined_groups):
             continue  # not, or no longer, listening on this group
         session = agent.session
@@ -242,7 +240,7 @@ def merge_report(agents: Sequence["SrmAgent"], payload: SessionPayload,
                 # t1: our send; echo.delta: peer's holding time; now: t4.
                 estimate = ((now - echo.t1) - echo.delta) / 2.0
                 distances.update(member, estimate)
-        if not reported:
+        if not page_state:
             continue
         # Reception-state reports reveal tail losses. The steady-state
         # outcome — the reported high-water mark is already known — is
@@ -253,7 +251,14 @@ def merge_report(agents: Sequence["SrmAgent"], payload: SessionPayload,
             session._page = page
             session._page_high = agent.reception.high_water_table(page)
         high = session._page_high
-        for source, high_seq, stream_page in reported:
+        for key in page_state:
+            source, stream_page = key
+            high_seq = page_state[key]
+            # ``page`` stands in for every equal PageId, so the test below
+            # can tell by identity. (No member reports a stream off
+            # ``payload.page``; a decoded datagram may hold one.)
+            if stream_page is not page and stream_page == page:
+                stream_page = page
             # Steady state first: a report at or below our own
             # high-water mark needs no further filtering (our own
             # streams always land here too, since no peer can report

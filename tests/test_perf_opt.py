@@ -430,6 +430,43 @@ def test_a_hop_costs_at_most_four_python_frames_outside_receive():
     assert len(frames) <= 4 * hops, sorted(set(frames))
 
 
+def test_a_session_report_run_enters_one_python_frame():
+    """One leaf's report on a warm star: the 28 tied leaves are one run,
+    and below ``_deliver_many`` that run enters only the run handler,
+    which merges the report itself. A forwarding hop to a merge
+    function, a per-run list of the reported streams or a per-receiver
+    ``receive`` / ``handle`` would each show here (docs/performance.md,
+    "Batched session/state delivery")."""
+    from functools import partial
+
+    from repro.core.agent import SrmAgent
+    from repro.core.config import SrmConfig
+
+    network, agents, _ = build_srm_session(
+        star(30), range(30), SrmConfig(session_enabled=True))
+    network.trace_deliveries = False  # check mode traces, never batches
+    for agent in agents.values():
+        agent.session.stop()   # only the reports sent below
+    agents[1].send_data("x")   # so that the report names a stream
+    agents[1].session.send_session_message()
+    network.run(until=5.0)     # binds the run and primes each merge
+    runs = []
+    deliver_many = network._deliver_many
+
+    def watched(members, packet):
+        runs.append((len(members), _python_frames(
+            partial(deliver_many, members, packet))))
+
+    network._deliver_many = watched
+    agents[1].session.send_session_message()
+    network.run(until=10.0)
+    handler = SrmAgent.receive_run.__qualname__
+    assert runs == [(28, [handler])]
+    assert all(agents[member].session.last_heard[1][0] == 5.0
+               for member in range(30) if member != 1)
+    assert not any(agent.pending_requests() for agent in agents.values())
+
+
 def _member_in_request_suppression(keep):
     """Member 3 of a four-leaf star session, waiting out a backed-off
     request timer for member 1's first ADU: it detected the loss and

@@ -2,8 +2,8 @@
 session/state delivery").
 
 ``Network._deliver_many`` hands a run of receivers that tie in (delay,
-hops) to ``SrmAgent.receive_run`` in one call, and a session report is
-then merged into the whole run by ``core.session.merge_report``. The
+hops) to ``SrmAgent.receive_run`` (``core.session.receive_run``) in one
+call, which merges a session report into the whole run itself. The
 reference is the per-receiver path the same method takes when
 ``_deliver`` is set on the instance (the seam tests already use to watch
 deliveries): one ``_deliver`` -> ``receive`` -> ``handle`` chain per
@@ -13,16 +13,21 @@ state at every member.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
-from repro.core.messages import KIND_SESSION, SessionPayload, SessionTimestamp
+from repro.core.messages import (KIND_SESSION, PACKET, SessionPayload,
+                                 SessionTimestamp)
 from repro.core.names import DEFAULT_PAGE, AduName
+from repro.core.state import ReceptionState
 from repro.net.link import NthPacketDropFilter
 from repro.net.node import Agent
+from repro.net.packet import Packet
 from repro.sim.rng import RandomSource
 from repro.topology.random_tree import random_labeled_tree
 from repro.topology.spec import TopologySpec
@@ -349,8 +354,9 @@ def test_handle_is_the_one_receiver_call_of_the_merge(oracle):
             network.send_multicast(1, agents[1].group, KIND_SESSION,
                                    payload)
         else:
+            packet = Packet(1, agents[1].group, KIND_SESSION, payload)
             scheduler.schedule(2.0, lambda: [
-                agents[node].session.handle(payload)
+                agents[node].session.handle(packet)
                 for node in (2, 3, 4, 5, 6)])
         network.run(until=2.0)
         outcomes.append({
@@ -362,3 +368,54 @@ def test_handle_is_the_one_receiver_call_of_the_merge(oracle):
     assert outcomes[0][3][2] == [AduName(1, DEFAULT_PAGE, 1)]
     if not oracle:
         assert outcomes[0][2][1][1] == ((2.0 + 3.0) - 0.5) / 2.0
+
+
+@pytest.mark.parametrize("oracle", [True, False])
+def test_a_decoded_report_merges_like_the_one_in_memory(oracle,
+                                                       monkeypatch):
+    """A report that crossed the wire names its page with a ``PageId``
+    equal to, but not the same object as, the receivers' own. Merged by
+    run, it must leave what the in-memory report leaves: the tail loss
+    at the one leaf that missed it, and no loss anywhere else. It takes
+    the steady-state test too: only that leaf reaches
+    ``note_high_water``."""
+    noted = []
+    original = ReceptionState.note_high_water
+    monkeypatch.setattr(ReceptionState, "note_high_water", lambda *args: (
+        noted.append(args[1:]), original(*args))[1])
+    outcomes = []
+    for decoded in (False, True):
+        network, agents = star_session(distance_oracle=oracle)
+        network.trace.keep = None
+        for leaf in (2, 3, 4, 5, 6):   # so that leaf 1's report echoes
+            report_from(agents[leaf])
+        network.add_drop_filter(0, 4, NthPacketDropFilter(
+            lambda p: p.kind == "srm-data" and p.payload.name.seq == 2))
+        agents[1].send_data("first")
+        agents[1].send_data("second")
+        network.run(until=network.scheduler.now + 2.5)
+        if decoded:
+            send = network.send_multicast
+
+            def via_wire(origin, group, kind, payload, **options):
+                wire = PACKET.encode(Packet(origin, group, kind, payload))
+                received = PACKET.decode(json.loads(json.dumps(wire)))
+                report = received.payload
+                assert report.page == payload.page
+                assert report.page is not payload.page
+                assert all(page == payload.page and page is not report.page
+                           for _, page in report.page_state)
+                send(origin, group, kind, report, **options)
+
+            network.send_multicast = via_wire
+        noted.clear()
+        report_from(agents[1])
+        assert (2, 3, 4, 5, 6) in handler_bound_runs(network)
+        outcomes.append((observed(network, agents), list(noted)))
+    assert outcomes[0] == outcomes[1]
+    (rows, _, members), notes = outcomes[1]
+    assert rows.decode().count("loss_detected") == 1
+    assert members[4][5] == [AduName(1, DEFAULT_PAGE, 2)]
+    assert not any(member[5] for node, member in members.items()
+                   if node != 4)
+    assert notes == [(1, DEFAULT_PAGE, 2)]
