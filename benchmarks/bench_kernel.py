@@ -41,10 +41,11 @@ The JSON schema (``bench-kernel/v3``)::
 v2 added the per-bench ``kernel`` section (``docs/metrics.md``): the
 deterministic counter deltas that explain a wall-clock movement —
 events scheduled vs executed, bucket scans, plan-cache hits, arrival
-copies. v3 re-expresses ``cancel_heavy`` through the
-:class:`repro.sim.timers.TimerWave` bulk API — the same logical
-workload (N suppression timers armed, ~90% never fire), driven the way
-SRM suppression drives the kernel. v1/v2 files are still accepted by
+copies. ``cancel_heavy`` is the same logical workload in every
+version (N suppression timers armed, ~90% never fire); v3 once drove
+it through a bulk-wave API, and it now arms one
+:class:`repro.sim.timers.Timer` per member, the way agents drive the
+kernel. v1/v2 files are still accepted by
 ``--compare``, as are v3 files that carry the ``"backend"`` field the
 heap-era script recorded.
 """
@@ -70,7 +71,7 @@ from repro.experiments.common import LossRecoverySimulation, Scenario
 from repro.net.node import Agent
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import EventScheduler
-from repro.sim.timers import TimerWave
+from repro.sim.timers import Timer
 from repro.topology.random_tree import random_labeled_tree
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_kernel.json"
@@ -97,21 +98,17 @@ def cancel_heavy(n: int, cancel_fraction: float = 0.9) -> tuple[int, dict]:
     """Timer workload where suppression cancels most pending timers.
 
     Models SRM request/repair suppression: timers are set in waves, the
-    earliest few fire, and the rest are cancelled in bulk — exactly how
-    a suppression round plays out (the first expiring member's multicast
-    suppresses everyone else's pending timer). Driven through the
-    :class:`TimerWave` bulk API: one ``arm`` per wave, a run to the
-    suppression horizon, then ``cancel_all`` for the survivors. The
-    logical workload — ``n`` timers armed, ``cancel_fraction`` of them
-    never firing — matches the per-``Timer`` formulation this bench used
-    before ``TimerWave`` existed, so wall-clock ratios against an older
-    baseline compare the same protocol work.
+    earliest few fire, and the rest are cancelled — exactly how a
+    suppression round plays out (the first expiring member's multicast
+    suppresses everyone else's pending timer). Each member arms its own
+    :class:`Timer`, as every agent does; a wave runs to the suppression
+    horizon, then each survivor's timer is cancelled.
     """
     sched = EventScheduler()
     rng = RandomSource(2)
     fired = 0
 
-    def on_fire(member: int) -> None:
+    def on_fire() -> None:
         nonlocal fired
         fired += 1
 
@@ -129,11 +126,14 @@ def cancel_heavy(n: int, cancel_fraction: float = 0.9) -> tuple[int, dict]:
     # bench whose kernel work is this cheap.
     u = rng._rng.random
     for _ in range(waves):
-        delays = [lo + span * u() for _ in range(wave)]
-        suppression = TimerWave(sched, on_fire)
-        suppression.arm(delays)
+        timers = [Timer(sched, on_fire) for _ in range(wave)]
+        for timer in timers:
+            timer.start(lo + span * u())
         sched.run(until=sched.now + horizon)
-        cancelled += suppression.cancel_all()
+        for timer in timers:
+            if timer.pending:
+                timer.cancel()
+                cancelled += 1
     return sched.events_processed, {
         "timers": waves * wave,
         "fired": fired,

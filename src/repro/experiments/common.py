@@ -268,8 +268,8 @@ class ExperimentSpec:
 
     # -- spec/v3 wire contract (see repro.fleet.wire) ------------------
     # The frozen, versioned JSON encoding used by every fleet HTTP
-    # payload and by the runner's cache-key fingerprint (Task.canonical
-    # prefers to_wire() over generic dataclass walking).
+    # payload and by the runner's cache-key fingerprint
+    # (repro.runner.task.canonical encodes a spec as its to_wire()).
 
     def to_wire(self) -> Dict[str, Any]:
         from repro.fleet.wire import spec_to_wire

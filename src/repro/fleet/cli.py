@@ -51,8 +51,8 @@ def install_options(sub: argparse.ArgumentParser) -> None:
                      help="(serve) lease lifetime without a heartbeat "
                           "(default: 15)")
     sub.add_argument("--retries", type=int, default=2,
-                     help="(serve) per-task retry budget "
-                          "(default: %(default)s)")
+                     help="(serve) times a task whose lease expired "
+                          "is leased again (default: %(default)s)")
     # worker
     sub.add_argument("--name", default="",
                      help="(worker) display name (default: the id)")

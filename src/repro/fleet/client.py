@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 from repro.experiments.common import ExperimentSpec
 from repro.fleet.wire import LEASE, REGISTER, SUBMIT, Lease, Register, Submit, result_from_wire
 from repro.runner.executor import ExperimentRunner
-from repro.runner.task import Task
+from repro.runner.task import RUN_EXPERIMENT, Task, function_ref
 
 
 class FleetError(RuntimeError):
@@ -195,9 +195,9 @@ class FleetRunner(ExperimentRunner):
 
     Only spec-shaped sweeps — ``map(experiment, run_experiment,
     [{"spec": ExperimentSpec}, ...])`` — can cross the wire; that is
-    the entire post-PR-4 experiment surface. Anything else (a bare
-    task function, extra kwargs) raises rather than silently running
-    locally. Retries and lease deadlines are the controller's.
+    every figure's surface. The runner's other task kind, a fuzz
+    sweep, raises rather than silently running locally. Retries and
+    lease deadlines are the controller's.
     """
 
     def __init__(self, base_url_or_client: Any,
@@ -216,18 +216,11 @@ class FleetRunner(ExperimentRunner):
 
     def _execute(self, tasks: Sequence[Task], misses: List[int],
                  finish: Callable[..., None]) -> None:
-        from repro.experiments.common import run_experiment
-
         for position in misses:
-            task = tasks[position]
-            if task.fn is not run_experiment:
-                raise FleetError(
-                    f"FleetRunner can only execute run_experiment sweeps, "
-                    f"not {getattr(task.fn, '__qualname__', task.fn)!r}")
-            if set(task.kwargs) != {"spec"}:
-                raise FleetError(
-                    f"kwargs[{task.index}] must be exactly {{'spec': "
-                    f"ExperimentSpec}}, got keys {sorted(task.kwargs)}")
+            ref = function_ref(tasks[position].fn)
+            if ref != RUN_EXPERIMENT:
+                raise FleetError(f"FleetRunner can only execute "
+                                 f"run_experiment sweeps, not {ref}")
         experiments = {tasks[position].experiment for position in misses}
         if len(experiments) != 1:
             raise FleetError("FleetRunner.run() expects tasks from one "

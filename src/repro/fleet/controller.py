@@ -13,13 +13,15 @@ One controller owns the full state of every submitted sweep:
   task at a time. A lease carries the job's serialized env block
   (:func:`repro.env.snapshot`) so every worker runs the sweep under the
   submitter's knobs. Each job runs on one
-  :class:`~repro.runner.lease.LeaseTable`, as the serial runner and the
-  ``--jobs`` pool do: a worker that stops heartbeating loses its lease
-  and the attempt is spent — the task goes back to pending, or fails the
-  job once its budget is gone — and the sweep completes on the surviving
-  workers with results identical to a crash-free run: results are
-  content-addressed, so a straggler's late report of a rescheduled task
-  is a harmless duplicate write of the same bytes.
+  :class:`~repro.runner.lease.LeaseTable`, as the ``--jobs`` pool does:
+  a worker's error report fails the job at once (the simulation is
+  deterministic, so a retry would raise again), while a worker that
+  stops heartbeating loses its lease and the attempt is spent — the
+  task goes back to pending, or fails the job once its budget is gone —
+  and the sweep completes on the surviving workers with results
+  identical to a crash-free run: results are content-addressed, so a
+  straggler's late report of a rescheduled task is a harmless duplicate
+  write of the same bytes.
 * **Events** — an append-only feed (submit, lease, result, expiry,
   registration) served as JSONL snapshots and live SSE, and a minimal
   HTML dashboard polling the same JSON endpoints.
@@ -164,9 +166,8 @@ class FleetController:
     def _spend(self, job: Job, index: int, worker_id: str, reason: str,
                cause: str) -> bool:
         """``worker_id``'s attempt at a task failed. True when the task
-        will be retried; once its budget is gone the job fails with it."""
-        retrying = job.table.fail(index, worker_id, reason, cause,
-                                  time.monotonic()) is not None
+        will be retried; when it is failed the job fails with it."""
+        retrying = job.table.fail(index, worker_id, reason, cause)
         if not retrying and not job.error:
             job.error = (f"task {index} failed after "
                          f"{job.table.rows[index].attempts} attempts: "
@@ -207,10 +208,9 @@ class FleetController:
                                    fingerprint=fingerprint))
         with self._lock:
             job_id = f"job-{next(self._job_ids)}"
-            # No backoff: a worker polls for its next lease anyway.
             job = Job(job_id=job_id, experiment=body.experiment,
                       env=body.env, tasks=tasks,
-                      table=LeaseTable(len(tasks), self.retries, 0.0))
+                      table=LeaseTable(len(tasks), self.retries))
             cached = 0
             for task in tasks:
                 # An entry that decodes, not one that exists: a corrupt

@@ -19,8 +19,6 @@ a golden-trace diff has to:
 ``SRM006``  ``Trace.record(...)`` not guarded by ``KIND in
             trace.wanted``, or re-expanding ``**mapping``, in a hot-path
             module
-``SRM007``  unpicklable ``runner.Task`` payload (lambda, nested
-            function, open handle)
 ``SRM008``  timer callback reads an unordered shared set (behavior
             would depend on same-instant drain order; ``--races`` is
             the dynamic replay)

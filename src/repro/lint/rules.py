@@ -101,8 +101,7 @@ def _load_rule_modules() -> None:
     if _loaded:
         return
     from repro.lint import (  # noqa: F401  (imported for side effects)
-        rules_determinism, rules_hotpath, rules_hygiene, rules_races,
-        rules_runner)
+        rules_determinism, rules_hotpath, rules_hygiene, rules_races)
     _loaded = True
 
 

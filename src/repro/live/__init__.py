@@ -11,7 +11,6 @@ from repro.live.clock import WallClock, unix_now
 from repro.live.engine import Engine
 from repro.live.framing import (
     FragmentReassembler,
-    FrameDecoder,
     decode_frame,
     encode_frame,
     frame_to_packet,
@@ -44,7 +43,6 @@ __all__ = [
     "DEFAULT_LOSS_KINDS",
     "Engine",
     "FragmentReassembler",
-    "FrameDecoder",
     "LinkEmulator",
     "LiveEngine",
     "LiveEvent",

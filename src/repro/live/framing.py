@@ -3,15 +3,12 @@
 The packet table of :mod:`repro.core.messages` turns packets into
 JSON-compatible dicts; this module turns those dicts into bytes on a
 socket and back, totally — arbitrary garbage in never crashes, it
-surfaces as :class:`~repro.codec.WireFormatError` or a counted resync.
+surfaces as :class:`~repro.codec.WireFormatError` or a counted drop.
 
 Three layers:
 
 * **Frames** — ``b"SRM1" + !I body-length + JSON body``.
-  :func:`encode_frame` / :func:`decode_frame` handle exactly one frame;
-  :class:`FrameDecoder` handles a byte *stream* (split and coalesced
-  reads), resynchronizing on the magic after garbage and counting what
-  it skipped.
+  :func:`encode_frame` / :func:`decode_frame` handle exactly one frame.
 * **Datagrams** — UDP bounds message size, so frames ride in fragments:
   ``b"SRMF" + !I frame-id + !H index + !H count + chunk``.
   :func:`split_datagrams` fragments a frame (count == 1 for the common
@@ -85,89 +82,14 @@ def decode_frame(frame: bytes) -> Dict[str, Any]:
         raise WireFormatError(
             f"frame length {length} disagrees with buffer of "
             f"{len(frame) - FRAME_HEADER_SIZE} body bytes")
-    return _decode_body(frame[FRAME_HEADER_SIZE:])
-
-
-def _decode_body(body: bytes) -> Dict[str, Any]:
     try:
-        wire = json.loads(body.decode("utf-8"))
+        wire = json.loads(frame[FRAME_HEADER_SIZE:].decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting
         raise WireFormatError(f"frame body is not JSON: {exc}") from exc
     if not isinstance(wire, dict):
         raise WireFormatError(
             f"frame body is not a JSON object: {type(wire).__name__}")
     return wire
-
-
-class FrameDecoder:
-    """Incremental frame decoder for a byte stream.
-
-    Feed arbitrary chunks; complete frames come out in order. Garbage —
-    bytes that are not a frame header, an insane length, an unparsable
-    body — never raises: the decoder skips to the next magic and counts
-    (``garbage_bytes``, ``errors``) so the receive path can report
-    drop-and-count statistics.
-    """
-
-    __slots__ = ("_buffer", "garbage_bytes", "errors", "frames")
-
-    def __init__(self) -> None:
-        self._buffer = b""
-        #: Bytes skipped while hunting for a frame magic.
-        self.garbage_bytes = 0
-        #: Frames whose header or body failed to decode.
-        self.errors = 0
-        #: Frames decoded successfully.
-        self.frames = 0
-
-    def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        """Absorb ``data``; return every frame completed by it."""
-        self._buffer += data
-        out: List[Dict[str, Any]] = []
-        while True:
-            self._resync()
-            buffer = self._buffer
-            if len(buffer) < FRAME_HEADER_SIZE:
-                break
-            _, length = _FRAME_HEADER.unpack_from(buffer)
-            if length > MAX_FRAME:
-                # Hostile length: skip the magic and hunt for the next.
-                self.errors += 1
-                self.garbage_bytes += len(FRAME_MAGIC)
-                self._buffer = buffer[len(FRAME_MAGIC):]
-                continue
-            end = FRAME_HEADER_SIZE + length
-            if len(buffer) < end:
-                break  # frame still incomplete
-            body = buffer[FRAME_HEADER_SIZE:end]
-            self._buffer = buffer[end:]
-            try:
-                out.append(_decode_body(body))
-                self.frames += 1
-            except WireFormatError:
-                self.errors += 1
-        return out
-
-    def _resync(self) -> None:
-        """Drop leading bytes until the buffer starts with the magic."""
-        buffer = self._buffer
-        if buffer.startswith(FRAME_MAGIC):
-            return
-        index = buffer.find(FRAME_MAGIC)
-        if index >= 0:
-            self.garbage_bytes += index
-            self._buffer = buffer[index:]
-            return
-        # No magic in sight: keep only a tail that could be a magic
-        # prefix once more bytes arrive.
-        keep = 0
-        max_keep = min(len(buffer), len(FRAME_MAGIC) - 1)
-        for size in range(max_keep, 0, -1):
-            if FRAME_MAGIC.startswith(buffer[-size:]):
-                keep = size
-                break
-        self.garbage_bytes += len(buffer) - keep
-        self._buffer = buffer[-keep:] if keep else b""
 
 
 # ----------------------------------------------------------------------

@@ -145,14 +145,6 @@ class LiveScheduler:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def peek_expiry(self) -> Optional[float]:
-        """Earliest pending expiry (session time), or None."""
-        best: Optional[float] = None
-        for event in self._pending.values():
-            if best is None or event.expiry < best:
-                best = event.expiry
-        return best
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

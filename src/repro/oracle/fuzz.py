@@ -3,8 +3,8 @@
 A fuzz *case* is a pure-data dict — topology, session membership,
 membership churn, drop filters, config variations — generated
 deterministically from a single integer seed. Cases execute in parallel
-through :class:`repro.runner.ExperimentRunner` (``run_fuzz_case`` is a
-picklable module-level task function), each attaching the full
+through :class:`repro.runner.ExperimentRunner` (``run_fuzz_case`` is one
+of the runner's two task kinds), each attaching the full
 :class:`repro.oracle.SessionOracleSuite` and running to quiescence.
 
 Any violation is then *shrunk*: greedy transforms (drop churn, drop
@@ -160,8 +160,9 @@ def _member_zone(network: Network, members: List[int]) -> List[int]:
 def run_fuzz_case(case: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one scenario with all oracles attached.
 
-    Never raises: crashes are reported as a ``crash`` violation row so
-    the worker pool does not burn retries on a deterministic failure.
+    Never raises: a crash becomes the case's report row (its ``error``
+    field), so one crashing case is one failure in the campaign's
+    report, not the end of the campaign.
     """
     try:
         return _run_case(case)

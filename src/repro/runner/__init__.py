@@ -2,14 +2,16 @@
 
 The orchestration substrate every figure sweep runs on:
 
-* :mod:`repro.runner.task` — one sweep point as pure, picklable data,
-  with a stable content fingerprint
+* :mod:`repro.runner.task` — one sweep point of one of the two task
+  kinds (``run_experiment``, ``run_fuzz_case``), with a stable content
+  fingerprint
 * :mod:`repro.runner.cache` — content-addressed on-disk result cache,
   one spec/v3 JSON file per ``RunResult``
 * :mod:`repro.runner.lease` — the one task state machine (attempts,
-  backoff, deadlines) the serial runner, the pool and the fleet run on
-* :mod:`repro.runner.pool` — that table's two local transports: in
-  this process, and a crash-tolerant worker pool with per-task deadlines
+  deadlines) the pool and the fleet run on
+* :mod:`repro.runner.pool` — the two local transports: in this
+  process, and a crash-tolerant worker pool on that table, with
+  per-task deadlines
 * :mod:`repro.runner.manifest` — JSONL run manifests (one row per task)
 * :mod:`repro.runner.executor` — :class:`ExperimentRunner`, the facade
   the experiments and the CLI talk to

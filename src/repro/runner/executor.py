@@ -6,9 +6,11 @@ to. Given a list of :class:`~repro.runner.task.Task` sweep points it
 * resolves cache hits from the :class:`~repro.runner.cache.ResultCache`,
 * executes the misses — in-process when ``jobs == 1``, on a
   crash-tolerant worker pool otherwise, on a fleet when the runner is a
-  :class:`~repro.fleet.client.FleetRunner` — each on one
-  :class:`~repro.runner.lease.LeaseTable`, which owns retries, backoff
-  and deadlines (only the pool passes one: it has a process to kill),
+  :class:`~repro.fleet.client.FleetRunner`. A task's own exception
+  fails the run at once; the pool and the fleet each run a
+  :class:`~repro.runner.lease.LeaseTable`, which re-leases a task whose
+  worker was lost (crash, deadline, expired lease) up to ``retries``
+  times,
 * appends a JSONL :class:`~repro.runner.manifest.RunManifest` row per
   task, and
 * emits live progress through a :class:`repro.sim.trace.Trace`, so any
@@ -34,7 +36,7 @@ from repro.sim.trace import Trace
 
 
 class RunnerError(RuntimeError):
-    """A task failed permanently (retry budget exhausted)."""
+    """A task failed: it raised, or lost its worker too often."""
 
 
 @dataclass
@@ -58,8 +60,9 @@ class ExperimentRunner:
     ``jobs=1`` (the default) runs tasks in-process with no worker
     machinery at all — library callers that never touch the runner knobs
     get exactly the old serial behavior. ``jobs>1`` fans tasks out to a
-    worker pool; ``task_timeout`` only applies there (a task cannot
-    preempt itself in-process).
+    worker pool; ``task_timeout`` and ``retries`` (the budget for lost
+    workers) only apply there: in-process, a task cannot preempt itself
+    and there is no worker to lose.
     """
 
     def __init__(self, jobs: int = 1,
@@ -67,7 +70,6 @@ class ExperimentRunner:
                  manifest_path: Optional[str] = None,
                  retries: int = 2,
                  task_timeout: Optional[float] = None,
-                 backoff: float = 0.5,
                  trace: Optional[Trace] = None,
                  salt: Optional[str] = None,
                  metrics_path: Optional[str] = None) -> None:
@@ -79,7 +81,6 @@ class ExperimentRunner:
         self.metrics_path = metrics_path
         self.retries = max(0, int(retries))
         self.task_timeout = task_timeout
-        self.backoff = backoff
         self.trace = trace if trace is not None else Trace()
         self.salt = salt if salt is not None else code_version_salt()
         #: Reports accumulate across ``run()`` invocations, newest last.
@@ -201,11 +202,10 @@ class ExperimentRunner:
         items = [(position, tasks[position].fn, tasks[position].kwargs)
                  for position in misses]
         if self.jobs == 1:
-            run_inline(items, self.retries, self.backoff, on_event)
+            run_inline(items, on_event)
         else:
             run_pool(items, jobs=self.jobs, timeout=self.task_timeout,
-                     retries=self.retries, backoff=self.backoff,
-                     on_event=on_event)
+                     retries=self.retries, on_event=on_event)
 
     def _persist_metrics(self, results: List[Any],
                          experiments: List[str],

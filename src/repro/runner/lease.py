@@ -1,15 +1,17 @@
 """The one task state machine: ``pending → leased → done | failed``.
 
 Results are content-addressed, so any holder may redo any task; what is
-left to decide is policy — how many attempts a task gets, how long a
-retry waits, when a lease is dead. :class:`LeaseTable` is that policy,
-once, for the serial runner, the ``--jobs`` pool and every fleet job.
+left to decide is policy — how many attempts a task gets and when a
+lease is dead. :class:`LeaseTable` is that policy, once, for the
+``--jobs`` pool and every fleet job.
 
 The table is pure: no clock, no I/O, no lock. Callers pass ``now`` (any
 monotonic float), serialize access themselves, and do the transport's
 side of each transition — kill a process, answer an HTTP request.
-Leasing a task spends one of its ``retries + 1`` attempts; after attempt
-``n`` fails it waits ``backoff * 2**(n - 1)`` before its next lease.
+Leasing a task spends one of its ``retries + 1`` attempts. Both task
+kinds are deterministic, so a task's own exception ends it at once;
+only a lost holder — a crashed or overdue worker, an expired lease —
+hands the task back, to be leased again straight away.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ class Row(Generic[H]):
     holder: Optional[H] = None         # who holds (or last held) the lease
     since: float = 0.0                 # when the current lease began
     deadline: float = math.inf         # leased: when the lease dies
-    ready: float = 0.0                 # pending: not leased before this
     reason: str = ""                   # why the last attempt failed
     cause: str = ""                    # "error" | "crash" | "timeout"
 
@@ -39,18 +40,17 @@ class Row(Generic[H]):
 class LeaseTable(Generic[H]):
     """``size`` tasks, each allowed ``retries + 1`` leased attempts."""
 
-    def __init__(self, size: int, retries: int, backoff: float) -> None:
+    def __init__(self, size: int, retries: int) -> None:
         self.retries = retries
-        self.backoff = backoff
         self.rows: List[Row[H]] = [Row() for _ in range(size)]
 
     def lease(self, holder: H, now: float,
               ttl: Optional[float] = None) -> Optional[int]:
-        """Lease the lowest pending task whose backoff is over (None when
-        there is none). The lease dies at ``now + ttl`` unless renewed;
-        with no ``ttl`` it never does."""
+        """Lease the lowest pending task (None when there is none). The
+        lease dies at ``now + ttl`` unless renewed; with no ``ttl`` it
+        never does."""
         for index, row in enumerate(self.rows):
-            if row.status == "pending" and row.ready <= now:
+            if row.status == "pending":
                 row.status, row.holder = "leased", holder
                 row.attempts += 1
                 row.since = now
@@ -77,40 +77,29 @@ class LeaseTable(Generic[H]):
         row.status = "done"
         return True
 
-    def fail(self, index: int, holder: H, reason: str, cause: str,
-             now: float) -> Optional[float]:
-        """End ``holder``'s attempt in failure. Returns the seconds the
-        task waits before its next lease, or None when its budget is spent
-        and it is ``failed``. A report from anyone but the current holder
-        changes nothing — that attempt was charged when its lease was
-        reclaimed — and answers for the task as it stands."""
+    def fail(self, index: int, holder: H, reason: str, cause: str) -> bool:
+        """End ``holder``'s attempt in failure; True while the task may be
+        leased again. ``cause="error"`` — the task raised — is final. A
+        lost holder (``"crash"``, ``"timeout"``) leaves the task pending
+        until its attempts are spent. A report from anyone but the
+        current holder changes nothing — that attempt was charged when
+        its lease was reclaimed — and answers for the task as it
+        stands."""
         row = self.rows[index]
         if row.status == "leased" and row.holder == holder:
             row.reason, row.cause = reason, cause
-            if row.attempts > self.retries:
-                row.status = "failed"
-            else:
-                row.status = "pending"
-                row.ready = now + self.backoff * 2 ** (row.attempts - 1)
-        return None if row.status == "failed" \
-            else max(row.ready - now, 0.0)
+            final = cause == "error" or row.attempts > self.retries
+            row.status = "failed" if final else "pending"
+        return row.status != "failed"
 
     def overdue(self, now: float) -> List[Tuple[int, H]]:
         """``(index, holder)`` of every lease past its deadline. The caller
         does what its transport needs (kill the process, drop the worker)
-        and calls :meth:`fail`: an expiry spends an attempt like any
-        failure."""
+        and calls :meth:`fail`: an expiry spends an attempt, like a
+        crash."""
         return [(index, row.holder) for index, row in enumerate(self.rows)
                 if row.status == "leased" and row.holder is not None
                 and row.deadline <= now]
-
-    def wake(self) -> float:
-        """The earliest time ``lease`` or ``overdue`` can answer anew — a
-        backoff ending, a deadline passing; ``inf`` when nothing is due."""
-        return min((row.ready if row.status == "pending" else row.deadline
-                    for row in self.rows
-                    if row.status in ("pending", "leased")),
-                   default=math.inf)
 
     @property
     def counts(self) -> Dict[str, int]:

@@ -5,12 +5,11 @@ timeouts leave the worker wedged on the task forever) and a worker that
 dies mid-task hangs the whole map. This pool keeps one duplex pipe per
 worker, so the parent always knows *which* task a dead or overdue worker
 was holding: it terminates the process, respawns a fresh one, and
-charges the task one attempt. Which task runs next, how long a retry
-waits and when its budget is spent is decided by
-:class:`~repro.runner.lease.LeaseTable`; the pool is its local transport
-(holder = worker slot, ttl = task timeout). Results are reported through
-an event callback as they arrive; the caller reassembles them in task
-order.
+charges the task one attempt. Which task runs next and when its budget
+is spent is decided by :class:`~repro.runner.lease.LeaseTable`; the pool
+is its local transport (holder = worker slot, ttl = task timeout).
+Results are reported through an event callback as they arrive; the
+caller reassembles them in task order.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ _POLL_SECONDS = 0.25
 
 
 class TaskFailed(RuntimeError):
-    """A task exhausted its retry budget."""
+    """A task raised, or lost its holder more often than its budget
+    allows."""
 
     def __init__(self, index: int, attempts: int, reason: str,
                  cause: str) -> None:
@@ -60,9 +60,10 @@ def _worker_main(conn: Connection) -> None:
     error)`` — ``error`` is None unless ``fn`` raised.
 
     Runs until the parent sends ``None`` or closes the pipe. Exceptions
-    are caught and reported as data; only a hard crash (``os._exit``,
-    signal, interpreter abort) leaves the pipe dangling, which the
-    parent observes as EOF and treats as a retryable worker death.
+    are caught and reported as data, and fail the task; only a hard
+    crash (``os._exit``, signal, interpreter abort) leaves the pipe
+    dangling, which the parent observes as EOF and treats as a
+    retryable worker death.
     """
     while True:
         try:
@@ -116,78 +117,60 @@ class _Worker:
         self.kill()
 
 
-def _spend(table: LeaseTable[int], index: int, position: int, holder: int,
-           reason: str, cause: str, notify: Callable[..., None]) -> None:
-    """``holder``'s attempt at row ``position`` (task ``index``) failed:
-    announce the retry, or announce and raise that the budget is spent."""
-    attempts = table.rows[position].attempts
-    delay = table.fail(position, holder, reason, cause, time.monotonic())
-    if delay is None:
-        notify("failed", index=index, attempts=attempts, reason=reason,
-               cause=cause)
-        raise TaskFailed(index, attempts, reason, cause)
-    notify("retry", index=index, attempts=attempts, reason=reason,
-           cause=cause, delay=delay)
-
-
 def run_inline(items: List[Tuple[int, Callable, Dict[str, Any]]],
-               retries: int, backoff: float,
                on_event: Callable[..., None]) -> None:
     """:func:`run_pool`'s contract with no pool: this process, one task
-    at a time. No timeout — a task cannot preempt itself."""
-    table: LeaseTable[int] = LeaseTable(len(items), retries, backoff)
+    at a time, one attempt each. No timeout — a task cannot preempt
+    itself — and no retry: this process is the only holder, and a
+    task's own exception is final."""
     pid = os.getpid()
-    while table.state == "running":
-        position = table.lease(pid, time.monotonic())
-        if position is None:
-            # Only retries are left: sleep until the earliest backoff ends.
-            time.sleep(max(table.wake() - time.monotonic(), 0.0))
-            continue
-        (index, fn, kwargs), row = items[position], table.rows[position]
-        on_event("start", index=index, attempts=row.attempts, pid=pid)
+    for index, fn, kwargs in items:
+        on_event("start", index=index, attempts=1, pid=pid)
+        begun = time.monotonic()
         try:
             result = fn(**kwargs)
-        except Exception as exc:  # noqa: BLE001 - retried/reported
-            _spend(table, index, position, pid,
-                   f"{type(exc).__name__}: {exc}", "error", on_event)
-            continue
-        table.complete(position)
-        on_event("done", index=index, attempts=row.attempts,
-                 duration=time.monotonic() - row.since, pid=pid,
-                 result=result)
+        except Exception as exc:  # noqa: BLE001 - reported
+            raise TaskFailed(index, 1, f"{type(exc).__name__}: {exc}",
+                             "error") from exc
+        on_event("done", index=index, attempts=1,
+                 duration=time.monotonic() - begun, pid=pid, result=result)
 
 
 def run_pool(items: List[Tuple[int, Callable, Dict[str, Any]]],
              jobs: int,
              timeout: Optional[float] = None,
              retries: int = 0,
-             backoff: float = 0.5,
              on_event: Optional[Callable[..., None]] = None,
              ) -> Dict[int, Execution]:
     """Execute ``(index, fn, kwargs)`` items on ``jobs`` worker processes.
 
     Returns ``{index: Execution}`` for every item. ``on_event(kind,
-    **detail)`` fires with kinds ``start``, ``done``, ``retry`` and
-    ``failed`` as the run progresses. Raises :class:`TaskFailed` as soon
-    as any task exhausts ``retries`` (attempts = retries + 1).
+    **detail)`` fires with kinds ``start``, ``done`` and ``retry`` as
+    the run progresses. Raises :class:`TaskFailed` as soon as any task
+    raises, or loses its worker (crash, timeout) ``retries + 1`` times.
     """
     notify = on_event if on_event is not None else (lambda kind, **kw: None)
     context = multiprocessing.get_context()
     #: Row ``n`` is ``items[n]``; a holder is a position in ``workers``.
-    table: LeaseTable[int] = LeaseTable(len(items), retries, backoff)
+    table: LeaseTable[int] = LeaseTable(len(items), retries)
     results: Dict[int, Execution] = {}
     workers = [_Worker(context) for _ in range(min(jobs, len(items)))]
 
     def spend(position: int, slot: int, reason: str, cause: str) -> None:
+        """The attempt at row ``position`` failed: announce the retry, or
+        raise that the task is failed."""
         if cause != "error":  # the process is dead, or wedged on the task
             workers[slot].kill()
             workers[slot] = _Worker(context)
-        _spend(table, items[position][0], position, slot, reason, cause,
-               notify)
+        index, attempts = items[position][0], table.rows[position].attempts
+        if not table.fail(position, slot, reason, cause):
+            raise TaskFailed(index, attempts, reason, cause)
+        notify("retry", index=index, attempts=attempts, reason=reason,
+               cause=cause)
 
     try:
         while table.state == "running":
-            # Hand every ready pending task to an idle worker.
+            # Hand every pending task to an idle worker.
             now = time.monotonic()
             for slot, worker in enumerate(workers):
                 if table.held(slot):
@@ -204,12 +187,6 @@ def run_pool(items: List[Tuple[int, Callable, Dict[str, Any]]],
                 worker.conn: (slot, position)
                 for slot, worker in enumerate(workers)
                 for position in table.held(slot)}
-            if not busy:
-                # Nothing running: sleep until the earliest backoff ends.
-                time.sleep(min(max(table.wake() - time.monotonic(), 0.0),
-                               _POLL_SECONDS))
-                continue
-
             for conn in _connection_wait(list(busy), timeout=_POLL_SECONDS):
                 slot, position = busy[conn]
                 row, pid = table.rows[position], workers[slot].process.pid

@@ -330,10 +330,9 @@ class EventScheduler:
                 f"cannot schedule {delay} units in the past (now={self.now})")
         bucket = event._bucket
         if bucket is None or event.cancelled:
-            # Fired/cancelled handle: revive in place — fresh seq, no
-            # allocation. Inlined (not a helper) because this is every
-            # one-shot timer re-arm, i.e. once per fire in wave
-            # workloads.
+            # Fired/cancelled handle (a pending Timer's event that
+            # reset() dropped): revive in place — fresh seq, no
+            # allocation.
             seq = self._next_seq
             self._next_seq = seq + 1
             time = self.now + delay

@@ -9,8 +9,7 @@ so protocol code never touches raw events.
 from __future__ import annotations
 
 import enum
-from typing import (Any, Callable, List, Optional, Protocol, Sequence,
-                    runtime_checkable)
+from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -152,122 +151,3 @@ class Timer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Timer {self.name!r} {self._state.value} expiry={self.expiry}>"
-
-
-class TimerWave:
-    """A bulk wave of one-shot timers sharing one callback.
-
-    This is SRM suppression at mega-session scale: a detected loss arms
-    a request timer on *every* member of the group at once, and the
-    repair multicast cancels every survivor at once (FloydJMLZ95 §3).
-    Representing that as N independent :class:`Timer` objects costs N
-    schedules and up to N cancels of Python-level work per wave;
-    ``TimerWave`` stores the wave as one time-sorted array and keeps
-    exactly one scheduler event live — the head. Arming is a C-speed
-    sort, members fire in time order (the head event reschedules itself
-    to the next member, an O(1) in-place move on ``EventScheduler``),
-    and :meth:`cancel_all` retires the whole remaining wave by
-    cancelling that single event.
-
-    The callback receives the member index into the ``delays`` sequence
-    passed to :meth:`arm`. A wave is one-shot: arm it, let members fire
-    and/or cancel the rest, then arm it again. Members that should not
-    participate (already holding the data) are simply left out of
-    ``delays``.
-    """
-
-    __slots__ = ("_scheduler", "_callback", "_resched", "_times",
-                 "_order", "_pos", "_event", "fired")
-
-    def __init__(self, scheduler: TimerScheduler,
-                 callback: Callable[[int], Any]) -> None:
-        self._scheduler = scheduler
-        self._callback = callback
-        self._resched: Optional[Callable[..., ScheduledEvent]] = getattr(
-            scheduler, "reschedule_event", None)
-        #: Expiry times sorted ascending, and the member index firing
-        #: at each (parallel lists: one sorted-tuple array costs a
-        #: tuple allocation per member and tuple comparisons in the
-        #: sort; a float argsort is ~2x faster per wave).
-        self._times: List[float] = []
-        self._order: List[int] = []
-        self._pos = 0
-        self._event: Optional[ScheduledEvent] = None
-        #: Members fired over the wave's lifetime (all arms).
-        self.fired = 0
-
-    def pending(self) -> int:
-        """Members still waiting to fire."""
-        return len(self._times) - self._pos
-
-    @property
-    def armed(self) -> bool:
-        return self._event is not None
-
-    def arm(self, delays: Sequence[float]) -> None:
-        """Arm one timer per delay; the callback gets the delay's index.
-
-        Simultaneous expiries fire in index order. Raises if the wave is
-        still armed (``cancel_all`` first) or any delay is negative.
-        """
-        if self._event is not None:
-            raise ValueError("wave is already armed; cancel_all() first")
-        if not delays:
-            return
-        if min(delays) < 0:
-            raise ValueError("wave delays must be non-negative")
-        now = self._scheduler.now
-        # Stable float argsort: ties fire in index order, exactly as a
-        # sort of (time, index) tuples would order them.
-        if not isinstance(delays, list):
-            delays = list(delays)
-        order = sorted(range(len(delays)), key=delays.__getitem__)
-        self._times = [now + delays[i] for i in order]
-        self._order = order
-        self._pos = 0
-        self._event = self._scheduler.schedule(delays[order[0]], self._fire)
-
-    def cancel_all(self) -> int:
-        """Suppress every still-pending member: one event cancellation.
-
-        Returns the number of members that never fired.
-        """
-        remaining = len(self._times) - self._pos
-        self._times = []
-        self._order = []
-        self._pos = 0
-        event = self._event
-        self._event = None
-        if event is not None:
-            event.cancel()
-        return remaining
-
-    def _fire(self) -> None:
-        times = self._times
-        pos = self._pos
-        member = self._order[pos]
-        pos += 1
-        self._pos = pos
-        # Re-arm the head for the next member *before* the callback, so
-        # the callback can cancel_all() (hearing our own repair) and
-        # retire the wave including this fresh head event.
-        if pos < len(times):
-            sched = self._scheduler
-            delay = times[pos] - sched.now
-            event = self._event
-            resched = self._resched
-            if resched is not None and event is not None:
-                self._event = resched(event, delay)
-            else:
-                self._event = sched.schedule(delay, self._fire)
-        else:
-            self._times = []
-            self._order = []
-            self._pos = 0
-            self._event = None
-        self.fired += 1
-        self._callback(member)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<TimerWave pending={self.pending()} "
-                f"fired={self.fired}>")

@@ -142,6 +142,25 @@ def rng() -> RandomSource:
     return RandomSource(12345)
 
 
+@pytest.fixture
+def admit_tasks(monkeypatch):
+    """Let a test's own module-level functions run as runner tasks.
+
+    The runner executes only its two task kinds (``repro.runner.task.
+    KINDS``). A test that needs a task which crashes, sleeps or raises
+    calls ``admit_tasks(fn, ...)``: each function joins the kind table
+    for that test only, taking one JSON ``case`` dict as
+    ``run_fuzz_case`` does.
+    """
+    from repro.runner.task import KINDS, RUN_FUZZ_CASE, function_ref
+
+    def admit(*fns) -> None:
+        for fn in fns:
+            monkeypatch.setitem(KINDS, function_ref(fn), KINDS[RUN_FUZZ_CASE])
+
+    return admit
+
+
 @pytest.fixture(autouse=True)
 def _isolated_cache_dir(tmp_path, monkeypatch):
     """Point the default result cache at a per-test tmp dir.

@@ -2,12 +2,7 @@
 
 from typing import Optional
 
-from repro.runner.task import Task
 from repro.sim.rng import RandomSource
-
-
-def module_level_round(seed: int) -> int:
-    return seed
 
 
 def draw(rng: RandomSource) -> float:
@@ -40,8 +35,3 @@ def collect(item: int, into: Optional[list] = None) -> list:
 def fired_together(timer_a, timer_b) -> bool:
     return not (timer_a.expiry < timer_b.expiry
                 or timer_b.expiry < timer_a.expiry)
-
-
-def build() -> Task:
-    return Task(experiment="fixture", index=0, fn=module_level_round,
-                kwargs={"seed": 3})

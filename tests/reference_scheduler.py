@@ -5,7 +5,7 @@ removes the entry on the spot, every batch entry point loops over one
 ``_push``. Slow on purpose: it is only what ``EventScheduler`` is checked
 against, through the ``scheduler=`` arguments of ``Network`` /
 ``TopologySpec.build`` / ``LossRecoverySimulation``. No ``reschedule_event``:
-``Timer``/``TimerWave`` fall back to cancel + schedule, which it must equal.
+``Timer`` falls back to cancel + schedule, which it must equal.
 """
 
 from operator import attrgetter

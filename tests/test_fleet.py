@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import SrmConfig
 from repro.experiments.common import (
     ExperimentSpec,
     choose_scenario,
@@ -37,6 +38,7 @@ from repro.fleet.controller import (
     make_server,
 )
 from repro.fleet.worker import FleetWorker
+from repro.oracle.fuzz import run_fuzz_case
 from repro.runner import ExperimentRunner, ResultCache
 from repro.sim.rng import RandomSource
 from repro.topology.random_tree import random_labeled_tree
@@ -268,24 +270,32 @@ def test_lease_expiry_spends_the_retry_budget(tmp_path):
             if event["event"] == "lease"] == [1, 2, 3]
 
 
-def test_worker_error_reports_retry_then_fail(tmp_path):
+@pytest.mark.parametrize("broken", [
+    # Unknown scoped mode: explodes in run_experiment.
+    {"kind": "scoped", "scoped_mode": "warp"},
+    # The herd refuses adaptive timers when it is built.
+    {"engine": "herd", "config": SrmConfig(adaptive=True)},
+], ids=["unknown-scoped-mode", "herd-refuses-adaptive"])
+def test_a_worker_error_report_fails_the_job_on_attempt_1(tmp_path, broken):
+    """A spec the worker cannot run, through the error-report path end to
+    end: the job fails on its first attempt, with a retry to spare."""
     fleet = Fleet(tmp_path, lease_ttl=5.0, retries=1)
     try:
         spec = _specs(1)[0]
-        # A spec the worker cannot run: unknown scoped mode explodes in
-        # run_experiment, exercising the error-report path end to end.
-        broken = ExperimentSpec(scenario=spec.scenario, kind="scoped",
-                                scoped_mode="warp", experiment="boom")
-        job = fleet.client.submit("boom", [broken])
+        job = fleet.client.submit("boom", [ExperimentSpec(
+            scenario=spec.scenario, experiment="boom", **broken)])
         fleet.start_worker(name="w-a")
         with pytest.raises(FleetError, match="failed"):
             fleet.client.wait(job, timeout=60, poll=0.05)
         status = fleet.client.status(job)
         assert status["state"] == "failed"
-        assert "attempts" in status["error"]
-        kinds = [event["event"] for event in fleet.client.events(job)]
-        assert kinds.count("task-error") == 2  # first try + one retry
-        assert "job-failed" in kinds
+        assert "after 1 attempts" in status["error"]
+        events = fleet.client.events(job)
+        kinds = [event["event"] for event in events]
+        assert kinds.count("task-error") == 1
+        assert kinds.count("job-failed") == 1
+        assert [event["attempt"] for event in events
+                if event["event"] == "lease"] == [1]
     finally:
         fleet.close()
 
@@ -398,11 +408,16 @@ def test_duplicate_report_after_reschedule_is_benign(tmp_path):
 
 def test_fleet_runner_rejects_non_spec_sweeps(fleet):
     runner = FleetRunner(fleet.url)
+    # The runner's other task kind cannot cross the wire.
     with pytest.raises(FleetError, match="run_experiment"):
+        runner.map("x", run_fuzz_case, [{"case": {"case_seed": 1}}])
+    # Any other shape never becomes a Task at all.
+    with pytest.raises(TypeError, match="not a runner task kind"):
         runner.map("x", len, [{}])
-    with pytest.raises(FleetError, match="spec"):
+    with pytest.raises(TypeError, match="'spec'"):
         runner.map("x", run_experiment, [{"spec": _specs(1)[0],
                                           "extra": 1}])
+    assert fleet.client.jobs() == []
 
 
 def test_a_corrupt_cache_entry_is_recomputed(tmp_path, result_payload):

@@ -26,7 +26,6 @@ EXPECTED_HITS = {
     "SRM004": ("src/repro/core/srm004.py", 5),
     "SRM005": ("src/repro/net/packet.py", 4),
     "SRM006": ("src/repro/net/network.py", 10),
-    "SRM007": ("src/repro/core/srm007.py", 8),
     "SRM008": ("src/repro/core/srm008.py", 14),
 }
 

@@ -1,9 +1,9 @@
 """Property tests for the live wire framing (hypothesis).
 
-The framing layer is total: any byte stream in — split, coalesced,
-garbage-prefixed, hostile-length, fragmented and reordered — either
-yields exactly the frames that were sent or surfaces as counted errors,
-never as an exception on the receive path.
+The framing layer is total: any datagrams in — garbage, hostile-length,
+fragmented and reordered — either yield exactly the frames that were
+sent or surface as a ``WireFormatError`` or counted errors, never as
+another exception on the receive path.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.live.framing import (
     FRAME_MAGIC,
     MAX_FRAME,
     FragmentReassembler,
-    FrameDecoder,
     decode_frame,
     encode_frame,
     frame_to_packet,
@@ -96,73 +95,14 @@ def test_decode_frame_rejects_non_object_body():
         decode_frame(frame)
 
 
-# ----------------------------------------------------------------------
-# Stream decoding: split and coalesced reads
-# ----------------------------------------------------------------------
-
-
-@given(wires=st.lists(wire_dicts, min_size=1, max_size=5),
-       chunk=st.integers(min_value=1, max_value=23))
-@settings(max_examples=examples(100))
-def test_stream_decoder_survives_arbitrary_chunking(wires, chunk):
-    stream = b"".join(encode_frame(wire) for wire in wires)
-    decoder = FrameDecoder()
-    out = []
-    for start in range(0, len(stream), chunk):
-        out.extend(decoder.feed(stream[start:start + chunk]))
-    assert len(out) == len(wires)
-    for sent, received in zip(wires, out):
-        assert roundtrip_equal(sent, received)
-    assert decoder.frames == len(wires)
-    assert decoder.errors == 0
-    assert decoder.garbage_bytes == 0
-
-
-@given(wires=st.lists(wire_dicts, min_size=1, max_size=4))
-@settings(max_examples=examples(60))
-def test_stream_decoder_survives_coalesced_reads(wires):
-    decoder = FrameDecoder()
-    out = decoder.feed(b"".join(encode_frame(wire) for wire in wires))
-    assert len(out) == len(wires)
-
-
-@given(garbage=st.binary(min_size=1, max_size=60), wire=wire_dicts)
-@settings(max_examples=examples(100))
-def test_stream_decoder_resyncs_after_garbage_prefix(garbage, wire):
-    frame = encode_frame(wire)
-    stream = garbage + frame
-    # Only the true frame start may look like a magic, else the garbage
-    # legitimately swallows bytes of the frame during resync.
-    assume(stream.find(FRAME_MAGIC) == len(garbage))
-    decoder = FrameDecoder()
-    out = decoder.feed(stream)
-    assert len(out) == 1 and roundtrip_equal(wire, out[0])
-    assert decoder.garbage_bytes == len(garbage)
-
-
-def test_stream_decoder_skips_hostile_length_and_recovers():
-    hostile = struct.pack("!4sI", FRAME_MAGIC, MAX_FRAME + 10)
-    good = encode_frame({"ok": 1})
-    decoder = FrameDecoder()
-    out = decoder.feed(hostile + good)
-    assert out == [{"ok": 1}]
-    assert decoder.errors == 1
-
-
-def test_stream_decoder_counts_a_body_nested_past_the_parser():
-    body = b"[" * 100_000 + b"]" * 100_000
-    deep = struct.pack("!4sI", FRAME_MAGIC, len(body)) + body
-    decoder = FrameDecoder()
-    assert decoder.feed(deep + encode_frame({"ok": 3})) == [{"ok": 3}]
-    assert decoder.errors == 1
-
-
-def test_stream_decoder_counts_unparsable_body():
-    body = b"not json!!"
-    bad = struct.pack("!4sI", FRAME_MAGIC, len(body)) + body
-    decoder = FrameDecoder()
-    assert decoder.feed(bad + encode_frame({"ok": 2})) == [{"ok": 2}]
-    assert decoder.errors == 1
+@pytest.mark.parametrize("body", [
+    b"not json!!",
+    b"[" * 100_000 + b"]" * 100_000,   # nested past the parser's limit
+], ids=["unparsable", "nested"])
+def test_decode_frame_refuses_a_body_json_cannot_read(body):
+    frame = struct.pack("!4sI", FRAME_MAGIC, len(body)) + body
+    with pytest.raises(WireFormatError, match="not JSON"):
+        decode_frame(frame)
 
 
 # ----------------------------------------------------------------------

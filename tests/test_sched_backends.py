@@ -2,14 +2,13 @@
 
 ``EventScheduler`` promises the (time, seq) contract that
 ``tests/reference_scheduler.py`` spells out in one list and a ``min``:
-any sequence of schedule / cancel / batch / timer / wave operations
+any sequence of schedule / cancel / batch / timer operations
 executes identically on both. These tests drive that promise three ways
 — a hypothesis property over random op sequences, a seed x topology
 replay of full SRM sessions with the reference injected through
 ``scheduler=``, and targeted regressions for the perf-counter plumbing
-the benchmarks rely on. (The file keeps its two-backend-era name, and
-the ``heap`` / ``calendar`` ids of ``conftest.SCHEDULERS``, so test
-names stay stable.)
+the benchmarks rely on. (The file keeps its two-backend-era name, so
+test names stay stable.)
 """
 
 from __future__ import annotations
@@ -24,12 +23,12 @@ from repro.sim import perf
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import (EventScheduler, SimulationError,
                                  create_scheduler)
-from repro.sim.timers import Timer, TimerWave
+from repro.sim.timers import Timer
 from repro.topology.chain import chain
 from repro.topology.random_tree import random_labeled_tree
 from repro.topology.star import star
 
-from conftest import SCHEDULERS, build_srm_session, examples
+from conftest import build_srm_session, examples
 from reference_scheduler import ReferenceScheduler
 
 # ----------------------------------------------------------------------
@@ -45,7 +44,7 @@ _delay = st.one_of(
     st.floats(min_value=0.0, max_value=5.0,
               allow_nan=False, allow_infinity=False))
 
-_op = st.tuples(st.integers(0, 10), _delay)
+_op = st.tuples(st.integers(0, 9), _delay)
 
 
 def _drive(sched, ops):
@@ -53,8 +52,6 @@ def _drive(sched, ops):
     log = []
     handles = []
     timers = []
-    wave = TimerWave(sched, lambda m: log.append(
-        ("wave", round(sched.now, 9), m)))
 
     def fire(tag):
         log.append(("fire", round(sched.now, 9), tag))
@@ -85,12 +82,6 @@ def _drive(sched, ops):
             else:
                 timer.cancel()
         elif op == 8:
-            if wave.armed:
-                log.append(("wcancel", round(sched.now, 9),
-                            wave.cancel_all()))
-            else:
-                wave.arm([value, value * 0.5, value, value * 0.25])
-        elif op == 9:
             sched.run(until=sched.now + value)
             log.append(("ran", round(sched.now, 9), sched.pending()))
         else:
@@ -211,64 +202,3 @@ def test_calendar_counters_move_under_churn():
     sched.run()
     assert perf.GLOBAL.bucket_resizes > 0
     assert perf.GLOBAL.bucket_scan_len > 0
-
-
-# ----------------------------------------------------------------------
-# TimerWave (the bulk suppression primitive cancel_heavy benchmarks)
-# ----------------------------------------------------------------------
-
-@pytest.fixture(params=list(SCHEDULERS))
-def wave_sched(request):
-    return SCHEDULERS[request.param]()
-
-
-def test_wave_fires_members_in_time_then_index_order(wave_sched):
-    fired = []
-    wave = TimerWave(wave_sched, fired.append)
-    # Ties at 1.0 must fire in index order (2 before 4), exactly as a
-    # sort of (time, index) tuples would order them.
-    wave.arm([3.0, 2.0, 1.0, 5.0, 1.0])
-    wave_sched.run()
-    assert fired == [2, 4, 1, 0, 3]
-    assert wave.fired == 5
-    assert wave.pending() == 0
-    assert not wave.armed
-
-
-def test_wave_cancel_all_retires_everything(wave_sched):
-    fired = []
-    wave = TimerWave(wave_sched, fired.append)
-    wave.arm([1.0, 2.0, 3.0, 4.0])
-    wave_sched.run(until=2.5)
-    assert fired == [0, 1]
-    assert wave.cancel_all() == 2
-    wave_sched.run()
-    assert fired == [0, 1]
-    assert wave.cancel_all() == 0  # idempotent on an idle wave
-
-
-def test_wave_callback_can_cancel_the_rest(wave_sched):
-    fired = []
-    wave = TimerWave(wave_sched, None)
-
-    def on_fire(member):
-        fired.append(member)
-        wave.cancel_all()
-
-    wave._callback = on_fire
-    wave.arm([1.0, 1.0, 1.0, 2.0])
-    wave_sched.run()
-    assert fired == [0]
-
-
-def test_wave_rejects_double_arm_and_negative_delays(wave_sched):
-    wave = TimerWave(wave_sched, lambda m: None)
-    with pytest.raises(ValueError):
-        wave.arm([1.0, -0.5])
-    wave.arm([1.0])
-    with pytest.raises(ValueError):
-        wave.arm([2.0])
-    wave_sched.run()
-    wave.arm([2.0])  # re-armable once drained
-    wave_sched.run()
-    assert wave.fired == 2
