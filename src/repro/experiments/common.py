@@ -22,7 +22,8 @@ from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
 from repro.core.names import AduName
 from repro.metrics.bundle import RunMetrics
-from repro.metrics.collector import SUBSCRIBED_KINDS, MetricsCollector
+from repro.metrics.collector import (SUBSCRIBED_KINDS, MetricsCollector,
+                                     check_against_trace)
 from repro.metrics.events import LossEventReport, mean, quantiles
 from repro.net.link import NthPacketDropFilter
 from repro.net.network import Network
@@ -204,12 +205,14 @@ class LossRecoverySimulation:
             self.oracle.verify(context=f"round {self.rounds_run}")
 
         name = sent[0]
+        collector = self.collector
+        self.last_round_metrics = bundle = collector.snapshot(rounds=1)
         if self.oracle is not None:
-            # Same gate as the protocol oracles: the streaming metrics
-            # aggregation must match a full offline pass over the trace.
-            self.collector.verify(network.trace)
-        self.last_round_metrics = self.collector.snapshot(rounds=1)
-        return self._outcome(self.collector.report(name), name)
+            check_against_trace(
+                network.trace, collector.reports(), bundle,
+                self.config.control_packet_size,
+                context=f"round {self.rounds_run}")
+        return self._outcome(collector.report(name), name)
 
     def _outcome(self, report: LossEventReport,
                  name: AduName) -> RoundOutcome:

@@ -14,8 +14,8 @@ The fleet turns the one-machine :mod:`repro.runner` into a service:
   :class:`~repro.runner.lease.LeaseTable`; an expiry spends an attempt
   and reschedules), stores results in
   the shared content-addressed :class:`~repro.runner.cache.ResultCache`,
-  and streams manifest rows to clients as JSONL/SSE plus a minimal live
-  dashboard page.
+  and serves its event feed as JSONL from a ``?since=`` cursor, which a
+  minimal live dashboard page polls.
 * :mod:`repro.fleet.worker` — the pull-based worker agent: register,
   lease, execute via :func:`~repro.experiments.common.run_experiment`,
   report, heartbeat while busy.

@@ -21,7 +21,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.common import ExperimentSpec
 from repro.fleet.wire import LEASE, REGISTER, SUBMIT, Lease, Register, Submit, result_from_wire
@@ -163,31 +163,6 @@ class FleetClient:
         except (urllib.error.URLError, OSError) as exc:
             raise FleetError(f"GET /api/v1/events failed: {exc}") from exc
         return [json.loads(line) for line in lines if line.strip()]
-
-    def stream_events(self, job_id: Optional[str] = None,
-                      since: int = 0) -> Iterator[Dict[str, Any]]:
-        """Live SSE stream; yields event dicts until the job ends."""
-        query = f"?since={since}"
-        if job_id is not None:
-            query += f"&job={job_id}"
-        url = f"{self.base_url}/api/v1/events/stream{query}"
-        try:
-            reply = urllib.request.urlopen(url, timeout=self.timeout)
-        except (urllib.error.URLError, OSError) as exc:
-            raise FleetError(f"GET events/stream failed: {exc}") from exc
-        with reply:
-            event_name = "message"
-            for raw in reply:
-                line = raw.decode().rstrip("\n")
-                if line.startswith("event: "):
-                    event_name = line[len("event: "):]
-                    continue
-                if not line.startswith("data: "):
-                    continue
-                if event_name == "end":
-                    return
-                yield json.loads(line[len("data: "):])
-                event_name = "message"
 
 
 class FleetRunner(ExperimentRunner):

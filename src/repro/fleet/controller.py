@@ -23,8 +23,8 @@ One controller owns the full state of every submitted sweep:
   straggler's late report of a rescheduled task is a harmless duplicate
   write of the same bytes.
 * **Events** — an append-only feed (submit, lease, result, expiry,
-  registration) served as JSONL snapshots and live SSE, and a minimal
-  HTML dashboard polling the same JSON endpoints.
+  registration) served as JSONL from a ``?since=`` cursor, and a
+  minimal HTML dashboard polling the same endpoints.
 
 Each POST body is decoded once, through its :mod:`repro.fleet.wire`
 record, before its handler touches any state: a refusal is a 400.
@@ -370,15 +370,13 @@ class FleetController:
     # -- event feed ----------------------------------------------------
 
     def events_since(self, since: int,
-                     job_id: Optional[str] = None) -> Dict[str, Any]:
+                     job_id: Optional[str] = None) -> List[Dict[str, Any]]:
         """Events with seq >= since, optionally filtered to one job."""
         with self._lock:
             self._expire()
-            selected = [event for event in self.events
-                        if event["seq"] >= since
-                        and (job_id is None or event.get("job") == job_id)]
-            next_seq = self.events[-1]["seq"] + 1 if self.events else 0
-            return {"events": selected, "next": next_seq}
+            return [event for event in self.events
+                    if event["seq"] >= since
+                    and (job_id is None or event.get("job") == job_id)]
 
 
 # ----------------------------------------------------------------------
@@ -398,6 +396,7 @@ h1 { font-size: 1.3em; } h2 { font-size: 1.1em; }
 <h2>workers</h2><table id="workers"><tr><td>loading...</td></tr></table>
 <h2>events</h2><pre id="events"></pre>
 <script>
+let since = 0;
 async function refresh() {
   const jobs = (await (await fetch('/api/v1/jobs')).json()).jobs;
   let html = '<tr><th>job</th><th>experiment</th><th>state</th>' +
@@ -420,16 +419,18 @@ async function refresh() {
             `<td>${w.last_seen_age}s ago</td></tr>`;
   }
   document.getElementById('workers').innerHTML = html;
-}
-setInterval(refresh, 1000); refresh();
-const source = new EventSource('/api/v1/events/stream');
-source.onmessage = (msg) => {
+  const feed = await (await fetch(`/api/v1/events?since=${since}`)).text();
   const pre = document.getElementById('events');
-  pre.textContent += msg.data + '\\n';
+  for (const line of feed.split('\\n')) {
+    if (!line) continue;
+    since = JSON.parse(line).seq + 1;
+    pre.textContent += line + '\\n';
+  }
   while (pre.textContent.split('\\n').length > 30)
     pre.textContent = pre.textContent.slice(
         pre.textContent.indexOf('\\n') + 1);
-};
+}
+setInterval(refresh, 1000); refresh();
 </script></body></html>
 """
 
@@ -534,8 +535,6 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(ctl.list_workers())
             elif route == ["events"]:
                 self._send_events_jsonl(query)
-            elif route == ["events", "stream"]:
-                self._send_events_sse(query)
             else:
                 raise FleetAPIError(404,
                                     f"no route for GET /{'/'.join(parts)}")
@@ -562,40 +561,13 @@ class FleetRequestHandler(BaseHTTPRequestHandler):
         """Snapshot of the event feed, one JSON object per line."""
         job_id = query.get("job", [None])[0]
         since = _count(query.get("since", ["0"])[0], "since")
-        feed = self.controller.events_since(since, job_id)
-        body = "".join(json.dumps(event) + "\n"
-                       for event in feed["events"]).encode()
+        body = "".join(json.dumps(event) + "\n" for event in
+                       self.controller.events_since(since, job_id)).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
-
-    def _send_events_sse(self, query: Dict[str, List[str]]) -> None:
-        """Live Server-Sent Events stream of the feed (long poll loop)."""
-        job_id = query.get("job", [None])[0]
-        cursor = _count(query.get("since", ["0"])[0], "since")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.send_header("Connection", "close")
-        self.end_headers()
-        while True:
-            feed = self.controller.events_since(cursor, job_id)
-            for event in feed["events"]:
-                data = json.dumps(event)
-                self.wfile.write(f"data: {data}\n\n".encode())
-            self.wfile.flush()
-            cursor = feed["next"]
-            if job_id is not None:
-                # Close once the watched job reaches a terminal state
-                # and its tail has been flushed.
-                status = self.controller.job_status(job_id)
-                if status["state"] in ("done", "failed"):
-                    self.wfile.write(b"event: end\ndata: {}\n\n")
-                    self.wfile.flush()
-                    return
-            time.sleep(0.2)
 
 
 def make_server(controller: FleetController, host: str = "127.0.0.1",

@@ -33,12 +33,11 @@ Each round's :class:`RunMetrics` bundle and :class:`LossEventReport`
 are assembled from the arrays, whatever the trace keeps, so attaching
 the check-mode oracles (which keep every row) never changes a result.
 Check mode instead holds that bundle and report to the offline passes
-over the rows.
+over the rows (:func:`repro.metrics.collector.check_against_trace`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -53,11 +52,9 @@ from repro.herd.rngpool import DEFAULT_DEPTH, DrawPools
 from repro.herd.topo import TreeIndex
 from repro.herd.wave import HerdWave
 from repro.metrics.bundle import RunMetrics
-from repro.metrics.collector import (TIMER_KINDS, MetricsConsistencyError,
-                                     _perf_delta, _perf_snapshot,
-                                     collect_from_trace)
-from repro.metrics.events import (LossEventReport, MemberTiming,
-                                  analyze_loss_event)
+from repro.metrics.collector import (TIMER_KINDS, _perf_delta,
+                                     _perf_snapshot, check_against_trace)
+from repro.metrics.events import LossEventReport, MemberTiming
 from repro.net.packet import DEFAULT_TTL
 from repro.oracle.base import check_mode_enabled
 from repro.sim.rng import RandomSource
@@ -113,13 +110,11 @@ class HerdSimulation:
     def __init__(self, scenario: Scenario,
                  config: Optional[SrmConfig] = None, seed: int = 0,
                  pool_depth: int = DEFAULT_DEPTH,
-                 inject: Optional[str] = None,
                  scheduler: Optional[EventScheduler] = None) -> None:
         self.scenario = scenario
         self.config = config if config is not None else SrmConfig()
         self._reject_unsupported(self.config)
         self.master_rng = RandomSource(seed)
-        self._inject = inject
 
         if scenario.source not in scenario.members:
             raise ValueError("scenario source is not a member")
@@ -203,8 +198,6 @@ class HerdSimulation:
 
         self.rounds_run = 0
         self.last_round_metrics: Optional[RunMetrics] = None
-        #: inject="tie-order" shared state: see :meth:`_tie_order_arrive`.
-        self._tie_claims: set[int] = set()
         self.oracle = None
         if check_mode_enabled():
             from repro.herd.oracles import attach_herd_oracles
@@ -322,37 +315,7 @@ class HerdSimulation:
         for segment in np.split(positions, cuts):
             delay = float(dists[segment[0]])
             batch = segment if targets is None else targets[segment]
-            if self._inject == "tie-order":
-                # Planted bug for the race-detector canary: split the
-                # batch into one scheduler event per member, so the
-                # same-instant arrivals become a permutable tie group
-                # feeding the shared-set leader election below.
-                for position in batch:
-                    self.scheduler.schedule(
-                        delay, self._tie_order_arrive, handler,
-                        np.asarray([position]), delay, extra)
-                continue
             self.scheduler.schedule(delay, handler, batch, delay, *extra)
-
-    def _tie_order_arrive(self, handler: Any, idx: IntArray, delay: float,
-                          extra: Tuple[Any, ...]) -> None:
-        """Planted tie-order bug (``inject="tie-order"``; canary only).
-
-        A timer callback that iterates mutable *shared* state — a plain
-        unordered set — and lets its iteration order elect a leader:
-        the leader's arrival is processed now, everyone else's is
-        deferred by a tiny skew. Which members the set holds when a
-        callback fires depends on same-instant drain order, so the
-        trace diverges under permuted drains — exactly what
-        ``repro lint --races --inject tie-order`` must catch.
-        """
-        tag = (int(idx[0]) * 2654435761) % 1021
-        self._tie_claims.add(tag)
-        leader = next(iter(self._tie_claims))  # lint: ignore[SRM002, SRM008]
-        if leader == tag:
-            handler(idx, delay, *extra)
-        else:
-            self.scheduler.schedule(1e-9, handler, idx, delay, *extra)
 
     # ------------------------------------------------------------------
     # Data plane
@@ -403,9 +366,8 @@ class HerdSimulation:
     # ------------------------------------------------------------------
 
     def _backoff_member(self, i: int, node: int) -> int:
-        """Double (or, injected-buggy, fail to double) one timer."""
-        if self._inject != "no-backoff":
-            self._r_backoff[i] += 1
+        """Double one member's request timer."""
+        self._r_backoff[i] += 1
         count = int(self._r_backoff[i])
         low, high = timer_math.request_delay_bounds(
             float(self._dist_src[i]), self._params.c1, self._params.c2,
@@ -525,8 +487,7 @@ class HerdSimulation:
                 stay = active[~backoff_mask]
                 if go.size:
                     # Vectorized _backoff_member: same ops, elementwise.
-                    if self._inject != "no-backoff":
-                        self._r_backoff[go] += 1
+                    self._r_backoff[go] += 1
                     counts = self._r_backoff[go]
                     us_b = self._pools.take_many(go)
                     low_b, high_b = timer_math.request_delay_bounds_vec(
@@ -767,7 +728,6 @@ class HerdSimulation:
         affected = self._cut(drop_edge)
 
         self.trace.clear()
-        self._tie_claims.clear()
         self._reset_round(affected)
         if self._rows_wanted((RECOVERY_RESET, len(scenario.members))):
             for node in scenario.members:
@@ -787,8 +747,12 @@ class HerdSimulation:
         report = self._report(name)
         self.last_round_metrics = bundle = self._bundle(report)
         if self.oracle is not None:
-            self.oracle.verify(context=f"round {self.rounds_run}")
-            self._check_round(report, bundle)
+            context = f"round {self.rounds_run}"
+            self.oracle.verify(context=context)
+            check_against_trace(
+                self.trace, [report], bundle,
+                self.config.control_packet_size,
+                counts_only=not self.full_trace, context=context)
         return self._outcome(report)
 
     # ------------------------------------------------------------------
@@ -894,36 +858,6 @@ class HerdSimulation:
             sum(control.values()) * self.config.control_packet_size
         bundle.kernel = _perf_delta(self._perf_before, _perf_snapshot())
         return bundle
-
-    def _check_round(self, report: LossEventReport,
-                     bundle: RunMetrics) -> None:
-        """Check mode: hold the array-built report and bundle to the rows.
-
-        Raises :class:`MetricsConsistencyError` where they differ from
-        ``analyze_loss_event`` / ``collect_from_trace`` over the round's
-        rows. Like the oracles, it checks only a trace that keeps every
-        row. The ``kernel`` section is the run's own counter delta and is
-        not compared.
-        """
-        if self.trace.keep is not None:
-            return
-        offline = analyze_loss_event(self.trace, report.name)
-        if not self.full_trace:
-            offline.recoveries.clear()
-            offline.request_waits.clear()
-        replayed = collect_from_trace(
-            self.trace, control_packet_size=self.config.control_packet_size)
-        replayed.kernel = bundle.kernel
-        diverged = [
-            f"{label}.{spec.name}"
-            for label, built, rows in (("report", report, offline),
-                                       ("bundle", bundle, replayed))
-            for spec in dataclasses.fields(built)
-            if getattr(built, spec.name) != getattr(rows, spec.name)]
-        if diverged:
-            raise MetricsConsistencyError(
-                f"round {self.rounds_run}: the array-built "
-                f"{', '.join(diverged)} disagree with the round's rows")
 
     def _outcome(self, report: LossEventReport) -> RoundOutcome:
         recovered = bool(self._have.all())

@@ -22,8 +22,8 @@ other value — so a race surfaces as soon as it perturbs what happens,
 when it happens, or any traced value.
 
 ``repro lint --races`` drives this; ``--inject tie-order`` swaps in the
-canary scenarios that carry a deliberately planted unordered-set bug
-and must therefore *fail*, proving end to end that the detector can
+``canary`` scenario, which carries a deliberately planted unordered-set
+bug and must therefore *fail*, proving end to end that the detector can
 catch what it exists to catch (the same pattern as ``repro fuzz
 --inject no-holddown``).
 """
@@ -156,8 +156,7 @@ class RaceScenario:
 
 
 def _replay_spec(spec: "ExperimentSpec",  # noqa: F821
-                 permuter: Optional[TiePermutation],
-                 inject: Optional[str] = None) -> List[str]:
+                 permuter: Optional[TiePermutation]) -> List[str]:
     """One full replay of an experiment spec, optionally permuted."""
     from repro.experiments.common import LossRecoverySimulation
 
@@ -168,7 +167,7 @@ def _replay_spec(spec: "ExperimentSpec",  # noqa: F821
         from repro.herd import HerdSimulation
         simulation = HerdSimulation(
             spec.scenario, config=spec.config, seed=spec.seed,
-            inject=inject, scheduler=scheduler)
+            scheduler=scheduler)
         trace = simulation.trace
     else:
         simulation = LossRecoverySimulation(
@@ -184,16 +183,15 @@ def _replay_spec(spec: "ExperimentSpec",  # noqa: F821
     return stream
 
 
-def _spec_runner(build: Callable[[], "ExperimentSpec"],  # noqa: F821
-                 inject: Optional[str] = None) -> ScenarioRunner:
+def _spec_runner(build: Callable[[], "ExperimentSpec"]  # noqa: F821
+                 ) -> ScenarioRunner:
     """Build the spec once, lazily, and replay it per permutation."""
     cache: Dict[str, object] = {}
 
     def run(permuter: Optional[TiePermutation]) -> List[str]:
         if "spec" not in cache:
             cache["spec"] = build()
-        return _replay_spec(cache["spec"], permuter,  # type: ignore[arg-type]
-                            inject=inject)
+        return _replay_spec(cache["spec"], permuter)  # type: ignore[arg-type]
 
     return run
 
@@ -319,16 +317,13 @@ SCENARIOS: Tuple[RaceScenario, ...] = (
                  _spec_runner(_herd_star_spec)),
 )
 
-#: The canary set (``--inject tie-order``): scenarios carrying a
-#: deliberately planted tie-order bug; the detector must flag them.
+#: The canary set (``--inject tie-order``): a scenario carrying a
+#: deliberately planted tie-order bug; the detector must flag it.
 INJECT_SCENARIOS: Tuple[RaceScenario, ...] = (
     RaceScenario("canary",
                  "planted unordered-set leader election in timer "
                  "callbacks",
                  _canary_runner),
-    RaceScenario("herd-canary",
-                 "herd engine with inject='tie-order' split arrivals",
-                 _spec_runner(_herd_star_spec, inject="tie-order")),
 )
 
 INJECTIONS: Tuple[str, ...] = ("tie-order",)

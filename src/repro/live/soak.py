@@ -41,7 +41,7 @@ from repro.live.clock import unix_now
 from repro.live.session import LiveEngine, attach_live_oracles, live_config
 from repro.live.transport import DEFAULT_LOSS_KINDS, LinkEmulator
 from repro.metrics.bundle import RunMetrics
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import MetricsCollector, check_against_trace
 from repro.metrics.compare import ComparisonReport, compare_bundles
 from repro.net.link import BernoulliDropFilter
 from repro.net.packet import NodeId, Packet
@@ -76,7 +76,7 @@ class SoakSpec:
     jitter: float = 0.0
     drain: float = 1.5          # recovery window after the last send
     seed: int = 0
-    check: bool = False         # attach live oracles + metrics verify
+    check: bool = False         # attach live oracles + the metrics gate
 
     def __post_init__(self) -> None:
         if self.members < 2:
@@ -174,10 +174,11 @@ def run_live_soak(spec: SoakSpec) -> EngineRun:
                         for agent in agents.values() for name in sent))
 
     engine.run(spec.duration, stop_when=converged)
+    bundle = collector.snapshot(experiment="live-soak")
     if suite is not None:
         suite.verify(context="live soak")
-        collector.verify(engine.trace)
-    bundle = collector.snapshot(experiment="live-soak")
+        check_against_trace(engine.trace, collector.reports(), bundle,
+                            config.control_packet_size, context="live soak")
     bundle.meta.update({
         "engine": "live", "seed": spec.seed, "members": spec.members,
         "loss": spec.loss, "rate": spec.rate, "packets": spec.packets,
@@ -204,7 +205,7 @@ def run_matched_sim(spec: SoakSpec) -> EngineRun:
     topology = star_topology(spec.members)
     hub = spec.members
     network = topology.build(delivery="direct", delay=spec.delay / 2.0)
-    if spec.check:   # collector.verify recounts every row
+    if spec.check:   # the metrics gate recounts every row
         network.trace.keep = None
     link_rng = master.fork("link")
     filters: List[BernoulliDropFilter] = []
@@ -237,9 +238,10 @@ def run_matched_sim(spec: SoakSpec) -> EngineRun:
     # Session heartbeats rearm forever, so run to the wall-clock budget
     # the live engine gets rather than to quiescence.
     network.scheduler.run(until=spec.duration)
-    if spec.check:
-        collector.verify(network.trace)
     bundle = collector.snapshot(experiment="sim-soak")
+    if spec.check:
+        check_against_trace(network.trace, collector.reports(), bundle,
+                            config.control_packet_size, context="sim soak")
     bundle.meta.update({
         "engine": "sim", "seed": spec.seed, "members": spec.members,
         "loss": spec.loss, "rate": spec.rate, "packets": spec.packets,

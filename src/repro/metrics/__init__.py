@@ -16,6 +16,7 @@ from repro.metrics.bundle import (
 from repro.metrics.collector import (
     MetricsCollector,
     MetricsConsistencyError,
+    check_against_trace,
     collect_from_trace,
 )
 from repro.metrics.compare import (
@@ -32,24 +33,20 @@ from repro.metrics.events import (
     percentile,
     quantiles,
 )
-from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.metrics.report import format_metrics_report
 
 __all__ = [
     "BUNDLE_SCHEMA",
     "ComparisonReport",
-    "Counter",
     "DEFAULT_THRESHOLD",
     "GATED_KEYS",
-    "Gauge",
-    "Histogram",
     "LossEventReport",
     "MemberTiming",
     "MetricsCollector",
     "MetricsConsistencyError",
-    "MetricsRegistry",
     "RunMetrics",
     "analyze_loss_event",
+    "check_against_trace",
     "collect_from_trace",
     "compare_bundles",
     "format_metrics_report",

@@ -11,17 +11,19 @@ as the movement of ``Trace.kind_totals`` since :meth:`begin_round`.
 Which kind plays which role is the ``roles`` column of the kind table
 in :mod:`repro.sim.trace`; the sets below are read off it.
 
-The collector must agree with the offline passes in
-:mod:`repro.metrics.events` record-for-record; :meth:`verify` recomputes
-everything from the recorded trace and raises
-:class:`MetricsConsistencyError` on any disagreement. Check mode
-(``--check`` / ``SRM_CHECK=1``) runs that comparison after every round.
+Every engine's round reports and bundle must agree with the offline
+passes in :mod:`repro.metrics.events` over the recorded rows;
+:func:`check_against_trace` is that one gate, and raises
+:class:`MetricsConsistencyError` naming every field that disagrees.
+Check mode (``--check`` / ``SRM_CHECK=1``) runs it after every agent and
+herd round and after each half of a live soak.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.names import AduName
 from repro.metrics.bundle import RunMetrics
@@ -142,6 +144,10 @@ class MetricsCollector:
         report = self._events.get(name)
         return report if report is not None else LossEventReport(name=name)
 
+    def reports(self) -> List[LossEventReport]:
+        """This round's report for every ADU name seen, by name."""
+        return [self._events[name] for name in sorted(self._events, key=str)]
+
     def _timer_activity(self) -> Dict[str, int]:
         """Rows of each timer kind recorded since :meth:`begin_round`."""
         if self._trace is None:
@@ -205,50 +211,6 @@ class MetricsCollector:
             bundle.meta.update(meta)
         return bundle
 
-    # ------------------------------------------------------------------
-    # Consistency checking (trace <-> metrics)
-    # ------------------------------------------------------------------
-
-    def verify(self, trace: Trace) -> None:
-        """Recompute everything offline from ``trace`` and compare.
-
-        Raises :class:`MetricsConsistencyError` when the streaming
-        aggregation and the offline pass disagree — the metrics layer's
-        own oracle, run after every round under ``SRM_CHECK=1``.
-        """
-        offline_names = {row.detail["name"] for row in trace.records
-                         if row.kind in EVENT_KINDS
-                         and row.detail.get("name") is not None}
-        if offline_names != set(self._events):
-            raise MetricsConsistencyError(
-                f"metrics collector saw events {sorted(map(str, self._events))}"
-                f" but the trace holds {sorted(map(str, offline_names))}")
-        # Sorted so a multi-event mismatch always raises on the same
-        # event regardless of set hash order.
-        for name in sorted(offline_names, key=str):
-            offline = analyze_loss_event(trace, name)
-            streamed = self.report(name)
-            if streamed != offline:
-                raise MetricsConsistencyError(
-                    f"event {name}: streaming {streamed} != offline "
-                    f"{offline}")
-        timers: Dict[str, int] = {}
-        control: Dict[Any, int] = {}
-        for row in trace.records:
-            if row.kind in TIMER_KINDS:
-                timers[row.kind] = timers.get(row.kind, 0) + 1
-            if row.kind in CONTROL_KINDS:
-                control[row.node] = control.get(row.node, 0) + 1
-        streamed_timers = self._timer_activity()
-        if timers != streamed_timers:
-            raise MetricsConsistencyError(
-                f"timer counters diverged: streaming {streamed_timers} != "
-                f"offline {timers}")
-        if control != self._control:
-            raise MetricsConsistencyError(
-                f"control counters diverged: streaming {self._control} != "
-                f"offline {control}")
-
 
 def collect_from_trace(trace: Trace, control_packet_size: int = 60,
                        experiment: str = "", rounds: int = 1) -> RunMetrics:
@@ -263,6 +225,45 @@ def collect_from_trace(trace: Trace, control_packet_size: int = 60,
     for row in trace.records:
         replay.record(row.time, row.node, row.kind, row.detail)
     return collector.snapshot(rounds=rounds)
+
+
+def check_against_trace(trace: Trace, reports: Iterable[LossEventReport],
+                        bundle: RunMetrics, control_packet_size: int,
+                        counts_only: bool = False,
+                        context: str = "") -> None:
+    """Check mode's one gate: hold an engine's results to its rows.
+
+    Each report must equal ``analyze_loss_event`` over ``trace`` for its
+    name (counts alone when ``counts_only``: the herd's reports above
+    its size threshold carry no per-member timings), and ``bundle`` must
+    equal :func:`collect_from_trace` over the same rows, field for
+    field. The bundle's labels (``experiment``, ``rounds``) are read off
+    it; ``kernel`` is the run's own counter delta and is not compared.
+    Raises :class:`MetricsConsistencyError` naming every diverged field.
+    Like the oracles, it checks only a trace that keeps every row.
+    """
+    if trace.keep is not None:
+        return
+    pairs: List[Tuple[str, Any, Any]] = []
+    for report in reports:
+        offline = analyze_loss_event(trace, report.name)
+        if counts_only:
+            offline.recoveries.clear()
+            offline.request_waits.clear()
+        pairs.append((f"report {report.name}", report, offline))
+    replayed = collect_from_trace(
+        trace, control_packet_size=control_packet_size,
+        experiment=bundle.experiment, rounds=bundle.rounds)
+    replayed.kernel = bundle.kernel
+    pairs.append(("bundle", bundle, replayed))
+    diverged = [f"{label}: {spec.name}"
+                for label, built, rows in pairs
+                for spec in dataclasses.fields(built)
+                if getattr(built, spec.name) != getattr(rows, spec.name)]
+    if diverged:
+        where = f"{context}: " if context else ""
+        raise MetricsConsistencyError(
+            f"{where}{'; '.join(diverged)} disagree with the trace's rows")
 
 
 # ----------------------------------------------------------------------

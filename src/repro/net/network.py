@@ -141,9 +141,11 @@ class Network:
         #: agent list (the only mutation paths — ``Node.attach`` is not
         #: called directly anywhere else).
         self._run_bindings: Dict[Tuple[NodeId, ...], RunBinding] = {}
-        #: When True, every packet handed to a node emits a ``deliver``
-        #: trace row (built if the trace wants it). Off by default: delivery
-        #: is the hottest path and check mode (repro.oracle) opts in.
+        #: When True, every packet handed to a node goes through
+        #: :meth:`_deliver` and emits a ``deliver`` trace row (built if
+        #: the trace wants it); nothing else routes a batched or hop
+        #: delivery there. Off by default: delivery is the hottest path
+        #: and check mode (repro.oracle) opts in.
         self.trace_deliveries = False
         self.perf = perf.GLOBAL
 
@@ -722,11 +724,9 @@ class Network:
         except KeyError:  # pruned while the packet was in flight
             return
         if receiver is not None:
-            # The fire-time test _deliver_many makes: a traced, wrapped
-            # or overridden _deliver sees every delivery.
-            if (self.trace_deliveries
-                    or self.__class__._deliver is not Network._deliver
-                    or "_deliver" in self.__dict__):
+            # The fire-time test _deliver_many makes: a traced delivery
+            # goes through _deliver.
+            if self.trace_deliveries:
                 self._deliver(at, packet)
             elif receiver.__class__ is Node:
                 receiver.deliver(packet)
@@ -827,18 +827,15 @@ class Network:
 
         One scheduler event replaces ``len(members)`` individual ones;
         ``batched_deliveries`` counts the events saved. When delivery
-        tracing is off and ``_deliver`` is not overridden or wrapped, the
-        per-member hop through :meth:`_deliver` is skipped too: the run
-        goes to its agents' run handler in one call, or failing that to
-        each member's bound ``receive`` (see :meth:`_bind_run`).
-        Otherwise delivery routes through ``_deliver``, resolved at fire
-        time (not schedule time), so tests that wrap ``_deliver`` to
-        observe deliveries see every receiver exactly as they did when
-        each had its own event.
+        tracing is off, the per-member hop through :meth:`_deliver` is
+        skipped too: the run goes to its agents' run handler in one
+        call, or failing that to each member's bound ``receive`` (see
+        :meth:`_bind_run`). With ``trace_deliveries`` on, decided at
+        fire time (not schedule time), every receiver goes through
+        ``_deliver`` and its ``deliver`` row exactly as it did when each
+        had its own event.
         """
-        if (not self.trace_deliveries
-                and type(self)._deliver is Network._deliver
-                and "_deliver" not in self.__dict__):
+        if not self.trace_deliveries:
             try:
                 handler, targets, saved = self._run_bindings[members]
             except KeyError:
@@ -860,9 +857,8 @@ class Network:
         """Resolve how a run of members takes its packets.
 
         The run handler (``Agent.receive_run``) serves the run when every
-        member node carries exactly one agent, all of one class, none
-        with a ``receive`` set on the instance (a test spy). Any other
-        run is bound per member: to the agents' ``receive`` when each
+        member node carries exactly one agent, all of one class. Any
+        other run is bound per member: to the agents' ``receive`` when each
         node has one agent, else to :meth:`Node.deliver`. Runs are bound
         about as often as plans are built when every round has a fresh
         network, hence no per-member call below.
@@ -878,8 +874,7 @@ class Network:
         cls = agents[0].__class__
         handler = cls.receive_run
         if handler is None or [
-                agent for agent in agents
-                if agent.__class__ is not cls or "receive" in agent.__dict__]:
+                agent for agent in agents if agent.__class__ is not cls]:
             return None, tuple([agent.receive for agent in agents]), saved
         return handler, tuple(agents), saved
 

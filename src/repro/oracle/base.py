@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import KINDS, Trace, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
@@ -100,6 +100,20 @@ class OracleViolationError(AssertionError):
         self.report = report
 
 
+def _masked(row: TraceRecord) -> str:
+    """``str(row)`` with its kind's volatile detail keys starred.
+
+    The keys :func:`repro.lint.races.canonical_stream` masks (packet
+    uids come from a process-wide counter), so a report reads the same
+    on every run, whatever else the process ran first.
+    """
+    spec = KINDS.get(row.kind)
+    volatile = spec.volatile if spec is not None else frozenset()
+    return str(TraceRecord(row.time, row.node, row.kind, {
+        key: "*" if key in volatile else value
+        for key, value in row.detail.items()}))
+
+
 class Oracle:
     """Base class: consume trace records, accumulate violations."""
 
@@ -135,7 +149,7 @@ class Oracle:
                     return True
                 return str(detail_name) == name_str
 
-            excerpt = [str(row) for row in
+            excerpt = [_masked(row) for row in
                        trace.excerpt(record_time, window=excerpt_window,
                                      predicate=relevant)]
         self.violations.append(Violation(
@@ -181,7 +195,7 @@ class SessionOracleSuite:
         """Create a suite, subscribe it, and turn on delivery tracing.
 
         ``enable_trace`` makes the trace keep every row, so the suite
-        hears them all and excerpts and ``collector.verify`` read them.
+        hears them all and excerpts and the metrics gate read them.
         Without it the suite is passive: it makes no kind wanted, and
         checks the rows the trace builds anyway while it keeps them all.
         """

@@ -187,6 +187,7 @@ def test_request_carries_reported_distance():
         original(packet)
 
     agents[1].receive = spy
+    network.trace_deliveries = True   # deliver one by one, spy included
     network.run()
     assert captured
     assert captured[0].requester_distance_to_source == pytest.approx(3.0)

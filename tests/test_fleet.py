@@ -262,7 +262,7 @@ def test_lease_expiry_spends_the_retry_budget(tmp_path):
                                 "failed": 1}
     assert "task 0" in status["error"]
     assert "lease expired" in status["error"]
-    events = controller.events_since(0, "job-1")["events"]
+    events = controller.events_since(0, "job-1")
     kinds = [event["event"] for event in events]
     assert kinds.count("lease-expired") == 3
     assert kinds.count("job-failed") == 1
@@ -523,7 +523,7 @@ def test_post_handlers_return_or_refuse_without_side_effects(
 
 
 # ----------------------------------------------------------------------
-# Observability: events, SSE, dashboard, CLI views
+# Observability: events, dashboard, CLI views
 # ----------------------------------------------------------------------
 
 
@@ -539,10 +539,12 @@ def test_event_feed_jsonl_and_sse(fleet, tmp_path):
     assert kinds.count("result") == 2
     assert all(event["seq"] >= 0 and event["t"] >= 0
                for event in events)
-    # The SSE stream replays the same feed and terminates on job end.
-    streamed = list(fleet.client.stream_events(job))
-    assert [event["seq"] for event in streamed] == \
-        [event["seq"] for event in events]
+    # The dashboard polls from a cursor: ?since= returns the tail, and
+    # there is no second, streamed feed.
+    tail = fleet.client.events(job, since=events[2]["seq"])
+    assert tail == events[2:]
+    assert _raw_request(fleet, "GET /api/v1/events/stream HTTP/1.0"
+                               "\r\n\r\n") == 404
 
 
 def test_dashboard_serves_html(fleet):
@@ -621,7 +623,8 @@ def _raw_request(fleet, request: str) -> int:
     ("POST /api/v1/lease HTTP/1.0\r\nContent-Length: abc\r\n\r\n", 400),
     ("POST /api/v1/jobs HTTP/1.0\r\nContent-Length: 1_0\r\n\r\n", 400),
     ("GET /api/v1/events?since=abc HTTP/1.0\r\n\r\n", 400),
-    ("GET /api/v1/events/stream?since=abc HTTP/1.0\r\n\r\n", 400),
+    # No SSE route: the JSONL feed above is the only one.
+    ("GET /api/v1/events/stream?since=abc HTTP/1.0\r\n\r\n", 404),
 ], ids=["oversized-length", "negative-length", "non-integer-length",
         "underscored-length", "non-integer-since", "non-integer-sse-since"])
 def test_malformed_lengths_and_cursors_are_rejected(fleet, request_text,

@@ -151,6 +151,18 @@ def test_campaign_reports_failure_with_reproducing_seed():
     assert "minimized case:" in report
 
 
+def test_failure_report_reads_the_same_at_any_job_count():
+    """Packet uids come from a process-wide counter, so the report masks
+    them (``packet=*``): it must not depend on the job count or on what
+    the process ran before."""
+    reports = [format_fuzz_report(run_fuzz(
+        rounds=CAUGHT_INDEX + 1, seed=7, runner=ExperimentRunner(jobs=jobs),
+        inject="no-holddown", shrink=False)) for jobs in (1, 2, 1)]
+    assert reports[0] == reports[1] == reports[2]
+    assert "packet=*" in reports[0]
+    assert "packet=1" not in reports[0]
+
+
 def test_parallel_campaign_matches_serial():
     serial = run_fuzz(rounds=6, seed=11, runner=serial_runner(),
                       shrink=False)

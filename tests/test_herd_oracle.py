@@ -4,21 +4,24 @@
 (:data:`repro.herd.HERD_ORACLES`) to every herd round: scheduler-time
 monotonicity and the request-timer interval/backoff/ignore-window
 checker. Beyond "a clean round passes", the regression half of this file
-proves the oracles have *teeth* against the vectorized code: an injected
-no-backoff bug (the classic NACK-implosion regression the paper's
-exponential backoff exists to prevent) must be caught and reported.
+proves the oracles have *teeth* against the vectorized code: a no-backoff
+bug (the classic NACK-implosion regression the paper's exponential
+backoff exists to prevent), planted by :func:`no_backoff` from outside
+the engine, must be caught and reported.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core import timer_math
 from repro.core.config import SrmConfig
 from repro.experiments.common import ExperimentSpec, run_experiment
 from repro.experiments.figure5 import star_scenario
 from repro.experiments.scaling import star_scaling_scenario
 from repro.fleet.wire import result_to_json
 from repro.herd import HERD_ORACLES, HerdSimulation, attach_herd_oracles
+from repro.herd import engine as herd_engine
 from repro.oracle.base import OracleViolationError
 from repro.oracle.checkers import (RequestTimerOracle,
                                    SchedulerMonotonicityOracle)
@@ -55,13 +58,29 @@ def test_check_mode_leaves_a_herd_result_unchanged(monkeypatch):
     assert result_to_json(run_experiment(spec)) == unchecked
 
 
+def no_backoff(monkeypatch):
+    """Plant the canary bug: the herd's request-timer bounds ignore the
+    backoff count, so a backed-off timer is drawn from the first
+    round's interval."""
+    bounds = timer_math.request_delay_bounds
+    bounds_vec = timer_math.request_delay_bounds_vec
+    monkeypatch.setattr(
+        herd_engine.timer_math, "request_delay_bounds",
+        lambda distance, c1, c2, count, factor: bounds(
+            distance, c1, c2, 0, factor))
+    monkeypatch.setattr(
+        herd_engine.timer_math, "request_delay_bounds_vec",
+        lambda distances, c1, c2, counts, factor: bounds_vec(
+            distances, c1, c2, 0 * counts, factor))
+
+
 def test_injected_no_backoff_bug_is_caught(monkeypatch):
-    # The canary: without exponential backoff every duplicate request
-    # re-arms the timer at backoff count 0, which the request-timer
-    # oracle flags as a fresh timer with no same-instant loss detection
-    # (and as intervals outside the doubled bounds).
+    # The canary: without exponential backoff every backed-off timer
+    # lands in the undoubled interval, which the request-timer oracle
+    # flags as outside the bounds its backoff count sets.
     monkeypatch.setenv("SRM_CHECK", "1")
-    sim = HerdSimulation(star_scenario(16), seed=3, inject="no-backoff")
+    no_backoff(monkeypatch)
+    sim = HerdSimulation(star_scenario(16), seed=3)
     with pytest.raises(OracleViolationError):
         sim.run_round()
 
@@ -71,7 +90,8 @@ def test_injected_bug_invisible_without_check_mode(monkeypatch):
     # to completion — the violation is caught by the oracle, not by an
     # engine-internal assertion.
     monkeypatch.delenv("SRM_CHECK", raising=False)
-    sim = HerdSimulation(star_scenario(16), seed=3, inject="no-backoff")
+    no_backoff(monkeypatch)
+    sim = HerdSimulation(star_scenario(16), seed=3)
     assert sim.oracle is None
     sim.run_round()
 

@@ -298,6 +298,8 @@ def test_deliver_wrapped_on_the_instance_in_flight():
                 wrapped.append(node_id)
                 original(node_id, packet)
             network._deliver = spying
+            # The one switch that routes a delivery through _deliver.
+            network.trace_deliveries = True
         network.scheduler.schedule_at(2.5, wrap)
 
     seen = both_ways(lambda prepare: chain_scenario(script, prepare))

@@ -1,9 +1,10 @@
 """The repro.metrics observability layer.
 
-Covers the metric primitives, the streaming collector's agreement with
-the offline per-loss-event analysis, golden headline snapshots for the
-figure3/figure8 seeds, JSON bundle round-trips, and the regression
-comparison used by ``repro compare``.
+Covers the streaming collector's agreement with the offline
+per-loss-event analysis, check mode's one gate
+(:func:`repro.metrics.collector.check_against_trace`) on every engine,
+golden headline snapshots for the figure3/figure8 seeds, JSON bundle
+round-trips, and the regression comparison used by ``repro compare``.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from repro.experiments.figure3 import run_figure3
 from repro.experiments.figure8 import run_figure8
 from repro.metrics import (
     BUNDLE_SCHEMA,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsCollector,
     MetricsConsistencyError,
-    MetricsRegistry,
     RunMetrics,
     analyze_loss_event,
+    check_against_trace,
     collect_from_trace,
     compare_bundles,
     load_bundle,
@@ -49,56 +47,6 @@ from repro.metrics.collector import (
 from repro.sim.trace import Trace
 
 from conftest import examples
-
-
-# ----------------------------------------------------------------------
-# Metric primitives
-# ----------------------------------------------------------------------
-
-
-def test_counter_accumulates_and_rejects_negative_increments():
-    counter = Counter("requests")
-    counter.inc()
-    counter.inc(3)
-    assert counter.value == 4
-    with pytest.raises(ValueError):
-        counter.inc(-1)
-
-
-def test_gauge_tracks_last_set_value_and_high_water_mark():
-    gauge = Gauge("heap")
-    gauge.set(7)
-    gauge.set(3)
-    assert gauge.value == 3
-    gauge.high(9)
-    gauge.high(4)
-    assert gauge.value == 9
-
-
-def test_histogram_quantiles_match_sorted_data():
-    histogram = Histogram("delay")
-    for value in (5.0, 1.0, 3.0, 2.0, 4.0):
-        histogram.observe(value)
-    assert histogram.count == 5
-    assert histogram.quantile(0.5) == 3.0
-    assert histogram.quantile(1.0) == 5.0
-    assert histogram.mean() == 3.0
-    assert histogram.summary()["max"] == 5.0
-    assert Histogram("empty").summary() == {
-        "count": 0, "mean": None, "p50": None, "p90": None, "max": None}
-
-
-def test_registry_namespaces_and_snapshots():
-    registry = MetricsRegistry()
-    registry.counter("a").inc(2)
-    registry.gauge("b").set(9)
-    registry.histogram("c").observe(1.5)
-    snap = registry.as_dict()
-    assert snap["counters"]["a"] == 2
-    assert snap["gauges"]["b"] == 9
-    assert snap["histograms"]["c"]["count"] == 1
-    # Same name returns the same instrument, not a fresh one.
-    assert registry.counter("a") is registry.counter("a")
 
 
 # ----------------------------------------------------------------------
@@ -189,16 +137,103 @@ def test_attach_again_or_elsewhere_counts_each_row_once():
 
 def test_verify_compares_the_streamed_report_with_the_offline_scan():
     name = AduName(1, DEFAULT_PAGE, 1)
-    trace = Trace()
+    trace = Trace(keep=None)
     collector = MetricsCollector().attach(trace)
     trace.record(1.0, 5, "loss_detected", name=name)
     trace.record(2.0, 5, "data_recovered", name=name, delay=1.0, rtt=2.0,
                  ratio=0.5, via="repair")
-    collector.verify(trace)
+    check_against_trace(trace, collector.reports(), collector.snapshot(),
+                        collector.control_packet_size)
     # One field of one member's timing is enough to fail the round.
     collector.report(name).recoveries[5].via = "elsewhere"
-    with pytest.raises(MetricsConsistencyError):
-        collector.verify(trace)
+    with pytest.raises(MetricsConsistencyError,
+                       match=r"report 1:0.0:1: recoveries disagree"):
+        check_against_trace(trace, collector.reports(),
+                            collector.snapshot(),
+                            collector.control_packet_size)
+
+
+# The gate has teeth on every engine: each holds a result it built
+# itself (streamed, or read off the herd's arrays) to the rows, so one
+# field nudged after the engine built it must fail the round.
+
+
+def test_the_gate_fails_an_agent_round_with_one_ratio_off(monkeypatch):
+    from repro.experiments.common import LossRecoverySimulation
+
+    monkeypatch.setenv("SRM_CHECK", "1")
+    simulation = LossRecoverySimulation(_scenario(5), seed=5)
+    simulation.run_round()
+    assert simulation.last_round_metrics.recovery_ratios
+    collector = simulation.collector
+    snapshot = collector.snapshot
+
+    def nudged(**kwargs):
+        bundle = snapshot(**kwargs)
+        bundle.recovery_ratios[-1] += 1e-6
+        return bundle
+
+    monkeypatch.setattr(collector, "snapshot", nudged)
+    with pytest.raises(MetricsConsistencyError,
+                       match=r"^round 2: bundle: recovery_ratios disagree"):
+        simulation.run_round()
+
+
+def _nudge_timing(report):
+    timing = next(iter(report.recoveries.values()))
+    timing.ratio += 1e-6
+
+
+def _nudge_count(report):
+    report.requests += 1
+
+
+@pytest.mark.parametrize("size, nudge, diverged", [
+    (16, _nudge_timing, "recoveries"),
+    (16, _nudge_count, "requests"),
+    (600, _nudge_count, "requests"),
+], ids=["timing-full-trace", "count-full-trace", "count-above-threshold"])
+def test_the_gate_fails_a_herd_round_with_one_report_field_off(
+        monkeypatch, size, nudge, diverged):
+    from repro.core.config import SrmConfig
+    from repro.experiments.scaling import star_scaling_scenario
+    from repro.herd import HerdSimulation
+    from repro.herd.engine import FULL_TRACE_THRESHOLD
+
+    monkeypatch.setenv("SRM_CHECK", "1")
+    simulation = HerdSimulation(star_scaling_scenario(size),
+                                config=SrmConfig(c2=size / 10.0), seed=0)
+    assert simulation.full_trace == (size <= FULL_TRACE_THRESHOLD)
+    report = simulation._report
+
+    def nudged(name):
+        built = report(name)
+        nudge(built)
+        return built
+
+    monkeypatch.setattr(simulation, "_report", nudged)
+    with pytest.raises(MetricsConsistencyError,
+                       match=rf"^round 1: report \S+: {diverged}"):
+        simulation.run_round()
+
+
+@pytest.mark.parametrize("half", ["live", "sim"])
+def test_the_gate_fails_a_soak_bundle_with_one_field_off(monkeypatch, half):
+    from repro.live import soak
+
+    class Nudged(MetricsCollector):
+        def snapshot(self, *args, **kwargs):
+            bundle = super().snapshot(*args, **kwargs)
+            bundle.control_bytes += 1
+            return bundle
+
+    # collect_from_trace builds its bundle with the unpatched class.
+    monkeypatch.setattr(soak, "MetricsCollector", Nudged)
+    spec = soak.SoakSpec(packets=8, rate=80.0, drain=0.5, check=True)
+    run = soak.run_live_soak if half == "live" else soak.run_matched_sim
+    with pytest.raises(MetricsConsistencyError,
+                       match=rf"^{half} soak: bundle: control_bytes"):
+        run(spec)
 
 
 # Property: whatever is interleaved with the rows -- clear(), a new

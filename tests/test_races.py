@@ -10,8 +10,7 @@ race detector checks the stronger invariant that protocol behavior is
 * the clean scenario suite is byte-identical under permuted replay
   while genuinely permuting tie batches (no vacuous pass), and
 * the injected tie-order canary — an unordered-set leader election
-  inside a timer callback — is caught on the agent engine and the
-  herd engine, with a usable trace diff.
+  inside a timer callback — is caught, with a usable trace diff.
 """
 
 from __future__ import annotations

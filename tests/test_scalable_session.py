@@ -148,6 +148,7 @@ def test_hierarchy_reduces_measured_receptions():
             original_deliver(node_id, packet)
 
         network._deliver = counting_deliver
+        network.trace_deliveries = True   # every delivery via _deliver
         network.run(until=300.0)
         return count[0]
 

@@ -5,10 +5,10 @@ session/state delivery").
 hops) to ``SrmAgent.receive_run`` (``core.session.receive_run``) in one
 call, which merges a session report into the whole run itself. The
 reference is the per-receiver path the same method takes when
-``_deliver`` is set on the instance (the seam tests already use to watch
-deliveries): one ``_deliver`` -> ``receive`` -> ``handle`` chain per
-member. Both must leave the same trace, the same event count and the same
-state at every member.
+``trace_deliveries`` is on (the one switch that routes a delivery
+through ``_deliver``): one ``_deliver`` -> ``receive`` -> ``handle``
+chain per member. Both must leave the same trace (its ``deliver`` rows
+aside), the same event count and the same state at every member.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ DELAYS = (0.5, 1.0, 2.0)
 
 def deliver_per_receiver(network):
     """Send ``_deliver_many`` down its per-member path."""
-    network._deliver = network._deliver
+    network.trace_deliveries = True
 
 
 def handler_bound_runs(network):
@@ -107,7 +107,8 @@ def observed(network, agents):
     rows = [f"{row.time!r} {row.node} {row.kind} " + repr(sorted(
                 (key, repr(value)) for key, value in row.detail.items()
                 if key != "packet"))  # uids count across both runs
-            for row in network.trace]
+            for row in network.trace
+            if row.kind != "deliver"]  # only the reference traces them
     members = {}
     for node, agent in agents.items():
         reception = agent.reception
@@ -243,7 +244,11 @@ def test_merge_skips_an_agent_without_a_session_protocol():
 
 
 def test_instance_level_receive_keeps_its_run_off_the_handler():
+    """A spy set on one agent hears its packets when deliveries are
+    traced; the run handler, which serves untraced runs, does not
+    look for it."""
     network, agents = star_session()
+    network.trace_deliveries = True
     seen = []
     original = agents[3].receive
     agents[3].receive = lambda packet: (seen.append(packet.kind),
@@ -251,10 +256,11 @@ def test_instance_level_receive_keeps_its_run_off_the_handler():
     report_from(agents[1])
     assert seen == [KIND_SESSION]
     assert heard(agents, 1) == [2, 3, 4, 5, 6]
-    assert not handler_bound_runs(network)
-    # A run the spy is not part of is still batched.
-    report_from(agents[3])
-    assert handler_bound_runs(network) == [(1, 2, 4, 5, 6)]
+    assert not network._run_bindings
+    network.trace_deliveries = False
+    report_from(agents[1])
+    assert seen == [KIND_SESSION]
+    assert handler_bound_runs(network) == [(2, 3, 4, 5, 6)]
 
 
 def test_mixed_agent_classes_are_not_batched():
