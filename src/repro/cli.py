@@ -170,11 +170,6 @@ def fuzz_options(sub: argparse.ArgumentParser) -> None:
                           "minimization")
     sub.add_argument("--shrink-limit", type=int, default=3,
                      help="minimize at most this many failing cases")
-    sub.add_argument("--inject", default=None, metavar="BUG",
-                     choices=["no-holddown"],
-                     help="deliberately break an invariant inside the "
-                          "run (sanity-check that the oracles catch "
-                          "it)")
     sub.add_argument("--manifest", default=None, metavar="PATH",
                      help="append a JSONL run manifest here")
 
@@ -278,7 +273,7 @@ def _fuzz(args):
 
     runner = ExperimentRunner(jobs=args.jobs, manifest_path=args.manifest)
     outcome = run_fuzz(rounds=args.rounds, seed=args.seed, runner=runner,
-                       shrink=not args.no_shrink, inject=args.inject,
+                       shrink=not args.no_shrink,
                        shrink_limit=args.shrink_limit)
     print(format_fuzz_report(outcome))
     if outcome["failures"]:

@@ -48,9 +48,6 @@ def install_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--race-scenarios", default=None, metavar="NAMES",
                      help="comma-separated scenario names "
                           "(default: all; see repro.lint.races)")
-    sub.add_argument("--inject", default=None, metavar="BUG",
-                     help="race-detector canary: replay with this bug "
-                          "injected (must be caught); implies --races")
     # -- wire-schema drift checker (repro.lint.wiredrift) --------------
     sub.add_argument("--wire-drift", action="store_true",
                      help="check SRM_* literals against the knob "
@@ -74,8 +71,7 @@ def _run_races(args: argparse.Namespace) -> int:
     permutations = args.race_permutations or DEFAULT_PERMUTATIONS
     try:
         report = check_races(scenarios=scenarios,
-                             permutations=permutations,
-                             inject=args.inject)
+                             permutations=permutations)
     except ValueError as exc:
         print(f"lint: {exc}", file=sys.stderr)
         return 2
@@ -89,7 +85,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
             print(f"{rule.code}  {rule.name:<28} {rule.summary}")
         return 0
 
-    if args.races or args.inject:
+    if args.races:
         return _run_races(args)
 
     # None: wire-schema.lock at the repo root (repro.lint.wiredrift).

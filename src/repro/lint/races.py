@@ -21,11 +21,11 @@ detail keys (declared, with their rationale, in the kind table of
 other value — so a race surfaces as soon as it perturbs what happens,
 when it happens, or any traced value.
 
-``repro lint --races`` drives this; ``--inject tie-order`` swaps in the
-``canary`` scenario, which carries a deliberately planted unordered-set
-bug and must therefore *fail*, proving end to end that the detector can
-catch what it exists to catch (the same pattern as ``repro fuzz
---inject no-holddown``).
+``repro lint --races`` drives this. That the detector catches what it
+exists to catch is shown outside ``src/``: the ``tie-order`` entry of
+the mutant catalog (``tests/mutants/``) plants a shared-set leader
+election in the agent's request timer, and the clean scenarios must
+then fail.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.scheduler import EventScheduler, TieBatch
-from repro.sim.trace import KINDS, SEND_REPAIR, Trace, TraceRecord
+from repro.sim.trace import KINDS, TraceRecord
 
 DEFAULT_PERMUTATIONS = 8
 
@@ -264,42 +264,6 @@ def _herd_star_spec() -> "ExperimentSpec":  # noqa: F821
                           seed=11, engine="herd", experiment="scaling")
 
 
-def _canary_runner(permuter: Optional[TiePermutation]) -> List[str]:
-    """The planted bug: unordered-set iteration in a timer callback.
-
-    Twelve timers fire at the same instant. Each callback adds its tag
-    to a *shared mutable set* and lets the set's iteration order elect
-    a leader — the leader claims the repair, everyone else defers.
-    Which tags the set holds when a given callback fires depends on the
-    same-instant drain order, so permuted replays diverge. This is the
-    defect SRM suppression code must never contain, kept here so the
-    detector's catch rate is itself under test.
-    """
-    scheduler = EventScheduler()
-    if permuter is not None:
-        scheduler.set_tie_permuter(permuter)
-    trace = Trace()
-    claimed: set[int] = set()
-
-    def request_timer(member: int) -> None:
-        tag = (member * 2654435761) % 1021
-        claimed.add(tag)
-        leader = next(iter(claimed))  # lint: ignore[SRM002, SRM008]
-        if leader == tag:
-            trace.record(scheduler.now, member, "claim", leader=leader)
-            scheduler.schedule(0.5, respond, member)
-        else:
-            trace.record(scheduler.now, member, "defer", leader=leader)
-
-    def respond(member: int) -> None:
-        trace.record(scheduler.now, member, SEND_REPAIR)
-
-    for member in range(12):
-        scheduler.schedule(1.0, request_timer, member)
-    scheduler.run()
-    return canonical_stream(trace.records)
-
-
 #: The clean replay set: real paper scenarios that must be tie-order
 #: invariant (the acceptance gate for the detector).
 SCENARIOS: Tuple[RaceScenario, ...] = (
@@ -316,17 +280,6 @@ SCENARIOS: Tuple[RaceScenario, ...] = (
                  "star of 32 on the herd engine, full trace",
                  _spec_runner(_herd_star_spec)),
 )
-
-#: The canary set (``--inject tie-order``): a scenario carrying a
-#: deliberately planted tie-order bug; the detector must flag it.
-INJECT_SCENARIOS: Tuple[RaceScenario, ...] = (
-    RaceScenario("canary",
-                 "planted unordered-set leader election in timer "
-                 "callbacks",
-                 _canary_runner),
-)
-
-INJECTIONS: Tuple[str, ...] = ("tie-order",)
 
 
 # ----------------------------------------------------------------------
@@ -378,18 +331,12 @@ class RaceReport:
         return "\n".join(lines)
 
 
-def resolve_scenarios(names: Optional[Sequence[str]] = None,
-                      inject: Optional[str] = None
+def resolve_scenarios(names: Optional[Sequence[str]] = None
                       ) -> List[RaceScenario]:
     """The scenario set for a run; unknown names raise ``ValueError``."""
-    if inject is not None and inject not in INJECTIONS:
-        raise ValueError(
-            f"unknown injection {inject!r} "
-            f"(expected one of {', '.join(INJECTIONS)})")
-    pool = INJECT_SCENARIOS if inject is not None else SCENARIOS
     if not names:
-        return list(pool)
-    by_name = {scenario.name: scenario for scenario in pool}
+        return list(SCENARIOS)
+    by_name = {scenario.name: scenario for scenario in SCENARIOS}
     missing = [name for name in names if name not in by_name]
     if missing:
         raise ValueError(
@@ -399,8 +346,7 @@ def resolve_scenarios(names: Optional[Sequence[str]] = None,
 
 
 def check_races(scenarios: Optional[Sequence[str]] = None,
-                permutations: int = DEFAULT_PERMUTATIONS,
-                inject: Optional[str] = None) -> RaceReport:
+                permutations: int = DEFAULT_PERMUTATIONS) -> RaceReport:
     """Replay each scenario under permuted drain orders and diff traces.
 
     Permutation 0 is the contract (time, seq) order and becomes the
@@ -412,7 +358,7 @@ def check_races(scenarios: Optional[Sequence[str]] = None,
     if permutations < 2:
         raise ValueError("need at least 2 permutations (the contract "
                          "order plus one shuffle)")
-    chosen = resolve_scenarios(scenarios, inject=inject)
+    chosen = resolve_scenarios(scenarios)
     findings: List[RaceFinding] = []
     replays = 0
     permuted_batches = 0

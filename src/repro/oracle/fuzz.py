@@ -14,9 +14,10 @@ failures land minimized and reproducible — re-running
 ``repro fuzz --rounds 1 --seed <case_seed>`` regenerates the original
 case, and the minimized case is reported as JSON.
 
-``inject`` intentionally breaks an invariant inside the run (e.g.
-``"no-holddown"`` disables repair hold-down on every agent); the
-acceptance test uses it to prove the oracles catch real bugs.
+That the oracles catch real bugs is shown outside ``src/``: the mutant
+catalog (``tests/mutants/``) plants protocol bugs such as a missing
+repair hold-down in a copy of the tree, and CI runs this campaign
+against it.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ def generate_case(seed: int) -> Dict[str, Any]:
     case["config"] = config
     case["zone"] = rng.random() < 0.15
     case["horizon"] = None
-    case["inject"] = None
     return case
 
 
@@ -199,8 +199,6 @@ def _run_case(case: Dict[str, Any]) -> Dict[str, Any]:
         network.attach(node, agent)
         agent.join_group(group)
         agents[node] = agent
-        if case.get("inject") == "no-holddown":
-            agent._set_holddown = lambda name, first_requester: None
         return agent
 
     for member in members:
@@ -346,7 +344,6 @@ def shrink_case(case: Dict[str, Any], oracle: str,
 # ----------------------------------------------------------------------
 
 def run_fuzz(rounds: int, seed: int, runner: Any, shrink: bool = True,
-             inject: Optional[str] = None,
              shrink_limit: int = 3) -> Dict[str, Any]:
     """Generate ``rounds`` cases, execute through ``runner``, shrink.
 
@@ -354,12 +351,8 @@ def run_fuzz(rounds: int, seed: int, runner: Any, shrink: bool = True,
     carries the original case seed, its violations, and (when enabled)
     the minimized case.
     """
-    cases = []
-    for index in range(rounds):
-        case = generate_case(case_seed(seed, index))
-        if inject is not None:
-            case["inject"] = inject
-        cases.append(case)
+    cases = [generate_case(case_seed(seed, index))
+             for index in range(rounds)]
     results = runner.map("fuzz", run_fuzz_case,
                          [{"case": case} for case in cases])
     failures: List[Dict[str, Any]] = []

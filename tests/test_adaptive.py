@@ -67,6 +67,37 @@ def test_c2_decrease_requires_small_duplicates():
     assert ctl.params.c2 >= c2 - 1e-9 or state.ave_dup > 1.0
 
 
+#: Figs. 9-10's decrease band: (ave_dup as a fraction of the duplicate
+#: target, is ave_delay above its target, does C2/D2 shrink). The
+#: interval shrinks only when the delay is high *and* duplicates are
+#: below half the target -- including between a quarter and a half.
+DECREASE_BAND = [
+    (0.0, True, True),
+    (0.3, True, True),
+    (0.49, True, True),
+    (0.51, True, False),
+    (0.9, True, False),
+    (0.3, False, False),
+]
+
+
+@pytest.mark.parametrize("side, param", [("request", "c2"),
+                                         ("repair", "d2")])
+@pytest.mark.parametrize("dup_fraction, delay_high, shrinks", DECREASE_BAND)
+def test_interval_shrinks_only_below_half_the_duplicate_target(
+        side, param, dup_fraction, delay_high, shrinks):
+    ctl = controller(group_size=1000)
+    cfg = ctl.config
+    state = getattr(ctl, side)
+    state.ave_dup = dup_fraction * cfg.ave_dups_target
+    state.ave_delay = cfg.ave_delay_target * (5.0 if delay_high else 0.5)
+    before = getattr(ctl.params, param)
+    # The first period closes empty, so the averages set above stand.
+    getattr(ctl, f"{side}_period_start")()
+    expected = before - cfg.c2_decrease if shrinks else before
+    assert getattr(ctl.params, param) == pytest.approx(expected)
+
+
 def test_parameters_respect_bounds():
     bounds = AdaptiveBounds(c1_min=0.5, c1_max=2.0, c2_min=1.0, c2_max=4.0)
     ctl = controller(adaptive_bounds=bounds)

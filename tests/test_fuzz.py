@@ -2,8 +2,9 @@
 
 The pinned seeds below are part of the acceptance contract: campaign
 seed 7 is clean on main, and case index 10 of that campaign is known to
-catch the injected no-holddown bug (validated against the current
-generator). If the generator changes, re-derive the pinned indexes.
+catch the planted no-holddown bug (the catalog mutant of that name,
+planted here with ``monkeypatch``). If the generator changes, re-derive
+the pinned indexes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.agent import SrmAgent
 from repro.oracle.fuzz import (
     CASE_SEED_STRIDE,
     _member_zone,
@@ -26,7 +28,7 @@ from repro.oracle.fuzz import (
 )
 from repro.runner import ExperimentRunner
 
-#: Campaign (seed=7) case index known to trip the injected bug.
+#: Campaign (seed=7) case index known to trip the planted bug.
 CAUGHT_INDEX = 10
 CAUGHT_SEED = case_seed(7, CAUGHT_INDEX)
 
@@ -103,24 +105,26 @@ def test_crash_is_reported_not_raised():
 
 
 # ----------------------------------------------------------------------
-# The acceptance scenario: an injected bug is caught, shrunk, reported
+# The acceptance scenario: a planted bug is caught, shrunk, reported
 # ----------------------------------------------------------------------
 
-def holddown_case():
-    case = generate_case(CAUGHT_SEED)
-    case["inject"] = "no-holddown"
-    return case
+@pytest.fixture
+def no_holddown(monkeypatch):
+    """Plant the ``no-holddown`` mutant: answering a request starts no
+    hold-down window. A fork-started ``--jobs 2`` pool inherits it."""
+    monkeypatch.setattr(SrmAgent, "_set_holddown",
+                        lambda self, name, first_requester: None)
 
 
-def test_injected_holddown_bug_is_caught():
-    result = run_fuzz_case(case=holddown_case())
+def test_injected_holddown_bug_is_caught(no_holddown):
+    result = run_fuzz_case(case=generate_case(CAUGHT_SEED))
     assert result["error"] is None
     oracles = {violation["oracle"] for violation in result["violations"]}
     assert "repair-holddown" in oracles
 
 
-def test_injected_bug_shrinks_to_smaller_case():
-    case = holddown_case()
+def test_injected_bug_shrinks_to_smaller_case(no_holddown):
+    case = generate_case(CAUGHT_SEED)
     minimized = shrink_case(case, "repair-holddown")
     # Strictly simpler on at least the horizon (greedy shrinking always
     # tries to cut the run right past the violation)...
@@ -137,9 +141,9 @@ def test_injected_bug_shrinks_to_smaller_case():
                for violation in result["violations"])
 
 
-def test_campaign_reports_failure_with_reproducing_seed():
+def test_campaign_reports_failure_with_reproducing_seed(no_holddown):
     outcome = run_fuzz(rounds=CAUGHT_INDEX + 1, seed=7,
-                       runner=serial_runner(), inject="no-holddown")
+                       runner=serial_runner())
     assert outcome["failures"]
     failure = next(f for f in outcome["failures"]
                    if f["index"] == CAUGHT_INDEX)
@@ -151,13 +155,13 @@ def test_campaign_reports_failure_with_reproducing_seed():
     assert "minimized case:" in report
 
 
-def test_failure_report_reads_the_same_at_any_job_count():
+def test_failure_report_reads_the_same_at_any_job_count(no_holddown):
     """Packet uids come from a process-wide counter, so the report masks
     them (``packet=*``): it must not depend on the job count or on what
     the process ran before."""
     reports = [format_fuzz_report(run_fuzz(
         rounds=CAUGHT_INDEX + 1, seed=7, runner=ExperimentRunner(jobs=jobs),
-        inject="no-holddown", shrink=False)) for jobs in (1, 2, 1)]
+        shrink=False)) for jobs in (1, 2, 1)]
     assert reports[0] == reports[1] == reports[2]
     assert "packet=*" in reports[0]
     assert "packet=1" not in reports[0]
@@ -180,12 +184,20 @@ def test_cli_fuzz_clean_exits_zero(capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
-def test_cli_fuzz_injected_bug_exits_nonzero(capsys):
+def test_cli_fuzz_injected_bug_exits_nonzero(no_holddown, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli_main(["fuzz", "--rounds", str(CAUGHT_INDEX + 1), "--seed", "7",
-                  "--inject", "no-holddown", "--no-shrink"])
+                  "--no-shrink"])
     assert excinfo.value.code == 1
     assert "repair-holddown" in capsys.readouterr().out
+
+
+def test_cli_fuzz_has_no_inject_option(capsys):
+    """Planted bugs live in the mutant catalog, not behind a flag."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["fuzz", "--inject", "no-holddown"])
+    assert excinfo.value.code == 2
+    assert "--inject" in capsys.readouterr().err
 
 
 def test_cli_check_flag_sets_check_mode(monkeypatch, capsys):

@@ -171,6 +171,18 @@ def test_one_step_protocol_recovers_all_bad_members():
     assert network.trace.count("send_repair_second_step") == 0
 
 
+def test_one_step_repair_reaches_the_requests_far_edge():
+    # Drop at (8, 9) with TTL-2 requests: member 10 asks, reaching 8..11,
+    # and member 8 answers from two hops upstream. Only a repair TTL of
+    # the request's plus those two hops reaches member 11, so one repair
+    # recovers every bad member.
+    network, agents = scoped_session("one-step", request_ttl=2)
+    run_drop_round(network, agents, (8, 9))
+    for node in (9, 10, 11):
+        assert agents[node].store.have(NAME1), node
+    assert network.trace.count("send_repair") == 1
+
+
 def test_global_requests_when_no_scope_configured():
     network, agents = scoped_session(None, request_ttl=None)
     run_drop_round(network, agents, (8, 9))

@@ -9,8 +9,9 @@ race detector checks the stronger invariant that protocol behavior is
   ``tests/reference_scheduler.py`` under the same permutation),
 * the clean scenario suite is byte-identical under permuted replay
   while genuinely permuting tie batches (no vacuous pass), and
-* the injected tie-order canary — an unordered-set leader election
-  inside a timer callback — is caught, with a usable trace diff.
+* the planted ``tie-order`` mutant — a shared-set leader election in
+  the agent's request timer, planted here with ``monkeypatch`` — is
+  caught in a clean scenario, with a usable trace diff.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import pytest
 from conftest import SCHEDULERS
 from reference_scheduler import ReferenceScheduler
 
+from repro.core.agent import SrmAgent
 from repro.lint.cli import main as lint_main
 from repro.lint.races import (
-    INJECT_SCENARIOS,
     SCENARIOS,
     TiePermutation,
     canonical_stream,
@@ -30,7 +31,26 @@ from repro.lint.races import (
 from repro.sim.scheduler import EventScheduler
 
 CLEAN_NAMES = [scenario.name for scenario in SCENARIOS]
-CANARY_NAMES = [scenario.name for scenario in INJECT_SCENARIOS]
+
+
+@pytest.fixture
+def tie_order(monkeypatch):
+    """Plant the ``tie-order`` mutant: request timers that expire at one
+    instant elect a leader by a shared set's iteration order, and only
+    the leader goes on. Who has joined the set when a timer fires
+    depends on the drain order, so permuted replays diverge."""
+    expired = SrmAgent._request_timer_expired
+    elections = {}
+
+    def elect_then_expire(self, context):
+        claimed = elections.setdefault(
+            (id(self._scheduler), self._scheduler.now), set())
+        claimed.add(self.node_id)
+        if next(iter(claimed)) == self.node_id:
+            expired(self, context)
+
+    monkeypatch.setattr(SrmAgent, "_request_timer_expired",
+                        elect_then_expire)
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +129,14 @@ def test_clean_scenario_is_drain_order_invariant(name):
 
 
 # ----------------------------------------------------------------------
-# Injected canaries: the detector must catch the planted bug.
+# A planted tie-order bug: the detector must catch it.
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", CANARY_NAMES)
-def test_injected_tie_order_bug_is_caught(name):
-    report = check_races([name], permutations=4, inject="tie-order")
+def test_injected_tie_order_bug_is_caught(tie_order):
+    report = check_races(["figure5-small"], permutations=4)
     assert not report.ok
+    assert report.findings[0].scenario == "figure5-small"
     excerpt = report.findings[0].excerpt
     assert "--- contract-order" in excerpt
     assert "+++ permuted-order" in excerpt
@@ -125,8 +145,6 @@ def test_injected_tie_order_bug_is_caught(name):
 
 
 def test_unknown_injection_and_scenarios_raise():
-    with pytest.raises(ValueError):
-        check_races(inject="no-such-bug")
     with pytest.raises(ValueError):
         check_races(["no-such-scenario"])
     with pytest.raises(ValueError):
@@ -166,11 +184,11 @@ def test_cli_clean_race_check_exits_zero(capsys):
     assert "tie batches permuted" in out
 
 
-def test_cli_injected_canary_exits_nonzero_with_diff(capsys):
-    assert lint_main(["--inject", "tie-order", "--race-scenarios",
-                      "canary", "--race-permutations", "4"]) == 1
+def test_cli_injected_canary_exits_nonzero_with_diff(tie_order, capsys):
+    assert lint_main(["--races", "--race-scenarios", "figure5-small",
+                      "--race-permutations", "4"]) == 1
     out = capsys.readouterr().out
-    assert "RACE canary" in out
+    assert "RACE figure5-small" in out
     assert "+++ permuted-order" in out
 
 
@@ -179,4 +197,8 @@ def test_cli_unknown_scenario_is_usage_error():
     # The per-backend selector left with the heap backend.
     with pytest.raises(SystemExit) as usage:
         lint_main(["--races", "--race-backends", "calendar"])
+    assert usage.value.code == 2
+    # Planted bugs live in the mutant catalog, not behind a flag.
+    with pytest.raises(SystemExit) as usage:
+        lint_main(["--inject", "tie-order"])
     assert usage.value.code == 2
