@@ -22,13 +22,15 @@ Every member hears every request and repair, so each emission site asks
 ``KIND in trace.wanted`` itself and otherwise only bumps
 ``trace.kind_totals[KIND]`` (SRM006): a kind nobody reads costs no
 Python call. Hot methods read the clock as ``self._scheduler.now``, not
-through the ``now`` property.
+through the ``now`` property. A run of members the direct engine
+delivers one packet to at once is taken by :func:`receive_run` in one
+frame, whatever the packet's kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.core import timer_math
 from repro.core.adaptive import AdaptiveTimers
@@ -53,7 +55,6 @@ from repro.core.session import (
     OracleDistance,
     SessionDistance,
     SessionProtocol,
-    receive_run,
 )
 from repro.core.fec import KIND_FEC, FecCodec, payload_bytes
 from repro.core.state import DataStore, ReceptionState
@@ -124,6 +125,153 @@ class PageRequestContext:
     timer: Timer
     is_reply: bool = False  # True when we hold state and plan to reply
     done: bool = False
+
+
+def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
+    """One packet at each of ``agents``, in order: ``SrmAgent.receive_run``.
+
+    The run handler. The direct engine hands it a whole delivery run
+    (receivers that tie in delay and hops); ``SrmAgent.receive`` hands
+    it a heard request, and ``SessionProtocol.handle`` a report, as a
+    run of one. It dispatches on the packet kind once per run, and what
+    depends only on the packet (name, requester, reported distance, the
+    report's stamp and streams) is read once. Every member hears every
+    request, repair and report, so each run is finished in this one
+    frame: a session report is merged and a request handled here, a
+    repair or data packet goes straight to the member's
+    ``_handle_repair`` / ``_accept_data``, any other packet to its
+    ``receive``. Each agent is finished (its losses detected, timers
+    drawn, rows written) before the next is touched, and an agent not
+    (or no longer) listening on ``packet.dst`` is skipped, as
+    ``receive`` skips it.
+    """
+    kind = packet.kind
+    payload = packet.payload
+    group = packet.dst
+    if kind == KIND_SESSION and payload.__class__ is SessionPayload:
+        # First: session reports outnumber every other kind of run.
+        member = payload.member
+        page = payload.page
+        now: float = agents[0]._scheduler.now  # type: ignore[union-attr]
+        stamp = (payload.sent_at, now)
+        echoes = payload.echoes
+        page_state = payload.page_state
+        for agent in agents:
+            if (group is not agent.group and group.__class__ is GroupAddress
+                    and group not in agent._joined_groups):
+                continue  # not, or no longer, listening on this group
+            session = agent.session
+            if session is None:
+                continue
+            session.last_heard[member] = stamp
+            distances = agent.distances
+            # The timestamp-echo branch is taken only when this member
+            # actually learns distances from echoes (the oracle ignores
+            # them).
+            if distances.__class__ is SessionDistance:
+                echo = echoes.get(agent.node_id)
+                if echo is not None:
+                    # t1: our send; echo.delta: peer's holding time;
+                    # now: t4.
+                    estimate = ((now - echo.t1) - echo.delta) / 2.0
+                    distances.update(member, estimate)
+            if not page_state:
+                continue
+            # Reception-state reports reveal tail losses. The steady-state
+            # outcome — the reported high-water mark is already known — is
+            # checked inline against the agent's table for the reported
+            # page, so the overwhelmingly common case costs one int-keyed
+            # probe per stream instead of a note_high_water call.
+            if session._page is not page:
+                session._page = page
+                session._page_high = agent.reception.high_water_table(page)
+            high = session._page_high
+            for key in page_state:
+                source, stream_page = key
+                high_seq = page_state[key]
+                # ``page`` stands in for every equal PageId, so the test
+                # below can tell by identity. (No member reports a stream
+                # off ``payload.page``; a decoded datagram may hold one.)
+                if stream_page is not page and stream_page == page:
+                    stream_page = page
+                # Steady state first: a report at or below our own
+                # high-water mark needs no further filtering (our own
+                # streams always land here too, since no peer can report
+                # above what we ourselves sent).
+                if (stream_page is page and source in high
+                        and high_seq <= high[source]):
+                    continue
+                if source == agent.node_id:
+                    continue
+                for name in agent.reception.note_high_water(
+                        source, stream_page, high_seq):
+                    agent.on_loss_detected(name)
+    elif kind == KIND_REQUEST:
+        # Section III-A/B: a member holding the data considers a repair;
+        # one waiting for it backs off its request timer, or counts a
+        # duplicate inside the ignore window (footnote 1).
+        name = payload.name
+        requester = payload.requester
+        reported = payload.requester_distance_to_source
+        now = agents[0]._scheduler.now  # type: ignore[union-attr]
+        trace = agents[0].network.trace
+        for agent in agents:
+            if (group is not agent.group and group.__class__ is GroupAddress
+                    and group not in agent._joined_groups):
+                continue
+            if agent.store.have(name):
+                agent._consider_repair(packet, payload)
+                continue
+            context = agent._requests.get(name)
+            if context is not None:
+                if context.done:
+                    continue  # abandoned; nothing useful to do
+                agent._observe_request(context, requester=requester,
+                                       reported_distance=reported)
+                if timer_math.should_backoff(now,
+                                             context.ignore_backoff_until):
+                    agent._backoff_request(context)
+                    if REQUEST_BACKOFF in trace.wanted:
+                        trace.record(now, agent.node_id, REQUEST_BACKOFF,
+                                     {"name": name,
+                                      "count": context.backoff_count})
+                    else:
+                        trace.kind_totals[REQUEST_BACKOFF] += 1
+                else:
+                    agent.requests_suppressed += 1
+                    if REQUEST_DUP_IGNORED in trace.wanted:
+                        trace.record(now, agent.node_id, REQUEST_DUP_IGNORED,
+                                     {"name": name})
+                    else:
+                        trace.kind_totals[REQUEST_DUP_IGNORED] += 1
+            elif agent.config.detect_loss_from_requests:
+                # A request reveals data we did not know existed: enter
+                # loss recovery directly in the backed-off state, as if
+                # our own timer had just been reset by this request.
+                for missing in agent.reception.note_high_water(*name):
+                    agent.on_loss_detected(missing)
+                fresh = agent._requests.get(name)
+                if fresh is not None:
+                    agent._observe_request(fresh, requester=requester,
+                                           reported_distance=reported)
+                    agent._backoff_request(fresh)
+    elif kind == KIND_REPAIR:
+        for agent in agents:
+            if (group is not agent.group and group.__class__ is GroupAddress
+                    and group not in agent._joined_groups):
+                continue
+            agent._handle_repair(packet)
+    elif kind == KIND_DATA:
+        name = payload.name
+        data = payload.data
+        for agent in agents:
+            if (group is not agent.group and group.__class__ is GroupAddress
+                    and group not in agent._joined_groups):
+                continue
+            agent._accept_data(name, data, is_repair=False)
+    else:
+        for agent in agents:
+            agent.receive(packet)
 
 
 class SrmAgent(Agent):
@@ -372,7 +520,8 @@ class SrmAgent(Agent):
                     and packet.payload.__class__ is SessionPayload):
                 self.session.handle(packet)
         elif kind == KIND_REQUEST:
-            self._handle_request(packet)
+            # A run of one: heard requests have the one implementation.
+            receive_run((self,), packet)
         elif kind == KIND_REPAIR:
             self._handle_repair(packet)
         elif kind == KIND_PAGE_REQUEST:
@@ -383,8 +532,8 @@ class SrmAgent(Agent):
             if self.fec is not None:
                 self.fec.on_parity_received(packet.payload)
 
-    #: The run handler: session reports are merged into the whole run in
-    #: one frame, every other kind is received agent by agent.
+    #: The run handler: one frame per delivery run, of any packet kind
+    #: (see :func:`receive_run`).
     receive_run = staticmethod(receive_run)
 
     # ------------------------------------------------------------------
@@ -405,8 +554,7 @@ class SrmAgent(Agent):
         context = RequestContext(
             name=name, detected_at=now,
             timer=Timer(self.network.scheduler,
-                        lambda: self._request_timer_expired(context),
-                        name=f"req:{name}@{self.node_id}"))
+                        lambda: self._request_timer_expired(context)))
         context.request_ttl_used = self._request_ttl(name)
         context.request_zone_used = self.config.request_scope_zone
         context.group = self._recovery_group_for(name)
@@ -544,51 +692,6 @@ class SrmAgent(Agent):
     # Handling requests from other members
     # ------------------------------------------------------------------
 
-    def _handle_request(self, packet: Packet) -> None:
-        payload: RequestPayload = packet.payload
-        name = payload.name
-        if self.store.have(name):
-            self._consider_repair(packet, payload)
-            return
-        context = self._requests.get(name)
-        if context is not None and not context.done:
-            self._observe_request(context, requester=payload.requester,
-                                  reported_distance=(
-                                      payload.requester_distance_to_source))
-            now = self._scheduler.now
-            trace = self.network.trace
-            if timer_math.should_backoff(now, context.ignore_backoff_until):
-                self._backoff_request(context)
-                if REQUEST_BACKOFF in trace.wanted:
-                    trace.record(now, self.node_id, REQUEST_BACKOFF,
-                                 {"name": name,
-                                  "count": context.backoff_count})
-                else:
-                    trace.kind_totals[REQUEST_BACKOFF] += 1
-            else:
-                self.requests_suppressed += 1
-                if REQUEST_DUP_IGNORED in trace.wanted:
-                    trace.record(now, self.node_id, REQUEST_DUP_IGNORED,
-                                 {"name": name})
-                else:
-                    trace.kind_totals[REQUEST_DUP_IGNORED] += 1
-            return
-        if context is not None:
-            return  # abandoned; nothing useful to do
-        if self.config.detect_loss_from_requests:
-            # A request reveals data we did not know existed: enter loss
-            # recovery directly in the backed-off state, as if our own
-            # timer had just been reset by this request.
-            newly_missing = self.reception.note_high_water(*name)
-            for missing in newly_missing:
-                self.on_loss_detected(missing)
-            fresh = self._requests.get(name)
-            if fresh is not None:
-                self._observe_request(fresh, requester=payload.requester,
-                                      reported_distance=(
-                                          payload.requester_distance_to_source))
-                self._backoff_request(fresh)
-
     def _consider_repair(self, packet: Packet,
                          payload: RequestPayload) -> None:
         name = payload.name
@@ -617,8 +720,7 @@ class SrmAgent(Agent):
         context = RepairContext(
             name=name, requester=payload.requester, set_at=now,
             timer=Timer(self.network.scheduler,
-                        lambda: self._repair_timer_expired(context),
-                        name=f"rep:{name}@{self.node_id}"),
+                        lambda: self._repair_timer_expired(context)),
             request_initial_ttl=packet.initial_ttl,
             request_hops=packet.hops_travelled(),
             request_zone=packet.scope_zone,
@@ -852,8 +954,7 @@ class SrmAgent(Agent):
         context = PageRequestContext(
             page=page,
             timer=Timer(self.network.scheduler,
-                        lambda: self._page_request_timer_expired(context),
-                        name=f"pagereq:{page}@{self.node_id}"))
+                        lambda: self._page_request_timer_expired(context)))
         self._page_requests[page] = context
         distance = self._distance_or_default(page.creator)
         params = self.params
@@ -898,8 +999,7 @@ class SrmAgent(Agent):
         reply_context = PageRequestContext(
             page=page, is_reply=True,
             timer=Timer(self.network.scheduler,
-                        lambda: self._page_reply_timer_expired(reply_context),
-                        name=f"pagerep:{page}@{self.node_id}"))
+                        lambda: self._page_reply_timer_expired(reply_context)))
         self._page_requests[page] = reply_context
         distance = self.distances.distance(payload.requester)
         params = self.params

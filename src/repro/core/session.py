@@ -12,10 +12,9 @@ bandwidth, so the per-member interval grows linearly with the group size.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.messages import KIND_SESSION, SessionPayload, SessionTimestamp
-from repro.net.packet import GroupAddress
 from repro.sim.timers import Timer
 from repro.sim.trace import SEND_SESSION
 
@@ -72,13 +71,19 @@ class SessionProtocol:
     """The periodic session-message machinery for one agent."""
 
     def __init__(self, agent: "SrmAgent") -> None:
+        # Imported here, once per member rather than once per report in
+        # ``handle``: repro.core.agent imports this module.
+        from repro.core.agent import receive_run
+
         self.agent = agent
         self.config = agent.config
+        self._receive_run = receive_run
         #: The page of the last report merged (by identity: members
         #: viewing one page report the same ``PageId`` object) and the
-        #: agent's high-water table for it, which :func:`receive_run`
-        #: probes for every stream in every report. ``agent.reception``
-        #: is bound once in ``SrmAgent.__init__`` and never rebound.
+        #: agent's high-water table for it, which the run handler
+        #: (``repro.core.agent.receive_run``) probes for every stream in
+        #: every report. ``agent.reception`` is bound once in
+        #: ``SrmAgent.__init__`` and never rebound.
         self._page: Optional["PageId"] = None
         self._page_high: Dict[int, int] = {}
         #: Peers heard from: peer -> (their last send time, our receive time).
@@ -194,80 +199,7 @@ class SessionProtocol:
     # ------------------------------------------------------------------
 
     def handle(self, packet: "Packet") -> None:
-        """Digest one report at this member: a run of one (see
-        :func:`receive_run`)."""
-        receive_run((self.agent,), packet)
+        """Digest one report at this member: a run of one of the run
+        handler, ``repro.core.agent.receive_run``, which merges it."""
+        self._receive_run((self.agent,), packet)
 
-
-def receive_run(agents: Sequence["SrmAgent"], packet: "Packet") -> None:
-    """One packet at each of ``agents``, in order: ``SrmAgent.receive_run``.
-
-    A session report is merged here, any other packet goes to each
-    agent's ``receive``. Hot path: every member processes every other
-    member's periodic report, so a session-heavy run spends more time
-    here than in the scheduler. A call covers a whole delivery run (or
-    the one agent of :meth:`SessionProtocol.handle`) in this one frame:
-    what depends only on the report is read once, and the reported
-    streams straight from ``page_state``. Each agent is finished (its
-    losses detected, their timers drawn) before the next is touched.
-    """
-    payload = packet.payload
-    if packet.kind != KIND_SESSION or payload.__class__ is not SessionPayload:
-        for agent in agents:
-            agent.receive(packet)
-        return
-    group = packet.dst
-    member = payload.member
-    page = payload.page
-    now: float = agents[0]._scheduler.now  # type: ignore[union-attr]
-    stamp = (payload.sent_at, now)
-    echoes = payload.echoes
-    page_state = payload.page_state
-    for agent in agents:
-        if (group is not agent.group and group.__class__ is GroupAddress
-                and group not in agent._joined_groups):
-            continue  # not, or no longer, listening on this group
-        session = agent.session
-        if session is None:
-            continue
-        session.last_heard[member] = stamp
-        distances = agent.distances
-        # The timestamp-echo branch is taken only when this member
-        # actually learns distances from echoes (the oracle ignores them).
-        if distances.__class__ is SessionDistance:
-            echo = echoes.get(agent.node_id)
-            if echo is not None:
-                # t1: our send; echo.delta: peer's holding time; now: t4.
-                estimate = ((now - echo.t1) - echo.delta) / 2.0
-                distances.update(member, estimate)
-        if not page_state:
-            continue
-        # Reception-state reports reveal tail losses. The steady-state
-        # outcome — the reported high-water mark is already known — is
-        # checked inline against the agent's table for the reported page,
-        # so the overwhelmingly common case costs one int-keyed probe per
-        # stream instead of a note_high_water call.
-        if session._page is not page:
-            session._page = page
-            session._page_high = agent.reception.high_water_table(page)
-        high = session._page_high
-        for key in page_state:
-            source, stream_page = key
-            high_seq = page_state[key]
-            # ``page`` stands in for every equal PageId, so the test below
-            # can tell by identity. (No member reports a stream off
-            # ``payload.page``; a decoded datagram may hold one.)
-            if stream_page is not page and stream_page == page:
-                stream_page = page
-            # Steady state first: a report at or below our own
-            # high-water mark needs no further filtering (our own
-            # streams always land here too, since no peer can report
-            # above what we ourselves sent).
-            if (stream_page is page and source in high
-                    and high_seq <= high[source]):
-                continue
-            if source == agent.node_id:
-                continue
-            for name in agent.reception.note_high_water(
-                    source, stream_page, high_seq):
-                agent.on_loss_detected(name)

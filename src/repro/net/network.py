@@ -829,8 +829,8 @@ class Network:
         ``batched_deliveries`` counts the events saved. When delivery
         tracing is off, the per-member hop through :meth:`_deliver` is
         skipped too: the run goes to its agents' run handler in one
-        call, or failing that to each member's bound ``receive`` (see
-        :meth:`_bind_run`). With ``trace_deliveries`` on, decided at
+        call, whatever the packet's kind, or failing that to each
+        member's bound ``receive`` (see :meth:`_bind_run`). With ``trace_deliveries`` on, decided at
         fire time (not schedule time), every receiver goes through
         ``_deliver`` and its ``deliver`` row exactly as it did when each
         had its own event.
@@ -857,11 +857,13 @@ class Network:
         """Resolve how a run of members takes its packets.
 
         The run handler (``Agent.receive_run``) serves the run when every
-        member node carries exactly one agent, all of one class. Any
-        other run is bound per member: to the agents' ``receive`` when each
-        node has one agent, else to :meth:`Node.deliver`. Runs are bound
-        about as often as plans are built when every round has a fresh
-        network, hence no per-member call below.
+        member node carries exactly one agent, all of one class; it then
+        takes every packet of the run, of any kind (``SrmAgent``'s
+        dispatches on the kind itself). Any other run is bound per
+        member: to the agents' ``receive`` when each node has one agent,
+        else to :meth:`Node.deliver`. Runs are bound about as often as
+        plans are built when every round has a fresh network, hence no
+        per-member call below.
         """
         nodes = self.nodes
         saved = len(members) - 1

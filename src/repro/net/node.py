@@ -3,7 +3,9 @@
 A :class:`Node` is a router/host in the topology. Protocol endpoints attach
 to a node as :class:`Agent` objects; every packet delivered to the node
 (unicast addressed to it, or multicast for a group the node has joined) is
-handed to each attached agent's :meth:`Agent.receive`.
+handed to each attached agent's :meth:`Agent.receive`, or, for a run of
+receivers the direct engine delivers at once, to the agents' class-level
+run handler (:attr:`Agent.receive_run`).
 
 Agents are typed against the :class:`repro.live.engine.Engine` protocol,
 not the concrete simulator: the same agent code runs attached to the
@@ -32,8 +34,10 @@ class Agent:
     #: Optional run handler, ``receive_run(agents, packet)``: how this
     #: class takes one multicast packet for a whole run of its instances
     #: (receivers at one delay and hop count, each the only agent of its
-    #: node) in place of a :meth:`receive` call per agent. It must leave
-    #: every agent as the :meth:`receive` calls, made in order, would.
+    #: node) in one call, in place of a :meth:`receive` call per agent.
+    #: It must leave every agent as the :meth:`receive` calls, made in
+    #: order, would. ``SrmAgent``'s handles a run of any packet kind in
+    #: one frame (``repro.core.agent.receive_run``).
     receive_run: ClassVar[Optional[
         Callable[[Sequence["Agent"], Packet], None]]] = None
 

@@ -150,4 +150,7 @@ class Timer:
         self._callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Timer {self.name!r} {self._state.value} expiry={self.expiry}>"
+        # An unnamed timer (the agent's request and repair timers) is
+        # labelled by its callback.
+        label = self.name or getattr(self._callback, "__qualname__", "?")
+        return f"<Timer {label!r} {self._state.value} expiry={self.expiry}>"

@@ -61,12 +61,14 @@ CATALOG: Tuple[Mutant, ...] = (
         "(exponential, not a single doubling)"),
     Mutant(
         "heard-request-no-backoff", AGENT,
-        "            if timer_math.should_backoff(now, "
+        "                if timer_math.should_backoff(now,\n"
+        "                                             "
         "context.ignore_backoff_until):\n"
-        "                self._backoff_request(context)\n",
-        "            if timer_math.should_backoff(now, "
+        "                    agent._backoff_request(context)\n",
+        "                if timer_math.should_backoff(now,\n"
+        "                                             "
         "context.ignore_backoff_until):\n"
-        "                pass\n",
+        "                    pass\n",
         "III-A: a request heard before our own timer fires backs off "
         "and resets our request timer"),
     # -- the ignore-backoff window (footnote 1) ------------------------

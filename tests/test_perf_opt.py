@@ -500,8 +500,9 @@ def test_a_heard_duplicate_request_costs_no_trace_or_clock_frame():
     totals = dict(trace.kind_totals)
     frames = _python_frames(lambda: member.receive(duplicate))
     assert member.requests_suppressed == 1
-    # receive, _handle_request, DataStore.have, _observe_request and
-    # timer_math.should_backoff: the protocol work, nothing else.
+    # receive, the run handler on a run of one, DataStore.have,
+    # _observe_request and timer_math.should_backoff: the protocol
+    # work, nothing else.
     assert len(frames) <= 5, frames
     assert not [frame for frame in frames
                 if frame in ("Trace.record", "Agent.now")
@@ -510,6 +511,61 @@ def test_a_heard_duplicate_request_costs_no_trace_or_clock_frame():
             for kind, count in trace.kind_totals.items()
             if count != totals.get(kind, 0)} == {
         DUP_REQUEST_OBSERVED: 1, REQUEST_DUP_IGNORED: 1}
+
+
+def test_a_request_run_enters_one_frame_plus_the_protocol_work():
+    """A duplicate request on a warm star reaches the k tied leaves, each
+    inside its ignore window, as one run. Below ``_deliver_many`` the run
+    enters the run handler once and then, per member, only
+    ``DataStore.have``, ``_observe_request`` and
+    ``timer_math.should_backoff``: at most 1 + 3k frames, and no
+    ``receive`` (docs/performance.md, "Batched session/state
+    delivery")."""
+    from functools import partial
+
+    from repro.core.agent import SrmAgent
+    from repro.core.config import SrmConfig
+    from repro.core.messages import KIND_REQUEST, RequestPayload
+    from repro.core.names import DEFAULT_PAGE, AduName
+
+    k = 6
+    # Leaves 1..k are members; the hub (the data's source) and leaf k+1
+    # are not. A long default distance puts the duplicate, one hop from
+    # the hub, well inside every member's ignore window.
+    network, agents, group = build_srm_session(
+        star(k + 1), range(1, k + 1), SrmConfig(default_distance=10.0))
+    network.trace.keep = ()
+    network.trace_deliveries = False  # check mode traces, never batches
+    name = AduName(0, DEFAULT_PAGE, 1)
+
+    def request(requester):
+        network.send_multicast(0, group, KIND_REQUEST, RequestPayload(
+            name=name, requester=requester,
+            requester_distance_to_source=1.0))
+
+    for agent in agents.values():
+        agent.on_loss_detected(name)
+    request(k + 1)
+    network.run(until=1.5)   # binds the run; every member backs off
+    assert all(agent._requests[name].backoff_count == 1
+               for agent in agents.values())
+    runs = []
+    deliver_many = network._deliver_many
+
+    def watched(members, packet):
+        runs.append((len(members), _python_frames(
+            partial(deliver_many, members, packet))))
+
+    network._deliver_many = watched
+    request(0)
+    network.run(until=3.0)
+    handler = SrmAgent.receive_run.__qualname__
+    ((length, frames),) = runs
+    assert length == k
+    assert frames[0] == handler and frames.count(handler) == 1, frames
+    assert len(frames) <= 1 + 3 * k, frames
+    assert SrmAgent.receive.__qualname__ not in frames
+    assert all(agent.requests_suppressed == 1 for agent in agents.values())
 
 
 def test_a_heard_duplicate_request_builds_each_wanted_row_once():

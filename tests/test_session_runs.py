@@ -1,19 +1,23 @@
-"""Batched session fan-in is invisible (docs/performance.md, "Batched
+"""Batched delivery runs are invisible (docs/performance.md, "Batched
 session/state delivery").
 
 ``Network._deliver_many`` hands a run of receivers that tie in (delay,
-hops) to ``SrmAgent.receive_run`` (``core.session.receive_run``) in one
-call, which merges a session report into the whole run itself. The
-reference is the per-receiver path the same method takes when
+hops) to ``SrmAgent.receive_run`` (``core.agent.receive_run``) in one
+call, which merges a session report or handles a request into the whole
+run itself and hands a repair or data packet to each member's handler.
+The reference is the per-receiver path the same method takes when
 ``trace_deliveries`` is on (the one switch that routes a delivery
-through ``_deliver``): one ``_deliver`` -> ``receive`` -> ``handle``
-chain per member. Both must leave the same trace (its ``deliver`` rows
-aside), the same event count and the same state at every member.
+through ``_deliver``): one ``_deliver`` -> ``receive`` chain per member.
+Both must leave the same trace (its ``deliver`` rows aside), the same
+event count and the same state at every member, loss-recovery state
+(suppression and backoff counts, hold-downs, timer expiries, adaptive
+parameters) included.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +25,12 @@ from hypothesis import strategies as st
 
 from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
-from repro.core.messages import (KIND_SESSION, PACKET, SessionPayload,
-                                 SessionTimestamp)
+from repro.core.messages import (KIND_REQUEST, KIND_SESSION, PACKET,
+                                 SessionPayload, SessionTimestamp)
 from repro.core.names import DEFAULT_PAGE, AduName
 from repro.core.state import ReceptionState
+from repro.experiments.common import LossRecoverySimulation
+from repro.experiments.figure5 import star_scenario
 from repro.net.link import NthPacketDropFilter
 from repro.net.node import Agent
 from repro.net.packet import Packet
@@ -102,13 +108,52 @@ def run_session(batched, *, n, seed, oracle, adopt, shared_node, center,
     return network, agents
 
 
-def observed(network, agents):
-    """Everything the two delivery paths must agree on."""
-    rows = [f"{row.time!r} {row.node} {row.kind} " + repr(sorted(
+def trace_rows(network):
+    return [f"{row.time!r} {row.node} {row.kind} " + repr(sorted(
                 (key, repr(value)) for key, value in row.detail.items()
                 if key != "packet"))  # uids count across both runs
             for row in network.trace
             if row.kind != "deliver"]  # only the reference traces them
+
+
+def recovery_state(agent):
+    """A member's loss-recovery state: suppression and cancel counts,
+    per name the backoff count, observations and timer expiry, the
+    hold-down table and the adaptive parameters and averages."""
+    adaptive = agent.adaptive
+    return (
+        agent.requests_suppressed, agent.repairs_cancelled,
+        {name: (context.backoff_count, context.requests_observed,
+                context.ignore_backoff_until, context.timer.expiry,
+                context.done)
+         for name, context in agent._requests.items()},
+        {name: (context.repairs_observed, context.timer.expiry,
+                context.done)
+         for name, context in agent._repairs.items()},
+        dict(agent._holddown),
+        None if adaptive is None else (astuple(adaptive.params),
+                                       astuple(adaptive.request),
+                                       astuple(adaptive.repair)))
+
+
+def handler_runs(network):
+    """Watch ``_deliver_many``: (kind, length) of every run the run
+    handler took."""
+    runs = []
+    deliver_many = network._deliver_many
+
+    def watched(members, packet):
+        deliver_many(members, packet)
+        if network._run_bindings.get(members, (None,))[0] is not None:
+            runs.append((packet.kind, len(members)))
+
+    network._deliver_many = watched
+    return runs
+
+
+def observed(network, agents):
+    """Everything the two delivery paths must agree on."""
+    rows = trace_rows(network)
     members = {}
     for node, agent in agents.items():
         reception = agent.reception
@@ -118,7 +163,8 @@ def observed(network, agents):
             reception.streams(),
             list(reception.page_state(DEFAULT_PAGE).items()),
             [reception.missing(*stream) for stream in reception.streams()],
-            agent.pending_requests(), len(agent.store))
+            agent.pending_requests(), len(agent.store),
+            recovery_state(agent))
     return "\n".join(rows).encode(), network.scheduler.events_processed, \
         members
 
@@ -146,6 +192,55 @@ def test_batched_and_per_receiver_delivery_agree(data):
     if not case["adopt"]:
         # The tail loss was found, and only a session report could.
         assert b"loss_detected" in batched[0]
+
+
+def run_star_rounds(batched, *, leaves, seed, rounds):
+    """Adaptive loss-recovery rounds on a star (Figs. 5 and 12-14).
+
+    Every leaf is a member, so each request and each repair reaches the
+    other leaves as one run, and the duplicates heard in it feed every
+    member's ``AdaptiveTimers``. Rounds alternate between a drop next to
+    the source (every other leaf requests) and one next to the last
+    leaf (every other leaf can repair, and the first repair cancels the
+    rest).
+    """
+    simulation = LossRecoverySimulation(
+        star_scenario(leaves), config=SrmConfig(adaptive=True), seed=seed)
+    network = simulation.network
+    network.trace.keep = None
+    network.trace_deliveries = not batched   # see deliver_per_receiver
+    runs = handler_runs(network)
+    rounds_seen = []
+    for round_index in range(rounds):
+        # run_round clears the trace first.
+        outcome = simulation.run_round(
+            drop_edge=(1, 0) if round_index % 2 == 0 else (0, leaves))
+        rounds_seen.append((
+            trace_rows(network), outcome.recovered,
+            {node: recovery_state(agent)
+             for node, agent in simulation.agents.items()}))
+    return rounds_seen, network.scheduler.events_processed, runs
+
+
+#: (leaves, seed): each case cancels at least one repair in six rounds.
+@pytest.mark.parametrize("leaves,seed", [(6, 2), (16, 1), (30, 3)])
+def test_request_and_repair_runs_agree_with_per_receiver_delivery(
+        leaves, seed):
+    batched, events, runs = run_star_rounds(True, leaves=leaves, seed=seed,
+                                            rounds=6)
+    plain, plain_events, plain_runs = run_star_rounds(
+        False, leaves=leaves, seed=seed, rounds=6)
+    assert not plain_runs
+    assert batched == plain
+    assert events == plain_events
+    assert all(recovered for _, recovered, _ in batched)
+    # Every request went to the other leaves as one handler run.
+    requests = [length for kind, length in runs if kind == KIND_REQUEST]
+    assert requests and set(requests) == {leaves - 1}
+    text = "\n".join("\n".join(rows) for rows, _, _ in batched)
+    assert "request_dup_ignored" in text and "repair_cancelled" in text
+    # The duplicates heard in request runs reached the adaptive averages.
+    assert any(state[5][1][0] > 0 for state in batched[-1][2].values())
 
 
 def test_hop_engine_sees_the_same_session(monkeypatch):
