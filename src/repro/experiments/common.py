@@ -241,6 +241,16 @@ class LossRecoverySimulation:
                       if tree.dist[member] == closest_distance]
         return min(timing.ratio for timing in at_minimum)
 
+    def close(self) -> None:
+        """Free the finished session at once (:meth:`Network.close`).
+
+        The collector and, in check mode, the oracle suite leave the
+        trace too: both listen to it and hold it. Idempotent.
+        """
+        self.collector.detach()
+        if self.oracle is not None:
+            self.oracle.detach()
+        self.network.close()
 
 
 @dataclass
@@ -348,18 +358,23 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
         return _run_scoped(spec)
     if spec.kind != "recovery":
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
-    simulation: Any
     if spec.engine == "herd":
         # The vectorized mega-session engine; duck-types the agent
         # simulation (same run_round/last_round_metrics/config surface).
         # Imported lazily: repro.herd imports this module.
         from repro.herd import HerdSimulation
-        simulation = HerdSimulation(spec.scenario, config=spec.config,
-                                    seed=spec.seed)
-    else:
-        simulation = LossRecoverySimulation(
-            spec.scenario, config=spec.config, seed=spec.seed,
-            delivery=spec.engine)
+        return _run_rounds(spec, HerdSimulation(
+            spec.scenario, config=spec.config, seed=spec.seed))
+    simulation = LossRecoverySimulation(
+        spec.scenario, config=spec.config, seed=spec.seed,
+        delivery=spec.engine)
+    try:
+        return _run_rounds(spec, simulation)
+    finally:
+        simulation.close()
+
+
+def _run_rounds(spec: ExperimentSpec, simulation: Any) -> RunResult:
     outcomes: List[RoundOutcome] = []
     bundles: List[Optional[RunMetrics]] = []
     for _ in range(spec.rounds):

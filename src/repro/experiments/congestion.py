@@ -74,7 +74,10 @@ def run_congestion_experiment(
     network.scheduler.schedule(0.0, send_burst)
     # A paced beacon long after the burst reveals any tail losses.
     network.scheduler.schedule(400.0, lambda: source.send_data("beacon"))
-    network.run(max_events=5_000_000)
+    try:
+        network.run(max_events=5_000_000)
+    finally:
+        network.close()  # the trace, stores and link counters stay readable
 
     data_drops = 0
     finish = 0.0
@@ -91,10 +94,6 @@ def run_congestion_experiment(
         agents[node].store.have(AduName(0, DEFAULT_PAGE, seq))
         for node in range(chain_length)
         for seq in range(1, burst + 2))
-    # The session is unreachable from here on but cyclic (agents <-> nodes,
-    # timers <-> contexts), so it waits for a full collection; release the
-    # trace rows — most of its objects — now rather than in that pause.
-    network.trace.clear()
     return CongestionOutcome(
         packets_sent=burst + 1,
         queue_drops=bottleneck.queue_drops,

@@ -36,8 +36,8 @@ from repro.mcast.groups import GroupManager
 from repro.net.link import DropFilter, Link
 from repro.net.node import Agent, Node
 from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
-from repro.net.routing import (NeighborTable, RootedIndex, SourceTree,
-                                build_source_tree)
+from repro.net.routing import (NeighborTable, RootedIndex, RouteSkeleton,
+                                SourceTree, build_source_tree)
 from repro.sim import perf
 from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import DELIVER, DROP, QUEUE_DROP, Trace
@@ -153,6 +153,29 @@ class Network:
     # Topology construction
     # ------------------------------------------------------------------
 
+    def load(self, skeleton: RouteSkeleton) -> None:
+        """Fill this empty network with ``skeleton``'s nodes and links.
+
+        One frame, not an :meth:`add_node` / :meth:`add_link` per
+        element: the nodes and links made here are this network's own,
+        while its neighbour table and rooted index are the skeleton's
+        until :meth:`invalidate_routes` (a graph edit) drops them.
+        """
+        delay = skeleton.delay
+        threshold = skeleton.threshold
+        nodes = range(skeleton.num_nodes)
+        self.nodes = {node_id: Node(node_id) for node_id in nodes}
+        adjacency: Dict[NodeId, Dict[NodeId, Link]] = {
+            node_id: {} for node_id in nodes}
+        self.adjacency = adjacency
+        self.links = links = [Link(a, b, delay, threshold)
+                              for a, b in skeleton.edges]
+        for link in links:
+            adjacency[link.a][link.b] = link
+            adjacency[link.b][link.a] = link
+        self._neighbors = skeleton.neighbors
+        self._index = skeleton.index
+
     def add_node(self, node_id: Optional[NodeId] = None) -> Node:
         """Create a node; ids default to consecutive integers."""
         if node_id is None:
@@ -183,7 +206,9 @@ class Network:
         """Forget every cached route.
 
         ``add_node``/``add_link`` call it; so must any caller that edits
-        a link's ``delay`` or ``threshold`` in place.
+        a link's ``delay`` or ``threshold`` in place. A loaded network
+        stops reading its skeleton here: the neighbour table and rooted
+        index are rebuilt from its own links when next needed.
         """
         self._trees = {}
         self._neighbors = None
@@ -248,6 +273,27 @@ class Network:
         self._run_bindings.clear()
         self._attach_epoch += 1
 
+    def close(self) -> None:
+        """End the run: free it without the cyclic garbage collector.
+
+        Every attached agent points back at the network and its
+        scheduler, so a finished run is one reference cycle of every
+        node, link, tree and trace row it made. This cuts each agent's
+        ``network`` and ``_scheduler``, and drops the node lists, run
+        bindings and forwarding tables that hold agents, in one frame;
+        the run is then freed when its last outside reference goes.
+        Nothing can be delivered to an agent afterwards. Idempotent.
+        """
+        for node in self.nodes.values():
+            agents = node.agents
+            if agents:
+                for agent in agents:
+                    agent.network = None  # type: ignore[assignment]
+                    agent._scheduler = None
+                node.agents = []
+        self._run_bindings = {}
+        self._forwarding_tables = {}
+
     def join(self, node_id: NodeId, group: GroupAddress) -> None:
         self.groups.join(node_id, group)
 
@@ -304,9 +350,10 @@ class Network:
     def _rooted_index(self) -> Optional[RootedIndex]:
         """The topology's rooted index, provided the topology is a tree.
 
-        ``nodes - 1`` links (``_neighbors`` exists) and a tree that was
-        built (so the graph is connected) make it one; paths are then
-        unique and can be read off any cached tree whatever its origin.
+        A loaded network starts with its skeleton's. Otherwise ``nodes
+        - 1`` links (``_neighbors`` exists) and a tree that was built (so
+        the graph is connected) make it one; paths are then unique and
+        can be read off any cached tree whatever its origin.
         """
         index = self._index
         if index is None and self._neighbors is not None and self._trees:

@@ -28,7 +28,9 @@ class Agent:
     """Base class for protocol endpoints.
 
     Subclasses override :meth:`receive`. ``node_id`` and ``network`` are
-    bound when the agent is attached via the engine's ``attach``.
+    bound when the agent is attached via the engine's ``attach``;
+    ``Network.close`` unbinds ``network`` (and the scheduler) again, so
+    a finished simulation is no reference cycle.
     """
 
     #: Optional run handler, ``receive_run(agents, packet)``: how this

@@ -12,18 +12,17 @@ below each tree edge (for simulating a drop on a "congested link").
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.net.link import Link
 from repro.net.packet import NodeId
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.net.link import Link
-
-Adjacency = Dict[NodeId, Dict[NodeId, "Link"]]
-#: node -> its (neighbour, link) pairs in ascending neighbour id. The
-#: :class:`~repro.net.network.Network` computes it once per topology
-#: version, for graphs with exactly ``nodes - 1`` links.
-NeighborTable = Dict[NodeId, List[Tuple[NodeId, "Link"]]]
+Adjacency = Dict[NodeId, Dict[NodeId, Link]]
+#: node -> its (neighbour, link) pairs in ascending neighbour id, for
+#: graphs with exactly ``nodes - 1`` links. A network built from a
+#: :class:`RouteSkeleton` reads the skeleton's; any other computes its own
+#: once per topology version.
+NeighborTable = Dict[NodeId, List[Tuple[NodeId, Link]]]
 
 
 class SourceTree:
@@ -225,11 +224,12 @@ def traverse_tree(neighbors: NeighborTable, origin: NodeId,
 class RootedIndex:
     """One tree topology, rooted once, answering for every origin.
 
-    On a tree every path is unique, so any one :class:`SourceTree` (the
-    first one a :class:`~repro.net.network.Network` computes) fixes the
-    path between every pair: climb both ends by depth to their lowest
-    common ancestor. The network keeps one index per topology version
-    and drops it in ``invalidate_routes()``.
+    On a tree every path is unique, so any one :class:`SourceTree` fixes
+    the path between every pair: climb both ends by depth to their
+    lowest common ancestor. A :class:`RouteSkeleton` roots its topology
+    at node 0 once per process; a network that has edited its graph
+    roots the first source tree it computes, and drops that index in
+    ``invalidate_routes()``.
 
     No float is re-associated. :meth:`pair` adds a path's delays from
     ``a`` toward ``b`` starting at 0.0, and :meth:`member_tree` runs
@@ -315,3 +315,43 @@ class RootedIndex:
         tree = traverse_tree(self.neighbors, origin, spanned)
         assert tree is not None  # spanned is connected and holds origin
         return tree
+
+
+class RouteSkeleton:
+    """The routes of one topology, shared by every network built from it.
+
+    ``TopologySpec.build`` keeps one per ``(num_nodes, edges, delay,
+    threshold)`` and loads each new network from it
+    (:meth:`~repro.net.network.Network.load`). It is read-only: the
+    id-sorted neighbour table and, when the edges form a connected tree,
+    that tree rooted at node 0 with its :class:`RootedIndex`. Its edges
+    all point at one link of its own, carrying the delay and threshold
+    every edge has, since :func:`traverse_tree` and
+    :meth:`RootedIndex.pair` read nothing else of a link. A network's
+    own links, filters, queues and source trees are never shared.
+    """
+
+    __slots__ = ("num_nodes", "edges", "delay", "threshold", "neighbors",
+                 "index")
+
+    def __init__(self, num_nodes: int, edges: Tuple[Tuple[NodeId, NodeId],
+                                                     ...],
+                 delay: float, threshold: int) -> None:
+        self.num_nodes = num_nodes
+        self.edges = edges
+        self.delay = delay
+        self.threshold = threshold
+        self.neighbors: Optional[NeighborTable] = None
+        self.index: Optional[RootedIndex] = None
+        if len(edges) != num_nodes - 1:
+            return
+        link = Link(0, 1, delay=delay, threshold=threshold)
+        adjacency: Adjacency = {node: {} for node in range(num_nodes)}
+        for a, b in edges:
+            adjacency[a][b] = link
+            adjacency[b][a] = link
+        neighbors = self.neighbors = {node: sorted(links.items())
+                                      for node, links in adjacency.items()}
+        tree = traverse_tree(neighbors, 0)
+        if tree is not None:  # None: disconnected, so not a tree
+            self.index = RootedIndex(tree, neighbors, adjacency)

@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.network import Network
 from repro.net.packet import NodeId
+from repro.net.routing import RouteSkeleton
 from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import Trace
 
@@ -50,11 +51,34 @@ class TopologySpec:
         """Instantiate the spec into a simulated network.
 
         All links share the given delay and TTL threshold; callers needing
-        heterogeneous links can adjust ``network.links`` afterwards.
+        heterogeneous links can adjust ``network.links`` afterwards, then
+        call ``network.invalidate_routes()``. Routes come from the
+        process's :class:`~repro.net.routing.RouteSkeleton` for this
+        content, built on first use; the network's nodes, links and
+        caches are its own.
         """
         network = Network(scheduler=scheduler, trace=trace, delivery=delivery)
-        for node_id in range(self.num_nodes):
-            network.add_node(node_id)
-        for a, b in self.edges:
-            network.add_link(a, b, delay=delay, threshold=threshold)
+        network.load(route_skeleton(self.num_nodes, tuple(self.edges),
+                                    delay, threshold))
         return network
+
+
+#: The route skeletons of the topologies built last, most recent last. A
+#: sweep builds one topology over and over; a run of fresh topologies
+#: costs each a skeleton and keeps only the last few.
+_SKELETONS: Dict[Tuple[int, Tuple[Tuple[NodeId, NodeId], ...], float, int],
+                 RouteSkeleton] = {}
+SKELETON_SLOTS = 4
+
+
+def route_skeleton(num_nodes: int, edges: Tuple[Tuple[NodeId, NodeId], ...],
+                   delay: float, threshold: int) -> RouteSkeleton:
+    """The shared skeleton of this topology content, built on a miss."""
+    key = (num_nodes, edges, delay, threshold)
+    skeleton = _SKELETONS.pop(key, None)
+    if skeleton is None:
+        skeleton = RouteSkeleton(num_nodes, edges, delay, threshold)
+        if len(_SKELETONS) >= SKELETON_SLOTS:
+            del _SKELETONS[next(iter(_SKELETONS))]
+    _SKELETONS[key] = skeleton
+    return skeleton

@@ -56,8 +56,9 @@ def test_case_generation_is_deterministic_and_pure_data():
 
 
 def test_member_zone_matches_per_member_tree_definition():
-    """The zone is read off one tree on tree topologies; pin it to the
-    definition it replaced (a full source tree per member)."""
+    """The zone is read off the shared rooted index on tree topologies,
+    with no tree built per run; pin it to the definition it replaced (a
+    full source tree per member)."""
     kinds = set()
     for index in range(30):
         case = generate_case(case_seed(11, index))
@@ -72,7 +73,8 @@ def test_member_zone_matches_per_member_tree_definition():
         network = build_spec(case).build()
         assert _member_zone(network, members) == sorted(covered)
         if case["topology"] != "mesh":
-            assert len(network._trees) == 1
+            assert network._trees == {}
+            assert network._rooted_index() is reference._rooted_index()
     assert "mesh" in kinds and len(kinds) >= 3
 
 

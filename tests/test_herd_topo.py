@@ -62,9 +62,12 @@ def test_herd_index_reads_the_agent_engines_source_tree(session):
 
     targets = np.asarray(members, dtype=np.int64)
     index.attach_targets(targets)
-    # Every other origin is answered by the network's rooted index.
+    # Every other origin is answered by the rooted index every network
+    # built from the spec shares: the tree rooted at node 0, as the herd
+    # roots it too.
     rooted = network._rooted_index()
-    assert rooted is not None and rooted.tree is tree
+    assert rooted is not None and rooted is spec.build()._rooted_index()
+    assert rooted.tree.parent == TreeIndex(spec, 0).tree.parent
     for a in range(spec.num_nodes):
         expected = [network.hops(a, b) for b in members]
         assert index.dist_row_to(a, targets).tolist() == expected

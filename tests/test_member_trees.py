@@ -132,7 +132,9 @@ def test_member_tree_sends_match_full_tree_sends(seed, n, data):
 
 def test_a_sparse_round_builds_one_full_tree(monkeypatch):
     """A figure-4 round (40 members on 1000 nodes): the source's tree is
-    the only full one; requesters and repairers get member trees."""
+    the only full one, read after the round; every sender, the source
+    too, gets a member tree off the skeleton's rooted index, which the
+    network shares with every other build of the spec."""
     scenario = figure4_scenarios(sizes=(40,), sims=1, seed=4)[0]
     built = []
     real = network_module.build_source_tree
@@ -150,7 +152,8 @@ def test_a_sparse_round_builds_one_full_tree(monkeypatch):
     assert outcome.recovered and outcome.requests >= 1
     assert built == [scenario.source]
     network = simulation.network
+    assert network._index is scenario.spec.build()._index is not None
     cut_down = {origin for (origin, _), (_, tree)
                 in network._member_trees.items()
                 if len(tree.parent) < len(network.nodes)}
-    assert len(cut_down) >= 2 and scenario.source not in cut_down
+    assert len(cut_down) >= 3 and scenario.source in cut_down

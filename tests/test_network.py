@@ -255,7 +255,9 @@ def test_star_hub_not_member_forwards_anyway():
 
 def test_invalidate_routes_after_delay_edit():
     """Editing a link in place needs one call to drop every routing cache:
-    trees, the rooted index with its pair memo, and the plans."""
+    trees, the rooted index with its pair memo, and the plans. The index
+    was the shared skeleton's; the rebuilt one is the network's own, and
+    the next network built from the spec still reads the skeleton's."""
     network, sinks = chain_network(5)
     group = network.groups.allocate()
     for node in range(5):
@@ -270,11 +272,14 @@ def test_invalidate_routes_after_delay_edit():
     assert sinks[4].received[-1][0] == 4.0
     plan_key = next(iter(network._plan_cache))
     stale_index = network._index
-    assert stale_index is not None and stale_index.tree is stale_tree
+    assert stale_index is not None and stale_index is chain(5).build()._index
+    assert network._pairs == {(3, 1): (2.0, 2), (4, 2): (2.0, 2)}
 
     network.link_between(1, 2).delay = 7.5
     network.invalidate_routes()
     assert network._plan_cache == {} and network._index is None
+    assert network._pairs == {} and network._trees == {}
+    assert network._neighbors is None
     assert network.distance(3, 1) == 8.5
     assert network.distance(0, 4) == 10.5
     assert network.hops(4, 2) == 2
@@ -287,7 +292,16 @@ def test_invalidate_routes_after_delay_edit():
     network.run()
     assert sinks[4].received[-1][0] == start + 10.5
     assert plan_key in network._plan_cache
-    assert network._index not in (None, stale_index)
+    own = network._index
+    assert own not in (None, stale_index)
+    assert own.adjacency is network.adjacency
+    assert own.pair(3, 1) == (8.5, 2)
+    assert own.pair(0, 4) == network._pairs[(0, 4)] == (10.5, 4)
+    # The skeleton, and every network built from it since, kept the
+    # old delay.
+    assert stale_index.pair(3, 1) == (2.0, 2)
+    fresh, _ = chain_network(5)
+    assert fresh._index is stale_index and fresh.distance(3, 1) == 2.0
 
 
 def test_add_link_invalidates_walked_distances():
