@@ -332,7 +332,7 @@ class SrmAgent(Agent):
         self.network.join(self.node_id, group)
         self._joined_groups.add(group)
         if self.config.distance_oracle:
-            self.distances = OracleDistance(self)
+            self.distances = OracleDistance(self.network, self.node_id)
         if self.config.session_enabled:
             self.session = SessionProtocol(self)
             self.session.start()
@@ -712,6 +712,8 @@ class SrmAgent(Agent):
             else:
                 trace.kind_totals[REQUEST_WHILE_REPAIR_PENDING] += 1
             return
+        if existing is not None:
+            existing.timer.release()  # replaced below
         if self.adaptive is not None and name != self._last_repair_period_name:
             # A repair period ends when a repair timer is set for a
             # different data item.
@@ -948,9 +950,11 @@ class SrmAgent(Agent):
         distance-randomized against the page creator, replies are
         suppressed like repairs.
         """
-        if page in self._page_requests and \
-                self._page_requests[page].timer.pending:
-            return
+        previous = self._page_requests.get(page)
+        if previous is not None:
+            if previous.timer.pending:
+                return
+            previous.timer.release()  # replaced below
         context = PageRequestContext(
             page=page,
             timer=Timer(self.network.scheduler,
@@ -994,8 +998,10 @@ class SrmAgent(Agent):
         state = self.reception.page_state(page)
         if not state:
             return
-        if own is not None and own.is_reply and own.timer.pending:
-            return
+        if own is not None:
+            if own.is_reply and own.timer.pending:
+                return
+            own.timer.release()  # replaced below
         reply_context = PageRequestContext(
             page=page, is_reply=True,
             timer=Timer(self.network.scheduler,
@@ -1067,12 +1073,7 @@ class SrmAgent(Agent):
         hold-downs and page-request state are discarded. Adaptive EWMAs
         persist (that is the point of Figs. 12-14).
         """
-        for context in self._requests.values():
-            context.timer.cancel()
-        for repair_context in self._repairs.values():
-            repair_context.timer.cancel()
-        for page_context in self._page_requests.values():
-            page_context.timer.cancel()
+        self._release_timers()
         self._requests.clear()
         self._repairs.clear()
         self._page_requests.clear()
@@ -1087,6 +1088,36 @@ class SrmAgent(Agent):
                              RECOVERY_RESET, {})
             else:
                 trace.kind_totals[RECOVERY_RESET] += 1
+
+    def _release_timers(self) -> None:
+        """Release every context's timer (:meth:`Timer.release`).
+
+        A context's timer calls back into the context and the agent, so
+        until released each context is a reference cycle with its agent.
+        """
+        for context in self._requests.values():
+            context.timer.release()
+        for repair_context in self._repairs.values():
+            repair_context.timer.release()
+        for page_context in self._page_requests.values():
+            page_context.timer.release()
+
+    def detached(self) -> None:
+        """``Network.close`` unbinds this agent: cut its own cycles too.
+
+        The context timers are released and the session, the transmit
+        queue and the FEC codec let go of the agent, so the finished run
+        is freed by reference counting. Stores, reception state,
+        contexts and counters stay readable.
+        """
+        super().detached()
+        self._release_timers()
+        if self.session is not None:
+            self.session.close()
+        if self.transmitter is not None:
+            self.transmitter.close()
+        if self.fec is not None:
+            self.fec.agent = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<SrmAgent node={self.node_id} "

@@ -21,6 +21,7 @@ from repro.sim.trace import SEND_SESSION
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import SrmAgent
     from repro.core.names import PageId
+    from repro.live.engine import Engine
     from repro.net.packet import NodeId, Packet
 
 
@@ -37,13 +38,16 @@ class OracleDistance(DistanceEstimator):
     The paper's experiments assume each member knows its distance to every
     other member ("the session packet timestamps are used to estimate the
     host-to-host distances"); the oracle models fully converged estimates.
+    It holds the engine and the member's node, not the agent, so the
+    agent holding it is no reference cycle.
     """
 
-    def __init__(self, agent: "SrmAgent") -> None:
-        self._agent = agent
+    def __init__(self, network: "Engine", node: "NodeId") -> None:
+        self._network = network
+        self._node = node
 
     def distance(self, peer: "NodeId") -> float:
-        return self._agent.network.distance(self._agent.node_id, peer)
+        return self._network.distance(self._node, peer)
 
 
 class SessionDistance(DistanceEstimator):
@@ -112,6 +116,13 @@ class SessionProtocol:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
+
+    def close(self) -> None:
+        """Stop, and let go of the agent (``Network.close``): the
+        session is then no reference cycle with it. Counters and
+        ``last_heard`` stay readable."""
+        self.stop()
+        self.agent = None  # type: ignore[assignment]
 
     def group_size_estimate(self) -> int:
         """Members heard from recently, plus ourselves (the vat input)."""

@@ -139,6 +139,13 @@ class TransmitQueue:
             self.transmitted += 1
         self._schedule_drain()
 
+    def close(self) -> None:
+        """Drop what never went out and release the drain timer: queue
+        and timer, and the agent behind each queued send, are then no
+        reference cycle. Counters stay readable."""
+        self._heap.clear()
+        self._timer.release()
+
     def flush_stats(self) -> dict:
         return {"pending": len(self._heap),
                 "transmitted": self.transmitted,

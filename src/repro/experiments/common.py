@@ -11,9 +11,11 @@ units of each member's RTT to the source.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runner import ExperimentRunner
@@ -38,6 +40,24 @@ from repro.topology.spec import TopologySpec
 ROUND_EVENT_LIMIT = 5_000_000
 
 DropEdge = Tuple[NodeId, NodeId]
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic garbage collector off.
+
+    A closed run owns no reference cycle (:meth:`Network.close`), so
+    reference counting frees it and the collector would only rescan
+    live objects. The collector's state is restored afterwards, also
+    when the block raises; a caller that had it off keeps it off.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass
@@ -233,12 +253,16 @@ class LossRecoverySimulation:
                                report: LossEventReport) -> Optional[float]:
         if not report.request_waits:
             return None
-        tree = self.network.source_tree(self.scenario.source)
-        closest_distance = min(tree.dist[member]
-                               for member in report.request_waits)
+        # Pair distances from the rooted index: a tree topology builds
+        # no full source tree to read a few of its entries.
+        distance = self.network.distance
+        source = self.scenario.source
+        dist = {member: distance(source, member)
+                for member in report.request_waits}
+        closest_distance = min(dist.values())
         at_minimum = [timing for member, timing in
                       report.request_waits.items()
-                      if tree.dist[member] == closest_distance]
+                      if dist[member] == closest_distance]
         return min(timing.ratio for timing in at_minimum)
 
     def close(self) -> None:
@@ -365,13 +389,14 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
         from repro.herd import HerdSimulation
         return _run_rounds(spec, HerdSimulation(
             spec.scenario, config=spec.config, seed=spec.seed))
-    simulation = LossRecoverySimulation(
-        spec.scenario, config=spec.config, seed=spec.seed,
-        delivery=spec.engine)
-    try:
-        return _run_rounds(spec, simulation)
-    finally:
-        simulation.close()
+    with collector_paused():
+        simulation = LossRecoverySimulation(
+            spec.scenario, config=spec.config, seed=spec.seed,
+            delivery=spec.engine)
+        try:
+            return _run_rounds(spec, simulation)
+        finally:
+            simulation.close()
 
 
 def _run_rounds(spec: ExperimentSpec, simulation: Any) -> RunResult:

@@ -17,6 +17,7 @@ from typing import Dict, Optional
 from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
 from repro.core.names import AduName, DEFAULT_PAGE
+from repro.experiments.common import collector_paused
 from repro.sim.rng import RandomSource
 from repro.sim.trace import QUEUE_DROP, RECV_DATA, SEND_REPAIR, SEND_REQUEST
 from repro.topology.chain import chain
@@ -35,6 +36,7 @@ class CongestionOutcome:
     finish_time: float
 
 
+@collector_paused()  # the closed run frees itself
 def run_congestion_experiment(
         burst: int = 12,
         bottleneck_bandwidth: float = 500.0,

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.core.config import SrmConfig
 from repro.experiments.common import (
     ExperimentSpec,
-    LossRecoverySimulation,
     Scenario,
+    run_experiment,
     run_sweep,
 )
 from repro.experiments.figure4 import figure4_scenarios
@@ -52,9 +52,9 @@ def find_adversarial_scenario(seed: int = 4, session_size: int = SESSION_SIZE,
     worst = None
     worst_score = (-1.0, -1.0)
     for index, scenario in enumerate(scenarios):
-        simulation = LossRecoverySimulation(scenario, config=SrmConfig(),
-                                            seed=1000 + index)
-        outcomes = [simulation.run_round() for _ in range(probe_rounds)]
+        outcomes = run_experiment(ExperimentSpec(
+            scenario=scenario, config=SrmConfig(), rounds=probe_rounds,
+            seed=1000 + index)).outcomes
         score = (sum(o.requests for o in outcomes) / probe_rounds,
                  sum(o.repairs for o in outcomes) / probe_rounds)
         if score > worst_score:

@@ -224,7 +224,9 @@ def collect_from_trace(trace: Trace, control_packet_size: int = 60,
                                  experiment=experiment).attach(replay)
     for row in trace.records:
         replay.record(row.time, row.node, row.kind, row.detail)
-    return collector.snapshot(rounds=rounds)
+    bundle = collector.snapshot(rounds=rounds)
+    collector.detach()  # trace and collector point at each other
+    return bundle
 
 
 def check_against_trace(trace: Trace, reports: Iterable[LossEventReport],

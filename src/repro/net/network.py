@@ -278,19 +278,26 @@ class Network:
 
         Every attached agent points back at the network and its
         scheduler, so a finished run is one reference cycle of every
-        node, link, tree and trace row it made. This cuts each agent's
-        ``network`` and ``_scheduler``, and drops the node lists, run
-        bindings and forwarding tables that hold agents, in one frame;
-        the run is then freed when its last outside reference goes.
-        Nothing can be delivered to an agent afterwards. Idempotent.
+        node, link, tree and trace row it made. This calls each agent's
+        :meth:`~repro.net.node.Agent.detached`, which cuts its
+        ``network`` and ``_scheduler`` and, for an ``SrmAgent``, the
+        cycles of its own (timers that call back into it and its
+        contexts; the session's, transmit queue's and FEC codec's
+        back-pointers). It drops the node lists,
+        run bindings and forwarding tables that hold agents, and the
+        scheduler's pending events (each points back at it). The run is
+        then freed by reference counting when its last outside reference
+        goes; its trace, links and the agents' stores, reception state
+        and counters stay readable. Nothing can be delivered to an agent
+        afterwards. Idempotent.
         """
         for node in self.nodes.values():
             agents = node.agents
             if agents:
                 for agent in agents:
-                    agent.network = None  # type: ignore[assignment]
-                    agent._scheduler = None
+                    agent.detached()
                 node.agents = []
+        self.scheduler.clear()
         self._run_bindings = {}
         self._forwarding_tables = {}
 

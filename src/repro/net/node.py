@@ -29,8 +29,8 @@ class Agent:
 
     Subclasses override :meth:`receive`. ``node_id`` and ``network`` are
     bound when the agent is attached via the engine's ``attach``;
-    ``Network.close`` unbinds ``network`` (and the scheduler) again, so
-    a finished simulation is no reference cycle.
+    ``Network.close`` unbinds them again through :meth:`detached`, so a
+    finished simulation is no reference cycle.
     """
 
     #: Optional run handler, ``receive_run(agents, packet)``: how this
@@ -61,6 +61,11 @@ class Agent:
         self.network = network
         self.node_id = node_id
         self._scheduler = network.scheduler
+
+    def detached(self) -> None:
+        """Hook called by ``Network.close``: unbind from the network."""
+        self.network = None  # type: ignore[assignment]
+        self._scheduler = None
 
     def receive(self, packet: Packet) -> None:
         """Handle a packet delivered to this agent's node."""

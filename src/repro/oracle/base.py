@@ -180,7 +180,6 @@ class SessionOracleSuite:
         classes = oracles if oracles is not None else (
             default_oracles() if agents is not None else passive_oracles())
         self.oracles: List[Oracle] = [cls(self) for cls in classes]
-        self._listener = self._on_record
         self._attached = False
         self._shared_nodes: set = set()
 
@@ -205,14 +204,23 @@ class SessionOracleSuite:
         if enable_trace:
             network.trace.keep = None
         network.trace_deliveries = True
-        network.trace.subscribe(suite._listener)
+        network.trace.subscribe(suite._on_record)
         suite._attached = True
         return suite
 
     def detach(self) -> None:
+        """Unsubscribe, and cut every checker's ``suite`` back-pointer.
+
+        Suite and checkers are then no reference cycle holding the
+        checked run, so it is freed without the cyclic collector.
+        Violations already found stay readable; the checkers cannot run
+        again. Idempotent.
+        """
         if self._attached:
-            self.trace.unsubscribe(self._listener)
+            self.trace.unsubscribe(self._on_record)
             self._attached = False
+            for oracle in self.oracles:
+                oracle.suite = None  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
 

@@ -658,19 +658,33 @@ class EventScheduler:
         return min((ev.time for bucket in self._buckets for ev in bucket),
                    default=None)
 
+    def clear(self) -> None:
+        """Drop all pending events; the clock and counters stay.
+
+        A pending event points back at its scheduler, so until dropped
+        the scheduler and its events are one reference cycle
+        (``Network.close`` clears a finished run's scheduler).
+        """
+        if self._running:
+            raise SimulationError("cannot clear a running scheduler")
+        if not self._live:
+            return
+        for bucket in self._buckets:
+            for ev in bucket:
+                ev._bucket = None  # late cancels must not corrupt counters
+            bucket.clear()
+        self._live = 0
+
     def reset(self) -> None:
         """Drop all pending events, rewind the clock, reclaim buckets."""
         if self._running:
             raise SimulationError("cannot reset a running scheduler")
-        for bucket in self._buckets:
-            for ev in bucket:
-                ev._bucket = None  # late cancels must not corrupt counters
+        self.clear()
         self._buckets = [[] for _ in range(MIN_BUCKETS)]
         self._nbuckets = MIN_BUCKETS
         self._mask = MIN_BUCKETS - 1
         self._width = 1.0
         self._inv_width = 1.0
-        self._live = 0
         self._day = 0
         self._gap_ewma = 0.0
         self.now = 0.0

@@ -54,6 +54,10 @@ class TimerState(enum.Enum):
     CANCELLED = "cancelled"
 
 
+def _released() -> None:
+    """The callback of a released timer: it does nothing."""
+
+
 class Timer:
     """A one-shot timer that can be restarted, rescheduled and cancelled.
 
@@ -137,6 +141,23 @@ class Timer:
                 event.cancel()
             self._state = TimerState.CANCELLED
         self._event = None
+
+    def release(self) -> None:
+        """Cancel for good, and forget the callback.
+
+        A callback that reaches back to the timer's owner makes owner
+        and timer one reference cycle; a released timer is no part of
+        it, so reference counting frees both once the owner is dropped.
+        Its state, ``expiry`` and ``set_at`` stay readable. (The body
+        of :meth:`cancel` is inlined: a burst releases thousands.)
+        """
+        if self._state is TimerState.PENDING:
+            event = self._event
+            if event is not None:
+                event.cancel()
+            self._state = TimerState.CANCELLED
+        self._event = None
+        self._callback = _released
 
     def time_remaining(self) -> float:
         """Time until expiry; zero if not pending."""

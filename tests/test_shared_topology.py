@@ -4,25 +4,35 @@ themselves.
 ``TopologySpec.build`` shares a read-only :class:`RouteSkeleton` among
 every network built from the same content; each network's nodes, links,
 filters, queues, trees and plans are its own. ``Network.close`` cuts the
-agent back-pointers so a finished run is freed by reference counting.
+agent back-pointers and the agents' own cycles, so a finished run is
+freed by reference counting, and the run entry points pause the cyclic
+collector.
 """
 
 from __future__ import annotations
 
 import gc
 
-from repro.core.agent import SrmAgent
+import pytest
+
+from repro.core.agent import (PageRequestContext, RepairContext,
+                              RequestContext, SrmAgent)
 from repro.core.config import SrmConfig
+from repro.core.session import OracleDistance, SessionProtocol
+from repro.core.transmit import TransmitQueue
 from repro.experiments.common import (ExperimentSpec, LossRecoverySimulation,
                                       choose_scenario, run_experiment)
 from repro.experiments.congestion import run_congestion_experiment
 from repro.experiments.figure4 import figure4_scenarios
+from repro.experiments.figure12_13 import find_adversarial_scenario
 from repro.experiments.robustness import _heterogeneous_delays
 from repro.net.link import Link, MatchDropFilter
 from repro.net.network import Network
 from repro.net.node import Agent, Node
 from repro.net.routing import SourceTree, build_source_tree
 from repro.sim.rng import RandomSource
+from repro.sim.scheduler import EventScheduler
+from repro.sim.timers import Timer
 from repro.sim.trace import Trace, TraceRecord
 from repro.topology import spec as spec_module
 from repro.topology.btree import balanced_tree
@@ -147,42 +157,164 @@ def test_a_delay_edit_changes_only_its_network():
 
 #: What a finished run is made of; none of it may wait for the cyclic
 #: collector.
-RUN_TYPES = (Network, Node, Link, SourceTree, Trace, TraceRecord)
+RUN_TYPES = (Network, Node, Link, SourceTree, Trace, TraceRecord, SrmAgent,
+             Timer, RequestContext, RepairContext, PageRequestContext,
+             TransmitQueue, OracleDistance, SessionProtocol)
 
 
-def test_a_finished_run_leaves_no_cyclic_garbage(monkeypatch):
-    """A figure-4 round and a congestion burst, with the collector off.
+def cyclic_garbage(run) -> list:
+    """Names of the run types ``run()`` left for the cyclic collector.
 
-    What ``gc.collect()`` then finds is garbage that waited for it. An
-    agent's own cycles (its timers call back into it) are allowed: they
-    hold the agent's state, never the network, its nodes, links, trees
-    or trace. Check mode is left out: its oracle suite is cyclic itself
-    (every checker points back at it) and holds the run it checks.
+    The collector is off while ``run`` runs, so what ``gc.collect()``
+    then finds is garbage that waited for it.
     """
-    monkeypatch.delenv("SRM_CHECK", raising=False)
-    scenario = figure4_scenarios(sizes=(40,), sims=1, seed=4)[0]
-    spec = ExperimentSpec(scenario=scenario, config=SrmConfig(), seed=3)
     enabled = gc.isenabled()
     gc.disable()
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        result = run_experiment(spec)
-        outcome = run_congestion_experiment(burst=20, chain_length=8,
-                                            queue_limit=3)
+        run()
         gc.collect()
-        leaked = sorted({type(obj).__name__ for obj in gc.garbage
-                         if isinstance(obj, RUN_TYPES)})
-        agents = sum(isinstance(obj, SrmAgent) for obj in gc.garbage)
+        return sorted({type(obj).__name__ for obj in gc.garbage
+                       if isinstance(obj, RUN_TYPES)})
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         if enabled:
             gc.enable()
-    assert result.outcome.recovered and outcome.all_recovered
+
+
+def test_a_finished_run_leaves_no_cyclic_garbage(monkeypatch):
+    """A figure-4 round and a congestion burst free themselves.
+
+    No network, node, link, tree or trace row, and no agent, timer,
+    request, repair or page context, transmit queue or distance oracle
+    waits for the cyclic collector: ``Network.close`` cuts every agent
+    back-pointer and releases every timer that calls back into its
+    owner.
+    """
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    scenario = figure4_scenarios(sizes=(40,), sims=1, seed=4)[0]
+    spec = ExperimentSpec(scenario=scenario, config=SrmConfig(), seed=3)
+    runs = []
+
+    def run() -> None:
+        runs.append(run_experiment(spec).outcome)
+        runs.append(run_congestion_experiment(burst=20, chain_length=8,
+                                              queue_limit=3))
+
+    assert cyclic_garbage(run) == []
+    result, outcome = runs
+    assert result.recovered and outcome.all_recovered
     assert outcome.data_queue_drops > 0
-    assert leaked == []
-    assert agents > 0  # the allowed agent-local cycles were found
+
+
+def test_a_checked_run_leaves_no_cyclic_garbage(monkeypatch):
+    """Check mode too: the oracle suite and its checkers let go of each
+    other, and the metrics gate's replay collector of its trace."""
+    monkeypatch.setenv("SRM_CHECK", "1")
+    scenario = figure4_scenarios(sizes=(40,), sims=1, seed=4)[0]
+    spec = ExperimentSpec(scenario=scenario, config=SrmConfig(), seed=3,
+                          rounds=2)
+    results = []
+    assert cyclic_garbage(lambda: results.append(run_experiment(spec))) \
+        == []
+    assert all(outcome.recovered for outcome in results[0].outcomes)
+
+
+def test_a_session_and_rate_limited_run_leaves_no_cyclic_garbage(
+        monkeypatch):
+    """Session messages, a paced transmit queue and FEC, cut off with
+    packets and timers still pending: close releases the session's and
+    the queue's timers, cuts their and the codec's back-pointers, and
+    drops the scheduler's pending events. Counters stay readable."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    config = SrmConfig(session_enabled=True, rate_limit=400.0,
+                       fec_block=2)
+    seen = {}
+
+    def run() -> None:
+        network = chain(5).build()
+        group = network.groups.allocate("session")
+        master = RandomSource(1)
+        agents = []
+        for node in range(5):
+            agent = SrmAgent(config.copy(), master.fork(f"member-{node}"))
+            network.attach(node, agent)
+            agent.join_group(group)
+            agents.append(agent)
+        for index in range(6):
+            network.scheduler.schedule(
+                float(index), agents[0].send_data, f"data-{index}")
+        network.run(until=30.0)
+        seen["pending"] = network.scheduler.pending()
+        network.close()
+        seen["after"] = network.scheduler.pending()
+        seen["reports"] = sum(agent.session.messages_sent
+                              for agent in agents)
+        seen["paced"] = agents[0].transmitter.transmitted
+        seen["parity"] = agents[0].fec.parity_sent
+
+    assert cyclic_garbage(run) == []
+    assert seen["pending"] > 0 and seen["after"] == 0
+    assert seen["reports"] > 0 and seen["paced"] > 0 and seen["parity"] > 0
+
+
+def test_a_figure12_probe_leaves_no_cyclic_garbage(monkeypatch):
+    """The figure-12 candidate probes run through ``run_experiment``,
+    which closes each probe's session."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    found = []
+    assert cyclic_garbage(lambda: found.append(
+        find_adversarial_scenario(candidates=2, probe_rounds=2))) == []
+    assert found[0].session_size == 50
+
+
+@pytest.mark.parametrize("case", ["enabled", "disabled", "raising"])
+@pytest.mark.parametrize("entry", ["run_experiment",
+                                   "run_congestion_experiment"])
+def test_a_run_entry_point_pauses_the_collector_and_restores_it(
+        monkeypatch, entry, case):
+    """The collector is off while the scheduler runs, and afterwards as
+    it was before: on for a caller that had it on, off for one that had
+    it off, and restored when the run raises."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    real_run = EventScheduler.run
+    during = []
+
+    def watched(self, *args, **kwargs):
+        during.append(gc.isenabled())
+        if case == "raising":
+            raise RuntimeError("the run failed")
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(EventScheduler, "run", watched)
+    scenario = figure4_scenarios(sizes=(10,), sims=1, seed=4)[0]
+    runs = {
+        "run_experiment": lambda: run_experiment(ExperimentSpec(
+            scenario=scenario, config=SrmConfig(), seed=1)),
+        "run_congestion_experiment": lambda: run_congestion_experiment(
+            burst=4),
+    }
+    enabled = gc.isenabled()
+    try:
+        if case == "disabled":
+            gc.disable()
+        else:
+            gc.enable()
+        if case == "raising":
+            with pytest.raises(RuntimeError, match="the run failed"):
+                runs[entry]()
+        else:
+            runs[entry]()
+        after = gc.isenabled()
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    assert during and not any(during)
+    assert after is (case != "disabled")
 
 
 def test_close_is_idempotent_and_cuts_every_agent(monkeypatch):

@@ -88,3 +88,27 @@ def test_pending_property_tracks_state():
     assert timer.pending
     sched.run()
     assert not timer.pending
+
+
+def test_release_cancels_and_forgets_the_callback():
+    sched, timer, fired = make()
+    timer.start(4.0)
+    timer.release()
+    assert timer.state is TimerState.CANCELLED and timer.expiry == 4.0
+    timer.start(1.0)  # a released timer never calls back again
+    sched.run()
+    assert fired == [] and timer.state is TimerState.FIRED
+    assert sched.pending() == 0
+
+
+def test_clear_drops_pending_events_and_keeps_the_clock():
+    sched, timer, fired = make()
+    timer.start(4.0)
+    sched.schedule(9.0, fired.append, "late")
+    sched.run(until=2.0)
+    sched.clear()
+    assert sched.pending() == 0 and sched.now == 2.0
+    timer.cancel()  # a late cancel of a dropped event is harmless
+    assert sched.pending() == 0
+    sched.run()
+    assert fired == []
