@@ -42,6 +42,20 @@ ROUND_EVENT_LIMIT = 5_000_000
 DropEdge = Tuple[NodeId, NodeId]
 
 
+def _refuse_session_rounds(config: Optional[SrmConfig]) -> None:
+    """Raise ValueError for a config whose rounds would never end.
+
+    A round runs until the event queue is empty, and session timers
+    re-arm forever: a session-enabled round would only stop at
+    :data:`ROUND_EVENT_LIMIT` events.
+    """
+    if config is not None and config.session_enabled:
+        raise ValueError(
+            "loss-recovery rounds need session_enabled=False: session "
+            "timers re-arm forever, so a round would never quiesce; run "
+            "a session-enabled network with network.run(until=...)")
+
+
 @contextmanager
 def collector_paused() -> Iterator[None]:
     """Run the block with the cyclic garbage collector off.
@@ -189,6 +203,7 @@ class LossRecoverySimulation:
     def run_round(self, drop_edge: Optional[DropEdge] = None,
                   trigger_gap: float = 1.0) -> RoundOutcome:
         """Drop one packet, run recovery to quiescence, return metrics."""
+        _refuse_session_rounds(self.config)
         scenario = self.scenario
         drop_edge = drop_edge if drop_edge is not None else scenario.drop_edge
         network = self.network
@@ -382,17 +397,19 @@ def run_experiment(spec: ExperimentSpec) -> RunResult:
         return _run_scoped(spec)
     if spec.kind != "recovery":
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
-    if spec.engine == "herd":
-        # The vectorized mega-session engine; duck-types the agent
-        # simulation (same run_round/last_round_metrics/config surface).
-        # Imported lazily: repro.herd imports this module.
-        from repro.herd import HerdSimulation
-        return _run_rounds(spec, HerdSimulation(
-            spec.scenario, config=spec.config, seed=spec.seed))
+    _refuse_session_rounds(spec.config)
     with collector_paused():
-        simulation = LossRecoverySimulation(
-            spec.scenario, config=spec.config, seed=spec.seed,
-            delivery=spec.engine)
+        if spec.engine == "herd":
+            # The vectorized mega-session engine; duck-types the agent
+            # simulation (same run_round/last_round_metrics/config/close
+            # surface). Imported lazily: repro.herd imports this module.
+            from repro.herd import HerdSimulation
+            simulation: Any = HerdSimulation(
+                spec.scenario, config=spec.config, seed=spec.seed)
+        else:
+            simulation = LossRecoverySimulation(
+                spec.scenario, config=spec.config, seed=spec.seed,
+                delivery=spec.engine)
         try:
             return _run_rounds(spec, simulation)
         finally:

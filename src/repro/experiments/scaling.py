@@ -132,10 +132,13 @@ def _run_point(kind: str, scenario: Scenario, config: Optional[SrmConfig],
     sim = HerdSimulation(scenario, config=config, seed=seed)
     bundles: List[RunMetrics] = []
     recovered = True
-    for _ in range(rounds):
-        outcome = sim.run_round()
-        recovered = recovered and outcome.recovered
-        bundles.append(sim.last_round_metrics)
+    try:
+        for _ in range(rounds):
+            outcome = sim.run_round()
+            recovered = recovered and outcome.recovered
+            bundles.append(sim.last_round_metrics)
+    finally:
+        sim.close()
     merged = RunMetrics.merged(bundles, experiment=f"scaling-{kind}")
     headline = merged.headline()
     point = ScalingPoint(

@@ -755,6 +755,23 @@ class HerdSimulation:
                 counts_only=not self.full_trace, context=context)
         return self._outcome(report)
 
+    def close(self) -> None:
+        """Free the finished run without the cyclic garbage collector.
+
+        Each wave's callback is a bound method of this simulation, the
+        scheduler's pending events point back at it, and in check mode
+        the oracle suite holds the simulation through its facade. This
+        releases the waves, clears the scheduler and detaches and drops
+        the suite; the last round's metrics, the trace and every array
+        stay readable. Idempotent.
+        """
+        self._req_wave.release()
+        self._rep_wave.release()
+        self.scheduler.clear()
+        if self.oracle is not None:
+            self.oracle.detach()
+            self.oracle = None
+
     # ------------------------------------------------------------------
     # The round's report, bundle and outcome, all read off the arrays
     # ------------------------------------------------------------------

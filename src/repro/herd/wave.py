@@ -68,6 +68,12 @@ class HerdWave:
             self._event = None
         self._armed = math.inf
 
+    def release(self) -> None:
+        """Retire the wave for good: cancel it and drop the callback,
+        which is a bound method of the simulation that holds the wave."""
+        self.cancel()
+        self._fire = None  # type: ignore[assignment]
+
     def _head_fire(self) -> None:
         now = self._scheduler.now
         self._event = None

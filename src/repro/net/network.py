@@ -29,8 +29,8 @@ packets race toward the same link.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, \
-    Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, ItemsView, Iterable, Iterator, \
+    KeysView, List, Optional, Sequence, Set, Tuple, Union, ValuesView, cast
 
 from repro.mcast.groups import GroupManager
 from repro.net.link import DropFilter, Link
@@ -84,6 +84,118 @@ class ForwardingTable:
         self.rows = rows
 
 
+class LazyTable(dict):
+    """A loaded network's ``nodes`` or ``adjacency``: a dict over the
+    topology's node ids whose values are made on first read.
+
+    A hit is a plain dict lookup; a miss on a topology node makes the
+    value (the subclass's ``__missing__``) and keeps it. ``len``, ``in``
+    and :meth:`get` answer for the whole topology. Iteration,
+    :meth:`keys`, :meth:`values` and :meth:`items` make every value
+    first, so a whole-graph reader sees what an eagerly built dict
+    holds, in node order. Only :class:`Network` mutates it, and it
+    swaps in a plain dict first (:meth:`Network._materialize`).
+    """
+
+    __slots__ = ("ids", "whole")
+
+    def __init__(self, size: int) -> None:
+        super().__init__()
+        self.ids = range(size)
+        self.whole = False
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self.ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def get(self, node_id: NodeId, default: Any = None) -> Any:
+        return self[node_id] if node_id in self.ids else default
+
+    def fill(self) -> "LazyTable":
+        """Make every value and put the entries in node order."""
+        if not self.whole:
+            made = [self[node_id] for node_id in self.ids]
+            dict.clear(self)
+            dict.update(self, zip(self.ids, made))
+            self.whole = True
+        return self
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return dict.__iter__(self.fill())
+
+    def keys(self) -> KeysView[NodeId]:  # type: ignore[override]
+        return dict.keys(self.fill())
+
+    def values(self) -> ValuesView[Any]:  # type: ignore[override]
+        return dict.values(self.fill())
+
+    def items(self) -> ItemsView[NodeId, Any]:  # type: ignore[override]
+        return dict.items(self.fill())
+
+
+class NodeTable(LazyTable):
+    """node id -> :class:`Node`, made where an agent attaches or a
+    delivery arrives."""
+
+    __slots__ = ()
+
+    def __missing__(self, node_id: NodeId) -> Node:
+        if node_id not in self.ids:
+            raise KeyError(node_id)
+        node = self[node_id] = Node(node_id)
+        return node
+
+
+class LinkTable(LazyTable):
+    """node id -> {neighbour: :class:`Link`}: a row is made on first
+    read, each link once, by whichever row or :meth:`link` asks first,
+    and oriented as in ``skeleton.edges``."""
+
+    __slots__ = ("skeleton", "made")
+
+    def __init__(self, skeleton: RouteSkeleton) -> None:
+        super().__init__(skeleton.num_nodes)
+        self.skeleton = skeleton
+        #: (a, b) as ``skeleton.edges`` orients it -> the link.
+        self.made: Dict[Tuple[NodeId, NodeId], Link] = {}
+
+    def __missing__(self, node_id: NodeId) -> Dict[NodeId, Link]:
+        if node_id not in self.ids:
+            raise KeyError(node_id)
+        skeleton = self.skeleton
+        edge_set = skeleton.edge_set
+        made = self.made
+        row = self[node_id] = {}
+        for other in skeleton.adjacency[node_id]:
+            key = ((node_id, other) if (node_id, other) in edge_set
+                   else (other, node_id))
+            if key in made:
+                row[other] = made[key]
+            else:
+                row[other] = made[key] = Link(
+                    key[0], key[1], skeleton.delay, skeleton.threshold)
+        return row
+
+    def link(self, a: NodeId, b: NodeId) -> Link:
+        """The link between ``a`` and ``b``, without making a's row."""
+        skeleton = self.skeleton
+        key = (a, b) if (a, b) in skeleton.edge_set else (b, a)
+        link = self.made.get(key)
+        if link is None:
+            if key not in skeleton.edge_set:
+                raise KeyError(key)
+            link = self.made[key] = Link(key[0], key[1], skeleton.delay,
+                                         skeleton.threshold)
+        return link
+
+    def links(self) -> List[Link]:
+        """Every link, in ``skeleton.edges`` order."""
+        link = self.link
+        return [link(a, b) for a, b in self.skeleton.edges]
+
+
 class Network:
     """A simulated internetwork."""
 
@@ -97,8 +209,8 @@ class Network:
         self.trace = trace if trace is not None else Trace(keep=())
         self.delivery = delivery
         self.nodes: Dict[NodeId, Node] = {}
-        self.links: List[Link] = []
         self.adjacency: Dict[NodeId, Dict[NodeId, Link]] = {}
+        self._links: List[Link] = []
         self.groups = GroupManager()
         self.scope_zones: Dict[str, Set[NodeId]] = {}
         self.account_bandwidth = False
@@ -154,30 +266,44 @@ class Network:
     # ------------------------------------------------------------------
 
     def load(self, skeleton: RouteSkeleton) -> None:
-        """Fill this empty network with ``skeleton``'s nodes and links.
+        """Give this empty network ``skeleton``'s topology.
 
-        One frame, not an :meth:`add_node` / :meth:`add_link` per
-        element: the nodes and links made here are this network's own,
-        while its neighbour table and rooted index are the skeleton's
-        until :meth:`invalidate_routes` (a graph edit) drops them.
+        Nothing is built here: ``nodes`` and ``adjacency`` become
+        :class:`LazyTable`\\ s that make this network's own :class:`Node`
+        where an agent attaches or a delivery arrives, and its own
+        :class:`Link` where the run reads one (``adjacency[a]``,
+        :meth:`link_between`). A whole-graph reader (:attr:`links`,
+        iteration, :meth:`add_node`, :meth:`add_link`,
+        :meth:`invalidate_routes`, Dijkstra) makes the rest first
+        (:meth:`_materialize`). The neighbour table and rooted index
+        are the skeleton's until :meth:`invalidate_routes` (a graph
+        edit) drops them.
         """
-        delay = skeleton.delay
-        threshold = skeleton.threshold
-        nodes = range(skeleton.num_nodes)
-        self.nodes = {node_id: Node(node_id) for node_id in nodes}
-        adjacency: Dict[NodeId, Dict[NodeId, Link]] = {
-            node_id: {} for node_id in nodes}
-        self.adjacency = adjacency
-        self.links = links = [Link(a, b, delay, threshold)
-                              for a, b in skeleton.edges]
-        for link in links:
-            adjacency[link.a][link.b] = link
-            adjacency[link.b][link.a] = link
+        self.nodes = NodeTable(skeleton.num_nodes)
+        self.adjacency = LinkTable(skeleton)
         self._neighbors = skeleton.neighbors
         self._index = skeleton.index
 
+    def _materialize(self) -> None:
+        """Make every node and link of a loaded network, and hold them
+        in plain dicts from then on; a no-op for any other network."""
+        adjacency = self.adjacency
+        if isinstance(adjacency, LinkTable):
+            nodes = cast(NodeTable, self.nodes)
+            self._links = adjacency.links()
+            self.nodes = dict.copy(nodes.fill())
+            self.adjacency = dict.copy(adjacency.fill())
+
+    @property
+    def links(self) -> List[Link]:
+        """Every link: a loaded network's in its skeleton's edge order,
+        then those :meth:`add_link` added."""
+        self._materialize()
+        return self._links
+
     def add_node(self, node_id: Optional[NodeId] = None) -> Node:
         """Create a node; ids default to consecutive integers."""
+        self._materialize()
         if node_id is None:
             node_id = len(self.nodes)
         if node_id in self.nodes:
@@ -190,13 +316,14 @@ class Network:
 
     def add_link(self, a: NodeId, b: NodeId, delay: float = 1.0,
                  threshold: int = 1) -> Link:
+        self._materialize()
         for end in (a, b):
             if end not in self.nodes:
                 raise KeyError(f"node {end} does not exist")
         if b in self.adjacency[a]:
             raise ValueError(f"link {a}<->{b} already exists")
         link = Link(a, b, delay=delay, threshold=threshold)
-        self.links.append(link)
+        self._links.append(link)
         self.adjacency[a][b] = link
         self.adjacency[b][a] = link
         self.invalidate_routes()
@@ -207,9 +334,11 @@ class Network:
 
         ``add_node``/``add_link`` call it; so must any caller that edits
         a link's ``delay`` or ``threshold`` in place. A loaded network
-        stops reading its skeleton here: the neighbour table and rooted
-        index are rebuilt from its own links when next needed.
+        stops reading its skeleton here: it makes every node and link,
+        and the neighbour table and rooted index are rebuilt from its
+        own links when next needed.
         """
+        self._materialize()
         self._trees = {}
         self._neighbors = None
         self._index = None
@@ -218,8 +347,11 @@ class Network:
         self._plan_cache = {}
 
     def link_between(self, a: NodeId, b: NodeId) -> Link:
+        adjacency = self.adjacency
         try:
-            return self.adjacency[a][b]
+            if isinstance(adjacency, LinkTable):
+                return adjacency.link(a, b)
+            return adjacency[a][b]
         except KeyError:
             raise KeyError(f"no link between {a} and {b}") from None
 
@@ -291,7 +423,7 @@ class Network:
         and counters stay readable. Nothing can be delivered to an agent
         afterwards. Idempotent.
         """
-        for node in self.nodes.values():
+        for node in dict.values(self.nodes):  # only the nodes made
             agents = node.agents
             if agents:
                 for agent in agents:
@@ -324,6 +456,8 @@ class Network:
         tree = self._trees.get(origin)
         if tree is None:
             neighbors = self._neighbors
+            # Dijkstra, or a neighbour table of this network's own,
+            # reads every link: ``links`` makes them.
             if neighbors is None and len(self.links) == len(self.nodes) - 1:
                 neighbors = self._neighbors = {
                     node: sorted(links.items())
@@ -350,7 +484,8 @@ class Network:
         if tree is not None:
             return tree
         index = self._rooted_index()
-        if index is None or 2 * len(nodes) >= len(self.nodes):
+        # The index's tree spans the topology.
+        if index is None or 2 * len(nodes) >= len(index.tree.parent):
             return self.source_tree(origin)
         return index.member_tree(origin, nodes)
 
@@ -684,11 +819,12 @@ class Network:
         if dst == origin:
             self.scheduler.schedule(0.0, self._deliver, dst, packet)
             return
-        if dst not in self.nodes:
-            raise KeyError(f"no route from {origin} to {dst}")
         # On a tree topology the path comes off the rooted index: a
         # unicast sender builds no source tree.
-        path = self.path(origin, dst)
+        try:
+            path = self.path(origin, dst)
+        except KeyError:
+            raise KeyError(f"no route from {origin} to {dst}") from None
         for parent, child in zip(path, path[1:]):
             link = self.adjacency[parent][child]
             if link.filters and link.drops_packet(packet, parent):
@@ -940,7 +1076,10 @@ class Network:
         return self.scheduler.run(until=until, max_events=max_events)
 
     def __repr__(self) -> str:
-        return (f"<Network {len(self.nodes)} nodes, {len(self.links)} links, "
+        adjacency = self.adjacency
+        links = (len(adjacency.skeleton.edges)
+                 if isinstance(adjacency, LinkTable) else len(self._links))
+        return (f"<Network {len(self.nodes)} nodes, {links} links, "
                 f"delivery={self.delivery}>")
 
 

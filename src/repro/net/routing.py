@@ -323,16 +323,18 @@ class RouteSkeleton:
     ``TopologySpec.build`` keeps one per ``(num_nodes, edges, delay,
     threshold)`` and loads each new network from it
     (:meth:`~repro.net.network.Network.load`). It is read-only: the
-    id-sorted neighbour table and, when the edges form a connected tree,
-    that tree rooted at node 0 with its :class:`RootedIndex`. Its edges
-    all point at one link of its own, carrying the delay and threshold
-    every edge has, since :func:`traverse_tree` and
-    :meth:`RootedIndex.pair` read nothing else of a link. A network's
-    own links, filters, queues and source trees are never shared.
+    adjacency (each node's neighbours in edge order) and edge set a
+    loaded network makes its own nodes and links from, and, when the
+    edges form a tree, the id-sorted neighbour table and that tree
+    rooted at node 0 with its :class:`RootedIndex`. Its edges all point
+    at one link of its own, carrying the delay and threshold every edge
+    has, since :func:`traverse_tree` and :meth:`RootedIndex.pair` read
+    nothing else of a link. A network's own links, filters, queues and
+    source trees are never shared.
     """
 
-    __slots__ = ("num_nodes", "edges", "delay", "threshold", "neighbors",
-                 "index")
+    __slots__ = ("num_nodes", "edges", "delay", "threshold", "adjacency",
+                 "edge_set", "neighbors", "index")
 
     def __init__(self, num_nodes: int, edges: Tuple[Tuple[NodeId, NodeId],
                                                      ...],
@@ -341,15 +343,19 @@ class RouteSkeleton:
         self.edges = edges
         self.delay = delay
         self.threshold = threshold
-        self.neighbors: Optional[NeighborTable] = None
-        self.index: Optional[RootedIndex] = None
-        if len(edges) != num_nodes - 1:
-            return
         link = Link(0, 1, delay=delay, threshold=threshold)
         adjacency: Adjacency = {node: {} for node in range(num_nodes)}
         for a, b in edges:
             adjacency[a][b] = link
             adjacency[b][a] = link
+        self.adjacency = adjacency
+        #: Each edge as ``edges`` orients it: a network's own link for
+        #: ``{a, b}`` is ``Link(a, b)`` exactly when ``(a, b)`` is here.
+        self.edge_set = frozenset(edges)
+        self.neighbors: Optional[NeighborTable] = None
+        self.index: Optional[RootedIndex] = None
+        if len(edges) != num_nodes - 1:
+            return
         neighbors = self.neighbors = {node: sorted(links.items())
                                       for node, links in adjacency.items()}
         tree = traverse_tree(neighbors, 0)

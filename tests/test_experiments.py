@@ -195,3 +195,41 @@ def test_figure15_small():
     assert len(fractions) == 5
     assert all(0 < fraction <= 1 for fraction in fractions)
     assert "Figure 15" in result.format_table()
+
+
+@pytest.mark.parametrize("engine", ["direct", "hop", "herd"])
+def test_run_experiment_refuses_session_rounds_before_building(
+        monkeypatch, engine):
+    """Session timers re-arm forever, so a session-enabled round would
+    only stop at ROUND_EVENT_LIMIT: refused before any topology is built
+    or any event runs."""
+    from repro.experiments.common import ExperimentSpec, run_experiment
+    from repro.sim.scheduler import EventScheduler
+    from repro.topology.spec import TopologySpec
+
+    touched = []
+    monkeypatch.setattr(TopologySpec, "build",
+                        lambda *args, **kwargs: touched.append("build"))
+    monkeypatch.setattr(EventScheduler, "run",
+                        lambda *args, **kwargs: touched.append("run"))
+    scenario = Scenario(spec=chain(4), members=list(range(4)), source=0,
+                        drop_edge=(1, 2))
+    spec = ExperimentSpec(scenario=scenario, engine=engine,
+                          config=SrmConfig(session_enabled=True))
+    with pytest.raises(ValueError, match="session_enabled=False"):
+        run_experiment(spec)
+    assert touched == []
+
+
+def test_run_round_refuses_session_rounds_before_any_event():
+    scenario = Scenario(spec=chain(4), members=list(range(4)), source=0,
+                        drop_edge=(1, 2))
+    simulation = LossRecoverySimulation(
+        scenario, config=SrmConfig(session_enabled=True), seed=1)
+    scheduler = simulation.network.scheduler
+    with pytest.raises(ValueError, match="re-arm forever"):
+        simulation.run_round()
+    assert scheduler.events_processed == 0 and scheduler.now == 0.0
+    assert simulation.rounds_run == 0
+    assert not simulation.network._filtered_links
+    simulation.close()

@@ -26,6 +26,8 @@ from repro.experiments.congestion import run_congestion_experiment
 from repro.experiments.figure4 import figure4_scenarios
 from repro.experiments.figure12_13 import find_adversarial_scenario
 from repro.experiments.robustness import _heterogeneous_delays
+from repro.herd import HerdSimulation
+from repro.herd.wave import HerdWave
 from repro.net.link import Link, MatchDropFilter
 from repro.net.network import Network
 from repro.net.node import Agent, Node
@@ -159,7 +161,8 @@ def test_a_delay_edit_changes_only_its_network():
 #: collector.
 RUN_TYPES = (Network, Node, Link, SourceTree, Trace, TraceRecord, SrmAgent,
              Timer, RequestContext, RepairContext, PageRequestContext,
-             TransmitQueue, OracleDistance, SessionProtocol)
+             TransmitQueue, OracleDistance, SessionProtocol, HerdSimulation,
+             HerdWave)
 
 
 def cyclic_garbage(run) -> list:
@@ -260,6 +263,40 @@ def test_a_session_and_rate_limited_run_leaves_no_cyclic_garbage(
     assert seen["reports"] > 0 and seen["paced"] > 0 and seen["parity"] > 0
 
 
+@pytest.mark.parametrize("check", [False, True])
+def test_a_herd_run_leaves_no_cyclic_garbage(monkeypatch, check):
+    """A figure-4 herd round frees itself too: ``HerdSimulation.close``
+    releases both waves (each calls back into the simulation), clears
+    the scheduler and, in check mode, drops the oracle suite, whose
+    facade holds the simulation. Nothing at all is left, not even the
+    source tree's child lists (a first run warms the one-off caches
+    numpy fills through ``inspect``)."""
+    if check:
+        monkeypatch.setenv("SRM_CHECK", "1")
+    else:
+        monkeypatch.delenv("SRM_CHECK", raising=False)
+    scenario = figure4_scenarios(sizes=(40,), sims=1, seed=4)[0]
+    spec = ExperimentSpec(scenario=scenario, config=SrmConfig(), seed=3,
+                          engine="herd", rounds=2)
+    run_experiment(spec)
+    results = []
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        results.append(run_experiment(spec))
+        gc.collect()
+        left = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert left == 0
+    assert all(outcome.recovered for outcome in results[0].outcomes)
+
+
 def test_a_figure12_probe_leaves_no_cyclic_garbage(monkeypatch):
     """The figure-12 candidate probes run through ``run_experiment``,
     which closes each probe's session."""
@@ -272,7 +309,8 @@ def test_a_figure12_probe_leaves_no_cyclic_garbage(monkeypatch):
 
 @pytest.mark.parametrize("case", ["enabled", "disabled", "raising"])
 @pytest.mark.parametrize("entry", ["run_experiment",
-                                   "run_congestion_experiment"])
+                                   "run_congestion_experiment",
+                                   "run_experiment_herd"])
 def test_a_run_entry_point_pauses_the_collector_and_restores_it(
         monkeypatch, entry, case):
     """The collector is off while the scheduler runs, and afterwards as
@@ -295,6 +333,8 @@ def test_a_run_entry_point_pauses_the_collector_and_restores_it(
             scenario=scenario, config=SrmConfig(), seed=1)),
         "run_congestion_experiment": lambda: run_congestion_experiment(
             burst=4),
+        "run_experiment_herd": lambda: run_experiment(ExperimentSpec(
+            scenario=scenario, config=SrmConfig(), seed=1, engine="herd")),
     }
     enabled = gc.isenabled()
     try:
