@@ -16,9 +16,11 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.config import SrmConfig
 from repro.experiments.common import (
+    LossRecoverySimulation,
     RoundOutcome,
     Scenario,
     choose_scenario,
+    collector_paused,
 )
 from repro.metrics.events import mean, quantiles
 from repro.sim.rng import RandomSource
@@ -150,21 +152,29 @@ def run_robustness(case_names: Optional[List[str]] = None,
                    rounds: int = 10, seed: int = 55,
                    config: Optional[SrmConfig] = None,
                    ) -> List[RobustnessResult]:
-    """Run each case for ``rounds`` single-drop rounds."""
+    """Run each case for ``rounds`` single-drop rounds.
+
+    Each case's session is closed when it ends, so the sweep runs with
+    the cyclic collector paused like every other entry point.
+    """
     config = config if config is not None else SrmConfig()
     names = case_names if case_names is not None else list(DEFAULT_CASES)
     results = []
-    for index, name in enumerate(names):
-        case = DEFAULT_CASES[name]
-        rng = RandomSource(seed + index * 1009)
-        scenario = case.build_scenario(rng)
-        from repro.experiments.common import LossRecoverySimulation
-        simulation = LossRecoverySimulation(scenario, config=config,
-                                            seed=seed + index)
-        if case.mutate_network is not None:
-            case.mutate_network(simulation.network, rng)
-        outcomes = [simulation.run_round() for _ in range(rounds)]
-        results.append(RobustnessResult(name=case.name, outcomes=outcomes))
+    with collector_paused():
+        for index, name in enumerate(names):
+            case = DEFAULT_CASES[name]
+            rng = RandomSource(seed + index * 1009)
+            scenario = case.build_scenario(rng)
+            simulation = LossRecoverySimulation(scenario, config=config,
+                                                seed=seed + index)
+            try:
+                if case.mutate_network is not None:
+                    case.mutate_network(simulation.network, rng)
+                outcomes = [simulation.run_round() for _ in range(rounds)]
+            finally:
+                simulation.close()
+            results.append(RobustnessResult(name=case.name,
+                                            outcomes=outcomes))
     return results
 
 

@@ -1,8 +1,9 @@
 """The network container: topology + delivery engines.
 
 :class:`Network` owns the scheduler, the graph of nodes and links, the
-multicast group membership, and the per-origin shortest-path trees. It
-offers two delivery engines with identical semantics:
+multicast group membership, and the routing state read off per-origin
+shortest-path trees. It offers two delivery engines with identical
+semantics:
 
 * ``hop`` — reference implementation: packets are forwarded link by link,
   consuming one event per hop, along a per-(source tree, group)
@@ -12,7 +13,9 @@ offers two delivery engines with identical semantics:
 * ``direct`` — fast implementation: a send is expanded into one arrival
   event per receiver at the correct shortest-path delay, with drop filters,
   TTL thresholds and scope zones applied analytically against the source
-  tree. Used by the paper-scale experiments.
+  tree. A sender keeps its plan, not its tree: the tree is built for a
+  plan and dropped, and filters are consulted through per-(origin, link)
+  cut entries. Used by the paper-scale experiments.
 
 A dedicated equivalence test (tests/test_delivery_equivalence.py) checks
 that the two engines deliver the same packets at the same times.
@@ -29,15 +32,17 @@ packets race toward the same link.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, ItemsView, Iterable, Iterator, \
-    KeysView, List, Optional, Sequence, Set, Tuple, Union, ValuesView, cast
+from typing import AbstractSet, Any, Callable, Dict, ItemsView, Iterable, \
+    Iterator, KeysView, List, Optional, Sequence, Set, Tuple, Union, \
+    ValuesView, cast
 
 from repro.mcast.groups import GroupManager
 from repro.net.link import DropFilter, Link
 from repro.net.node import Agent, Node
 from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
 from repro.net.routing import (NeighborTable, RootedIndex, RouteSkeleton,
-                                SourceTree, build_source_tree)
+                                SourceTree, build_source_tree,
+                                traverse_tree)
 from repro.sim import perf
 from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import DELIVER, DROP, QUEUE_DROP, Trace
@@ -62,6 +67,13 @@ RunBinding = Tuple[Optional[Callable[[Sequence[Agent], Packet], None]],
 #: the next hops are the ``(child, link)`` pairs the prune leaves, in
 #: ``tree.children`` order.
 HopRow = Tuple[Any, Tuple[Tuple[NodeId, Link], ...]]
+#: How a multicast from one origin meets one link, as a list: [hops from
+#: the origin to the parent end, parent, child, the TTL the child needs,
+#: the nodes a drop there cuts off or None until one does]. Lists of
+#: distinct links sort upstream-first on their first three fields.
+CutEntry = List[Any]
+#: What a send that no filter drops loses.
+_NOBODY: AbstractSet[NodeId] = frozenset()
 
 
 class ForwardingTable:
@@ -216,18 +228,20 @@ class Network:
         self.account_bandwidth = False
         self.packets_dropped = 0
         #: Routing caches, all dropped by :meth:`invalidate_routes`.
+        #: Source trees asked for by :meth:`source_tree`: a direct-engine
+        #: multicast on a tree topology keeps none (:meth:`member_tree`).
         self._trees: Dict[NodeId, SourceTree] = {}
         #: Sorted neighbour table, kept only while ``links == nodes - 1``.
         self._neighbors: Optional[NeighborTable] = None
-        #: A tree topology's rooted index, built on its first source tree.
+        #: A tree topology's rooted index (:meth:`_rooted_index`).
         self._index: Optional[RootedIndex] = None
         #: (a, b) -> (delay, hops) answered by the rooted index without
         #: building ``a``'s source tree.
         self._pairs: Dict[Tuple[NodeId, NodeId], Tuple[float, int]] = {}
-        #: (origin, gid) -> (membership version, member tree); see
-        #: :meth:`_sender_tree`.
-        self._member_trees: Dict[Tuple[NodeId, int],
-                                 Tuple[int, SourceTree]] = {}
+        #: (origin, link) -> how a multicast from ``origin`` meets the
+        #: link (:meth:`_cut_entry`); None when it never crosses it.
+        self._cut_entries: Dict[Tuple[NodeId, Link],
+                                Optional[CutEntry]] = {}
         self._filtered_links: Set[Link] = set()
         self._queueing_links: Set[Link] = set()
         #: (origin, gid) -> the hop engine's forwarding table, replaced
@@ -343,7 +357,7 @@ class Network:
         self._neighbors = None
         self._index = None
         self._pairs = {}
-        self._member_trees = {}
+        self._cut_entries = {}
         self._plan_cache = {}
 
     def link_between(self, a: NodeId, b: NodeId) -> Link:
@@ -416,8 +430,9 @@ class Network:
         cycles of its own (timers that call back into it and its
         contexts; the session's, transmit queue's and FEC codec's
         back-pointers). It drops the node lists,
-        run bindings and forwarding tables that hold agents, and the
-        scheduler's pending events (each points back at it). The run is
+        run bindings and forwarding tables that hold agents, the cut
+        entries with their cut sets, and the scheduler's pending events
+        (each points back at it). The run is
         then freed by reference counting when its last outside reference
         goes; its trace, links and the agents' stores, reception state
         and counters stay readable. Nothing can be delivered to an agent
@@ -432,6 +447,7 @@ class Network:
         self.scheduler.clear()
         self._run_bindings = {}
         self._forwarding_tables = {}
+        self._cut_entries = {}
 
     def join(self, node_id: NodeId, group: GroupAddress) -> None:
         self.groups.join(node_id, group)
@@ -455,16 +471,22 @@ class Network:
     def source_tree(self, origin: NodeId) -> SourceTree:
         tree = self._trees.get(origin)
         if tree is None:
-            neighbors = self._neighbors
-            # Dijkstra, or a neighbour table of this network's own,
-            # reads every link: ``links`` makes them.
-            if neighbors is None and len(self.links) == len(self.nodes) - 1:
-                neighbors = self._neighbors = {
-                    node: sorted(links.items())
-                    for node, links in self.adjacency.items()}
-            tree = build_source_tree(self.adjacency, origin, neighbors)
+            tree = build_source_tree(self.adjacency, origin,
+                                     self._tree_neighbors())
             self._trees[origin] = tree
         return tree
+
+    def _tree_neighbors(self) -> Optional[NeighborTable]:
+        """The sorted neighbour table, provided there are ``nodes - 1``
+        links. A loaded network reads its skeleton's; any other makes
+        its own, reading every link (``links`` makes them), as Dijkstra
+        would."""
+        neighbors = self._neighbors
+        if neighbors is None and len(self.links) == len(self.nodes) - 1:
+            neighbors = self._neighbors = {
+                node: sorted(links.items())
+                for node, links in self.adjacency.items()}
+        return neighbors
 
     def member_tree(self, origin: NodeId,
                     nodes: Sequence[NodeId]) -> SourceTree:
@@ -473,54 +495,55 @@ class Network:
         For every node on a path ``origin -> n`` (``n`` in ``nodes``) the
         result holds the parent, children, delay, hop count and TTL of
         ``source_tree(origin)``, bit for bit; :meth:`SourceTree.cut` and
-        :meth:`SourceTree.path` agree on those nodes too. It is the
-        rooted index's member tree (:meth:`RootedIndex.member_tree`)
-        when the topology is a tree, ``origin`` has no cached source
-        tree and ``nodes`` number under half the topology; otherwise it
-        is the full source tree, which is cheaper once the paths cover
-        most of the topology. Member trees are not cached here.
+        :meth:`SourceTree.path` agree on those nodes too. It is
+        ``origin``'s kept source tree if it has one. On a tree topology
+        it is the rooted index's member tree
+        (:meth:`RootedIndex.member_tree`) when ``nodes`` number under
+        half the topology, else one full traversal, which is cheaper
+        once the paths cover most of it; neither is kept. A graph that
+        is not a tree keeps ``source_tree(origin)``.
         """
         tree = self._trees.get(origin)
         if tree is not None:
             return tree
-        index = self._rooted_index()
-        # The index's tree spans the topology.
-        if index is None or 2 * len(nodes) >= len(index.tree.parent):
+        index = self._index or self._rooted_index()
+        if index is None:
             return self.source_tree(origin)
-        return index.member_tree(origin, nodes)
+        # The index's tree spans the topology.
+        if 2 * len(nodes) < len(index.tree.parent):
+            return index.member_tree(origin, nodes)
+        tree = traverse_tree(index.neighbors, origin)
+        assert tree is not None  # the index's topology is a tree
+        return tree
 
     def _rooted_index(self) -> Optional[RootedIndex]:
         """The topology's rooted index, provided the topology is a tree.
 
-        A loaded network starts with its skeleton's. Otherwise ``nodes
-        - 1`` links (``_neighbors`` exists) and a tree that was built (so
-        the graph is connected) make it one; paths are then unique and
-        can be read off any cached tree whatever its origin.
+        A loaded network starts with its skeleton's. Any other with
+        ``nodes - 1`` links roots one traversal of its own at its first
+        node, and has one if that reaches every node (the graph is then
+        a tree): paths are unique, so the root does not matter.
         """
         index = self._index
-        if index is None and self._neighbors is not None and self._trees:
-            index = self._index = RootedIndex(
-                next(iter(self._trees.values())), self._neighbors,
-                self.adjacency)
+        if index is not None:
+            return index
+        neighbors = self._tree_neighbors()
+        if neighbors:  # a network with no nodes has no index
+            rooted = traverse_tree(neighbors, next(iter(neighbors)))
+            if rooted is not None:  # None: disconnected, so not a tree
+                index = self._index = RootedIndex(rooted, neighbors,
+                                                  self.adjacency)
         return index
 
-    def _walk(self, a: NodeId, b: NodeId) -> Tuple[float, int]:
-        """(delay, hops) of the path a -> b when ``a`` has no cached tree.
-
-        A tree topology answers from its rooted index
-        (:meth:`RootedIndex.pair`, bit for bit ``source_tree(a)``'s
-        numbers) and memoises the pair. Other topologies (and the first
-        query of a tree topology) build ``a``'s tree.
-        """
-        index = self._rooted_index()
-        if index is None:
-            tree = self.source_tree(a)
-            return tree.dist[b], tree.hops[b]
-        found = self._pairs[(a, b)] = index.pair(a, b)
-        return found
-
     def distance(self, a: NodeId, b: NodeId) -> float:
-        """One-way shortest-path delay between two nodes."""
+        """One-way shortest-path delay between two nodes.
+
+        ``a``'s kept tree answers, else the pair memo. A memo miss reads
+        the rooted index (:meth:`RootedIndex.pair`, bit for bit
+        ``source_tree(a)``'s numbers) and memoises the pair; a graph
+        that is not a tree builds ``a``'s tree. :meth:`hops` answers
+        the same way.
+        """
         if a == b:
             return 0.0
         if a in self._trees:
@@ -528,7 +551,11 @@ class Network:
         key = (a, b)
         if key in self._pairs:
             return self._pairs[key][0]
-        return self._walk(a, b)[0]
+        index = self._index or self._rooted_index()
+        if index is None:
+            return self.source_tree(a).dist[b]
+        found = self._pairs[key] = index.pair(a, b)
+        return found[0]
 
     def hops(self, a: NodeId, b: NodeId) -> int:
         if a == b:
@@ -538,7 +565,11 @@ class Network:
         key = (a, b)
         if key in self._pairs:
             return self._pairs[key][1]
-        return self._walk(a, b)[1]
+        index = self._index or self._rooted_index()
+        if index is None:
+            return self.source_tree(a).hops[b]
+        found = self._pairs[key] = index.pair(a, b)
+        return found[1]
 
     def path(self, a: NodeId, b: NodeId) -> List[NodeId]:
         """Nodes on the shortest path a -> b, inclusive (``a``'s tree path)."""
@@ -590,33 +621,62 @@ class Network:
     # Direct delivery engine
     # ------------------------------------------------------------------
 
-    def _dropped_subtrees(self, tree: SourceTree,
-                          packet: Packet) -> List[Set[NodeId]]:
-        """Consult armed drop filters against the packet's source tree."""
-        subtrees: List[Set[NodeId]] = []
-        oriented_links: List[Tuple[int, NodeId, NodeId, Link]] = []
+    def _dropped_subtrees(self, packet: Packet) -> AbstractSet[NodeId]:
+        """Consult armed drop filters along the packet's source tree:
+        the nodes that lose the packet, empty when no filter drops it."""
+        origin = packet.origin
+        initial_ttl = packet.initial_ttl
+        entries = self._cut_entries
+        # Only consult a filter if the packet actually attempts to cross
+        # its link: it must reach the upstream end with enough TTL for
+        # the threshold (matching hop-by-hop semantics, where a packet
+        # that dies upstream never touches the filter).
+        crossed: List[Tuple[CutEntry, Link]] = []
         for link in self._filtered_links:
-            oriented = tree.on_tree_edge(link.a, link.b)
-            if oriented is None:
-                continue
-            parent, child = oriented
-            oriented_links.append((tree.hops[parent], parent, child, link))
+            key = (origin, link)
+            try:
+                entry = entries[key]
+            except KeyError:
+                entry = entries[key] = self._cut_entry(origin, link)
+            if entry is not None and initial_ttl >= entry[3]:
+                crossed.append((entry, link))
         # Consult filters upstream-first so a drop high in the tree shields
         # filters (and their counters) below it, as hop-by-hop delivery would.
-        for _, parent, child, link in sorted(oriented_links,
-                                             key=lambda item: item[:3]):
-            # Only consult the filter if the packet actually attempts to
-            # cross this link: it must reach the upstream end with enough
-            # TTL for the threshold (matching hop-by-hop semantics, where
-            # a packet that dies upstream never touches the filter).
-            if packet.initial_ttl < tree.ttl_required[child]:
-                continue
-            if any(parent in cut for cut in subtrees):
+        if crossed[1:]:  # two or more
+            crossed.sort()
+        lost: AbstractSet[NodeId] = _NOBODY
+        for entry, link in crossed:
+            parent = entry[1]
+            if parent in lost:
                 continue
             if link.drops_packet(packet, parent):
+                child = entry[2]
                 self._count_loss(DROP, parent, packet, (parent, child))
-                subtrees.append(tree.subtree(child))
-        return subtrees
+                cut = entry[4]
+                if cut is None:
+                    index = self._index  # _cut_entry rooted it on a tree
+                    cut = entry[4] = (
+                        self.source_tree(origin).subtree(child)
+                        if index is None else index.cut(parent, child))
+                # A new set for a second drop: cut sets are kept.
+                lost = lost | cut if lost else cut
+        return lost
+
+    def _cut_entry(self, origin: NodeId, link: Link) -> Optional[CutEntry]:
+        """How a multicast from ``origin`` meets ``link``: its
+        :data:`CutEntry`, or None when the link is off ``origin``'s
+        source tree. A tree topology reads it off the rooted index's
+        member tree to both ends; any other off ``source_tree(origin)``.
+        """
+        index = self._index or self._rooted_index()
+        tree = (self.source_tree(origin) if index is None
+                else index.member_tree(origin, (link.a, link.b)))
+        oriented = tree.on_tree_edge(link.a, link.b)
+        if oriented is None:
+            return None
+        parent, child = oriented
+        return [tree.hops[parent], parent, child, tree.ttl_required[child],
+                None]
 
     def _zone_allows(self, tree: SourceTree, packet: Packet,
                      target: NodeId) -> bool:
@@ -687,40 +747,8 @@ class Network:
         return (tuple(entries), len(eligible), hop_counts,
                 tuple([slot_of[count] for count in per_entry]))
 
-    def _sender_tree(self, origin: NodeId,
-                     group: GroupAddress) -> SourceTree:
-        """The tree a multicast from ``origin`` is planned and cut on,
-        when ``origin`` has no source tree.
-
-        :meth:`member_tree` over the members and both ends of every
-        armed drop filter, so :meth:`_dropped_subtrees` consults the
-        filters a full tree would, in the same order. Cached per
-        (origin, group) until membership changes, and rebuilt when a
-        filter is armed outside it.
-        """
-        key = (origin, group.gid)
-        version = self.groups.version
-        cached = self._member_trees.get(key)
-        if cached is not None and cached[0] == version:
-            inside = cached[1].parent
-            for link in self._filtered_links:
-                if link.a not in inside or link.b not in inside:
-                    break
-            else:
-                return cached[1]
-        spanned = list(self.groups.members(group))
-        for link in self._filtered_links:
-            spanned += (link.a, link.b)
-        tree = self.member_tree(origin, spanned)
-        self._member_trees[key] = (version, tree)
-        return tree
-
     def _multicast_direct(self, packet: Packet) -> None:
         origin = packet.origin
-        tree = self._trees.get(origin)
-        if tree is None:
-            tree = self._sender_tree(
-                origin, packet.dst)  # type: ignore[arg-type]
         key = (origin, packet.dst.gid,  # type: ignore[union-attr]
                packet.initial_ttl, packet.scope_zone)
         cached = self._plan_cache.get(key)
@@ -729,7 +757,13 @@ class Network:
             plan, receivers, hop_counts, slots = cached[2]
             self.perf.plan_cache_hits += 1
         else:
-            found = self._multicast_plan(tree, packet)
+            # Planned on a tree built for this plan and kept nowhere;
+            # drop filters are consulted through cut entries
+            # (:meth:`_dropped_subtrees`), so a sender with a cached
+            # plan reads no tree at all.
+            members = self.groups.members(packet.dst)  # type: ignore[arg-type]
+            found = self._multicast_plan(self.member_tree(origin, members),
+                                         packet)
             self._plan_cache[key] = (self.groups.version,
                                      self._zone_version, found)
             plan, receivers, hop_counts, slots = found
@@ -737,25 +771,25 @@ class Network:
         # Filters must be consulted on every send (their counters advance
         # with traffic), but the common case — no filter armed anywhere —
         # skips the scan entirely.
-        cuts = (self._dropped_subtrees(tree, packet)
-                if self._filtered_links else ())
+        lost = (self._dropped_subtrees(packet)
+                if self._filtered_links else _NOBODY)
         scheduler = self.scheduler
         deliver = self._deliver
         deliver_many = self._deliver_many
-        if cuts:
+        if lost:
             schedule = scheduler.schedule
             made: Dict[int, Packet] = {}
             scheduled = 0
             for dist, hops, target in plan:
                 if type(target) is tuple:
                     kept = [member for member in target
-                            if not any(member in cut for cut in cuts)]
+                            if member not in lost]
                     if not kept:
                         continue
                     count = len(kept)
                     target = kept[0] if count == 1 else tuple(kept)
                 else:
-                    if any(target in cut for cut in cuts):
+                    if target in lost:
                         continue
                     count = 1
                 arrival = made.get(hops)
@@ -782,11 +816,12 @@ class Network:
         counters.arrival_copies_shared += scheduled - copied
         if self.account_bandwidth:
             members = self.groups.members(packet.dst)  # type: ignore[arg-type]
-            self._account_multicast(tree, packet, members, cuts)
+            self._account_multicast(self.source_tree(origin), packet,
+                                    members, lost)
 
     def _account_multicast(self, tree: SourceTree, packet: Packet,
                            members: Sequence[NodeId],
-                           cuts: Sequence[Set[NodeId]]) -> None:
+                           lost: AbstractSet[NodeId]) -> None:
         """Charge each traversed link once, on the pruned member tree.
 
         The multicast flows along the source tree pruned to the members
@@ -806,7 +841,7 @@ class Network:
                 continue
             if packet.initial_ttl < tree.ttl_required[node]:
                 continue
-            if any(node in cut for cut in cuts):
+            if node in lost:
                 continue
             if packet.scope_zone is not None and not self._zone_allows(
                     tree, packet, node):

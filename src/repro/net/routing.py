@@ -228,8 +228,8 @@ class RootedIndex:
     the path between every pair: climb both ends by depth to their
     lowest common ancestor. A :class:`RouteSkeleton` roots its topology
     at node 0 once per process; a network that has edited its graph
-    roots the first source tree it computes, and drops that index in
-    ``invalidate_routes()``.
+    roots one traversal of its own the first time it needs an index,
+    and drops that index in ``invalidate_routes()``.
 
     No float is re-associated. :meth:`pair` adds a path's delays from
     ``a`` toward ``b`` starting at 0.0, and :meth:`member_tree` runs
@@ -315,6 +315,26 @@ class RootedIndex:
         tree = traverse_tree(self.neighbors, origin, spanned)
         assert tree is not None  # spanned is connected and holds origin
         return tree
+
+    def cut(self, parent: NodeId, child: NodeId) -> Set[NodeId]:
+        """The nodes that lose a packet dropped on ``parent -> child``.
+
+        On a tree that is ``child``'s side of the edge for every origin
+        on ``parent``'s side: the rooted subtree of ``child``, or, when
+        ``child`` is ``parent``'s rooted parent, every node outside the
+        rooted subtree of ``parent``. A new set on every call: the
+        rooted tree is shared, so nothing is cached on it.
+        """
+        rooted = self.tree
+        top = child if rooted.parent[child] == parent else parent
+        children = rooted.children
+        below = {top}
+        stack = [top]
+        while stack:
+            kids = children[stack.pop()]
+            below.update(kids)
+            stack += kids
+        return below if top == child else set(rooted.parent) - below
 
 
 class RouteSkeleton:

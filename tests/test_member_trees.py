@@ -1,13 +1,16 @@
-"""Member trees: a sender plans on the part of the tree its group spans.
+"""Member trees and cut entries: a sender keeps its plan, not its tree.
 
 On a tree topology whose group spans under half the nodes, a multicast
-sender with no source tree of its own is planned and cut on
+sender with no source tree of its own is planned on
 ``RootedIndex.member_tree``: its source tree cut down to the paths to
-the members and to both ends of every armed drop filter. These tests pin
-that the switch is invisible: a member tree is the full tree restricted,
-a network that plans on member trees delivers, drops and charges links
-exactly as one that plans on full trees, and a figure-shaped round
-builds one full tree per topology.
+the members. The tree serves that one plan and is kept nowhere. Armed
+drop filters are consulted through one cut entry per (origin, link),
+read off the rooted index, whose cut set is made only when the filter
+drops. These tests pin that the switch is invisible: a member tree is
+the full tree restricted, a cut entry is what the full tree says, a
+network that plans on member trees delivers, drops and charges links
+exactly as one that plans on full trees, and neither a figure-shaped
+round nor a long star session keeps a tree.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ import repro.net.network as network_module
 from repro.core.config import SrmConfig
 from repro.experiments.common import LossRecoverySimulation
 from repro.experiments.figure4 import figure4_scenarios
+from repro.experiments.figure5 import star_scenario
 from repro.net.link import NthPacketDropFilter
+from repro.net.network import Network
 from repro.net.node import Agent
-from repro.net.routing import RootedIndex, build_source_tree
+from repro.net.routing import RootedIndex, build_source_tree, traverse_tree
 
 from conftest import examples
 from test_routing import random_weighted_tree
@@ -65,12 +70,14 @@ class Log(Agent):
         self.log.append((self.now, self.node_id, packet.sent_at, packet.ttl))
 
 
-def run_sparse_session(seed, n, members, sends, filters, joins, full):
+def run_sparse_session(seed, n, members, sends, filters, joins, full,
+                       account=True):
     """Run ``sends`` on a weighted random tree; with ``full`` every node's
-    source tree is built first, so no sender plans on a member tree."""
+    source tree is built first, so no sender plans on a member tree.
+    ``account`` charges links, which keeps each sender's source tree."""
     network = random_weighted_tree(seed, n)
     network.trace.keep = None
-    network.account_bandwidth = True
+    network.account_bandwidth = account
     group = network.groups.allocate()
     log = []
     for member in range(n):
@@ -120,14 +127,18 @@ def test_member_tree_sends_match_full_tree_sends(seed, n, data):
     joins = data.draw(st.lists(st.tuples(
         st.integers(0, 30).map(lambda t: t + 0.25), nodes), max_size=2),
         label="joins")
-    member_run, network = run_sparse_session(
+    member_run, _ = run_sparse_session(
         seed, n, members, sends, filters, joins, full=False)
     full_run, _ = run_sparse_session(
         seed, n, members, sends, filters, joins, full=True)
     assert member_run == full_run
-    senders = {origin for _, origin, _ in sends}
-    if len(senders) > 1 and not joins:
-        assert network._member_trees  # the first sender roots the index
+    # Without link charging the direct engine keeps no source tree: the
+    # same packets arrive and drop, off plans and cut entries alone.
+    quiet_run, network = run_sparse_session(
+        seed, n, members, sends, filters, joins, full=False,
+        account=False)
+    assert quiet_run[:2] + quiet_run[3:] == member_run[:2] + member_run[3:]
+    assert network._trees == {}
 
 
 def test_a_sparse_round_builds_no_full_tree(monkeypatch):
@@ -135,7 +146,7 @@ def test_a_sparse_round_builds_no_full_tree(monkeypatch):
     every sender, the source too, gets a member tree off the skeleton's
     rooted index, which the network shares with every other build of
     the spec, and the closest requester's distance is read off that
-    index too."""
+    index too. The network keeps none of those trees."""
     scenario = figure4_scenarios(sizes=(40,), sims=1, seed=4)[0]
     built = []
     real = network_module.build_source_tree
@@ -144,7 +155,16 @@ def test_a_sparse_round_builds_no_full_tree(monkeypatch):
         built.append(origin)
         return real(adjacency, origin, neighbors)
 
+    planned = []
+    real_member_tree = Network.member_tree
+
+    def planning(network, origin, nodes):
+        tree = real_member_tree(network, origin, nodes)
+        planned.append((origin, len(tree.parent)))
+        return tree
+
     monkeypatch.setattr(network_module, "build_source_tree", counting)
+    monkeypatch.setattr(Network, "member_tree", planning)
     # Check mode's oracles read full trees of their own; count a plain run.
     monkeypatch.delenv("SRM_CHECK", raising=False)
     simulation = LossRecoverySimulation(scenario, config=SrmConfig(),
@@ -154,7 +174,53 @@ def test_a_sparse_round_builds_no_full_tree(monkeypatch):
     assert built == []
     network = simulation.network
     assert network._index is scenario.spec.build()._index is not None
-    cut_down = {origin for (origin, _), (_, tree)
-                in network._member_trees.items()
-                if len(tree.parent) < len(network.nodes)}
+    cut_down = {origin for origin, size in planned
+                if size < len(network.nodes)}
     assert len(cut_down) >= 3 and scenario.source in cut_down
+    assert network._trees == {}
+
+
+@settings(max_examples=examples(40))
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 40), data=st.data())
+def test_cut_entries_match_full_source_trees(seed, n, data):
+    """For every origin and every link of a weighted tree with mixed
+    thresholds, the cut entry read off a rooted index (any root) is what
+    the origin's full source tree gives: the link's orientation, the
+    parent end's hop count, the TTL the child end needs and the nodes a
+    drop there cuts off."""
+    network = random_weighted_tree(seed, n)
+    neighbors = network._rooted_index().neighbors
+    root = data.draw(st.integers(0, n - 1), label="root")
+    index = network._index = RootedIndex(
+        traverse_tree(neighbors, root), neighbors, network.adjacency)
+    for origin in range(n):
+        full = build_source_tree(network.adjacency, origin)  # Dijkstra
+        for link in network.links:
+            parent, child = full.on_tree_edge(link.a, link.b)
+            assert network._cut_entry(origin, link) == [
+                full.hops[parent], parent, child, full.ttl_required[child],
+                None]
+            assert index.cut(parent, child) == full.subtree(child)
+    assert network._trees == {}
+
+
+def test_a_star_session_keeps_plans_not_trees(monkeypatch):
+    """60 rounds on a 200-leaf star: most members send a request, yet
+    the network keeps no source tree, and the one cut set made is the
+    filtered link's, for the data source whose packet it drops. Close
+    drops the cut entries."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    scenario = star_scenario(200)
+    simulation = LossRecoverySimulation(
+        scenario, config=SrmConfig(c1=2.0, c2=20.0), seed=1)
+    network = simulation.network
+    outcomes = [simulation.run_round() for _ in range(60)]
+    assert all(outcome.recovered for outcome in outcomes)
+    assert network._trees == {}
+    entries = network._cut_entries
+    assert len({origin for origin, _ in entries}) > 100
+    filtered = network.link_between(*scenario.drop_edge)
+    assert {key for key, entry in entries.items()
+            if entry[4] is not None} == {(scenario.source, filtered)}
+    simulation.close()
+    assert network._cut_entries == {}

@@ -25,7 +25,9 @@ from repro.experiments.common import (ExperimentSpec, LossRecoverySimulation,
 from repro.experiments.congestion import run_congestion_experiment
 from repro.experiments.figure4 import figure4_scenarios
 from repro.experiments.figure12_13 import find_adversarial_scenario
-from repro.experiments.robustness import _heterogeneous_delays
+from repro.experiments.robustness import (DEFAULT_CASES,
+                                          _heterogeneous_delays,
+                                          run_robustness)
 from repro.herd import HerdSimulation
 from repro.herd.wave import HerdWave
 from repro.net.link import Link, MatchDropFilter
@@ -165,8 +167,8 @@ RUN_TYPES = (Network, Node, Link, SourceTree, Trace, TraceRecord, SrmAgent,
              HerdWave)
 
 
-def cyclic_garbage(run) -> list:
-    """Names of the run types ``run()`` left for the cyclic collector.
+def collector_census(run) -> list:
+    """Every object ``run()`` left for the cyclic collector.
 
     The collector is off while ``run`` runs, so what ``gc.collect()``
     then finds is garbage that waited for it.
@@ -178,13 +180,18 @@ def cyclic_garbage(run) -> list:
     try:
         run()
         gc.collect()
-        return sorted({type(obj).__name__ for obj in gc.garbage
-                       if isinstance(obj, RUN_TYPES)})
+        return list(gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+def cyclic_garbage(run) -> list:
+    """Names of the run types ``run()`` left for the cyclic collector."""
+    return sorted({type(obj).__name__ for obj in collector_census(run)
+                   if isinstance(obj, RUN_TYPES)})
 
 
 def test_a_finished_run_leaves_no_cyclic_garbage(monkeypatch):
@@ -280,21 +287,21 @@ def test_a_herd_run_leaves_no_cyclic_garbage(monkeypatch, check):
                           engine="herd", rounds=2)
     run_experiment(spec)
     results = []
-    enabled = gc.isenabled()
-    gc.disable()
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        results.append(run_experiment(spec))
-        gc.collect()
-        left = len(gc.garbage)
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-        if enabled:
-            gc.enable()
-    assert left == 0
+    assert collector_census(
+        lambda: results.append(run_experiment(spec))) == []
     assert all(outcome.recovered for outcome in results[0].outcomes)
+
+
+def test_a_robustness_sweep_leaves_no_cyclic_garbage(monkeypatch):
+    """``run_robustness`` closes each case's session, also the ones a
+    topology edit (``hetero-delay``) materialized: nothing at all waits
+    for the collector."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    results = []
+    assert collector_census(
+        lambda: results.append(run_robustness(rounds=1))) == []
+    assert len(results[0]) == len(DEFAULT_CASES)
+    assert all(result.all_recovered for result in results[0])
 
 
 def test_a_figure12_probe_leaves_no_cyclic_garbage(monkeypatch):
