@@ -20,10 +20,6 @@ Key results, with d the member-to-member distance:
 
 from __future__ import annotations
 
-#: One-way member-to-member delay in the unit-link star (two hops).
-MEMBER_DISTANCE = 2.0
-
-
 def expected_requests(group_size: int, c2: float) -> float:
     """Expected number of requests for one loss in a G-member star."""
     if group_size < 2:
@@ -44,13 +40,6 @@ def expected_first_request_delay_ratio(group_size: int, c1: float,
     if group_size < 2:
         raise ValueError("need at least two members")
     return (c1 + c2 / group_size) / 2.0
-
-
-def expected_first_request_delay(group_size: int, c1: float, c2: float,
-                                 distance: float = MEMBER_DISTANCE) -> float:
-    """Same, in absolute time units for member distance ``distance``."""
-    return expected_first_request_delay_ratio(group_size, c1, c2) \
-        * 2.0 * distance
 
 
 def multicast_request_cost(group_size: int, c2: float) -> float:

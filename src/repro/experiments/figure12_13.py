@@ -94,9 +94,6 @@ class RoundsResult:
         """Mean requests per round across runs for rounds [first, last)."""
         return self._mean_over(self.requests, first, last)
 
-    def mean_repairs_over(self, first: int, last: int) -> float:
-        return self._mean_over(self.repairs, first, last)
-
     def mean_delay_over(self, first: int, last: int) -> float:
         rows = [[value for value in run[first:last] if value is not None]
                 for run in self.delays]

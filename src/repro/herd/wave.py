@@ -43,11 +43,6 @@ class HerdWave:
         self._event: Optional[Any] = None
         self._armed = math.inf
 
-    @property
-    def armed_at(self) -> float:
-        """The head's current fire time (inf when idle)."""
-        return self._armed
-
     def resync(self) -> None:
         """Re-arm the head after any mutation of the expiry array."""
         head = float(np.min(self._expiries)) if self._expiries.size \

@@ -33,13 +33,6 @@ class FileContext:
             yield current
             current = self.parent(current)
 
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                return ancestor
-        return None
-
 
 class Rule:
     """One lint rule: a stable code, a short name, and a ``check``.

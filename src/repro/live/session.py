@@ -180,7 +180,7 @@ class LiveEngine:
                               origin=packet.origin, ttl=packet.ttl,
                               initial_ttl=packet.initial_ttl,
                               zone=packet.scope_zone, mcast=True)
-        node.deliver(packet)
+        node.receive(packet)
 
     def _count_drop(self, src: NodeId, member: NodeId,
                     packet: Packet) -> None:

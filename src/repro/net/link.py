@@ -206,10 +206,6 @@ class Link:
         self.queue_limit = queue_limit
         return self
 
-    @property
-    def is_queueing(self) -> bool:
-        return self.bandwidth is not None
-
     def occupancy(self, from_node: "NodeId") -> int:
         """Packets currently buffered (incl. in service) one direction."""
         return self._occupancy.get((from_node, self.other(from_node)), 0)

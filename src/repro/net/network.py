@@ -11,11 +11,15 @@ semantics:
   ``repro.experiments.congestion``, ``repro.core.layered``'s pruning and
   a fifth of the fuzzer's scenarios run on it.
 * ``direct`` — fast implementation: a send is expanded into one arrival
-  event per receiver at the correct shortest-path delay, with drop filters,
-  TTL thresholds and scope zones applied analytically against the source
-  tree. A sender keeps its plan, not its tree: the tree is built for a
-  plan and dropped, and filters are consulted through per-(origin, link)
-  cut entries. Used by the paper-scale experiments.
+  event per run of receivers at the same shortest-path delay and hop
+  count, with drop filters, TTL thresholds and scope zones applied
+  analytically against the source tree. A sender keeps its plan, not its
+  tree: the tree is built for a plan and dropped, and filters are
+  consulted through per-(origin, link) cut entries. Used by the
+  paper-scale experiments.
+
+Both engines hand every delivery to agents one way: as a run of members
+served by its cached run binding (:meth:`Network._deliver_many`).
 
 A dedicated equivalence test (tests/test_delivery_equivalence.py) checks
 that the two engines deliver the same packets at the same times.
@@ -33,8 +37,8 @@ packets race toward the same link.
 from __future__ import annotations
 
 from typing import AbstractSet, Any, Callable, Dict, ItemsView, Iterable, \
-    Iterator, KeysView, List, Optional, Sequence, Set, Tuple, Union, \
-    ValuesView, cast
+    Iterator, KeysView, List, Optional, Sequence, Set, Tuple, ValuesView, \
+    cast
 
 from repro.mcast.groups import GroupManager
 from repro.net.link import DropFilter, Link
@@ -47,26 +51,26 @@ from repro.sim import perf
 from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import DELIVER, DROP, QUEUE_DROP, Trace
 
-#: One delivery-plan entry: (one-way delay, hop count, target), where
-#: target is a single member id or a tuple of member ids that share the
-#: same delay and hop count and are therefore delivered by one event.
-PlanTarget = Union[NodeId, Tuple[NodeId, ...]]
-PlanEntry = Tuple[float, int, PlanTarget]
+#: One delivery-plan entry: (one-way delay, hop count, run), where the
+#: run is the tuple of member ids at that delay and hop count, delivered
+#: by one event; a member alone at its distance is a run of one.
+PlanEntry = Tuple[float, int, Tuple[NodeId, ...]]
 #: A delivery plan: (entries, receiver count, distinct hop counts, per
 #: entry the index of its hop count among those). The last two let a send
-#: make one arrival copy per hop count and hand them out by position.
+#: make one arrival copy per hop count and hand them out by position
+#: (:func:`_copy_slots`).
 Plan = Tuple[Tuple[PlanEntry, ...], int, Tuple[int, ...], Tuple[int, ...]]
-#: How :meth:`Network._deliver_many` serves one run of members: (run
-#: handler, the run's agents, events saved) or, without a handler,
-#: (None, one bound ``receive`` or ``Node.deliver`` per member, saved).
+#: How a run of members takes its packets (:meth:`Network._bind_run`):
+#: (run handler, the run's agents, events saved) or, without a handler,
+#: (None, one receiver per member, saved). A receiver is the member's
+#: sole agent, or its :class:`Node` when it carries none or several.
 RunBinding = Tuple[Optional[Callable[[Sequence[Agent], Packet], None]],
                    Tuple[Any, ...], int]
-#: One forwarding-table row: (receiver, next hops). The receiver is the
-#: node's sole agent, the :class:`Node` itself when it carries none or
-#: several, and None when the node is not a member (or is the origin);
-#: the next hops are the ``(child, link)`` pairs the prune leaves, in
+#: One forwarding-table row: (run, next hops). The run is ``(node,)``
+#: when the node is a member (not the origin), else None; the next hops
+#: are the ``(child, link)`` pairs the prune leaves, in
 #: ``tree.children`` order.
-HopRow = Tuple[Any, Tuple[Tuple[NodeId, Link], ...]]
+HopRow = Tuple[Optional[Tuple[NodeId]], Tuple[Tuple[NodeId, Link], ...]]
 #: How a multicast from one origin meets one link, as a list: [hops from
 #: the origin to the parent end, parent, child, the TTL the child needs,
 #: the nodes a drop there cuts off or None until one does]. Lists of
@@ -80,19 +84,18 @@ class ForwardingTable:
     """The hop engine's state for one (source tree, group).
 
     ``rows`` has one :data:`HopRow` per node of the tree pruned to the
-    group's members (DVMRP-style) plus the origin. The other three
-    fields are the stamp: the table serves ``tree`` only (a topology
-    edit builds new trees), and only while ``GroupManager.version`` and
-    the network's attach epoch still read ``version`` and ``epoch``.
+    group's members (DVMRP-style) plus the origin. The other two fields
+    are the stamp: the table serves ``tree`` only (a topology edit
+    builds new trees), and only while ``GroupManager.version`` still
+    reads ``version``.
     """
 
-    __slots__ = ("tree", "version", "epoch", "rows")
+    __slots__ = ("tree", "version", "rows")
 
-    def __init__(self, tree: SourceTree, version: int, epoch: int,
+    def __init__(self, tree: SourceTree, version: int,
                  rows: Dict[NodeId, HopRow]) -> None:
         self.tree = tree
         self.version = version
-        self.epoch = epoch
         self.rows = rows
 
 
@@ -248,9 +251,6 @@ class Network:
         #: by :meth:`_forwarding_table` when its stamp no longer matches.
         self._forwarding_tables: Dict[Tuple[NodeId, int],
                                       ForwardingTable] = {}
-        #: Bumped by :meth:`attach`/:meth:`detach`: forwarding tables
-        #: hold each member node's receiver.
-        self._attach_epoch = 0
         #: Direct-engine delivery plans: (origin, gid, initial_ttl,
         #: scope_zone) -> (membership version, zone version, plan). A
         #: topology change empties it (:meth:`invalidate_routes`), the
@@ -261,17 +261,17 @@ class Network:
             Tuple[NodeId, int, int, Optional[str]],
             Tuple[int, int, Plan]] = {}
         self._zone_version = 0
-        #: members tuple -> how to deliver to that run; built by
-        #: :meth:`_bind_run` on the run's first delivery and cleared
-        #: whenever :meth:`attach`/:meth:`detach` changes any node's
-        #: agent list (the only mutation paths — ``Node.attach`` is not
-        #: called directly anywhere else).
+        #: members tuple -> how to deliver to that run, in both engines;
+        #: built by :meth:`_bind_run` on the run's first delivery and
+        #: cleared whenever :meth:`attach`/:meth:`detach` changes any
+        #: node's agent list (the only mutation paths — ``Node.attach``
+        #: is not called directly anywhere else).
         self._run_bindings: Dict[Tuple[NodeId, ...], RunBinding] = {}
         #: When True, every packet handed to a node goes through
         #: :meth:`_deliver` and emits a ``deliver`` trace row (built if
-        #: the trace wants it); nothing else routes a batched or hop
-        #: delivery there. Off by default: delivery is the hottest path
-        #: and check mode (repro.oracle) opts in.
+        #: the trace wants it); nothing else routes a delivery there.
+        #: Off by default: delivery is the hottest path and check mode
+        #: (repro.oracle) opts in.
         self.trace_deliveries = False
         self.perf = perf.GLOBAL
 
@@ -411,13 +411,11 @@ class Network:
         self.nodes[node_id].attach(agent)
         agent.attached(self, node_id)
         self._run_bindings.clear()
-        self._attach_epoch += 1
         return agent
 
     def detach(self, node_id: NodeId, agent: Agent) -> None:
         self.nodes[node_id].detach(agent)
         self._run_bindings.clear()
-        self._attach_epoch += 1
 
     def close(self) -> None:
         """End the run: free it without the cyclic garbage collector.
@@ -429,8 +427,8 @@ class Network:
         ``network`` and ``_scheduler`` and, for an ``SrmAgent``, the
         cycles of its own (timers that call back into it and its
         contexts; the session's, transmit queue's and FEC codec's
-        back-pointers). It drops the node lists,
-        run bindings and forwarding tables that hold agents, the cut
+        back-pointers). It drops the node lists and
+        run bindings that hold agents, the cut
         entries with their cut sets, and the scheduler's pending events
         (each points back at it). The run is
         then freed by reference counting when its last outside reference
@@ -446,7 +444,6 @@ class Network:
                 node.agents = []
         self.scheduler.clear()
         self._run_bindings = {}
-        self._forwarding_tables = {}
         self._cut_entries = {}
 
     def join(self, node_id: NodeId, group: GroupAddress) -> None:
@@ -691,7 +688,7 @@ class Network:
         """TTL/zone-eligible receivers for this (origin, group, ttl, zone).
 
         Receivers sharing the same (delay, hop count) are merged into one
-        :data:`Plan` entry delivered by a single event. Two same-send
+        :data:`Plan` entry, a run delivered by a single event. Two same-send
         arrivals tie in time exactly when they tie in delay, so a stable
         sort by delay followed by merging preserves the per-receiver
         firing order the unmerged engine produced: receivers at distinct
@@ -732,20 +729,13 @@ class Network:
                 run_members.append(member)
                 continue
             if run_members:
-                entries.append((run_dist, run_hops,
-                                run_members[0] if len(run_members) == 1
-                                else tuple(run_members)))
+                entries.append((run_dist, run_hops, tuple(run_members)))
             run_dist, run_hops = member_dist, member_hops
             run_members = [member]
         if run_members:
-            entries.append((run_dist, run_hops,
-                            run_members[0] if len(run_members) == 1
-                            else tuple(run_members)))
-        per_entry = [entry[1] for entry in entries]
-        hop_counts = tuple(dict.fromkeys(per_entry))
-        slot_of = {count: slot for slot, count in enumerate(hop_counts)}
-        return (tuple(entries), len(eligible), hop_counts,
-                tuple([slot_of[count] for count in per_entry]))
+            entries.append((run_dist, run_hops, tuple(run_members)))
+        hop_counts, slots = _copy_slots(entries)
+        return tuple(entries), len(eligible), hop_counts, slots
 
     def _multicast_direct(self, packet: Packet) -> None:
         origin = packet.origin
@@ -773,47 +763,29 @@ class Network:
         # skips the scan entirely.
         lost = (self._dropped_subtrees(packet)
                 if self._filtered_links else _NOBODY)
-        scheduler = self.scheduler
-        deliver = self._deliver
-        deliver_many = self._deliver_many
         if lost:
-            schedule = scheduler.schedule
-            made: Dict[int, Packet] = {}
-            scheduled = 0
-            for dist, hops, target in plan:
-                if type(target) is tuple:
-                    kept = [member for member in target
-                            if member not in lost]
-                    if not kept:
-                        continue
-                    count = len(kept)
-                    target = kept[0] if count == 1 else tuple(kept)
-                else:
-                    if target in lost:
-                        continue
-                    count = 1
-                arrival = made.get(hops)
-                if arrival is None:
-                    made[hops] = arrival = _arrived_copies(packet,
-                                                           (hops,))[0]
-                if count == 1:
-                    schedule(dist, deliver, target, arrival)
-                else:
-                    schedule(dist, deliver_many, target, arrival)
-                scheduled += count
-            copied = len(made)
-        else:
-            # Hot branch: every copy the plan needs is made up front and
-            # one scheduler call arms the whole plan (one event per
-            # entry, exactly as the per-entry loop would).
-            copies = _arrived_copies(packet, hop_counts)
-            scheduler.run_plan(scheduler.now, plan, deliver, deliver_many,
-                               [copies[slot] for slot in slots])
-            scheduled = receivers
-            copied = len(hop_counts)
+            # The plan less the cut-off members: runs keep their order
+            # and their delay, and runs left empty go.
+            kept_entries: List[PlanEntry] = []
+            receivers = 0
+            for dist, hops, run in plan:
+                kept = tuple([member for member in run
+                              if member not in lost])
+                if kept:
+                    kept_entries.append((dist, hops, kept))
+                    receivers += len(kept)
+            plan = tuple(kept_entries)
+            hop_counts, slots = _copy_slots(kept_entries)
+        # Every copy the plan needs is made up front and one scheduler
+        # call arms the whole plan, one event per run.
+        copies = _arrived_copies(packet, hop_counts)
+        scheduler = self.scheduler
+        scheduler.run_plan(scheduler.now, plan, self._deliver_many,
+                           [copies[slot] for slot in slots])
+        copied = len(hop_counts)
         counters = self.perf
         counters.arrival_copies += copied
-        counters.arrival_copies_shared += scheduled - copied
+        counters.arrival_copies_shared += receivers - copied
         if self.account_bandwidth:
             members = self.groups.members(packet.dst)  # type: ignore[arg-type]
             self._account_multicast(self.source_tree(origin), packet,
@@ -852,7 +824,7 @@ class Network:
         dst: NodeId = packet.dst  # type: ignore[assignment]
         origin = packet.origin
         if dst == origin:
-            self.scheduler.schedule(0.0, self._deliver, dst, packet)
+            self.scheduler.schedule(0.0, self._deliver_many, (dst,), packet)
             return
         # On a tree topology the path comes off the rooted index: a
         # unicast sender builds no source tree.
@@ -868,8 +840,8 @@ class Network:
             if self.account_bandwidth:
                 link.account(packet)
         arrival = _arrived_copies(packet, (self.hops(origin, dst),))[0]
-        self.scheduler.schedule(self.distance(origin, dst), self._deliver,
-                                dst, arrival)
+        self.scheduler.schedule(self.distance(origin, dst),
+                                self._deliver_many, (dst,), arrival)
 
     # ------------------------------------------------------------------
     # Hop-by-hop delivery engine
@@ -889,15 +861,14 @@ class Network:
         models DVMRP-style pruning: leaving a group takes its traffic off
         the subtree, which matters when links have finite bandwidth
         (receiver-driven layering relies on it). Cached per (origin,
-        group) and rebuilt when the tree, the membership or any node's
-        agent list is no longer what the cached table was built from.
+        group) and rebuilt when the tree or the membership is no longer
+        what the cached table was built from.
         """
         key = (tree.origin, group.gid)
         version = self.groups.version
-        epoch = self._attach_epoch
         table = self._forwarding_tables.get(key)
         if (table is not None and table.tree is tree
-                and table.version == version and table.epoch == epoch):
+                and table.version == version):
             return table
         members = self.groups.members(group)
         parent = tree.parent
@@ -911,7 +882,6 @@ class Network:
         joined.discard(tree.origin)  # a sender does not hear itself
         children = tree.children
         adjacency = self.adjacency
-        nodes = self.nodes
         rows: Dict[NodeId, HopRow] = {}
         pending = [tree.origin]
         while pending:  # rows in tree order, never in set order
@@ -919,14 +889,10 @@ class Network:
             links = adjacency[at]
             branches = tuple([(child, links[child])
                               for child in children[at] if child in needed])
-            receiver: Any = None
-            if at in joined:
-                agents = nodes[at].agents
-                receiver = agents[0] if len(agents) == 1 else nodes[at]
-            rows[at] = (receiver, branches)
+            rows[at] = ((at,) if at in joined else None, branches)
             pending.extend([child for child, _ in branches])
         table = self._forwarding_tables[key] = ForwardingTable(
-            tree, version, epoch, rows)
+            tree, version, rows)
         return table
 
     def _multicast_arrive(self, at: NodeId, packet: Packet,
@@ -936,30 +902,35 @@ class Network:
         Membership, attachments and how deliveries are observed are
         decided here, hop by hop, not at send time: the event carries the
         table the previous hop used and replaces it when its stamp no
-        longer matches. The tree is never replaced — a packet in flight
-        finishes on the tree it started on.
+        longer matches, and a member's run ``(at,)`` takes the packet
+        through its current binding, which attach and detach clear. The
+        tree is never replaced — a packet in flight finishes on the tree
+        it started on. The delivery is :meth:`_deliver_many`'s, read in
+        place so that a hop costs one frame.
         """
         groups = self.groups
-        if (table.version != groups.version
-                or table.epoch != self._attach_epoch):
+        if table.version != groups.version:
             table = self._forwarding_table(
                 table.tree, packet.dst)  # type: ignore[arg-type]
         try:
-            receiver, branches = table.rows[at]
+            members, branches = table.rows[at]
         except KeyError:  # pruned while the packet was in flight
             return
-        if receiver is not None:
-            # The fire-time test _deliver_many makes: a traced delivery
-            # goes through _deliver.
+        if members is not None:
             if self.trace_deliveries:
                 self._deliver(at, packet)
-            elif receiver.__class__ is Node:
-                receiver.deliver(packet)
             else:
-                receiver.receive(packet)
-            if (table.version != groups.version
-                    or table.epoch != self._attach_epoch):
-                # The receiver itself changed membership or attachments.
+                try:
+                    handler, targets, _ = self._run_bindings[members]
+                except KeyError:
+                    handler, targets, _ = self._run_bindings[members] = \
+                        self._bind_run(members)
+                if handler is not None:
+                    handler(targets, packet)
+                else:
+                    targets[0].receive(packet)
+            if table.version != groups.version:
+                # The receiver itself changed membership.
                 table = self._forwarding_table(
                     table.tree, packet.dst)  # type: ignore[arg-type]
                 branches = table.rows[at][1] if at in table.rows else ()
@@ -990,7 +961,7 @@ class Network:
     def _unicast_hop(self, at: NodeId, packet: Packet) -> None:
         dst: NodeId = packet.dst  # type: ignore[assignment]
         if at == dst:
-            self._deliver(at, packet)
+            self._deliver_many((at,), packet)
             return
         tree = self.source_tree(at)
         next_hop = tree.next_hop_toward(dst)
@@ -1024,6 +995,9 @@ class Network:
             trace.kind_totals[kind] += 1
 
     def _deliver(self, node_id: NodeId, packet: Packet) -> None:
+        """One member's traced delivery: its ``deliver`` row (built if
+        the trace wants it) when ``trace_deliveries`` is on, then its
+        node's :meth:`~repro.net.node.Node.receive`."""
         if self.trace_deliveries:
             trace = self.trace
             if DELIVER in trace.wanted:
@@ -1035,30 +1009,24 @@ class Network:
                              mcast=packet.dst.__class__ is GroupAddress)
             else:
                 trace.kind_totals[DELIVER] += 1
-        # A node's sole agent takes the packet directly, as in a run
-        # binding or a forwarding row; Node.deliver's copy loop serves a
-        # node with none or several.
-        node = self.nodes[node_id]
-        try:
-            (agent,) = node.agents
-        except ValueError:
-            node.deliver(packet)
-        else:
-            agent.receive(packet)
+        self.nodes[node_id].receive(packet)
 
     def _deliver_many(self, members: Tuple[NodeId, ...],
                       packet: Packet) -> None:
-        """Deliver one arrival to a same-(delay, hops) run of receivers.
+        """Deliver one arrival to a run of members: the one way a packet
+        reaches agents, in both engines.
 
-        One scheduler event replaces ``len(members)`` individual ones;
-        ``batched_deliveries`` counts the events saved. When delivery
-        tracing is off, the per-member hop through :meth:`_deliver` is
-        skipped too: the run goes to its agents' run handler in one
-        call, whatever the packet's kind, or failing that to each
-        member's bound ``receive`` (see :meth:`_bind_run`). With ``trace_deliveries`` on, decided at
-        fire time (not schedule time), every receiver goes through
-        ``_deliver`` and its ``deliver`` row exactly as it did when each
-        had its own event.
+        A run is the members a plan entry reaches at one delay and hop
+        count, one event in place of ``len(members)``
+        (``batched_deliveries`` counts the events saved), or the one
+        member a unicast or a hop reaches (:meth:`_multicast_arrive`
+        reads the binding in place). With delivery tracing off the run
+        goes to its binding (:meth:`_bind_run`): its agents' run handler
+        in one call, whatever the packet's kind, or else each member's
+        receiver, whose ``receive`` is looked up as it is called. With
+        ``trace_deliveries`` on, decided at fire time (not schedule
+        time), every member goes through :meth:`_deliver` and its
+        ``deliver`` row exactly as it would with an event of its own.
         """
         if not self.trace_deliveries:
             try:
@@ -1070,8 +1038,8 @@ class Network:
             if handler is not None:
                 handler(targets, packet)
             else:
-                for receive in targets:
-                    receive(packet)
+                for receiver in targets:
+                    receiver.receive(packet)
             return
         self.perf.batched_deliveries += len(members) - 1
         deliver = self._deliver
@@ -1081,14 +1049,16 @@ class Network:
     def _bind_run(self, members: Tuple[NodeId, ...]) -> RunBinding:
         """Resolve how a run of members takes its packets.
 
-        The run handler (``Agent.receive_run``) serves the run when every
-        member node carries exactly one agent, all of one class; it then
-        takes every packet of the run, of any kind (``SrmAgent``'s
-        dispatches on the kind itself). Any other run is bound per
-        member: to the agents' ``receive`` when each node has one agent,
-        else to :meth:`Node.deliver`. Runs are bound about as often as
-        plans are built when every round has a fresh network, hence no
-        per-member call below.
+        The run handler (``Agent.receive_run``) serves the run, a run of
+        one too, when every member node carries exactly one agent, all
+        of one class; it then takes every packet of the run, of any kind
+        (``SrmAgent``'s dispatches on the kind itself). Any other run is
+        bound to one receiver per member: its agent when each node has
+        one, else each member's :class:`~repro.net.node.Node`. A receiver
+        is kept as an object, not as a bound method, so a ``receive``
+        set on one instance later is the one called. Runs are bound
+        about as often as plans are built when every round has a fresh
+        network, hence no per-member call below.
         """
         nodes = self.nodes
         saved = len(members) - 1
@@ -1096,13 +1066,11 @@ class Network:
             agents = [agent for (agent,) in
                       [nodes[member].agents for member in members]]
         except ValueError:  # a node with no agent, or with several
-            return None, tuple([nodes[member].deliver
-                                for member in members]), saved
+            return None, tuple([nodes[member] for member in members]), saved
         cls = agents[0].__class__
         handler = cls.receive_run
-        if handler is None or [
-                agent for agent in agents if agent.__class__ is not cls]:
-            return None, tuple([agent.receive for agent in agents]), saved
+        if [agent for agent in agents if agent.__class__ is not cls]:
+            handler = None  # mixed classes
         return handler, tuple(agents), saved
 
     def run(self, until: Optional[float] = None,
@@ -1116,6 +1084,18 @@ class Network:
                  if isinstance(adjacency, LinkTable) else len(self._links))
         return (f"<Network {len(self.nodes)} nodes, {links} links, "
                 f"delivery={self.delivery}>")
+
+
+def _copy_slots(entries: Sequence[PlanEntry]
+                ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The distinct hop counts of plan ``entries`` in first-seen order,
+    and per entry the index of its hop count among them: a send makes
+    one arrival copy per hop count and hands entry ``i`` copy
+    ``slots[i]``."""
+    per_entry = [entry[1] for entry in entries]
+    hop_counts = tuple(dict.fromkeys(per_entry))
+    slot_of = {count: slot for slot, count in enumerate(hop_counts)}
+    return hop_counts, tuple([slot_of[count] for count in per_entry])
 
 
 def _arrived_copies(packet: Packet,

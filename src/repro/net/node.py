@@ -1,11 +1,15 @@
 """Nodes and the agent interface.
 
 A :class:`Node` is a router/host in the topology. Protocol endpoints attach
-to a node as :class:`Agent` objects; every packet delivered to the node
-(unicast addressed to it, or multicast for a group the node has joined) is
-handed to each attached agent's :meth:`Agent.receive`, or, for a run of
-receivers the direct engine delivers at once, to the agents' class-level
-run handler (:attr:`Agent.receive_run`).
+to a node as :class:`Agent` objects. Every packet delivered to a node
+(unicast addressed to it, or multicast for a group the node has joined)
+reaches it as part of a run: the members an arrival reaches at one delay
+and hop count, or the one member a unicast or a hop reaches. A run whose
+nodes each carry one agent of a class with a run handler
+(:attr:`Agent.receive_run`) is handed to that handler in one call; any
+other run is handed member by member to each node's sole agent's
+:meth:`Agent.receive`, or to :meth:`Node.receive`, which calls every
+attached agent's.
 
 Agents are typed against the :class:`repro.live.engine.Engine` protocol,
 not the concrete simulator: the same agent code runs attached to the
@@ -91,17 +95,14 @@ class Node:
     def detach(self, agent: Agent) -> None:
         self.agents.remove(agent)
 
-    def deliver(self, packet: Packet) -> None:
-        """Hand a packet to every attached agent."""
-        agents = self.agents
-        if len(agents) == 1:
-            # Overwhelmingly common case; the defensive copy below only
-            # matters when several agents share a node and one detaches
-            # another mid-delivery.
-            agents[0].receive(packet)
-        else:
-            for agent in list(agents):
-                agent.receive(packet)
+    def receive(self, packet: Packet) -> None:
+        """Hand a packet to every attached agent, in attach order.
+
+        The copy matters when several agents share a node and one
+        detaches another mid-delivery.
+        """
+        for agent in list(self.agents):
+            agent.receive(packet)
 
     def __repr__(self) -> str:
         return f"<Node {self.node_id} agents={len(self.agents)}>"

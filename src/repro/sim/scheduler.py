@@ -255,16 +255,15 @@ class EventScheduler:
         return event
 
     def run_plan(self, base: float, entries: Tuple[Any, ...],
-                 deliver_one: Callable[..., Any],
                  deliver_run: Callable[..., Any],
                  arrivals: List[Any]) -> None:
         """Schedule one delivery event per plan entry, in one frame.
 
-        ``entries`` are (delay, hops, target) delivery-plan rows; each
-        becomes an event at ``base + delay`` calling ``deliver_one`` for
-        scalar targets or ``deliver_run`` for tuple runs, with the
-        positionally matching packet from ``arrivals``. Equivalent to a
-        :meth:`schedule_at` per row — same seq order, same counters.
+        ``entries`` are (delay, hops, run) delivery-plan rows; each
+        becomes an event at ``base + delay`` calling ``deliver_run`` with
+        the row's run and the positionally matching packet from
+        ``arrivals``. Equivalent to a :meth:`schedule_at` per row — same
+        seq order, same counters.
 
         Events are built by direct slot assignment (``object.__new__``)
         rather than the ``Event`` constructor: this loop is the
@@ -278,15 +277,14 @@ class EventScheduler:
         min_day = self._day
         count = 0
         new = object.__new__
-        for (delay, _, target), arrival in zip(entries, arrivals):
+        for (delay, _, run), arrival in zip(entries, arrivals):
             time = base + delay
             day = int(time * inv)
             event = new(Event)
             event.time = time
             event.seq = seq
-            event.callback = (deliver_run if type(target) is tuple
-                              else deliver_one)
-            event.args = (target, arrival)
+            event.callback = deliver_run
+            event.args = (run, arrival)
             event.cancelled = False
             event._day = day
             event._sched = self

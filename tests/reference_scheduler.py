@@ -65,11 +65,9 @@ class ReferenceScheduler:
     def schedule_many(self, delays, callback):
         return [self.schedule(delay, callback) for delay in delays]
 
-    def run_plan(self, base, entries, deliver_one, deliver_run, arrivals):
-        for (delay, _, target), arrival in zip(entries, arrivals):
-            self._push(base + delay,
-                       deliver_run if type(target) is tuple else deliver_one,
-                       (target, arrival))
+    def run_plan(self, base, entries, deliver_run, arrivals):
+        for (delay, _, run), arrival in zip(entries, arrivals):
+            self._push(base + delay, deliver_run, (run, arrival))
 
     def _fire(self, event):
         self._pending.remove(event)

@@ -28,6 +28,7 @@ from repro.topology.chain import chain
 from repro.topology.graphs import tree_plus_edges
 from repro.topology.random_tree import random_labeled_tree
 from repro.topology.spec import TopologySpec
+from repro.topology.star import star
 
 from conftest import examples
 
@@ -323,6 +324,26 @@ def test_receive_spy_set_after_the_first_delivery_is_honoured():
     assert receivers(seen) == [(1.0, 1), (3.0, 3), (5.0, 5),
                                (12.0, 1), (16.0, 5)]
     assert len(spied) == 2  # one per run
+
+    # The direct engine: from leaf 1 of a star, leaves 2-4 tie, one run
+    # bound by the first send; the spy lands on its middle member.
+    spied.clear()
+    network = star(4).build(delivery="direct")
+    network.trace_deliveries = False  # check mode delivers via _deliver
+    group = network.groups.allocate()
+    log = []
+    for leaf in range(1, 5):
+        network.attach(leaf, Recorder(log))
+        network.join(leaf, group)
+    network.send_multicast(1, group, "data")
+    network.run()
+    assert list(network._run_bindings) == [(2, 3, 4)]
+    network.nodes[3].agents[0].receive = (
+        lambda packet: spied.append(packet.ttl))
+    network.send_multicast(1, group, "data")
+    network.run()
+    assert [node for _, node, _, _ in log] == [2, 3, 4, 2, 4]
+    assert len(spied) == 1
 
 
 def test_receiver_changing_membership_redirects_the_same_hop():

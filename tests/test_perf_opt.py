@@ -203,6 +203,9 @@ def test_warm_plan_builds_one_arrival_per_distinct_hop_count():
     assert len(set(hop_counts)) == len(hop_counts) < len(entries)
     assert [hop_counts[slot] for slot in slots] == [
         hops for _, hops, _ in entries]
+    # Every entry is a run, a member alone at its distance a run of one.
+    assert all(type(run) is tuple and run for _, _, run in entries)
+    assert sum(len(run) for _, _, run in entries) == receivers
     assert counters.arrival_copies == len(hop_counts)
     assert counters.arrival_copies_shared == 39 - len(hop_counts)
     assert len({id(packet) for _, packet in arrivals}) == len(hop_counts)
@@ -214,8 +217,9 @@ def test_warm_plan_builds_one_arrival_per_distinct_hop_count():
 def test_star_report_reaches_the_leaves_in_one_run_call(monkeypatch):
     """One leaf's session report: the other leaves tie, so they are one
     ``receive_run`` call and no ``receive`` / ``handle`` call; the hub
-    is alone at its distance, a scalar plan entry, and takes one of each
-    (docs/performance.md, "Batched session/state delivery")."""
+    is alone at its distance, a run of one, and takes one
+    ``receive_run`` call of its own (docs/performance.md, "Batched
+    session/state delivery")."""
     from repro.core.agent import SrmAgent
     from repro.core.config import SrmConfig
     from repro.core.session import SessionProtocol
@@ -249,7 +253,7 @@ def test_star_report_reaches_the_leaves_in_one_run_call(monkeypatch):
     count(SessionProtocol, "handle", lambda session: session.agent.node_id)
     agents[1].session.send_session_message()
     network.run(until=3.0)
-    assert calls == {"receive_run": [28], "receive": [0], "handle": [0]}
+    assert calls == {"receive_run": [1, 28], "receive": [], "handle": []}
     assert all(1 in agents[member].session.last_heard
                for member in range(30) if member != 1)
     assert agents[0].session.last_heard[1] == (0.0, 1.0)
@@ -408,11 +412,13 @@ def test_name_probes_enter_no_python_frame():
 
 
 def test_a_hop_costs_at_most_four_python_frames_outside_receive():
-    """One multicast down a 10-node chain: per hop the engine enters
-    ``_multicast_arrive``, ``forwarded_copy`` and ``schedule_at`` (12
-    frames before the forwarding tables). Per-hop membership or prune
-    lookups, or a second frame between arrival and forwarding, would
-    show here before they show in the ledger."""
+    """One multicast down a 10-node chain, its members' runs bound by
+    an earlier one: per hop the engine enters ``_multicast_arrive``,
+    ``forwarded_copy`` and ``schedule_at`` (12 frames before the
+    forwarding tables). Per-hop membership or prune lookups, or a
+    second frame between arrival and forwarding (a ``_deliver_many``
+    call per hop, say), would show here before they show in the
+    ledger."""
     from repro.topology.chain import chain
 
     network = chain(10).build(delivery="hop")
@@ -423,6 +429,9 @@ def test_a_hop_costs_at_most_four_python_frames_outside_receive():
         network.attach(member, Recorder(log))
         network.join(member, group)
     network.send_multicast(0, group, "data")
+    network.run()   # binds each member's run of one (Network._bind_run)
+    log.clear()
+    network.send_multicast(0, group, "data")
     frames = _python_frames(network.run, inside=Recorder.receive.__code__)
     hops = 9
     assert [node for _, node, _, _ in log] == list(range(1, 10))
@@ -431,12 +440,12 @@ def test_a_hop_costs_at_most_four_python_frames_outside_receive():
 
 
 def test_a_session_report_run_enters_one_python_frame():
-    """One leaf's report on a warm star: the 28 tied leaves are one run,
-    and below ``_deliver_many`` that run enters only the run handler,
-    which merges the report itself. A forwarding hop to a merge
-    function, a per-run list of the reported streams or a per-receiver
-    ``receive`` / ``handle`` would each show here (docs/performance.md,
-    "Batched session/state delivery")."""
+    """One leaf's report on a warm star: the 28 tied leaves are one run
+    and the hub a run of one, and below ``_deliver_many`` each run
+    enters only the run handler, which merges the report itself. A
+    forwarding hop to a merge function, a per-run list of the reported
+    streams or a per-receiver ``receive`` / ``handle`` would each show
+    here (docs/performance.md, "Batched session/state delivery")."""
     from functools import partial
 
     from repro.core.agent import SrmAgent
@@ -461,7 +470,7 @@ def test_a_session_report_run_enters_one_python_frame():
     agents[1].session.send_session_message()
     network.run(until=10.0)
     handler = SrmAgent.receive_run.__qualname__
-    assert runs == [(28, [handler])]
+    assert runs == [(1, [handler]), (28, [handler])]
     assert all(agents[member].session.last_heard[1][0] == 5.0
                for member in range(30) if member != 1)
     assert not any(agent.pending_requests() for agent in agents.values())

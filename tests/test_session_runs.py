@@ -244,8 +244,10 @@ def test_request_and_repair_runs_agree_with_per_receiver_delivery(
 
 
 def test_hop_engine_sees_the_same_session(monkeypatch):
-    """``delivery="hop"`` never batches: every report goes through
-    ``handle``, and the members end up where the direct engine's do."""
+    """``delivery="hop"`` never batches: every report reaches the run
+    handler as a run of one, where the direct engine hands it the five
+    tied leaves at once, and the members end up where the direct
+    engine's do."""
     handled = []
     original = SrmAgent.receive_run
     monkeypatch.setattr(SrmAgent, "receive_run", staticmethod(
@@ -261,7 +263,8 @@ def test_hop_engine_sees_the_same_session(monkeypatch):
                     in agent.session.last_heard.items()},
                    agent.session.messages_sent)
             for node, agent in agents.items()}
-        assert bool(handled) == (delivery == "direct")
+        assert handled
+        assert set(handled) == ({5} if delivery == "direct" else {1})
     assert results["direct"] == results["hop"]
 
 
