@@ -148,8 +148,18 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
     kind = packet.kind
     payload = packet.payload
     group = packet.dst
-    if kind == KIND_SESSION and payload.__class__ is SessionPayload:
-        # First: session reports outnumber every other kind of run.
+    if kind == KIND_DATA:
+        # First, as in ``SrmAgent.receive``: the hop engine hands every
+        # data packet to its receivers one at a time.
+        name = payload.name
+        data = payload.data
+        for agent in agents:
+            if (group is not agent.group and group.__class__ is GroupAddress
+                    and group not in agent._joined_groups):
+                continue
+            agent._accept_data(name, data, is_repair=False)
+    elif kind == KIND_SESSION and payload.__class__ is SessionPayload:
+        # Session reports outnumber every other kind of run.
         member = payload.member
         page = payload.page
         now: float = agents[0]._scheduler.now  # type: ignore[union-attr]
@@ -261,14 +271,6 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
                     and group not in agent._joined_groups):
                 continue
             agent._handle_repair(packet)
-    elif kind == KIND_DATA:
-        name = payload.name
-        data = payload.data
-        for agent in agents:
-            if (group is not agent.group and group.__class__ is GroupAddress
-                    and group not in agent._joined_groups):
-                continue
-            agent._accept_data(name, data, is_repair=False)
     else:
         for agent in agents:
             agent.receive(packet)

@@ -6,8 +6,8 @@ shortest-path trees. It offers two delivery engines with identical
 semantics:
 
 * ``hop`` — reference implementation: packets are forwarded link by link,
-  consuming one event per hop, along a per-(source tree, group)
-  forwarding table. The only engine that models queueing links, so
+  consuming one event per hop, along a per-(origin, group) forwarding
+  table. The only engine that models queueing links, so
   ``repro.experiments.congestion``, ``repro.core.layered``'s pruning and
   a fifth of the fuzzer's scenarios run on it.
 * ``direct`` — fast implementation: a send is expanded into one arrival
@@ -37,8 +37,8 @@ packets race toward the same link.
 from __future__ import annotations
 
 from typing import AbstractSet, Any, Callable, Dict, ItemsView, Iterable, \
-    Iterator, KeysView, List, Optional, Sequence, Set, Tuple, ValuesView, \
-    cast
+    Iterator, KeysView, List, Optional, Sequence, Set, Tuple, Union, \
+    ValuesView, cast
 
 from repro.mcast.groups import GroupManager
 from repro.net.link import DropFilter, Link
@@ -81,20 +81,21 @@ _NOBODY: AbstractSet[NodeId] = frozenset()
 
 
 class ForwardingTable:
-    """The hop engine's state for one (source tree, group).
+    """The hop engine's state for one (origin, group).
 
-    ``rows`` has one :data:`HopRow` per node of the tree pruned to the
-    group's members (DVMRP-style) plus the origin. The other two fields
-    are the stamp: the table serves ``tree`` only (a topology edit
-    builds new trees), and only while ``GroupManager.version`` still
-    reads ``version``.
+    ``rows`` has one :data:`HopRow` per node of the origin's tree pruned
+    to the group's members (DVMRP-style) plus the origin. The other two
+    fields are the stamp: the table serves the ``routes`` it was read
+    off only (a tree topology's :class:`RootedIndex`, else the origin's
+    :class:`SourceTree`; a topology edit makes new ones), and only while
+    ``GroupManager.version`` still reads ``version``.
     """
 
-    __slots__ = ("tree", "version", "rows")
+    __slots__ = ("routes", "version", "rows")
 
-    def __init__(self, tree: SourceTree, version: int,
+    def __init__(self, routes: Union[RootedIndex, SourceTree], version: int,
                  rows: Dict[NodeId, HopRow]) -> None:
-        self.tree = tree
+        self.routes = routes
         self.version = version
         self.rows = rows
 
@@ -231,8 +232,8 @@ class Network:
         self.account_bandwidth = False
         self.packets_dropped = 0
         #: Routing caches, all dropped by :meth:`invalidate_routes`.
-        #: Source trees asked for by :meth:`source_tree`: a direct-engine
-        #: multicast on a tree topology keeps none (:meth:`member_tree`).
+        #: Source trees asked for by :meth:`source_tree`: no send on a
+        #: tree topology asks for one (:meth:`member_tree`).
         self._trees: Dict[NodeId, SourceTree] = {}
         #: Sorted neighbour table, kept only while ``links == nodes - 1``.
         self._neighbors: Optional[NeighborTable] = None
@@ -492,17 +493,13 @@ class Network:
         For every node on a path ``origin -> n`` (``n`` in ``nodes``) the
         result holds the parent, children, delay, hop count and TTL of
         ``source_tree(origin)``, bit for bit; :meth:`SourceTree.cut` and
-        :meth:`SourceTree.path` agree on those nodes too. It is
-        ``origin``'s kept source tree if it has one. On a tree topology
-        it is the rooted index's member tree
+        :meth:`SourceTree.path` agree on those nodes too. On a tree
+        topology it is the rooted index's member tree
         (:meth:`RootedIndex.member_tree`) when ``nodes`` number under
         half the topology, else one full traversal, which is cheaper
         once the paths cover most of it; neither is kept. A graph that
         is not a tree keeps ``source_tree(origin)``.
         """
-        tree = self._trees.get(origin)
-        if tree is not None:
-            return tree
         index = self._index or self._rooted_index()
         if index is None:
             return self.source_tree(origin)
@@ -535,16 +532,14 @@ class Network:
     def distance(self, a: NodeId, b: NodeId) -> float:
         """One-way shortest-path delay between two nodes.
 
-        ``a``'s kept tree answers, else the pair memo. A memo miss reads
-        the rooted index (:meth:`RootedIndex.pair`, bit for bit
-        ``source_tree(a)``'s numbers) and memoises the pair; a graph
-        that is not a tree builds ``a``'s tree. :meth:`hops` answers
-        the same way.
+        On a tree topology the pair memo answers; a miss reads the
+        rooted index (:meth:`RootedIndex.pair`, bit for bit
+        ``source_tree(a)``'s numbers) and memoises the pair. A graph
+        that is not a tree reads ``a``'s source tree. :meth:`hops`
+        answers the same way.
         """
         if a == b:
             return 0.0
-        if a in self._trees:
-            return self._trees[a].dist[b]
         key = (a, b)
         if key in self._pairs:
             return self._pairs[key][0]
@@ -557,8 +552,6 @@ class Network:
     def hops(self, a: NodeId, b: NodeId) -> int:
         if a == b:
             return 0
-        if a in self._trees:
-            return self._trees[a].hops[b]
         key = (a, b)
         if key in self._pairs:
             return self._pairs[key][1]
@@ -570,7 +563,7 @@ class Network:
 
     def path(self, a: NodeId, b: NodeId) -> List[NodeId]:
         """Nodes on the shortest path a -> b, inclusive (``a``'s tree path)."""
-        index = None if a in self._trees else self._rooted_index()
+        index = self._index or self._rooted_index()
         if index is None:
             return self.source_tree(a).path(b)
         return index.path(a, b)
@@ -788,13 +781,13 @@ class Network:
         counters.arrival_copies_shared += receivers - copied
         if self.account_bandwidth:
             members = self.groups.members(packet.dst)  # type: ignore[arg-type]
-            self._account_multicast(self.source_tree(origin), packet,
-                                    members, lost)
+            self._account_multicast(self.member_tree(origin, members),
+                                    packet, members, lost)
 
     def _account_multicast(self, tree: SourceTree, packet: Packet,
                            members: Sequence[NodeId],
                            lost: AbstractSet[NodeId]) -> None:
-        """Charge each traversed link once, on the pruned member tree.
+        """Charge each traversed link once, on the sender's member tree.
 
         The multicast flows along the source tree pruned to the members
         (DVMRP-style): a tree edge carries the packet iff some member lies
@@ -849,28 +842,36 @@ class Network:
 
     def _multicast_hop_start(self, packet: Packet) -> None:
         origin = packet.origin
+        index = self._index or self._rooted_index()
         table = self._forwarding_table(
-            self.source_tree(origin), packet.dst)  # type: ignore[arg-type]
+            packet, self.source_tree(origin) if index is None else index)
         self._multicast_arrive(origin, packet, table)
 
-    def _forwarding_table(self, tree: SourceTree,
-                          group: GroupAddress) -> ForwardingTable:
-        """The current forwarding table of ``group`` on ``tree``.
+    def _forwarding_table(self, packet: Packet,
+                          routes: Union[RootedIndex, SourceTree]
+                          ) -> ForwardingTable:
+        """The current forwarding table of ``packet``'s group from its
+        origin on ``routes``.
 
         Forwarding only toward nodes with group members at or below them
         models DVMRP-style pruning: leaving a group takes its traffic off
         the subtree, which matters when links have finite bandwidth
         (receiver-driven layering relies on it). Cached per (origin,
-        group) and rebuilt when the tree or the membership is no longer
-        what the cached table was built from.
+        group) and rebuilt when the routes or the membership are no
+        longer what the cached table was read off. A rooted index gives
+        the origin's member tree: a tree topology keeps no source tree.
         """
-        key = (tree.origin, group.gid)
+        origin = packet.origin
+        group: GroupAddress = packet.dst  # type: ignore[assignment]
+        key = (origin, group.gid)
         version = self.groups.version
         table = self._forwarding_tables.get(key)
-        if (table is not None and table.tree is tree
+        if (table is not None and table.routes is routes
                 and table.version == version):
             return table
         members = self.groups.members(group)
+        tree = (routes.member_tree(origin, members)
+                if isinstance(routes, RootedIndex) else routes)
         parent = tree.parent
         needed: Set[NodeId] = set()
         for member in members:
@@ -879,11 +880,11 @@ class Network:
                 needed.add(node)
                 node = parent[node]
         joined = set(members)
-        joined.discard(tree.origin)  # a sender does not hear itself
+        joined.discard(origin)  # a sender does not hear itself
         children = tree.children
         adjacency = self.adjacency
         rows: Dict[NodeId, HopRow] = {}
-        pending = [tree.origin]
+        pending = [origin]
         while pending:  # rows in tree order, never in set order
             at = pending.pop()
             links = adjacency[at]
@@ -892,7 +893,7 @@ class Network:
             rows[at] = ((at,) if at in joined else None, branches)
             pending.extend([child for child, _ in branches])
         table = self._forwarding_tables[key] = ForwardingTable(
-            tree, version, rows)
+            routes, version, rows)
         return table
 
     def _multicast_arrive(self, at: NodeId, packet: Packet,
@@ -904,14 +905,13 @@ class Network:
         table the previous hop used and replaces it when its stamp no
         longer matches, and a member's run ``(at,)`` takes the packet
         through its current binding, which attach and detach clear. The
-        tree is never replaced — a packet in flight finishes on the tree
-        it started on. The delivery is :meth:`_deliver_many`'s, read in
-        place so that a hop costs one frame.
+        routes are never replaced — a packet in flight finishes on the
+        routes it started on. The delivery is :meth:`_deliver_many`'s,
+        read in place so that a hop costs one frame.
         """
         groups = self.groups
         if table.version != groups.version:
-            table = self._forwarding_table(
-                table.tree, packet.dst)  # type: ignore[arg-type]
+            table = self._forwarding_table(packet, table.routes)
         try:
             members, branches = table.rows[at]
         except KeyError:  # pruned while the packet was in flight
@@ -931,8 +931,7 @@ class Network:
                     targets[0].receive(packet)
             if table.version != groups.version:
                 # The receiver itself changed membership.
-                table = self._forwarding_table(
-                    table.tree, packet.dst)  # type: ignore[arg-type]
+                table = self._forwarding_table(packet, table.routes)
                 branches = table.rows[at][1] if at in table.rows else ()
         scheduler = self.scheduler
         ttl = packet.ttl
@@ -963,8 +962,7 @@ class Network:
         if at == dst:
             self._deliver_many((at,), packet)
             return
-        tree = self.source_tree(at)
-        next_hop = tree.next_hop_toward(dst)
+        next_hop = self.path(at, dst)[1]
         link = self.adjacency[at][next_hop]
         if link.filters and link.drops_packet(packet, at):
             self._count_loss(DROP, at, packet, (at, next_hop))

@@ -102,15 +102,6 @@ class SourceTree:
             return (v, u)
         return None
 
-    def next_hop_toward(self, node: NodeId) -> NodeId:
-        """First hop on the path from the origin to ``node``."""
-        if node == self.origin:
-            raise ValueError("no next hop from origin to itself")
-        current = node
-        while self.parent[current] != self.origin:
-            current = self.parent[current]  # type: ignore[assignment]
-        return current
-
 
 def build_source_tree(adjacency: Adjacency, origin: NodeId,
                       neighbors: Optional[NeighborTable] = None

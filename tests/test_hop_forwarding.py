@@ -399,6 +399,31 @@ def test_table_rebuilt_in_flight_keeps_the_packets_own_tree():
     assert receivers(seen) == [(2.0, 3)]  # via 1, not 0-2-3
 
 
+def test_tree_table_rebuilt_in_flight_keeps_the_packets_own_routes():
+    """On a tree topology the table is read off the rooted index. A
+    delay edit on 3-4, ``invalidate_routes()`` and a join at 4 land
+    while the packet crosses 0-1: the join rebuilds the table on the
+    index the packet started on, which the edit made stale, and the
+    packet still reaches every member, the new one over the edited
+    link. A later send reads the network's new index."""
+
+    def edit(network, group, log):
+        network.link_between(3, 4).delay = 5.0
+        network.invalidate_routes()
+        network.attach(4, Recorder(log))
+        network.join(4, group)
+
+    def script(network, group, log):
+        network.scheduler.schedule_at(0.5, edit, network, group, log)
+        network.scheduler.schedule_at(20.0, network.send_multicast, 0,
+                                      group, "data")
+
+    seen = both_ways(lambda prepare: chain_scenario(script, prepare))
+    assert receivers(seen) == [(1.0, 1), (3.0, 3), (8.0, 4), (9.0, 5),
+                               (21.0, 1), (23.0, 3), (28.0, 4), (29.0, 5)]
+    assert [link[2] for link in seen["links"]] == [2, 2, 2, 2, 2]
+
+
 def test_unknown_scope_zone_is_an_error_not_a_silent_drop():
     network = chain(3).build(delivery="hop")
     group = network.groups.allocate()

@@ -27,6 +27,8 @@ from repro.net.link import NthPacketDropFilter
 from repro.net.network import Network
 from repro.net.node import Agent
 from repro.net.routing import RootedIndex, build_source_tree, traverse_tree
+from repro.sim.rng import RandomSource
+from repro.topology.random_tree import random_labeled_tree
 
 from conftest import examples
 from test_routing import random_weighted_tree
@@ -72,21 +74,21 @@ class Log(Agent):
 
 def run_sparse_session(seed, n, members, sends, filters, joins, full,
                        account=True):
-    """Run ``sends`` on a weighted random tree; with ``full`` every node's
-    source tree is built first, so no sender plans on a member tree.
-    ``account`` charges links, which keeps each sender's source tree."""
+    """Run ``sends`` on a weighted random tree; with ``full`` every
+    sender plans (and charges links) on its full source tree, not on a
+    member tree. ``account`` charges links."""
     network = random_weighted_tree(seed, n)
     network.trace.keep = None
     network.account_bandwidth = account
+    if full:
+        network.member_tree = lambda origin, nodes: network.source_tree(
+            origin)
     group = network.groups.allocate()
     log = []
     for member in range(n):
         network.attach(member, Log(log))
     for member in members:
         network.join(member, group)
-    if full:
-        for node in range(n):
-            network.source_tree(node)
     scheduler = network.scheduler
     armed = []
     for at, (a, b), nth in filters:
@@ -127,13 +129,14 @@ def test_member_tree_sends_match_full_tree_sends(seed, n, data):
     joins = data.draw(st.lists(st.tuples(
         st.integers(0, 30).map(lambda t: t + 0.25), nodes), max_size=2),
         label="joins")
-    member_run, _ = run_sparse_session(
+    member_run, member_network = run_sparse_session(
         seed, n, members, sends, filters, joins, full=False)
     full_run, _ = run_sparse_session(
         seed, n, members, sends, filters, joins, full=True)
     assert member_run == full_run
-    # Without link charging the direct engine keeps no source tree: the
+    # Charging links or not, the direct engine keeps no source tree: the
     # same packets arrive and drop, off plans and cut entries alone.
+    assert member_network._trees == {}
     quiet_run, network = run_sparse_session(
         seed, n, members, sends, filters, joins, full=False,
         account=False)
@@ -224,3 +227,64 @@ def test_a_star_session_keeps_plans_not_trees(monkeypatch):
             if entry[4] is not None} == {(scenario.source, filtered)}
     simulation.close()
     assert network._cut_entries == {}
+
+
+def charged(network):
+    """Every link that carried a packet, with its count."""
+    return [(link.a, link.b, link.packets_carried)
+            for link in network.links if link.packets_carried]
+
+
+class Sink(Agent):
+    def __init__(self):
+        super().__init__()
+        self.got = []
+
+    def receive(self, packet):
+        self.got.append((self.now, packet.ttl))
+
+
+def long_hop_unicast():
+    """One hop-engine unicast 0 -> 999 across a 1000-node random tree:
+    70 hops, each link on the path charged once."""
+    network = random_labeled_tree(1000, RandomSource(2)).build(
+        delivery="hop")
+    network.account_bandwidth = True
+    sink = network.attach(999, Sink())
+    network.send_unicast(0, 999, "data")
+    network.run()
+    return network, sink
+
+
+def test_send_paths_keep_no_tree_on_a_tree_topology(monkeypatch):
+    """Three runs on loaded tree topologies with link charging on: a
+    figure-4 round (40 members on 1000 nodes) in each engine, and the
+    long hop-engine unicast, which takes each next hop off the rooted
+    index. Every multicast is charged on its sender's member tree and
+    forwarded off the rooted index, so no run keeps a source tree; the
+    links carry what full source trees had them carry (the round: 106
+    links, 423 packets, in both engines)."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    scenario = figure4_scenarios(sizes=(40,), sims=1, seed=4)[0]
+    # The reference: the round charged on full source trees.
+    full = LossRecoverySimulation(scenario, config=SrmConfig(), seed=1)
+    full.network.account_bandwidth = True
+    full.network.member_tree = (
+        lambda origin, nodes: full.network.source_tree(origin))
+    full.run_round()
+    expected = charged(full.network)
+    assert (len(expected),
+            sum(count for _, _, count in expected)) == (106, 423)
+    for delivery in ("direct", "hop"):
+        simulation = LossRecoverySimulation(
+            scenario, config=SrmConfig(), seed=1, delivery=delivery)
+        network = simulation.network
+        network.account_bandwidth = True
+        outcome = simulation.run_round()
+        assert outcome.recovered and outcome.requests == outcome.repairs == 1
+        assert network._trees == {}, delivery
+        assert charged(network) == expected, delivery
+    network, sink = long_hop_unicast()
+    assert sink.got == [(70.0, 185)]
+    assert network._trees == {}
+    assert [count for _, _, count in charged(network)] == [1] * 70

@@ -263,7 +263,7 @@ def test_invalidate_routes_after_delay_edit():
     for node in range(5):
         network.join(node, group)
     stale_tree = network.source_tree(0)
-    assert network.distance(0, 4) == 4.0   # read off node 0's tree
+    assert network.distance(0, 4) == 4.0
     assert network.distance(3, 1) == 2.0   # walked: node 3 has no tree
     assert network.hops(4, 2) == 2
     network.scheduler.schedule(
@@ -273,7 +273,8 @@ def test_invalidate_routes_after_delay_edit():
     plan_key = next(iter(network._plan_cache))
     stale_index = network._index
     assert stale_index is not None and stale_index is chain(5).build()._index
-    assert network._pairs == {(3, 1): (2.0, 2), (4, 2): (2.0, 2)}
+    assert network._pairs == {(0, 4): (4.0, 4), (3, 1): (2.0, 2),
+                              (4, 2): (2.0, 2)}
 
     network.link_between(1, 2).delay = 7.5
     network.invalidate_routes()

@@ -90,11 +90,9 @@ def test_on_tree_edge_orientation():
 
 
 def test_next_hop_toward():
-    tree = build_source_tree(adjacency_of(chain(5)), 0)
-    assert tree.next_hop_toward(4) == 1
-    assert tree.next_hop_toward(1) == 1
-    with pytest.raises(ValueError):
-        tree.next_hop_toward(0)
+    network = chain(5).build()
+    assert network.path(0, 4)[1] == 1
+    assert network.path(0, 1)[1] == 1
 
 
 def test_ttl_required_all_ones():
