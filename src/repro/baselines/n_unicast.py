@@ -5,7 +5,7 @@ different receivers, then N copies of each packet might have to be sent
 over links close to the sender ... Multicast delivery permits at most one
 copy of each packet sent over each link."
 
-These are pure computations over the source's shortest-path tree; no
+These are pure computations over the source's shortest paths; no
 packets are simulated.
 """
 
@@ -20,20 +20,18 @@ from repro.net.packet import NodeId
 def unicast_link_cost(network: Network, source: NodeId,
                       receivers: Sequence[NodeId]) -> int:
     """Total link crossings to unicast one packet to every receiver."""
-    tree = network.source_tree(source)
-    return sum(tree.hops[receiver] for receiver in receivers
+    return sum(network.hops(source, receiver) for receiver in receivers
                if receiver != source)
 
 
 def multicast_link_cost(network: Network, source: NodeId,
                         receivers: Sequence[NodeId]) -> int:
     """Link crossings for one multicast on the pruned member tree."""
-    tree = network.source_tree(source)
     on_tree = set()
     for receiver in receivers:
         if receiver == source:
             continue
-        path = tree.path(receiver)
+        path = network.path(source, receiver)
         on_tree.update(zip(path[:-1], path[1:]))
     return len(on_tree)
 
@@ -55,12 +53,11 @@ def worst_link_load(network: Network, source: NodeId,
     close to the sender": the maximum number of unicast paths sharing a
     single directed link.
     """
-    tree = network.source_tree(source)
     load: Dict[Tuple[NodeId, NodeId], int] = {}
     for receiver in receivers:
         if receiver == source:
             continue
-        path = tree.path(receiver)
+        path = network.path(source, receiver)
         for edge in zip(path[:-1], path[1:]):
             load[edge] = load.get(edge, 0) + 1
     if not load:

@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
+from repro.core.local import loss_neighborhood
 from repro.core.names import AduName
 from repro.metrics.bundle import RunMetrics
 from repro.metrics.collector import (SUBSCRIBED_KINDS, MetricsCollector,
@@ -99,8 +100,8 @@ def candidate_drop_edges(network: Network, source: NodeId,
     member_set = set(members) - {source}
     needed = set()
     for member in sorted(member_set):
-        for parent, child in tree.path_edges(member):
-            needed.add((parent, child))
+        path = tree.path(member)
+        needed.update(zip(path, path[1:]))
     return sorted(needed)
 
 
@@ -194,11 +195,11 @@ class LossRecoverySimulation:
     def affected_members(self, drop_edge: Optional[DropEdge] = None
                          ) -> List[NodeId]:
         """Members below the congested link on the source's tree."""
-        drop_edge = drop_edge if drop_edge is not None else \
-            self.scenario.drop_edge
-        below = self.network.source_tree(self.scenario.source).cut(*drop_edge)
-        return sorted(member for member in self.scenario.members
-                      if member in below)
+        scenario = self.scenario
+        parent, child = drop_edge if drop_edge is not None else \
+            scenario.drop_edge
+        return loss_neighborhood(self.network, scenario.source, parent, child,
+                                 scenario.members)
 
     def run_round(self, drop_edge: Optional[DropEdge] = None,
                   trigger_gap: float = 1.0) -> RoundOutcome:

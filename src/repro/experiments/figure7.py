@@ -34,16 +34,10 @@ def drop_edge_at_hops(spec: TopologySpec, source: int, hops: int,
     """A source-tree edge whose upstream end is ``hops - 1`` hops from the
     source, chosen deterministically (lowest child id) among edges that
     cut off at least one member."""
-    network = spec.build()
-    tree = network.source_tree(source)
-    member_set = set(members)
-    candidates = []
-    for node in tree.nodes:
-        parent = tree.parent[node]
-        if parent is None or tree.hops[node] != hops:
-            continue
-        if member_set & tree.subtree(node):
-            candidates.append((parent, node))
+    tree = spec.build().member_tree(source, members)
+    paths = [tree.path(member) for member in members]
+    candidates = [(path[hops - 1], path[hops]) for path in paths
+                  if 0 < hops < len(path)]
     if not candidates:
         raise ValueError(f"no candidate edge at {hops} hops from {source}")
     return min(candidates, key=lambda edge: edge[1])

@@ -107,15 +107,13 @@ def _adjacent_drop_scenario(rng: RandomSource) -> Scenario:
 def _single_member_loss_scenario(rng: RandomSource) -> Scenario:
     """A drop on the edge into one leaf member: only it loses data."""
     spec = balanced_tree(300, 4)
-    network = spec.build()
     members = sorted(rng.sample(range(spec.num_nodes), 40))
     source = rng.choice(members)
-    tree = network.source_tree(source)
-    leaves = [m for m in members
-              if m != source and not (tree.subtree(m) - {m})]
+    leaves = [m for m in members if m != source and spec.degree(m) == 1]
     victim = rng.choice(leaves)
+    parent = spec.build().path(source, victim)[-2]
     return Scenario(spec=spec, members=members, source=source,
-                    drop_edge=(tree.parent[victim], victim))
+                    drop_edge=(parent, victim))
 
 
 def _heterogeneous_delay_scenario(rng: RandomSource) -> Scenario:

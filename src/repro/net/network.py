@@ -37,16 +37,15 @@ packets race toward the same link.
 from __future__ import annotations
 
 from typing import AbstractSet, Any, Callable, Dict, ItemsView, Iterable, \
-    Iterator, KeysView, List, Optional, Sequence, Set, Tuple, Union, \
-    ValuesView, cast
+    Iterator, KeysView, List, Optional, Sequence, Set, Tuple, ValuesView, \
+    cast
 
 from repro.mcast.groups import GroupManager
 from repro.net.link import DropFilter, Link
 from repro.net.node import Agent, Node
 from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
-from repro.net.routing import (NeighborTable, RootedIndex, RouteSkeleton,
-                                SourceTree, build_source_tree,
-                                traverse_tree)
+from repro.net.routing import (RouteSkeleton, Routes, SourceTree,
+                                SourceTrees)
 from repro.sim import perf
 from repro.sim.scheduler import EventScheduler
 from repro.sim.trace import DELIVER, DROP, QUEUE_DROP, Trace
@@ -85,15 +84,14 @@ class ForwardingTable:
 
     ``rows`` has one :data:`HopRow` per node of the origin's tree pruned
     to the group's members (DVMRP-style) plus the origin. The other two
-    fields are the stamp: the table serves the ``routes`` it was read
-    off only (a tree topology's :class:`RootedIndex`, else the origin's
-    :class:`SourceTree`; a topology edit makes new ones), and only while
+    fields are the stamp: the table serves the network's ``routes`` it
+    was read off only (a topology edit makes new ones), and only while
     ``GroupManager.version`` still reads ``version``.
     """
 
     __slots__ = ("routes", "version", "rows")
 
-    def __init__(self, routes: Union[RootedIndex, SourceTree], version: int,
+    def __init__(self, routes: Routes, version: int,
                  rows: Dict[NodeId, HopRow]) -> None:
         self.routes = routes
         self.version = version
@@ -232,15 +230,11 @@ class Network:
         self.account_bandwidth = False
         self.packets_dropped = 0
         #: Routing caches, all dropped by :meth:`invalidate_routes`.
-        #: Source trees asked for by :meth:`source_tree`: no send on a
-        #: tree topology asks for one (:meth:`member_tree`).
-        self._trees: Dict[NodeId, SourceTree] = {}
-        #: Sorted neighbour table, kept only while ``links == nodes - 1``.
-        self._neighbors: Optional[NeighborTable] = None
-        #: A tree topology's rooted index (:meth:`_rooted_index`).
-        self._index: Optional[RootedIndex] = None
-        #: (a, b) -> (delay, hops) answered by the rooted index without
-        #: building ``a``'s source tree.
+        #: What answers every route question: a loaded tree topology's
+        #: shared :class:`~repro.net.routing.RootedIndex`, else this
+        #: graph's own :class:`~repro.net.routing.SourceTrees`.
+        self._routes: Routes = SourceTrees(self.adjacency, 0)
+        #: (a, b) -> (delay, hops), as the routes answered it.
         self._pairs: Dict[Tuple[NodeId, NodeId], Tuple[float, int]] = {}
         #: (origin, link) -> how a multicast from ``origin`` meets the
         #: link (:meth:`_cut_entry`); None when it never crosses it.
@@ -288,16 +282,16 @@ class Network:
         where an agent attaches or a delivery arrives, and its own
         :class:`Link` where the run reads one (``adjacency[a]``,
         :meth:`link_between`). A whole-graph reader (:attr:`links`,
-        iteration, :meth:`add_node`, :meth:`add_link`,
-        :meth:`invalidate_routes`, Dijkstra) makes the rest first
-        (:meth:`_materialize`). The neighbour table and rooted index
-        are the skeleton's until :meth:`invalidate_routes` (a graph
-        edit) drops them.
+        :meth:`add_node`, :meth:`add_link`, :meth:`invalidate_routes`)
+        makes the rest first (:meth:`_materialize`); iteration and
+        Dijkstra make it in place. A tree topology routes on the
+        skeleton's rooted index until :meth:`invalidate_routes` (a graph
+        edit), any other on source trees of its own.
         """
         self.nodes = NodeTable(skeleton.num_nodes)
         self.adjacency = LinkTable(skeleton)
-        self._neighbors = skeleton.neighbors
-        self._index = skeleton.index
+        self._routes = skeleton.index or SourceTrees(self.adjacency,
+                                                     len(skeleton.edges))
 
     def _materialize(self) -> None:
         """Make every node and link of a loaded network, and hold them
@@ -350,13 +344,10 @@ class Network:
         ``add_node``/``add_link`` call it; so must any caller that edits
         a link's ``delay`` or ``threshold`` in place. A loaded network
         stops reading its skeleton here: it makes every node and link,
-        and the neighbour table and rooted index are rebuilt from its
-        own links when next needed.
+        and routes on source trees of its own from then on.
         """
         self._materialize()
-        self._trees = {}
-        self._neighbors = None
-        self._index = None
+        self._routes = SourceTrees(self.adjacency, len(self._links))
         self._pairs = {}
         self._cut_entries = {}
         self._plan_cache = {}
@@ -467,24 +458,8 @@ class Network:
     # ------------------------------------------------------------------
 
     def source_tree(self, origin: NodeId) -> SourceTree:
-        tree = self._trees.get(origin)
-        if tree is None:
-            tree = build_source_tree(self.adjacency, origin,
-                                     self._tree_neighbors())
-            self._trees[origin] = tree
-        return tree
-
-    def _tree_neighbors(self) -> Optional[NeighborTable]:
-        """The sorted neighbour table, provided there are ``nodes - 1``
-        links. A loaded network reads its skeleton's; any other makes
-        its own, reading every link (``links`` makes them), as Dijkstra
-        would."""
-        neighbors = self._neighbors
-        if neighbors is None and len(self.links) == len(self.nodes) - 1:
-            neighbors = self._neighbors = {
-                node: sorted(links.items())
-                for node, links in self.adjacency.items()}
-        return neighbors
+        """``origin``'s full shortest-path tree; a loaded tree keeps none."""
+        return self._routes.source_tree(origin)
 
     def member_tree(self, origin: NodeId,
                     nodes: Sequence[NodeId]) -> SourceTree:
@@ -493,60 +468,24 @@ class Network:
         For every node on a path ``origin -> n`` (``n`` in ``nodes``) the
         result holds the parent, children, delay, hop count and TTL of
         ``source_tree(origin)``, bit for bit; :meth:`SourceTree.cut` and
-        :meth:`SourceTree.path` agree on those nodes too. On a tree
-        topology it is the rooted index's member tree
-        (:meth:`RootedIndex.member_tree`) when ``nodes`` number under
-        half the topology, else one full traversal, which is cheaper
-        once the paths cover most of it; neither is kept. A graph that
-        is not a tree keeps ``source_tree(origin)``.
+        :meth:`SourceTree.path` agree on those nodes too. Only a loaded
+        tree cuts it down to those paths (:meth:`RootedIndex.member_tree`).
         """
-        index = self._index or self._rooted_index()
-        if index is None:
-            return self.source_tree(origin)
-        # The index's tree spans the topology.
-        if 2 * len(nodes) < len(index.tree.parent):
-            return index.member_tree(origin, nodes)
-        tree = traverse_tree(index.neighbors, origin)
-        assert tree is not None  # the index's topology is a tree
-        return tree
-
-    def _rooted_index(self) -> Optional[RootedIndex]:
-        """The topology's rooted index, provided the topology is a tree.
-
-        A loaded network starts with its skeleton's. Any other with
-        ``nodes - 1`` links roots one traversal of its own at its first
-        node, and has one if that reaches every node (the graph is then
-        a tree): paths are unique, so the root does not matter.
-        """
-        index = self._index
-        if index is not None:
-            return index
-        neighbors = self._tree_neighbors()
-        if neighbors:  # a network with no nodes has no index
-            rooted = traverse_tree(neighbors, next(iter(neighbors)))
-            if rooted is not None:  # None: disconnected, so not a tree
-                index = self._index = RootedIndex(rooted, neighbors,
-                                                  self.adjacency)
-        return index
+        return self._routes.member_tree(origin, nodes)
 
     def distance(self, a: NodeId, b: NodeId) -> float:
         """One-way shortest-path delay between two nodes.
 
-        On a tree topology the pair memo answers; a miss reads the
-        rooted index (:meth:`RootedIndex.pair`, bit for bit
-        ``source_tree(a)``'s numbers) and memoises the pair. A graph
-        that is not a tree reads ``a``'s source tree. :meth:`hops`
-        answers the same way.
+        The pair memo answers; a miss asks the routes' ``pair`` (on a
+        loaded tree bit for bit ``source_tree(a)``'s numbers, building
+        none) and memoises it. :meth:`hops` answers the same way.
         """
         if a == b:
             return 0.0
         key = (a, b)
         if key in self._pairs:
             return self._pairs[key][0]
-        index = self._index or self._rooted_index()
-        if index is None:
-            return self.source_tree(a).dist[b]
-        found = self._pairs[key] = index.pair(a, b)
+        found = self._pairs[key] = self._routes.pair(a, b)
         return found[0]
 
     def hops(self, a: NodeId, b: NodeId) -> int:
@@ -555,18 +494,12 @@ class Network:
         key = (a, b)
         if key in self._pairs:
             return self._pairs[key][1]
-        index = self._index or self._rooted_index()
-        if index is None:
-            return self.source_tree(a).hops[b]
-        found = self._pairs[key] = index.pair(a, b)
+        found = self._pairs[key] = self._routes.pair(a, b)
         return found[1]
 
     def path(self, a: NodeId, b: NodeId) -> List[NodeId]:
         """Nodes on the shortest path a -> b, inclusive (``a``'s tree path)."""
-        index = self._index or self._rooted_index()
-        if index is None:
-            return self.source_tree(a).path(b)
-        return index.path(a, b)
+        return self._routes.path(a, b)
 
     def rtt(self, a: NodeId, b: NodeId) -> float:
         """Round-trip delay, assuming symmetric paths as the paper does."""
@@ -644,10 +577,7 @@ class Network:
                 self._count_loss(DROP, parent, packet, (parent, child))
                 cut = entry[4]
                 if cut is None:
-                    index = self._index  # _cut_entry rooted it on a tree
-                    cut = entry[4] = (
-                        self.source_tree(origin).subtree(child)
-                        if index is None else index.cut(parent, child))
+                    cut = entry[4] = self._routes.cut(origin, parent, child)
                 # A new set for a second drop: cut sets are kept.
                 lost = lost | cut if lost else cut
         return lost
@@ -655,12 +585,9 @@ class Network:
     def _cut_entry(self, origin: NodeId, link: Link) -> Optional[CutEntry]:
         """How a multicast from ``origin`` meets ``link``: its
         :data:`CutEntry`, or None when the link is off ``origin``'s
-        source tree. A tree topology reads it off the rooted index's
-        member tree to both ends; any other off ``source_tree(origin)``.
+        source tree: read off its member tree to both ends.
         """
-        index = self._index or self._rooted_index()
-        tree = (self.source_tree(origin) if index is None
-                else index.member_tree(origin, (link.a, link.b)))
+        tree = self._routes.member_tree(origin, (link.a, link.b))
         oriented = tree.on_tree_edge(link.a, link.b)
         if oriented is None:
             return None
@@ -841,15 +768,11 @@ class Network:
     # ------------------------------------------------------------------
 
     def _multicast_hop_start(self, packet: Packet) -> None:
-        origin = packet.origin
-        index = self._index or self._rooted_index()
-        table = self._forwarding_table(
-            packet, self.source_tree(origin) if index is None else index)
-        self._multicast_arrive(origin, packet, table)
+        self._multicast_arrive(packet.origin, packet,
+                               self._forwarding_table(packet, self._routes))
 
     def _forwarding_table(self, packet: Packet,
-                          routes: Union[RootedIndex, SourceTree]
-                          ) -> ForwardingTable:
+                          routes: Routes) -> ForwardingTable:
         """The current forwarding table of ``packet``'s group from its
         origin on ``routes``.
 
@@ -858,8 +781,8 @@ class Network:
         the subtree, which matters when links have finite bandwidth
         (receiver-driven layering relies on it). Cached per (origin,
         group) and rebuilt when the routes or the membership are no
-        longer what the cached table was read off. A rooted index gives
-        the origin's member tree: a tree topology keeps no source tree.
+        longer what the cached table was read off. Its rows come off the
+        origin's member tree on ``routes``.
         """
         origin = packet.origin
         group: GroupAddress = packet.dst  # type: ignore[assignment]
@@ -870,8 +793,7 @@ class Network:
                 and table.version == version):
             return table
         members = self.groups.members(group)
-        tree = (routes.member_tree(origin, members)
-                if isinstance(routes, RootedIndex) else routes)
+        tree = routes.member_tree(origin, members)
         parent = tree.parent
         needed: Set[NodeId] = set()
         for member in members:

@@ -7,21 +7,25 @@ source"). :class:`SourceTree` captures one such tree together with the
 derived quantities the experiments need: delay distance, hop count, the
 minimum initial TTL required to reach each node, and subtree membership
 below each tree edge (for simulating a drop on a "congested link").
+
+A network asks every route question of one *routes* object, chosen once
+per topology version: a loaded tree's shared :class:`RootedIndex`, else
+its own :class:`SourceTrees`. Both answer ``pair``, ``path``,
+``member_tree``, ``cut`` and ``source_tree``, bit for bit alike.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.net.link import Link
 from repro.net.packet import NodeId
 
 Adjacency = Dict[NodeId, Dict[NodeId, Link]]
 #: node -> its (neighbour, link) pairs in ascending neighbour id, for
-#: graphs with exactly ``nodes - 1`` links. A network built from a
-#: :class:`RouteSkeleton` reads the skeleton's; any other computes its own
-#: once per topology version.
+#: graphs with exactly ``nodes - 1`` links: a :class:`RootedIndex` holds
+#: its skeleton's, :class:`SourceTrees` makes its own graph's.
 NeighborTable = Dict[NodeId, List[Tuple[NodeId, Link]]]
 
 
@@ -45,10 +49,6 @@ class SourceTree:
         self.children = children
         self._subtree_cache: Dict[NodeId, Set[NodeId]] = {}
 
-    @property
-    def nodes(self) -> Iterable[NodeId]:
-        return self.parent.keys()
-
     def path(self, node: NodeId) -> List[NodeId]:
         """Nodes on the tree path origin -> node, inclusive."""
         path = [node]
@@ -56,11 +56,6 @@ class SourceTree:
             path.append(self.parent[path[-1]])  # type: ignore[arg-type]
         path.reverse()
         return path
-
-    def path_edges(self, node: NodeId) -> List[Tuple[NodeId, NodeId]]:
-        """Directed tree edges (parent, child) on the path origin -> node."""
-        path = self.path(node)
-        return list(zip(path[:-1], path[1:]))
 
     def subtree(self, node: NodeId) -> Set[NodeId]:
         """All nodes in the subtree rooted at ``node`` (inclusive).
@@ -218,9 +213,9 @@ class RootedIndex:
     On a tree every path is unique, so any one :class:`SourceTree` fixes
     the path between every pair: climb both ends by depth to their
     lowest common ancestor. A :class:`RouteSkeleton` roots its topology
-    at node 0 once per process; a network that has edited its graph
-    roots one traversal of its own the first time it needs an index,
-    and drops that index in ``invalidate_routes()``.
+    at node 0 once per process, and every network loaded from it routes
+    on that index until it edits its graph. Being shared, it keeps
+    nothing per origin or per network.
 
     No float is re-associated. :meth:`pair` adds a path's delays from
     ``a`` toward ``b`` starting at 0.0, and :meth:`member_tree` runs
@@ -228,13 +223,23 @@ class RootedIndex:
     the sender's own source tree (and Dijkstra from the sender) holds.
     """
 
-    __slots__ = ("tree", "neighbors", "adjacency")
+    __slots__ = ("tree", "neighbors", "adjacency", "half")
 
     def __init__(self, tree: SourceTree, neighbors: NeighborTable,
                  adjacency: Adjacency) -> None:
         self.tree = tree
         self.neighbors = neighbors
         self.adjacency = adjacency
+        #: ``nodes[half:]`` is non-empty once ``nodes`` number half the
+        #: topology (:meth:`member_tree`; a slice is no call, a ``len``
+        #: would be one per member tree).
+        self.half = (len(tree.parent) - 1) // 2
+
+    def source_tree(self, origin: NodeId) -> SourceTree:
+        """``origin``'s full source tree: one traversal, kept nowhere."""
+        tree = traverse_tree(self.neighbors, origin)
+        assert tree is not None  # the index's topology is a tree
+        return tree
 
     def pair(self, a: NodeId, b: NodeId) -> Tuple[float, int]:
         """(delay, hops) of the path a -> b."""
@@ -272,16 +277,20 @@ class RootedIndex:
         return down_a[:shared - 1:-1] + down_b[shared - 1:]
 
     def member_tree(self, origin: NodeId,
-                    nodes: Iterable[NodeId]) -> SourceTree:
+                    nodes: Sequence[NodeId]) -> SourceTree:
         """``origin``'s source tree cut down to its paths to ``nodes``.
 
-        The result is a :class:`SourceTree` over exactly the nodes on
-        some path ``origin -> n``: each keeps the parent, children (in
-        the same order), delay, hop count and TTL it has in the full
-        tree, so a plan, a drop cut or a path read off it for those
-        nodes is the full tree's. Building it costs the nodes it spans,
-        not the topology.
+        While ``nodes`` number under half the topology, the result is a
+        :class:`SourceTree` over exactly the nodes on some path
+        ``origin -> n``: each keeps the parent, children (in the same
+        order), delay, hop count and TTL it has in the full tree, so a
+        plan, a drop cut or a path read off it for those nodes is the
+        full tree's. From half on, one full traversal is cheaper.
         """
+        if nodes[self.half:]:  # half the topology or more
+            full = traverse_tree(self.neighbors, origin)
+            assert full is not None  # the index's topology is a tree
+            return full
         parent = self.tree.parent
         depth = self.tree.hops
         rootward: Dict[NodeId, None] = {}  # origin up to the root
@@ -307,8 +316,10 @@ class RootedIndex:
         assert tree is not None  # spanned is connected and holds origin
         return tree
 
-    def cut(self, parent: NodeId, child: NodeId) -> Set[NodeId]:
-        """The nodes that lose a packet dropped on ``parent -> child``.
+    def cut(self, origin: NodeId, parent: NodeId,
+            child: NodeId) -> Set[NodeId]:
+        """The nodes that lose a packet from ``origin`` dropped on
+        ``parent -> child``, a tree edge directed away from ``origin``.
 
         On a tree that is ``child``'s side of the edge for every origin
         on ``parent``'s side: the rooted subtree of ``child``, or, when
@@ -328,6 +339,58 @@ class RootedIndex:
         return below if top == child else set(rooted.parent) - below
 
 
+class SourceTrees:
+    """The routes of one version of any graph but a loaded tree: each
+    origin's :class:`SourceTree`, built when first asked about and then
+    kept. With ``nodes - 1`` links (a tree built by hand or edited in
+    place) that is a traversal over an id-sorted neighbour table, else
+    Dijkstra (:func:`build_source_tree`)."""
+
+    __slots__ = ("adjacency", "tree_sized", "neighbors", "trees")
+
+    def __init__(self, adjacency: Adjacency, links: int) -> None:
+        self.adjacency = adjacency
+        self.tree_sized = links == len(adjacency) - 1
+        self.neighbors: Optional[NeighborTable] = None  # made on first use
+        self.trees: Dict[NodeId, SourceTree] = {}
+
+    def source_tree(self, origin: NodeId) -> SourceTree:
+        tree = self.trees.get(origin)
+        if tree is None:
+            neighbors = self.neighbors
+            if neighbors is None and self.tree_sized:
+                neighbors = self.neighbors = {
+                    node: sorted(links.items())
+                    for node, links in self.adjacency.items()}
+            tree = self.trees[origin] = build_source_tree(
+                self.adjacency, origin, neighbors)
+        return tree
+
+    def pair(self, a: NodeId, b: NodeId) -> Tuple[float, int]:
+        """(delay, hops) of the path a -> b, off ``a``'s tree."""
+        tree = self.source_tree(a)
+        return tree.dist[b], tree.hops[b]
+
+    def path(self, a: NodeId, b: NodeId) -> List[NodeId]:
+        """Nodes on ``a``'s tree path a -> b, inclusive."""
+        return self.source_tree(a).path(b)
+
+    def member_tree(self, origin: NodeId,
+                    nodes: Sequence[NodeId]) -> SourceTree:
+        """``origin``'s kept tree, whatever ``nodes`` it is asked for."""
+        return self.source_tree(origin)
+
+    def cut(self, origin: NodeId, parent: NodeId,
+            child: NodeId) -> Set[NodeId]:
+        """The nodes that lose a packet from ``origin`` dropped on
+        ``parent -> child`` (:meth:`SourceTree.cut`, cached per tree)."""
+        return self.source_tree(origin).cut(parent, child)
+
+
+#: What a network asks every route question of.
+Routes = Union[RootedIndex, SourceTrees]
+
+
 class RouteSkeleton:
     """The routes of one topology, shared by every network built from it.
 
@@ -336,8 +399,9 @@ class RouteSkeleton:
     (:meth:`~repro.net.network.Network.load`). It is read-only: the
     adjacency (each node's neighbours in edge order) and edge set a
     loaded network makes its own nodes and links from, and, when the
-    edges form a tree, the id-sorted neighbour table and that tree
-    rooted at node 0 with its :class:`RootedIndex`. Its edges all point
+    edges form a tree, that tree rooted at node 0 as a
+    :class:`RootedIndex`, the routes of every network loaded from it
+    until the network edits its graph. Its edges all point
     at one link of its own, carrying the delay and threshold every edge
     has, since :func:`traverse_tree` and :meth:`RootedIndex.pair` read
     nothing else of a link. A network's own links, filters, queues and
@@ -345,7 +409,7 @@ class RouteSkeleton:
     """
 
     __slots__ = ("num_nodes", "edges", "delay", "threshold", "adjacency",
-                 "edge_set", "neighbors", "index")
+                 "edge_set", "index")
 
     def __init__(self, num_nodes: int, edges: Tuple[Tuple[NodeId, NodeId],
                                                      ...],
@@ -363,12 +427,11 @@ class RouteSkeleton:
         #: Each edge as ``edges`` orients it: a network's own link for
         #: ``{a, b}`` is ``Link(a, b)`` exactly when ``(a, b)`` is here.
         self.edge_set = frozenset(edges)
-        self.neighbors: Optional[NeighborTable] = None
         self.index: Optional[RootedIndex] = None
         if len(edges) != num_nodes - 1:
             return
-        neighbors = self.neighbors = {node: sorted(links.items())
-                                      for node, links in adjacency.items()}
+        neighbors = {node: sorted(links.items())
+                     for node, links in adjacency.items()}
         tree = traverse_tree(neighbors, 0)
         if tree is not None:  # None: disconnected, so not a tree
             self.index = RootedIndex(tree, neighbors, adjacency)

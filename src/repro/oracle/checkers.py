@@ -101,6 +101,16 @@ class ScopeTtlOracle(Oracle):
 
     name = "scope-ttl"
 
+    def __init__(self, suite: "SessionOracleSuite") -> None:
+        super().__init__(suite)
+        #: origin -> its full source tree, read once per round (a loaded
+        #: tree keeps none); a topology edit lands between rounds.
+        self._trees: Dict[Any, Any] = {}
+
+    def reset(self) -> None:
+        super().reset()
+        self._trees.clear()
+
     def on_record(self, record: TraceRecord) -> None:
         if record.kind != DELIVER or not record.detail.get("mcast"):
             return
@@ -109,10 +119,12 @@ class ScopeTtlOracle(Oracle):
         if node == origin:
             return
         network = self.suite.network
-        try:
-            tree = network.source_tree(origin)
-        except (KeyError, ValueError):
-            return  # origin unroutable; nothing to validate against
+        tree = self._trees.get(origin)
+        if tree is None:
+            try:
+                tree = self._trees[origin] = network.source_tree(origin)
+            except (KeyError, ValueError):
+                return  # origin unroutable; nothing to validate against
         if node not in tree.ttl_required:
             return
         initial_ttl = detail["initial_ttl"]

@@ -26,6 +26,7 @@ from repro.oracle.fuzz import (
     run_fuzz_case,
     shrink_case,
 )
+from repro.net.routing import RootedIndex
 from repro.runner import ExperimentRunner
 
 #: Campaign (seed=7) case index known to trip the planted bug.
@@ -73,8 +74,9 @@ def test_member_zone_matches_per_member_tree_definition():
         network = build_spec(case).build()
         assert _member_zone(network, members) == sorted(covered)
         if case["topology"] != "mesh":
-            assert network._trees == {}
-            assert network._rooted_index() is reference._rooted_index()
+            # Read off the shared rooted index, which keeps no tree.
+            assert isinstance(network._routes, RootedIndex)
+            assert network._routes is reference._routes
     assert "mesh" in kinds and len(kinds) >= 3
 
 

@@ -19,6 +19,7 @@ from repro.experiments.common import (LossRecoverySimulation, Scenario,
                                       candidate_drop_edges)
 from repro.herd import HerdSimulation, HerdUnsupportedError
 from repro.herd.topo import TreeIndex
+from repro.net.routing import RootedIndex
 from repro.sim.rng import RandomSource
 from repro.topology.btree import balanced_tree
 from repro.topology.chain import chain
@@ -65,8 +66,9 @@ def test_herd_index_reads_the_agent_engines_source_tree(session):
     # Every other origin is answered by the rooted index every network
     # built from the spec shares: the tree rooted at node 0, as the herd
     # roots it too.
-    rooted = network._rooted_index()
-    assert rooted is not None and rooted is spec.build()._rooted_index()
+    rooted = network._routes
+    assert isinstance(rooted, RootedIndex)
+    assert rooted is spec.build()._routes
     assert rooted.tree.parent == TreeIndex(spec, 0).tree.parent
     for a in range(spec.num_nodes):
         expected = [network.hops(a, b) for b in members]
@@ -77,7 +79,8 @@ def test_herd_index_reads_the_agent_engines_source_tree(session):
                 == network.distance(a, b) == rooted.pair(a, b)[0]
         member = rooted.member_tree(a, members)
         assert [member.hops[b] for b in members] == expected
-    assert list(network._trees) == [origin]
+    # The answers came off the shared index: no tree was kept.
+    assert network._routes is rooted
 
     edges = candidate_drop_edges(network, origin, members)
     if not edges:

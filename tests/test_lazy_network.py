@@ -21,7 +21,7 @@ from repro.experiments.robustness import _heterogeneous_delays
 from repro.net.link import MatchDropFilter
 from repro.net.network import LinkTable, Network, NodeTable
 from repro.net.node import Agent
-from repro.net.routing import build_source_tree
+from repro.net.routing import RootedIndex, SourceTrees, build_source_tree
 from repro.sim.rng import RandomSource
 from repro.topology.chain import chain
 from repro.topology.graphs import tree_plus_edges
@@ -137,7 +137,8 @@ def test_a_filter_and_a_bandwidth_stay_in_their_network():
     spec = chain(6)
     armed = spec.build(delivery="hop")
     sibling = spec.build(delivery="hop")
-    assert armed._index is sibling._index is not None
+    assert armed._routes is sibling._routes
+    assert isinstance(armed._routes, RootedIndex)
     armed.add_drop_filter(2, 3, MatchDropFilter(lambda packet: True))
     bottleneck = armed.set_link_bandwidth(2, 3, 500.0, queue_limit=1)
     assert bottleneck is armed.link_between(3, 2)
@@ -200,7 +201,8 @@ def test_heterogeneous_delays_see_every_link_before_the_network_detaches():
     reference = eager(spec)
     _heterogeneous_delays(reference, RandomSource(4))
     assert type(loaded.adjacency) is dict and type(loaded.nodes) is dict
-    assert loaded._index is None and loaded._neighbors is None
+    assert isinstance(loaded._routes, SourceTrees)
+    assert loaded._routes.adjacency is loaded.adjacency
     assert touched is loaded.links[0]
     assert shape(loaded) == shape(reference)
     for origin in (0, 17, 59):
@@ -231,7 +233,7 @@ def test_add_link_and_add_node_see_the_whole_graph():
 def test_a_non_tree_is_made_whole_for_dijkstra():
     spec = tree_plus_edges(30, 45, RandomSource(5))
     network = spec.build()
-    assert network._neighbors is None
+    assert network._routes.neighbors is None
     tree = network.source_tree(7)
-    assert type(network.adjacency) is dict
+    assert len(network.adjacency.made) == spec.num_edges
     assert tree.dist == build_source_tree(eager(spec).adjacency, 7).dist

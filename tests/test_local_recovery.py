@@ -86,7 +86,7 @@ def test_one_step_reaches_at_least_two_step_requester_side():
     members = list(range(0, 200, 3))
     # Drop on a deep edge.
     tree = network.source_tree(0)
-    child = max(tree.nodes, key=lambda n: (tree.hops[n], n))
+    child = max(tree.parent, key=lambda n: (tree.hops[n], n))
     parent = tree.parent[child]
     if not any(m in tree.subtree(child) for m in members):
         members.append(child)

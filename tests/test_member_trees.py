@@ -1,37 +1,136 @@
 """Member trees and cut entries: a sender keeps its plan, not its tree.
 
-On a tree topology whose group spans under half the nodes, a multicast
-sender with no source tree of its own is planned on
-``RootedIndex.member_tree``: its source tree cut down to the paths to
-the members. The tree serves that one plan and is kept nowhere. Armed
-drop filters are consulted through one cut entry per (origin, link),
-read off the rooted index, whose cut set is made only when the filter
-drops. These tests pin that the switch is invisible: a member tree is
-the full tree restricted, a cut entry is what the full tree says, a
+A network answers every route question through one routes object: a
+loaded tree topology's shared ``RootedIndex``, any other graph's own
+``SourceTrees``. On a rooted index, a multicast sender whose group spans
+under half the nodes is planned on ``RootedIndex.member_tree``: its
+source tree cut down to the paths to the members. The tree serves that
+one plan and is kept nowhere. Armed drop filters are consulted through
+one cut entry per (origin, link), read off the routes, whose cut set is
+made only when the filter drops. These tests pin that the switch is
+invisible: both kinds of routes answer as Dijkstra does, a member tree
+is the full tree restricted, a cut entry is what the full tree says, a
 network that plans on member trees delivers, drops and charges links
-exactly as one that plans on full trees, and neither a figure-shaped
-round nor a long star session keeps a tree.
+exactly as one that plans on full trees, neither a figure-shaped round
+nor a long star session builds a full tree, and the experiments' tree
+questions give what the full source trees gave.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.net.network as network_module
+from repro.baselines.n_unicast import (multicast_link_cost,
+                                       unicast_link_cost, worst_link_load)
 from repro.core.config import SrmConfig
-from repro.experiments.common import LossRecoverySimulation
+from repro.experiments.common import (LossRecoverySimulation, Scenario,
+                                      candidate_drop_edges)
 from repro.experiments.figure4 import figure4_scenarios
 from repro.experiments.figure5 import star_scenario
+from repro.experiments.figure7 import drop_edge_at_hops
+from repro.experiments.robustness import _single_member_loss_scenario
+from repro.net import routing
 from repro.net.link import NthPacketDropFilter
 from repro.net.network import Network
 from repro.net.node import Agent
-from repro.net.routing import RootedIndex, build_source_tree, traverse_tree
+from repro.net.routing import (RootedIndex, SourceTrees, build_source_tree,
+                               traverse_tree)
+from repro.oracle.base import check_mode_enabled
 from repro.sim.rng import RandomSource
+from repro.topology.btree import balanced_tree
+from repro.topology.graphs import tree_plus_edges
 from repro.topology.random_tree import random_labeled_tree
 
 from conftest import examples
-from test_routing import random_weighted_tree
+from test_lazy_network import eager
+from test_routing import assert_same_tree, random_weighted_tree
+
+
+def rooted(network, root=0):
+    """Route ``network``, a tree built or edited by hand, on a rooted
+    index of its own links, as a loaded tree routes on its skeleton's."""
+    neighbors = {node: sorted(links.items())
+                 for node, links in network.adjacency.items()}
+    network._routes = RootedIndex(traverse_tree(neighbors, root), neighbors,
+                                  network.adjacency)
+    return network._routes
+
+
+@contextmanager
+def full_trees_built():
+    """The origin of every full source tree built inside the block."""
+    built = []
+    real_build = routing.build_source_tree
+    real_traverse = RootedIndex.source_tree
+
+    def build(adjacency, origin, neighbors=None):
+        built.append(origin)
+        return real_build(adjacency, origin, neighbors)
+
+    def traverse(index, origin):
+        built.append(origin)
+        return real_traverse(index, origin)
+
+    with mock.patch.object(routing, "build_source_tree", build), \
+            mock.patch.object(RootedIndex, "source_tree", traverse):
+        yield built
+
+
+def three_kinds(kind, seed, n):
+    """(network, reference adjacency) for one of the three kinds of
+    routes: a loaded tree on its skeleton's index, a loaded tree whose
+    delays were edited (1 to 20), and a mesh. The reference is an
+    eagerly built copy with the same delays."""
+    rng = RandomSource(seed)
+    if kind == "mesh":
+        spec = tree_plus_edges(n, min(n * (n - 1) // 2, n + n // 2), rng)
+    else:
+        spec = random_labeled_tree(n, rng)
+    network = spec.build()
+    reference = eager(spec)
+    if kind == "edited":
+        for link, twin in zip(network.links, reference.links):
+            link.delay = twin.delay = float(rng.randint(1, 20))
+        network.invalidate_routes()
+        reference.invalidate_routes()
+    expected = RootedIndex if kind == "loaded" else SourceTrees
+    assert isinstance(network._routes, expected)
+    return network, reference.adjacency
+
+
+@settings(max_examples=examples(40))
+@given(kind=st.sampled_from(["loaded", "edited", "mesh"]),
+       seed=st.integers(0, 10_000), n=st.integers(2, 30), data=st.data())
+def test_every_route_question_is_answered_as_dijkstra(kind, seed, n, data):
+    """pair, path, next hop, cut, member and full trees, on all three
+    kinds of routes, equal Dijkstra over an eagerly built adjacency."""
+    network, adjacency = three_kinds(kind, seed, n)
+    routes = network._routes
+    nodes = data.draw(st.lists(st.integers(0, n - 1), max_size=n),
+                      label="nodes")
+    for a in range(n):
+        full = build_source_tree(adjacency, a)  # Dijkstra
+        assert_same_tree(routes.source_tree(a), full, range(n))
+        for b in range(n):
+            assert routes.pair(a, b) == (full.dist[b], full.hops[b])
+            assert network.distance(a, b) == full.dist[b]
+            assert network.hops(a, b) == full.hops[b]
+            assert routes.path(a, b) == network.path(a, b) == full.path(b)
+            if a != b:
+                assert network.path(a, b)[1] == full.path(b)[1]  # next hop
+                parent = full.parent[b]
+                assert routes.cut(a, parent, b) == full.subtree(b)
+        member = network.member_tree(a, nodes)
+        for node in {a}.union(*[full.path(node) for node in nodes]):
+            assert member.parent[node] == full.parent[node]
+            assert member.dist[node] == full.dist[node]
+            assert member.ttl_required[node] == full.ttl_required[node]
+            assert member.path(node) == full.path(node)
 
 
 @settings(max_examples=examples(40))
@@ -42,11 +141,12 @@ def test_member_tree_is_the_source_tree_cut_down(seed, n, data):
     origin = data.draw(st.integers(0, n - 1), label="origin")
     nodes = data.draw(st.lists(st.integers(0, n - 1), max_size=n),
                       label="nodes")
-    index = RootedIndex(network.source_tree(root), network._neighbors,
-                        network.adjacency)
+    index = rooted(network, root)
     full = build_source_tree(network.adjacency, origin)  # Dijkstra
     member = index.member_tree(origin, nodes)
     spanned = {origin}.union(*[full.path(node) for node in nodes])
+    if 2 * len(nodes) >= n:  # from half the topology on: the full tree
+        spanned = set(full.parent)
     assert set(member.parent) == spanned
     for node in spanned:
         assert member.parent[node] == full.parent[node]
@@ -78,6 +178,7 @@ def run_sparse_session(seed, n, members, sends, filters, joins, full,
     sender plans (and charges links) on its full source tree, not on a
     member tree. ``account`` charges links."""
     network = random_weighted_tree(seed, n)
+    rooted(network)
     network.trace.keep = None
     network.account_bandwidth = account
     if full:
@@ -129,19 +230,23 @@ def test_member_tree_sends_match_full_tree_sends(seed, n, data):
     joins = data.draw(st.lists(st.tuples(
         st.integers(0, 30).map(lambda t: t + 0.25), nodes), max_size=2),
         label="joins")
-    member_run, member_network = run_sparse_session(
-        seed, n, members, sends, filters, joins, full=False)
+    with full_trees_built() as built:
+        member_run, _ = run_sparse_session(
+            seed, n, members, sends, filters, joins, full=False)
     full_run, _ = run_sparse_session(
         seed, n, members, sends, filters, joins, full=True)
     assert member_run == full_run
-    # Charging links or not, the direct engine keeps no source tree: the
+    # Charging links or not, the direct engine builds no source tree: the
     # same packets arrive and drop, off plans and cut entries alone.
-    assert member_network._trees == {}
-    quiet_run, network = run_sparse_session(
-        seed, n, members, sends, filters, joins, full=False,
-        account=False)
+    with full_trees_built() as quiet_built:
+        quiet_run, _ = run_sparse_session(
+            seed, n, members, sends, filters, joins, full=False,
+            account=False)
     assert quiet_run[:2] + quiet_run[3:] == member_run[:2] + member_run[3:]
-    assert network._trees == {}
+    # Check mode's scope oracle reads each sender's full tree on its own.
+    allowed = ({origin for _, origin, _ in sends} if check_mode_enabled()
+               else set())
+    assert set(built) | set(quiet_built) <= allowed
 
 
 def test_a_sparse_round_builds_no_full_tree(monkeypatch):
@@ -149,15 +254,8 @@ def test_a_sparse_round_builds_no_full_tree(monkeypatch):
     every sender, the source too, gets a member tree off the skeleton's
     rooted index, which the network shares with every other build of
     the spec, and the closest requester's distance is read off that
-    index too. The network keeps none of those trees."""
+    index too. No full tree is built, and the network keeps none."""
     scenario = figure4_scenarios(sizes=(40,), sims=1, seed=4)[0]
-    built = []
-    real = network_module.build_source_tree
-
-    def counting(adjacency, origin, neighbors=None):
-        built.append(origin)
-        return real(adjacency, origin, neighbors)
-
     planned = []
     real_member_tree = Network.member_tree
 
@@ -166,21 +264,21 @@ def test_a_sparse_round_builds_no_full_tree(monkeypatch):
         planned.append((origin, len(tree.parent)))
         return tree
 
-    monkeypatch.setattr(network_module, "build_source_tree", counting)
     monkeypatch.setattr(Network, "member_tree", planning)
     # Check mode's oracles read full trees of their own; count a plain run.
     monkeypatch.delenv("SRM_CHECK", raising=False)
-    simulation = LossRecoverySimulation(scenario, config=SrmConfig(),
-                                        seed=1)
-    outcome = simulation.run_round()
+    with full_trees_built() as built:
+        simulation = LossRecoverySimulation(scenario, config=SrmConfig(),
+                                            seed=1)
+        outcome = simulation.run_round()
     assert outcome.recovered and outcome.requests >= 1
     assert built == []
     network = simulation.network
-    assert network._index is scenario.spec.build()._index is not None
+    assert network._routes is scenario.spec.build()._routes
+    assert isinstance(network._routes, RootedIndex)
     cut_down = {origin for origin, size in planned
                 if size < len(network.nodes)}
     assert len(cut_down) >= 3 and scenario.source in cut_down
-    assert network._trees == {}
 
 
 @settings(max_examples=examples(40))
@@ -192,26 +290,31 @@ def test_cut_entries_match_full_source_trees(seed, n, data):
     parent end's hop count, the TTL the child end needs and the nodes a
     drop there cuts off."""
     network = random_weighted_tree(seed, n)
-    neighbors = network._rooted_index().neighbors
     root = data.draw(st.integers(0, n - 1), label="root")
-    index = network._index = RootedIndex(
-        traverse_tree(neighbors, root), neighbors, network.adjacency)
-    for origin in range(n):
-        full = build_source_tree(network.adjacency, origin)  # Dijkstra
-        for link in network.links:
-            parent, child = full.on_tree_edge(link.a, link.b)
-            assert network._cut_entry(origin, link) == [
-                full.hops[parent], parent, child, full.ttl_required[child],
-                None]
-            assert index.cut(parent, child) == full.subtree(child)
-    assert network._trees == {}
+    index = rooted(network, root)
+    with full_trees_built() as built:
+        for origin in range(n):
+            full = routing.build_source_tree(  # Dijkstra
+                network.adjacency, origin)
+            for link in network.links:
+                parent, child = full.on_tree_edge(link.a, link.b)
+                assert network._cut_entry(origin, link) == [
+                    full.hops[parent], parent, child,
+                    full.ttl_required[child], None]
+                assert index.cut(origin, parent, child) == \
+                    full.subtree(child)
+    # Only the references were full trees, unless a link's two ends
+    # are half the topology.
+    assert built == list(range(n)) or n <= 4
 
 
 def test_a_star_session_keeps_plans_not_trees(monkeypatch):
     """60 rounds on a 200-leaf star: most members send a request, yet
-    the network keeps no source tree, and the one cut set made is the
-    filtered link's, for the data source whose packet it drops. Close
-    drops the cut entries."""
+    the network keeps no source tree: it still routes on the shared
+    index, which keeps none (a plan for a group spanning the star reads
+    one traversal and drops it). The one cut set made is the filtered
+    link's, for the data source whose packet it drops. Close drops the
+    cut entries."""
     monkeypatch.delenv("SRM_CHECK", raising=False)
     scenario = star_scenario(200)
     simulation = LossRecoverySimulation(
@@ -219,7 +322,8 @@ def test_a_star_session_keeps_plans_not_trees(monkeypatch):
     network = simulation.network
     outcomes = [simulation.run_round() for _ in range(60)]
     assert all(outcome.recovered for outcome in outcomes)
-    assert network._trees == {}
+    assert network._routes is scenario.spec.build()._routes
+    assert isinstance(network._routes, RootedIndex)
     entries = network._cut_entries
     assert len({origin for origin, _ in entries}) > 100
     filtered = network.link_between(*scenario.drop_edge)
@@ -261,7 +365,7 @@ def test_send_paths_keep_no_tree_on_a_tree_topology(monkeypatch):
     figure-4 round (40 members on 1000 nodes) in each engine, and the
     long hop-engine unicast, which takes each next hop off the rooted
     index. Every multicast is charged on its sender's member tree and
-    forwarded off the rooted index, so no run keeps a source tree; the
+    forwarded off the rooted index, so no run builds a full tree; the
     links carry what full source trees had them carry (the round: 106
     links, 423 packets, in both engines)."""
     monkeypatch.delenv("SRM_CHECK", raising=False)
@@ -276,15 +380,115 @@ def test_send_paths_keep_no_tree_on_a_tree_topology(monkeypatch):
     assert (len(expected),
             sum(count for _, _, count in expected)) == (106, 423)
     for delivery in ("direct", "hop"):
-        simulation = LossRecoverySimulation(
-            scenario, config=SrmConfig(), seed=1, delivery=delivery)
-        network = simulation.network
-        network.account_bandwidth = True
-        outcome = simulation.run_round()
+        with full_trees_built() as built:
+            simulation = LossRecoverySimulation(
+                scenario, config=SrmConfig(), seed=1, delivery=delivery)
+            network = simulation.network
+            network.account_bandwidth = True
+            outcome = simulation.run_round()
         assert outcome.recovered and outcome.requests == outcome.repairs == 1
-        assert network._trees == {}, delivery
+        assert built == [], delivery
         assert charged(network) == expected, delivery
-    network, sink = long_hop_unicast()
+    with full_trees_built() as built:
+        network, sink = long_hop_unicast()
     assert sink.got == [(70.0, 185)]
-    assert network._trees == {}
+    assert built == []
     assert [count for _, _, count in charged(network)] == [1] * 70
+
+
+def old_drop_edge_at_hops(tree, hops, members):
+    """``figure7.drop_edge_at_hops`` on the source's full tree."""
+    member_set = set(members)
+    candidates = []
+    for node, parent in tree.parent.items():
+        if parent is None or tree.hops[node] != hops:
+            continue
+        if member_set & tree.subtree(node):
+            candidates.append((parent, node))
+    if not candidates:
+        raise ValueError(f"no candidate edge at {hops} hops")
+    return min(candidates, key=lambda edge: edge[1])
+
+
+def old_single_member_loss_scenario(rng):
+    """``robustness._single_member_loss_scenario`` on full trees."""
+    spec = balanced_tree(300, 4)
+    members = sorted(rng.sample(range(spec.num_nodes), 40))
+    source = rng.choice(members)
+    tree = build_source_tree(spec.build().adjacency, source)
+    leaves = [m for m in members
+              if m != source and not (tree.subtree(m) - {m})]
+    victim = rng.choice(leaves)
+    return Scenario(spec=spec, members=members, source=source,
+                    drop_edge=(tree.parent[victim], victim))
+
+
+@settings(max_examples=examples(25), deadline=None)
+@given(mesh=st.booleans(), seed=st.integers(0, 10_000),
+       n=st.integers(2, 30), data=st.data())
+def test_tree_questions_outside_net_match_full_source_trees(mesh, seed, n,
+                                                            data):
+    """The experiments' and baselines' tree questions, asked of the
+    network, give what the full-source-tree formulas they replaced give,
+    on random trees and meshes."""
+    rng = RandomSource(seed)
+    spec = (tree_plus_edges(n, min(n * (n - 1) // 2, n + n // 2), rng)
+            if mesh else random_labeled_tree(n, rng))
+    network = spec.build()
+    members = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1),
+                               label="members"))
+    source = data.draw(st.sampled_from(members), label="source")
+    tree = build_source_tree(eager(spec).adjacency, source)  # Dijkstra
+
+    needed = set()
+    for member in sorted(set(members) - {source}):
+        path = tree.path(member)
+        needed.update(zip(path[:-1], path[1:]))
+    edges = candidate_drop_edges(network, source, members)
+    assert edges == sorted(needed)
+
+    for hops in range(5):
+        try:
+            expected = old_drop_edge_at_hops(tree, hops, members)
+        except ValueError:
+            with pytest.raises(ValueError):
+                drop_edge_at_hops(spec, source, hops, members)
+        else:
+            assert drop_edge_at_hops(spec, source, hops, members) == expected
+
+    receivers = [node for node in members if node != source]
+    assert unicast_link_cost(network, source, members) == sum(
+        tree.hops[node] for node in receivers)
+    assert multicast_link_cost(network, source, members) == len(needed)
+    load = {}
+    for node in receivers:
+        path = tree.path(node)
+        for edge in zip(path[:-1], path[1:]):
+            load[edge] = load.get(edge, 0) + 1
+    assert worst_link_load(network, source, members) == (
+        (max(load.values()), 1) if load else (0, 0))
+
+    if not edges:
+        return
+    simulation = LossRecoverySimulation(Scenario(
+        spec=spec, members=members, source=source, drop_edge=edges[0]))
+    for edge in edges:
+        below = tree.cut(*edge)
+        assert simulation.affected_members(edge) == sorted(
+            member for member in members if member in below)
+    parent, child = edges[0]
+    with pytest.raises(ValueError):
+        simulation.affected_members((child, parent))  # reversed
+    far = [node for node in range(n)
+           if node != parent and node not in network.adjacency[parent]]
+    if far:
+        with pytest.raises(ValueError):
+            simulation.affected_members((parent, far[0]))  # not an edge
+    simulation.close()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_single_member_loss_victim_is_the_full_tree_leaf(seed):
+    """The robustness case picks the victim the full source tree did."""
+    assert _single_member_loss_scenario(RandomSource(seed)) == \
+        old_single_member_loss_scenario(RandomSource(seed))

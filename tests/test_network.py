@@ -6,6 +6,7 @@ from repro.net.link import MatchDropFilter, NthPacketDropFilter
 from repro.net.network import Network
 from repro.net.node import Agent
 from repro.net.packet import Packet
+from repro.net.routing import RootedIndex, SourceTrees
 from repro.topology.chain import chain
 from repro.topology.star import star
 
@@ -255,32 +256,35 @@ def test_star_hub_not_member_forwards_anyway():
 
 def test_invalidate_routes_after_delay_edit():
     """Editing a link in place needs one call to drop every routing cache:
-    trees, the rooted index with its pair memo, and the plans. The index
-    was the shared skeleton's; the rebuilt one is the network's own, and
-    the next network built from the spec still reads the skeleton's."""
+    the routes with their pair memo, and the plans. The routes were the
+    shared skeleton's rooted index; the new ones are the network's own
+    source trees, and the next network built from the spec still reads
+    the skeleton's index."""
     network, sinks = chain_network(5)
     group = network.groups.allocate()
     for node in range(5):
         network.join(node, group)
     stale_tree = network.source_tree(0)
     assert network.distance(0, 4) == 4.0
-    assert network.distance(3, 1) == 2.0   # walked: node 3 has no tree
+    assert network.distance(3, 1) == 2.0   # walked: no tree is built
     assert network.hops(4, 2) == 2
     network.scheduler.schedule(
         0.0, network.send_multicast, 0, group, "data")
     network.run()
     assert sinks[4].received[-1][0] == 4.0
     plan_key = next(iter(network._plan_cache))
-    stale_index = network._index
-    assert stale_index is not None and stale_index is chain(5).build()._index
+    stale_index = network._routes
+    assert isinstance(stale_index, RootedIndex)
+    assert stale_index is chain(5).build()._routes
     assert network._pairs == {(0, 4): (4.0, 4), (3, 1): (2.0, 2),
                               (4, 2): (2.0, 2)}
 
     network.link_between(1, 2).delay = 7.5
     network.invalidate_routes()
-    assert network._plan_cache == {} and network._index is None
-    assert network._pairs == {} and network._trees == {}
-    assert network._neighbors is None
+    own = network._routes
+    assert network._plan_cache == {} and isinstance(own, SourceTrees)
+    assert network._pairs == {} and own.trees == {}
+    assert own.neighbors is None
     assert network.distance(3, 1) == 8.5
     assert network.distance(0, 4) == 10.5
     assert network.hops(4, 2) == 2
@@ -293,16 +297,14 @@ def test_invalidate_routes_after_delay_edit():
     network.run()
     assert sinks[4].received[-1][0] == start + 10.5
     assert plan_key in network._plan_cache
-    own = network._index
-    assert own not in (None, stale_index)
-    assert own.adjacency is network.adjacency
+    assert network._routes is own and own.adjacency is network.adjacency
     assert own.pair(3, 1) == (8.5, 2)
     assert own.pair(0, 4) == network._pairs[(0, 4)] == (10.5, 4)
     # The skeleton, and every network built from it since, kept the
     # old delay.
     assert stale_index.pair(3, 1) == (2.0, 2)
     fresh, _ = chain_network(5)
-    assert fresh._index is stale_index and fresh.distance(3, 1) == 2.0
+    assert fresh._routes is stale_index and fresh.distance(3, 1) == 2.0
 
 
 def test_add_link_invalidates_walked_distances():

@@ -74,12 +74,10 @@ def test_subtree_members():
     assert tree.subtree(5) == {5}
 
 
-def test_path_and_path_edges():
+def test_path():
     tree = build_source_tree(adjacency_of(chain(5)), 0)
     assert tree.path(3) == [0, 1, 2, 3]
-    assert tree.path_edges(3) == [(0, 1), (1, 2), (2, 3)]
     assert tree.path(0) == [0]
-    assert tree.path_edges(0) == []
 
 
 def test_on_tree_edge_orientation():
@@ -197,9 +195,11 @@ def test_tree_traversal_is_bitwise_dijkstra(seed, n, data):
                 assert network.hops(a, b) == dijkstra[a].hops[b]
                 assert network.path(a, b) == dijkstra[a].path(b)
 
-    # Only ``origin`` has a tree: every other ``a`` is answered by walking.
+    # An edited tree keeps one traversal per origin asked about.
     check_all_pairs()
-    assert list(network._trees) == [origin]
+    routes = network._routes
+    assert sorted(routes.trees) == list(nodes)
+    assert routes.neighbors is not None  # traversals, not Dijkstra
     check_all_pairs()  # now from the pair memo
     for a in nodes:
         assert_same_tree(network.source_tree(a), dijkstra[a], nodes)
@@ -232,7 +232,7 @@ def test_extra_edges_take_dijkstra(monkeypatch):
     pops = count_heap_pops(monkeypatch)
     assert_same_tree(network.source_tree(4), reference, range(30))
     assert len(pops) >= 30
-    assert network._neighbors is None
+    assert network._routes.neighbors is None
     # distance() on a non-tree builds (and then reads) a's Dijkstra tree.
     assert network.distance(11, 2) == network.source_tree(11).dist[2]
     assert network.path(11, 2) == network.source_tree(11).path(2)

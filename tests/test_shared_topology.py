@@ -33,7 +33,8 @@ from repro.herd.wave import HerdWave
 from repro.net.link import Link, MatchDropFilter
 from repro.net.network import Network
 from repro.net.node import Agent, Node
-from repro.net.routing import SourceTree, build_source_tree
+from repro.net.routing import (RootedIndex, SourceTree, SourceTrees,
+                                build_source_tree)
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import EventScheduler
 from repro.sim.timers import Timer
@@ -75,9 +76,9 @@ def test_same_content_shares_one_skeleton_and_nothing_mutable():
     spec = chain(6)
     twin = TopologySpec("twin", spec.num_nodes, list(spec.edges))
     a, b = spec.build(), twin.build()
-    assert a._index is b._index is not None
-    assert a._neighbors is b._neighbors
-    assert a._index.tree.origin == 0
+    assert a._routes is b._routes
+    assert isinstance(a._routes, RootedIndex)
+    assert a._routes.tree.origin == 0
     assert a.adjacency is not b.adjacency
     for node in range(spec.num_nodes):
         assert a.nodes[node] is not b.nodes[node]
@@ -86,22 +87,22 @@ def test_same_content_shares_one_skeleton_and_nothing_mutable():
         assert (mine.a, mine.b, mine.delay) == (theirs.a, theirs.b, 1.0)
     assert a.source_tree(0) is not b.source_tree(0)
     # Another delay or threshold is another skeleton.
-    assert spec.build(delay=2.0)._index is not a._index
-    assert spec.build(threshold=2)._index is not a._index
+    assert spec.build(delay=2.0)._routes is not a._routes
+    assert spec.build(threshold=2)._routes is not a._routes
 
 
 def test_the_skeleton_table_keeps_the_most_recent_topologies():
     table = spec_module._SKELETONS
     kept = balanced_tree(50, 3)
-    first = kept.build()._index
+    first = kept.build()._routes
     for size in range(10, 10 + spec_module.SKELETON_SLOTS - 1):
         chain(size).build()
-        assert kept.build()._index is first  # each use refreshes it
+        assert kept.build()._routes is first  # each use refreshes it
     assert len(table) <= spec_module.SKELETON_SLOTS
     for size in range(30, 30 + spec_module.SKELETON_SLOTS):
         chain(size).build()
     assert len(table) == spec_module.SKELETON_SLOTS
-    assert kept.build()._index is not first  # evicted, then rebuilt
+    assert kept.build()._routes is not first  # evicted, then rebuilt
 
 
 def test_filters_and_bandwidth_stay_in_their_network():
@@ -140,9 +141,11 @@ def test_a_delay_edit_changes_only_its_network():
     edited = spec.build()
     _heterogeneous_delays(edited, rng.fork("delays"))
     after = spec.build()
-    shared = before._index
-    assert edited._index is None and edited._neighbors is None
-    assert after._index is shared
+    shared = before._routes
+    assert isinstance(shared, RootedIndex)
+    assert isinstance(edited._routes, SourceTrees)
+    assert edited._routes.trees == {}
+    assert after._routes is shared
     source = scenario.source
     dijkstra = build_source_tree(edited.adjacency, source)
     unit = build_source_tree(after.adjacency, source)
@@ -154,7 +157,8 @@ def test_a_delay_edit_changes_only_its_network():
         for network in (before, after):
             assert network.distance(member, source) == \
                 unit.dist[member] == float(unit.hops[member])
-    assert edited._index is not None and edited._index is not shared
+    # One kept tree per origin asked about, over the edited links.
+    assert sorted(edited._routes.trees) == scenario.members
     assert shared.pair(source, scenario.members[-1])[0] == \
         unit.dist[scenario.members[-1]]
 
