@@ -22,9 +22,14 @@ Every member hears every request and repair, so each emission site asks
 ``KIND in trace.wanted`` itself and otherwise only bumps
 ``trace.kind_totals[KIND]`` (SRM006): a kind nobody reads costs no
 Python call. Hot methods read the clock as ``self._scheduler.now``, not
-through the ``now`` property. A run of members the direct engine
-delivers one packet to at once is taken by :func:`receive_run` in one
-frame, whatever the packet's kind.
+through the ``now`` property. A run of members an engine delivers one
+packet to at once is taken by :func:`receive_run` in one frame,
+whatever the packet's kind, and a heard request, repair or copy of held
+data is finished there for each member: the held-data test, duplicate
+counts, the ignore-window test and a repair's cancel are made in place,
+so only timer draws, new data and the once-per-loss statistics leave
+the frame. :meth:`SrmAgent.receive` hands data, requests and repairs to
+it as a run of one, so each kind has one implementation.
 """
 
 from __future__ import annotations
@@ -132,18 +137,19 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
 
     The run handler. The direct engine hands it a whole delivery run
     (receivers that tie in delay and hops); ``SrmAgent.receive`` hands
-    it a heard request, and ``SessionProtocol.handle`` a report, as a
-    run of one. It dispatches on the packet kind once per run, and what
-    depends only on the packet (name, requester, reported distance, the
-    report's stamp and streams) is read once. Every member hears every
-    request, repair and report, so each run is finished in this one
-    frame: a session report is merged and a request handled here, a
-    repair or data packet goes straight to the member's
-    ``_handle_repair`` / ``_accept_data``, any other packet to its
-    ``receive``. Each agent is finished (its losses detected, timers
-    drawn, rows written) before the next is touched, and an agent not
-    (or no longer) listening on ``packet.dst`` is skipped, as
-    ``receive`` skips it.
+    it a data packet, request or repair, and ``SessionProtocol.handle``
+    a report, as a run of one. It dispatches on the packet kind once
+    per run, and what depends only on the packet (name, requester,
+    replier, reported distance, the report's stamp and streams) is read
+    once. Every member hears every request, repair and report, so each
+    run is finished in this one frame: a report is merged, a request
+    counted, backed off or answered, a repair cancels and observes
+    here, and a copy already held is skipped without a call; only new
+    data (``_accept_data``) and the protocol's timer work leave it.
+    Any other packet goes to each member's ``receive``. Each agent is
+    finished (its losses detected, timers drawn, rows written) before
+    the next is touched, and an agent not (or no longer) listening on
+    ``packet.dst`` is skipped, as ``receive`` skips it.
     """
     kind = packet.kind
     payload = packet.payload
@@ -157,6 +163,8 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
             if (group is not agent.group and group.__class__ is GroupAddress
                     and group not in agent._joined_groups):
                 continue
+            if name in agent.store.held:
+                continue  # a copy already held: nothing changes
             agent._accept_data(name, data, is_repair=False)
     elif kind == KIND_SESSION and payload.__class__ is SessionPayload:
         # Session reports outnumber every other kind of run.
@@ -229,17 +237,35 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
             if (group is not agent.group and group.__class__ is GroupAddress
                     and group not in agent._joined_groups):
                 continue
-            if agent.store.have(name):
+            if name in agent.store.held:
                 agent._consider_repair(packet, payload)
                 continue
-            context = agent._requests.get(name)
-            if context is not None:
+            requests = agent._requests
+            if name in requests:
+                context = requests[name]
                 if context.done:
                     continue  # abandoned; nothing useful to do
-                agent._observe_request(context, requester=requester,
-                                       reported_distance=reported)
-                if timer_math.should_backoff(now,
-                                             context.ignore_backoff_until):
+                context.requests_observed += 1
+                if not context.first_request_seen:
+                    agent._first_request(context, requester)
+                elif requester != agent.node_id:
+                    # A later request, heard: a duplicate. (Only requests
+                    # *received* count, as in the paper's dup_req; our
+                    # own retransmissions do not.)
+                    if DUP_REQUEST_OBSERVED in trace.wanted:
+                        trace.record(now, agent.node_id, DUP_REQUEST_OBSERVED,
+                                     {"name": name, "requester": requester})
+                    else:
+                        trace.kind_totals[DUP_REQUEST_OBSERVED] += 1
+                    if agent.adaptive is not None:
+                        agent.adaptive.record_duplicate_request(
+                            we_sent=context.sent_request,
+                            requester_distance=reported,
+                            our_distance=agent.distances.distance(
+                                name.source))
+                # The ignore window is half-open: a request heard at its
+                # end backs off.
+                if now >= context.ignore_backoff_until:
                     agent._backoff_request(context)
                     if REQUEST_BACKOFF in trace.wanted:
                         trace.record(now, agent.node_id, REQUEST_BACKOFF,
@@ -262,15 +288,64 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
                     agent.on_loss_detected(missing)
                 fresh = agent._requests.get(name)
                 if fresh is not None:
-                    agent._observe_request(fresh, requester=requester,
-                                           reported_distance=reported)
+                    fresh.requests_observed += 1
+                    agent._first_request(fresh, requester)
                     agent._backoff_request(fresh)
     elif kind == KIND_REPAIR:
+        # Section III-B: a repair cancels this member's own pending
+        # repair for the name, counts against the duplicate statistics,
+        # and delivers the data or, for a copy already held, refreshes
+        # the hold-down.
+        name = payload.name
+        replier = payload.replier
+        answering = payload.answering
+        now = agents[0]._scheduler.now  # type: ignore[union-attr]
+        trace = agents[0].network.trace
         for agent in agents:
             if (group is not agent.group and group.__class__ is GroupAddress
                     and group not in agent._joined_groups):
                 continue
-            agent._handle_repair(packet)
+            if RECV_REPAIR in trace.wanted:
+                trace.record(now, agent.node_id, RECV_REPAIR,
+                             {"name": name, "replier": replier,
+                              "answering": answering})
+            else:
+                trace.kind_totals[RECV_REPAIR] += 1
+            repairs = agent._repairs
+            if name in repairs:
+                repair_context = repairs[name]
+                if not repair_context.done and repair_context.timer.pending:
+                    repair_context.timer.cancel()
+                    repair_context.done = True
+                    agent.repairs_cancelled += 1
+                    if REPAIR_CANCELLED in trace.wanted:
+                        trace.record(now, agent.node_id, REPAIR_CANCELLED,
+                                     {"name": name})
+                    else:
+                        trace.kind_totals[REPAIR_CANCELLED] += 1
+                repair_context.repairs_observed += 1
+                if (repair_context.repairs_observed >= 2
+                        and replier != agent.node_id):
+                    if DUP_REPAIR_OBSERVED in trace.wanted:
+                        trace.record(now, agent.node_id, DUP_REPAIR_OBSERVED,
+                                     {"name": name, "replier": replier})
+                    else:
+                        trace.kind_totals[DUP_REPAIR_OBSERVED] += 1
+                    if agent.adaptive is not None:
+                        agent.adaptive.record_duplicate_repair(
+                            we_sent=repair_context.sent_repair,
+                            replier_distance=(
+                                payload.replier_distance_to_requester),
+                            our_distance=agent.distances.distance(
+                                repair_context.requester))
+            if name in agent.store.held:
+                agent._set_holddown(name, answering)
+            else:
+                agent._accept_data(name, payload.data, is_repair=True,
+                                   first_requester=answering)
+            if payload.local_step and answering == agent.node_id:
+                agent._second_step_repair(
+                    name, payload, group if group != agent.group else None)
     else:
         for agent in agents:
             agent.receive(packet)
@@ -501,6 +576,12 @@ class SrmAgent(Agent):
     # ------------------------------------------------------------------
 
     def receive(self, packet: Packet) -> None:
+        kind = packet.kind
+        if kind == KIND_DATA or kind == KIND_REQUEST or kind == KIND_REPAIR:
+            # A run of one: data and loss-recovery traffic have the one
+            # implementation, which makes the group check below itself.
+            receive_run((self,), packet)
+            return
         dst = packet.dst
         if (dst.__class__ is GroupAddress and dst is not self.group
                 and dst not in self._joined_groups):
@@ -510,22 +591,13 @@ class SrmAgent(Agent):
             # into the joined set: this runs once per delivered packet,
             # and group addresses are shared objects in the simulator.)
             return
-        kind = packet.kind
-        if kind == KIND_DATA:
-            payload: DataPayload = packet.payload
-            self._accept_data(payload.name, payload.data, is_repair=False)
-        elif kind == KIND_SESSION:
-            # Second in the chain: session traffic outnumbers every
-            # packet kind except data in a steady-state group. A session
-            # packet without a report in it (none is sent) is ignored.
+        if kind == KIND_SESSION:
+            # Session traffic outnumbers every other kind in a
+            # steady-state group. A session packet without a report in
+            # it (none is sent) is ignored.
             if (self.session is not None
                     and packet.payload.__class__ is SessionPayload):
                 self.session.handle(packet)
-        elif kind == KIND_REQUEST:
-            # A run of one: heard requests have the one implementation.
-            receive_run((self,), packet)
-        elif kind == KIND_REPAIR:
-            self._handle_repair(packet)
         elif kind == KIND_PAGE_REQUEST:
             self._handle_page_request(packet.payload)
         elif kind == KIND_PAGE_REPLY:
@@ -544,7 +616,7 @@ class SrmAgent(Agent):
 
     def on_loss_detected(self, name: AduName) -> None:
         """Open loss-recovery state for ``name`` and set a request timer."""
-        if self.store.have(name) or name in self._requests:
+        if name in self.store.held or name in self._requests:
             return
         now = self._scheduler.now
         if self.adaptive is not None and now > self._last_request_period_at:
@@ -612,8 +684,9 @@ class SrmAgent(Agent):
         self.requests_sent += 1
         context.rounds += 1
         context.sent_request = True
-        self._observe_request(context, requester=self.node_id,
-                              reported_distance=distance)
+        context.requests_observed += 1
+        if not context.first_request_seen:
+            self._first_request(context, self.node_id)
         if self.adaptive is not None:
             self.adaptive.record_request_sent()
         trace = self.network.trace
@@ -651,44 +724,25 @@ class SrmAgent(Agent):
         else:
             trace.kind_totals[REQUEST_TIMER_SET] += 1
 
-    def _observe_request(self, context: RequestContext, requester: int,
-                         reported_distance: float) -> None:
-        """Count a request (ours or heard) against duplicate statistics."""
-        context.requests_observed += 1
-        if not context.first_request_seen:
-            context.first_request_seen = True
-            now = self._scheduler.now
-            delay = now - context.detected_at
-            rtt = self.network.rtt(self.node_id, context.name.source)
-            ratio = delay / rtt if rtt > 0 else 0.0
-            trace = self.network.trace
-            if FIRST_REQUEST_EVENT in trace.wanted:
-                via = "sent" if requester == self.node_id else "heard"
-                trace.record(now, self.node_id, FIRST_REQUEST_EVENT,
-                             {"name": context.name, "delay": delay,
-                              "rtt": rtt, "ratio": ratio, "via": via})
-            else:
-                trace.kind_totals[FIRST_REQUEST_EVENT] += 1
-            if self.adaptive is not None:
-                self.adaptive.record_request_delay(ratio)
-        elif context.requests_observed >= 2 and requester != self.node_id:
-            # Only requests *received* count as duplicates (the paper:
-            # "dup_req keeps count of the number of duplicate requests
-            # received during one request period"); our own
-            # retransmissions in a later iteration do not.
-            trace = self.network.trace
-            if DUP_REQUEST_OBSERVED in trace.wanted:
-                trace.record(self._scheduler.now, self.node_id,
-                             DUP_REQUEST_OBSERVED,
-                             {"name": context.name, "requester": requester})
-            else:
-                trace.kind_totals[DUP_REQUEST_OBSERVED] += 1
-            if self.adaptive is not None:
-                own_distance = self.distances.distance(context.name.source)
-                self.adaptive.record_duplicate_request(
-                    we_sent=context.sent_request,
-                    requester_distance=reported_distance,
-                    our_distance=own_distance)
+    def _first_request(self, context: RequestContext, requester: int) -> None:
+        """The first request for a loss, sent or heard: close the waiting
+        period for the delay statistics (once per loss). Later heard
+        requests are duplicates, counted by :func:`receive_run`."""
+        context.first_request_seen = True
+        now = self._scheduler.now
+        delay = now - context.detected_at
+        rtt = self.network.rtt(self.node_id, context.name.source)
+        ratio = delay / rtt if rtt > 0 else 0.0
+        trace = self.network.trace
+        if FIRST_REQUEST_EVENT in trace.wanted:
+            via = "sent" if requester == self.node_id else "heard"
+            trace.record(now, self.node_id, FIRST_REQUEST_EVENT,
+                         {"name": context.name, "delay": delay,
+                          "rtt": rtt, "ratio": ratio, "via": via})
+        else:
+            trace.kind_totals[FIRST_REQUEST_EVENT] += 1
+        if self.adaptive is not None:
+            self.adaptive.record_request_delay(ratio)
 
     # ------------------------------------------------------------------
     # Handling requests from other members
@@ -699,14 +753,16 @@ class SrmAgent(Agent):
         name = payload.name
         now = self._scheduler.now
         trace = self.network.trace
-        if now < self._holddown.get(name, float("-inf")):
+        holddown = self._holddown
+        if name in holddown and now < holddown[name]:
             if REQUEST_IGNORED_HOLDDOWN in trace.wanted:
                 trace.record(now, self.node_id, REQUEST_IGNORED_HOLDDOWN,
                              {"name": name})
             else:
                 trace.kind_totals[REQUEST_IGNORED_HOLDDOWN] += 1
             return
-        existing = self._repairs.get(name)
+        repairs = self._repairs
+        existing = repairs[name] if name in repairs else None
         if existing is not None and existing.timer.pending:
             if REQUEST_WHILE_REPAIR_PENDING in trace.wanted:
                 trace.record(now, self.node_id, REQUEST_WHILE_REPAIR_PENDING,
@@ -729,7 +785,7 @@ class SrmAgent(Agent):
             request_hops=packet.hops_travelled(),
             request_zone=packet.scope_zone,
             reply_group=packet.dst if packet.dst != self.group else None)
-        self._repairs[name] = context
+        repairs[name] = context
         context.timer.start(self._draw_repair_delay(payload.requester))
         if REPAIR_SCHEDULED in trace.wanted:
             trace.record(now, self.node_id, REPAIR_SCHEDULED,
@@ -758,7 +814,7 @@ class SrmAgent(Agent):
         raise ValueError(f"unknown local_repair_mode {mode!r}")
 
     def _repair_timer_expired(self, context: RepairContext) -> None:
-        if context.done or not self.store.have(context.name):
+        if context.done or context.name not in self.store.held:
             return
         name = context.name
         mode = self.config.local_repair_mode
@@ -778,7 +834,7 @@ class SrmAgent(Agent):
         self.repairs_sent += 1
         context.sent_repair = True
         context.done = True
-        self._observe_repair(context, payload)
+        context.repairs_observed += 1
         rtt = self.network.rtt(self.node_id, context.requester)
         now = self._scheduler.now
         delay = now - context.set_at
@@ -796,25 +852,6 @@ class SrmAgent(Agent):
             trace.kind_totals[SEND_REPAIR] += 1
         self._set_holddown(name, context.requester)
 
-    def _observe_repair(self, context: RepairContext,
-                        payload: RepairPayload) -> None:
-        context.repairs_observed += 1
-        if context.repairs_observed >= 2 and payload.replier != self.node_id:
-            trace = self.network.trace
-            if DUP_REPAIR_OBSERVED in trace.wanted:
-                trace.record(self._scheduler.now, self.node_id,
-                             DUP_REPAIR_OBSERVED,
-                             {"name": context.name,
-                              "replier": payload.replier})
-            else:
-                trace.kind_totals[DUP_REPAIR_OBSERVED] += 1
-            if self.adaptive is not None:
-                own_distance = self.distances.distance(context.requester)
-                self.adaptive.record_duplicate_repair(
-                    we_sent=context.sent_repair,
-                    replier_distance=payload.replier_distance_to_requester,
-                    our_distance=own_distance)
-
     def _set_holddown(self, name: AduName, first_requester: Optional[int]) -> None:
         """Ignore requests for ``name`` for 3 * d(S, us) (Section III-B).
 
@@ -831,36 +868,6 @@ class SrmAgent(Agent):
     # ------------------------------------------------------------------
     # Handling repairs and original data
     # ------------------------------------------------------------------
-
-    def _handle_repair(self, packet: Packet) -> None:
-        payload: RepairPayload = packet.payload
-        name = payload.name
-        trace = self.network.trace
-        if RECV_REPAIR in trace.wanted:
-            trace.record(self._scheduler.now, self.node_id, RECV_REPAIR,
-                         {"name": name, "replier": payload.replier,
-                          "answering": payload.answering})
-        else:
-            trace.kind_totals[RECV_REPAIR] += 1
-        arrival_group = packet.dst if packet.dst != self.group else None
-        repair_context = self._repairs.get(name)
-        if repair_context is not None and not repair_context.done:
-            if repair_context.timer.pending:
-                repair_context.timer.cancel()
-                repair_context.done = True
-                self.repairs_cancelled += 1
-                if REPAIR_CANCELLED in trace.wanted:
-                    trace.record(self._scheduler.now, self.node_id,
-                                 REPAIR_CANCELLED, {"name": name})
-                else:
-                    trace.kind_totals[REPAIR_CANCELLED] += 1
-            self._observe_repair(repair_context, payload)
-        elif repair_context is not None:
-            self._observe_repair(repair_context, payload)
-        self._accept_data(name, payload.data, is_repair=True,
-                          first_requester=payload.answering)
-        if payload.local_step and payload.answering == self.node_id:
-            self._second_step_repair(name, payload, arrival_group)
 
     def _second_step_repair(self, name: AduName, payload: RepairPayload,
                             group: Optional[GroupAddress] = None) -> None:
@@ -891,16 +898,16 @@ class SrmAgent(Agent):
 
     def _accept_data(self, name: AduName, data: Any, is_repair: bool,
                      first_requester: Optional[int] = None) -> None:
-        if self.store.have(name):
-            if is_repair:
-                self._set_holddown(name, first_requester)
-            return
+        """Deliver data this member does not hold yet (its callers test
+        ``store.held`` first): store it, close its recovery, and detect
+        the losses its sequence number reveals."""
         self.store.put(name, data)
         newly_missing = self.reception.mark_received(name)
         now = self._scheduler.now
         trace = self.network.trace
-        context = self._requests.get(name)
-        if context is not None and not context.done:
+        requests = self._requests
+        if name in requests and not requests[name].done:
+            context = requests[name]
             context.done = True
             context.timer.cancel()
             delay = now - context.detected_at

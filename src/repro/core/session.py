@@ -12,7 +12,8 @@ bandwidth, so the per-member interval grows linearly with the group size.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.messages import KIND_SESSION, SessionPayload, SessionTimestamp
 from repro.sim.timers import Timer
@@ -39,15 +40,14 @@ class OracleDistance(DistanceEstimator):
     other member ("the session packet timestamps are used to estimate the
     host-to-host distances"); the oracle models fully converged estimates.
     It holds the engine and the member's node, not the agent, so the
-    agent holding it is no reference cycle.
+    agent holding it is no reference cycle. ``distance(peer)`` is the
+    engine's ``distance`` with the member's node bound once, so a query
+    enters no frame of the oracle's own.
     """
 
     def __init__(self, network: "Engine", node: "NodeId") -> None:
-        self._network = network
-        self._node = node
-
-    def distance(self, peer: "NodeId") -> float:
-        return self._network.distance(self._node, peer)
+        self.distance: Callable[["NodeId"], float] = partial(
+            network.distance, node)
 
 
 class SessionDistance(DistanceEstimator):

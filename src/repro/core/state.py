@@ -28,16 +28,19 @@ class DataStore:
     """
 
     def __init__(self) -> None:
-        self._data: Dict[AduName, Any] = {}
+        #: name -> data, every ADU held. Read it, never write it: the
+        #: receive paths test ``name in store.held``, which enters no
+        #: call, for every packet a member hears.
+        self.held: Dict[AduName, Any] = {}
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self.held)
 
     def __contains__(self, name: AduName) -> bool:
-        return name in self._data
+        return name in self.held
 
     def have(self, name: AduName) -> bool:
-        return name in self._data
+        return name in self.held
 
     def put(self, name: AduName, data: Any) -> bool:
         """Bind ``name`` to ``data``; returns True when newly stored.
@@ -46,30 +49,30 @@ class DataStore:
         :class:`NameRebindError` — changing content must be done with new
         drawops under new names, never by mutating an existing name.
         """
-        existing = self._data.get(name)
-        if name in self._data:
-            if existing != data:
+        held = self.held
+        if name in held:
+            if held[name] != data:
                 raise NameRebindError(
                     f"name {name} already bound to different data")
             return False
-        self._data[name] = data
+        held[name] = data
         return True
 
     def get(self, name: AduName) -> Any:
-        return self._data[name]
+        return self.held[name]
 
     def evict(self, name: AduName) -> None:
-        self._data.pop(name, None)
+        self.held.pop(name, None)
 
     def evict_page(self, page: PageId) -> int:
         """Discard all data on a page; returns the number evicted."""
-        victims = [name for name in self._data if name.page == page]
+        victims = [name for name in self.held if name.page == page]
         for name in victims:
-            del self._data[name]
+            del self.held[name]
         return len(victims)
 
     def names_on_page(self, page: PageId) -> List[AduName]:
-        return sorted(name for name in self._data if name.page == page)
+        return sorted(name for name in self.held if name.page == page)
 
 
 class _PageStreams:

@@ -15,7 +15,8 @@ here, once, in the exact shape of the original agent code:
   degenerates to a tiny uniform on ``[0, DEGENERATE_HIGH]`` so
   simultaneous members still de-synchronize;
 * after a backoff, duplicate requests are ignored until halfway to the
-  new expiry (footnote 1's heuristic);
+  new expiry (footnote 1's heuristic); the window is half-open, and
+  each engine compares ``now >= until`` in place, per member;
 * answering a request starts a ``holddown_factor * d`` ignore window
   (Section III-B's 3*d hold-down).
 
@@ -84,15 +85,6 @@ def holddown_until(now: float, distance: float,
                    holddown_factor: float = 3.0) -> float:
     """End of the repair hold-down window after answering a request."""
     return now + holddown_factor * distance
-
-
-def should_backoff(now: float, ignore_until: float) -> bool:
-    """Does a duplicate request at ``now`` trigger another backoff?
-
-    False while still inside the ignore window — the request is counted
-    but the timer is left alone.
-    """
-    return now >= ignore_until
 
 
 # ---------------------------------------------------------------------------

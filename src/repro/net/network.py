@@ -421,8 +421,9 @@ class Network:
         contexts; the session's, transmit queue's and FEC codec's
         back-pointers). It drops the node lists and
         run bindings that hold agents, the cut
-        entries with their cut sets, and the scheduler's pending events
-        (each points back at it). The run is
+        entries with their cut sets, the scheduler's pending events
+        (each points back at it) and the trace's listeners (an oracle
+        suite still listening holds the network). The run is
         then freed by reference counting when its last outside reference
         goes; its trace, links and the agents' stores, reception state
         and counters stay readable. Nothing can be delivered to an agent
@@ -435,6 +436,7 @@ class Network:
                     agent.detached()
                 node.agents = []
         self.scheduler.clear()
+        self.trace.unsubscribe_all()
         self._run_bindings = {}
         self._cut_entries = {}
 

@@ -185,6 +185,14 @@ class Trace:
                 self._rewire()
                 return
 
+    def unsubscribe_all(self) -> None:
+        """Stop invoking every listener (``Network.close``: the run that
+        fed them is over, and a listener that holds the network, as an
+        oracle suite does, would keep the finished run a cycle)."""
+        if self._listeners:
+            self._listeners.clear()
+            self._rewire()
+
     def clear(self) -> None:
         self.records.clear()
 

@@ -183,9 +183,11 @@ def _protocol_oracles(request, monkeypatch):
     what the trace keeps alone (a network whose trace does not keep
     every row is simply not observed) so the fixture cannot perturb
     tests that assert on trace contents beyond the extra ``deliver``
-    records.
+    records. A test marked ``plants_violation`` breaks an invariant on
+    purpose (its own assertions check the finding) and is left alone.
     """
-    if not check_mode_enabled():
+    if (not check_mode_enabled()
+            or request.node.get_closest_marker("plants_violation")):
         yield
         return
     from repro.oracle import SessionOracleSuite

@@ -61,13 +61,9 @@ CATALOG: Tuple[Mutant, ...] = (
         "(exponential, not a single doubling)"),
     Mutant(
         "heard-request-no-backoff", AGENT,
-        "                if timer_math.should_backoff(now,\n"
-        "                                             "
-        "context.ignore_backoff_until):\n"
+        "                if now >= context.ignore_backoff_until:\n"
         "                    agent._backoff_request(context)\n",
-        "                if timer_math.should_backoff(now,\n"
-        "                                             "
-        "context.ignore_backoff_until):\n"
+        "                if now >= context.ignore_backoff_until:\n"
         "                    pass\n",
         "III-A: a request heard before our own timer fires backs off "
         "and resets our request timer"),
@@ -85,9 +81,9 @@ CATALOG: Tuple[Mutant, ...] = (
         "III-A footnote 1 (herd engine's batched form): the ignore "
         "window ends halfway to the new expiry"),
     Mutant(
-        "should-backoff-strict", TIMER_MATH,
-        "    return now >= ignore_until",
-        "    return now > ignore_until",
+        "should-backoff-strict", AGENT,
+        "                if now >= context.ignore_backoff_until:\n",
+        "                if now > context.ignore_backoff_until:\n",
         "III-A footnote 1: the ignore window is half-open; a request "
         "at its end backs off"),
     # -- hold-down (Section III-B) -------------------------------------

@@ -120,6 +120,7 @@ def no_holddown(monkeypatch):
                         lambda self, name, first_requester: None)
 
 
+@pytest.mark.plants_violation
 def test_injected_holddown_bug_is_caught(no_holddown):
     result = run_fuzz_case(case=generate_case(CAUGHT_SEED))
     assert result["error"] is None
@@ -127,6 +128,7 @@ def test_injected_holddown_bug_is_caught(no_holddown):
     assert "repair-holddown" in oracles
 
 
+@pytest.mark.plants_violation
 def test_injected_bug_shrinks_to_smaller_case(no_holddown):
     case = generate_case(CAUGHT_SEED)
     minimized = shrink_case(case, "repair-holddown")
@@ -145,6 +147,7 @@ def test_injected_bug_shrinks_to_smaller_case(no_holddown):
                for violation in result["violations"])
 
 
+@pytest.mark.plants_violation
 def test_campaign_reports_failure_with_reproducing_seed(no_holddown):
     outcome = run_fuzz(rounds=CAUGHT_INDEX + 1, seed=7,
                        runner=serial_runner())
@@ -159,6 +162,7 @@ def test_campaign_reports_failure_with_reproducing_seed(no_holddown):
     assert "minimized case:" in report
 
 
+@pytest.mark.plants_violation
 def test_failure_report_reads_the_same_at_any_job_count(no_holddown):
     """Packet uids come from a process-wide counter, so the report masks
     them (``packet=*``): it must not depend on the job count or on what
@@ -188,6 +192,7 @@ def test_cli_fuzz_clean_exits_zero(capsys):
     assert "0 violations" in capsys.readouterr().out
 
 
+@pytest.mark.plants_violation
 def test_cli_fuzz_injected_bug_exits_nonzero(no_holddown, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli_main(["fuzz", "--rounds", str(CAUGHT_INDEX + 1), "--seed", "7",

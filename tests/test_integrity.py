@@ -123,7 +123,7 @@ def test_corrupted_data_is_refused_not_rendered():
     # Member 1's stored (sealed) copy becomes corrupt.
     victim = boards[1].agent
     sealed = victim.store.get(name[0])
-    victim.store._data[name[0]] = corrupt(sealed)
+    victim.store.held[name[0]] = corrupt(sealed)
     # Member 3 loses its copy and asks the group; member 1 happens to
     # answer first (it is closest to node 3 after we silence 0 and 2).
     boards[3].agent.store.evict(name[0])
@@ -158,7 +158,7 @@ def test_rejected_member_rerequests_an_intact_copy():
     network.scheduler.schedule(0.0, go)
     network.run()
     victim = boards[1].agent
-    victim.store._data[name[0]] = corrupt(victim.store.get(name[0]))
+    victim.store.held[name[0]] = corrupt(victim.store.get(name[0]))
     boards[3].agent.store.evict(name[0])
     network.scheduler.schedule(
         1.0, lambda: boards[3].agent.on_loss_detected(name[0]))

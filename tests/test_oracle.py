@@ -126,6 +126,7 @@ REQUEST_ROW = {"name": NAME, "round": 1, "ttl": 255}
     (SEND_REQUEST, {**REQUEST_ROW, "hops": 2}),
     (SEND_REQUEST, {"name": NAME, "rounds": 1, "ttl": 255}),
 ], ids=["undeclared-kind", "missing-key", "extra-key", "misspelt-key"])
+@pytest.mark.plants_violation
 def test_schema_oracle_rejects_rows_off_the_kind_table(kind, detail):
     network = two_node_network()
     suite = single_oracle_suite(network, TraceSchemaOracle)
@@ -141,6 +142,7 @@ def test_schema_oracle_rejects_rows_off_the_kind_table(kind, detail):
 # Scheduler sanity
 # ----------------------------------------------------------------------
 
+@pytest.mark.plants_violation
 def test_scheduler_oracle_rejects_time_skew():
     network = two_node_network()
     suite = single_oracle_suite(network, SchedulerMonotonicityOracle)
@@ -150,6 +152,7 @@ def test_scheduler_oracle_rejects_time_skew():
     assert oracle_names(suite) == ["scheduler-sanity"]
 
 
+@pytest.mark.plants_violation
 def test_scheduler_oracle_rejects_backwards_time():
     network = two_node_network()
     suite = single_oracle_suite(network, SchedulerMonotonicityOracle)
@@ -166,6 +169,7 @@ def test_scheduler_oracle_rejects_backwards_time():
 # Request timers
 # ----------------------------------------------------------------------
 
+@pytest.mark.plants_violation
 def test_request_oracle_rejects_backoff_jump():
     network = two_node_network()
     suite = single_oracle_suite(network, RequestTimerOracle)
@@ -180,6 +184,7 @@ def test_request_oracle_rejects_backoff_jump():
     assert "jumped" in suite.violations[0].message
 
 
+@pytest.mark.plants_violation
 def test_request_oracle_rejects_timer_without_loss_detection():
     network = two_node_network()
     suite = single_oracle_suite(network, RequestTimerOracle)
@@ -190,6 +195,7 @@ def test_request_oracle_rejects_timer_without_loss_detection():
                for violation in suite.violations)
 
 
+@pytest.mark.plants_violation
 def test_request_oracle_rejects_delay_outside_interval():
     network = two_node_network()
     suite = single_oracle_suite(network, RequestTimerOracle)
@@ -209,6 +215,7 @@ def test_request_oracle_rejects_delay_outside_interval():
                for violation in suite.violations)
 
 
+@pytest.mark.plants_violation
 def test_request_oracle_rejects_unjustified_dup_ignore():
     network = two_node_network()
     suite = single_oracle_suite(network, RequestTimerOracle)
@@ -222,6 +229,7 @@ def test_request_oracle_rejects_unjustified_dup_ignore():
 # Repair hold-down
 # ----------------------------------------------------------------------
 
+@pytest.mark.plants_violation
 def test_holddown_oracle_rejects_duplicate_repair_in_window():
     network = two_node_network()
     suite = single_oracle_suite(network, RepairHolddownOracle)
@@ -233,6 +241,7 @@ def test_holddown_oracle_rejects_duplicate_repair_in_window():
     assert "hold-down window" in suite.violations[0].message
 
 
+@pytest.mark.plants_violation
 def test_holddown_oracle_allows_repair_after_window():
     network = two_node_network()
     suite = single_oracle_suite(network, RepairHolddownOracle)
@@ -242,6 +251,7 @@ def test_holddown_oracle_allows_repair_after_window():
     assert suite.violations == []
 
 
+@pytest.mark.plants_violation
 def test_holddown_oracle_rejects_phantom_holddown_claim():
     network = two_node_network()
     suite = single_oracle_suite(network, RepairHolddownOracle)
@@ -251,6 +261,7 @@ def test_holddown_oracle_rejects_phantom_holddown_claim():
                for violation in suite.violations)
 
 
+@pytest.mark.plants_violation
 def test_recovery_reset_clears_holddown_state():
     network = two_node_network()
     suite = single_oracle_suite(network, RepairHolddownOracle)
@@ -265,6 +276,7 @@ def test_recovery_reset_clears_holddown_state():
 # Suppression / repair timers
 # ----------------------------------------------------------------------
 
+@pytest.mark.plants_violation
 def test_suppression_oracle_rejects_double_schedule():
     network = two_node_network()
     suite = single_oracle_suite(network, SuppressionOracle)
@@ -275,6 +287,7 @@ def test_suppression_oracle_rejects_double_schedule():
                for violation in suite.violations)
 
 
+@pytest.mark.plants_violation
 def test_suppression_oracle_rejects_repair_without_timer():
     network = two_node_network()
     suite = single_oracle_suite(network, SuppressionOracle)
@@ -284,6 +297,7 @@ def test_suppression_oracle_rejects_repair_without_timer():
                for violation in suite.violations)
 
 
+@pytest.mark.plants_violation
 def test_suppression_oracle_rejects_unjustified_cancellation():
     network = two_node_network()
     suite = single_oracle_suite(network, SuppressionOracle)
@@ -338,6 +352,7 @@ def test_delivery_oracle_flags_missing_data():
     assert "never received" in str(excinfo.value)
 
 
+@pytest.mark.plants_violation
 def test_delivery_oracle_accepts_pending_and_abandoned():
     network = two_node_network()
     name2 = AduName(0, DEFAULT_PAGE, 2)
@@ -381,6 +396,7 @@ def test_violation_report_includes_trace_excerpt():
     assert isinstance(row["excerpt"], list)
 
 
+@pytest.mark.plants_violation
 def test_suite_reset_clears_violations_and_state():
     network = two_node_network()
     suite = single_oracle_suite(network, RepairHolddownOracle)

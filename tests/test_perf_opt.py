@@ -368,9 +368,11 @@ def test_check_mode_compares_streamed_report_with_the_rescan(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def _python_frames(fn, inside=None):
+def _python_frames(fn, inside=None, c_calls=False):
     """Qualified names of the Python frames ``fn()`` enters, ``fn``'s own
-    excluded; frames entered under a call of the code ``inside`` too."""
+    excluded; frames entered under a call of the code ``inside`` too.
+    With ``c_calls``, each call of a built-in function or method is
+    listed as well, as ``"C:<qualname>"`` (what the ledger also counts)."""
     frames = []
     depth = 0   # > 0 while under an ``inside`` frame
 
@@ -383,6 +385,9 @@ def _python_frames(fn, inside=None):
                 frames.append(frame.f_code.co_qualname)
         elif event == "return" and depth:
             depth -= 1
+        elif (event == "c_call" and c_calls and not depth
+              and arg is not sys.setprofile):
+            frames.append(f"C:{arg.__qualname__}")
 
     previous = sys.getprofile()
     sys.setprofile(profiler)
@@ -505,17 +510,18 @@ def test_a_heard_duplicate_request_costs_no_trace_or_clock_frame():
     the ignore window emits two kinds nobody reads here: the guard only
     counts them, so no ``Trace.record``, clock property or trace
     wrapper frame runs."""
+    from repro.core.agent import SrmAgent
+
     member, _, duplicate, trace = _member_in_request_suppression(keep=())
     totals = dict(trace.kind_totals)
-    frames = _python_frames(lambda: member.receive(duplicate))
+    frames = _python_frames(lambda: member.receive(duplicate),
+                            c_calls=True)
     assert member.requests_suppressed == 1
-    # receive, the run handler on a run of one, DataStore.have,
-    # _observe_request and timer_math.should_backoff: the protocol
-    # work, nothing else.
-    assert len(frames) <= 5, frames
-    assert not [frame for frame in frames
-                if frame in ("Trace.record", "Agent.now")
-                or frame.endswith(".trace")], frames
+    # receive and the run handler on a run of one: the held-data test,
+    # the duplicate count and the ignore-window test are made in
+    # place, without a call.
+    assert frames == [SrmAgent.receive.__qualname__,
+                      SrmAgent.receive_run.__qualname__], frames
     assert {kind: count - totals.get(kind, 0)
             for kind, count in trace.kind_totals.items()
             if count != totals.get(kind, 0)} == {
@@ -525,13 +531,10 @@ def test_a_heard_duplicate_request_costs_no_trace_or_clock_frame():
 def test_a_request_run_enters_one_frame_plus_the_protocol_work():
     """A duplicate request on a warm star reaches the k tied leaves, each
     inside its ignore window, as one run. Below ``_deliver_many`` the run
-    enters the run handler once and then, per member, only
-    ``DataStore.have``, ``_observe_request`` and
-    ``timer_math.should_backoff``: at most 1 + 3k frames, and no
-    ``receive`` (docs/performance.md, "Batched session/state
-    delivery")."""
-    from functools import partial
-
+    enters the run handler and nothing else: the held-data test, the
+    duplicate count and the ignore-window test are made in place, per
+    member, without a Python frame or a built-in call
+    (docs/performance.md, "Batched session/state delivery")."""
     from repro.core.agent import SrmAgent
     from repro.core.config import SrmConfig
     from repro.core.messages import KIND_REQUEST, RequestPayload
@@ -558,22 +561,10 @@ def test_a_request_run_enters_one_frame_plus_the_protocol_work():
     network.run(until=1.5)   # binds the run; every member backs off
     assert all(agent._requests[name].backoff_count == 1
                for agent in agents.values())
-    runs = []
-    deliver_many = network._deliver_many
-
-    def watched(members, packet):
-        runs.append((len(members), _python_frames(
-            partial(deliver_many, members, packet))))
-
-    network._deliver_many = watched
+    runs = _watch_runs(network)
     request(0)
     network.run(until=3.0)
-    handler = SrmAgent.receive_run.__qualname__
-    ((length, frames),) = runs
-    assert length == k
-    assert frames[0] == handler and frames.count(handler) == 1, frames
-    assert len(frames) <= 1 + 3 * k, frames
-    assert SrmAgent.receive.__qualname__ not in frames
+    assert runs == [(k, [SrmAgent.receive_run.__qualname__])], runs
     assert all(agent.requests_suppressed == 1 for agent in agents.values())
 
 
@@ -592,3 +583,114 @@ def test_a_heard_duplicate_request_builds_each_wanted_row_once():
         (0.0, 3, REQUEST_DUP_IGNORED, {"name": name})]
     assert frames.count("Trace.record") == len(rows)
     assert "Agent.now" not in frames
+
+
+def _star_of_holders(k):
+    """Leaves 1..k of a star, each holding the hub's first ADU; the hub
+    (the data's source) and leaf k+1 are not members. Returns the
+    network, the members, the group and the name."""
+    from repro.core.messages import KIND_DATA, DataPayload
+    from repro.core.names import DEFAULT_PAGE, AduName
+
+    network, agents, group = build_srm_session(star(k + 1), range(1, k + 1))
+    network.trace.keep = ()
+    network.trace_deliveries = False  # check mode traces, never batches
+    name = AduName(0, DEFAULT_PAGE, 1)
+    network.send_multicast(0, group, KIND_DATA,
+                           DataPayload(name=name, data="x"))
+    network.run(until=1.5)
+    assert all(agent.store.have(name) for agent in agents.values())
+    return network, agents, group, name
+
+
+def _watch_runs(network):
+    """Record ``(length, frames)`` of each run ``_deliver_many`` takes
+    from now on, built-in calls included."""
+    from functools import partial
+
+    runs = []
+    deliver_many = network._deliver_many
+
+    def watched(members, packet):
+        runs.append((len(members), _python_frames(
+            partial(deliver_many, members, packet), c_calls=True)))
+
+    network._deliver_many = watched
+    return runs
+
+
+def test_a_repair_run_over_holders_stays_in_the_run_handler():
+    """A repair reaching k holders, each with its own repair timer
+    pending, is one run. The run handler cancels, observes and
+    refreshes each hold-down in place: per member only the timer's
+    cancel and ``_set_holddown`` with its distance query, and no
+    ``receive``, ``_accept_data``, ``DataStore.have`` or
+    distance-oracle wrapper frame."""
+    from repro.core.agent import SrmAgent
+    from repro.core.messages import (KIND_REPAIR, KIND_REQUEST,
+                                     RepairPayload, RequestPayload)
+
+    k = 6
+    network, agents, group, name = _star_of_holders(k)
+    network.send_multicast(k + 1, group, KIND_REQUEST, RequestPayload(
+        name=name, requester=k + 1, requester_distance_to_source=1.0))
+    network.run(until=3.5)   # every holder schedules a repair
+    assert all(agent.pending_repairs() == [name]
+               for agent in agents.values())
+    runs = _watch_runs(network)
+    network.send_multicast(0, group, KIND_REPAIR, RepairPayload(
+        name=name, data="x", replier=0, answering=k + 1))
+    network.run(until=4.6)   # before any repair timer can fire
+    ((length, frames),) = runs
+    assert length == k
+    handler = SrmAgent.receive_run.__qualname__
+    assert frames[0] == handler and frames.count(handler) == 1, frames
+    assert frames.count(SrmAgent._set_holddown.__qualname__) == k
+    # Per member: Timer.pending, Timer.cancel, Event.cancel and its
+    # list.pop, _set_holddown, Network.distance and holddown_until.
+    assert len(frames) <= 1 + 7 * k, frames
+    assert not [frame for frame in frames
+                if frame in (SrmAgent.receive.__qualname__,
+                             SrmAgent._accept_data.__qualname__,
+                             "DataStore.have", "OracleDistance.distance",
+                             "C:dict.get", "C:dict.__contains__")], frames
+    assert all(agent.repairs_cancelled == 1 and not agent.pending_repairs()
+               and agent.holddown_active(name)
+               for agent in agents.values())
+
+
+def test_a_data_run_over_holders_enters_only_the_run_handler():
+    """Data every member of the run already holds is skipped in place:
+    the run enters the run handler and makes no other call."""
+    from repro.core.agent import SrmAgent
+    from repro.core.messages import KIND_DATA, DataPayload
+
+    k = 6
+    network, agents, group, name = _star_of_holders(k)
+    received = [agent.data_received for agent in agents.values()]
+    runs = _watch_runs(network)
+    network.send_multicast(0, group, KIND_DATA,
+                           DataPayload(name=name, data="x"))
+    network.run(until=3.0)
+    assert runs == [(k, [SrmAgent.receive_run.__qualname__])]
+    assert [agent.data_received for agent in agents.values()] == received
+
+
+def test_a_request_heard_at_the_end_of_the_ignore_window_backs_off():
+    """Footnote 1's ignore window is half-open: a duplicate heard at
+    exactly ``ignore_backoff_until`` backs the timer off again; one
+    heard just before it is only counted."""
+    member, name, duplicate, _ = _member_in_request_suppression(keep=())
+    context = member._requests[name]
+    scheduler = member.network.scheduler
+    end = context.ignore_backoff_until
+    assert end > scheduler.now
+
+    scheduler.schedule_at(end - 1e-6, member.receive, duplicate)
+    scheduler.run(until=end - 1e-6)
+    assert (context.backoff_count, member.requests_suppressed) == (1, 1)
+
+    scheduler.schedule_at(end, member.receive, duplicate)
+    scheduler.run(until=end)
+    assert scheduler.now == end
+    assert (context.backoff_count, member.requests_suppressed) == (2, 1)

@@ -402,3 +402,22 @@ def test_a_checked_run_closes_cleanly(monkeypatch):
     simulation.close()
     simulation.close()
     assert simulation.network.trace._listeners == []
+
+
+def test_closing_a_network_unsubscribes_a_suite_nobody_detached():
+    """A passive oracle suite attached beside the run's own (as the
+    check-mode test fixture attaches one) holds the network. Closing
+    the network drops its listener too; the suite still verifies what
+    it heard."""
+    from repro.oracle import SessionOracleSuite
+
+    scenario = figure4_scenarios(sizes=(10,), sims=1, seed=4)[0]
+    simulation = LossRecoverySimulation(scenario, config=SrmConfig(),
+                                        seed=2)
+    trace = simulation.network.trace
+    suite = SessionOracleSuite.attach(simulation.network,
+                                      enable_trace=False)
+    assert simulation.run_round().recovered
+    simulation.close()
+    assert trace._listeners == []
+    assert not suite.verify()

@@ -27,7 +27,7 @@ from repro.core.timer_math import (DEGENERATE_HIGH, backoff_factors_vec,
                                    repair_delay_bounds,
                                    repair_delay_bounds_vec,
                                    request_delay_bounds,
-                                   request_delay_bounds_vec, should_backoff)
+                                   request_delay_bounds_vec)
 
 from conftest import examples
 
@@ -123,21 +123,12 @@ def test_backoff_factors_vec_matches_scalar_pow(count, factor):
 # Suppression-window monotonicity
 # ----------------------------------------------------------------------
 
-@given(now=times, delay=st.floats(0.0, 1e6), later=st.floats(0.0, 1e6))
-def test_should_backoff_is_monotone_in_time(now, delay, later):
-    # Once a moment is outside the ignore window, every later moment is
-    # too: suppression can expire but never un-expire.
-    until = ignore_backoff_until(now, delay)
-    if should_backoff(now, until):
-        assert should_backoff(now + later, until)
-
-
 @given(now=times, delay=st.floats(0.0, 1e6))
 def test_ignore_window_covers_half_the_new_delay(now, delay):
     until = ignore_backoff_until(now, delay)
     assert until == now + delay / 2.0
     assert until >= now
-    if should_backoff(now, until):
+    if now >= until:
         # Only possible when the half-delay rounded away entirely
         # (delay tiny relative to now's magnitude).
         assert until == now

@@ -110,6 +110,20 @@ def test_unsubscribe_stops_delivery():
     assert len(seen) == 1
 
 
+def test_unsubscribe_all_stops_every_listener_and_unwants_its_kinds():
+    trace = Trace(keep=())
+    seen = []
+    trace.subscribe(seen.append)
+    trace.subscribe(seen.append, kinds=[SEND_DATA])
+    trace.record(1.0, 1, SEND_DATA)
+    assert len(seen) == 2 and SEND_DATA in trace.wanted
+    trace.unsubscribe_all()
+    trace.unsubscribe_all()   # idempotent
+    trace.record(2.0, 1, SEND_DATA)
+    assert len(seen) == 2 and trace.wanted == frozenset()
+    assert trace.kind_totals[SEND_DATA] == 2
+
+
 def test_unsubscribe_unknown_listener_is_noop():
     trace = Trace()
     trace.unsubscribe(lambda row: None)  # never subscribed; no error

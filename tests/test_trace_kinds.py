@@ -141,7 +141,7 @@ def wb_integrity_rejection(watcher: Watcher) -> None:
                                                        (1.0, 1.0))))
     network.run()
     victim = boards[1].agent
-    victim.store._data[name] = corrupt(victim.store.get(name))
+    victim.store.held[name] = corrupt(victim.store.get(name))
     boards[2].agent.store.evict(name)
     boards[0].agent.leave_group()
     network.scheduler.schedule(1.0, boards[2].agent.on_loss_detected, name)
