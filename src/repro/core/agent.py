@@ -35,7 +35,7 @@ it as a run of one, so each kind has one implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core import timer_math
 from repro.core.adaptive import AdaptiveTimers
@@ -72,7 +72,7 @@ from repro.core.transmit import (
 from repro.net.node import Agent
 from repro.net.packet import DEFAULT_TTL, GroupAddress, Packet
 from repro.sim.rng import RandomSource
-from repro.sim.timers import Timer
+from repro.sim.timers import Timer, TimerState
 from repro.sim.trace import (DATA_RECOVERED, DUP_REPAIR_OBSERVED,
                              DUP_REQUEST_OBSERVED, FIRST_REQUEST_EVENT,
                              LOSS_DETECTED, PAGE_REPLY_SUPPRESSED,
@@ -84,6 +84,21 @@ from repro.sim.trace import (DATA_RECOVERED, DUP_REPAIR_OBSERVED,
                              REQUEST_WHILE_REPAIR_PENDING, SEND_DATA,
                              SEND_PAGE_REPLY, SEND_PAGE_REQUEST, SEND_REPAIR,
                              SEND_REPAIR_SECOND_STEP, SEND_REQUEST)
+
+
+#: A pending timer's state, read in place on the request/repair paths
+#: (no ``Timer.pending`` property frame).
+_PENDING = TimerState.PENDING
+
+#: An oracle-distance member's estimator until it joins a group.
+_UNJOINED = DistanceEstimator()
+
+#: (c1, c2, d1, d2, group size) -> the fixed timer parameters every
+#: non-adaptive member with those settings shares
+#: (:attr:`SrmAgent.params`). Nothing writes to a shared one: only
+#: :class:`AdaptiveTimers` changes parameters, and it keeps its own.
+_FIXED_PARAMS: Dict[Tuple[float, float, Optional[float], Optional[float],
+                          int], TimerParams] = {}
 
 
 @dataclass
@@ -314,7 +329,8 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
             repairs = agent._repairs
             if name in repairs:
                 repair_context = repairs[name]
-                if not repair_context.done and repair_context.timer.pending:
+                if (not repair_context.done
+                        and repair_context.timer._state is _PENDING):
                     repair_context.timer.cancel()
                     repair_context.done = True
                     agent.repairs_cancelled += 1
@@ -367,8 +383,11 @@ class SrmAgent(Agent):
         self.reception = ReceptionState(
             adopt_streams=self.config.adopt_streams)
         self.current_page: PageId = DEFAULT_PAGE
-        self.distances: DistanceEstimator = SessionDistance(
-            self.config.default_distance)
+        #: An oracle member's estimator needs its network: join_group
+        #: builds it, so none is made here only to be thrown away.
+        self.distances: DistanceEstimator = (
+            _UNJOINED if self.config.distance_oracle
+            else SessionDistance(self.config.default_distance))
         self.session: Optional[SessionProtocol] = None
         self.adaptive: Optional[AdaptiveTimers] = None
         self.transmitter: Optional[TransmitQueue] = None
@@ -410,6 +429,8 @@ class SrmAgent(Agent):
         self._joined_groups.add(group)
         if self.config.distance_oracle:
             self.distances = OracleDistance(self.network, self.node_id)
+        elif self.distances is _UNJOINED:  # the oracle was switched off
+            self.distances = SessionDistance(self.config.default_distance)
         if self.config.session_enabled:
             self.session = SessionProtocol(self)
             self.session.start()
@@ -444,9 +465,18 @@ class SrmAgent(Agent):
         """Current timer parameters (adaptive state or fixed config)."""
         if self.adaptive is not None:
             return self.adaptive.params
-        if self._fixed_params is None:
-            self._fixed_params = self.config.fixed_params(self.group_size())
-        return self._fixed_params
+        params = self._fixed_params
+        if params is None:
+            # Read on first use, so the group size is the one then.
+            config = self.config
+            key = (config.c1, config.c2, config.d1, config.d2,
+                   self.group_size())
+            if key in _FIXED_PARAMS:
+                params = _FIXED_PARAMS[key]
+            else:
+                params = _FIXED_PARAMS[key] = config.fixed_params(key[4])
+            self._fixed_params = params
+        return params
 
     def _distance_or_default(self, peer: int) -> float:
         """Distance to a peer, tolerating unknown/departed node ids.
@@ -763,7 +793,7 @@ class SrmAgent(Agent):
             return
         repairs = self._repairs
         existing = repairs[name] if name in repairs else None
-        if existing is not None and existing.timer.pending:
+        if existing is not None and existing.timer._state is _PENDING:
             if REQUEST_WHILE_REPAIR_PENDING in trace.wanted:
                 trace.record(now, self.node_id, REQUEST_WHILE_REPAIR_PENDING,
                              {"name": name})
@@ -777,6 +807,7 @@ class SrmAgent(Agent):
             # different data item.
             self.adaptive.repair_period_start()
         self._last_repair_period_name = name
+        dst = packet.dst  # the group itself, as a rule: identity first
         context = RepairContext(
             name=name, requester=payload.requester, set_at=now,
             timer=Timer(self.network.scheduler,
@@ -784,7 +815,8 @@ class SrmAgent(Agent):
             request_initial_ttl=packet.initial_ttl,
             request_hops=packet.hops_travelled(),
             request_zone=packet.scope_zone,
-            reply_group=packet.dst if packet.dst != self.group else None)
+            reply_group=(None if dst is self.group or dst == self.group
+                         else dst))
         repairs[name] = context
         context.timer.start(self._draw_repair_delay(payload.requester))
         if REPAIR_SCHEDULED in trace.wanted:
@@ -1080,13 +1112,18 @@ class SrmAgent(Agent):
 
         Data and reception state are kept; request/repair contexts,
         hold-downs and page-request state are discarded. Adaptive EWMAs
-        persist (that is the point of Figs. 12-14).
+        persist (that is the point of Figs. 12-14). Every member is reset
+        each round, most with nothing to drop: an empty table costs a
+        truth test, and a full one is replaced, not cleared (nothing but
+        the agent holds these tables).
         """
-        self._release_timers()
-        self._requests.clear()
-        self._repairs.clear()
-        self._page_requests.clear()
-        self._holddown.clear()
+        if self._requests or self._repairs or self._page_requests:
+            self._release_timers()
+            self._requests = {}
+            self._repairs = {}
+            self._page_requests = {}
+        if self._holddown:
+            self._holddown = {}
         self._last_repair_period_name = None
         if self.network is not None:
             # Online checkers key suppression state on (node, name); the
@@ -1104,12 +1141,15 @@ class SrmAgent(Agent):
         A context's timer calls back into the context and the agent, so
         until released each context is a reference cycle with its agent.
         """
-        for context in self._requests.values():
-            context.timer.release()
-        for repair_context in self._repairs.values():
-            repair_context.timer.release()
-        for page_context in self._page_requests.values():
-            page_context.timer.release()
+        requests = self._requests
+        for name in requests:
+            requests[name].timer.release()
+        repairs = self._repairs
+        for name in repairs:
+            repairs[name].timer.release()
+        page_requests = self._page_requests
+        for page in page_requests:
+            page_requests[page].timer.release()
 
     def detached(self) -> None:
         """``Network.close`` unbinds this agent: cut its own cycles too.
@@ -1120,7 +1160,8 @@ class SrmAgent(Agent):
         contexts and counters stay readable.
         """
         super().detached()
-        self._release_timers()
+        if self._requests or self._repairs or self._page_requests:
+            self._release_timers()
         if self.session is not None:
             self.session.close()
         if self.transmitter is not None:

@@ -35,7 +35,7 @@ from typing import Any, Dict, Iterable, List
 
 import numpy as np
 
-from repro.sim.rng import RandomSource
+from repro.sim.rng import RandomSource, mersenne
 
 FloatArray = Any
 IntArray = Any
@@ -58,7 +58,7 @@ class DrawPools:
         count = len(self._seeds)
         self._pool = np.empty((count, depth), dtype=np.float64)
         for i, seed in enumerate(self._seeds):
-            rng = random.Random(seed)
+            rng = mersenne(seed)
             self._pool[i] = [rng.random() for _ in range(depth)]
         self._used = np.zeros(count, dtype=np.int64)
         #: Lazily replayed streams for members past their prefix.
@@ -73,7 +73,7 @@ class DrawPools:
         engine attaches agents (membership order), consuming the same
         master draws, so member ``m``'s stream seed matches its agent's.
         """
-        return cls((master.fork(f"member-{member}").seed
+        return cls((master.fork_seed(f"member-{member}")
                     for member in members), depth=depth)
 
     # ------------------------------------------------------------------
@@ -109,7 +109,7 @@ class DrawPools:
         """The live replayed stream of one overflowed member."""
         tail = self._tails.get(index)
         if tail is None:
-            tail = random.Random(self._seeds[index])
+            tail = mersenne(self._seeds[index])
             for _ in range(int(self._used[index])):
                 tail.random()
             self._tails[index] = tail

@@ -14,8 +14,9 @@ semantics:
   event per run of receivers at the same shortest-path delay and hop
   count, with drop filters, TTL thresholds and scope zones applied
   analytically against the source tree. A sender keeps its plan, not its
-  tree: the tree is built for a plan and dropped, and filters are
-  consulted through per-(origin, link) cut entries. Used by the
+  tree: a plan is read off the routes' per-member hop counts, delays and
+  TTLs (on a loaded tree, a climb and two per-hop tables), and filters
+  are consulted through per-(origin, link) cut entries. Used by the
   paper-scale experiments.
 
 Both engines hand every delivery to agents one way: as a run of members
@@ -587,35 +588,38 @@ class Network:
     def _cut_entry(self, origin: NodeId, link: Link) -> Optional[CutEntry]:
         """How a multicast from ``origin`` meets ``link``: its
         :data:`CutEntry`, or None when the link is off ``origin``'s
-        source tree: read off its member tree to both ends.
+        source tree (the routes' ``edge``).
         """
-        tree = self._routes.member_tree(origin, (link.a, link.b))
-        oriented = tree.on_tree_edge(link.a, link.b)
-        if oriented is None:
+        found = self._routes.edge(origin, link.a, link.b)
+        if found is None:
             return None
-        parent, child = oriented
-        return [tree.hops[parent], parent, child, tree.ttl_required[child],
-                None]
+        hops, parent, child, ttl = found
+        return [hops, parent, child, ttl, None]
 
-    def _zone_allows(self, tree: SourceTree, packet: Packet,
-                     target: NodeId) -> bool:
+    def _zone_allows(self, packet: Packet, path: Sequence[NodeId]) -> bool:
+        """Whether every node on ``path`` is in the packet's scope zone."""
         zone = self.scope_zones.get(packet.scope_zone or "", None)
         if packet.scope_zone is None:
             return True
         if zone is None:
             raise KeyError(f"unknown scope zone {packet.scope_zone!r}")
-        return all(node in zone for node in tree.path(target))
+        return all(node in zone for node in path)
 
-    def _multicast_plan(self, tree: SourceTree, packet: Packet) -> Plan:
+    def _multicast_plan(self, packet: Packet,
+                        members: Sequence[NodeId]) -> Plan:
         """TTL/zone-eligible receivers for this (origin, group, ttl, zone).
 
-        Receivers sharing the same (delay, hop count) are merged into one
-        :data:`Plan` entry, a run delivered by a single event. Two same-send
-        arrivals tie in time exactly when they tie in delay, so a stable
-        sort by delay followed by merging preserves the per-receiver
-        firing order the unmerged engine produced: receivers at distinct
-        delays were already ordered by time, and receivers at equal delay
-        keep their membership-iteration order inside the run.
+        Each member's hop count, delay and required TTL come from the
+        routes' ``reach``: on a loaded tree, hop counts off one climb and
+        the rest read from per-hop tables, with no tree built. Receivers
+        sharing the same (delay, hop count) are merged into one
+        :data:`Plan` entry, a run delivered by a single event. Two
+        same-send arrivals tie in time exactly when they tie in delay,
+        so a stable sort by delay followed by merging preserves the
+        per-receiver firing order the unmerged engine produced:
+        receivers at distinct delays were already ordered by time, and
+        receivers at equal delay keep their membership-iteration order
+        inside the run.
 
         Drop filters are deliberately *not* folded in: their verdict can
         change per send (counting filters), so cuts are applied on top of
@@ -623,39 +627,27 @@ class Network:
         """
         initial_ttl = packet.initial_ttl
         origin = packet.origin
-        scoped = packet.scope_zone is not None
-        dist = tree.dist
-        hops = tree.hops
-        ttl_required = tree.ttl_required
-        eligible: List[Tuple[float, int, NodeId]] = []
-        order = 0
-        for member in self.groups.members(packet.dst):  # type: ignore[arg-type]
-            if member == origin:
-                continue
-            if initial_ttl < ttl_required[member]:
-                continue
-            if scoped and not self._zone_allows(tree, packet, member):
-                continue
-            eligible.append((dist[member], order, member))
-            order += 1
-        eligible.sort()  # by delay; order index keeps the sort stable
+        hops, delay, ttl_required = self._routes.reach(origin, members)
+        eligible = [member for member in members if member != origin
+                    and initial_ttl >= ttl_required[member]]
+        if packet.scope_zone is not None:
+            eligible = [member for member in eligible if self._zone_allows(
+                packet, self._routes.path(origin, member))]
+        eligible.sort(key=delay.__getitem__)  # stable: membership order
         entries: List[PlanEntry] = []
         # -1 sentinels (no member has negative delay/hops) keep the run
         # state monomorphic floats/ints.
-        run_dist, run_hops = -1.0, -1
-        run_members: List[NodeId] = []
-        for member_dist, _, member in eligible:
+        run_delay, run_hops, start = -1.0, -1, 0
+        for index, member in enumerate(eligible):
+            member_delay = delay[member]
             member_hops = hops[member]
-            if run_members and member_dist == run_dist \
-                    and member_hops == run_hops:
-                run_members.append(member)
-                continue
-            if run_members:
-                entries.append((run_dist, run_hops, tuple(run_members)))
-            run_dist, run_hops = member_dist, member_hops
-            run_members = [member]
-        if run_members:
-            entries.append((run_dist, run_hops, tuple(run_members)))
+            if member_delay != run_delay or member_hops != run_hops:
+                if index:
+                    entries.append((run_delay, run_hops,
+                                    tuple(eligible[start:index])))
+                run_delay, run_hops, start = member_delay, member_hops, index
+        if eligible:
+            entries.append((run_delay, run_hops, tuple(eligible[start:])))
         hop_counts, slots = _copy_slots(entries)
         return tuple(entries), len(eligible), hop_counts, slots
 
@@ -669,13 +661,12 @@ class Network:
             plan, receivers, hop_counts, slots = cached[2]
             self.perf.plan_cache_hits += 1
         else:
-            # Planned on a tree built for this plan and kept nowhere;
-            # drop filters are consulted through cut entries
+            # Planned off the routes' ``reach``, with no tree kept; drop
+            # filters are consulted through cut entries
             # (:meth:`_dropped_subtrees`), so a sender with a cached
-            # plan reads no tree at all.
+            # plan asks the routes nothing.
             members = self.groups.members(packet.dst)  # type: ignore[arg-type]
-            found = self._multicast_plan(self.member_tree(origin, members),
-                                         packet)
+            found = self._multicast_plan(packet, members)
             self._plan_cache[key] = (self.groups.version,
                                      self._zone_version, found)
             plan, receivers, hop_counts, slots = found
@@ -738,7 +729,7 @@ class Network:
             if node in lost:
                 continue
             if packet.scope_zone is not None and not self._zone_allows(
-                    tree, packet, node):
+                    packet, tree.path(node)):
                 continue
             self.adjacency[parent][node].account(packet)
 

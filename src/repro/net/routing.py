@@ -10,13 +10,15 @@ below each tree edge (for simulating a drop on a "congested link").
 
 A network asks every route question of one *routes* object, chosen once
 per topology version: a loaded tree's shared :class:`RootedIndex`, else
-its own :class:`SourceTrees`. Both answer ``pair``, ``path``,
-``member_tree``, ``cut`` and ``source_tree``, bit for bit alike.
+its own :class:`SourceTrees`. Both answer ``pair``, ``path``, ``reach``,
+``edge``, ``member_tree``, ``cut`` and ``source_tree``, bit for bit
+alike.
 """
 
 from __future__ import annotations
 
 import heapq
+from itertools import accumulate, repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.net.link import Link
@@ -217,23 +219,36 @@ class RootedIndex:
     on that index until it edits its graph. Being shared, it keeps
     nothing per origin or per network.
 
-    No float is re-associated. :meth:`pair` adds a path's delays from
-    ``a`` toward ``b`` starting at 0.0, and :meth:`member_tree` runs
-    :func:`traverse_tree` from the sender, so every delay equals the one
-    the sender's own source tree (and Dijkstra from the sender) holds.
+    Every edge is one ``link``, so a path's delay and the TTL its far
+    end needs depend on its hop count alone. Two tables indexed by hop
+    count, up to twice the tree's height, hold them: ``delays[h]`` is
+    ``0.0`` plus ``h`` additions of the link's delay, the very sum
+    :func:`traverse_tree` (and Dijkstra) makes along any ``h``-hop path,
+    and ``ttls[h]`` is ``max(ttls[h - 1], h - 1 + threshold)``, its TTL
+    rule. So :meth:`pair`, :meth:`reach` and :meth:`edge` count hops by
+    climbing depths and read the tables: no traversal, no float work
+    and no link read per question. :meth:`member_tree` (the hop
+    engine's forwarding tables, link charging) still runs
+    :func:`traverse_tree` from the sender.
     """
 
-    __slots__ = ("tree", "neighbors", "adjacency", "half")
+    __slots__ = ("tree", "neighbors", "half", "delays", "ttls")
 
     def __init__(self, tree: SourceTree, neighbors: NeighborTable,
-                 adjacency: Adjacency) -> None:
+                 link: Link) -> None:
         self.tree = tree
         self.neighbors = neighbors
-        self.adjacency = adjacency
         #: ``nodes[half:]`` is non-empty once ``nodes`` number half the
         #: topology (:meth:`member_tree`; a slice is no call, a ``len``
         #: would be one per member tree).
         self.half = (len(tree.parent) - 1) // 2
+        span = 2 * max(tree.hops.values())  # the longest path's hops
+        #: hops -> the delay of a path that many hops long.
+        self.delays: List[float] = list(accumulate(
+            repeat(link.delay, span), initial=0.0))
+        #: hops -> the initial TTL a node that many hops away needs.
+        self.ttls: List[int] = list(accumulate(
+            range(link.threshold, link.threshold + span), max, initial=0))
 
     def source_tree(self, origin: NodeId) -> SourceTree:
         """``origin``'s full source tree: one traversal, kept nowhere."""
@@ -245,26 +260,67 @@ class RootedIndex:
         """(delay, hops) of the path a -> b."""
         parent = self.tree.parent
         depth = self.tree.hops
-        adjacency = self.adjacency
         depth_a = depth[a]
         depth_b = depth[b]
         hops = depth_a + depth_b
-        total = 0.0
-        descent: List[float] = []  # b-side delays, b's own link first
         while a != b:
             if depth_a >= depth_b:
-                above: NodeId = parent[a]  # type: ignore[assignment]
-                total += adjacency[a][above].delay
-                a = above
+                a = parent[a]  # type: ignore[assignment]
                 depth_a -= 1
             else:
-                above = parent[b]  # type: ignore[assignment]
-                descent.append(adjacency[b][above].delay)
-                b = above
+                b = parent[b]  # type: ignore[assignment]
                 depth_b -= 1
-        for delay in descent[::-1]:
-            total += delay
-        return total, hops - 2 * depth_a
+        hops -= 2 * depth_a
+        return self.delays[hops], hops
+
+    def reach(self, origin: NodeId, nodes: Sequence[NodeId]
+              ) -> Tuple[Dict[NodeId, int], Dict[NodeId, float],
+                         Dict[NodeId, int]]:
+        """(hops, delay, TTL needed) from ``origin`` to each of ``nodes``.
+
+        One climb memo serves every node: it maps each node visited to
+        the depth at which its way to the root meets ``origin``'s, so a
+        node's climb stops at the first node already met.
+        """
+        parent = self.tree.parent
+        depth = self.tree.hops
+        delays = self.delays
+        ttls = self.ttls
+        meets: Dict[Optional[NodeId], int] = {}
+        node: Optional[NodeId] = origin
+        while node is not None:  # origin's way to the root meets itself
+            meets[node] = depth[node]
+            node = parent[node]
+        below = depth[origin]
+        hops: Dict[NodeId, int] = {}
+        delay: Dict[NodeId, float] = {}
+        ttl: Dict[NodeId, int] = {}
+        for target in nodes:
+            node = target
+            while node not in meets:
+                node = parent[node]  # type: ignore[index]
+            meet = meets[node]
+            node = target
+            while node not in meets:
+                meets[node] = meet
+                node = parent[node]  # type: ignore[index]
+            count = hops[target] = below + depth[target] - 2 * meet
+            delay[target] = delays[count]
+            ttl[target] = ttls[count]
+        return hops, delay, ttl
+
+    def edge(self, origin: NodeId, a: NodeId, b: NodeId
+             ) -> Optional[Tuple[int, NodeId, NodeId, int]]:
+        """How a multicast from ``origin`` meets the link {a, b}: (hops
+        to its parent end, parent, child, the TTL the child needs).
+
+        Every link of a tree is on every source tree: the end fewer hops
+        from ``origin`` is the parent.
+        """
+        hops, _, ttl = self.reach(origin, (a, b))
+        if hops[a] < hops[b]:
+            return hops[a], a, b, ttl[b]
+        return hops[b], b, a, ttl[a]
 
     def path(self, a: NodeId, b: NodeId) -> List[NodeId]:
         """Nodes on the path a -> b, inclusive."""
@@ -375,6 +431,26 @@ class SourceTrees:
         """Nodes on ``a``'s tree path a -> b, inclusive."""
         return self.source_tree(a).path(b)
 
+    def reach(self, origin: NodeId, nodes: Sequence[NodeId]
+              ) -> Tuple[Dict[NodeId, int], Dict[NodeId, float],
+                         Dict[NodeId, int]]:
+        """(hops, delay, TTL needed) from ``origin``: its kept tree's
+        tables, which answer for ``nodes`` and every other node."""
+        tree = self.source_tree(origin)
+        return tree.hops, tree.dist, tree.ttl_required
+
+    def edge(self, origin: NodeId, a: NodeId, b: NodeId
+             ) -> Optional[Tuple[int, NodeId, NodeId, int]]:
+        """How a multicast from ``origin`` meets the link {a, b}: (hops
+        to its parent end, parent, child, the TTL the child needs), or
+        None when the link is off ``origin``'s kept tree."""
+        tree = self.source_tree(origin)
+        oriented = tree.on_tree_edge(a, b)
+        if oriented is None:
+            return None
+        parent, child = oriented
+        return tree.hops[parent], parent, child, tree.ttl_required[child]
+
     def member_tree(self, origin: NodeId,
                     nodes: Sequence[NodeId]) -> SourceTree:
         """``origin``'s kept tree, whatever ``nodes`` it is asked for."""
@@ -401,11 +477,11 @@ class RouteSkeleton:
     loaded network makes its own nodes and links from, and, when the
     edges form a tree, that tree rooted at node 0 as a
     :class:`RootedIndex`, the routes of every network loaded from it
-    until the network edits its graph. Its edges all point
-    at one link of its own, carrying the delay and threshold every edge
-    has, since :func:`traverse_tree` and :meth:`RootedIndex.pair` read
-    nothing else of a link. A network's own links, filters, queues and
-    source trees are never shared.
+    until the network edits its graph. Its edges all point at one link
+    of its own, carrying the delay and threshold every edge has: so
+    :func:`traverse_tree` reads nothing else of a link, and the index
+    answers a route's delay and TTL by its hop count alone. A network's
+    own links, filters, queues and source trees are never shared.
     """
 
     __slots__ = ("num_nodes", "edges", "delay", "threshold", "adjacency",
@@ -434,4 +510,4 @@ class RouteSkeleton:
                      for node, links in adjacency.items()}
         tree = traverse_tree(neighbors, 0)
         if tree is not None:  # None: disconnected, so not a tree
-            self.index = RootedIndex(tree, neighbors, adjacency)
+            self.index = RootedIndex(tree, neighbors, link)

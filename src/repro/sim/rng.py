@@ -8,11 +8,30 @@ can be given independent streams derived from one master seed.
 
 from __future__ import annotations
 
+import _random
 import random
 import zlib
 from typing import Optional, Sequence, TypeVar
 
 T = TypeVar("T")
+
+_Random = random.Random
+#: The C-level ``Random.seed``: what ``random.Random(seed)`` ends in for
+#: an int seed, after two Python frames (``__init__`` and ``seed``).
+_seed_in_c = _random.Random.seed
+
+
+def mersenne(seed: int) -> random.Random:
+    """``random.Random(seed)`` for an int ``seed``, seeded once in C.
+
+    Bit for bit the same generator: ``Random.seed`` hands an int
+    straight to the C seeding (MT19937 ``init_by_array`` over the words
+    of ``abs(seed)``) and clears ``gauss_next``, and so does this.
+    """
+    rng = _Random.__new__(_Random)
+    _seed_in_c(rng, seed)
+    rng.gauss_next = None
+    return rng
 
 
 class RandomSource:
@@ -20,7 +39,8 @@ class RandomSource:
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self.seed = seed
-        self._rng = random.Random(seed)
+        self._rng = (mersenne(seed) if type(seed) is int
+                     else random.Random(seed))
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform draw on [low, high]."""
@@ -60,9 +80,18 @@ class RandomSource:
 
         Forked streams are deterministic functions of (parent seed, draw
         position, label), so adding draws to one subsystem does not perturb
-        another's stream as long as fork order is stable. The label is
-        mixed in with a stable hash (crc32), never Python's randomized
-        ``hash()``, so runs reproduce across processes.
+        another's stream as long as fork order is stable. The seed is
+        :meth:`fork_seed`'s.
         """
-        derived = self._rng.getrandbits(64) ^ zlib.crc32(label.encode())
-        return RandomSource(derived)
+        return RandomSource(self.fork_seed(label))
+
+    def fork_seed(self, label: str = "") -> int:
+        """The seed of the stream :meth:`fork` would derive, drawing what
+        it draws: the next 64 bits xor the label's crc32.
+
+        The label is mixed in with a stable hash (crc32), never Python's
+        randomized ``hash()``, so runs reproduce across processes. The
+        herd (:class:`repro.herd.rngpool.DrawPools`) reads its members'
+        seeds here, so both engines derive them one way.
+        """
+        return self._rng.getrandbits(64) ^ zlib.crc32(label.encode())

@@ -9,6 +9,7 @@ from repro.core.config import SrmConfig
 from repro.core.names import AduName, DEFAULT_PAGE, PageId
 from repro.net.link import NthPacketDropFilter
 from repro.sim.rng import RandomSource
+from repro.sim.timers import TimerState
 from repro.topology.chain import chain
 from repro.topology.star import star
 
@@ -79,6 +80,75 @@ def test_reset_recovery_state_cancels_everything():
     assert agents[4].pending_requests() == []
     assert agents[4].pending_repairs() == []
     network.run()  # drains without the cancelled timers firing
+
+
+def test_reset_releases_contexts_and_replaces_only_what_it_must():
+    """A member with recovery state has its context timers released and
+    gets empty tables; one without keeps its (empty) tables. Both write
+    one recovery_reset row, as before."""
+    network, agents, _ = build_srm_session(chain(5), range(5))
+    network.add_drop_filter(1, 2, NthPacketDropFilter(
+        lambda p: p.kind == "srm-data"))
+    network.scheduler.schedule(0.0, lambda: agents[0].send_data("a"))
+    network.scheduler.schedule(1.0, lambda: agents[0].send_data("b"))
+    network.run(until=5.0)  # losses detected, timers pending
+    busy, idle = agents[4], agents[1]
+    contexts = list(busy._requests.values())
+    assert contexts and not (idle._requests or idle._repairs
+                             or idle._page_requests or idle._holddown)
+    idle_tables = (idle._requests, idle._repairs, idle._page_requests,
+                   idle._holddown)
+    trace = network.trace
+    before = trace.kind_totals["recovery_reset"]
+    busy.reset_recovery_state()
+    idle.reset_recovery_state()
+    assert all(not context.timer.pending
+               and context.timer.state is TimerState.CANCELLED
+               for context in contexts)
+    assert (busy._requests, busy._repairs, busy._page_requests,
+            busy._holddown) == ({}, {}, {}, {})
+    assert all(kept is now for kept, now in zip(idle_tables, (
+        idle._requests, idle._repairs, idle._page_requests,
+        idle._holddown)))
+    assert trace.kind_totals["recovery_reset"] == before + 2
+    assert [row.node for row in trace.records
+            if row.kind == "recovery_reset"][-2:] == [4, 1]
+    network.run()  # drains without the released timers firing
+
+
+def test_fixed_timer_params_are_shared_per_group_size():
+    """Non-adaptive members share one TimerParams per (C1, C2, D1, D2,
+    group size), read when a member first asks; a recovery round leaves
+    it as it was. Adaptive members keep their own."""
+    network, agents, group = build_srm_session(chain(150), range(2))
+    for node in range(2, 100):  # joins before anyone asks
+        network.join(node, group)
+    shared = agents[0].params
+    assert agents[1].params is shared
+    assert shared == SrmConfig().fixed_params(100)
+    assert shared.d1 == shared.d2 == 2.0  # log10(100)
+    _, others, _ = build_srm_session(chain(6), range(6),
+                                     config=SrmConfig(d1=1.5))
+    assert others[0].params is others[5].params is not shared
+    assert others[0].params == SrmConfig(d1=1.5).fixed_params(6)
+
+    network, agents, _ = build_srm_session(chain(5), range(5))
+    network.add_drop_filter(1, 2, NthPacketDropFilter(
+        lambda p: p.kind == "srm-data"))
+    network.scheduler.schedule(0.0, lambda: agents[0].send_data("a"))
+    network.scheduler.schedule(1.0, lambda: agents[0].send_data("b"))
+    network.run()
+    assert all(agent.store.have(AduName(0, DEFAULT_PAGE, 1))
+               for agent in agents.values())
+    assert {id(agent.params) for agent in agents.values()} == {
+        id(agents[0].params)}
+    assert agents[0].params == SrmConfig().fixed_params(5)
+
+    _, adaptive, _ = build_srm_session(chain(5), range(5),
+                                       config=SrmConfig(adaptive=True))
+    owned = [agent.params for agent in adaptive.values()]
+    assert len({id(params) for params in owned}) == 5
+    assert all(params is not agents[0].params for params in owned)
 
 
 def test_agents_ignore_other_groups_on_shared_node():

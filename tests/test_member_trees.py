@@ -1,19 +1,22 @@
-"""Member trees and cut entries: a sender keeps its plan, not its tree.
+"""Member trees, plans and cut entries: a sender keeps its plan, not
+its tree.
 
 A network answers every route question through one routes object: a
 loaded tree topology's shared ``RootedIndex``, any other graph's own
-``SourceTrees``. On a rooted index, a multicast sender whose group spans
-under half the nodes is planned on ``RootedIndex.member_tree``: its
-source tree cut down to the paths to the members. The tree serves that
-one plan and is kept nowhere. Armed drop filters are consulted through
-one cut entry per (origin, link), read off the routes, whose cut set is
-made only when the filter drops. These tests pin that the switch is
-invisible: both kinds of routes answer as Dijkstra does, a member tree
-is the full tree restricted, a cut entry is what the full tree says, a
-network that plans on member trees delivers, drops and charges links
-exactly as one that plans on full trees, neither a figure-shaped round
-nor a long star session builds a full tree, and the experiments' tree
-questions give what the full source trees gave.
+``SourceTrees``. Every edge of a loaded tree is one link, so the rooted
+index answers a pair, a direct-engine plan or a cut entry by hop count:
+a climb by depth and two per-hop tables (delay, TTL needed), with no
+tree built. ``RootedIndex.member_tree`` (the origin's source tree cut
+down to the paths to some nodes) serves the hop engine's forwarding
+tables and link charging. Armed drop filters are consulted through one
+cut entry per (origin, link), whose cut set is made only when the
+filter drops. These tests pin that all of this is invisible: both kinds
+of routes answer as Dijkstra does, bit for bit; a member tree is the
+full tree restricted; plans and cut entries are what the full tree
+says; a network that charges links on member trees delivers, drops and
+charges exactly as one that charges on full trees; neither a
+figure-shaped round nor a long star session builds a full tree; and the
+experiments' tree questions give what the full source trees gave.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from repro.net import routing
 from repro.net.link import NthPacketDropFilter
 from repro.net.network import Network
 from repro.net.node import Agent
+from repro.net.packet import Packet
 from repro.net.routing import (RootedIndex, SourceTrees, build_source_tree,
                                traverse_tree)
 from repro.oracle.base import check_mode_enabled
@@ -48,17 +52,31 @@ from repro.topology.random_tree import random_labeled_tree
 
 from conftest import examples
 from test_lazy_network import eager
-from test_routing import assert_same_tree, random_weighted_tree
+from test_routing import assert_same_tree
 
 
 def rooted(network, root=0):
-    """Route ``network``, a tree built or edited by hand, on a rooted
-    index of its own links, as a loaded tree routes on its skeleton's."""
+    """Route ``network``, a tree whose links all have one delay and one
+    threshold, on a rooted index of its own links rooted at ``root``, as
+    a loaded tree routes on its skeleton's (rooted at 0)."""
     neighbors = {node: sorted(links.items())
                  for node, links in network.adjacency.items()}
+    links = network.links
+    assert len({(link.delay, link.threshold) for link in links}) == 1
     network._routes = RootedIndex(traverse_tree(neighbors, root), neighbors,
-                                  network.adjacency)
+                                  links[0])
     return network._routes
+
+
+#: Uniform link delays whose sums are inexact in binary floating point.
+DELAYS = (0.1, 0.7, 3.0)
+
+
+def random_uniform_tree(seed, n, delay=0.7, threshold=2):
+    """A loaded random labeled tree whose links all have ``delay`` and
+    ``threshold``: the only kind of topology a rooted index serves."""
+    return random_labeled_tree(n, RandomSource(seed)).build(
+        delay=delay, threshold=threshold)
 
 
 @contextmanager
@@ -134,9 +152,12 @@ def test_every_route_question_is_answered_as_dijkstra(kind, seed, n, data):
 
 
 @settings(max_examples=examples(40))
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 60), data=st.data())
-def test_member_tree_is_the_source_tree_cut_down(seed, n, data):
-    network = random_weighted_tree(seed, n)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 60),
+       delay=st.sampled_from(DELAYS), threshold=st.integers(1, 3),
+       data=st.data())
+def test_member_tree_is_the_source_tree_cut_down(seed, n, delay, threshold,
+                                                 data):
+    network = random_uniform_tree(seed, n, delay, threshold)
     root = data.draw(st.integers(0, n - 1), label="root")
     origin = data.draw(st.integers(0, n - 1), label="origin")
     nodes = data.draw(st.lists(st.integers(0, n - 1), max_size=n),
@@ -173,11 +194,11 @@ class Log(Agent):
 
 
 def run_sparse_session(seed, n, members, sends, filters, joins, full,
-                       account=True):
-    """Run ``sends`` on a weighted random tree; with ``full`` every
-    sender plans (and charges links) on its full source tree, not on a
-    member tree. ``account`` charges links."""
-    network = random_weighted_tree(seed, n)
+                       account=True, delay=0.7, threshold=2):
+    """Run ``sends`` on a random tree rooted at node 0; with ``full``
+    every sender charges links on its full source tree, not on a member
+    tree. ``account`` charges links."""
+    network = random_uniform_tree(seed, n, delay, threshold)
     rooted(network)
     network.trace.keep = None
     network.account_bandwidth = account
@@ -211,10 +232,14 @@ def run_sparse_session(seed, n, members, sends, filters, joins, full,
 
 
 @settings(max_examples=examples(40))
-@given(seed=st.integers(0, 10_000), n=st.integers(6, 40), data=st.data())
-def test_member_tree_sends_match_full_tree_sends(seed, n, data):
+@given(seed=st.integers(0, 10_000), n=st.integers(6, 40),
+       delay=st.sampled_from(DELAYS), threshold=st.integers(1, 3),
+       data=st.data())
+def test_member_tree_sends_match_full_tree_sends(seed, n, delay, threshold,
+                                                 data):
     """Filters anywhere on the tree, including links no member hangs
     below, see the same packets in the same order either way."""
+    links = dict(delay=delay, threshold=threshold)
     nodes = st.integers(0, n - 1)
     members = sorted(data.draw(st.sets(nodes, min_size=1,
                                        max_size=(n - 1) // 2),
@@ -223,7 +248,7 @@ def test_member_tree_sends_match_full_tree_sends(seed, n, data):
         st.integers(0, 30).map(float), nodes, st.integers(1, 64)),
         min_size=1, max_size=8), label="sends")
     edges = [(link.a, link.b)
-             for link in random_weighted_tree(seed, n).links]
+             for link in random_uniform_tree(seed, n, **links).links]
     filters = data.draw(st.lists(st.tuples(
         st.integers(0, 30).map(lambda t: t + 0.5), st.sampled_from(edges),
         st.integers(1, 3)), max_size=3), label="filters")
@@ -232,16 +257,16 @@ def test_member_tree_sends_match_full_tree_sends(seed, n, data):
         label="joins")
     with full_trees_built() as built:
         member_run, _ = run_sparse_session(
-            seed, n, members, sends, filters, joins, full=False)
+            seed, n, members, sends, filters, joins, full=False, **links)
     full_run, _ = run_sparse_session(
-        seed, n, members, sends, filters, joins, full=True)
+        seed, n, members, sends, filters, joins, full=True, **links)
     assert member_run == full_run
     # Charging links or not, the direct engine builds no source tree: the
     # same packets arrive and drop, off plans and cut entries alone.
     with full_trees_built() as quiet_built:
         quiet_run, _ = run_sparse_session(
             seed, n, members, sends, filters, joins, full=False,
-            account=False)
+            account=False, **links)
     assert quiet_run[:2] + quiet_run[3:] == member_run[:2] + member_run[3:]
     # Check mode's scope oracle reads each sender's full tree on its own.
     allowed = ({origin for _, origin, _ in sends} if check_mode_enabled()
@@ -250,46 +275,134 @@ def test_member_tree_sends_match_full_tree_sends(seed, n, data):
 
 
 def test_a_sparse_round_builds_no_full_tree(monkeypatch):
-    """A figure-4 round (40 members on 1000 nodes) builds no full tree:
-    every sender, the source too, gets a member tree off the skeleton's
-    rooted index, which the network shares with every other build of
-    the spec, and the closest requester's distance is read off that
-    index too. No full tree is built, and the network keeps none."""
+    """A figure-4 round (40 members on 1000 nodes) in the direct engine
+    builds no tree at all: every sender's plan and its one cut entry for
+    the filtered link are read off the skeleton's rooted index, which the
+    network shares with every other build of the spec, and so is the
+    closest requester's distance. No traversal runs, no member tree is
+    asked for, and the network keeps none."""
     scenario = figure4_scenarios(sizes=(40,), sims=1, seed=4)[0]
-    planned = []
+    traversals = []
+    real_traverse = routing.traverse_tree
+
+    def traverse(neighbors, origin, within=None):
+        traversals.append(origin)
+        return real_traverse(neighbors, origin, within)
+
+    member_trees = []
     real_member_tree = Network.member_tree
 
-    def planning(network, origin, nodes):
-        tree = real_member_tree(network, origin, nodes)
-        planned.append((origin, len(tree.parent)))
-        return tree
+    def member_tree(network, origin, nodes):
+        member_trees.append(origin)
+        return real_member_tree(network, origin, nodes)
 
-    monkeypatch.setattr(Network, "member_tree", planning)
+    monkeypatch.setattr(routing, "traverse_tree", traverse)
+    monkeypatch.setattr(Network, "member_tree", member_tree)
     # Check mode's oracles read full trees of their own; count a plain run.
     monkeypatch.delenv("SRM_CHECK", raising=False)
+    plans = Network._multicast_plan
+    cut_entries = Network._cut_entry
     with full_trees_built() as built:
         simulation = LossRecoverySimulation(scenario, config=SrmConfig(),
                                             seed=1)
+        network = simulation.network
+        planned = []
+        monkeypatch.setattr(network, "_multicast_plan", lambda *args: (
+            planned.append(args[0].origin) or plans(network, *args)))
+        cut = []
+        monkeypatch.setattr(network, "_cut_entry", lambda *args: (
+            cut.append(args[0]) or cut_entries(network, *args)))
         outcome = simulation.run_round()
     assert outcome.recovered and outcome.requests >= 1
-    assert built == []
-    network = simulation.network
+    assert len(set(planned)) >= 3 and scenario.source in planned
+    assert scenario.source in cut and len(cut) == len(set(cut))
+    assert traversals == [] and member_trees == [] and built == []
     assert network._routes is scenario.spec.build()._routes
     assert isinstance(network._routes, RootedIndex)
-    cut_down = {origin for origin, size in planned
-                if size < len(network.nodes)}
-    assert len(cut_down) >= 3 and scenario.source in cut_down
+
+
+def reference_plan(tree, members, origin, initial_ttl, zone=None):
+    """A direct-engine plan read off ``tree``, ``origin``'s full source
+    tree, the way plans were made from source trees: members sorted by
+    (delay, membership order), runs merged on equal (delay, hops)."""
+    eligible = []
+    for order, member in enumerate(members):
+        if member == origin or initial_ttl < tree.ttl_required[member]:
+            continue
+        if zone is not None and not set(tree.path(member)) <= zone:
+            continue
+        eligible.append((tree.dist[member], order, member))
+    eligible.sort()
+    entries = []
+    for dist, _, member in eligible:
+        hops = tree.hops[member]
+        if entries and entries[-1][:2] == (dist, hops):
+            entries[-1] = (dist, hops, entries[-1][2] + (member,))
+        else:
+            entries.append((dist, hops, (member,)))
+    hop_counts = tuple(dict.fromkeys(entry[1] for entry in entries))
+    slots = tuple(hop_counts.index(entry[1]) for entry in entries)
+    return tuple(entries), len(eligible), hop_counts, slots
 
 
 @settings(max_examples=examples(40))
-@given(seed=st.integers(0, 10_000), n=st.integers(2, 40), data=st.data())
-def test_cut_entries_match_full_source_trees(seed, n, data):
-    """For every origin and every link of a weighted tree with mixed
-    thresholds, the cut entry read off a rooted index (any root) is what
-    the origin's full source tree gives: the link's orientation, the
-    parent end's hop count, the TTL the child end needs and the nodes a
-    drop there cuts off."""
-    network = random_weighted_tree(seed, n)
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 50),
+       delay=st.sampled_from(DELAYS), threshold=st.integers(1, 3),
+       data=st.data())
+def test_depth_answers_match_traversal_bit_for_bit(seed, n, delay,
+                                                   threshold, data):
+    """On a loaded tree with a non-unit delay and threshold, the rooted
+    index answers by hop count: ``pair``, every direct-engine plan
+    (entries, runs, hop counts, slots; with and without a scope zone)
+    and every cut entry equal what the origin's traversed source tree
+    and Dijkstra's give, float for float."""
+    network = random_uniform_tree(seed, n, delay, threshold)
+    routes = network._routes
+    assert isinstance(routes, RootedIndex)
+    adjacency = eager(random_labeled_tree(n, RandomSource(seed)),
+                      delay).adjacency
+    for links in adjacency.values():
+        for link in links.values():
+            link.threshold = threshold
+    members = tuple(sorted(data.draw(
+        st.sets(st.integers(0, n - 1), min_size=1), label="members")))
+    zone = set(data.draw(st.sets(st.integers(0, n - 1)), label="zone"))
+    network.define_scope_zone("zone", zone)
+    group = network.groups.allocate()
+    for member in members:
+        network.join(member, group)
+    for origin in range(n):
+        tree = routes.source_tree(origin)  # a traversal
+        dijkstra = build_source_tree(adjacency, origin)
+        assert_same_tree(tree, dijkstra, ())
+        for b in range(n):
+            assert routes.pair(origin, b) == (tree.dist[b], tree.hops[b])
+        for ttl in (1, threshold + 1, threshold + 3, 255):
+            for scope in (None, "zone"):
+                packet = Packet(origin=origin, dst=group, kind="data",
+                                ttl=ttl, scope_zone=scope)
+                assert network._multicast_plan(packet, members) == \
+                    reference_plan(tree, members, origin, ttl,
+                                   zone if scope else None)
+        for link in network.links:
+            parent, child = tree.on_tree_edge(link.a, link.b)
+            assert network._cut_entry(origin, link) == [
+                tree.hops[parent], parent, child,
+                tree.ttl_required[child], None]
+
+
+@settings(max_examples=examples(40))
+@given(seed=st.integers(0, 10_000), n=st.integers(2, 40),
+       delay=st.sampled_from(DELAYS), threshold=st.integers(1, 3),
+       data=st.data())
+def test_cut_entries_match_full_source_trees(seed, n, delay, threshold,
+                                             data):
+    """For every origin and every link of a tree with a non-unit delay
+    and threshold, the cut entry read off a rooted index (any root) is
+    what the origin's full source tree gives: the link's orientation,
+    the parent end's hop count, the TTL the child end needs and the
+    nodes a drop there cuts off."""
+    network = random_uniform_tree(seed, n, delay, threshold)
     root = data.draw(st.integers(0, n - 1), label="root")
     index = rooted(network, root)
     with full_trees_built() as built:
@@ -303,16 +416,14 @@ def test_cut_entries_match_full_source_trees(seed, n, data):
                     full.ttl_required[child], None]
                 assert index.cut(origin, parent, child) == \
                     full.subtree(child)
-    # Only the references were full trees, unless a link's two ends
-    # are half the topology.
-    assert built == list(range(n)) or n <= 4
+    # Only the references were full trees.
+    assert built == list(range(n))
 
 
 def test_a_star_session_keeps_plans_not_trees(monkeypatch):
     """60 rounds on a 200-leaf star: most members send a request, yet
     the network keeps no source tree: it still routes on the shared
-    index, which keeps none (a plan for a group spanning the star reads
-    one traversal and drops it). The one cut set made is the filtered
+    index, which keeps none. The one cut set made is the filtered
     link's, for the data source whose packet it drops. Close drops the
     cut entries."""
     monkeypatch.delenv("SRM_CHECK", raising=False)

@@ -1,8 +1,16 @@
 """Unit tests for the seeded random source."""
 
-import pytest
+import random
+import zlib
 
-from repro.sim.rng import RandomSource
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.herd.rngpool import DrawPools
+from repro.sim.rng import RandomSource, mersenne
+
+from conftest import examples
 
 
 def test_same_seed_same_stream():
@@ -93,3 +101,56 @@ def test_fork_is_stable_across_processes():
 def test_expovariate_positive():
     rng = RandomSource(7)
     assert all(rng.expovariate(1.0) > 0 for _ in range(100))
+
+
+# One fork-seed rule for both engines, and generators seeded once in C.
+
+seeds = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                  st.integers(-2**70, 2**70))
+labels = st.text(max_size=12)
+
+
+@settings(max_examples=examples(60))
+@given(seed=seeds)
+def test_a_seeded_source_is_random_random_of_its_seed(seed):
+    """Seeding in C alone gives ``random.Random(seed)``'s generator:
+    draws, the Mersenne state and the gauss cache all agree."""
+    reference = random.Random(seed)
+    for rng in (mersenne(seed), RandomSource(seed)._rng):
+        assert rng.getstate() == reference.getstate()
+        assert rng.gauss_next is None
+    source = RandomSource(seed)
+    assert source.seed == seed
+    assert [source.random() for _ in range(8)] == \
+        [reference.random() for _ in range(8)]
+
+
+@settings(max_examples=examples(60))
+@given(seed=seeds, label=labels)
+def test_a_fork_is_random_random_of_its_fork_seed(seed, label):
+    """``fork`` draws what ``fork_seed`` draws, and its stream is
+    ``random.Random`` of the 64 bits drawn xor the label's crc32."""
+    parent = random.Random(seed)
+    expected = parent.getrandbits(64) ^ zlib.crc32(label.encode())
+    assert RandomSource(seed).fork_seed(label) == expected
+    child = RandomSource(seed).fork(label)
+    assert child.seed == expected
+    reference = random.Random(expected)
+    assert [child.random() for _ in range(8)] == \
+        [reference.random() for _ in range(8)]
+
+
+@settings(max_examples=examples(30))
+@given(seed=st.integers(0, 2**32 - 1),
+       members=st.lists(st.integers(0, 10**6), max_size=12, unique=True))
+def test_herd_pool_seeds_are_the_agent_forks(seed, members):
+    """The herd's pools take each member's seed, in membership order,
+    as the agent engine forks each member's source from the same master,
+    and prefill them with that source's first draws."""
+    master = RandomSource(seed)
+    forks = [master.fork(f"member-{member}") for member in members]
+    pools = DrawPools.from_master(RandomSource(seed), members, depth=4)
+    assert pools._seeds == [fork.seed for fork in forks]
+    for index, fork in enumerate(forks):
+        assert [pools.take(index) for _ in range(6)] == \
+            [fork.random() for _ in range(6)]  # 4 pooled, then replayed
