@@ -110,7 +110,6 @@ class RequestContext:
     timer: Timer
     backoff_count: int = 0
     ignore_backoff_until: float = float("-inf")
-    requests_observed: int = 0
     sent_request: bool = False
     first_request_seen: bool = False
     rounds: int = 0
@@ -260,7 +259,6 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
                 context = requests[name]
                 if context.done:
                     continue  # abandoned; nothing useful to do
-                context.requests_observed += 1
                 if not context.first_request_seen:
                     agent._first_request(context, requester)
                 elif requester != agent.node_id:
@@ -303,7 +301,6 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
                     agent.on_loss_detected(missing)
                 fresh = agent._requests.get(name)
                 if fresh is not None:
-                    fresh.requests_observed += 1
                     agent._first_request(fresh, requester)
                     agent._backoff_request(fresh)
     elif kind == KIND_REPAIR:
@@ -469,8 +466,9 @@ class SrmAgent(Agent):
         if params is None:
             # Read on first use, so the group size is the one then.
             config = self.config
+            group = self.group
             key = (config.c1, config.c2, config.d1, config.d2,
-                   self.group_size())
+                   1 if group is None else self.network.group_size(group))
             if key in _FIXED_PARAMS:
                 params = _FIXED_PARAMS[key]
             else:
@@ -714,7 +712,6 @@ class SrmAgent(Agent):
         self.requests_sent += 1
         context.rounds += 1
         context.sent_request = True
-        context.requests_observed += 1
         if not context.first_request_seen:
             self._first_request(context, self.node_id)
         if self.adaptive is not None:
@@ -933,7 +930,7 @@ class SrmAgent(Agent):
         """Deliver data this member does not hold yet (its callers test
         ``store.held`` first): store it, close its recovery, and detect
         the losses its sequence number reveals."""
-        self.store.put(name, data)
+        self.store.held[name] = data
         newly_missing = self.reception.mark_received(name)
         now = self._scheduler.now
         trace = self.network.trace

@@ -242,7 +242,6 @@ class Network:
         self._cut_entries: Dict[Tuple[NodeId, Link],
                                 Optional[CutEntry]] = {}
         self._filtered_links: Set[Link] = set()
-        self._queueing_links: Set[Link] = set()
         #: (origin, gid) -> the hop engine's forwarding table, replaced
         #: by :meth:`_forwarding_table` when its stamp no longer matches.
         self._forwarding_tables: Dict[Tuple[NodeId, int],
@@ -393,7 +392,6 @@ class Network:
                 "network with spec.build(delivery='hop')")
         link = self.link_between(a, b)
         link.set_bandwidth(bandwidth, queue_limit)
-        self._queueing_links.add(link)
         return link
 
     # ------------------------------------------------------------------
@@ -452,9 +450,11 @@ class Network:
 
         Part of the engine surface (:class:`repro.live.engine.Engine`):
         the sim answers from exact membership; a live engine answers from
-        local membership plus the remote peers it has heard from.
+        local membership plus the remote peers it has heard from. Read
+        once per member of a run (``SrmAgent.params``): one ``len``.
         """
-        return max(1, self.groups.size(group))
+        members = self.groups._members
+        return (len(members[group]) or 1) if group in members else 1
 
     # ------------------------------------------------------------------
     # Routing queries (also the oracle used by experiments)

@@ -17,6 +17,8 @@ from repro.wb.integrity import (
     corrupt,
 )
 
+from conftest import build_srm_session
+
 NAME = AduName(3, PageId(3, 1), 5)
 
 
@@ -166,6 +168,46 @@ def test_rejected_member_rerequests_an_intact_copy():
     # Honest members (0 and 2) still answer: node 3 converges on an
     # intact, rendered copy despite node 1's corruption.
     assert [op.color for op in boards[3].render(page[0])] == ["blue"]
+
+
+def test_an_evicted_name_is_recovered_and_never_revealed_again():
+    """The integrity path at agent level: a member evicts a name it held
+    and re-enters recovery for it (``store.evict`` + ``on_loss_detected``,
+    as ``Whiteboard`` does on a rejected tag). A later, higher data packet
+    and the session reports after it lie above that name, so none of them
+    reveals it again, and the member still gets it back."""
+    network, agents, _ = build_srm_session(
+        chain(4), range(4), SrmConfig(session_enabled=True))
+    sender, victim = agents[0], agents[3]
+    first = sender.send_data("first")
+    network.run(until=10.0)
+    assert victim.store.get(first) == "first"
+    heard, revealed = [], []
+    reception = victim.reception
+
+    def recording(method):
+        def recorded(*args):
+            heard.append(args)
+            gaps = method(*args)
+            revealed.extend(gaps)
+            return gaps
+        return recorded
+
+    reception.mark_received = recording(reception.mark_received)
+    reception.note_high_water = recording(reception.note_high_water)
+    victim.store.evict(first)
+    victim.on_loss_detected(first)
+    second = sender.send_data("second")
+    network.run(until=200.0)
+    assert network.trace.filter(kind="send_session", node=0)
+    assert (second,) in heard and (first,) in heard  # the repair
+    assert first not in revealed
+    assert [row.detail["name"] for row in
+            network.trace.filter(kind="loss_detected", node=3)] == [first]
+    assert victim.store.get(first) == "first"
+    assert victim.store.get(second) == "second"
+    assert victim.pending_requests() == []
+    assert reception.highest_seq(0, first.page) == 2
 
 
 def test_unkeyed_board_accepts_sealed_ops():

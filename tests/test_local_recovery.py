@@ -242,4 +242,6 @@ def test_admin_scope_zone_confines_traffic():
     # Only in-zone members got the scoped packet; out-of-zone agents saw
     # nothing (their stores and reception state are untouched).
     for node in (0, 1, 2, 3):
-        assert len(agents[node].reception.streams()) == 0
+        assert agents[node].reception.page_state(
+            agents[node].current_page) == {}
+        assert not agents[node].store.held

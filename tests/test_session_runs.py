@@ -123,8 +123,7 @@ def recovery_state(agent):
     adaptive = agent.adaptive
     return (
         agent.requests_suppressed, agent.repairs_cancelled,
-        {name: (context.backoff_count, context.requests_observed,
-                context.ignore_backoff_until, context.timer.expiry,
+        {name: (context.backoff_count, context.ignore_backoff_until, context.timer.expiry,
                 context.done)
          for name, context in agent._requests.items()},
         {name: (context.repairs_observed, context.timer.expiry,
@@ -160,10 +159,10 @@ def observed(network, agents):
         members[node] = (
             dict(agent.session.last_heard),
             dict(getattr(agent.distances, "estimates", {})),
-            reception.streams(),
+            {page: dict(high) for page, high in reception._pages.items()},
             list(reception.page_state(DEFAULT_PAGE).items()),
-            [reception.missing(*stream) for stream in reception.streams()],
-            agent.pending_requests(), len(agent.store),
+            sorted(agent.store.held),
+            agent.pending_requests(),
             recovery_state(agent))
     return "\n".join(rows).encode(), network.scheduler.events_processed, \
         members
@@ -428,10 +427,12 @@ def test_streams_off_the_reported_page_still_reach_note_high_water():
     network.send_multicast(1, agents[1].group, KIND_SESSION, payload)
     network.run(until=2.5)
     for node in (2, 3, 4, 5, 6):
-        assert agents[node].reception.missing(1, other) == [
-            AduName(1, other, 1), AduName(1, other, 2)]
-        assert agents[node].reception.missing(1, DEFAULT_PAGE) == [
-            AduName(1, DEFAULT_PAGE, 1)]
+        assert agents[node].reception.high_water_table(other) == {1: 2}
+        assert agents[node].reception.page_state(DEFAULT_PAGE) == {
+            (1, DEFAULT_PAGE): 1}
+        assert agents[node].pending_requests() == sorted([
+            AduName(1, other, 1), AduName(1, other, 2),
+            AduName(1, DEFAULT_PAGE, 1)])
     detected = [(row.node, row.detail["name"])
                 for row in network.trace.filter(kind="loss_detected")]
     # Receiver by receiver, each in the report's stream order.

@@ -48,34 +48,30 @@ def test_store_evict():
     store.evict(name(1))  # idempotent
 
 
-def test_store_evict_page():
-    store = DataStore()
-    page_a, page_b = PageId(1, 1), PageId(1, 2)
-    store.put(name(1, page=page_a), "a")
-    store.put(name(2, page=page_a), "b")
-    store.put(name(1, page=page_b), "c")
-    assert store.evict_page(page_a) == 2
-    assert store.names_on_page(page_a) == []
-    assert store.names_on_page(page_b) == [name(1, page=page_b)]
-
-
-def test_store_names_on_page_sorted():
-    store = DataStore()
-    store.put(name(3), "c")
-    store.put(name(1), "a")
-    assert [n.seq for n in store.names_on_page(DEFAULT_PAGE)] == [1, 3]
-
-
 # ----------------------------------------------------------------------
 # ReceptionState
 # ----------------------------------------------------------------------
+
+def outstanding(state, arrivals, source=1, page=DEFAULT_PAGE):
+    """Feed ``arrivals`` (names received, or ``(source, page, seq)``
+    high-water reports) to ``state``: the names revealed missing and not
+    received since, sorted, for one stream."""
+    missing = set()
+    for arrival in arrivals:
+        if isinstance(arrival, AduName):
+            missing.update(state.mark_received(arrival))
+            missing.discard(arrival)
+        else:
+            missing.update(state.note_high_water(*arrival))
+    return sorted(adu for adu in missing
+                  if adu.source == source and adu.page == page)
+
 
 def test_in_order_reception_reveals_no_gaps():
     state = ReceptionState()
     assert state.mark_received(name(1)) == []
     assert state.mark_received(name(2)) == []
-    assert state.missing(1, DEFAULT_PAGE) == []
-    assert state.complete(1, DEFAULT_PAGE)
+    assert state.highest_seq(1, DEFAULT_PAGE) == 2
 
 
 def test_gap_detection():
@@ -83,8 +79,7 @@ def test_gap_detection():
     state.mark_received(name(1))
     revealed = state.mark_received(name(4))
     assert revealed == [name(2), name(3)]
-    assert state.missing(1, DEFAULT_PAGE) == [name(2), name(3)]
-    assert not state.complete(1, DEFAULT_PAGE)
+    assert state.high_water_table(DEFAULT_PAGE) == {1: 4}
 
 
 def test_first_packet_with_high_seq_reveals_prefix():
@@ -96,17 +91,18 @@ def test_first_packet_with_high_seq_reveals_prefix():
 
 def test_filling_a_gap_reveals_nothing_new():
     state = ReceptionState()
-    state.mark_received(name(1))
-    state.mark_received(name(4))
+    assert outstanding(state, [name(1), name(4)]) == [name(2), name(3)]
     assert state.mark_received(name(2)) == []
-    assert state.missing(1, DEFAULT_PAGE) == [name(3)]
+    assert state.highest_seq(1, DEFAULT_PAGE) == 4
+    assert outstanding(ReceptionState(), [name(1), name(4), name(2)]) \
+        == [name(3)]
 
 
 def test_duplicate_reception_is_harmless():
     state = ReceptionState()
-    state.mark_received(name(2))
+    assert state.mark_received(name(2)) == [name(1)]
     assert state.mark_received(name(2)) == []
-    assert state.missing(1, DEFAULT_PAGE) == [name(1)]
+    assert state.page_state(DEFAULT_PAGE) == {(1, DEFAULT_PAGE): 2}
 
 
 def test_note_high_water_reveals_tail_losses():
@@ -128,18 +124,17 @@ def test_note_high_water_below_current_is_noop():
 
 def test_streams_are_independent():
     state = ReceptionState()
-    state.mark_received(name(3, source=1))
-    state.mark_received(name(1, source=2))
-    assert state.missing(1, DEFAULT_PAGE) == [name(1), name(2)]
-    assert state.missing(2, DEFAULT_PAGE) == []
+    assert state.mark_received(name(3, source=1)) == [name(1), name(2)]
+    assert state.mark_received(name(1, source=2)) == []
+    assert state.high_water_table(DEFAULT_PAGE) == {1: 3, 2: 1}
 
 
 def test_pages_are_independent():
     state = ReceptionState()
     page_b = PageId(1, 5)
-    state.mark_received(name(2, page=page_b))
-    assert state.missing(1, DEFAULT_PAGE) == []
-    assert state.missing(1, page_b) == [name(1, page=page_b)]
+    assert state.mark_received(name(2, page=page_b)) == [name(1, page=page_b)]
+    assert state.page_state(DEFAULT_PAGE) == {}
+    assert state.page_state(page_b) == {(1, page_b): 2}
 
 
 def test_page_state_reports_per_page():
@@ -156,14 +151,9 @@ def test_streams_listing():
     state = ReceptionState()
     state.mark_received(name(1, source=2))
     state.mark_received(name(1, source=1))
-    assert state.streams() == [(1, DEFAULT_PAGE), (2, DEFAULT_PAGE)]
-
-
-def test_has_received():
-    state = ReceptionState()
-    state.mark_received(name(2))
-    assert state.has_received(name(2))
-    assert not state.has_received(name(1))
+    # In first-heard order, the order a session report lists them.
+    assert list(state.page_state(DEFAULT_PAGE)) == [
+        (2, DEFAULT_PAGE), (1, DEFAULT_PAGE)]
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +163,7 @@ def test_has_received():
 def test_adopted_stream_skips_history():
     state = ReceptionState(adopt_streams=True)
     assert state.mark_received(name(10)) == []
-    assert state.missing(1, DEFAULT_PAGE) == []
-    assert state.complete(1, DEFAULT_PAGE)
+    assert state.highest_seq(1, DEFAULT_PAGE) == 10
 
 
 def test_adopted_stream_still_detects_later_gaps():
@@ -182,13 +171,13 @@ def test_adopted_stream_still_detects_later_gaps():
     state.mark_received(name(10))
     revealed = state.mark_received(name(13))
     assert revealed == [name(11), name(12)]
-    assert state.missing(1, DEFAULT_PAGE) == [name(11), name(12)]
+    assert state.high_water_table(DEFAULT_PAGE) == {1: 13}
 
 
 def test_adopted_stream_high_water_does_not_chase_history():
     state = ReceptionState(adopt_streams=True)
     assert state.note_high_water(1, DEFAULT_PAGE, 50) == []
-    assert state.missing(1, DEFAULT_PAGE) == []
+    assert state.page_state(DEFAULT_PAGE) == {(1, DEFAULT_PAGE): 50}
     # But data after the adoption point is tracked normally.
     assert state.mark_received(name(52)) == [name(51)]
 
@@ -205,24 +194,22 @@ def test_adoption_is_per_stream():
 @given(seqs=st.lists(st.integers(1, 30), min_size=1, max_size=30))
 def test_property_adopted_missing_never_precedes_first_arrival(seqs):
     state = ReceptionState(adopt_streams=True)
-    for seq in seqs:
-        state.mark_received(name(seq))
     first = seqs[0]
-    for missing in state.missing(1, DEFAULT_PAGE):
+    for missing in outstanding(state, [name(seq) for seq in seqs]):
         assert missing.seq > first
 
 
 @settings(max_examples=100, deadline=None)
 @given(seqs=st.lists(st.integers(1, 30), min_size=1, max_size=30))
 def test_property_missing_is_exact_complement(seqs):
-    """Whatever the arrival order, missing = {1..max} minus received."""
+    """Whatever the arrival order, the names revealed missing and not
+    received since are {1..max} minus received."""
     state = ReceptionState()
-    for seq in seqs:
-        state.mark_received(name(seq))
     received = set(seqs)
     expected = [name(s) for s in range(1, max(seqs) + 1)
                 if s not in received]
-    assert state.missing(1, DEFAULT_PAGE) == expected
+    assert outstanding(state, [name(seq) for seq in seqs]) == expected
+    assert state.highest_seq(1, DEFAULT_PAGE) == max(seqs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,7 +225,11 @@ def test_property_revealed_names_are_each_revealed_once(seqs, high):
         revealed.extend(state.mark_received(name(seq)))
     revealed.extend(state.note_high_water(1, DEFAULT_PAGE, high))
     assert len(revealed) == len(set(revealed))
-    assert set(state.missing(1, DEFAULT_PAGE)) <= set(revealed)
+    # Everything up to the mark was either revealed or received.
+    mark = state.highest_seq(1, DEFAULT_PAGE)
+    assert mark == max(max(seqs), high)
+    assert {name(s) for s in range(1, mark + 1)} \
+        == set(revealed) | {name(s) for s in seqs}
     # Nothing received *before* its reveal is ever revealed.
     received_order = {}
     for index, seq in enumerate(seqs):
@@ -309,16 +300,22 @@ _model_ops = st.lists(
 def test_property_page_indexed_tables_match_the_flat_model(adopt, ops):
     state = ReceptionState(adopt_streams=adopt)
     model = FlatModel(adopt)
+    missing = set()  # revealed, and not received since
     for is_data, source, page, seq in ops:
         # A fresh but equal PageId per call: lookups are by value.
         page = PageId(page.creator, page.number)
         if is_data:
             adu = AduName(source, page, seq)
-            assert state.mark_received(adu) == model.mark_received(adu)
+            revealed = state.mark_received(adu)
+            assert revealed == model.mark_received(adu)
+            missing.update(revealed)
+            missing.discard(adu)
         else:
-            assert state.note_high_water(source, page, seq) \
-                == model.note_high_water(source, page, seq)
-    assert state.streams() == sorted(model.high)
+            revealed = state.note_high_water(source, page, seq)
+            assert revealed == model.note_high_water(source, page, seq)
+            missing.update(revealed)
+    assert sorted(key for page in MODEL_PAGES
+                  for key in state.page_state(page)) == sorted(model.high)
     for page in MODEL_PAGES:
         report = state.page_state(page)
         # Same streams in the same (first-heard) order, this page's only.
@@ -330,21 +327,18 @@ def test_property_page_indexed_tables_match_the_flat_model(adopt, ops):
         assert (99, page) not in state.page_state(page)
         for source in MODEL_SOURCES:
             key = (source, page)
-            assert state.missing(source, page) == model.missing(source, page)
+            assert sorted(adu for adu in missing
+                          if adu.source == source and adu.page == page) \
+                == model.missing(source, page)
             assert state.highest_seq(source, page) == model.high.get(
                 key, model.base.get(key, 1) - 1)
             assert state.high_water_table(page).get(source) \
                 == model.high.get(key)
-            for seq in range(1, 13):
-                assert state.has_received(AduName(source, page, seq)) \
-                    == (seq in model.received.get(key, ()))
 
 
 def test_queries_about_an_unheard_page_leave_no_record():
     state = ReceptionState()
     elsewhere = PageId(9, 9)
     assert state.page_state(elsewhere) == {}
-    assert state.missing(1, elsewhere) == []
     assert state.highest_seq(1, elsewhere) == 0
-    assert not state.has_received(name(1, page=elsewhere))
     assert state._pages == {}
