@@ -389,7 +389,13 @@ class SrmAgent(Agent):
         self.adaptive: Optional[AdaptiveTimers] = None
         self.transmitter: Optional[TransmitQueue] = None
         self.fec: Optional[FecCodec] = None
+        #: The fixed timer parameters, resolved on first use (the group
+        #: size is the one then; :attr:`params`). An adaptive member
+        #: leaves it None and reads ``adaptive.params`` on every draw.
         self._fixed_params: Optional[TimerParams] = None
+        #: The request-timer backoff base (``config.backoff_factor()``),
+        #: resolved once: every backoff draws with it.
+        self._backoff_base = self.config.backoff_factor()
         self._requests: Dict[AduName, RequestContext] = {}
         self._repairs: Dict[AduName, RepairContext] = {}
         self._page_requests: Dict[PageId, PageRequestContext] = {}
@@ -647,21 +653,29 @@ class SrmAgent(Agent):
         if name in self.store.held or name in self._requests:
             return
         now = self._scheduler.now
-        if self.adaptive is not None and now > self._last_request_period_at:
+        adaptive = self.adaptive
+        if adaptive is not None and now > self._last_request_period_at:
             # Fig. 9: close the previous request period and adjust (C1, C2)
             # before the new request timer is set. Losses detected in the
             # same instant share one period.
-            self.adaptive.request_period_start()
+            adaptive.request_period_start()
         self._last_request_period_at = now
+        config = self.config
         context = RequestContext(
             name=name, detected_at=now,
             timer=Timer(self.network.scheduler,
-                        lambda: self._request_timer_expired(context)))
-        context.request_ttl_used = self._request_ttl(name)
-        context.request_zone_used = self.config.request_scope_zone
-        context.group = self._recovery_group_for(name)
+                        lambda: self._request_timer_expired(context)),
+            request_zone_used=config.request_scope_zone)
+        if config.request_ttl is not None:
+            context.request_ttl_used = config.request_ttl
+        if self._recovery_rules:
+            context.group = self._recovery_group_for(name)
         self._requests[name] = context
-        delay = self._draw_request_delay(name, 0)
+        params = (adaptive.params if adaptive is not None
+                  else self._fixed_params or self.params)
+        delay = timer_math.request_timer(
+            self.distances.distance(name.source), params.c1, params.c2,
+            self._backoff_base, 0, self.rng.random())
         context.timer.start(delay)
         self.losses_detected += 1
         trace = self.network.trace
@@ -675,18 +689,6 @@ class SrmAgent(Agent):
                           "ignore_until": None})
         else:
             trace.kind_totals[REQUEST_TIMER_SET] += 1
-
-    def _draw_request_delay(self, name: AduName, backoff_count: int) -> float:
-        params = self.params
-        low, high = timer_math.request_delay_bounds(
-            self.distances.distance(name.source), params.c1, params.c2,
-            backoff_count, self.config.backoff_factor())
-        return timer_math.draw_timer(low, high, self.rng.random())
-
-    def _request_ttl(self, name: AduName) -> int:
-        if self.config.request_ttl is not None:
-            return self.config.request_ttl
-        return DEFAULT_TTL
 
     def _request_timer_expired(self, context: RequestContext) -> None:
         if context.done:
@@ -729,7 +731,13 @@ class SrmAgent(Agent):
 
     def _backoff_request(self, context: RequestContext) -> None:
         context.backoff_count += 1
-        delay = self._draw_request_delay(context.name, context.backoff_count)
+        adaptive = self.adaptive
+        params = (adaptive.params if adaptive is not None
+                  else self._fixed_params or self.params)
+        delay = timer_math.request_timer(
+            self.distances.distance(context.name.source), params.c1,
+            params.c2, self._backoff_base, context.backoff_count,
+            self.rng.random())
         context.timer.reschedule(delay)
         now = self._scheduler.now
         # Footnote 1's heuristic: ignore further duplicate requests until
@@ -799,10 +807,11 @@ class SrmAgent(Agent):
             return
         if existing is not None:
             existing.timer.release()  # replaced below
-        if self.adaptive is not None and name != self._last_repair_period_name:
+        adaptive = self.adaptive
+        if adaptive is not None and name != self._last_repair_period_name:
             # A repair period ends when a repair timer is set for a
             # different data item.
-            self.adaptive.repair_period_start()
+            adaptive.repair_period_start()
         self._last_repair_period_name = name
         dst = packet.dst  # the group itself, as a rule: identity first
         context = RepairContext(
@@ -815,18 +824,16 @@ class SrmAgent(Agent):
             reply_group=(None if dst is self.group or dst == self.group
                          else dst))
         repairs[name] = context
-        context.timer.start(self._draw_repair_delay(payload.requester))
+        params = (adaptive.params if adaptive is not None
+                  else self._fixed_params or self.params)
+        context.timer.start(timer_math.repair_timer(
+            self.distances.distance(payload.requester), params.d1,
+            params.d2, self.rng.random()))
         if REPAIR_SCHEDULED in trace.wanted:
             trace.record(now, self.node_id, REPAIR_SCHEDULED,
                          {"name": name, "requester": payload.requester})
         else:
             trace.kind_totals[REPAIR_SCHEDULED] += 1
-
-    def _draw_repair_delay(self, requester: int) -> float:
-        params = self.params
-        low, high = timer_math.repair_delay_bounds(
-            self.distances.distance(requester), params.d1, params.d2)
-        return timer_math.draw_timer(low, high, self.rng.random())
 
     def _repair_ttl(self, context: RepairContext) -> int:
         mode = self.config.local_repair_mode

@@ -20,15 +20,18 @@ here, once, in the exact shape of the original agent code:
 * answering a request starts a ``holddown_factor * d`` ignore window
   (Section III-B's 3*d hold-down).
 
-``draw_timer(low, high, u)`` reproduces CPython's
-``Random.uniform(low, high)`` — ``low + (high - low) * u`` — from one raw
-``random()`` output ``u``, so an engine holding pre-drawn uniforms makes
-the same draw the agent would, consuming exactly one unit of the stream.
+The fused scalar forms :func:`request_timer` and :func:`repair_timer`
+are the scalar reference: each clamps the distance, computes the bounds
+and draws in one frame, so a timer decision is one call. The draw
+reproduces CPython's ``Random.uniform(low, high)`` — ``low + (high -
+low) * u`` — from one raw ``random()`` output ``u``, so an engine holding
+pre-drawn uniforms makes the same draw the agent would, consuming
+exactly one unit of the stream.
 
 The scalar half is dependency-free (``repro.core`` must import without
 numpy). The ``*_vec`` variants operate on numpy arrays and import numpy
 lazily; they use the same IEEE-754 double arithmetic, so results are
-bit-identical to the scalar path element by element.
+bit-identical to the fused forms element by element.
 """
 
 from __future__ import annotations
@@ -44,35 +47,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEGENERATE_HIGH = 1e-9
 
 # ---------------------------------------------------------------------------
-# Scalar path (the agent engine)
+# Scalar path (the agent engine, and the herd's per-member draws)
 # ---------------------------------------------------------------------------
 
 
-def request_delay_bounds(distance: float, c1: float, c2: float,
-                         backoff_count: int = 0,
-                         backoff_factor: float = 2.0
-                         ) -> Tuple[float, float]:
-    """``[f*C1*d, f*(C1+C2)*d]`` request-timer bounds (Section III-A)."""
-    distance = max(distance, 0.0)
-    factor = backoff_factor ** backoff_count
-    return factor * c1 * distance, factor * (c1 + c2) * distance
+def request_timer(distance: float, c1: float, c2: float,
+                  backoff_factor: float, backoff_count: int,
+                  u: float) -> float:
+    """One request timer from a raw uniform ``u`` in ``[0, 1)``.
 
-
-def repair_delay_bounds(distance: float, d1: float, d2: float
-                        ) -> Tuple[float, float]:
-    """``[D1*d, (D1+D2)*d]`` repair-timer bounds (Section III-A)."""
-    distance = max(distance, 0.0)
-    return d1 * distance, (d1 + d2) * distance
-
-
-def draw_timer(low: float, high: float, u: float) -> float:
-    """One timer draw from a raw uniform ``u`` in ``[0, 1)``.
-
-    Bit-identical to ``Random.uniform(low, high)`` fed the same ``u``;
-    a non-positive ``high`` falls back to ``uniform(0, DEGENERATE_HIGH)``.
+    Uniform on ``[f*C1*d, f*(C1+C2)*d]`` with ``f = backoff_factor **
+    backoff_count`` (Section III-A); a negative distance counts as 0.
     """
+    if distance < 0.0:
+        distance = 0.0
+    factor = backoff_factor ** backoff_count
+    high = factor * (c1 + c2) * distance
     if high <= 0.0:
         return DEGENERATE_HIGH * u
+    low = factor * c1 * distance
+    return low + (high - low) * u
+
+
+def repair_timer(distance: float, d1: float, d2: float, u: Any) -> Any:
+    """One repair timer from a raw uniform ``u`` in ``[0, 1)``.
+
+    Uniform on ``[D1*d, (D1+D2)*d]`` (Section III-A); a negative
+    distance counts as 0. ``u`` may be an array of raw uniforms for
+    members that share one distance: the draws are then elementwise.
+    """
+    if distance < 0.0:
+        distance = 0.0
+    high = (d1 + d2) * distance
+    if high <= 0.0:
+        return DEGENERATE_HIGH * u
+    low = d1 * distance
     return low + (high - low) * u
 
 
@@ -112,7 +121,7 @@ def backoff_factors_vec(backoff_factor: float, counts: Any) -> Any:
 def request_delay_bounds_vec(distances: Any, c1: float, c2: float,
                              counts: Any, backoff_factor: float = 2.0
                              ) -> Tuple[Any, Any]:
-    """Vectorized :func:`request_delay_bounds` over member arrays."""
+    """The bounds :func:`request_timer` draws from, over member arrays."""
     import numpy as np
 
     distance = np.maximum(np.asarray(distances, dtype=np.float64), 0.0)
@@ -122,7 +131,7 @@ def request_delay_bounds_vec(distances: Any, c1: float, c2: float,
 
 def repair_delay_bounds_vec(distances: Any, d1: float, d2: float
                             ) -> Tuple[Any, Any]:
-    """Vectorized :func:`repair_delay_bounds` over member arrays."""
+    """The bounds :func:`repair_timer` draws from, over member arrays."""
     import numpy as np
 
     distance = np.maximum(np.asarray(distances, dtype=np.float64), 0.0)
@@ -130,7 +139,8 @@ def repair_delay_bounds_vec(distances: Any, d1: float, d2: float
 
 
 def draw_timers_vec(lows: Any, highs: Any, us: Any) -> Any:
-    """Vectorized :func:`draw_timer` over bound/uniform arrays."""
+    """The draw of :func:`request_timer` / :func:`repair_timer` over
+    bound/uniform arrays."""
     import numpy as np
 
     lows = np.asarray(lows, dtype=np.float64)

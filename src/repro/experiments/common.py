@@ -252,8 +252,8 @@ class LossRecoverySimulation:
 
     def _outcome(self, report: LossEventReport,
                  name: AduName) -> RoundOutcome:
-        recovered = all(self.agents[member].store.have(name)
-                        for member in self.scenario.members)
+        recovered = all([name in self.agents[member].store.held
+                         for member in self.scenario.members])
         return RoundOutcome(
             report=report,
             name=name,
@@ -276,10 +276,9 @@ class LossRecoverySimulation:
         dist = {member: distance(source, member)
                 for member in report.request_waits}
         closest_distance = min(dist.values())
-        at_minimum = [timing for member, timing in
-                      report.request_waits.items()
-                      if dist[member] == closest_distance]
-        return min(timing.ratio for timing in at_minimum)
+        return min([timing.ratio for member, timing in
+                    report.request_waits.items()
+                    if dist[member] == closest_distance])
 
     def close(self) -> None:
         """Free the finished session at once (:meth:`Network.close`).

@@ -16,7 +16,7 @@ from typing import Dict, Optional
 
 from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
-from repro.core.names import AduName, DEFAULT_PAGE
+from repro.core.names import DEFAULT_PAGE, name_range
 from repro.experiments.common import collector_paused
 from repro.sim.rng import RandomSource
 from repro.sim.trace import QUEUE_DROP, RECV_DATA, SEND_REPAIR, SEND_REQUEST
@@ -92,10 +92,10 @@ def run_congestion_experiment(
     # The network is fresh, so its totals count this burst's rows alone.
     totals = network.trace.kind_totals
     requests, repairs = totals[SEND_REQUEST], totals[SEND_REPAIR]
-    recovered = all(
-        agents[node].store.have(AduName(0, DEFAULT_PAGE, seq))
-        for node in range(chain_length)
-        for seq in range(1, burst + 2))
+    # Every member holds the burst and the beacon: one subset test each.
+    names = set(name_range(0, DEFAULT_PAGE, 1, burst + 1))
+    recovered = all([agent.store.held.keys() >= names
+                     for agent in agents.values()])
     return CongestionOutcome(
         packets_sent=burst + 1,
         queue_drops=bottleneck.queue_drops,

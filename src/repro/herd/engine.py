@@ -136,6 +136,7 @@ class HerdSimulation:
         # Hoist the per-member LCA gathers out of the delivery hot path.
         self._topo.attach_targets(self._nodes)
         self._params = self.config.fixed_params(count)
+        self._backoff_base = self.config.backoff_factor()
 
         #: Same fork labels, same membership order, same master draws as
         #: LossRecoverySimulation's agent loop — member streams align.
@@ -345,7 +346,7 @@ class HerdSimulation:
         us = self._pools.take_many(detect)
         low, high = timer_math.request_delay_bounds_vec(
             self._dist_src[detect], self._params.c1, self._params.c2,
-            self._r_backoff[detect], self.config.backoff_factor())
+            self._r_backoff[detect], self._backoff_base)
         delays = timer_math.draw_timers_vec(low, high, us)
         self._r_exists[detect] = True
         self._r_detected[detect] = now
@@ -369,10 +370,9 @@ class HerdSimulation:
         """Double one member's request timer."""
         self._r_backoff[i] += 1
         count = int(self._r_backoff[i])
-        low, high = timer_math.request_delay_bounds(
+        delay = timer_math.request_timer(
             float(self._dist_src[i]), self._params.c1, self._params.c2,
-            count, self.config.backoff_factor())
-        delay = timer_math.draw_timer(low, high, self._pools.take(i))
+            self._backoff_base, count, self._pools.take(i))
         now = self.scheduler.now
         self._r_expiry[i] = now + delay
         ignore: Optional[float] = None
@@ -443,9 +443,8 @@ class HerdSimulation:
                 us = self._pools.take_many(fresh)
                 # Every batch member sits at the same distance from the
                 # requester (that is what defines the batch).
-                low, high = timer_math.repair_delay_bounds(
-                    dist, self._params.d1, self._params.d2)
-                delays_p = timer_math.draw_timers_vec(low, high, us)
+                delays_p = timer_math.repair_timer(
+                    dist, self._params.d1, self._params.d2, us)
                 self._p_exists[fresh] = True
                 self._p_done[fresh] = False
                 self._p_pending[fresh] = True
@@ -492,8 +491,7 @@ class HerdSimulation:
                     us_b = self._pools.take_many(go)
                     low_b, high_b = timer_math.request_delay_bounds_vec(
                         self._dist_src[go], self._params.c1,
-                        self._params.c2, counts,
-                        self.config.backoff_factor())
+                        self._params.c2, counts, self._backoff_base)
                     delays_b = timer_math.draw_timers_vec(
                         low_b, high_b, us_b)
                     self._r_expiry[go] = now + delays_b

@@ -11,7 +11,7 @@ from __future__ import annotations
 import _random
 import random
 import zlib
-from typing import Optional, Sequence, TypeVar
+from typing import Callable, NoReturn, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -41,15 +41,21 @@ class RandomSource:
         self.seed = seed
         self._rng = (mersenne(seed) if type(seed) is int
                      else random.Random(seed))
+        #: One raw uniform on [0, 1): the generator's own C method, so a
+        #: draw (every timer and link-loss decision) enters no Python
+        #: frame. Bound to this source's generator: a source must never
+        #: be copied or pickled, or the copy would draw from the original.
+        self.random: Callable[[], float] = self._rng.random
+
+    def __reduce__(self) -> NoReturn:
+        raise TypeError("a RandomSource is not copied or pickled: its "
+                        "random() is bound to its own generator")
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform draw on [low, high]."""
         if high < low:
             raise ValueError(f"empty interval [{low}, {high}]")
         return self._rng.uniform(low, high)
-
-    def random(self) -> float:
-        return self._rng.random()
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer on [low, high] inclusive."""

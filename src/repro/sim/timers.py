@@ -79,9 +79,13 @@ class Timer:
         # Schedulers that can move a pending entry in place (the
         # simulator's EventScheduler; not the live engine's) expose
         # ``reschedule_event``; re-arming through it skips the cancel +
-        # reallocate round trip. Resolved once per timer.
-        self._resched: Optional[Callable[..., ScheduledEvent]] = getattr(
-            scheduler, "reschedule_event", None)
+        # reallocate round trip. Resolved once per timer, by attribute
+        # lookup: a member makes a timer per loss and per repair.
+        try:
+            resched = scheduler.reschedule_event  # type: ignore[attr-defined]
+        except AttributeError:
+            resched = None
+        self._resched: Optional[Callable[..., ScheduledEvent]] = resched
         self.expiry: Optional[float] = None
         self.set_at: Optional[float] = None
 

@@ -36,15 +36,13 @@ CATALOG: Tuple[Mutant, ...] = (
     # -- timer bounds (Section III-A) ----------------------------------
     Mutant(
         "request-upper-drops-c1", TIMER_MATH,
-        "    factor = backoff_factor ** backoff_count\n"
-        "    return factor * c1 * distance, factor * (c1 + c2) * distance",
-        "    factor = backoff_factor ** backoff_count\n"
-        "    return factor * c1 * distance, factor * c2 * distance",
+        "    high = factor * (c1 + c2) * distance\n",
+        "    high = factor * c2 * distance\n",
         "III-A: a request timer is uniform on [C1*d, (C1+C2)*d]"),
     Mutant(
         "repair-upper-drops-d1", TIMER_MATH,
-        "    return d1 * distance, (d1 + d2) * distance\n\n\ndef draw_timer(",
-        "    return d1 * distance, d2 * distance\n\n\ndef draw_timer(",
+        "    high = (d1 + d2) * distance\n",
+        "    high = d2 * distance\n",
         "III-A: a repair timer is uniform on [D1*d, (D1+D2)*d]"),
     # -- request backoff (Section III-A) -------------------------------
     Mutant(

@@ -1,10 +1,14 @@
 """Unit tests for the request side of the SRM agent (Section III-B)."""
 
+import random
+
 import pytest
 
-from repro.core.config import SrmConfig
+from repro.core import timer_math
+from repro.core.config import SrmConfig, TimerParams
 from repro.core.names import AduName, DEFAULT_PAGE
 from repro.net.link import MatchDropFilter, NthPacketDropFilter
+from repro.sim.trace import REQUEST_TIMER_SET
 from repro.topology.chain import chain
 from repro.topology.star import star
 
@@ -213,3 +217,32 @@ def test_recovery_cancels_request_timer():
         assert context.done
         assert not context.timer.pending
         assert agents[node].store.have(name)
+
+
+def test_adaptive_member_draws_with_its_current_c1():
+    """An adaptive member reads ``adaptive.params`` on every draw: a C1
+    changed since its last draw (in place, or a new parameter object)
+    moves its next request timer, drawn from its own stream."""
+    network, agents, _ = build_srm_session(
+        chain(4), range(4), config=SrmConfig(adaptive=True))
+    agent = agents[3]
+    name = AduName(0, DEFAULT_PAGE, 1)
+    agent.on_loss_detected(name)
+    context = agent._requests[name]
+    distance = agent.distances.distance(0)
+    old = agent.adaptive.params
+    for params in (old, TimerParams(c1=old.c1, c2=old.c2, d1=old.d1,
+                                    d2=old.d2)):
+        agent.adaptive.params = params
+        params.c1 = before = params.c1 + 0.25
+        replica = random.Random()
+        replica.setstate(agent.rng._rng.getstate())
+        u = replica.random()
+        agent._backoff_request(context)
+        delay = network.trace.filter(kind=REQUEST_TIMER_SET)[-1].detail["delay"]
+        # Adaptive backoff is 3x per round (Section VII-A).
+        assert delay == timer_math.request_timer(
+            distance, before, params.c2, 3.0, context.backoff_count, u)
+        assert delay != timer_math.request_timer(
+            distance, before - 0.25, params.c2, 3.0, context.backoff_count,
+            u)

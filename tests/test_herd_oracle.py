@@ -59,15 +59,15 @@ def test_check_mode_leaves_a_herd_result_unchanged(monkeypatch):
 
 
 def no_backoff(monkeypatch):
-    """Plant the canary bug: the herd's request-timer bounds ignore the
+    """Plant the canary bug: the herd's request timers ignore the
     backoff count, so a backed-off timer is drawn from the first
     round's interval."""
-    bounds = timer_math.request_delay_bounds
+    timer = timer_math.request_timer
     bounds_vec = timer_math.request_delay_bounds_vec
     monkeypatch.setattr(
-        herd_engine.timer_math, "request_delay_bounds",
-        lambda distance, c1, c2, count, factor: bounds(
-            distance, c1, c2, 0, factor))
+        herd_engine.timer_math, "request_timer",
+        lambda distance, c1, c2, factor, count, u: timer(
+            distance, c1, c2, factor, 0, u))
     monkeypatch.setattr(
         herd_engine.timer_math, "request_delay_bounds_vec",
         lambda distances, c1, c2, counts, factor: bounds_vec(

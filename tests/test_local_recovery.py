@@ -11,6 +11,7 @@ from repro.core.local import (
     ttl_to_escape,
     ttl_to_reach,
 )
+from repro.core.messages import KIND_DATA, DataPayload
 from repro.core.names import AduName, DEFAULT_PAGE
 from repro.net.link import NthPacketDropFilter
 from repro.topology.btree import balanced_tree
@@ -235,13 +236,16 @@ def test_admin_scoped_repair_inherits_request_zone():
 def test_admin_scope_zone_confines_traffic():
     network, agents, group = build_srm_session(chain(8), range(8))
     network.define_scope_zone("site", {4, 5, 6, 7})
-    received = []
+    name = AduName(5, DEFAULT_PAGE, 1)
     network.scheduler.schedule(0.0, lambda: network.send_multicast(
-        5, group, "srm-session", None, scope_zone="site"))
+        5, group, KIND_DATA, DataPayload(name=name, data="scoped"),
+        scope_zone="site"))
     network.run()
-    # Only in-zone members got the scoped packet; out-of-zone agents saw
+    # Only in-zone members record the scoped data; out-of-zone agents saw
     # nothing (their stores and reception state are untouched).
+    for node in (4, 6, 7):
+        assert agents[node].store.held == {name: "scoped"}, node
     for node in (0, 1, 2, 3):
         assert agents[node].reception.page_state(
-            agents[node].current_page) == {}
-        assert not agents[node].store.held
+            agents[node].current_page) == {}, node
+        assert not agents[node].store.held, node

@@ -1,5 +1,7 @@
 """Unit tests for the seeded random source."""
 
+import copy
+import pickle
 import random
 import zlib
 
@@ -154,3 +156,15 @@ def test_herd_pool_seeds_are_the_agent_forks(seed, members):
     for index, fork in enumerate(forks):
         assert [pools.take(index) for _ in range(6)] == \
             [fork.random() for _ in range(6)]  # 4 pooled, then replayed
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, pickle.dumps],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_a_source_is_never_copied(clone):
+    """``random`` is the generator's own bound C method: a copied source
+    would keep drawing from the original's generator, so copying and
+    pickling are refused outright."""
+    source = RandomSource(7)
+    with pytest.raises(TypeError):
+        clone(source)
+    assert source.random() == random.Random(7).random()
