@@ -22,14 +22,14 @@ Every member hears every request and repair, so each emission site asks
 ``KIND in trace.wanted`` itself and otherwise only bumps
 ``trace.kind_totals[KIND]`` (SRM006): a kind nobody reads costs no
 Python call. Hot methods read the clock as ``self._scheduler.now``, not
-through the ``now`` property. A run of members an engine delivers one
-packet to at once is taken by :func:`receive_run` in one frame,
-whatever the packet's kind, and a heard request, repair or copy of held
-data is finished there for each member: the held-data test, duplicate
-counts, the ignore-window test and a repair's cancel are made in place,
-so only timer draws, new data and the once-per-loss statistics leave
-the frame. :meth:`SrmAgent.receive` hands data, requests and repairs to
-it as a run of one, so each kind has one implementation.
+through the ``now`` property. Every packet enters an agent through
+:func:`receive_run`, the class's run handler: an engine hands it a run
+of members that one arrival reaches at once, and
+:meth:`SrmAgent.receive` is a run of one, so each kind has one
+implementation. A heard request, repair or copy of held data is
+finished there for each member: the held-data test, duplicate counts,
+the ignore-window test and a repair's cancel are made in place, so only
+timer draws, new data and the once-per-loss statistics leave the frame.
 """
 
 from __future__ import annotations
@@ -149,28 +149,30 @@ class PageRequestContext:
 def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
     """One packet at each of ``agents``, in order: ``SrmAgent.receive_run``.
 
-    The run handler. The direct engine hands it a whole delivery run
-    (receivers that tie in delay and hops); ``SrmAgent.receive`` hands
-    it a data packet, request or repair, and ``SessionProtocol.handle``
-    a report, as a run of one. It dispatches on the packet kind once
-    per run, and what depends only on the packet (name, requester,
-    replier, reported distance, the report's stamp and streams) is read
-    once. Every member hears every request, repair and report, so each
-    run is finished in this one frame: a report is merged, a request
-    counted, backed off or answered, a repair cancels and observes
-    here, and a copy already held is skipped without a call; only new
-    data (``_accept_data``) and the protocol's timer work leave it.
-    Any other packet goes to each member's ``receive``. Each agent is
-    finished (its losses detected, timers drawn, rows written) before
-    the next is touched, and an agent not (or no longer) listening on
-    ``packet.dst`` is skipped, as ``receive`` skips it.
+    The run handler, and the one way a packet enters an ``SrmAgent``.
+    The direct engine hands it a whole delivery run (receivers that tie
+    in delay and hops); ``SrmAgent.receive`` hands it any packet as a
+    run of one. It dispatches on the packet kind once per run, and what
+    depends only on the packet (name, requester, replier, reported
+    distance, the report's stamp and streams) is read once. Every
+    member hears every request, repair and report, so each run is
+    finished in this one frame: a report is merged, a request counted,
+    backed off or answered, a repair cancels and observes here, and a
+    copy already held is skipped without a call; only new data
+    (``_accept_data``) and the protocol's timer work leave it. Page
+    requests, page replies and FEC parity go to each member's handler;
+    a session packet without a report in it (none is sent) and any
+    other kind are ignored. Each agent is finished (its losses
+    detected, timers drawn, rows written) before the next is touched,
+    and an agent not (or no longer) listening on ``packet.dst`` is
+    skipped.
     """
     kind = packet.kind
     payload = packet.payload
     group = packet.dst
     if kind == KIND_DATA:
-        # First, as in ``SrmAgent.receive``: the hop engine hands every
-        # data packet to its receivers one at a time.
+        # First: the hop engine hands every data packet to its receivers
+        # one at a time.
         name = payload.name
         data = payload.data
         for agent in agents:
@@ -361,7 +363,15 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
                     name, payload, group if group != agent.group else None)
     else:
         for agent in agents:
-            agent.receive(packet)
+            if (group is not agent.group and group.__class__ is GroupAddress
+                    and group not in agent._joined_groups):
+                continue
+            if kind == KIND_PAGE_REQUEST:
+                agent._handle_page_request(payload)
+            elif kind == KIND_PAGE_REPLY:
+                agent._handle_page_reply(payload)
+            elif kind == KIND_FEC and agent.fec is not None:
+                agent.fec.on_parity_received(payload)
 
 
 class SrmAgent(Agent):
@@ -610,35 +620,7 @@ class SrmAgent(Agent):
     # ------------------------------------------------------------------
 
     def receive(self, packet: Packet) -> None:
-        kind = packet.kind
-        if kind == KIND_DATA or kind == KIND_REQUEST or kind == KIND_REPAIR:
-            # A run of one: data and loss-recovery traffic have the one
-            # implementation, which makes the group check below itself.
-            receive_run((self,), packet)
-            return
-        dst = packet.dst
-        if (dst.__class__ is GroupAddress and dst is not self.group
-                and dst not in self._joined_groups):
-            # Another agent on this node joined that group; not ours.
-            # (Class check rather than the is_multicast property, and an
-            # identity check against the primary group before hashing
-            # into the joined set: this runs once per delivered packet,
-            # and group addresses are shared objects in the simulator.)
-            return
-        if kind == KIND_SESSION:
-            # Session traffic outnumbers every other kind in a
-            # steady-state group. A session packet without a report in
-            # it (none is sent) is ignored.
-            if (self.session is not None
-                    and packet.payload.__class__ is SessionPayload):
-                self.session.handle(packet)
-        elif kind == KIND_PAGE_REQUEST:
-            self._handle_page_request(packet.payload)
-        elif kind == KIND_PAGE_REPLY:
-            self._handle_page_reply(packet.payload)
-        elif kind == KIND_FEC:
-            if self.fec is not None:
-                self.fec.on_parity_received(packet.payload)
+        receive_run((self,), packet)
 
     #: The run handler: one frame per delivery run, of any packet kind
     #: (see :func:`receive_run`).
@@ -1005,11 +987,10 @@ class SrmAgent(Agent):
             timer=Timer(self.network.scheduler,
                         lambda: self._page_request_timer_expired(context)))
         self._page_requests[page] = context
-        distance = self._distance_or_default(page.creator)
         params = self.params
-        low = params.c1 * distance
-        high = (params.c1 + params.c2) * distance
-        context.timer.start(self.rng.uniform(low, max(high, 1e-9)))
+        context.timer.start(timer_math.request_timer(
+            self._distance_or_default(page.creator), params.c1, params.c2,
+            self._backoff_base, 0, self.rng.random()))
 
     def _page_request_timer_expired(self, context: PageRequestContext) -> None:
         if context.done:
@@ -1052,11 +1033,10 @@ class SrmAgent(Agent):
             timer=Timer(self.network.scheduler,
                         lambda: self._page_reply_timer_expired(reply_context)))
         self._page_requests[page] = reply_context
-        distance = self.distances.distance(payload.requester)
         params = self.params
-        low = params.d1 * distance
-        high = (params.d1 + params.d2) * distance
-        reply_context.timer.start(self.rng.uniform(low, max(high, 1e-9)))
+        reply_context.timer.start(timer_math.repair_timer(
+            self.distances.distance(payload.requester), params.d1,
+            params.d2, self.rng.random()))
 
     def _page_reply_timer_expired(self, context: PageRequestContext) -> None:
         if context.done:

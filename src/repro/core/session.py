@@ -75,13 +75,8 @@ class SessionProtocol:
     """The periodic session-message machinery for one agent."""
 
     def __init__(self, agent: "SrmAgent") -> None:
-        # Imported here, once per member rather than once per report in
-        # ``handle``: repro.core.agent imports this module.
-        from repro.core.agent import receive_run
-
         self.agent = agent
         self.config = agent.config
-        self._receive_run = receive_run
         #: The page of the last report merged (by identity: members
         #: viewing one page report the same ``PageId`` object) and the
         #: agent's high-water table for it, which the run handler
@@ -210,7 +205,9 @@ class SessionProtocol:
     # ------------------------------------------------------------------
 
     def handle(self, packet: "Packet") -> None:
-        """Digest one report at this member: a run of one of the run
-        handler, ``repro.core.agent.receive_run``, which merges it."""
-        self._receive_run((self.agent,), packet)
+        """Digest one report at this member: ``agent.receive``, whose run
+        handler (``repro.core.agent.receive_run``) merges it. Nothing in
+        the package calls it; the ledger's span tracer still names it a
+        boundary (``benchmarks/ledger/tracer.py``)."""
+        self.agent.receive(packet)
 

@@ -43,7 +43,7 @@ from typing import AbstractSet, Any, Callable, Dict, ItemsView, Iterable, \
 
 from repro.mcast.groups import GroupManager
 from repro.net.link import DropFilter, Link
-from repro.net.node import Agent, Node
+from repro.net.node import Agent, Node, receive_each
 from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
 from repro.net.routing import (RouteSkeleton, Routes, SourceTree,
                                 SourceTrees)
@@ -61,10 +61,10 @@ PlanEntry = Tuple[float, int, Tuple[NodeId, ...]]
 #: (:func:`_copy_slots`).
 Plan = Tuple[Tuple[PlanEntry, ...], int, Tuple[int, ...], Tuple[int, ...]]
 #: How a run of members takes its packets (:meth:`Network._bind_run`):
-#: (run handler, the run's agents, events saved) or, without a handler,
-#: (None, one receiver per member, saved). A receiver is the member's
-#: sole agent, or its :class:`Node` when it carries none or several.
-RunBinding = Tuple[Optional[Callable[[Sequence[Agent], Packet], None]],
+#: (run handler, one receiver per member, events saved). A receiver is
+#: the member's sole agent, or its :class:`Node` when it carries none or
+#: several.
+RunBinding = Tuple[Callable[[Sequence[Any], Packet], None],
                    Tuple[Any, ...], int]
 #: One forwarding-table row: (run, next hops). The run is ``(node,)``
 #: when the node is a member (not the origin), else None; the next hops
@@ -840,10 +840,7 @@ class Network:
                 except KeyError:
                     handler, targets, _ = self._run_bindings[members] = \
                         self._bind_run(members)
-                if handler is not None:
-                    handler(targets, packet)
-                else:
-                    targets[0].receive(packet)
+                handler(targets, packet)
             if table.version != groups.version:
                 # The receiver itself changed membership.
                 table = self._forwarding_table(packet, table.routes)
@@ -934,12 +931,11 @@ class Network:
         (``batched_deliveries`` counts the events saved), or the one
         member a unicast or a hop reaches (:meth:`_multicast_arrive`
         reads the binding in place). With delivery tracing off the run
-        goes to its binding (:meth:`_bind_run`): its agents' run handler
-        in one call, whatever the packet's kind, or else each member's
-        receiver, whose ``receive`` is looked up as it is called. With
-        ``trace_deliveries`` on, decided at fire time (not schedule
-        time), every member goes through :meth:`_deliver` and its
-        ``deliver`` row exactly as it would with an event of its own.
+        goes to its binding (:meth:`_bind_run`): one call of its run
+        handler, whatever the packet's kind. With ``trace_deliveries``
+        on, decided at fire time (not schedule time), every member goes
+        through :meth:`_deliver` and its ``deliver`` row exactly as it
+        would with an event of its own.
         """
         if not self.trace_deliveries:
             try:
@@ -948,11 +944,7 @@ class Network:
                 handler, targets, saved = self._run_bindings[members] = \
                     self._bind_run(members)
             self.perf.batched_deliveries += saved
-            if handler is not None:
-                handler(targets, packet)
-            else:
-                for receiver in targets:
-                    receiver.receive(packet)
+            handler(targets, packet)
             return
         self.perf.batched_deliveries += len(members) - 1
         deliver = self._deliver
@@ -962,16 +954,15 @@ class Network:
     def _bind_run(self, members: Tuple[NodeId, ...]) -> RunBinding:
         """Resolve how a run of members takes its packets.
 
-        The run handler (``Agent.receive_run``) serves the run, a run of
-        one too, when every member node carries exactly one agent, all
-        of one class; it then takes every packet of the run, of any kind
-        (``SrmAgent``'s dispatches on the kind itself). Any other run is
-        bound to one receiver per member: its agent when each node has
-        one, else each member's :class:`~repro.net.node.Node`. A receiver
-        is kept as an object, not as a bound method, so a ``receive``
-        set on one instance later is the one called. Runs are bound
-        about as often as plans are built when every round has a fresh
-        network, hence no per-member call below.
+        The class's run handler (``Agent.receive_run``) serves the run,
+        a run of one too, when every member node carries exactly one
+        agent, all of one class; it then takes every packet of the run,
+        of any kind (``SrmAgent``'s dispatches on the kind itself). Any
+        other run goes to :func:`~repro.net.node.receive_each` over one
+        receiver per member: its agent when each node has one, else each
+        member's :class:`~repro.net.node.Node`. Runs are bound about as
+        often as plans are built when every round has a fresh network,
+        hence no per-member call below.
         """
         nodes = self.nodes
         saved = len(members) - 1
@@ -979,12 +970,12 @@ class Network:
             agents = [agent for (agent,) in
                       [nodes[member].agents for member in members]]
         except ValueError:  # a node with no agent, or with several
-            return None, tuple([nodes[member] for member in members]), saved
+            return (receive_each,
+                    tuple([nodes[member] for member in members]), saved)
         cls = agents[0].__class__
-        handler = cls.receive_run
         if [agent for agent in agents if agent.__class__ is not cls]:
-            handler = None  # mixed classes
-        return handler, tuple(agents), saved
+            return receive_each, tuple(agents), saved  # mixed classes
+        return cls.receive_run, tuple(agents), saved
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:

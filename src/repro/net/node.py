@@ -4,12 +4,11 @@ A :class:`Node` is a router/host in the topology. Protocol endpoints attach
 to a node as :class:`Agent` objects. Every packet delivered to a node
 (unicast addressed to it, or multicast for a group the node has joined)
 reaches it as part of a run: the members an arrival reaches at one delay
-and hop count, or the one member a unicast or a hop reaches. A run whose
-nodes each carry one agent of a class with a run handler
-(:attr:`Agent.receive_run`) is handed to that handler in one call; any
-other run is handed member by member to each node's sole agent's
-:meth:`Agent.receive`, or to :meth:`Node.receive`, which calls every
-attached agent's.
+and hop count, or the one member a unicast or a hop reaches. Every run
+is one call of a run handler: the agents' class's
+:attr:`Agent.receive_run` when the run's nodes each carry one agent,
+all of one class; else :func:`receive_each` over the run's agents, or
+over its :class:`Node` objects when a node carries no agent or several.
 
 Agents are typed against the :class:`repro.live.engine.Engine` protocol,
 not the concrete simulator: the same agent code runs attached to the
@@ -28,6 +27,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.timers import TimerScheduler
 
 
+def receive_each(receivers: Sequence[Any], packet: Packet) -> None:
+    """The default run handler: each receiver's ``receive``, in order.
+
+    A receiver is an agent or a :class:`Node`; its ``receive`` is looked
+    up as it is called, so one set on an instance later is the one called.
+    """
+    for receiver in receivers:
+        receiver.receive(packet)
+
+
 class Agent:
     """Base class for protocol endpoints.
 
@@ -37,22 +46,22 @@ class Agent:
     finished simulation is no reference cycle.
     """
 
-    #: Optional run handler, ``receive_run(agents, packet)``: how this
-    #: class takes one multicast packet for a whole run of its instances
-    #: (receivers at one delay and hop count, each the only agent of its
-    #: node) in one call, in place of a :meth:`receive` call per agent.
-    #: It must leave every agent as the :meth:`receive` calls, made in
-    #: order, would. ``SrmAgent``'s handles a run of any packet kind in
-    #: one frame (``repro.core.agent.receive_run``).
-    receive_run: ClassVar[Optional[
-        Callable[[Sequence["Agent"], Packet], None]]] = None
+    #: The run handler, ``receive_run(agents, packet)``: how this class
+    #: takes one packet for a whole run of its instances (receivers at
+    #: one delay and hop count, each the only agent of its node) in one
+    #: call. It must leave every agent as the :meth:`receive` calls, made
+    #: in order, would; the default, :func:`receive_each`, makes them.
+    #: ``SrmAgent``'s takes a run of any packet kind in one frame
+    #: (``repro.core.agent.receive_run``).
+    receive_run: ClassVar[Callable[[Sequence[Any], Packet], None]] = \
+        staticmethod(receive_each)
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         if "receive" in cls.__dict__ and "receive_run" not in cls.__dict__:
             # A run handler stands in for the receive it was written
             # beside; a subclass that replaces receive does not inherit it.
-            cls.receive_run = None
+            cls.receive_run = staticmethod(receive_each)
 
     def __init__(self) -> None:
         self.node_id: NodeId = -1

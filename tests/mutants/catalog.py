@@ -1,4 +1,4 @@
-"""The catalog of protocol mutants: one-edit bugs in SRM's timer rules.
+"""The catalog of protocol mutants: one-edit bugs in SRM's rules.
 
 Each entry names a source file, a text ``old`` that occurs exactly once
 in it, the ``new`` text that replaces it, and the rule of the paper the
@@ -196,6 +196,16 @@ CATALOG: Tuple[Mutant, ...] = (
         "tree.ttl_required[target] < ttl:",
         "VII-B: a TTL-t multicast reaches every node whose threshold sum "
         "is at most t"),
+    # -- group listening (the delivery contract) ------------------------
+    Mutant(
+        "state-kinds-ignore-group", AGENT,
+        "                continue\n"
+        "            if kind == KIND_PAGE_REQUEST:\n",
+        "                pass\n"
+        "            if kind == KIND_PAGE_REQUEST:\n",
+        "Delivery contract: a member takes only packets for a group it "
+        "listens on; a page request, page reply or FEC parity packet for "
+        "another group its node joined leaves it untouched"),
     # -- the herd's vectorized timer forms -----------------------------
     Mutant(
         "backoff-factors-vec-linear", TIMER_MATH,

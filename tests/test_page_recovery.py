@@ -1,7 +1,11 @@
 """Tests for page-state recovery (Section III-A late join / browsing)."""
 
+import random
+
+from repro.core import timer_math
 from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
+from repro.core.messages import PageRequestPayload
 from repro.core.names import AduName, PageId
 from repro.sim.rng import RandomSource
 from repro.topology.chain import chain
@@ -103,3 +107,36 @@ def test_page_request_for_unknown_page_gets_no_reply():
         0.0, lambda: agents[3].request_page_state(ghost))
     network.run()
     assert network.trace.count("send_page_reply") == 0
+
+
+def test_page_timers_are_the_fused_data_recovery_forms():
+    """A page request is timed like a data request and a page reply like
+    a repair (``timer_math``), down to a distance estimate so small that
+    (C1+C2)*d and (D1+D2)*d fall below the degenerate interval's 1e-9:
+    each delay lands inside its interval, from one raw uniform."""
+    network, agents, group = build_srm_session(
+        chain(3), range(3), config=SrmConfig(distance_oracle=False))
+    member = agents[2]
+    page = PageId(creator=0, number=1)
+    member.distances.update(0, 1e-12)   # to the page's creator
+    member.distances.update(1, 1e-12)   # to the requester below
+    params = member.params
+    replay = random.Random()
+    replay.setstate(member.rng._rng.getstate())
+
+    member.request_page_state(page)
+    now = network.scheduler.now
+    delay = timer_math.request_timer(1e-12, params.c1, params.c2,
+                                     member._backoff_base, 0,
+                                     replay.random())
+    assert params.c1 * 1e-12 <= delay <= (params.c1 + params.c2) * 1e-12
+    assert member._page_requests[page].timer.expiry == now + delay
+
+    member.reception.note_high_water(0, page, 1)   # it holds page state
+    member._handle_page_request(PageRequestPayload(page=page, requester=1))
+    reply = member._page_requests[page]
+    assert reply.is_reply and reply.timer.pending
+    delay = timer_math.repair_timer(1e-12, params.d1, params.d2,
+                                    replay.random())
+    assert params.d1 * 1e-12 <= delay <= (params.d1 + params.d2) * 1e-12
+    assert reply.timer.expiry == now + delay

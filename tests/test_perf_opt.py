@@ -216,13 +216,12 @@ def test_warm_plan_builds_one_arrival_per_distinct_hop_count():
 
 def test_star_report_reaches_the_leaves_in_one_run_call(monkeypatch):
     """One leaf's session report: the other leaves tie, so they are one
-    ``receive_run`` call and no ``receive`` / ``handle`` call; the hub
+    ``receive_run`` call and no ``receive`` call; the hub
     is alone at its distance, a run of one, and takes one
     ``receive_run`` call of its own (docs/performance.md, "Batched
     session/state delivery")."""
     from repro.core.agent import SrmAgent
     from repro.core.config import SrmConfig
-    from repro.core.session import SessionProtocol
 
     network = star(30).build(delivery="direct")
     network.trace_deliveries = False  # check mode traces, never batches
@@ -250,10 +249,9 @@ def test_star_report_reaches_the_leaves_in_one_run_call(monkeypatch):
 
     count(SrmAgent, "receive_run", len)
     count(SrmAgent, "receive", lambda agent: agent.node_id)
-    count(SessionProtocol, "handle", lambda session: session.agent.node_id)
     agents[1].session.send_session_message()
     network.run(until=3.0)
-    assert calls == {"receive_run": [1, 28], "receive": [], "handle": []}
+    assert calls == {"receive_run": [1, 28], "receive": []}
     assert all(1 in agents[member].session.last_heard
                for member in range(30) if member != 1)
     assert agents[0].session.last_heard[1] == (0.0, 1.0)

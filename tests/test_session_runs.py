@@ -25,14 +25,17 @@ from hypothesis import strategies as st
 
 from repro.core.agent import SrmAgent
 from repro.core.config import SrmConfig
-from repro.core.messages import (KIND_REQUEST, KIND_SESSION, PACKET,
+from repro.core.fec import KIND_FEC, FecPayload
+from repro.core.messages import (KIND_PAGE_REPLY, KIND_PAGE_REQUEST,
+                                 KIND_REQUEST, KIND_SESSION, PACKET,
+                                 PageReplyPayload, PageRequestPayload,
                                  SessionPayload, SessionTimestamp)
 from repro.core.names import DEFAULT_PAGE, AduName
 from repro.core.state import ReceptionState
 from repro.experiments.common import LossRecoverySimulation
 from repro.experiments.figure5 import star_scenario
 from repro.net.link import NthPacketDropFilter
-from repro.net.node import Agent
+from repro.net.node import Agent, receive_each
 from repro.net.packet import Packet
 from repro.sim.rng import RandomSource
 from repro.topology.random_tree import random_labeled_tree
@@ -51,8 +54,10 @@ def deliver_per_receiver(network):
 
 
 def handler_bound_runs(network):
+    """The bound runs a class's own run handler serves (every other run
+    goes to ``receive_each``)."""
     return [members for members, (handler, _, _)
-            in network._run_bindings.items() if handler is not None]
+            in network._run_bindings.items() if handler is not receive_each]
 
 
 def run_session(batched, *, n, seed, oracle, adopt, shared_node, center,
@@ -143,7 +148,8 @@ def handler_runs(network):
 
     def watched(members, packet):
         deliver_many(members, packet)
-        if network._run_bindings.get(members, (None,))[0] is not None:
+        if network._run_bindings.get(
+                members, (receive_each,))[0] is not receive_each:
             runs.append((packet.kind, len(members)))
 
     network._deliver_many = watched
@@ -318,17 +324,42 @@ class Listener(Agent):
         self.kinds.append(packet.kind)
 
 
+def member_state(agent):
+    """What a delivery can change at a member: held data, reception
+    high-water marks, pending requests, page-state timers and its
+    loss-recovery state."""
+    return (sorted(agent.store.held),
+            {page: dict(high)
+             for page, high in agent.reception._pages.items()},
+            agent.pending_requests(),
+            {page: (context.is_reply, context.done, context.timer.expiry)
+             for page, context in agent._page_requests.items()},
+            recovery_state(agent))
+
+
 def test_session_kind_without_a_report_goes_agent_by_agent(monkeypatch):
     """The merge reads ``SessionPayload`` fields; anything else carried
-    under the session kind is left to each agent's ``receive``."""
+    under the session kind reaches the run in one run-handler call, no
+    ``receive`` call, and changes no member."""
     network, agents = star_session(sessionless=range(1, 7))
+    network.trace.keep = None
+    runs = []
+    original_run = SrmAgent.receive_run
+    monkeypatch.setattr(SrmAgent, "receive_run", staticmethod(
+        lambda run, packet: (runs.append([a.node_id for a in run]),
+                             original_run(run, packet))[1]))
     received = []
     original = SrmAgent.receive
     monkeypatch.setattr(SrmAgent, "receive", lambda self, packet: (
         received.append(self.node_id), original(self, packet))[1])
+    before = {node: member_state(agent) for node, agent in agents.items()}
     network.send_multicast(1, agents[1].group, KIND_SESSION, None)
     network.run()
-    assert received == [2, 3, 4, 5, 6]
+    assert runs == [[2, 3, 4, 5, 6]]
+    assert received == []
+    assert {node: member_state(agent)
+            for node, agent in agents.items()} == before
+    assert [row.kind for row in network.trace] == []
     assert handler_bound_runs(network) == [(2, 3, 4, 5, 6)]
 
 
@@ -369,7 +400,61 @@ def test_mixed_agent_classes_are_not_batched():
     assert listener.kinds == [KIND_SESSION]
     assert heard(agents, 1) == [2, 3, 4, 5]
     assert list(network._run_bindings) == [(2, 3, 4, 5, 6)]
+    handler, targets, _ = network._run_bindings[(2, 3, 4, 5, 6)]
+    assert handler is receive_each
+    assert targets == (agents[2], agents[3], agents[4], agents[5], listener)
     assert not handler_bound_runs(network)
+
+
+def test_state_kinds_skip_a_member_not_listening_on_their_group():
+    """A page request, a page reply and an FEC parity packet reach a run
+    one of whose members, leaf 4, does not listen on their group (its
+    node does). Taken as one run they leave every member as
+    ``SrmAgent.receive`` on each member in turn leaves it, and leaf 4
+    as it was: its own page request still pending, no loss detected."""
+    outcomes = []
+    for batched in (True, False):
+        network, agents = star_session(members=(1, 2, 3, 5, 6), fec_block=2)
+        network.trace.keep = None
+        group = agents[1].group
+        agents[4] = SrmAgent(SrmConfig(fec_block=2), RandomSource(4))
+        network.attach(4, agents[4])
+        agents[4].join_group(network.groups.allocate("other"))
+        network.join(4, group)
+        page = agents[1].create_page(1)
+        agents[1].send_data("first", page=page)
+        network.run(until=2.5)
+        agents[4].request_page_state(page)
+        before = member_state(agents[4])
+        packets = [
+            (KIND_PAGE_REQUEST, PageRequestPayload(page=page, requester=1)),
+            (KIND_PAGE_REPLY, PageReplyPayload(
+                page=page, replier=1, page_state={(1, page): 3})),
+            (KIND_FEC, FecPayload(source=1, page=page, first_seq=3, k=2,
+                                  parity=b"\x00", lengths=(1, 1)))]
+        if batched:
+            for kind, payload in packets:
+                network.send_multicast(1, group, kind, payload)
+        else:
+            network.scheduler.schedule(2.0, lambda: [
+                agents[node].receive(Packet(1, group, kind, payload))
+                for kind, payload in packets for node in (2, 3, 4, 5, 6)])
+        network.run(until=5.0)
+        if batched:
+            assert (2, 3, 4, 5, 6) in handler_bound_runs(network)
+        assert member_state(agents[4]) == before
+        assert agents[4]._page_requests[page].timer.pending
+        for node in (2, 3, 5, 6):
+            context = agents[node]._page_requests[page]
+            assert context.is_reply and context.done   # the reply heard
+            assert agents[node].pending_requests() == [
+                AduName(1, page, seq) for seq in (2, 3, 4)]
+        outcomes.append((trace_rows(network), {
+            node: (member_state(agent),
+                   {key: (sorted(block.payloads), block.parity)
+                    for key, block in agent.fec._blocks.items()})
+            for node, agent in agents.items()}))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_subclass_that_replaces_receive_drops_the_run_handler():
@@ -380,9 +465,11 @@ def test_subclass_that_replaces_receive_drops_the_run_handler():
     class Renamed(SrmAgent):
         pass
 
-    assert Quiet.receive_run is None
+    assert Quiet.receive_run is receive_each
     assert Renamed.receive_run is SrmAgent.receive_run
-    assert Agent.receive_run is None and Listener.receive_run is None
+    assert SrmAgent.receive_run is not receive_each
+    assert Agent.receive_run is receive_each
+    assert Listener.receive_run is receive_each
 
 
 def test_a_member_that_left_is_skipped_by_the_merge():
@@ -406,6 +493,9 @@ def test_attach_and_detach_rebind_the_run():
     report_from(agents[1])
     assert lodger.kinds == [KIND_SESSION]
     assert list(network._run_bindings) == [run]
+    handler, targets, _ = network._run_bindings[run]
+    assert handler is receive_each
+    assert targets == tuple(network.nodes[node] for node in run)
     assert not handler_bound_runs(network)
     network.detach(4, lodger)
     report_from(agents[1])
@@ -444,9 +534,9 @@ def test_streams_off_the_reported_page_still_reach_note_high_water():
 
 @pytest.mark.parametrize("oracle", [True, False])
 def test_handle_is_the_one_receiver_call_of_the_merge(oracle):
-    """``SessionProtocol.handle`` on each member in turn leaves what one
-    merged run leaves (the echo branch included when distances are
-    learned from session messages)."""
+    """``SrmAgent.receive`` on each member in turn, a run of one each,
+    leaves what one merged run leaves (the echo branch included when
+    distances are learned from session messages)."""
     outcomes = []
     for batched in (True, False):
         network, agents = star_session(distance_oracle=oracle)
@@ -461,7 +551,7 @@ def test_handle_is_the_one_receiver_call_of_the_merge(oracle):
         else:
             packet = Packet(1, agents[1].group, KIND_SESSION, payload)
             scheduler.schedule(2.0, lambda: [
-                agents[node].session.handle(packet)
+                agents[node].receive(packet)
                 for node in (2, 3, 4, 5, 6)])
         network.run(until=2.0)
         outcomes.append({
