@@ -43,9 +43,9 @@ deterministic counter deltas that explain a wall-clock movement —
 events scheduled vs executed, bucket scans, plan-cache hits, arrival
 copies. ``cancel_heavy`` is the same logical workload in every
 version (N suppression timers armed, ~90% never fire); v3 once drove
-it through a bulk-wave API, and it now arms one
-:class:`repro.sim.timers.Timer` per member, the way agents drive the
-kernel. v1/v2 files are still accepted by
+it through a bulk-wave API, then through one timer wrapper object per
+member, and it now arms one scheduler event per member, the way agents
+drive the kernel (a protocol timer is its event). v1/v2 files are still accepted by
 ``--compare``, as are v3 files that carry the ``"backend"`` field the
 heap-era script recorded.
 """
@@ -71,7 +71,6 @@ from repro.experiments.common import LossRecoverySimulation, Scenario
 from repro.net.node import Agent
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import EventScheduler
-from repro.sim.timers import Timer
 from repro.topology.random_tree import random_labeled_tree
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_kernel.json"
@@ -101,8 +100,8 @@ def cancel_heavy(n: int, cancel_fraction: float = 0.9) -> tuple[int, dict]:
     earliest few fire, and the rest are cancelled — exactly how a
     suppression round plays out (the first expiring member's multicast
     suppresses everyone else's pending timer). Each member arms its own
-    :class:`Timer`, as every agent does; a wave runs to the suppression
-    horizon, then each survivor's timer is cancelled.
+    timer event with ``schedule``, as every agent does; a wave runs to
+    the suppression horizon, then each survivor's event is cancelled.
     """
     sched = EventScheduler()
     rng = RandomSource(2)
@@ -126,9 +125,8 @@ def cancel_heavy(n: int, cancel_fraction: float = 0.9) -> tuple[int, dict]:
     # bench whose kernel work is this cheap.
     u = rng._rng.random
     for _ in range(waves):
-        timers = [Timer(sched, on_fire) for _ in range(wave)]
-        for timer in timers:
-            timer.start(lo + span * u())
+        timers = [sched.schedule(lo + span * u(), on_fire)
+                  for _ in range(wave)]
         sched.run(until=sched.now + horizon)
         for timer in timers:
             if timer.pending:

@@ -16,7 +16,7 @@ from typing import Dict, List, Set, Tuple
 from repro.net.network import Network
 from repro.net.node import Agent
 from repro.net.packet import GroupAddress, NodeId, Packet
-from repro.sim.timers import Timer
+from repro.sim.timers import ScheduledEvent
 
 KIND_DATA = "ack-data"
 KIND_ACK = "ack-ack"
@@ -48,7 +48,7 @@ class SenderAckSource(Agent):
         self.next_seq = 1
         self._data: Dict[int, object] = {}
         self._unacked: Dict[int, Set[NodeId]] = {}
-        self._timers: Dict[int, Timer] = {}
+        self._timers: Dict[int, ScheduledEvent] = {}
         self._attempts: Dict[int, int] = {}
         self.acks_received = 0
         self.data_sent = 0
@@ -73,13 +73,10 @@ class SenderAckSource(Agent):
                                     AckDataPayload(seq, self._data[seq]))
         self.data_sent += 1
         self._attempts[seq] += 1
-        timer = self._timers.get(seq)
-        if timer is None:
-            timer = Timer(self.network.scheduler,
-                          lambda s=seq: self._timeout(s),
-                          name=f"rto:{seq}")
-            self._timers[seq] = timer
-        timer.start(self.retransmit_timeout)
+        # A first send, or a retransmission from the timeout that just
+        # fired: no timer for ``seq`` is pending here.
+        self._timers[seq] = self.network.scheduler.schedule(
+            self.retransmit_timeout, self._timeout, seq)
 
     def _timeout(self, seq: int) -> None:
         if not self._unacked.get(seq):

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 from repro.net.network import Network
 from repro.net.node import Agent
 from repro.net.packet import GroupAddress, NodeId, Packet
-from repro.sim.timers import Timer
+from repro.sim.timers import ScheduledEvent
 
 KIND_DATA = "nack-data"
 KIND_NACK = "nack-nack"
@@ -108,7 +108,7 @@ class UnicastNackReceiver(Agent):
         self.nacks_sent = 0
         self.loss_detected_at: Dict[int, float] = {}
         self.recovered_at: Dict[int, float] = {}
-        self._timers: Dict[int, Timer] = {}
+        self._timers: Dict[int, ScheduledEvent] = {}
 
     def attached(self, network: Network, node_id: NodeId) -> None:
         super().attached(network, node_id)
@@ -146,10 +146,8 @@ class UnicastNackReceiver(Agent):
         self.network.send_unicast(self.node_id, self.source, KIND_NACK,
                                   NackPayload(seq, self.node_id), size=60)
         self.nacks_sent += 1
-        timer = Timer(self.network.scheduler,
-                      lambda s=seq: self._send_nack(s), name=f"nack:{seq}")
-        timer.start(self.nack_timeout)
-        self._timers[seq] = timer
+        self._timers[seq] = self.network.scheduler.schedule(
+            self.nack_timeout, self._send_nack, seq)
 
     def recovery_delay(self, seq: int) -> float:
         return self.recovered_at[seq] - self.loss_detected_at[seq]

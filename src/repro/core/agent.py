@@ -30,11 +30,15 @@ implementation. A heard request, repair or copy of held data is
 finished there for each member: the held-data test, duplicate counts,
 the ignore-window test and a repair's cancel are made in place, so only
 timer draws, new data and the once-per-loss statistics leave the frame.
+A context's timer is the scheduler's event itself: armed as
+``schedule(delay, self._request_timer_expired, context)``, moved by
+``reschedule_event``, tested by its plain ``pending`` attribute, so a
+firing enters the protocol method in one frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core import timer_math
@@ -72,7 +76,7 @@ from repro.core.transmit import (
 from repro.net.node import Agent
 from repro.net.packet import DEFAULT_TTL, GroupAddress, Packet
 from repro.sim.rng import RandomSource
-from repro.sim.timers import Timer, TimerState
+from repro.sim.timers import ScheduledEvent
 from repro.sim.trace import (DATA_RECOVERED, DUP_REPAIR_OBSERVED,
                              DUP_REQUEST_OBSERVED, FIRST_REQUEST_EVENT,
                              LOSS_DETECTED, PAGE_REPLY_SUPPRESSED,
@@ -85,10 +89,6 @@ from repro.sim.trace import (DATA_RECOVERED, DUP_REPAIR_OBSERVED,
                              SEND_PAGE_REPLY, SEND_PAGE_REQUEST, SEND_REPAIR,
                              SEND_REPAIR_SECOND_STEP, SEND_REQUEST)
 
-
-#: A pending timer's state, read in place on the request/repair paths
-#: (no ``Timer.pending`` property frame).
-_PENDING = TimerState.PENDING
 
 #: An oracle-distance member's estimator until it joins a group.
 _UNJOINED = DistanceEstimator()
@@ -107,7 +107,9 @@ class RequestContext:
 
     name: AduName
     detected_at: float
-    timer: Timer
+    #: The request timer: its event, armed right after the context is
+    #: made (the event's argument is the context).
+    timer: ScheduledEvent = field(init=False)
     backoff_count: int = 0
     ignore_backoff_until: float = float("-inf")
     sent_request: bool = False
@@ -126,7 +128,7 @@ class RepairContext:
     name: AduName
     requester: int
     set_at: float
-    timer: Timer
+    timer: ScheduledEvent = field(init=False)
     repairs_observed: int = 0
     sent_repair: bool = False
     request_initial_ttl: int = DEFAULT_TTL
@@ -141,7 +143,7 @@ class PageRequestContext:
     """Suppression state for one page-state request."""
 
     page: PageId
-    timer: Timer
+    timer: ScheduledEvent = field(init=False)
     is_reply: bool = False  # True when we hold state and plan to reply
     done: bool = False
 
@@ -329,7 +331,7 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
             if name in repairs:
                 repair_context = repairs[name]
                 if (not repair_context.done
-                        and repair_context.timer._state is _PENDING):
+                        and repair_context.timer.pending):
                     repair_context.timer.cancel()
                     repair_context.done = True
                     agent.repairs_cancelled += 1
@@ -645,8 +647,6 @@ class SrmAgent(Agent):
         config = self.config
         context = RequestContext(
             name=name, detected_at=now,
-            timer=Timer(self.network.scheduler,
-                        lambda: self._request_timer_expired(context)),
             request_zone_used=config.request_scope_zone)
         if config.request_ttl is not None:
             context.request_ttl_used = config.request_ttl
@@ -658,7 +658,8 @@ class SrmAgent(Agent):
         delay = timer_math.request_timer(
             self.distances.distance(name.source), params.c1, params.c2,
             self._backoff_base, 0, self.rng.random())
-        context.timer.start(delay)
+        context.timer = self._scheduler.schedule(
+            delay, self._request_timer_expired, context)
         self.losses_detected += 1
         trace = self.network.trace
         if LOSS_DETECTED in trace.wanted:
@@ -720,8 +721,9 @@ class SrmAgent(Agent):
             self.distances.distance(context.name.source), params.c1,
             params.c2, self._backoff_base, context.backoff_count,
             self.rng.random())
-        context.timer.reschedule(delay)
-        now = self._scheduler.now
+        scheduler = self._scheduler
+        context.timer = scheduler.reschedule_event(context.timer, delay)
+        now = scheduler.now
         # Footnote 1's heuristic: ignore further duplicate requests until
         # halfway between now and the new expiration time.
         if self.config.ignore_backoff_enabled:
@@ -780,7 +782,7 @@ class SrmAgent(Agent):
             return
         repairs = self._repairs
         existing = repairs[name] if name in repairs else None
-        if existing is not None and existing.timer._state is _PENDING:
+        if existing is not None and existing.timer.pending:
             if REQUEST_WHILE_REPAIR_PENDING in trace.wanted:
                 trace.record(now, self.node_id, REQUEST_WHILE_REPAIR_PENDING,
                              {"name": name})
@@ -798,8 +800,6 @@ class SrmAgent(Agent):
         dst = packet.dst  # the group itself, as a rule: identity first
         context = RepairContext(
             name=name, requester=payload.requester, set_at=now,
-            timer=Timer(self.network.scheduler,
-                        lambda: self._repair_timer_expired(context)),
             request_initial_ttl=packet.initial_ttl,
             request_hops=packet.hops_travelled(),
             request_zone=packet.scope_zone,
@@ -808,9 +808,11 @@ class SrmAgent(Agent):
         repairs[name] = context
         params = (adaptive.params if adaptive is not None
                   else self._fixed_params or self.params)
-        context.timer.start(timer_math.repair_timer(
-            self.distances.distance(payload.requester), params.d1,
-            params.d2, self.rng.random()))
+        context.timer = self._scheduler.schedule(
+            timer_math.repair_timer(
+                self.distances.distance(payload.requester), params.d1,
+                params.d2, self.rng.random()),
+            self._repair_timer_expired, context)
         if REPAIR_SCHEDULED in trace.wanted:
             trace.record(now, self.node_id, REPAIR_SCHEDULED,
                          {"name": name, "requester": payload.requester})
@@ -982,15 +984,14 @@ class SrmAgent(Agent):
             if previous.timer.pending:
                 return
             previous.timer.release()  # replaced below
-        context = PageRequestContext(
-            page=page,
-            timer=Timer(self.network.scheduler,
-                        lambda: self._page_request_timer_expired(context)))
+        context = PageRequestContext(page=page)
         self._page_requests[page] = context
         params = self.params
-        context.timer.start(timer_math.request_timer(
-            self._distance_or_default(page.creator), params.c1, params.c2,
-            self._backoff_base, 0, self.rng.random()))
+        context.timer = self._scheduler.schedule(
+            timer_math.request_timer(
+                self._distance_or_default(page.creator), params.c1,
+                params.c2, self._backoff_base, 0, self.rng.random()),
+            self._page_request_timer_expired, context)
 
     def _page_request_timer_expired(self, context: PageRequestContext) -> None:
         if context.done:
@@ -1028,15 +1029,14 @@ class SrmAgent(Agent):
             if own.is_reply and own.timer.pending:
                 return
             own.timer.release()  # replaced below
-        reply_context = PageRequestContext(
-            page=page, is_reply=True,
-            timer=Timer(self.network.scheduler,
-                        lambda: self._page_reply_timer_expired(reply_context)))
+        reply_context = PageRequestContext(page=page, is_reply=True)
         self._page_requests[page] = reply_context
         params = self.params
-        reply_context.timer.start(timer_math.repair_timer(
-            self.distances.distance(payload.requester), params.d1,
-            params.d2, self.rng.random()))
+        reply_context.timer = self._scheduler.schedule(
+            timer_math.repair_timer(
+                self.distances.distance(payload.requester), params.d1,
+                params.d2, self.rng.random()),
+            self._page_reply_timer_expired, reply_context)
 
     def _page_reply_timer_expired(self, context: PageRequestContext) -> None:
         if context.done:
@@ -1120,10 +1120,10 @@ class SrmAgent(Agent):
                 trace.kind_totals[RECOVERY_RESET] += 1
 
     def _release_timers(self) -> None:
-        """Release every context's timer (:meth:`Timer.release`).
+        """Release every context's timer event (``event.release()``).
 
-        A context's timer calls back into the context and the agent, so
-        until released each context is a reference cycle with its agent.
+        A context's event calls back into the agent with the context,
+        so until released each context is a reference cycle with it.
         """
         requests = self._requests
         for name in requests:
@@ -1138,7 +1138,7 @@ class SrmAgent(Agent):
     def detached(self) -> None:
         """``Network.close`` unbinds this agent: cut its own cycles too.
 
-        The context timers are released and the session, the transmit
+        The context timer events are released and the session, the transmit
         queue and the FEC codec let go of the agent, so the finished run
         is freed by reference counting. Stores, reception state,
         contexts and counters stay readable.

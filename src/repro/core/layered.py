@@ -32,7 +32,7 @@ from repro.core.config import SrmConfig
 from repro.net.network import Network
 from repro.net.packet import GroupAddress, NodeId
 from repro.sim.rng import RandomSource
-from repro.sim.timers import Timer
+from repro.sim.timers import ScheduledEvent
 
 
 @dataclass
@@ -74,7 +74,7 @@ class LayeredSource:
         self.layers = layers
         self.rng = rng if rng is not None else RandomSource(0)
         self.agents: Dict[int, SrmAgent] = {}
-        self._timers: Dict[int, Timer] = {}
+        self._timers: Dict[int, ScheduledEvent] = {}
         self._running = False
         base = config if config is not None else SrmConfig()
         for layer in layers:
@@ -87,11 +87,9 @@ class LayeredSource:
     def start(self) -> None:
         self._running = True
         for layer in self.layers:
-            timer = Timer(self.network.scheduler,
-                          lambda layer=layer: self._tick(layer),
-                          name=f"layer-src-{layer.index}")
-            self._timers[layer.index] = timer
-            timer.start(self.rng.uniform(0.0, layer.packet_interval))
+            self._timers[layer.index] = self.network.scheduler.schedule(
+                self.rng.uniform(0.0, layer.packet_interval), self._tick,
+                layer)
 
     def stop(self) -> None:
         self._running = False
@@ -103,7 +101,8 @@ class LayeredSource:
             return
         self.agents[layer.index].send_data(
             f"layer{layer.index}-payload")
-        self._timers[layer.index].start(layer.packet_interval)
+        self._timers[layer.index] = self.network.scheduler.reschedule_event(
+            self._timers[layer.index], layer.packet_interval)
 
     def packets_sent(self, layer_index: int) -> int:
         return self.agents[layer_index].data_sent
@@ -141,7 +140,7 @@ class LayeredReceiver:
         self._quiet_windows = 0
         self._join_holdoff_windows = 0.0
         self._windows_until_join_allowed = 0.0
-        self._timer: Optional[Timer] = None
+        self._timer: Optional[ScheduledEvent] = None
         for _ in range(max(1, start_layers)):
             self._subscribe_next()
 
@@ -172,9 +171,8 @@ class LayeredReceiver:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        self._timer = Timer(self.network.scheduler, self._decide,
-                            name=f"rlm@{self.node}")
-        self._timer.start(self.rng.jitter(self.decision_interval, 0.2))
+        self._timer = self.network.scheduler.schedule(
+            self.rng.jitter(self.decision_interval, 0.2), self._decide)
 
     def stop(self) -> None:
         if self._timer is not None:
@@ -215,7 +213,8 @@ class LayeredReceiver:
         else:
             self._quiet_windows = 0
         assert self._timer is not None
-        self._timer.start(self.rng.jitter(self.decision_interval, 0.2))
+        self._timer = self.network.scheduler.reschedule_event(
+            self._timer, self.rng.jitter(self.decision_interval, 0.2))
 
     # ------------------------------------------------------------------
     # Introspection

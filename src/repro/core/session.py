@@ -16,7 +16,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.messages import KIND_SESSION, SessionPayload, SessionTimestamp
-from repro.sim.timers import Timer
+from repro.sim.timers import ScheduledEvent
 from repro.sim.trace import SEND_SESSION
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,7 +95,7 @@ class SessionProtocol:
         #: Current variable-heartbeat interval; None when idle (the vat
         #: interval applies).
         self._heartbeat: Optional[float] = None
-        self._timer: Optional[Timer] = None
+        self._timer: Optional[ScheduledEvent] = None
 
     # ------------------------------------------------------------------
     # Sending
@@ -103,9 +103,8 @@ class SessionProtocol:
 
     def start(self) -> None:
         """Begin periodic reporting (jittered to avoid synchronization)."""
-        self._timer = Timer(self.agent.network.scheduler, self._on_timer,
-                            name=f"session@{self.agent.node_id}")
-        self._timer.start(self.agent.rng.uniform(0.0, self.interval()))
+        self._timer = self.agent.network.scheduler.schedule(
+            self.agent.rng.uniform(0.0, self.interval()), self._on_timer)
 
     def stop(self) -> None:
         if self._timer is not None:
@@ -113,10 +112,12 @@ class SessionProtocol:
             self._timer = None
 
     def close(self) -> None:
-        """Stop, and let go of the agent (``Network.close``): the
-        session is then no reference cycle with it. Counters and
-        ``last_heard`` stay readable."""
-        self.stop()
+        """Release the timer's event and let go of the agent
+        (``Network.close``): the session is then no reference cycle
+        with either. Counters and ``last_heard`` stay readable."""
+        if self._timer is not None:
+            self._timer.release()
+            self._timer = None
         self.agent = None  # type: ignore[assignment]
 
     def group_size_estimate(self) -> int:
@@ -139,7 +140,8 @@ class SessionProtocol:
     def _on_timer(self) -> None:
         self.send_session_message()
         assert self._timer is not None
-        self._timer.start(self.agent.rng.jitter(self._next_interval()))
+        self._timer = self.agent.network.scheduler.reschedule_event(
+            self._timer, self.agent.rng.jitter(self._next_interval()))
 
     def _next_interval(self) -> float:
         """The gap until the next report, honoring variable heartbeat."""
@@ -161,11 +163,12 @@ class SessionProtocol:
         if not self.config.session_variable_heartbeat:
             return
         self._heartbeat = self.config.heartbeat_min_interval
-        if self._timer is not None and self._timer.pending:
-            remaining = self._timer.time_remaining()
-            if remaining > self._heartbeat:
-                self._timer.start(
-                    self.agent.rng.jitter(self._heartbeat, 0.2))
+        timer = self._timer
+        if timer is not None and timer.pending:
+            scheduler = self.agent.network.scheduler
+            if timer.time - scheduler.now > self._heartbeat:
+                self._timer = scheduler.reschedule_event(
+                    timer, self.agent.rng.jitter(self._heartbeat, 0.2))
 
     def send_session_message(self) -> None:
         agent = self.agent

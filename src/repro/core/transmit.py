@@ -19,10 +19,9 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
-from repro.sim.scheduler import EventScheduler
-from repro.sim.timers import Timer
+from repro.sim.timers import ScheduledEvent, TimerScheduler
 
 #: Send priorities (lower value drains first), per Section III-E.
 PRIORITY_CURRENT_PAGE_CONTROL = 0
@@ -38,7 +37,7 @@ class TokenBucket:
     starts full, so an idle session can burst up to ``depth``.
     """
 
-    def __init__(self, scheduler: EventScheduler, rate: float,
+    def __init__(self, scheduler: TimerScheduler, rate: float,
                  depth: float) -> None:
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
@@ -100,13 +99,14 @@ class TransmitQueue:
     queued sends drain in (priority, FIFO) order as tokens accrue.
     """
 
-    def __init__(self, scheduler: EventScheduler, rate: float,
+    def __init__(self, scheduler: TimerScheduler, rate: float,
                  depth: float) -> None:
         self.bucket = TokenBucket(scheduler, rate, depth)
         self._scheduler = scheduler
         self._heap: list[_QueuedSend] = []
         self._seq = itertools.count()
-        self._timer = Timer(scheduler, self._drain, name="tx-queue")
+        #: The drain timer's event, made when the queue first waits.
+        self._timer: Optional[ScheduledEvent] = None
         self.transmitted = 0
         self.queued_total = 0
 
@@ -127,10 +127,11 @@ class TransmitQueue:
         return False
 
     def _schedule_drain(self) -> None:
-        if not self._heap or self._timer.pending:
+        timer = self._timer
+        if not self._heap or (timer is not None and timer.pending):
             return
         wait = self.bucket.time_until(self._heap[0].size)
-        self._timer.start(wait)
+        self._timer = self._scheduler.schedule(wait, self._drain)
 
     def _drain(self) -> None:
         while self._heap and self.bucket.try_consume(self._heap[0].size):
@@ -140,11 +141,12 @@ class TransmitQueue:
         self._schedule_drain()
 
     def close(self) -> None:
-        """Drop what never went out and release the drain timer: queue
-        and timer, and the agent behind each queued send, are then no
-        reference cycle. Counters stay readable."""
+        """Drop what never went out and release the drain timer's event:
+        queue and event, and the agent behind each queued send, are then
+        no reference cycle. Counters stay readable."""
         self._heap.clear()
-        self._timer.release()
+        if self._timer is not None:
+            self._timer.release()
 
     def flush_stats(self) -> dict:
         return {"pending": len(self._heap),

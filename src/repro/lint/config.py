@@ -33,7 +33,6 @@ WALL_CLOCK_BOUNDARY = ("repro/live/clock.py",)
 HOT_PATH_SLOTS_MODULES = (
     "repro/net/packet.py",
     "repro/sim/scheduler.py",
-    "repro/sim/timers.py",
     "repro/sim/trace.py",
     "repro/sim/perf.py",
 )

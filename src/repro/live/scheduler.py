@@ -1,10 +1,11 @@
 """Real-time timer scheduling over asyncio.
 
 :class:`LiveScheduler` implements the structural
-:class:`repro.sim.timers.TimerScheduler` interface — ``now`` plus
-relative one-shot ``schedule`` — on top of ``loop.call_later``, so
-:class:`repro.sim.timers.Timer` and all the SRM timer machinery run
-unchanged in real time.
+:class:`repro.sim.timers.TimerScheduler` interface — ``now``, relative
+one-shot ``schedule`` and ``reschedule_event`` (a cancel plus a new
+``schedule``) — on top of ``loop.call_later``. Its :class:`LiveEvent`
+handles are the protocol's timers, as the simulator's events are, so
+all the SRM timer machinery runs unchanged in real time.
 
 **The frozen clock.** ``now`` does not track the wall clock
 continuously: it advances only at dispatch points (a timer firing, a
@@ -28,36 +29,48 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.live.clock import WallClock
 
 
+def _released(*args: Any) -> None:
+    """The callback of a released event: it does nothing."""
+
+
 class LiveEvent:
-    """A cancellable handle for one scheduled callback."""
+    """A handle for one scheduled callback: a protocol timer is one.
 
-    __slots__ = ("seq", "expiry", "callback", "args", "cancelled", "fired",
-                 "handle", "_scheduler")
+    ``time`` is the session time it fires at; ``pending`` is true from
+    arming until it fires or is cancelled.
+    """
 
-    def __init__(self, scheduler: "LiveScheduler", seq: int, expiry: float,
+    __slots__ = ("seq", "time", "callback", "args", "pending", "handle",
+                 "_scheduler")
+
+    def __init__(self, scheduler: "LiveScheduler", seq: int, time: float,
                  callback: Callable[..., Any],
                  args: Tuple[Any, ...]) -> None:
         self._scheduler = scheduler
         self.seq = seq
-        self.expiry = expiry
+        self.time = time
         self.callback = callback
         self.args = args
-        self.cancelled = False
-        self.fired = False
+        self.pending = True
         self.handle: Optional[asyncio.TimerHandle] = None
 
     def cancel(self) -> None:
         """Prevent the callback from running. Safe to call repeatedly."""
-        self.cancelled = True
+        self.pending = False
         if self.handle is not None:
             self.handle.cancel()
             self.handle = None
         self._scheduler._forget(self)
 
+    def release(self) -> None:
+        """Cancel for good, and drop the callback and its arguments."""
+        self.cancel()
+        self.callback = _released
+        self.args = ()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("cancelled" if self.cancelled
-                 else "fired" if self.fired else "pending")
-        return f"<LiveEvent #{self.seq} {state} expiry={self.expiry:.4f}>"
+        state = "pending" if self.pending else "idle"
+        return f"<LiveEvent #{self.seq} {state} time={self.time:.4f}>"
 
 
 class LiveScheduler:
@@ -87,12 +100,19 @@ class LiveScheduler:
                  *args: Any) -> LiveEvent:
         """Run ``callback(*args)`` ``delay`` seconds from now."""
         self._seq += 1
-        expiry = self._now + max(0.0, delay)
-        event = LiveEvent(self, self._seq, expiry, callback, args)
+        time = self._now + max(0.0, delay)
+        event = LiveEvent(self, self._seq, time, callback, args)
         self._pending[event.seq] = event
         if self._loop is not None:
             self._arm(event)
         return event
+
+    def reschedule_event(self, event: LiveEvent,
+                         delay: float) -> LiveEvent:
+        """Cancel ``event`` and schedule its callback ``delay`` from now;
+        the new handle replaces it."""
+        event.cancel()
+        return self.schedule(delay, event.callback, *event.args)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -105,7 +125,7 @@ class LiveScheduler:
             self._clock.restart()
             self._started = True
         for event in sorted(self._pending.values(),
-                            key=lambda ev: (ev.expiry, ev.seq)):
+                            key=lambda ev: (ev.time, ev.seq)):
             self._arm(event)
 
     def stop(self) -> None:
@@ -153,16 +173,16 @@ class LiveScheduler:
         assert self._loop is not None
         if event.handle is not None:
             event.handle.cancel()
-        remaining = max(0.0, event.expiry - self._clock.elapsed())
+        remaining = max(0.0, event.time - self._clock.elapsed())
         event.handle = self._loop.call_later(remaining, self._fire, event)
 
     def _fire(self, event: LiveEvent) -> None:
         self._pending.pop(event.seq, None)
         event.handle = None
-        if event.cancelled:
+        if not event.pending:
             return
         self.advance()
-        event.fired = True
+        event.pending = False
         self.fired += 1
         event.callback(*event.args)
 

@@ -65,43 +65,46 @@ MIN_BUCKET_WIDTH = 1e-9
 MAX_BUCKETS = 1 << 16
 
 
-class Event:
-    """A handle for a scheduled callback.
+def _released(*args: Any) -> None:
+    """The callback of a released event: it does nothing."""
 
-    Events are created by :meth:`EventScheduler.schedule` and may be
-    cancelled. :meth:`cancel` *physically* removes the entry from its
-    bucket in O(1) (swap with the bucket's last entry), so a cancelled
-    timer costs nothing afterwards: it is never scanned on drain and
-    there is no lazy-deletion debt to compact.
+
+class Event:
+    """A handle for a scheduled callback: a protocol timer is one.
+
+    Events are made only by the scheduler (:meth:`EventScheduler.schedule`
+    and its batch forms, by slot assignment) and may be
+    moved or revived (:meth:`EventScheduler.reschedule_event`),
+    cancelled and released. ``pending`` is true from arming until the
+    event fires, is cancelled or :meth:`EventScheduler.clear` drops it.
+    :meth:`cancel` *physically* removes the entry from its bucket in
+    O(1) (swap with the bucket's last entry), so a cancelled timer
+    costs nothing afterwards: it is never scanned on drain and there is
+    no lazy-deletion debt to compact. ``_bucket`` is the bag the event
+    was last put in; it is read only while the event is pending.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled",
+    __slots__ = ("time", "seq", "callback", "args", "pending",
                  "_day", "_index", "_bucket", "_sched")
 
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., Any], args: Tuple[Any, ...],
-                 day: int, sched: "EventScheduler") -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        #: ``int(time * inv_width)`` under the owning scheduler's current
-        #: width; drain eligibility is the exact compare ``_day == day``.
-        self._day = day
-        self._index = 0
-        self._bucket: Optional[List["Event"]] = None
-        self._sched = sched
+    time: float
+    seq: int
+    callback: Callable[..., Any]
+    args: Tuple[Any, ...]
+    pending: bool
+    #: ``int(time * inv_width)`` under the owning scheduler's current
+    #: width; drain eligibility is the exact compare ``_day == day``.
+    _day: int
+    _index: int
+    _bucket: List["Event"]
+    _sched: "EventScheduler"
 
     def cancel(self) -> None:
         """Remove the event from its bucket. Safe to call more than once."""
-        if self.cancelled:
-            return
-        self.cancelled = True
+        if not self.pending:
+            return  # fired, cancelled or dropped: nothing to undo
+        self.pending = False
         bucket = self._bucket
-        if bucket is None:
-            return  # already fired (or scheduler was reset): nothing to undo
-        self._bucket = None
         index = self._index
         last = bucket.pop()
         if last is not self:
@@ -111,8 +114,22 @@ class Event:
         sched._live -= 1
         sched.perf.events_cancelled += 1
 
+    def release(self) -> None:
+        """Cancel for good, and drop the callback and its arguments.
+
+        A callback that reaches back to the event's owner (a bound
+        method, a context in ``args``) makes owner and event one
+        reference cycle; a released event is no part of it, so
+        reference counting frees both once the owner is dropped.
+        ``time`` stays readable.
+        """
+        if self.pending:  # most released events are idle: no cancel frame
+            self.cancel()
+        self.callback = _released
+        self.args = ()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "pending" if self.pending else "idle"
         name = getattr(self.callback, "__name__", repr(self.callback))
         return f"<Event t={self.time:.4f} {name} {state}>"
 
@@ -208,7 +225,7 @@ class EventScheduler:
         event.seq = seq
         event.callback = callback
         event.args = args
-        event.cancelled = False
+        event.pending = True
         event._day = day
         event._sched = self
         bucket = self._buckets[day & self._mask]
@@ -238,7 +255,7 @@ class EventScheduler:
         event.seq = seq
         event.callback = callback
         event.args = args
-        event.cancelled = False
+        event.pending = True
         event._day = day
         event._sched = self
         bucket = self._buckets[day & self._mask]
@@ -285,7 +302,7 @@ class EventScheduler:
             event.seq = seq
             event.callback = deliver_run
             event.args = (run, arrival)
-            event.cancelled = False
+            event.pending = True
             event._day = day
             event._sched = self
             seq += 1
@@ -318,26 +335,24 @@ class EventScheduler:
         but the entry object is *moved* between bags (two O(1) list
         operations) instead of being discarded and reallocated. This is
         the backbone of SRM timer re-arming (backoff, suppression
-        resets). A fired or cancelled handle is *revived* in place
-        (fresh seq, no allocation) — the caller must therefore own the
-        handle exclusively, which :class:`~repro.sim.timers.Timer`
-        guarantees.
+        resets). A fired, cancelled or dropped handle is *revived* in
+        place (fresh seq, no allocation) — the caller must therefore
+        own the handle exclusively: a protocol timer's owner holds its
+        event and nothing else does.
         """
         if delay < 0:
             raise SimulationError(
                 f"cannot schedule {delay} units in the past (now={self.now})")
-        bucket = event._bucket
-        if bucket is None or event.cancelled:
-            # Fired/cancelled handle (a pending Timer's event that
-            # reset() dropped): revive in place — fresh seq, no
-            # allocation.
+        if not event.pending:
+            # Fired, cancelled or dropped by clear(): revive in place —
+            # fresh seq, no allocation.
             seq = self._next_seq
             self._next_seq = seq + 1
             time = self.now + delay
             day = int(time * self._inv_width)
             event.time = time
             event.seq = seq
-            event.cancelled = False
+            event.pending = True
             event._day = day
             new_bucket = self._buckets[day & self._mask]
             event._index = len(new_bucket)
@@ -351,6 +366,7 @@ class EventScheduler:
             if live > (self._nbuckets << 1) and self._nbuckets < MAX_BUCKETS:
                 self._rebuild(min(self._nbuckets << 4, MAX_BUCKETS))
             return event
+        bucket = event._bucket
         counters = self.perf
         counters.events_cancelled += 1
         counters.events_scheduled += 1
@@ -563,17 +579,15 @@ class EventScheduler:
                     for seq, ev in batch:
                         if executed == max_e:
                             break
-                        if ev.cancelled or ev.seq != seq:
+                        if not ev.pending or ev.seq != seq:
                             continue  # cancelled or re-armed mid-batch
                         tie_bucket = ev._bucket
-                        if tie_bucket is None:
-                            continue
                         index = ev._index
                         last = tie_bucket.pop()
                         if last is not ev:
                             tie_bucket[index] = last
                             last._index = index
-                        ev._bucket = None
+                        ev.pending = False
                         self._live -= 1
                         self._day = ev._day
                         self.now = best_time
@@ -595,7 +609,7 @@ class EventScheduler:
                 if last is not best:
                     bucket[index] = last
                     last._index = index
-                best._bucket = None
+                best.pending = False
                 live -= 1
                 self._live = live
                 self._day = day
@@ -661,7 +675,8 @@ class EventScheduler:
 
         A pending event points back at its scheduler, so until dropped
         the scheduler and its events are one reference cycle
-        (``Network.close`` clears a finished run's scheduler).
+        (``Network.close`` clears a finished run's scheduler). A
+        dropped event reads ``pending`` false, as a cancelled one does.
         """
         if self._running:
             raise SimulationError("cannot clear a running scheduler")
@@ -669,7 +684,7 @@ class EventScheduler:
             return
         for bucket in self._buckets:
             for ev in bucket:
-                ev._bucket = None  # late cancels must not corrupt counters
+                ev.pending = False  # a late cancel then undoes nothing
             bucket.clear()
         self._live = 0
 

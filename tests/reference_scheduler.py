@@ -4,8 +4,9 @@ One list of pending events, next = ``min`` by ``(time, seq)``, cancel
 removes the entry on the spot, every batch entry point loops over one
 ``_push``. Slow on purpose: it is only what ``EventScheduler`` is checked
 against, through the ``scheduler=`` arguments of ``Network`` /
-``TopologySpec.build`` / ``LossRecoverySimulation``. No ``reschedule_event``:
-``Timer`` falls back to cancel + schedule, which it must equal.
+``TopologySpec.build`` / ``LossRecoverySimulation``. ``reschedule_event``
+is literally a cancel plus a new ``schedule``: the calendar's in-place
+move and revive must equal it.
 """
 
 from operator import attrgetter
@@ -20,13 +21,17 @@ class ReferenceEvent:
     def __init__(self, time, seq, callback, args, sched):
         self.time, self.seq, self._sched = time, seq, sched
         self.callback, self.args = callback, args
-        self.cancelled = False
+        self.pending = True
 
     def cancel(self):
-        if not self.cancelled and self in self._sched._pending:
+        if self.pending:
             self._sched._pending.remove(self)
             self._sched.perf.events_cancelled += 1
-        self.cancelled = True
+        self.pending = False
+
+    def release(self):
+        self.cancel()
+        self.callback, self.args = None, ()
 
 
 class ReferenceScheduler:
@@ -57,6 +62,10 @@ class ReferenceScheduler:
             raise SimulationError(f"cannot schedule {delay} in the past")
         return self._push(self.now + delay, callback, args)
 
+    def reschedule_event(self, event, delay):
+        event.cancel()
+        return self.schedule(delay, event.callback, *event.args)
+
     def schedule_at(self, time, callback, *args):
         if time < self.now:
             raise SimulationError(f"cannot schedule at {time} < {self.now}")
@@ -71,6 +80,7 @@ class ReferenceScheduler:
 
     def _fire(self, event):
         self._pending.remove(event)
+        event.pending = False
         self.now = event.time
         event.callback(*event.args)
         self.events_processed += 1
@@ -94,7 +104,7 @@ class ReferenceScheduler:
                 for _, event in batch:
                     if executed == max_events:
                         break
-                    if not event.cancelled:
+                    if event.pending:
                         self._fire(event)
                         executed += 1
             if until is not None and self.now < until:
@@ -113,6 +123,8 @@ class ReferenceScheduler:
         return min(self._pending, key=_KEY).time if self._pending else None
 
     def reset(self):
+        for event in self._pending:
+            event.pending = False
         self._pending = []
         self.now = 0.0
         self.events_processed = 0

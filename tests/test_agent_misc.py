@@ -9,7 +9,6 @@ from repro.core.config import SrmConfig
 from repro.core.names import AduName, DEFAULT_PAGE, PageId
 from repro.net.link import NthPacketDropFilter
 from repro.sim.rng import RandomSource
-from repro.sim.timers import TimerState
 from repro.topology.chain import chain
 from repro.topology.star import star
 
@@ -102,8 +101,9 @@ def test_reset_releases_contexts_and_replaces_only_what_it_must():
     before = trace.kind_totals["recovery_reset"]
     busy.reset_recovery_state()
     idle.reset_recovery_state()
-    assert all(not context.timer.pending
-               and context.timer.state is TimerState.CANCELLED
+    # Each context's event is released: cancelled, and no longer
+    # holding the context it would have called back with.
+    assert all(not context.timer.pending and context.timer.args == ()
                for context in contexts)
     assert (busy._requests, busy._repairs, busy._page_requests,
             busy._holddown) == ({}, {}, {}, {})
@@ -114,6 +114,29 @@ def test_reset_releases_contexts_and_replaces_only_what_it_must():
     assert [row.node for row in trace.records
             if row.kind == "recovery_reset"][-2:] == [4, 1]
     network.run()  # drains without the released timers firing
+
+
+def test_context_timers_read_not_pending_after_close():
+    """``Network.close()`` releases each context's timer event and
+    clears the scheduler, so a context's pending test then reads false
+    and the event holds neither the agent's bound method nor the
+    context. An event an owner never released, dropped with the
+    scheduler's buckets, reads false too."""
+    network, agents, _ = build_srm_session(chain(5), range(5))
+    network.add_drop_filter(1, 2, NthPacketDropFilter(
+        lambda p: p.kind == "srm-data"))
+    network.scheduler.schedule(0.0, lambda: agents[0].send_data("a"))
+    network.scheduler.schedule(1.0, lambda: agents[0].send_data("b"))
+    network.run(until=5.0)  # losses detected, timers pending
+    contexts = [context for agent in agents.values()
+                for context in agent._requests.values()]
+    assert contexts and any(context.timer.pending for context in contexts)
+    unreleased = network.scheduler.schedule(50.0, lambda: None)
+    network.close()
+    assert network.scheduler.pending() == 0
+    assert all(not context.timer.pending and context.timer.args == ()
+               for context in contexts)
+    assert not unreleased.pending
 
 
 def test_fixed_timer_params_are_shared_per_group_size():

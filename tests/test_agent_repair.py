@@ -99,7 +99,7 @@ def test_repair_timer_interval_uses_distance_to_requester():
     assert context.requester == 5
     distance = 3.0  # node 2 -> requester node 5
     # The drawn delay survives in the timer even after cancellation.
-    delay = context.timer.expiry - context.set_at
+    delay = context.timer.time - context.set_at
     assert config.d1 * distance <= delay + 1e-9
     assert delay <= (config.d1 + config.d2) * distance + 1e-9
 

@@ -59,7 +59,7 @@ def test_request_timer_interval_bounds():
             contexts = agent._requests
         context = next(iter(contexts.values()))
         distance = 5.0
-        delay = context.timer.expiry - context.detected_at
+        delay = context.timer.time - context.detected_at
         assert config.c1 * distance <= delay + 1e-9
         assert delay <= (config.c1 + config.c2) * distance + 1e-9
 

@@ -18,7 +18,7 @@ from repro.live.scheduler import LiveScheduler
 from repro.live.session import LiveEngine, live_config
 from repro.net.network import Network
 from repro.net.packet import GroupAddress
-from repro.sim.timers import Timer, TimerScheduler
+from repro.sim.timers import TimerScheduler
 
 
 def test_both_engines_satisfy_the_protocol():
@@ -64,7 +64,7 @@ def test_cancelled_events_never_fire():
     drop.cancel()
     _drive(scheduler, 0.1)
     assert fired == ["keep"]
-    assert keep.fired and not drop.fired
+    assert not keep.pending and not drop.pending
     assert scheduler.pending_count == 0
 
 
@@ -102,23 +102,30 @@ def test_events_scheduled_before_start_are_parked_then_armed():
 
 
 def test_srm_timer_runs_on_the_live_scheduler():
+    # A protocol timer is the live event, moved the way agents move it:
+    # the handle reschedule_event returns replaces the old one.
     scheduler = LiveScheduler()
     fired = []
-    timer = Timer(scheduler, lambda: fired.append(scheduler.now))
-    timer.start(0.01)
-    assert timer.pending
+    timer = scheduler.schedule(0.05, fired.append, "old")
+    assert timer.pending and timer.time == 0.05
+    moved = scheduler.reschedule_event(timer, 0.01)
+    assert not timer.pending and moved.pending and moved.time == 0.01
+    assert moved.callback == fired.append and moved.args == ("old",)
+    assert scheduler.pending_count == 1
     _drive(scheduler, 0.1)
-    assert len(fired) == 1 and not timer.pending
+    assert fired == ["old"] and not moved.pending
 
 
 def test_srm_timer_cancel_on_the_live_scheduler():
     scheduler = LiveScheduler()
     fired = []
-    timer = Timer(scheduler, lambda: fired.append("no"))
-    timer.start(0.01)
+    timer = scheduler.schedule(0.01, fired.append, "no")
     timer.cancel()
+    released = scheduler.schedule(0.01, fired.append, "no")
+    released.release()
+    assert released.args == () and scheduler.pending_count == 0
     _drive(scheduler, 0.05)
-    assert fired == [] and not timer.pending
+    assert fired == [] and not timer.pending and not released.pending
 
 
 # ----------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_page_timers_are_the_fused_data_recovery_forms():
                                      member._backoff_base, 0,
                                      replay.random())
     assert params.c1 * 1e-12 <= delay <= (params.c1 + params.c2) * 1e-12
-    assert member._page_requests[page].timer.expiry == now + delay
+    assert member._page_requests[page].timer.time == now + delay
 
     member.reception.note_high_water(0, page, 1)   # it holds page state
     member._handle_page_request(PageRequestPayload(page=page, requester=1))
@@ -139,4 +139,4 @@ def test_page_timers_are_the_fused_data_recovery_forms():
     delay = timer_math.repair_timer(1e-12, params.d1, params.d2,
                                     replay.random())
     assert params.d1 * 1e-12 <= delay <= (params.d1 + params.d2) * 1e-12
-    assert reply.timer.expiry == now + delay
+    assert reply.timer.time == now + delay

@@ -620,8 +620,8 @@ def _watch_runs(network):
 def test_a_repair_run_over_holders_stays_in_the_run_handler():
     """A repair reaching k holders, each with its own repair timer
     pending, is one run. The run handler cancels, observes and
-    refreshes each hold-down in place: per member only the timer's
-    cancel and ``_set_holddown`` with its distance query, and no
+    refreshes each hold-down in place: per member only the timer
+    event's cancel and ``_set_holddown`` with its distance query, and no
     ``receive``, ``_accept_data``, ``DataStore.have`` or
     distance-oracle wrapper frame."""
     from repro.core.agent import SrmAgent
@@ -644,9 +644,10 @@ def test_a_repair_run_over_holders_stays_in_the_run_handler():
     handler = SrmAgent.receive_run.__qualname__
     assert frames[0] == handler and frames.count(handler) == 1, frames
     assert frames.count(SrmAgent._set_holddown.__qualname__) == k
-    # Per member: Timer.pending, Timer.cancel, Event.cancel and its
-    # list.pop, _set_holddown, Network.distance and holddown_until.
-    assert len(frames) <= 1 + 7 * k, frames
+    # Per member: the repair timer's Event.cancel and its list.pop (the
+    # event is the timer, and its pending test is a plain attribute),
+    # _set_holddown, Network.distance and holddown_until.
+    assert len(frames) <= 1 + 5 * k, frames
     assert not [frame for frame in frames
                 if frame in (SrmAgent.receive.__qualname__,
                              SrmAgent._accept_data.__qualname__,
@@ -655,6 +656,40 @@ def test_a_repair_run_over_holders_stays_in_the_run_handler():
     assert all(agent.repairs_cancelled == 1 and not agent.pending_repairs()
                and agent.holddown_active(name)
                for agent in agents.values())
+
+
+def test_a_request_timer_fires_straight_into_its_protocol_method():
+    """A request timer is its scheduler event: the event's callback is
+    the member's ``_request_timer_expired`` with the context as its
+    argument, so the drain loop enters the protocol method itself, with
+    no timer wrapper or closure frame between; the backoff after the
+    request re-arms the same event."""
+    from repro.core.agent import SrmAgent
+
+    member, name, _, _ = _member_in_request_suppression(keep=())
+    context = member._requests[name]
+    event = context.timer
+    assert event.callback == member._request_timer_expired
+    assert event.args == (context,)
+    scheduler = member.network.scheduler
+    expired = SrmAgent._request_timer_expired.__code__
+    callers = []
+
+    def profiler(frame, kind, arg):
+        if kind == "call" and frame.f_code is expired:
+            callers.append(frame.f_back.f_code.co_qualname)
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        scheduler.run(until=event.time)
+    finally:
+        sys.setprofile(previous)
+    assert type(scheduler).run.__qualname__ == "EventScheduler.run"
+    assert callers and set(callers) == {"EventScheduler.run"}, callers
+    assert context.rounds == 1 and member.requests_sent == 1
+    assert context.timer is event and event.pending
+    assert event.time > scheduler.now
 
 
 def test_a_data_run_over_holders_enters_only_the_run_handler():

@@ -2,8 +2,9 @@
 
 ``EventScheduler`` promises the (time, seq) contract that
 ``tests/reference_scheduler.py`` spells out in one list and a ``min``:
-any sequence of schedule / cancel / batch / timer operations
-executes identically on both. These tests drive that promise three ways
+any sequence of schedule / cancel / batch / timer operations (an
+owner's arm, move, revive, cancel and release of its event) executes
+identically on both. These tests drive that promise three ways
 — a hypothesis property over random op sequences, a seed x topology
 replay of full SRM sessions with the reference injected through
 ``scheduler=``, and targeted regressions for the perf-counter plumbing
@@ -23,7 +24,6 @@ from repro.sim import perf
 from repro.sim.rng import RandomSource
 from repro.sim.scheduler import (EventScheduler, SimulationError,
                                  create_scheduler)
-from repro.sim.timers import Timer
 from repro.topology.chain import chain
 from repro.topology.random_tree import random_labeled_tree
 from repro.topology.star import star
@@ -69,18 +69,21 @@ def _drive(sched, ops):
                 lambda i=i: fire(f"m{i}"))
             handles.extend(batch)
         elif op == 6:
-            timer = Timer(sched, lambda i=i: fire(f"t{i}"), name=f"t{i}")
-            timer.start(value)
-            timers.append(timer)
+            # An owner arms a protocol timer: the event is the timer.
+            timers.append(sched.schedule(value, fire, f"t{i}"))
         elif op == 7 and timers:
-            timer = timers[int(value * 977.0) % len(timers)]
-            choice = int(value * 31.0) % 3
+            # ... and moves (or revives), cancels or releases it,
+            # rebinding the handle a move returns.
+            k = int(value * 977.0) % len(timers)
+            choice = int(value * 31.0) % 4
             if choice == 0:
-                timer.start(value)
+                timers[k] = sched.reschedule_event(timers[k], value)
             elif choice == 1:
-                timer.reschedule(value * 0.5)
+                timers[k] = sched.reschedule_event(timers[k], value * 0.5)
+            elif choice == 2:
+                timers[k].cancel()
             else:
-                timer.cancel()
+                timers.pop(k).release()
         elif op == 8:
             sched.run(until=sched.now + value)
             log.append(("ran", round(sched.now, 9), sched.pending()))
@@ -162,6 +165,10 @@ def _session_trace(make, delivery, seed, spec_name, monkeypatch):
     network.run(max_events=500_000)
     for member in members:
         assert agents[member].store.have(AduName(source, DEFAULT_PAGE, 4))
+        # Releases every context's event (armed, moved, cancelled or
+        # fired above) on whichever scheduler the run used.
+        agents[member].reset_recovery_state()
+    assert network.scheduler.pending() == 0
     return [(r.time, r.node, r.kind, repr(r.detail))
             for r in network.trace]
 

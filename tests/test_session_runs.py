@@ -128,10 +128,10 @@ def recovery_state(agent):
     adaptive = agent.adaptive
     return (
         agent.requests_suppressed, agent.repairs_cancelled,
-        {name: (context.backoff_count, context.ignore_backoff_until, context.timer.expiry,
+        {name: (context.backoff_count, context.ignore_backoff_until, context.timer.time,
                 context.done)
          for name, context in agent._requests.items()},
-        {name: (context.repairs_observed, context.timer.expiry,
+        {name: (context.repairs_observed, context.timer.time,
                 context.done)
          for name, context in agent._repairs.items()},
         dict(agent._holddown),
@@ -332,7 +332,7 @@ def member_state(agent):
             {page: dict(high)
              for page, high in agent.reception._pages.items()},
             agent.pending_requests(),
-            {page: (context.is_reply, context.done, context.timer.expiry)
+            {page: (context.is_reply, context.done, context.timer.time)
              for page, context in agent._page_requests.items()},
             recovery_state(agent))
 

@@ -36,8 +36,7 @@ from repro.net.node import Agent, Node
 from repro.net.routing import (RootedIndex, SourceTree, SourceTrees,
                                 build_source_tree)
 from repro.sim.rng import RandomSource
-from repro.sim.scheduler import EventScheduler
-from repro.sim.timers import Timer
+from repro.sim.scheduler import Event, EventScheduler
 from repro.sim.trace import Trace, TraceRecord
 from repro.topology import spec as spec_module
 from repro.topology.btree import balanced_tree
@@ -166,7 +165,7 @@ def test_a_delay_edit_changes_only_its_network():
 #: What a finished run is made of; none of it may wait for the cyclic
 #: collector.
 RUN_TYPES = (Network, Node, Link, SourceTree, Trace, TraceRecord, SrmAgent,
-             Timer, RequestContext, RepairContext, PageRequestContext,
+             Event, RequestContext, RepairContext, PageRequestContext,
              TransmitQueue, OracleDistance, SessionProtocol, HerdSimulation,
              HerdWave)
 
