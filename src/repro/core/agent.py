@@ -39,7 +39,7 @@ firing enters the protocol method in one frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core import timer_math
 from repro.core.adaptive import AdaptiveTimers
@@ -278,8 +278,7 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
                         agent.adaptive.record_duplicate_request(
                             we_sent=context.sent_request,
                             requester_distance=reported,
-                            our_distance=agent.distances.distance(
-                                name.source))
+                            our_distance=agent._row[name.source])
                 # The ignore window is half-open: a request heard at its
                 # end backs off.
                 if now >= context.ignore_backoff_until:
@@ -353,8 +352,8 @@ def receive_run(agents: Sequence["SrmAgent"], packet: Packet) -> None:
                             we_sent=repair_context.sent_repair,
                             replier_distance=(
                                 payload.replier_distance_to_requester),
-                            our_distance=agent.distances.distance(
-                                repair_context.requester))
+                            our_distance=agent._row[
+                                repair_context.requester])
             if name in agent.store.held:
                 agent._set_holddown(name, answering)
             else:
@@ -397,6 +396,13 @@ class SrmAgent(Agent):
         self.distances: DistanceEstimator = (
             _UNJOINED if self.config.distance_oracle
             else SessionDistance(self.config.default_distance))
+        #: The rows the protocol reads by subscript: ``_row`` is the
+        #: estimator's (``distances.row``), which every timer draws
+        #: from; ``_true_row`` is the engine's row for this node, whose
+        #: doubled entry is the RTT the delay statistics divide by (the
+        #: same float as ``Engine.rtt``). Both are set by join_group.
+        self._row: Mapping[int, float] = self.distances.row
+        self._true_row: Mapping[int, float] = _UNJOINED.row
         self.session: Optional[SessionProtocol] = None
         self.adaptive: Optional[AdaptiveTimers] = None
         self.transmitter: Optional[TransmitQueue] = None
@@ -442,10 +448,19 @@ class SrmAgent(Agent):
         self.group = group
         self.network.join(self.node_id, group)
         self._joined_groups.add(group)
+        # An oracle's row is the engine's row: one request serves both.
+        # (A live engine's row is the member's own estimator's, so
+        # that one is made first.)
         if self.config.distance_oracle:
-            self.distances = OracleDistance(self.network, self.node_id)
-        elif self.distances is _UNJOINED:  # the oracle was switched off
-            self.distances = SessionDistance(self.config.default_distance)
+            self.distances = OracleDistance(
+                self.network.distance_row(self.node_id))
+            self._true_row = self.distances.row
+        else:
+            if self.distances is _UNJOINED:  # the oracle was switched off
+                self.distances = SessionDistance(
+                    self.config.default_distance)
+            self._true_row = self.network.distance_row(self.node_id)
+        self._row = self.distances.row
         if self.config.session_enabled:
             self.session = SessionProtocol(self)
             self.session.start()
@@ -504,7 +519,7 @@ class SrmAgent(Agent):
         if peer == self.node_id:
             return self.config.default_distance
         try:
-            return self.distances.distance(peer)
+            return self._row[peer]
         except KeyError:
             return self.config.default_distance
 
@@ -656,8 +671,8 @@ class SrmAgent(Agent):
         params = (adaptive.params if adaptive is not None
                   else self._fixed_params or self.params)
         delay = timer_math.request_timer(
-            self.distances.distance(name.source), params.c1, params.c2,
-            self._backoff_base, 0, self.rng.random())
+            self._row[name.source], params.c1, params.c2,
+            self._backoff_base, 0, self.rng.random())[0]
         context.timer = self._scheduler.schedule(
             delay, self._request_timer_expired, context)
         self.losses_detected += 1
@@ -686,7 +701,7 @@ class SrmAgent(Agent):
             else:
                 trace.kind_totals[REQUEST_ABANDONED] += 1
             return
-        distance = self.distances.distance(name.source)
+        distance = self._row[name.source]
         payload = RequestPayload(name=name, requester=self.node_id,
                                  requester_distance_to_source=distance)
         self._transmit(KIND_REQUEST, payload, ttl=context.request_ttl_used,
@@ -717,29 +732,23 @@ class SrmAgent(Agent):
         adaptive = self.adaptive
         params = (adaptive.params if adaptive is not None
                   else self._fixed_params or self.params)
-        delay = timer_math.request_timer(
-            self.distances.distance(context.name.source), params.c1,
-            params.c2, self._backoff_base, context.backoff_count,
-            self.rng.random())
         scheduler = self._scheduler
-        context.timer = scheduler.reschedule_event(context.timer, delay)
         now = scheduler.now
+        ignore_on = self.config.ignore_backoff_enabled
         # Footnote 1's heuristic: ignore further duplicate requests until
         # halfway between now and the new expiration time.
-        if self.config.ignore_backoff_enabled:
-            context.ignore_backoff_until = \
-                timer_math.ignore_backoff_until(now, delay)
-        else:
-            context.ignore_backoff_until = float("-inf")
+        delay, context.ignore_backoff_until = timer_math.request_timer(
+            self._row[context.name.source], params.c1, params.c2,
+            self._backoff_base, context.backoff_count, self.rng.random(),
+            now, ignore_on)
+        context.timer = scheduler.reschedule_event(context.timer, delay)
         trace = self.network.trace
         if REQUEST_TIMER_SET in trace.wanted:
             trace.record(now, self.node_id, REQUEST_TIMER_SET,
                          {"name": context.name, "delay": delay,
                           "backoff": context.backoff_count,
-                          "ignore_until": (
-                              context.ignore_backoff_until
-                              if self.config.ignore_backoff_enabled
-                              else None)})
+                          "ignore_until": (context.ignore_backoff_until
+                                           if ignore_on else None)})
         else:
             trace.kind_totals[REQUEST_TIMER_SET] += 1
 
@@ -750,7 +759,7 @@ class SrmAgent(Agent):
         context.first_request_seen = True
         now = self._scheduler.now
         delay = now - context.detected_at
-        rtt = self.network.rtt(self.node_id, context.name.source)
+        rtt = 2.0 * self._true_row[context.name.source]
         ratio = delay / rtt if rtt > 0 else 0.0
         trace = self.network.trace
         if FIRST_REQUEST_EVENT in trace.wanted:
@@ -810,8 +819,8 @@ class SrmAgent(Agent):
                   else self._fixed_params or self.params)
         context.timer = self._scheduler.schedule(
             timer_math.repair_timer(
-                self.distances.distance(payload.requester), params.d1,
-                params.d2, self.rng.random()),
+                self._row[payload.requester], params.d1, params.d2,
+                self.rng.random()),
             self._repair_timer_expired, context)
         if REPAIR_SCHEDULED in trace.wanted:
             trace.record(now, self.node_id, REPAIR_SCHEDULED,
@@ -840,7 +849,7 @@ class SrmAgent(Agent):
         mode = self.config.local_repair_mode
         two_step = (mode == "two-step"
                     and context.request_initial_ttl < DEFAULT_TTL)
-        distance = self.distances.distance(context.requester)
+        distance = self._row[context.requester]
         payload = RepairPayload(
             name=name, data=self.store.get(name), replier=self.node_id,
             answering=context.requester,
@@ -855,7 +864,7 @@ class SrmAgent(Agent):
         context.sent_repair = True
         context.done = True
         context.repairs_observed += 1
-        rtt = self.network.rtt(self.node_id, context.requester)
+        rtt = 2.0 * self._true_row[context.requester]
         now = self._scheduler.now
         delay = now - context.set_at
         ratio = delay / rtt if rtt > 0 else 0.0
@@ -881,9 +890,9 @@ class SrmAgent(Agent):
         anchor = first_requester if first_requester is not None else name.source
         if anchor == self.node_id:
             anchor = name.source
-        distance = self.distances.distance(anchor)
         self._holddown[name] = timer_math.holddown_until(
-            self._scheduler.now, distance, self.config.holddown_factor)
+            self._scheduler.now, self._row[anchor],
+            self.config.holddown_factor)
 
     # ------------------------------------------------------------------
     # Handling repairs and original data
@@ -931,7 +940,7 @@ class SrmAgent(Agent):
             context.done = True
             context.timer.cancel()
             delay = now - context.detected_at
-            rtt = self.network.rtt(self.node_id, name.source)
+            rtt = 2.0 * self._true_row[name.source]
             ratio = delay / rtt if rtt > 0 else 0.0
             if not context.first_request_seen:
                 # Recovered without ever seeing a request (e.g. reordered
@@ -990,7 +999,7 @@ class SrmAgent(Agent):
         context.timer = self._scheduler.schedule(
             timer_math.request_timer(
                 self._distance_or_default(page.creator), params.c1,
-                params.c2, self._backoff_base, 0, self.rng.random()),
+                params.c2, self._backoff_base, 0, self.rng.random())[0],
             self._page_request_timer_expired, context)
 
     def _page_request_timer_expired(self, context: PageRequestContext) -> None:
@@ -1034,8 +1043,8 @@ class SrmAgent(Agent):
         params = self.params
         reply_context.timer = self._scheduler.schedule(
             timer_math.repair_timer(
-                self.distances.distance(payload.requester), params.d1,
-                params.d2, self.rng.random()),
+                self._row[payload.requester], params.d1, params.d2,
+                self.rng.random()),
             self._page_reply_timer_expired, reply_context)
 
     def _page_reply_timer_expired(self, context: PageRequestContext) -> None:

@@ -92,9 +92,12 @@ class LayeredSource:
                 layer)
 
     def stop(self) -> None:
+        """Stop sending; each layer's timer event is released, so it no
+        longer calls back into (and holds) this source."""
         self._running = False
         for timer in self._timers.values():
-            timer.cancel()
+            timer.release()
+        self._timers = {}
 
     def _tick(self, layer: LayerSpec) -> None:
         if not self._running:
@@ -175,8 +178,10 @@ class LayeredReceiver:
             self.rng.jitter(self.decision_interval, 0.2), self._decide)
 
     def stop(self) -> None:
+        """Stop deciding; the timer event is released, as the source's."""
         if self._timer is not None:
-            self._timer.cancel()
+            self._timer.release()
+            self._timer = None
 
     def _window_losses(self) -> int:
         total = sum(agent.losses_detected for agent in self.agents.values())

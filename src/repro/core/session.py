@@ -12,8 +12,8 @@ bandwidth, so the per-member interval grows linearly with the group size.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional
 
 from repro.core.messages import KIND_SESSION, SessionPayload, SessionTimestamp
 from repro.sim.timers import ScheduledEvent
@@ -22,12 +22,18 @@ from repro.sim.trace import SEND_SESSION
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.agent import SrmAgent
     from repro.core.names import PageId
-    from repro.live.engine import Engine
     from repro.net.packet import NodeId, Packet
 
 
 class DistanceEstimator:
-    """Interface: one-way delay estimates from this member to peers."""
+    """Interface: one-way delay estimates from this member to peers.
+
+    ``row`` holds them by peer: ``row[peer] == distance(peer)``, so the
+    agent's timer paths read a distance by subscript, with no call.
+    """
+
+    #: No peers known: every read is a ``KeyError``.
+    row: Mapping["NodeId", float] = MappingProxyType({})
 
     def distance(self, peer: "NodeId") -> float:
         raise NotImplementedError
@@ -39,26 +45,39 @@ class OracleDistance(DistanceEstimator):
     The paper's experiments assume each member knows its distance to every
     other member ("the session packet timestamps are used to estimate the
     host-to-host distances"); the oracle models fully converged estimates.
-    It holds the engine and the member's node, not the agent, so the
-    agent holding it is no reference cycle. ``distance(peer)`` is the
-    engine's ``distance`` with the member's node bound once, so a query
-    enters no frame of the oracle's own.
+    Its ``row`` is the engine's row for the member's node
+    (``Engine.distance_row``), which holds neither the engine nor an
+    agent, so the agent holding it is no reference cycle; ``distance`` is
+    that row's subscript.
     """
 
-    def __init__(self, network: "Engine", node: "NodeId") -> None:
-        self.distance: Callable[["NodeId"], float] = partial(
-            network.distance, node)
+    def __init__(self, row: "Mapping[NodeId, float]") -> None:
+        self.row = row
+        self.distance: Callable[["NodeId"], float] = row.__getitem__
+
+
+class EstimateRow(Dict["NodeId", float]):
+    """A session member's learned distances: a peer not heard from yet
+    reads ``default``, and the read stores nothing."""
+
+    __slots__ = ("default",)
+
+    default: float
+
+    def __missing__(self, peer: "NodeId") -> float:
+        return self.default
 
 
 class SessionDistance(DistanceEstimator):
     """Distances learned from session-message timestamp echoes."""
 
     def __init__(self, default: float = 1.0) -> None:
-        self.default = default
-        self.estimates: Dict["NodeId", float] = {}
+        #: peer -> estimate; also this estimator's ``row``.
+        estimates = self.estimates = self.row = EstimateRow()
+        estimates.default = default
 
     def distance(self, peer: "NodeId") -> float:
-        return self.estimates.get(peer, self.default)
+        return self.estimates[peer]
 
     def update(self, peer: "NodeId", estimate: float) -> None:
         # One-way delays cannot be negative; clock skew in the simulator

@@ -20,9 +20,10 @@ here, once, in the exact shape of the original agent code:
 * answering a request starts a ``holddown_factor * d`` ignore window
   (Section III-B's 3*d hold-down).
 
-The fused scalar forms :func:`request_timer` and :func:`repair_timer`
-are the scalar reference: each clamps the distance, computes the bounds
-and draws in one frame, so a timer decision is one call. The draw
+The fused scalar forms :func:`request_timer` (which also ends the
+ignore window of a backoff) and :func:`repair_timer` are the scalar
+reference: each clamps the distance, computes the bounds and draws in
+one frame, so a timer decision, backoff included, is one call. The draw
 reproduces CPython's ``Random.uniform(low, high)`` — ``low + (high -
 low) * u`` — from one raw ``random()`` output ``u``, so an engine holding
 pre-drawn uniforms makes the same draw the agent would, consuming
@@ -46,27 +47,40 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Upper bound of the degenerate (zero-width) timer interval.
 DEGENERATE_HIGH = 1e-9
 
+#: The end of an empty ignore window: every request backs off.
+_NO_WINDOW = float("-inf")
+
 # ---------------------------------------------------------------------------
 # Scalar path (the agent engine, and the herd's per-member draws)
 # ---------------------------------------------------------------------------
 
 
 def request_timer(distance: float, c1: float, c2: float,
-                  backoff_factor: float, backoff_count: int,
-                  u: float) -> float:
-    """One request timer from a raw uniform ``u`` in ``[0, 1)``.
+                  backoff_factor: float, backoff_count: int, u: float,
+                  now: float = 0.0, ignore: bool = False
+                  ) -> Tuple[float, float]:
+    """One request timer from a raw uniform ``u`` in ``[0, 1)``, and the
+    end of its duplicate-request ignore window.
 
-    Uniform on ``[f*C1*d, f*(C1+C2)*d]`` with ``f = backoff_factor **
-    backoff_count`` (Section III-A); a negative distance counts as 0.
+    The delay is uniform on ``[f*C1*d, f*(C1+C2)*d]`` with ``f =
+    backoff_factor ** backoff_count`` (Section III-A); a negative
+    distance counts as 0. With ``ignore`` (footnote 1's heuristic, after
+    a backoff), duplicate requests are ignored until halfway between
+    ``now`` and the new expiry; otherwise the window is empty
+    (``-inf``).
     """
     if distance < 0.0:
         distance = 0.0
     factor = backoff_factor ** backoff_count
     high = factor * (c1 + c2) * distance
     if high <= 0.0:
-        return DEGENERATE_HIGH * u
-    low = factor * c1 * distance
-    return low + (high - low) * u
+        delay = DEGENERATE_HIGH * u
+    else:
+        low = factor * c1 * distance
+        delay = low + (high - low) * u
+    if ignore:
+        return delay, now + delay / 2.0
+    return delay, _NO_WINDOW
 
 
 def repair_timer(distance: float, d1: float, d2: float, u: Any) -> Any:
@@ -83,11 +97,6 @@ def repair_timer(distance: float, d1: float, d2: float, u: Any) -> Any:
         return DEGENERATE_HIGH * u
     low = d1 * distance
     return low + (high - low) * u
-
-
-def ignore_backoff_until(now: float, delay: float) -> float:
-    """End of the duplicate-request ignore window after a backoff."""
-    return now + delay / 2.0
 
 
 def holddown_until(now: float, distance: float,

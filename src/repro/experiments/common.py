@@ -269,12 +269,10 @@ class LossRecoverySimulation:
                                report: LossEventReport) -> Optional[float]:
         if not report.request_waits:
             return None
-        # Pair distances from the rooted index: a tree topology builds
-        # no full source tree to read a few of its entries.
-        distance = self.network.distance
-        source = self.scenario.source
-        dist = {member: distance(source, member)
-                for member in report.request_waits}
+        # The source's distance row: a tree topology builds no full
+        # source tree to read a few of its entries.
+        row = self.network.distance_row(self.scenario.source)
+        dist = {member: row[member] for member in report.request_waits}
         closest_distance = min(dist.values())
         return min([timing.ratio for member, timing in
                     report.request_waits.items()

@@ -370,19 +370,16 @@ class HerdSimulation:
         """Double one member's request timer."""
         self._r_backoff[i] += 1
         count = int(self._r_backoff[i])
-        delay = timer_math.request_timer(
-            float(self._dist_src[i]), self._params.c1, self._params.c2,
-            self._backoff_base, count, self._pools.take(i))
         now = self.scheduler.now
+        ignore_on = self.config.ignore_backoff_enabled
+        delay, ignore = timer_math.request_timer(
+            float(self._dist_src[i]), self._params.c1, self._params.c2,
+            self._backoff_base, count, self._pools.take(i), now, ignore_on)
         self._r_expiry[i] = now + delay
-        ignore: Optional[float] = None
-        if self.config.ignore_backoff_enabled:
-            ignore = timer_math.ignore_backoff_until(now, delay)
-            self._r_ignore[i] = ignore
-        else:
-            self._r_ignore[i] = -math.inf
+        self._r_ignore[i] = ignore
         self._emit(node, REQUEST_TIMER_SET, name=self._payload_name,
-                   delay=delay, backoff=count, ignore_until=ignore)
+                   delay=delay, backoff=count,
+                   ignore_until=ignore if ignore_on else None)
         return count
 
     def _request_fire(self, idx: IntArray) -> None:

@@ -5,9 +5,9 @@ protocol, the whiteboard, the oracles) asks of its environment is one of
 four capabilities — clock reads and timer scheduling (``scheduler``),
 multicast send (``send_multicast``) and membership (``attach`` / ``join``
 / ``leave`` / ``group_size``), topology estimates (``distance`` /
-``rtt``), and tracing (``trace``). :class:`Engine` pins that surface down
-as a structural protocol so the protocol machinery never names a concrete
-engine.
+``rtt`` / ``distance_row``), and tracing (``trace``). :class:`Engine`
+pins that surface down as a structural protocol so the protocol
+machinery never names a concrete engine.
 
 Two implementations exist:
 
@@ -19,7 +19,7 @@ Two implementations exist:
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Any, Mapping, Optional, Protocol, runtime_checkable
 
 from repro.net.node import Agent
 from repro.net.packet import DEFAULT_TTL, GroupAddress, NodeId, Packet
@@ -77,6 +77,12 @@ class Engine(Protocol):
 
     def rtt(self, a: NodeId, b: NodeId) -> float:
         """Round-trip delay (symmetric paths, as the paper assumes)."""
+        ...
+
+    def distance_row(self, node: NodeId) -> Mapping[NodeId, float]:
+        """``node``'s distances by subscript: ``row[b]`` is
+        ``distance(node, b)`` (and ``2.0 * row[b]`` is ``rtt``), so an
+        agent holding the row reads one with no call."""
         ...
 
     def group_size(self, group: GroupAddress) -> int:

@@ -25,10 +25,11 @@ Differences from the sim, by design:
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.codec import ANY, Codec, WireFormatError
 from repro.core.config import SrmConfig
+from repro.core.session import EstimateRow
 from repro.live.framing import frame_to_packet, packet_to_frame
 from repro.live.scheduler import LiveScheduler
 from repro.live.transport import LinkEmulator, _UdpTransportBase
@@ -136,6 +137,16 @@ class LiveEngine:
 
     def rtt(self, a: NodeId, b: NodeId) -> float:
         return 2.0 * self.distance(a, b)
+
+    def distance_row(self, a: NodeId) -> Mapping[NodeId, float]:
+        """The local agent's estimator row at ``a``, so its RTTs equal
+        :meth:`rtt`; any other node reads ``default_distance``."""
+        agent = self._srm_agent(a)
+        if agent is not None:
+            return agent.distances.row  # type: ignore[attr-defined]
+        row = EstimateRow()
+        row.default = self.default_distance
+        return row
 
     def send_multicast(self, src: NodeId, group: GroupAddress, kind: str,
                        payload: Any = None, ttl: int = DEFAULT_TTL,

@@ -20,6 +20,7 @@ a trace nobody was subscribed to.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.names import AduName
@@ -38,6 +39,10 @@ class MemberTiming:
     ratio: float
     at: float
     via: str = ""
+
+
+#: The last recovery: latest ``at``, ties to the highest member id.
+_AT_THEN_MEMBER = attrgetter("at", "member")
 
 
 @dataclass
@@ -73,7 +78,7 @@ class LossEventReport:
         """
         if not self.recoveries:
             return None
-        last = max(self.recoveries.values(), key=lambda t: (t.at, t.member))
+        last = max(self.recoveries.values(), key=_AT_THEN_MEMBER)
         return last.ratio
 
     def max_recovery_ratio(self) -> Optional[float]:

@@ -211,6 +211,28 @@ class LinkTable(LazyTable):
         return [link(a, b) for a, b in self.skeleton.edges]
 
 
+class DistanceRow(Dict[NodeId, float]):
+    """One node's one-way delays to its peers, read by subscript.
+
+    ``row[peer]`` is ``routes.pair(node, peer)``'s delay: a miss asks the
+    routes once and keeps the answer, a hit is a plain dict lookup, and
+    ``row[node]`` is ``0.0``. A row holds only its routes and its node,
+    never the network or an agent, so no run's cycle goes through it.
+    :meth:`Network.distance_row` hands out one per node, and
+    :meth:`Network.invalidate_routes` clears each in place and points it
+    at the new routes.
+    """
+
+    __slots__ = ("routes", "node")
+
+    routes: Routes
+    node: NodeId
+
+    def __missing__(self, peer: NodeId) -> float:
+        delay = self[peer] = self.routes.pair(self.node, peer)[0]
+        return delay
+
+
 class Network:
     """A simulated internetwork."""
 
@@ -235,8 +257,8 @@ class Network:
         #: shared :class:`~repro.net.routing.RootedIndex`, else this
         #: graph's own :class:`~repro.net.routing.SourceTrees`.
         self._routes: Routes = SourceTrees(self.adjacency, 0)
-        #: (a, b) -> (delay, hops), as the routes answered it.
-        self._pairs: Dict[Tuple[NodeId, NodeId], Tuple[float, int]] = {}
+        #: node -> its :class:`DistanceRow` (:meth:`distance_row`).
+        self._rows: Dict[NodeId, DistanceRow] = {}
         #: (origin, link) -> how a multicast from ``origin`` meets the
         #: link (:meth:`_cut_entry`); None when it never crosses it.
         self._cut_entries: Dict[Tuple[NodeId, Link],
@@ -347,8 +369,11 @@ class Network:
         and routes on source trees of its own from then on.
         """
         self._materialize()
-        self._routes = SourceTrees(self.adjacency, len(self._links))
-        self._pairs = {}
+        routes = self._routes = SourceTrees(self.adjacency, len(self._links))
+        for node, row in self._rows.items():
+            row.clear()
+            row.routes = routes
+            row[node] = 0.0
         self._cut_entries = {}
         self._plan_cache = {}
 
@@ -476,29 +501,35 @@ class Network:
         """
         return self._routes.member_tree(origin, nodes)
 
+    def distance_row(self, node: NodeId) -> DistanceRow:
+        """``node``'s :class:`DistanceRow`: ``row[b] == distance(node, b)``.
+
+        Made on first request and kept for the network's life, so a
+        member that holds its row reads every distance by subscript.
+        """
+        rows = self._rows
+        if node in rows:
+            return rows[node]
+        row = rows[node] = DistanceRow()
+        row.routes = self._routes
+        row.node = node
+        row[node] = 0.0
+        return row
+
     def distance(self, a: NodeId, b: NodeId) -> float:
         """One-way shortest-path delay between two nodes.
 
-        The pair memo answers; a miss asks the routes' ``pair`` (on a
+        ``a``'s row answers; a miss asks the routes' ``pair`` (on a
         loaded tree bit for bit ``source_tree(a)``'s numbers, building
-        none) and memoises it. :meth:`hops` answers the same way.
+        none) and keeps it in the row.
         """
-        if a == b:
-            return 0.0
-        key = (a, b)
-        if key in self._pairs:
-            return self._pairs[key][0]
-        found = self._pairs[key] = self._routes.pair(a, b)
-        return found[0]
+        return self.distance_row(a)[b]
 
     def hops(self, a: NodeId, b: NodeId) -> int:
+        """Hop count of the path a -> b, asked of the routes."""
         if a == b:
             return 0
-        key = (a, b)
-        if key in self._pairs:
-            return self._pairs[key][1]
-        found = self._pairs[key] = self._routes.pair(a, b)
-        return found[1]
+        return self._routes.pair(a, b)[1]
 
     def path(self, a: NodeId, b: NodeId) -> List[NodeId]:
         """Nodes on the shortest path a -> b, inclusive (``a``'s tree path)."""

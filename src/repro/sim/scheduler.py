@@ -410,9 +410,7 @@ class EventScheduler:
         inter-execution gap when one has been sampled, else from the
         live population's time span (see :data:`MIN_BUCKET_WIDTH`).
         """
-        events: List[Event] = []
-        for bucket in self._buckets:
-            events.extend(bucket)
+        events = [ev for bucket in self._buckets for ev in bucket]
         live = len(events)
         if width is None:
             width = self._width
@@ -444,7 +442,8 @@ class EventScheduler:
             # identity staying the same is safe.
             buckets = self._buckets
             for b in buckets:
-                b.clear()
+                if b:  # most buckets of a sparse calendar are empty
+                    b.clear()
         else:
             buckets = [[] for _ in range(nbuckets)]
             self._buckets = buckets

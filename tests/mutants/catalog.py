@@ -68,8 +68,8 @@ CATALOG: Tuple[Mutant, ...] = (
     # -- the ignore-backoff window (footnote 1) ------------------------
     Mutant(
         "ignore-window-quarter", TIMER_MATH,
-        "    return now + delay / 2.0",
-        "    return now + delay / 4.0",
+        "        return delay, now + delay / 2.0",
+        "        return delay, now + delay / 4.0",
         "III-A footnote 1: after a backoff, duplicate requests are "
         "ignored until halfway to the new expiry"),
     Mutant(

@@ -122,9 +122,15 @@ class ReferenceScheduler:
     def peek_time(self):
         return min(self._pending, key=_KEY).time if self._pending else None
 
-    def reset(self):
+    def clear(self):
+        """Drop all pending events; the clock and counters stay."""
+        if self._running:
+            raise SimulationError("cannot clear a running scheduler")
         for event in self._pending:
             event.pending = False
         self._pending = []
+
+    def reset(self):
+        self.clear()
         self.now = 0.0
         self.events_processed = 0

@@ -242,7 +242,7 @@ def test_adaptive_member_draws_with_its_current_c1():
         delay = network.trace.filter(kind=REQUEST_TIMER_SET)[-1].detail["delay"]
         # Adaptive backoff is 3x per round (Section VII-A).
         assert delay == timer_math.request_timer(
-            distance, before, params.c2, 3.0, context.backoff_count, u)
+            distance, before, params.c2, 3.0, context.backoff_count, u)[0]
         assert delay != timer_math.request_timer(
             distance, before - 0.25, params.c2, 3.0, context.backoff_count,
-            u)
+            u)[0]

@@ -66,8 +66,8 @@ def no_backoff(monkeypatch):
     bounds_vec = timer_math.request_delay_bounds_vec
     monkeypatch.setattr(
         herd_engine.timer_math, "request_timer",
-        lambda distance, c1, c2, factor, count, u: timer(
-            distance, c1, c2, factor, 0, u))
+        lambda distance, c1, c2, factor, count, u, now, ignore: timer(
+            distance, c1, c2, factor, 0, u, now, ignore))
     monkeypatch.setattr(
         herd_engine.timer_math, "request_delay_bounds_vec",
         lambda distances, c1, c2, counts, factor: bounds_vec(

@@ -256,7 +256,7 @@ def test_star_hub_not_member_forwards_anyway():
 
 def test_invalidate_routes_after_delay_edit():
     """Editing a link in place needs one call to drop every routing cache:
-    the routes with their pair memo, and the plans. The routes were the
+    the routes, the distance rows' entries, and the plans. The routes were the
     shared skeleton's rooted index; the new ones are the network's own
     source trees, and the next network built from the spec still reads
     the skeleton's index."""
@@ -276,14 +276,16 @@ def test_invalidate_routes_after_delay_edit():
     stale_index = network._routes
     assert isinstance(stale_index, RootedIndex)
     assert stale_index is chain(5).build()._routes
-    assert network._pairs == {(0, 4): (4.0, 4), (3, 1): (2.0, 2),
-                              (4, 2): (2.0, 2)}
+    # Each asking node has a row of what it asked; hops keeps none.
+    row = network.distance_row(0)
+    assert network._rows == {0: {0: 0.0, 4: 4.0}, 3: {3: 0.0, 1: 2.0}}
 
     network.link_between(1, 2).delay = 7.5
     network.invalidate_routes()
     own = network._routes
     assert network._plan_cache == {} and isinstance(own, SourceTrees)
-    assert network._pairs == {} and own.trees == {}
+    assert network._rows == {0: {0: 0.0}, 3: {3: 0.0}} and own.trees == {}
+    assert network.distance_row(0) is row and row.routes is own
     assert own.neighbors is None
     assert network.distance(3, 1) == 8.5
     assert network.distance(0, 4) == 10.5
@@ -299,7 +301,7 @@ def test_invalidate_routes_after_delay_edit():
     assert plan_key in network._plan_cache
     assert network._routes is own and own.adjacency is network.adjacency
     assert own.pair(3, 1) == (8.5, 2)
-    assert own.pair(0, 4) == network._pairs[(0, 4)] == (10.5, 4)
+    assert own.pair(0, 4) == (row[4], 4) == (10.5, 4)
     # The skeleton, and every network built from it since, kept the
     # old delay.
     assert stale_index.pair(3, 1) == (2.0, 2)

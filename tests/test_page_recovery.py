@@ -126,9 +126,9 @@ def test_page_timers_are_the_fused_data_recovery_forms():
 
     member.request_page_state(page)
     now = network.scheduler.now
-    delay = timer_math.request_timer(1e-12, params.c1, params.c2,
-                                     member._backoff_base, 0,
-                                     replay.random())
+    delay, _ = timer_math.request_timer(1e-12, params.c1, params.c2,
+                                        member._backoff_base, 0,
+                                        replay.random())
     assert params.c1 * 1e-12 <= delay <= (params.c1 + params.c2) * 1e-12
     assert member._page_requests[page].timer.time == now + delay
 

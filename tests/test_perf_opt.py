@@ -621,9 +621,10 @@ def test_a_repair_run_over_holders_stays_in_the_run_handler():
     """A repair reaching k holders, each with its own repair timer
     pending, is one run. The run handler cancels, observes and
     refreshes each hold-down in place: per member only the timer
-    event's cancel and ``_set_holddown`` with its distance query, and no
-    ``receive``, ``_accept_data``, ``DataStore.have`` or
-    distance-oracle wrapper frame."""
+    event's cancel and ``_set_holddown``, which reads its distance off
+    the member's row, and no ``receive``, ``_accept_data``,
+    ``DataStore.have``, ``Network.distance`` or distance-oracle wrapper
+    frame."""
     from repro.core.agent import SrmAgent
     from repro.core.messages import (KIND_REPAIR, KIND_REQUEST,
                                      RepairPayload, RequestPayload)
@@ -646,12 +647,13 @@ def test_a_repair_run_over_holders_stays_in_the_run_handler():
     assert frames.count(SrmAgent._set_holddown.__qualname__) == k
     # Per member: the repair timer's Event.cancel and its list.pop (the
     # event is the timer, and its pending test is a plain attribute),
-    # _set_holddown, Network.distance and holddown_until.
-    assert len(frames) <= 1 + 5 * k, frames
+    # _set_holddown and holddown_until (the distance is a subscript).
+    assert len(frames) <= 1 + 4 * k, frames
     assert not [frame for frame in frames
                 if frame in (SrmAgent.receive.__qualname__,
                              SrmAgent._accept_data.__qualname__,
                              "DataStore.have", "OracleDistance.distance",
+                             "Network.distance", "DistanceRow.__missing__",
                              "C:dict.get", "C:dict.__contains__")], frames
     assert all(agent.repairs_cancelled == 1 and not agent.pending_repairs()
                and agent.holddown_active(name)

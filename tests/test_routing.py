@@ -200,7 +200,7 @@ def test_tree_traversal_is_bitwise_dijkstra(seed, n, data):
     routes = network._routes
     assert sorted(routes.trees) == list(nodes)
     assert routes.neighbors is not None  # traversals, not Dijkstra
-    check_all_pairs()  # now from the pair memo
+    check_all_pairs()  # now from the distance rows
     for a in nodes:
         assert_same_tree(network.source_tree(a), dijkstra[a], nodes)
     check_all_pairs()  # and from each a's own cached tree

@@ -18,7 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import SrmConfig
 from repro.core.names import AduName, DEFAULT_PAGE
+from repro.experiments.common import LossRecoverySimulation
+from repro.experiments.figure4 import figure4_scenarios
 from repro.net.link import NthPacketDropFilter
 from repro.sim import perf
 from repro.sim.rng import RandomSource
@@ -183,6 +186,28 @@ def test_seed_matrix_replay_is_identical_across_backends(
             for make in (EventScheduler, ReferenceScheduler))
         assert production == reference
         assert len(production) > 0
+
+
+def test_a_recovery_round_runs_and_closes_on_the_reference(monkeypatch):
+    """A figure-4 round on the reference scheduler has the production
+    scheduler's outcome, and ``close`` clears either one the same way:
+    a dropped event reads not pending, and the clock and counters stay."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    scenario = figure4_scenarios(sizes=(20,), sims=1, seed=4)[0]
+    runs = []
+    for make in (EventScheduler, ReferenceScheduler):
+        sim = LossRecoverySimulation(scenario, SrmConfig(), seed=3,
+                                     scheduler=make())
+        outcome = sim.run_round()
+        scheduler = sim.network.scheduler
+        late = scheduler.schedule(1.0, sim.source_agent.send_data, "late")
+        clock = (scheduler.now, scheduler.events_processed)
+        sim.close()
+        assert not late.pending and scheduler.pending() == 0
+        assert (scheduler.now, scheduler.events_processed) == clock
+        runs.append((outcome, clock))
+    assert runs[0] == runs[1]
+    assert runs[0][0].recovered
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import pytest
 from repro.core.agent import (PageRequestContext, RepairContext,
                               RequestContext, SrmAgent)
 from repro.core.config import SrmConfig
+from repro.core.layered import LayeredReceiver, LayeredSource, make_layers
 from repro.core.session import OracleDistance, SessionProtocol
 from repro.core.transmit import TransmitQueue
 from repro.experiments.common import (ExperimentSpec, LossRecoverySimulation,
@@ -167,7 +168,7 @@ def test_a_delay_edit_changes_only_its_network():
 RUN_TYPES = (Network, Node, Link, SourceTree, Trace, TraceRecord, SrmAgent,
              Event, RequestContext, RepairContext, PageRequestContext,
              TransmitQueue, OracleDistance, SessionProtocol, HerdSimulation,
-             HerdWave)
+             HerdWave, LayeredSource, LayeredReceiver)
 
 
 def collector_census(run) -> list:
@@ -305,6 +306,32 @@ def test_a_robustness_sweep_leaves_no_cyclic_garbage(monkeypatch):
         lambda: results.append(run_robustness(rounds=1))) == []
     assert len(results[0]) == len(DEFAULT_CASES)
     assert all(result.all_recovered for result in results[0])
+
+
+def test_a_stopped_layered_run_leaves_no_cyclic_garbage(monkeypatch):
+    """Section IX-C's layered source and receiver call back into
+    themselves through their timer events: ``stop`` releases them, so a
+    stopped and closed layered run frees itself."""
+    monkeypatch.delenv("SRM_CHECK", raising=False)
+    seen = {}
+
+    def run() -> None:
+        network = chain(5).build(delivery="hop")
+        layers = make_layers(network, 3, base_interval=8.0)
+        source = LayeredSource(network, 0, layers, rng=RandomSource(1))
+        receiver = LayeredReceiver(network, 4, layers, rng=RandomSource(2),
+                                   decision_interval=10.0, start_layers=3)
+        source.start()
+        receiver.start()
+        network.run(until=100.0)
+        source.stop()
+        receiver.stop()
+        network.close()
+        seen["sent"] = source.packets_sent(2)
+        seen["received"] = receiver.received_on(2)
+
+    assert cyclic_garbage(run) == []
+    assert seen["sent"] > 0 and seen["received"] > 0
 
 
 def test_a_figure12_probe_leaves_no_cyclic_garbage(monkeypatch):

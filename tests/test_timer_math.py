@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.core.timer_math import (DEGENERATE_HIGH, backoff_factors_vec,
                                    draw_timers_vec, holddown_until,
-                                   ignore_backoff_until,
                                    repair_delay_bounds_vec, repair_timer,
                                    request_delay_bounds_vec, request_timer)
 
@@ -91,7 +90,7 @@ def test_draw_timer_matches_random_uniform(seed, low, width):
     assert draw_timer(low, high, u) == expected
     # At unit distance the fused forms' bounds are their constants.
     assert repair_timer(1.0, low, width, u) == expected
-    assert request_timer(1.0, low, width, 2.0, 0, u) == expected
+    assert request_timer(1.0, low, width, 2.0, 0, u)[0] == expected
 
 
 @given(u=unit, c1=constants, c2=constants, count=counts)
@@ -100,9 +99,11 @@ def test_draw_timer_degenerate_interval(u, c1, c2, count):
     # equidistant members still de-synchronize.
     assert draw_timer(0.0, 0.0, u) == DEGENERATE_HIGH * u
     assert draw_timer(5.0, -1.0, u) == DEGENERATE_HIGH * u
-    assert request_timer(0.0, c1, c2, 2.0, count, u) == DEGENERATE_HIGH * u
+    assert request_timer(0.0, c1, c2, 2.0, count, u)[0] == \
+        DEGENERATE_HIGH * u
     assert repair_timer(0.0, c1, c2, u) == DEGENERATE_HIGH * u
-    assert request_timer(5.0, 0.0, 0.0, 2.0, count, u) == DEGENERATE_HIGH * u
+    assert request_timer(5.0, 0.0, 0.0, 2.0, count, u)[0] == \
+        DEGENERATE_HIGH * u
     assert repair_timer(5.0, 0.0, 0.0, u) == DEGENERATE_HIGH * u
 
 
@@ -115,7 +116,7 @@ def test_draw_timer_degenerate_interval(u, c1, c2, count):
        count=st.integers(0, 16), u=unit)
 def test_request_draw_lands_inside_bounds(distance, c1, c2, count, u):
     low, high = request_delay_bounds(distance, c1, c2, count)
-    delay = request_timer(distance, c1, c2, 2.0, count, u)
+    delay = request_timer(distance, c1, c2, 2.0, count, u)[0]
     if high <= 0.0:
         assert 0.0 <= delay < DEGENERATE_HIGH
     else:
@@ -139,7 +140,7 @@ def test_negative_distance_estimates_clamp_to_zero(distance, c1, c2,
                                                    count, u):
     assert request_delay_bounds(distance, c1, c2) == (0.0, 0.0)
     assert repair_delay_bounds(distance, c1, c2) == (0.0, 0.0)
-    assert request_timer(distance, c1, c2, 2.0, count, u) == \
+    assert request_timer(distance, c1, c2, 2.0, count, u)[0] == \
         DEGENERATE_HIGH * u
     assert repair_timer(distance, c1, c2, u) == DEGENERATE_HIGH * u
 
@@ -174,10 +175,15 @@ def test_backoff_factors_vec_matches_scalar_pow(count, factor):
 # Suppression-window monotonicity
 # ----------------------------------------------------------------------
 
-@given(now=times, delay=st.floats(0.0, 1e6))
-def test_ignore_window_covers_half_the_new_delay(now, delay):
-    until = ignore_backoff_until(now, delay)
+@given(now=times, distance=st.floats(0.0, 1e6), c1=constants,
+       c2=constants, count=counts, u=unit)
+def test_ignore_window_covers_half_the_new_delay(now, distance, c1, c2,
+                                                 count, u):
+    delay, until = request_timer(distance, c1, c2, 2.0, count, u, now, True)
     assert until == now + delay / 2.0
+    # A first timer, or the heuristic off: an empty window.
+    assert request_timer(distance, c1, c2, 2.0, count, u, now) == \
+        (delay, float("-inf"))
     assert until >= now
     if now >= until:
         # Only possible when the half-delay rounded away entirely
@@ -233,7 +239,7 @@ def test_draw_timers_vec_bitwise_equals_scalar(batch, c1, c2):
     lows, highs = request_delay_bounds_vec(dists, c1, c2, counts)
     draws = draw_timers_vec(lows, highs, us)
     for i, (d, count, u) in enumerate(batch):
-        assert draws[i] == request_timer(d, c1, c2, 2.0, count, u)
+        assert draws[i] == request_timer(d, c1, c2, 2.0, count, u)[0]
 
 
 # ----------------------------------------------------------------------
@@ -249,8 +255,11 @@ def test_request_timer_equals_bounds_then_draw(distance, c1, c2, factor,
     # does: -0.0 and NaN pass through both unchanged.
     expected = draw_timer(*request_delay_bounds(distance, c1, c2, count,
                                                 factor), u)
-    assert bits(request_timer(distance, c1, c2, factor, count, u)) == \
+    assert bits(request_timer(distance, c1, c2, factor, count, u)[0]) == \
         bits(expected)
+    # A backoff's ignore window does not change the draw.
+    delay, _ = request_timer(distance, c1, c2, factor, count, u, 1.0, True)
+    assert bits(delay) == bits(expected)
 
 
 @settings(max_examples=examples(300))
@@ -283,7 +292,7 @@ def test_request_timer_equals_vec_forms(batch, c1, c2, factor):
         *request_delay_bounds_vec(dists, c1, c2, counts_, factor), us)
     for i, (d, count, u) in enumerate(batch):
         assert same_draw(draws[i], request_timer(d, c1, c2, factor,
-                                                 count, u))
+                                                 count, u)[0])
 
 
 @settings(max_examples=examples(150))
